@@ -15,7 +15,6 @@ from .algebra import (
     footprint_by_source,
     footprint_total,
     intensity,
-    leontief_inverse,
     leontief_solve,
     productivity_check,
     technical_coefficients,
@@ -35,6 +34,7 @@ from .indicators import (
     FootprintReport,
     MaterialTotals,
     OriginSplit,
+    ReportVariant,
     SectorGroupConcordance,
     aggregate_by_sector_group,
     aggregate_by_skill,
@@ -46,6 +46,7 @@ from .indicators import (
     hours_per_week_equivalent,
     material_indicators,
     per_capita,
+    report_variants,
     split_origin,
 )
 from .model import (

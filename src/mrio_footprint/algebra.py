@@ -8,8 +8,8 @@ The quantity model used throughout the package:
     footprint = s @ q         total impact embodied in y
 
 All kernels are pure functions of immutable inputs and may be called
-concurrently. Solves default to a reusable LU factorization of (I - A);
-the explicit inverse is an opt-in mode for large batches of demand vectors.
+concurrently. Solves go through one reusable LU factorization of (I - A);
+the explicit inverse is never built.
 """
 
 from __future__ import annotations
@@ -30,15 +30,9 @@ ZERO_OUTPUT_EPS = 1e-9
 # relative to max(1, ||y||_inf).
 SOLVE_RESIDUAL_RTOL = 1e-10
 
-# Per-entry tolerance on (I - A) @ L == I when building the explicit inverse.
-INVERSE_IDENTITY_ATOL = 1e-9
-
 # An economy is flagged productive when the spectral radius estimate is
 # below 1 - PRODUCTIVITY_MARGIN.
 PRODUCTIVITY_MARGIN = 1e-6
-
-MODE_FACTORIZED = "factorized-solve"
-MODE_EXPLICIT = "explicit-inverse"
 
 
 def _as_square(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -156,54 +150,58 @@ def productivity_check(A: TechnicalCoefficients | np.ndarray, tol: float = 1e-4,
 
 
 class LeontiefOperator:
-    """Reusable representation of (I - A)^-1.
+    """Reusable LU factorization of (I - A).
 
-    ``factorized-solve`` mode stores an LU factorization and solves per
-    demand vector; ``explicit-inverse`` mode stores L itself. Both modes
-    expose ``apply`` and verify their results against the defining system.
-    Instances are immutable after construction and safe to share.
+    ``apply`` solves for gross output, ``multipliers`` for footprints per
+    unit of final demand; both verify their results against the defining
+    system. Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, coefficients: TechnicalCoefficients, mode: str,
-                 lu: tuple | None = None, inverse: np.ndarray | None = None):
+    def __init__(self, coefficients: TechnicalCoefficients, lu: tuple):
         self._A = coefficients.entries
         self.dim = coefficients.dim
-        self.mode = mode
         self._lu = lu
-        self._inverse = inverse
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The explicit Leontief inverse (explicit-inverse mode only)."""
-        if self._inverse is None:
-            raise ValueError("operator was built in factorized-solve mode; no explicit matrix")
-        return self._inverse
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Solve (I - A) q = y and return q, with a residual check."""
         yv = _as_vector(y, self.dim, "y")
         with np.errstate(all="ignore"):
-            if self.mode == MODE_FACTORIZED:
-                q = lu_solve(self._lu, yv)
-            else:
-                q = self._inverse @ yv
+            q = lu_solve(self._lu, yv)
         _check_solution(self._A, q, yv)
         return q
 
+    def multipliers(self, S: np.ndarray) -> np.ndarray:
+        """Multipliers M = S (I - A)^-1 of one intensity row or a block of them.
+
+        M[k, j] is the impact of row k embodied in one unit of final demand
+        for region-sector j, so ``m @ y`` equals ``s @ apply(y)`` for any demand y.
+        One transposed solve covers every row, with a residual check per row.
+        """
+        rows = np.asarray(S, dtype=float)
+        if rows.ndim not in (1, 2) or rows.shape[-1] != self.dim:
+            raise DimensionMismatch(
+                f"intensity rows must have {self.dim} columns, got shape {rows.shape}")
+        with np.errstate(all="ignore"):
+            transposed = lu_solve(self._lu, rows.T, trans=1)
+        # M (I - A) = S is (I - A)^T M^T = S^T: the same check on the transpose.
+        _check_solution(self._A.T, transposed, rows.T)
+        return np.ascontiguousarray(transposed.T)
+
 
 def _check_solution(A: np.ndarray, q: np.ndarray, y: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
+    """Accept q as the solution of (I - A) q = y, per column if y is a block."""
     with np.errstate(all="ignore"):
-        residual = q - A @ q - y
-    worst = float(np.max(np.abs(residual))) if residual.size else 0.0
-    if not np.isfinite(worst) or worst > SOLVE_RESIDUAL_RTOL * scale:
+        scale = np.maximum(1.0, np.max(np.abs(y), axis=0, initial=0.0))
+        worst = np.max(np.abs(q - A @ q - y), axis=0, initial=0.0)
+    if not np.all(worst <= SOLVE_RESIDUAL_RTOL * scale):
         raise UnproductiveEconomy(
-            f"Leontief solve failed the residual check (|r| = {worst:.3e}); "
+            f"Leontief solve failed the residual check (|r| = {np.max(worst):.3e}); "
             "the coefficient matrix is singular or has spectral radius >= 1"
         )
     # Gross output must cover final demand; a shortfall on nonnegative demand
     # is the signature of an unproductive economy even when the system solves.
-    if y.size and np.min(y) >= 0.0 and np.min(q - y) < -SOLVE_RESIDUAL_RTOL * scale:
+    if (y.size and np.min(y) >= 0.0
+            and np.any(np.min(q - y, axis=0) < -SOLVE_RESIDUAL_RTOL * scale)):
         raise UnproductiveEconomy(
             "gross output falls below final demand; spectral radius >= 1"
         )
@@ -218,23 +216,8 @@ def _quiet_lu_factor(system: np.ndarray):
 
 
 def factorize(A: TechnicalCoefficients) -> LeontiefOperator:
-    """LU-factorize (I - A) for repeated solves (the default solve strategy)."""
-    return LeontiefOperator(A, MODE_FACTORIZED, lu=_quiet_lu_factor(np.eye(A.dim) - A.entries))
-
-
-def leontief_inverse(A: TechnicalCoefficients) -> LeontiefOperator:
-    """Materialize L = (I - A)^-1 (opt-in mode for many-demand batch runs)."""
-    system = np.eye(A.dim) - A.entries
-    lu = _quiet_lu_factor(system)
-    with np.errstate(all="ignore"):
-        L = lu_solve(lu, np.eye(A.dim))
-        identity_gap = np.max(np.abs(system @ L - np.eye(A.dim))) if A.dim else 0.0
-    if not np.isfinite(identity_gap) or identity_gap > INVERSE_IDENTITY_ATOL:
-        raise UnproductiveEconomy(
-            f"(I - A) L deviates from I by {identity_gap:.3e}; "
-            "the coefficient matrix is singular or has spectral radius >= 1"
-        )
-    return LeontiefOperator(A, MODE_EXPLICIT, lu=lu, inverse=L)
+    """LU-factorize (I - A) for repeated solves."""
+    return LeontiefOperator(A, _quiet_lu_factor(np.eye(A.dim) - A.entries))
 
 
 def leontief_solve(A: TechnicalCoefficients, y: np.ndarray) -> np.ndarray:

@@ -17,12 +17,15 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import algebra, fileio, indicators, model, scenario
 from .errors import MrioError, ParseError, UnknownScenario
-from .indicators import ConversionParams, FootprintReport, SectorGroupConcordance
+from .indicators import ConversionParams, FootprintReport, ReportVariant, SectorGroupConcordance
 from .model import MrioAccount
 from .scenario import CategoryConcordance, ScenarioSpec
 
@@ -106,6 +109,7 @@ class LoadedData:
     groups: SectorGroupConcordance
     params: ConversionParams
     operator: algebra.LeontiefOperator
+    variants: tuple[ReportVariant, ...]
 
 
 def _load(config: RunConfig) -> LoadedData:
@@ -116,8 +120,11 @@ def _load(config: RunConfig) -> LoadedData:
     params = indicators.load_conversion_params(config.params_path)
     coefficients = algebra.technical_coefficients(account.Z, account.x)
     operator = algebra.factorize(coefficients)
+    variants = indicators.report_variants(
+        account, operator, _selected_extensions(account, config.extensions))
     return LoadedData(account=account, warnings=result.warnings, concordance=concordance,
-                      groups=groups_map, params=params, operator=operator)
+                      groups=groups_map, params=params, operator=operator,
+                      variants=tuple(variants))
 
 
 def _load_groups(path: Path) -> SectorGroupConcordance:
@@ -133,6 +140,20 @@ def _load_groups(path: Path) -> SectorGroupConcordance:
     return SectorGroupConcordance.from_mapping(mapping)
 
 
+def _load_specs(paths: tuple[Path, ...]) -> list[ScenarioSpec]:
+    """Every scenario spec of a run; two specs may not share a name."""
+    specs: list[ScenarioSpec] = []
+    seen: dict[str, Path] = {}
+    for path in paths:
+        spec = scenario.load_scenario_spec(path)
+        if spec.name in seen:
+            raise MrioError(f"scenario name {spec.name!r} is used by both "
+                            f"{seen[spec.name]} and {path}")
+        seen[spec.name] = path
+        specs.append(spec)
+    return specs
+
+
 def _selected_extensions(account: MrioAccount, selection: tuple[str, ...] | None) -> list[str]:
     if selection is None:
         return list(account.extensions)
@@ -142,42 +163,62 @@ def _selected_extensions(account: MrioAccount, selection: tuple[str, ...] | None
     return list(selection)
 
 
-def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
-                      extension_names: list[str]) -> list[FootprintReport]:
-    """All reports for one scenario (materials yield TMC and MF variants)."""
+@dataclass(frozen=True)
+class Baseline:
+    """One home region's baseline demand and the embedded footprints that
+    scale direct use, shared by every scenario of that region."""
+
+    y: np.ndarray
+    gfcf: np.ndarray
+    embedded: dict[str, float]
+
+
+def _baseline(data: LoadedData, home_region: str) -> Baseline:
     account = data.account
-    y_base = model.select_demand(account, model.consumption_selection(home_region))
-    gfcf_base = model.select_demand(account, model.gfcf_selection(home_region))
+    y = model.select_demand(account, model.consumption_selection(home_region))
+    gfcf = model.select_demand(account, model.gfcf_selection(home_region))
+    scaled = [v for v in data.variants if v.has_direct_use]
+    embedded = {}
+    if scaled:
+        # One baseline solve serves every report's direct-use scaling.
+        q = data.operator.apply(y + gfcf)
+        embedded = {v.name: algebra.footprint_total(v.total_intensity, q) for v in scaled}
+    return Baseline(y=y, gfcf=gfcf, embedded=embedded)
+
+
+def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
+                      baseline: Baseline) -> list[FootprintReport]:
+    """All reports for one scenario, from one solve of its whole demand."""
+    account = data.account
     y_scen, gfcf_scen = scenario.apply_scenario(
-        y_base, gfcf_base, data.concordance, spec, account.index)
+        baseline.y, baseline.gfcf, data.concordance, spec, account.index)
     demand_by_category = indicators.decompose_demand_by_category(
         y_scen, gfcf_scen, data.concordance, account.index)
+    q = data.operator.apply(sum(demand_by_category.values()))
+    return [
+        indicators.build_footprint_report(
+            account=account, variant=variant, q=q, demand_by_category=demand_by_category,
+            home_region=home_region, groups=data.groups, params=data.params,
+            scenario_name=spec.name, baseline_embedded=baseline.embedded.get(variant.name),
+        )
+        for variant in data.variants
+    ]
 
-    # One baseline solve serves every extension's direct-use scaling.
-    q_baseline = data.operator.apply(y_base + gfcf_base)
-    reports = []
-    for name in extension_names:
-        ext = account.extensions[name]
-        variants: list[tuple[str, tuple[str, ...] | None]] = [(name, None)]
-        if ext.kind == "material" and ext.material_flags is not None:
-            used = tuple(s for s in ext.stressors
-                         if ext.material_flags.get(s) == indicators.MATERIAL_USED)
-            variants = [(f"{name}-tmc", None)]
-            if used:
-                variants.append((f"{name}-mf", used))
-        for report_name, subset in variants:
-            baseline_embedded = None
-            if ext.direct is not None and ext.kind in ("energy", "emissions"):
-                s_total = algebra.intensity(ext.total_row(), account.x)
-                baseline_embedded = algebra.footprint_total(s_total, q_baseline)
-            reports.append(indicators.build_footprint_report(
-                account=account, operator=data.operator, extension=ext,
-                demand_by_category=demand_by_category, home_region=home_region,
-                groups=data.groups, params=data.params, scenario_name=spec.name,
-                stressor_subset=subset, baseline_embedded=baseline_embedded,
-                report_name=report_name,
-            ))
-    return reports
+
+def _run_scenarios(config: RunConfig, data: LoadedData, specs: list[ScenarioSpec]
+                   ) -> Iterator[tuple[ScenarioSpec, list[FootprintReport]]]:
+    """Reports of each scenario, written to the scenario's directory as made."""
+    baselines: dict[str, Baseline] = {}
+    for spec in specs:
+        home_region = config.home_region or spec.home_region
+        if home_region not in baselines:
+            baselines[home_region] = _baseline(data, home_region)
+        reports = _scenario_reports(data, spec, home_region, baselines[home_region])
+        out_dir = config.out_dir / spec.name
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_report_csv(out_dir / "report.csv", reports)
+        _write_summary(out_dir / "summary.txt", config, spec, home_region, data, reports)
+        yield spec, reports
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +280,7 @@ def _write_summary(path: Path, config: RunConfig, spec: ScenarioSpec,
         f"layout: {config.layout_path.name}",
         f"account year: {data.account.year}",
         f"regions x sectors: {data.account.index.n_regions} x {data.account.index.n_sectors}",
-        f"solver mode: {data.operator.mode}",
+        "solver mode: factorized-solve",
         f"weeks worked per year: {_FMT(params.weeks_worked_per_year)}",
         f"working life share: {_FMT(params.working_life_share)}",
         f"working-age population: {_FMT(params.working_age_population)}",
@@ -416,16 +457,9 @@ def cmd_validate(args) -> int:
 
 def cmd_footprint(args) -> int:
     config = RunConfig.from_args(args)
+    specs = _load_specs(config.scenario_paths)
     data = _load(config)
-    extension_names = _selected_extensions(data.account, config.extensions)
-    for path in config.scenario_paths:
-        spec = scenario.load_scenario_spec(path)
-        home_region = config.home_region or spec.home_region
-        reports = _scenario_reports(data, spec, home_region, extension_names)
-        out_dir = config.out_dir / spec.name
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_report_csv(out_dir / "report.csv", reports)
-        _write_summary(out_dir / "summary.txt", config, spec, home_region, data, reports)
+    for spec, reports in _run_scenarios(config, data, specs):
         for report in reports:
             print(f"{spec.name}/{report.extension_name}: "
                   f"total {_FMT(report.total)} {report.unit}")
@@ -434,19 +468,11 @@ def cmd_footprint(args) -> int:
 
 def cmd_compare(args) -> int:
     config = RunConfig.from_args(args)
+    specs = _load_specs(config.scenario_paths)
     data = _load(config)
-    extension_names = _selected_extensions(data.account, config.extensions)
-
-    reports_by_scenario: dict[str, list[FootprintReport]] = {}
-    for path in config.scenario_paths:
-        spec = scenario.load_scenario_spec(path)
-        home_region = config.home_region or spec.home_region
-        reports = _scenario_reports(data, spec, home_region, extension_names)
-        reports_by_scenario[spec.name] = reports
-        out_dir = config.out_dir / spec.name
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_report_csv(out_dir / "report.csv", reports)
-        _write_summary(out_dir / "summary.txt", config, spec, home_region, data, reports)
+    reports_by_scenario = {
+        spec.name: reports for spec, reports in _run_scenarios(config, data, specs)
+    }
 
     report_names = [r.extension_name for r in next(iter(reports_by_scenario.values()))]
     rows_by_extension = {}

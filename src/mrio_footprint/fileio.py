@@ -188,8 +188,9 @@ def _parse_values(cells: list[str], path: Path, lineno: int, first_col: int) -> 
 def _read_grid(path: Path, delimiter: str, index_cols: int, header_rows: int = 2):
     """Read a labelled grid: header rows, index columns, numeric body.
 
-    Returns (headers, row_labels, matrix). Ragged rows are ParseErrors; the
-    caller checks the resulting shape against the model dimension.
+    Returns (headers, row_labels, matrix). Ragged rows and non-finite
+    values are ParseErrors; the caller checks the resulting shape against
+    the model dimension.
     """
     rows = _read_rows(path, delimiter)
     if len(rows) <= header_rows:
@@ -197,6 +198,7 @@ def _read_grid(path: Path, delimiter: str, index_cols: int, header_rows: int = 2
     headers = rows[:header_rows]
     width = len(headers[-1])
     labels: list[tuple[str, ...]] = []
+    linenos: list[int] = []
     data: list[np.ndarray] = []
     for lineno, row in enumerate(rows[header_rows:], start=header_rows + 1):
         if not row:
@@ -206,10 +208,22 @@ def _read_grid(path: Path, delimiter: str, index_cols: int, header_rows: int = 2
                 f"expected {width} cells, found {len(row)}", path=str(path), row=lineno
             )
         labels.append(tuple(cell.strip() for cell in row[:index_cols]))
+        linenos.append(lineno)
         data.append(_parse_values(row[index_cols:], path, lineno, index_cols))
     if not data:
         raise ParseError("file has no data rows", path=str(path))
-    return headers, labels, np.vstack(data)
+    matrix = np.vstack(data)
+    # A finite sum proves every cell finite without an n x n mask; a sum that
+    # overflows on finite cells falls through to the cell check and passes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = matrix.sum()
+    if not np.isfinite(screen):
+        bad = np.argwhere(~np.isfinite(matrix))
+        if bad.size:
+            r, c = bad[0]
+            raise ParseError(f"non-finite value {float(matrix[r, c])}", path=str(path),
+                             row=linenos[r], column=index_cols + int(c) + 1)
+    return headers, labels, matrix
 
 
 def _column_pairs(headers: list[list[str]], index_cols: int, path: Path):
@@ -325,10 +339,14 @@ def _read_direct(path: Path, delimiter: str) -> dict[str, float]:
             raise ParseError(f"expected two cells, found {len(row)}",
                              path=str(path), row=lineno)
         try:
-            direct[row[0].strip()] = float(row[1])
+            value = float(row[1])
         except ValueError:
             raise ParseError(f"non-numeric value {row[1]!r}", path=str(path),
                              row=lineno, column=2) from None
+        if not np.isfinite(value):
+            raise ParseError(f"non-finite value {row[1]!r}", path=str(path),
+                             row=lineno, column=2)
+        direct[row[0].strip()] = value
     return direct
 
 

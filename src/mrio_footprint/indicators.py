@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra
-from .algebra import IntensityVector, LeontiefOperator
+from .algebra import LeontiefOperator
 from .errors import (
     MissingStressorLabel,
     ParseError,
@@ -149,6 +149,7 @@ class SectorGroupConcordance:
         for sector, group in self.mapping.items():
             if group not in known:
                 raise ValueError(f"sector {sector!r} mapped to unlisted group {group!r}")
+        object.__setattr__(self, "_codes", {})
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SectorGroupConcordance":
@@ -157,18 +158,32 @@ class SectorGroupConcordance:
             ordered.setdefault(group)
         return cls(mapping=mapping, groups=tuple(ordered))
 
+    def codes(self, index: RegionSectorIndex) -> np.ndarray:
+        """Position in ``groups`` of every region-sector's group, in flat order.
+
+        Built once per index and reused; an unmapped sector raises.
+        """
+        codes = self._codes.get(index)
+        if codes is None:
+            position = {group: k for k, group in enumerate(self.groups)}
+            per_sector = []
+            for sector in index.sectors:
+                group = self.mapping.get(sector)
+                if group is None:
+                    raise UnmappedSector(f"sector {sector!r} has no sector group")
+                per_sector.append(position[group])
+            codes = np.tile(np.array(per_sector, dtype=np.intp), index.n_regions)
+            codes.flags.writeable = False
+            self._codes[index] = codes
+        return codes
+
 
 def aggregate_by_sector_group(by_source: np.ndarray, groups: SectorGroupConcordance,
                               index: RegionSectorIndex) -> dict[str, float]:
     """Sum per-source contributions into sector groups (totals are preserved)."""
-    values = np.asarray(by_source, dtype=float)
-    totals = {group: 0.0 for group in groups.groups}
-    for flat, (_, sector) in enumerate(index.labels()):
-        group = groups.mapping.get(sector)
-        if group is None:
-            raise UnmappedSector(f"sector {sector!r} has no sector group")
-        totals[group] += float(values[flat])
-    return totals
+    sums = np.bincount(groups.codes(index), weights=np.asarray(by_source, dtype=float),
+                       minlength=len(groups.groups))
+    return dict(zip(groups.groups, sums.tolist()))
 
 
 def skill_of(stressor_label: str) -> str:
@@ -189,15 +204,16 @@ def aggregate_by_skill(labour_by_stressor: dict[str, float]) -> dict[str, float]
     return totals
 
 
-def attribute_by_category(s: IntensityVector | np.ndarray, operator: LeontiefOperator,
+def attribute_by_category(m: np.ndarray,
                           demand_by_category: dict[str, np.ndarray]) -> dict[str, float]:
     """Footprint carried by each spending category's share of demand.
 
-    One solve per category against a shared factorization; by linearity the
-    attributions sum to the footprint of the whole demand vector.
+    ``m`` is the multiplier row s (I - A)^-1, so each category costs one dot
+    product; by linearity the attributions sum to the footprint of the
+    whole demand vector.
     """
     return {
-        category: algebra.footprint_total(s, operator.apply(y_c))
+        category: algebra.footprint_total(m, y_c)
         for category, y_c in demand_by_category.items()
     }
 
@@ -284,38 +300,85 @@ class FootprintReport:
         return self.total + (self.direct_use or 0.0)
 
 
-def build_footprint_report(account: MrioAccount, operator: LeontiefOperator,
-                           extension: ExtensionAccount,
+@dataclass(frozen=True)
+class ReportVariant:
+    """The stressor rows one report covers, as intensities and multipliers.
+
+    ``total_intensity`` is the summed row s and ``multipliers`` is
+    m = s (I - A)^-1, the footprint per unit of final demand by
+    region-sector. Both depend on the account only, so one variant serves
+    every scenario.
+    """
+
+    name: str
+    extension: ExtensionAccount
+    labels: tuple[str, ...]
+    intensities: tuple[np.ndarray, ...]
+    total_intensity: np.ndarray
+    multipliers: np.ndarray
+
+    @property
+    def has_direct_use(self) -> bool:
+        """Energy and emissions reports carry households' direct use."""
+        return (self.extension.direct is not None
+                and self.extension.kind in ("energy", "emissions"))
+
+
+def report_variants(account: MrioAccount, operator: LeontiefOperator,
+                    extension_names: list[str]) -> list[ReportVariant]:
+    """Every report of the named extensions, multipliers from one block solve.
+
+    A material extension with used/unused flags yields a ``-tmc`` report
+    over all its rows and, when any row is used, a ``-mf`` report over the
+    used rows.
+    """
+    selected: list[tuple[str, ExtensionAccount, tuple[str, ...]]] = []
+    for name in extension_names:
+        ext = account.extensions[name]
+        if ext.kind == "material" and ext.material_flags is not None:
+            selected.append((f"{name}-tmc", ext, ext.stressors))
+            used = tuple(s for s in ext.stressors
+                         if ext.material_flags.get(s) == MATERIAL_USED)
+            if used:
+                selected.append((f"{name}-mf", ext, used))
+        else:
+            selected.append((name, ext, ext.stressors))
+    if not selected:
+        return []
+
+    intensities = []
+    totals = []
+    for _, ext, labels in selected:
+        rows = np.vstack([ext.stressor_row(label) for label in labels])
+        intensities.append(tuple(algebra.intensity(row, account.x).values for row in rows))
+        totals.append(algebra.intensity(rows.sum(axis=0), account.x).values)
+    multipliers = operator.multipliers(np.vstack(totals))
+    return [
+        ReportVariant(name=name, extension=ext, labels=labels, intensities=s_rows,
+                      total_intensity=s_total, multipliers=m)
+        for (name, ext, labels), s_rows, s_total, m
+        in zip(selected, intensities, totals, multipliers)
+    ]
+
+
+def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.ndarray,
                            demand_by_category: dict[str, np.ndarray],
                            home_region: str, groups: SectorGroupConcordance,
                            params: ConversionParams, scenario_name: str,
-                           stressor_subset: tuple[str, ...] | None = None,
-                           baseline_embedded: float | None = None,
-                           report_name: str | None = None) -> FootprintReport:
-    """Compute a full report for one extension and one scenario demand.
+                           baseline_embedded: float | None = None) -> FootprintReport:
+    """Compute a full report for one variant and one scenario demand.
 
-    ``stressor_subset`` restricts the extension rows (used for the
-    material-footprint variant). ``baseline_embedded`` enables direct-use
-    scaling: scenario direct use = base direct x embedded/baseline-embedded.
+    ``q`` is the gross output of the whole demand, the sum of
+    ``demand_by_category``; every report of a scenario shares it.
+    ``baseline_embedded`` enables direct-use scaling: scenario direct use =
+    base direct x embedded/baseline-embedded.
     """
-    labels = extension.stressors if stressor_subset is None else tuple(stressor_subset)
-    rows = np.vstack([extension.stressor_row(label) for label in labels])
-    s_rows = [
-        algebra.intensity(row, account.x, extension_name=extension.name, unit=extension.unit)
-        for row in rows
-    ]
-    s_total = algebra.intensity(rows.sum(axis=0), account.x,
-                                extension_name=extension.name, unit=extension.unit)
-
-    y_full = np.zeros(account.index.n)
-    for part in demand_by_category.values():
-        y_full += part
-    q = operator.apply(y_full)
-
-    total = algebra.footprint_total(s_total, q)
-    by_source = algebra.footprint_by_source(s_total, q)
+    extension = variant.extension
+    total = algebra.footprint_total(variant.total_intensity, q)
+    by_source = algebra.footprint_by_source(variant.total_intensity, q)
     by_stressor = {
-        label: algebra.footprint_total(s_k, q) for label, s_k in zip(labels, s_rows)
+        label: algebra.footprint_total(s_k, q)
+        for label, s_k in zip(variant.labels, variant.intensities)
     }
 
     by_skill = None
@@ -325,7 +388,7 @@ def build_footprint_report(account: MrioAccount, operator: LeontiefOperator,
         hours_week = hours_per_week_equivalent(total, params)
 
     direct = None
-    if extension.direct is not None and extension.kind in ("energy", "emissions"):
+    if variant.has_direct_use:
         base_direct = float(extension.direct.get(home_region, 0.0))
         if baseline_embedded is None:
             direct = base_direct
@@ -334,14 +397,14 @@ def build_footprint_report(account: MrioAccount, operator: LeontiefOperator,
 
     return FootprintReport(
         scenario=scenario_name,
-        extension_name=report_name or extension.name,
+        extension_name=variant.name,
         unit=extension.unit,
         home_region=home_region,
         total=total,
         per_capita=per_capita(total, params.total_population),
         by_origin=split_origin(by_source, home_region, account.index),
         by_sector_group=aggregate_by_sector_group(by_source, groups, account.index),
-        by_category=attribute_by_category(s_total, operator, demand_by_category),
+        by_category=attribute_by_category(variant.multipliers, demand_by_category),
         params=params,
         hours_week_equivalent=hours_week,
         by_skill=by_skill,

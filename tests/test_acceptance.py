@@ -80,10 +80,12 @@ def test_criterion_3_additivity_suite():
             y = model.select_demand(account, model.consumption_selection("R0"))
             gfcf = model.select_demand(account, model.gfcf_selection("R0"))
             parts = indicators.decompose_demand_by_category(y, gfcf, concordance, index)
+            q = operator.apply(y + gfcf)
 
-            for name, ext in account.extensions.items():
+            for variant in indicators.report_variants(account, operator,
+                                                      list(account.extensions)):
                 report = indicators.build_footprint_report(
-                    account=account, operator=operator, extension=ext,
+                    account=account, variant=variant, q=q,
                     demand_by_category=parts, home_region="R0", groups=groups,
                     params=params, scenario_name="baseline")
                 if report.total == 0.0:

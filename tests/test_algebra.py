@@ -122,40 +122,38 @@ class TestLeontiefSolve:
             algebra.leontief_solve(coeffs(np.array([[2.0]])), np.array([1.0]))
 
 
-class TestLeontiefInverse:
-    def test_identity(self):
-        op = algebra.leontief_inverse(coeffs(np.zeros((3, 3))))
-        np.testing.assert_allclose(op.matrix, np.eye(3), atol=1e-14)
-
+class TestMultipliers:
     def test_hand_2x2(self):
-        op = algebra.leontief_inverse(coeffs(A_HAND))
-        np.testing.assert_allclose(op.matrix, L_HAND, rtol=1e-12)
+        m = algebra.factorize(coeffs(A_HAND)).multipliers(S_HAND)
+        np.testing.assert_allclose(m, S_HAND @ L_HAND, rtol=1e-12)
 
     def test_defining_identity(self, rng):
         A = random_productive_matrix(rng, 7)
-        op = algebra.leontief_inverse(coeffs(A))
-        np.testing.assert_allclose(op.matrix, np.eye(7) + A @ op.matrix, atol=1e-9)
+        S = rng.uniform(0.0, 3.0, size=(4, 7))
+        M = algebra.factorize(coeffs(A)).multipliers(S)
+        np.testing.assert_allclose(M @ (np.eye(7) - A), S, rtol=0, atol=1e-9)
 
-    def test_dominates_identity(self, rng):
-        op = algebra.leontief_inverse(coeffs(random_productive_matrix(rng, 7)))
-        assert np.all(op.matrix - np.eye(7) >= -1e-12)
-
-    def test_modes_agree(self, rng):
-        A = coeffs(random_productive_matrix(rng, 9))
-        y = rng.uniform(0.0, 10.0, size=9)
-        solved = algebra.factorize(A).apply(y)
-        inverted = algebra.leontief_inverse(A).apply(y)
-        np.testing.assert_allclose(solved, inverted, rtol=1e-8)
+    def test_dominates_intensities(self, rng):
+        S = rng.uniform(0.0, 3.0, size=(3, 7))
+        M = algebra.factorize(coeffs(random_productive_matrix(rng, 7))).multipliers(S)
+        assert np.all(M - S >= -1e-12)
 
     def test_unproductive(self):
         with pytest.raises(UnproductiveEconomy):
-            algebra.leontief_inverse(coeffs(np.eye(2)))
+            algebra.factorize(coeffs(np.eye(2))).multipliers(S_HAND)
 
-    def test_factorized_mode_has_no_matrix(self):
-        op = algebra.factorize(coeffs(A_HAND))
-        assert op.mode == algebra.MODE_FACTORIZED
-        with pytest.raises(ValueError):
-            _ = op.matrix
+    def test_agrees_with_solve(self, rng):
+        op = algebra.factorize(coeffs(random_productive_matrix(rng, 9)))
+        s = rng.uniform(0.0, 3.0, size=9)
+        m = op.multipliers(s)
+        for _ in range(5):
+            y = rng.uniform(0.0, 10.0, size=9)
+            expected = s @ op.apply(y)
+            assert abs(m @ y - expected) <= 1e-12 * abs(expected)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            algebra.factorize(coeffs(A_HAND)).multipliers(np.ones(3))
 
 
 class TestIntensity:

@@ -148,7 +148,10 @@ class TestFootprint:
 
 class TestCompare:
     def test_self_comparison_has_zero_deltas(self, fixture_dir, tmp_path):
-        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "baseline"]) == 0
+        spec = json.loads((fixture_dir / "scenarios" / "baseline.json").read_text())
+        spec["name"] = "baseline-again"
+        (fixture_dir / "scenarios" / "baseline-again.json").write_text(json.dumps(spec))
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "baseline-again"]) == 0
         with (tmp_path / "cmp" / "comparison.csv").open(newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert rows and all(float(r["delta_total"]) == 0.0 for r in rows)
@@ -201,6 +204,39 @@ class TestCompare:
                    "--scenario", str(fixture_dir / "scenarios" / "absent.json")])
         assert rc == 1
         assert "absent.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["compare", "footprint"])
+    def test_duplicate_scenario_names_exit_one(self, fixture_dir, tmp_path, capsys, verb):
+        spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
+        spec["name"] = "baseline"
+        (fixture_dir / "scenarios" / "renamed.json").write_text(json.dumps(spec))
+        rc = main([verb, "--layout", str(fixture_dir / "layout.json"),
+                   "--params", str(fixture_dir / "params.json"),
+                   "--out", str(tmp_path / "out"),
+                   "--scenario", str(fixture_dir / "scenarios" / "baseline.json"),
+                   "--scenario", str(fixture_dir / "scenarios" / "renamed.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "baseline.json" in err and "renamed.json" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_solve_per_scenario(self, fixture_dir, tmp_path, monkeypatch):
+        # One baseline solve for direct-use scaling, one solve per scenario,
+        # and one block solve for the multipliers of all five reports.
+        calls = {"apply": 0, "multipliers": 0}
+
+        def counted(name):
+            method = getattr(algebra.LeontiefOperator, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(algebra.LeontiefOperator, name, counted(name))
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "halved"]) == 0
+        assert calls == {"apply": 3, "multipliers": 1}
 
     def test_extension_selection(self, fixture_dir, tmp_path):
         rc = main(["compare", "--layout", str(fixture_dir / "layout.json"),

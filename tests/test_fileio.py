@@ -65,6 +65,47 @@ class TestParseErrors:
         assert excinfo.value.column == 6
         assert "oops" in str(excinfo.value)
 
+    @staticmethod
+    def _set_cell(path, line, cell, text):
+        lines = path.read_text().splitlines()
+        cells = lines[line].split("\t")
+        cells[cell] = text
+        lines[line] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_nan_cell_names_row_and_column(self, written_set, tmp_path):
+        _, layout_path = written_set
+        self._set_cell(tmp_path / "z.tsv", 4, 5, "nan")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.row == 5
+        assert excinfo.value.column == 6
+        assert "z.tsv" in str(excinfo.value) and "nan" in str(excinfo.value)
+
+    def test_inf_cell_names_row_and_column(self, written_set, tmp_path):
+        _, layout_path = written_set
+        self._set_cell(tmp_path / "ext_energy.tsv", 2, 3, "inf")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.row == 3
+        assert excinfo.value.column == 4
+        assert "ext_energy.tsv" in str(excinfo.value) and "inf" in str(excinfo.value)
+
+    def test_huge_finite_cells_pass(self, written_set, tmp_path):
+        # Their sum overflows, which must not be mistaken for a non-finite cell.
+        _, layout_path = written_set
+        self._set_cell(tmp_path / "ext_energy.tsv", 2, 3, "1.5e308")
+        self._set_cell(tmp_path / "ext_energy.tsv", 2, 4, "1.5e308")
+        rows = fileio.ingest(layout_path).account.extensions["energy"].rows
+        assert rows[0, 2] == rows[0, 3] == 1.5e308
+
+    def test_non_finite_direct_use(self, written_set, tmp_path):
+        _, layout_path = written_set
+        self._set_cell(tmp_path / "direct_energy.tsv", 2, 1, "-inf")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert (excinfo.value.row, excinfo.value.column) == (3, 2)
+
     def test_extension_with_missing_column(self, written_set, tmp_path):
         _, layout_path = written_set
         ext_path = tmp_path / "ext_energy.tsv"

@@ -8,6 +8,8 @@ over ~52.18 calendar weeks works 1022.7 hours per year, which is
 hours per week equivalent.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,17 @@ class TestSectorGroups:
         assert sum(totals.values()) == pytest.approx(float(by_source.sum()), rel=1e-12)
 
 
+    def test_matches_flat_order_loop(self, account_357):
+        # The loop bincount replaced adds in the same flat order, so sums are equal.
+        groups = fixtures.fixture_sector_groups(account_357.index)
+        by_source = np.random.default_rng(7).uniform(0.0, 1.0, account_357.index.n)
+        expected = {group: 0.0 for group in groups.groups}
+        for flat, (_, sector) in enumerate(account_357.index.labels()):
+            expected[groups.mapping[sector]] += float(by_source[flat])
+        assert indicators.aggregate_by_sector_group(
+            by_source, groups, account_357.index) == expected
+
+
 class TestSkillAggregation:
     def test_hand_sums(self):
         labour = {
@@ -152,7 +165,7 @@ class TestCategoryAttribution:
         op = algebra.factorize(A)
         s = np.array([1.0, 1.0])
         parts = {"only": np.array([3.0, 4.0])}
-        assert indicators.attribute_by_category(s, op, parts) == {"only": 7.0}
+        assert indicators.attribute_by_category(op.multipliers(s), parts) == {"only": 7.0}
 
     def test_two_categories_hand_solved(self):
         # Reuses the worked 2x2 case: y = [10, 5] split into [10, 0] + [0, 5].
@@ -161,7 +174,7 @@ class TestCategoryAttribution:
         op = algebra.factorize(A)
         s = np.array([0.5, 1.0])
         parts = {"first": np.array([10.0, 0.0]), "second": np.array([0.0, 5.0])}
-        attributed = indicators.attribute_by_category(s, op, parts)
+        attributed = indicators.attribute_by_category(op.multipliers(s), parts)
         # L columns: [1.5, 2/3] and [0.5, 4/3].
         assert attributed["first"] == pytest.approx(0.5 * 15.0 + 20.0 / 3.0, rel=1e-12)
         assert attributed["second"] == pytest.approx(0.5 * 2.5 + 20.0 / 3.0, rel=1e-12)
@@ -256,9 +269,10 @@ class TestReportAdditivity:
         gfcf = model.select_demand(account_357, model.gfcf_selection("R0"))
         parts = indicators.decompose_demand_by_category(
             y, gfcf, concordance, account_357.index)
+        [labour] = indicators.report_variants(account_357, op, ["labour"])
         return indicators.build_footprint_report(
-            account=account_357, operator=op,
-            extension=account_357.extensions["labour"], demand_by_category=parts,
+            account=account_357, variant=labour, q=op.apply(y + gfcf),
+            demand_by_category=parts,
             home_region="R0", groups=groups, params=params, scenario_name="baseline")
 
     def test_origin_additivity(self, report):
@@ -288,8 +302,10 @@ class TestReportAdditivity:
         gfcf = model.select_demand(account_357, model.gfcf_selection("R0"))
         parts = indicators.decompose_demand_by_category(
             y, gfcf, concordance, account_357.index)
+        doubled_account = dataclasses.replace(account_357, extensions={"labour": doubled_ext})
+        [doubled_labour] = indicators.report_variants(doubled_account, op, ["labour"])
         doubled = indicators.build_footprint_report(
-            account=account_357, operator=op, extension=doubled_ext,
+            account=account_357, variant=doubled_labour, q=op.apply(y + gfcf),
             demand_by_category=parts, home_region="R0", groups=groups,
             params=params, scenario_name="baseline")
         assert doubled.total == pytest.approx(2 * report.total, rel=1e-12)
