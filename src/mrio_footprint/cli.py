@@ -154,6 +154,17 @@ def _load_specs(paths: tuple[Path, ...]) -> list[ScenarioSpec]:
     return specs
 
 
+def _require_one_home_region(specs: list[ScenarioSpec], paths: tuple[Path, ...]) -> None:
+    """compare's deltas and per-capita values assume one population, so its
+    specs must share a home region unless --home-region overrides them all."""
+    first, first_path = specs[0], paths[0]
+    for spec, path in zip(specs, paths):
+        if spec.home_region != first.home_region:
+            raise MrioError(f"scenario {first.name!r} ({first_path}) has home region "
+                            f"{first.home_region!r} but {spec.name!r} ({path}) has "
+                            f"{spec.home_region!r}; set --home-region to compare them")
+
+
 def _selected_extensions(account: MrioAccount, selection: tuple[str, ...] | None) -> list[str]:
     if selection is None:
         return list(account.extensions)
@@ -469,6 +480,8 @@ def cmd_footprint(args) -> int:
 def cmd_compare(args) -> int:
     config = RunConfig.from_args(args)
     specs = _load_specs(config.scenario_paths)
+    if config.home_region is None:
+        _require_one_home_region(specs, config.scenario_paths)
     data = _load(config)
     reports_by_scenario = {
         spec.name: reports for spec, reports in _run_scenarios(config, data, specs)

@@ -18,8 +18,14 @@ any further conversion.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
+import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +53,10 @@ from .scenario import (
 DEFAULT_HOURS_PER_WORKER_YEAR = 1840.0
 
 _DELIMITERS = {"tab": "\t", "comma": ","}
+_DELIMITER_NAMES = {char: name for name, char in _DELIMITERS.items()}
+
+# Parsed grids are kept here, next to the layout descriptor.
+CACHE_DIR = ".mrio-cache"
 
 
 def data_path(relative: str) -> Path:
@@ -162,68 +172,194 @@ class IngestResult:
     warnings: tuple[IngestWarning, ...] = ()
 
 
-def _read_rows(path: Path, delimiter: str) -> list[list[str]]:
+@contextmanager
+def _reading(path: Path):
+    """Turn a failure to read ``path``, other than its absence, into a ParseError."""
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            return list(csv.reader(handle, delimiter=delimiter))
+        yield
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=str(path)) from exc
 
 
-def _parse_values(cells: list[str], path: Path, lineno: int, first_col: int) -> np.ndarray:
-    try:
-        return np.array(cells, dtype=float)
-    except ValueError:
-        for offset, cell in enumerate(cells):
-            try:
-                float(cell)
-            except ValueError:
-                raise ParseError(f"non-numeric value {cell!r}", path=str(path),
-                                 row=lineno, column=first_col + offset + 1) from None
-        raise ParseError("malformed numeric row", path=str(path), row=lineno) from None
+def _open_text(path: Path):
+    return path.open(newline="", encoding="utf-8")
 
 
-def _read_grid(path: Path, delimiter: str, index_cols: int, header_rows: int = 2):
-    """Read a labelled grid: header rows, index columns, numeric body.
+def _read_rows(path: Path, delimiter: str) -> list[list[str]]:
+    with _reading(path), _open_text(path) as handle:
+        return list(csv.reader(handle, delimiter=delimiter))
 
-    Returns (headers, row_labels, matrix). Ragged rows and non-finite
-    values are ParseErrors; the caller checks the resulting shape against
-    the model dimension.
+
+def _load_numbers(lines, delimiter: str) -> np.ndarray:
+    """Delimited numeric lines as a 2-D float array; ValueError on a bad cell."""
+    return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+
+
+def _read_headers(handle, delimiter: str, header_rows: int) -> tuple[list[list[str]], int]:
+    """The header rows of an open grid file, and the number of lines they took."""
+    reader = csv.reader(handle, delimiter=delimiter)
+    return list(islice(reader, header_rows)), reader.line_num
+
+
+def _body_lines(handle, path: Path, delimiter: str, index_cols: int, width: int,
+                first_lineno: int, labels: list, linenos: list[int]) -> Iterator[str]:
+    """Yield the numeric part of each non-blank body line of a grid.
+
+    Every line must hold ``width`` cells. Its index cells go to ``labels``
+    and its 1-based line number to ``linenos``. Lines holding a quote are
+    read with csv rules, since a quoted label may contain the delimiter.
     """
-    rows = _read_rows(path, delimiter)
-    if len(rows) <= header_rows:
-        raise ParseError("file has no data rows", path=str(path))
-    headers = rows[:header_rows]
-    width = len(headers[-1])
-    labels: list[tuple[str, ...]] = []
-    linenos: list[int] = []
-    data: list[np.ndarray] = []
-    for lineno, row in enumerate(rows[header_rows:], start=header_rows + 1):
-        if not row:
+    for lineno, line in enumerate(handle, start=first_lineno):
+        line = line.rstrip("\r\n")
+        if not line:
             continue
-        if len(row) != width:
-            raise ParseError(
-                f"expected {width} cells, found {len(row)}", path=str(path), row=lineno
-            )
-        labels.append(tuple(cell.strip() for cell in row[:index_cols]))
+        if '"' in line:
+            cells = next(csv.reader([line], delimiter=delimiter))
+            head, rest, found = cells[:index_cols], delimiter.join(cells[index_cols:]), len(cells)
+        else:
+            head = line.split(delimiter, index_cols)
+            rest = head.pop() if len(head) > index_cols else None
+            found = len(head) + (0 if rest is None else rest.count(delimiter) + 1)
+        if found != width:
+            # The column is that of the first missing or surplus cell.
+            raise ParseError(f"expected {width} cells, found {found}", path=str(path),
+                             row=lineno, column=min(found, width) + 1)
+        labels.append(tuple(cell.strip() for cell in head))
         linenos.append(lineno)
-        data.append(_parse_values(row[index_cols:], path, lineno, index_cols))
-    if not data:
-        raise ParseError("file has no data rows", path=str(path))
-    matrix = np.vstack(data)
+        yield rest
+
+
+def _find_bad_cell(path: Path, delimiter: str, index_cols: int, header_rows: int) -> None:
+    """Re-read a grid whose body failed to load, one row at a time and then
+    one cell at a time, to raise a ParseError naming the row and column of
+    the first cell that is not a number."""
+    linenos: list[int] = []
+    with _reading(path), _open_text(path) as handle:
+        headers, used = _read_headers(handle, delimiter, header_rows)
+        for rest in _body_lines(handle, path, delimiter, index_cols, len(headers[-1]),
+                                used + 1, [], linenos):
+            try:
+                _load_numbers([rest], delimiter)
+            except ValueError:
+                for offset, cell in enumerate(rest.split(delimiter)):
+                    try:
+                        _load_numbers([cell], delimiter)
+                    except ValueError:
+                        raise ParseError(f"non-numeric value {cell!r}", path=str(path),
+                                         row=linenos[-1],
+                                         column=index_cols + offset + 1) from None
+                raise ParseError("malformed numeric row", path=str(path),
+                                 row=linenos[-1]) from None
+
+
+def _non_finite_cell(matrix: np.ndarray) -> tuple[int, int] | None:
+    """Position of the first nan or inf cell, if any."""
     # A finite sum proves every cell finite without an n x n mask; a sum that
     # overflows on finite cells falls through to the cell check and passes.
     with np.errstate(over="ignore", invalid="ignore"):
-        screen = matrix.sum()
-    if not np.isfinite(screen):
-        bad = np.argwhere(~np.isfinite(matrix))
-        if bad.size:
-            r, c = bad[0]
-            raise ParseError(f"non-finite value {float(matrix[r, c])}", path=str(path),
-                             row=linenos[r], column=index_cols + int(c) + 1)
+        if np.isfinite(matrix.sum()):
+            return None
+    bad = np.argwhere(~np.isfinite(matrix))
+    return (int(bad[0][0]), int(bad[0][1])) if bad.size else None
+
+
+def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
+    labels: list[tuple[str, ...]] = []
+    linenos: list[int] = []
+    with _reading(path), _open_text(path) as handle:
+        headers, used = _read_headers(handle, delimiter, header_rows)
+        if len(headers) < header_rows:
+            raise ParseError("file has no data rows", path=str(path))
+        if len(headers[-1]) <= index_cols:
+            raise ParseError("file has no data columns", path=str(path), row=header_rows)
+        body = _body_lines(handle, path, delimiter, index_cols, len(headers[-1]),
+                           used + 1, labels, linenos)
+        first = next(body, None)
+        if first is None:
+            raise ParseError("file has no data rows", path=str(path))
+        try:
+            matrix = _load_numbers(chain([first], body), delimiter)
+        except ValueError as exc:
+            _find_bad_cell(path, delimiter, index_cols, header_rows)
+            raise ParseError(f"malformed numeric value: {exc}", path=str(path)) from exc
+    cell = _non_finite_cell(matrix)
+    if cell is not None:
+        r, c = cell
+        raise ParseError(f"non-finite value {float(matrix[r, c])}", path=str(path),
+                         row=linenos[r], column=index_cols + c + 1)
     return headers, labels, matrix
+
+
+def _cache_key(path: Path, delimiter: str, index_cols: int, header_rows: int) -> str:
+    digest = hashlib.sha256()
+    with _reading(path), path.open("rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return f"{digest.hexdigest()}-{_DELIMITER_NAMES[delimiter]}-{index_cols}-{header_rows}"
+
+
+def _cache_load(entry: Path, index_cols: int, header_rows: int):
+    """A cached grid, or None when the entry is missing, unreadable or does
+    not fit the grid it names."""
+    try:
+        meta = json.loads(entry.with_suffix(".json").read_text(encoding="utf-8"))
+        matrix = np.load(entry.with_suffix(".npy"), allow_pickle=False)
+        headers = meta["headers"]
+        labels = [tuple(label) for label in meta["labels"]]
+        fits = (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+                and len(headers) == header_rows
+                and matrix.shape == (len(labels), len(headers[-1]) - index_cols)
+                and all(len(label) == index_cols for label in labels))
+    except (OSError, ValueError, EOFError, LookupError, TypeError):
+        return None
+    if not fits or _non_finite_cell(matrix) is not None:
+        return None
+    return headers, labels, matrix
+
+
+def _replace(target: Path, write) -> None:
+    """Write a file under a temporary name, then move it into place, so a
+    reader never sees it half written."""
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("wb") as handle:
+            write(handle)
+        os.replace(temporary, target)
+    except OSError:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def _cache_store(entry: Path, headers, labels, matrix: np.ndarray) -> None:
+    meta = json.dumps({"headers": headers, "labels": labels}).encode("utf-8")
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        # The matrix goes first: a readable .json means its .npy is whole.
+        _replace(entry.with_suffix(".npy"), lambda h: np.save(h, matrix, allow_pickle=False))
+        _replace(entry.with_suffix(".json"), lambda h: h.write(meta))
+    except OSError:
+        pass  # an unwritable cache only means the next run parses again
+
+
+def _read_grid(path: Path, cache_dir: Path, delimiter: str, index_cols: int,
+               header_rows: int = 2):
+    """Read a labelled grid: header rows, index columns, numeric body.
+
+    Returns (headers, row_labels, matrix). Ragged rows and non-numeric or
+    non-finite values are ParseErrors; the caller checks the resulting shape
+    against the model dimension. A parsed grid is kept in ``cache_dir``
+    under the sha256 of the file's bytes and the parse settings, and is
+    read from there while the file is unchanged.
+    """
+    entry = cache_dir / _cache_key(path, delimiter, index_cols, header_rows)
+    cached = _cache_load(entry, index_cols, header_rows)
+    if cached is not None:
+        return cached
+    grid = _parse_grid(path, delimiter, index_cols, header_rows)
+    _cache_store(entry, *grid)
+    return grid
 
 
 def _column_pairs(headers: list[list[str]], index_cols: int, path: Path):
@@ -264,9 +400,10 @@ def ingest(layout: Layout | str | Path) -> IngestResult:
     if not isinstance(layout, Layout):
         layout = load_layout(layout)
     delim = layout.delimiter
+    cache_dir = layout.base_dir / CACHE_DIR
 
     z_path = layout.path(layout.transactions)
-    z_headers, z_labels, Z = _read_grid(z_path, delim, index_cols=2)
+    z_headers, z_labels, Z = _read_grid(z_path, cache_dir, delim, index_cols=2)
     index = _index_from_labels(z_labels, z_path)
     if Z.shape != (index.n, index.n):
         raise DimensionMismatch(
@@ -276,14 +413,15 @@ def ingest(layout: Layout | str | Path) -> IngestResult:
         raise ParseError("column labels do not match row labels", path=str(z_path))
 
     y_path = layout.path(layout.final_demand)
-    y_headers, y_labels, Y = _read_grid(y_path, delim, index_cols=2)
+    y_headers, y_labels, Y = _read_grid(y_path, cache_dir, delim, index_cols=2)
     if list(y_labels) != index.labels():
         raise ParseError("final-demand rows do not match the transaction index",
                          path=str(y_path))
     y_columns = tuple(_column_pairs(y_headers, 2, y_path))
 
     x_path = layout.path(layout.total_output)
-    _, x_labels, x_grid = _read_grid(x_path, delim, index_cols=2, header_rows=1)
+    _, x_labels, x_grid = _read_grid(x_path, cache_dir, delim, index_cols=2,
+                                       header_rows=1)
     if list(x_labels) != index.labels():
         raise ParseError("total-output rows do not match the transaction index",
                          path=str(x_path))
@@ -297,7 +435,7 @@ def ingest(layout: Layout | str | Path) -> IngestResult:
         if not entry.unit:
             raise UnitMismatch(f"extension {entry.name!r} has no unit label in the layout")
         ext_path = layout.path(entry.file)
-        ext_headers, ext_labels, rows = _read_grid(ext_path, delim, index_cols=1)
+        ext_headers, ext_labels, rows = _read_grid(ext_path, cache_dir, delim, index_cols=1)
         if rows.shape[1] != index.n:
             raise DimensionMismatch(
                 f"extension {entry.name!r} has {rows.shape[1]} columns, expected {index.n}"
@@ -360,12 +498,18 @@ def _writer(handle, delimiter: str):
 
 def _write_grid(path: Path, delimiter: str, headers: list[list[str]],
                 labels: list[tuple[str, ...]], matrix: np.ndarray) -> None:
+    # One "%.17g" template per row formats as _fmt does; the labels go through
+    # csv (the trailing empty cell leaves their quoting as in a full row).
+    template = delimiter.join(["%.17g"] * matrix.shape[1]) + "\n"
+    prefix = io.StringIO()
+    label_writer = _writer(prefix, delimiter)
     with path.open("w", newline="", encoding="utf-8") as handle:
-        out = _writer(handle, delimiter)
-        for header in headers:
-            out.writerow(header)
+        _writer(handle, delimiter).writerows(headers)
         for label, row in zip(labels, matrix):
-            out.writerow(list(label) + [_fmt(v) for v in row])
+            prefix.seek(0)
+            prefix.truncate()
+            label_writer.writerow([*label, ""])
+            handle.write(prefix.getvalue()[:-1] + template % tuple(row.tolist()))
 
 
 def write_account(account: MrioAccount, out_dir: str | Path,

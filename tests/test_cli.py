@@ -220,6 +220,28 @@ class TestCompare:
         assert "baseline.json" in err and "renamed.json" in err
         assert not (tmp_path / "out").exists()
 
+    def test_mixed_home_regions_exit_one(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
+        spec["home_region"] = "R1"
+        (fixture_dir / "scenarios" / "abroad.json").write_text(json.dumps(spec))
+
+        def no_ingest(*args):
+            raise AssertionError("ingest ran before the home regions were checked")
+        monkeypatch.setattr(fileio, "ingest", no_ingest)
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "abroad"]) == 1
+        err = capsys.readouterr().err
+        assert "baseline.json" in err and "abroad.json" in err
+        assert "'R0'" in err and "'R1'" in err
+        assert not (tmp_path / "cmp").exists()
+
+        monkeypatch.undo()
+        argv = ["compare", "--layout", str(fixture_dir / "layout.json"),
+                "--params", str(fixture_dir / "params.json"), "--out", str(tmp_path / "cmp"),
+                "--home-region", "R0",
+                "--scenario", str(fixture_dir / "scenarios" / "baseline.json"),
+                "--scenario", str(fixture_dir / "scenarios" / "abroad.json")]
+        assert main(argv) == 0
+
     def test_one_solve_per_scenario(self, fixture_dir, tmp_path, monkeypatch):
         # One baseline solve for direct-use scaling, one solve per scenario,
         # and one block solve for the multipliers of all five reports.

@@ -1,11 +1,12 @@
 """Ingest / emit round-trip and parse-error tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mrio_footprint import fileio, fixtures
+from mrio_footprint import fileio, fixtures, model
 from mrio_footprint.errors import DimensionMismatch, ParseError, UnitMismatch
 
 
@@ -115,6 +116,41 @@ class TestParseErrors:
         with pytest.raises(DimensionMismatch):
             fileio.ingest(layout_path)
 
+    def test_ragged_middle_row_names_row_and_column(self, written_set, tmp_path):
+        _, layout_path = written_set
+        z_path = tmp_path / "z.tsv"
+        lines = z_path.read_text().splitlines()
+        lines[4] = lines[4].rsplit("\t", 1)[0]
+        z_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        width = len(lines[1].split("\t"))
+        assert (excinfo.value.row, excinfo.value.column) == (5, width)
+        assert "z.tsv" in str(excinfo.value)
+        assert f"expected {width} cells, found {width - 1}" in str(excinfo.value)
+
+    def test_hash_cell_is_not_a_comment(self, written_set, tmp_path):
+        # A leading "#" must not turn the rest of the row into a comment.
+        _, layout_path = written_set
+        self._set_cell(tmp_path / "z.tsv", 4, 2, "#0.5")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert (excinfo.value.row, excinfo.value.column) == (5, 3)
+        assert "z.tsv" in str(excinfo.value) and "#0.5" in str(excinfo.value)
+
+    # "1_000" is a Python float literal but not a number in a data file.
+    @pytest.mark.parametrize("text", ["1.0x", "1_000"])
+    def test_non_numeric_cell_in_last_row(self, written_set, tmp_path, text):
+        _, layout_path = written_set
+        z_path = tmp_path / "z.tsv"
+        last = len(z_path.read_text().splitlines()) - 1
+        self._set_cell(z_path, last, -1, text)
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        width = len(z_path.read_text().splitlines()[1].split("\t"))
+        assert (excinfo.value.row, excinfo.value.column) == (last + 1, width)
+        assert "z.tsv" in str(excinfo.value) and text in str(excinfo.value)
+
     def test_ragged_row_is_a_parse_error(self, written_set, tmp_path):
         _, layout_path = written_set
         y_path = tmp_path / "y.tsv"
@@ -167,10 +203,73 @@ class TestLayoutFeatures:
         assert "known gap" in warning.note
 
     def test_comma_delimited_set(self, tmp_path):
-        account = fixtures.fixture(1, 2, 3)
+        account = fixtures.fixture(2, 2, 3)
+        # EXIOBASE sector names carry commas, and a label may carry a quote.
+        index = model.RegionSectorIndex(
+            regions=account.index.regions,
+            sectors=("Vegetables, fruit, nuts", 'Manure treatment ("biogas"), land'))
+        labour = account.extensions["labour"]
+        account = replace(account, index=index, extensions=account.extensions | {
+            "labour": replace(labour, stressors=tuple(f"{s}, all ages" for s in labour.stressors))})
         layout_path = fileio.write_account(account, tmp_path, delimiter_name="comma")
         back = fileio.ingest(layout_path).account
-        np.testing.assert_array_equal(back.Z, account.Z)
+        assert back.index == account.index
+        assert back.extensions["labour"].stressors == account.extensions["labour"].stressors
+        for loaded, written in ((back.Z, account.Z), (back.Y, account.Y), (back.x, account.x),
+                                (back.extensions["labour"].rows, labour.rows)):
+            assert loaded.tobytes() == written.tobytes()
+
+
+def _z_entry(layout_path):
+    """The cached matrix of a layout's transaction grid."""
+    key = fileio._cache_key(layout_path.parent / "z.tsv", "\t", 2, 2)
+    return layout_path.parent / fileio.CACHE_DIR / f"{key}.npy"
+
+
+class TestCache:
+    def test_second_ingest_is_served_from_cache(self, written_set, monkeypatch):
+        _, layout_path = written_set
+        first = fileio.ingest(layout_path).account
+
+        def no_parse(*args):
+            raise AssertionError("a cached grid was parsed again")
+        monkeypatch.setattr(fileio, "_parse_grid", no_parse)
+        second = fileio.ingest(layout_path).account
+        assert second.index == first.index and second.y_columns == first.y_columns
+        for a, b in ((second.Z, first.Z), (second.Y, first.Y), (second.x, first.x)):
+            assert a.tobytes() == b.tobytes()
+        for name, ext in first.extensions.items():
+            assert second.extensions[name].rows.tobytes() == ext.rows.tobytes()
+            assert second.extensions[name].stressors == ext.stressors
+
+    def test_edited_file_is_parsed_again(self, written_set, tmp_path):
+        _, layout_path = written_set
+        before = fileio.ingest(layout_path).account.Z
+        TestParseErrors._set_cell(tmp_path / "z.tsv", 4, 5, "123.25")
+        after = fileio.ingest(layout_path).account.Z
+        assert after[2, 3] == 123.25 != before[2, 3]
+        after[2, 3] = before[2, 3]
+        np.testing.assert_array_equal(after, before)
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape"])
+    def test_damaged_entry_is_rewritten(self, written_set, damage):
+        _, layout_path = written_set
+        expected = fileio.ingest(layout_path).account.Z
+        entry = _z_entry(layout_path)
+        whole = entry.read_bytes()
+        if damage == "truncated":
+            entry.write_bytes(whole[: len(whole) // 2])
+        else:
+            np.save(entry, expected[:-1])
+        assert fileio.ingest(layout_path).account.Z.tobytes() == expected.tobytes()
+        assert entry.read_bytes() == whole
+
+    def test_unwritable_cache_is_skipped(self, written_set, tmp_path):
+        account, layout_path = written_set
+        (tmp_path / fileio.CACHE_DIR).write_text("not a directory")
+        for _ in range(2):
+            np.testing.assert_array_equal(fileio.ingest(layout_path).account.Z, account.Z)
+        assert (tmp_path / fileio.CACHE_DIR).read_text() == "not a directory"
 
 
 class TestFixtureSet:
