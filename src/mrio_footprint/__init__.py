@@ -7,7 +7,6 @@ spending budgets.
 
 from . import errors
 from .algebra import (
-    IntensityVector,
     LeontiefOperator,
     ProductivityEstimate,
     TechnicalCoefficients,
@@ -26,9 +25,13 @@ from .fileio import (
     ingest,
     load_layout,
     write_account,
+)
+from .fixtures import (
+    fixture,
+    fixture_category_concordance,
+    fixture_sector_groups,
     write_fixture_set,
 )
-from .fixtures import fixture, fixture_category_concordance, fixture_sector_groups
 from .indicators import (
     ConversionParams,
     FootprintReport,
@@ -44,6 +47,7 @@ from .indicators import (
     decompose_demand_by_category,
     direct_use_scaled,
     hours_per_week_equivalent,
+    load_sector_groups,
     material_indicators,
     per_capita,
     report_variants,

@@ -71,20 +71,7 @@ class TechnicalCoefficients:
             )
 
 
-@dataclass(frozen=True)
-class IntensityVector:
-    """Per-sector impact per unit of output (extension unit / monetary unit)."""
-
-    values: np.ndarray
-    extension_name: str = ""
-    unit: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-def technical_coefficients(Z: np.ndarray, x: np.ndarray,
-                           zero_output_eps: float = ZERO_OUTPUT_EPS) -> TechnicalCoefficients:
+def technical_coefficients(Z: np.ndarray, x: np.ndarray) -> TechnicalCoefficients:
     """Build A = Z @ diag(x)^-1, zeroing columns of inactive sectors."""
     Zm = _as_square(Z, "Z")
     n = Zm.shape[0]
@@ -96,7 +83,7 @@ def technical_coefficients(Z: np.ndarray, x: np.ndarray,
         i = int(np.argmin(xv))
         raise NegativeEntry(f"x[{i}] = {xv[i]} is negative")
 
-    active = xv > zero_output_eps
+    active = xv > ZERO_OUTPUT_EPS
     scale = np.zeros(n)
     scale[active] = 1.0 / xv[active]
     A = Zm * scale[np.newaxis, :]
@@ -229,8 +216,7 @@ def leontief_solve(A: TechnicalCoefficients, y: np.ndarray) -> np.ndarray:
     return factorize(A).apply(y)
 
 
-def intensity(e: np.ndarray, x: np.ndarray, extension_name: str = "", unit: str = "",
-              zero_output_eps: float = ZERO_OUTPUT_EPS) -> IntensityVector:
+def intensity(e: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-unit-of-output impact s = e / x, zero where output is zero."""
     ev = np.asarray(e, dtype=float)
     xv = np.asarray(x, dtype=float)
@@ -238,24 +224,24 @@ def intensity(e: np.ndarray, x: np.ndarray, extension_name: str = "", unit: str 
         raise DimensionMismatch(
             f"extension row shape {ev.shape} does not match output shape {xv.shape}"
         )
-    active = xv > zero_output_eps
+    active = xv > ZERO_OUTPUT_EPS
     values = np.zeros_like(ev)
     values[active] = ev[active] / xv[active]
-    return IntensityVector(values=values, extension_name=extension_name, unit=unit)
+    return values
 
 
-def footprint_total(s: IntensityVector | np.ndarray, q: np.ndarray) -> float:
+def footprint_total(s: np.ndarray, q: np.ndarray) -> float:
     """Total impact s . q embodied in the output vector q."""
-    sv = s.values if isinstance(s, IntensityVector) else np.asarray(s, dtype=float)
+    sv = np.asarray(s, dtype=float)
     qv = np.asarray(q, dtype=float)
     if sv.shape != qv.shape:
         raise DimensionMismatch(f"intensity shape {sv.shape} != output shape {qv.shape}")
     return float(sv @ qv)
 
 
-def footprint_by_source(s: IntensityVector | np.ndarray, q: np.ndarray) -> np.ndarray:
+def footprint_by_source(s: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per producing region-sector contributions s[j] * q[j]."""
-    sv = s.values if isinstance(s, IntensityVector) else np.asarray(s, dtype=float)
+    sv = np.asarray(s, dtype=float)
     qv = np.asarray(q, dtype=float)
     if sv.shape != qv.shape:
         raise DimensionMismatch(f"intensity shape {sv.shape} != output shape {qv.shape}")

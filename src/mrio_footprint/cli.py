@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, fileio, indicators, model, scenario
-from .errors import MrioError, ParseError, UnknownScenario
+from . import algebra, fileio, fixtures, indicators, model, scenario
+from .errors import MrioError, UnknownScenario
 from .indicators import ConversionParams, FootprintReport, ReportVariant, SectorGroupConcordance
 from .model import MrioAccount
 from .scenario import CategoryConcordance, ScenarioSpec
@@ -104,7 +104,6 @@ class PlotSeries:
 @dataclass(frozen=True)
 class LoadedData:
     account: MrioAccount
-    warnings: tuple
     concordance: CategoryConcordance
     groups: SectorGroupConcordance
     params: ConversionParams
@@ -113,35 +112,26 @@ class LoadedData:
 
 
 def _load(config: RunConfig) -> LoadedData:
-    result = fileio.ingest(config.layout_path)
-    account = result.account
+    account = fileio.ingest(config.layout_path).account
     concordance = scenario.load_concordance(config.categories_path, account.index.sectors)
-    groups_map = _load_groups(config.groups_path)
+    groups = indicators.load_sector_groups(config.groups_path, account.index.sectors)
     params = indicators.load_conversion_params(config.params_path)
     coefficients = algebra.technical_coefficients(account.Z, account.x)
     operator = algebra.factorize(coefficients)
     variants = indicators.report_variants(
         account, operator, _selected_extensions(account, config.extensions))
-    return LoadedData(account=account, warnings=result.warnings, concordance=concordance,
-                      groups=groups_map, params=params, operator=operator,
-                      variants=tuple(variants))
+    return LoadedData(account=account, concordance=concordance, groups=groups,
+                      params=params, operator=operator, variants=tuple(variants))
 
 
-def _load_groups(path: Path) -> SectorGroupConcordance:
-    mapping: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.reader(handle, delimiter="\t"), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) < 2:
-                raise ParseError("expected two columns (sector, group)",
-                                 path=str(path), row=lineno)
-            mapping[row[0].strip()] = row[1].strip()
-    return SectorGroupConcordance.from_mapping(mapping)
+def _load_specs(config: RunConfig, one_home_region: bool) -> list[ScenarioSpec]:
+    """Every scenario spec of a run; two specs may not share a name.
 
-
-def _load_specs(paths: tuple[Path, ...]) -> list[ScenarioSpec]:
-    """Every scenario spec of a run; two specs may not share a name."""
+    With ``one_home_region`` (compare's deltas and per-capita values assume
+    one population) the specs must also share a home region, unless
+    --home-region overrides them all.
+    """
+    paths = config.scenario_paths
     specs: list[ScenarioSpec] = []
     seen: dict[str, Path] = {}
     for path in paths:
@@ -151,18 +141,14 @@ def _load_specs(paths: tuple[Path, ...]) -> list[ScenarioSpec]:
                             f"{seen[spec.name]} and {path}")
         seen[spec.name] = path
         specs.append(spec)
+    if one_home_region and config.home_region is None:
+        first, first_path = specs[0], paths[0]
+        for spec, path in zip(specs, paths):
+            if spec.home_region != first.home_region:
+                raise MrioError(f"scenario {first.name!r} ({first_path}) has home region "
+                                f"{first.home_region!r} but {spec.name!r} ({path}) has "
+                                f"{spec.home_region!r}; set --home-region to compare them")
     return specs
-
-
-def _require_one_home_region(specs: list[ScenarioSpec], paths: tuple[Path, ...]) -> None:
-    """compare's deltas and per-capita values assume one population, so its
-    specs must share a home region unless --home-region overrides them all."""
-    first, first_path = specs[0], paths[0]
-    for spec, path in zip(specs, paths):
-        if spec.home_region != first.home_region:
-            raise MrioError(f"scenario {first.name!r} ({first_path}) has home region "
-                            f"{first.home_region!r} but {spec.name!r} ({path}) has "
-                            f"{spec.home_region!r}; set --home-region to compare them")
 
 
 def _selected_extensions(account: MrioAccount, selection: tuple[str, ...] | None) -> list[str]:
@@ -205,7 +191,8 @@ def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
         baseline.y, baseline.gfcf, data.concordance, spec, account.index)
     demand_by_category = indicators.decompose_demand_by_category(
         y_scen, gfcf_scen, data.concordance, account.index)
-    q = data.operator.apply(sum(demand_by_category.values()))
+    # Every element lies in one category only, so this equals the sum of the parts.
+    q = data.operator.apply(y_scen + gfcf_scen)
     return [
         indicators.build_footprint_report(
             account=account, variant=variant, q=q, demand_by_category=demand_by_category,
@@ -216,20 +203,29 @@ def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
     ]
 
 
-def _run_scenarios(config: RunConfig, data: LoadedData, specs: list[ScenarioSpec]
-                   ) -> Iterator[tuple[ScenarioSpec, list[FootprintReport]]]:
-    """Reports of each scenario, written to the scenario's directory as made."""
-    baselines: dict[str, Baseline] = {}
-    for spec in specs:
-        home_region = config.home_region or spec.home_region
-        if home_region not in baselines:
-            baselines[home_region] = _baseline(data, home_region)
-        reports = _scenario_reports(data, spec, home_region, baselines[home_region])
-        out_dir = config.out_dir / spec.name
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_report_csv(out_dir / "report.csv", reports)
-        _write_summary(out_dir / "summary.txt", config, spec, home_region, data, reports)
-        yield spec, reports
+def _run(args, one_home_region: bool = False) -> tuple[
+        RunConfig, LoadedData, Iterator[tuple[ScenarioSpec, list[FootprintReport]]]]:
+    """The shared run of ``footprint`` and ``compare``: checks the specs and
+    loads the inputs, then iterates over each scenario's reports, written to
+    the scenario's directory as made."""
+    config = RunConfig.from_args(args)
+    specs = _load_specs(config, one_home_region)
+    data = _load(config)
+
+    def reports_by_scenario():
+        baselines: dict[str, Baseline] = {}
+        for spec in specs:
+            home_region = config.home_region or spec.home_region
+            if home_region not in baselines:
+                baselines[home_region] = _baseline(data, home_region)
+            reports = _scenario_reports(data, spec, home_region, baselines[home_region])
+            out_dir = config.out_dir / spec.name
+            out_dir.mkdir(parents=True, exist_ok=True)
+            _write_report_csv(out_dir / "report.csv", reports)
+            _write_summary(out_dir / "summary.txt", config, spec, home_region, data, reports)
+            yield spec, reports
+
+    return config, data, reports_by_scenario()
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +463,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_footprint(args) -> int:
-    config = RunConfig.from_args(args)
-    specs = _load_specs(config.scenario_paths)
-    data = _load(config)
-    for spec, reports in _run_scenarios(config, data, specs):
+    _, _, runs = _run(args)
+    for spec, reports in runs:
         for report in reports:
             print(f"{spec.name}/{report.extension_name}: "
                   f"total {_FMT(report.total)} {report.unit}")
@@ -478,14 +472,8 @@ def cmd_footprint(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = RunConfig.from_args(args)
-    specs = _load_specs(config.scenario_paths)
-    if config.home_region is None:
-        _require_one_home_region(specs, config.scenario_paths)
-    data = _load(config)
-    reports_by_scenario = {
-        spec.name: reports for spec, reports in _run_scenarios(config, data, specs)
-    }
+    config, data, runs = _run(args, one_home_region=True)
+    reports_by_scenario = {spec.name: reports for spec, reports in runs}
 
     report_names = [r.extension_name for r in next(iter(reports_by_scenario.values()))]
     rows_by_extension = {}
@@ -506,8 +494,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fixture(args) -> int:
-    layout_path = fileio.write_fixture_set(args.regions, args.sectors, args.seed,
-                                           Path(args.out))
+    layout_path = fixtures.write_fixture_set(args.regions, args.sectors, args.seed,
+                                             Path(args.out))
     print(f"fixture written: {layout_path}")
     return 0
 

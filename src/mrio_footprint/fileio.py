@@ -31,24 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, UnitMismatch
-from .fixtures import (
-    fixture,
-    fixture_category_concordance,
-    fixture_conversion_params,
-    fixture_sector_groups,
-)
-from .model import (
-    ExtensionAccount,
-    MrioAccount,
-    RegionSectorIndex,
-    consumption_selection,
-    select_demand,
-)
-from .scenario import (
-    CONSUMPTION_SPENDING_CATEGORIES,
-    GFCF_CATEGORY,
-    baseline_category_totals,
-)
+from .model import ExtensionAccount, MrioAccount, RegionSectorIndex
 
 DEFAULT_HOURS_PER_WORKER_YEAR = 1840.0
 
@@ -292,12 +275,19 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
     return headers, labels, matrix
 
 
-def _cache_key(path: Path, delimiter: str, index_cols: int, header_rows: int) -> str:
+def _cache_key(path: Path, base: Path, delimiter: str, index_cols: int,
+               header_rows: int) -> str:
+    """``<file>-<parse settings>/<sha256 of the file's bytes>``: one directory
+    per grid, holding entries named by the file's content. ``<file>`` is the
+    path from ``base`` with "%" for each separator, so grids of the same name
+    in different directories keep their own entries."""
     digest = hashlib.sha256()
     with _reading(path), path.open("rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
-    return f"{digest.hexdigest()}-{_DELIMITER_NAMES[delimiter]}-{index_cols}-{header_rows}"
+    name = os.path.relpath(path, base).replace(os.sep, "%")
+    settings = f"{_DELIMITER_NAMES[delimiter]}-{index_cols}-{header_rows}"
+    return f"{name}-{settings}/{digest.hexdigest()}"
 
 
 def _cache_load(entry: Path, index_cols: int, header_rows: int):
@@ -335,10 +325,14 @@ def _replace(target: Path, write) -> None:
 def _cache_store(entry: Path, headers, labels, matrix: np.ndarray) -> None:
     meta = json.dumps({"headers": headers, "labels": labels}).encode("utf-8")
     try:
-        entry.parent.mkdir(exist_ok=True)
+        entry.parent.mkdir(parents=True, exist_ok=True)
         # The matrix goes first: a readable .json means its .npy is whole.
         _replace(entry.with_suffix(".npy"), lambda h: np.save(h, matrix, allow_pickle=False))
         _replace(entry.with_suffix(".json"), lambda h: h.write(meta))
+        # The other entries hold earlier contents of the same file.
+        for old in entry.parent.iterdir():
+            if old.suffix in (".npy", ".json") and old.stem != entry.name:
+                old.unlink(missing_ok=True)
     except OSError:
         pass  # an unwritable cache only means the next run parses again
 
@@ -350,10 +344,10 @@ def _read_grid(path: Path, cache_dir: Path, delimiter: str, index_cols: int,
     Returns (headers, row_labels, matrix). Ragged rows and non-numeric or
     non-finite values are ParseErrors; the caller checks the resulting shape
     against the model dimension. A parsed grid is kept in ``cache_dir``
-    under the sha256 of the file's bytes and the parse settings, and is
-    read from there while the file is unchanged.
+    under the file's path, the parse settings and the sha256 of the file's
+    bytes, and is read from there while the file is unchanged.
     """
-    entry = cache_dir / _cache_key(path, delimiter, index_cols, header_rows)
+    entry = cache_dir / _cache_key(path, cache_dir.parent, delimiter, index_cols, header_rows)
     cached = _cache_load(entry, index_cols, header_rows)
     if cached is not None:
         return cached
@@ -580,65 +574,3 @@ def write_account(account: MrioAccount, out_dir: str | Path,
     layout_path.write_text(json.dumps(descriptor, indent=2) + "\n", encoding="utf-8")
     return layout_path
 
-
-def write_fixture_set(n_regions: int, n_sectors: int, seed: int,
-                      out_dir: str | Path) -> Path:
-    """Write a complete runnable fixture: account files plus concordances,
-    conversion params, and two scenario specs (identity and one halved
-    category). Byte-identical for a given seed. Returns the layout path.
-    """
-    out_dir = Path(out_dir)
-    account = fixture(n_regions, n_sectors, seed)
-    layout_path = write_account(account, out_dir)
-    index = account.index
-    home_region = index.regions[0]
-
-    concordance = fixture_category_concordance(index)
-    with (out_dir / "category_concordance.tsv").open("w", newline="", encoding="utf-8") as handle:
-        out = _writer(handle, "\t")
-        for sector in index.sectors:
-            out.writerow([sector, concordance.mapping[sector]])
-
-    groups = fixture_sector_groups(index)
-    with (out_dir / "sector_groups.tsv").open("w", newline="", encoding="utf-8") as handle:
-        out = _writer(handle, "\t")
-        for sector in index.sectors:
-            out.writerow([sector, groups.mapping[sector]])
-
-    params = fixture_conversion_params()
-    (out_dir / "params.json").write_text(json.dumps({
-        "working_age_population": params.working_age_population,
-        "total_population": params.total_population,
-        "weeks_worked_per_year": params.weeks_worked_per_year,
-        "working_life_share": params.working_life_share,
-    }, indent=2) + "\n", encoding="utf-8")
-
-    scenario_dir = out_dir / "scenarios"
-    scenario_dir.mkdir(exist_ok=True)
-
-    baseline_spec = {
-        "name": "baseline",
-        "home_region": home_region,
-        "category_targets": {category: None for category in CONSUMPTION_SPENDING_CATEGORIES}
-        | {GFCF_CATEGORY: None},
-    }
-    (scenario_dir / "baseline.json").write_text(
-        json.dumps(baseline_spec, indent=2) + "\n", encoding="utf-8")
-
-    # Halve the category of the first sector, leave everything else alone.
-    y_base = select_demand(account, consumption_selection(home_region))
-    totals = baseline_category_totals(y_base, concordance, index)
-    halved_category = concordance.mapping[index.sectors[0]]
-    halved_targets: dict[str, float | None] = {
-        category: None for category in CONSUMPTION_SPENDING_CATEGORIES
-    }
-    halved_targets[halved_category] = 0.5 * totals[halved_category]
-    halved_spec = {
-        "name": "halved",
-        "home_region": home_region,
-        "category_targets": halved_targets | {GFCF_CATEGORY: None},
-    }
-    (scenario_dir / "halved.json").write_text(
-        json.dumps(halved_spec, indent=2) + "\n", encoding="utf-8")
-
-    return layout_path

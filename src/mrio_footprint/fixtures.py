@@ -1,4 +1,5 @@
-"""Deterministic synthetic accounts for desk-scale verification.
+"""Deterministic synthetic accounts for desk-scale verification, and the
+runnable fixture sets written from them.
 
 Fixture accounts are balanced by construction (total output solves the
 quantity model for the drawn demand) and productive (coefficient columns sum
@@ -9,9 +10,13 @@ emissions with per-region direct use, and used/unused materials.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from .fileio import _writer, write_account
 from .indicators import ConversionParams, SectorGroupConcordance
 from .model import (
     CATEGORY_GFCF,
@@ -23,8 +28,15 @@ from .model import (
     ExtensionAccount,
     MrioAccount,
     RegionSectorIndex,
+    consumption_selection,
+    select_demand,
 )
-from .scenario import CONSUMPTION_SPENDING_CATEGORIES, CategoryConcordance
+from .scenario import (
+    CONSUMPTION_SPENDING_CATEGORIES,
+    GFCF_CATEGORY,
+    CategoryConcordance,
+    baseline_category_totals,
+)
 
 FIXTURE_YEAR = 2012
 
@@ -154,3 +166,66 @@ def fixture_sector_groups(index: RegionSectorIndex) -> SectorGroupConcordance:
 
 def fixture_conversion_params() -> ConversionParams:
     return ConversionParams(working_age_population=650_000.0, total_population=1_000_000.0)
+
+
+def write_fixture_set(n_regions: int, n_sectors: int, seed: int,
+                      out_dir: str | Path) -> Path:
+    """Write a complete runnable fixture: account files plus concordances,
+    conversion params, and two scenario specs (identity and one halved
+    category). Byte-identical for a given seed. Returns the layout path.
+    """
+    out_dir = Path(out_dir)
+    account = fixture(n_regions, n_sectors, seed)
+    layout_path = write_account(account, out_dir)
+    index = account.index
+    home_region = index.regions[0]
+
+    concordance = fixture_category_concordance(index)
+    with (out_dir / "category_concordance.tsv").open("w", newline="", encoding="utf-8") as handle:
+        out = _writer(handle, "\t")
+        for sector in index.sectors:
+            out.writerow([sector, concordance.mapping[sector]])
+
+    groups = fixture_sector_groups(index)
+    with (out_dir / "sector_groups.tsv").open("w", newline="", encoding="utf-8") as handle:
+        out = _writer(handle, "\t")
+        for sector in index.sectors:
+            out.writerow([sector, groups.mapping[sector]])
+
+    params = fixture_conversion_params()
+    (out_dir / "params.json").write_text(json.dumps({
+        "working_age_population": params.working_age_population,
+        "total_population": params.total_population,
+        "weeks_worked_per_year": params.weeks_worked_per_year,
+        "working_life_share": params.working_life_share,
+    }, indent=2) + "\n", encoding="utf-8")
+
+    scenario_dir = out_dir / "scenarios"
+    scenario_dir.mkdir(exist_ok=True)
+
+    baseline_spec = {
+        "name": "baseline",
+        "home_region": home_region,
+        "category_targets": {category: None for category in CONSUMPTION_SPENDING_CATEGORIES}
+        | {GFCF_CATEGORY: None},
+    }
+    (scenario_dir / "baseline.json").write_text(
+        json.dumps(baseline_spec, indent=2) + "\n", encoding="utf-8")
+
+    # Halve the category of the first sector, leave everything else alone.
+    y_base = select_demand(account, consumption_selection(home_region))
+    totals = baseline_category_totals(y_base, concordance, index)
+    halved_category = concordance.mapping[index.sectors[0]]
+    halved_targets: dict[str, float | None] = {
+        category: None for category in CONSUMPTION_SPENDING_CATEGORIES
+    }
+    halved_targets[halved_category] = 0.5 * totals[halved_category]
+    halved_spec = {
+        "name": "halved",
+        "home_region": home_region,
+        "category_targets": halved_targets | {GFCF_CATEGORY: None},
+    }
+    (scenario_dir / "halved.json").write_text(
+        json.dumps(halved_spec, indent=2) + "\n", encoding="utf-8")
+
+    return layout_path

@@ -26,7 +26,13 @@ from .errors import (
     ZeroEmbeddedBase,
 )
 from .model import ExtensionAccount, MrioAccount, RegionSectorIndex
-from .scenario import SPENDING_CATEGORIES
+from .scenario import (
+    CONSUMPTION_SPENDING_CATEGORIES,
+    GFCF_CATEGORY,
+    CategoryConcordance,
+    _data_rows,
+    _sector_codes,
+)
 
 # Calendar weeks per average year, used to annualise average weekly hours.
 CALENDAR_WEEKS_PER_YEAR = 365.25 / 7  # ~52.18
@@ -149,7 +155,6 @@ class SectorGroupConcordance:
         for sector, group in self.mapping.items():
             if group not in known:
                 raise ValueError(f"sector {sector!r} mapped to unlisted group {group!r}")
-        object.__setattr__(self, "_codes", {})
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SectorGroupConcordance":
@@ -159,23 +164,34 @@ class SectorGroupConcordance:
         return cls(mapping=mapping, groups=tuple(ordered))
 
     def codes(self, index: RegionSectorIndex) -> np.ndarray:
-        """Position in ``groups`` of every region-sector's group, in flat order.
-
-        Built once per index and reused; an unmapped sector raises.
-        """
-        codes = self._codes.get(index)
-        if codes is None:
-            position = {group: k for k, group in enumerate(self.groups)}
-            per_sector = []
-            for sector in index.sectors:
-                group = self.mapping.get(sector)
-                if group is None:
-                    raise UnmappedSector(f"sector {sector!r} has no sector group")
-                per_sector.append(position[group])
-            codes = np.tile(np.array(per_sector, dtype=np.intp), index.n_regions)
-            codes.flags.writeable = False
-            self._codes[index] = codes
+        """Position in ``groups`` of every region-sector's group, in flat
+        order; an unmapped sector raises."""
+        codes = _sector_codes(self.mapping, self.groups, index)
+        # The first region's block lists every sector, so a first unmapped
+        # flat index is also a position in ``index.sectors``.
+        unmapped = np.flatnonzero(codes == len(self.groups))
+        if unmapped.size:
+            raise UnmappedSector(f"sector {index.sectors[unmapped[0]]!r} has no sector group")
         return codes
+
+
+def load_sector_groups(path: str | Path, sectors) -> SectorGroupConcordance:
+    """Read a two-column (sector, group) file that lists every sector of the
+    account once; groups are reported in the order they first appear."""
+    path = Path(path)
+    mapping: dict[str, str] = {}
+    for lineno, row in _data_rows(path, "\t"):
+        if len(row) < 2:
+            raise ParseError("expected two columns (sector, group)",
+                             path=str(path), row=lineno)
+        sector, group = row[0].strip(), row[1].strip()
+        if sector in mapping:
+            raise ParseError(f"sector {sector!r} listed twice", path=str(path), row=lineno)
+        mapping[sector] = group
+    for sector in sectors:
+        if sector not in mapping:
+            raise ParseError(f"sector {sector!r} has no sector group", path=str(path))
+    return SectorGroupConcordance.from_mapping(mapping)
 
 
 def aggregate_by_sector_group(by_source: np.ndarray, groups: SectorGroupConcordance,
@@ -218,7 +234,8 @@ def attribute_by_category(m: np.ndarray,
     }
 
 
-def decompose_demand_by_category(y: np.ndarray, gfcf: np.ndarray, concordance,
+def decompose_demand_by_category(y: np.ndarray, gfcf: np.ndarray,
+                                 concordance: CategoryConcordance,
                                  index: RegionSectorIndex) -> dict[str, np.ndarray]:
     """Partition demand into the 13 categories (capital formation last).
 
@@ -226,12 +243,10 @@ def decompose_demand_by_category(y: np.ndarray, gfcf: np.ndarray, concordance,
     reproduce whole-vector footprints up to solver tolerance.
     """
     yv = np.asarray(y, dtype=float)
-    parts = {category: np.zeros(index.n) for category in SPENDING_CATEGORIES}
-    for flat, (_, sector) in enumerate(index.labels()):
-        category = concordance.category_of(sector)
-        if category is not None:
-            parts[category][flat] = yv[flat]
-    parts[SPENDING_CATEGORIES[-1]] = np.asarray(gfcf, dtype=float).copy()
+    codes = concordance.codes(index)
+    parts = {category: np.where(codes == k, yv, 0.0)
+             for k, category in enumerate(CONSUMPTION_SPENDING_CATEGORIES)}
+    parts[GFCF_CATEGORY] = np.asarray(gfcf, dtype=float).copy()
     return parts
 
 
@@ -350,8 +365,8 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator,
     totals = []
     for _, ext, labels in selected:
         rows = np.vstack([ext.stressor_row(label) for label in labels])
-        intensities.append(tuple(algebra.intensity(row, account.x).values for row in rows))
-        totals.append(algebra.intensity(rows.sum(axis=0), account.x).values)
+        intensities.append(tuple(algebra.intensity(row, account.x) for row in rows))
+        totals.append(algebra.intensity(rows.sum(axis=0), account.x))
     multipliers = operator.multipliers(np.vstack(totals))
     return [
         ReportVariant(name=name, extension=ext, labels=labels, intensities=s_rows,

@@ -97,13 +97,6 @@ class RegionSectorIndex:
         """(region, sector) pairs in flat-index order."""
         return [(r, s) for r in self.regions for s in self.sectors]
 
-    def sector_positions(self, sector: str) -> np.ndarray:
-        """Flat indices of one sector across all regions."""
-        if sector not in self._sector_pos:
-            raise ValueError(f"unknown sector {sector!r}")
-        j = self._sector_pos[sector]
-        return np.arange(self.n_regions) * self.n_sectors + j
-
 
 @dataclass(frozen=True)
 class ExtensionAccount:
@@ -219,7 +212,6 @@ class DemandSelection:
 
     paying_regions: tuple[str, ...]
     included_categories: tuple[str, ...]
-    merge: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "paying_regions", tuple(self.paying_regions))
@@ -235,26 +227,26 @@ class DemandSelection:
 
 def consumption_selection(region: str) -> DemandSelection:
     """Household + non-profit + government spending of one region, merged."""
-    return DemandSelection((region,), CONSUMPTION_CATEGORIES, merge=True)
+    return DemandSelection((region,), CONSUMPTION_CATEGORIES)
 
 
 def gfcf_selection(region: str) -> DemandSelection:
     """Gross fixed capital formation of one region, as its own vector."""
-    return DemandSelection((region,), (CATEGORY_GFCF,), merge=True)
+    return DemandSelection((region,), (CATEGORY_GFCF,))
 
 
-def select_demand(account: MrioAccount, selection: DemandSelection):
-    """Sum the selected Y columns into a spending vector.
+def select_demand(account: MrioAccount, selection: DemandSelection) -> np.ndarray:
+    """Sum the selected Y columns into one spending vector.
 
-    Returns one vector when ``selection.merge`` is true, otherwise a dict of
-    per-category vectors (how capital formation is kept separate).
+    Each category's columns are summed and checked for negative entries
+    first, then the category vectors are added in selection order.
     """
     known_regions = set(account.regions_in_y)
     for region in selection.paying_regions:
         if region not in known_regions:
             raise UnknownRegion(f"region {region!r} has no final-demand columns")
 
-    per_category: dict[str, np.ndarray] = {}
+    total = np.zeros(account.index.n)
     for category in selection.included_categories:
         columns: list[int] = []
         for region in selection.paying_regions:
@@ -267,14 +259,8 @@ def select_demand(account: MrioAccount, selection: DemandSelection):
                 f"selected demand is negative for ({region}, {sector}) "
                 f"in category {category!r}"
             )
-        per_category[category] = vector
-
-    if selection.merge:
-        total = np.zeros(account.index.n)
-        for vector in per_category.values():
-            total += vector
-        return total
-    return per_category
+        total += vector
+    return total
 
 
 @dataclass(frozen=True)

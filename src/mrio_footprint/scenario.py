@@ -65,6 +65,15 @@ CONSUMPTION_SPENDING_CATEGORIES = SPENDING_CATEGORIES[:-1]
 WEEKS_PER_YEAR = 365.25 / 7  # ~52.18
 
 
+def _sector_codes(mapping: dict[str, str], labels: tuple[str, ...],
+                  index: RegionSectorIndex) -> np.ndarray:
+    """Position in ``labels`` of every region-sector's label, in flat
+    region-major order; sectors absent from ``mapping`` get ``len(labels)``."""
+    position = {label: k for k, label in enumerate(labels)}
+    per_sector = [position.get(mapping.get(sector), len(labels)) for sector in index.sectors]
+    return np.tile(np.array(per_sector, dtype=np.intp), index.n_regions)
+
+
 @dataclass(frozen=True)
 class CategoryConcordance:
     """Maps each sector name to one spending category.
@@ -98,8 +107,10 @@ class CategoryConcordance:
         """Build a concordance over a full sector list, inferring the unsorted set."""
         return cls(mapping=mapping, unsorted=frozenset(sectors) - set(mapping))
 
-    def category_of(self, sector: str) -> str | None:
-        return self.mapping.get(sector)
+    def codes(self, index: RegionSectorIndex) -> np.ndarray:
+        """Position in ``CONSUMPTION_SPENDING_CATEGORIES`` of every
+        region-sector's category, in flat order; unsorted sectors get 12."""
+        return _sector_codes(self.mapping, CONSUMPTION_SPENDING_CATEGORIES, index)
 
 
 @dataclass(frozen=True)
@@ -168,10 +179,6 @@ class ScenarioSpec:
         if self.government_factor is not None and not 0.0 <= self.government_factor <= 1.0:
             raise ValueError(f"government factor must be in [0, 1], got {self.government_factor}")
 
-    @property
-    def gfcf_target(self) -> float | None:
-        return self.category_targets.get(GFCF_CATEGORY)
-
 
 @dataclass(frozen=True)
 class CofogEntry:
@@ -217,19 +224,19 @@ def baseline_category_totals(y_base: np.ndarray, concordance: CategoryConcordanc
     nonzero demand voids the premise that unsorted sectors are inactive.
     """
     y = np.asarray(y_base, dtype=float)
-    totals = {category: 0.0 for category in CONSUMPTION_SPENDING_CATEGORIES}
-    for flat, (region, sector) in enumerate(index.labels()):
-        value = float(y[flat])
-        category = concordance.category_of(sector)
-        if category is None:
-            if value != 0.0:
-                raise UnsortedNonzeroDemand(
-                    f"sector {sector!r} (region {region}) has demand {value} "
-                    "but no spending category"
-                )
-            continue
-        totals[category] += value
-    return totals
+    codes = concordance.codes(index)
+    unsorted = len(CONSUMPTION_SPENDING_CATEGORIES)
+    offending = np.flatnonzero((codes == unsorted) & (y != 0.0))
+    if offending.size:
+        flat = int(offending[0])
+        region, sector = index.labels()[flat]
+        raise UnsortedNonzeroDemand(
+            f"sector {sector!r} (region {region}) has demand {float(y[flat])} "
+            "but no spending category"
+        )
+    # bincount adds in flat order, as a loop over the labels would.
+    sums = np.bincount(codes, weights=y, minlength=unsorted + 1)
+    return dict(zip(CONSUMPTION_SPENDING_CATEGORIES, sums[:unsorted].tolist()))
 
 
 def category_scaling_factors(baseline: dict[str, float],
@@ -289,12 +296,9 @@ def apply_scenario(y_base: np.ndarray, gfcf_base: np.ndarray,
         {c: targets[c] for c in CONSUMPTION_SPENDING_CATEGORIES},
     )
 
-    per_sector = np.zeros(index.n)
-    for flat, (_, sector) in enumerate(index.labels()):
-        category = concordance.category_of(sector)
-        if category is not None:
-            per_sector[flat] = factors[category]
-    y_scenario = y * per_sector
+    # One slot per category, and a last, zero slot for unsorted sectors.
+    factor_by_code = np.array([factors[c] for c in CONSUMPTION_SPENDING_CATEGORIES] + [0.0])
+    y_scenario = y * factor_by_code[concordance.codes(index)]
     gfcf_scenario = scale_gfcf(gfcf, targets[GFCF_CATEGORY])
     return y_scenario, gfcf_scenario
 

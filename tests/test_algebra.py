@@ -159,15 +159,15 @@ class TestMultipliers:
 class TestIntensity:
     def test_elementwise_division(self):
         s = algebra.intensity(np.array([50.0, 100.0]), np.array([100.0, 100.0]))
-        np.testing.assert_array_equal(s.values, S_HAND)
+        np.testing.assert_array_equal(s, S_HAND)
 
     def test_zero_extension(self):
         s = algebra.intensity(np.zeros(2), np.array([3.0, 4.0]))
-        np.testing.assert_array_equal(s.values, np.zeros(2))
+        np.testing.assert_array_equal(s, np.zeros(2))
 
     def test_zero_output_guard(self):
         s = algebra.intensity(np.array([5.0, 5.0]), np.array([0.0, 10.0]))
-        np.testing.assert_array_equal(s.values, np.array([0.0, 0.5]))
+        np.testing.assert_array_equal(s, np.array([0.0, 0.5]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

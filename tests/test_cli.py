@@ -242,6 +242,19 @@ class TestCompare:
                 "--scenario", str(fixture_dir / "scenarios" / "abroad.json")]
         assert main(argv) == 0
 
+    def test_sector_missing_from_groups_fails_before_factorize(
+            self, fixture_dir, tmp_path, capsys, monkeypatch):
+        groups = fixture_dir / "sector_groups.tsv"
+        groups.write_text("".join(line for line in groups.read_text().splitlines(True)
+                                  if not line.startswith("S3\t")))
+
+        def no_factorize(*args):
+            raise AssertionError("factorize ran before the sector groups were checked")
+        monkeypatch.setattr(algebra, "factorize", no_factorize)
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline"]) == 1
+        err = capsys.readouterr().err
+        assert "'S3' has no sector group" in err and "sector_groups.tsv" in err
+
     def test_one_solve_per_scenario(self, fixture_dir, tmp_path, monkeypatch):
         # One baseline solve for direct-use scaling, one solve per scenario,
         # and one block solve for the multipliers of all five reports.

@@ -222,7 +222,7 @@ class TestLayoutFeatures:
 
 def _z_entry(layout_path):
     """The cached matrix of a layout's transaction grid."""
-    key = fileio._cache_key(layout_path.parent / "z.tsv", "\t", 2, 2)
+    key = fileio._cache_key(layout_path.parent / "z.tsv", layout_path.parent, "\t", 2, 2)
     return layout_path.parent / fileio.CACHE_DIR / f"{key}.npy"
 
 
@@ -250,6 +250,25 @@ class TestCache:
         assert after[2, 3] == 123.25 != before[2, 3]
         after[2, 3] = before[2, 3]
         np.testing.assert_array_equal(after, before)
+        # Only the entry of the file's current content is left.
+        entry = _z_entry(layout_path)
+        assert sorted(entry.parent.iterdir()) == [entry.with_suffix(".json"), entry]
+
+    def test_same_file_name_in_two_directories(self, written_set, tmp_path, monkeypatch):
+        # Each grid keeps its own entry; neither evicts the other.
+        _, layout_path = written_set
+        layout = json.loads(layout_path.read_text())
+        for sub, entry in zip(("a", "b"), layout["extensions"]):
+            (tmp_path / sub).mkdir()
+            (tmp_path / entry["file"]).rename(tmp_path / sub / "f.tsv")
+            entry["file"] = f"{sub}/f.tsv"
+        layout_path.write_text(json.dumps(layout))
+        fileio.ingest(layout_path)
+
+        def no_parse(*args):
+            raise AssertionError("a cached grid was parsed again")
+        monkeypatch.setattr(fileio, "_parse_grid", no_parse)
+        fileio.ingest(layout_path)
 
     @pytest.mark.parametrize("damage", ["truncated", "wrong-shape"])
     def test_damaged_entry_is_rewritten(self, written_set, damage):
@@ -274,8 +293,8 @@ class TestCache:
 
 class TestFixtureSet:
     def test_same_seed_is_byte_identical(self, tmp_path):
-        fileio.write_fixture_set(2, 3, 42, tmp_path / "a")
-        fileio.write_fixture_set(2, 3, 42, tmp_path / "b")
+        fixtures.write_fixture_set(2, 3, 42, tmp_path / "a")
+        fixtures.write_fixture_set(2, 3, 42, tmp_path / "b")
         files_a = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
                          if p.is_file())
         files_b = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*")
@@ -285,7 +304,7 @@ class TestFixtureSet:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
     def test_contains_runnable_inputs(self, tmp_path):
-        layout_path = fileio.write_fixture_set(2, 3, 1, tmp_path)
+        layout_path = fixtures.write_fixture_set(2, 3, 1, tmp_path)
         assert layout_path.exists()
         for name in ("category_concordance.tsv", "sector_groups.tsv", "params.json"):
             assert (tmp_path / name).exists()

@@ -16,6 +16,7 @@ import pytest
 from mrio_footprint import algebra, fixtures, indicators, model, scenario
 from mrio_footprint.errors import (
     MissingStressorLabel,
+    ParseError,
     UnitMismatch,
     UnmappedSector,
     UnknownRegion,
@@ -127,6 +128,13 @@ class TestSectorGroups:
             expected[groups.mapping[sector]] += float(by_source[flat])
         assert indicators.aggregate_by_sector_group(
             by_source, groups, account_357.index) == expected
+
+
+    def test_sector_listed_twice_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "groups.tsv"
+        path.write_text("# sector\tgroup\nS0\tgoods\nS1\tservices\nS0\tservices\n")
+        with pytest.raises(ParseError, match=r"'S0' listed twice \(.*groups.tsv, row 4\)"):
+            indicators.load_sector_groups(path, ["S0", "S1"])
 
 
 class TestSkillAggregation:

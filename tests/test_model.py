@@ -113,17 +113,6 @@ class TestSelectDemand:
         union = model.select_demand(account_357, model.consumption_selection("R0"))
         np.testing.assert_allclose(households + rest, union, rtol=1e-15)
 
-    def test_unmerged_returns_per_category_vectors(self, account_357):
-        selection = model.DemandSelection(
-            ("R0",), (model.CATEGORY_HOUSEHOLDS, model.CATEGORY_GFCF), merge=False)
-        split = model.select_demand(account_357, selection)
-        assert set(split) == {model.CATEGORY_HOUSEHOLDS, model.CATEGORY_GFCF}
-        merged = model.select_demand(
-            account_357,
-            model.DemandSelection(("R0",), (model.CATEGORY_HOUSEHOLDS,
-                                            model.CATEGORY_GFCF), merge=True))
-        np.testing.assert_allclose(sum(split.values()), merged, rtol=1e-15)
-
     def test_inventory_change_rejected_at_selection(self):
         with pytest.raises(UnknownCategory):
             model.DemandSelection(("R0",), (model.CATEGORY_INVENTORY,))

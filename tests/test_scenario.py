@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from mrio_footprint import fileio, fixtures, model, scenario
+from mrio_footprint import fileio, fixtures, indicators, model, scenario
 from mrio_footprint.errors import (
     EmptyCofogTable,
     MissingHouseholdType,
@@ -111,6 +111,48 @@ class TestBaselineCategoryTotals:
                                                       index.sectors)
         totals = scenario.baseline_category_totals(np.array([1.0, 0.0]), concordance, index)
         assert totals[scenario.HOUSING] == 1.0
+
+
+class TestCategoryCodes:
+    def test_matches_flat_order_loop(self, account_357, demand_357):
+        # The loops the code arrays replaced, with S1 unsorted and its demand
+        # zeroed, give bit-identical totals, scaled demand and parts.
+        index = account_357.index
+        mapping = dict(fixtures.fixture_category_concordance(index).mapping)
+        del mapping["S1"]
+        concordance = CategoryConcordance.for_sectors(mapping, index.sectors)
+        y, gfcf = demand_357
+        y = y.copy()
+        y[[index.lookup(region, "S1") for region in index.regions]] = 0.0
+
+        totals = {category: 0.0 for category in CONSUMPTION_SPENDING_CATEGORIES}
+        for flat, (_, sector) in enumerate(index.labels()):
+            if sector in mapping:
+                totals[mapping[sector]] += float(y[flat])
+        assert scenario.baseline_category_totals(y, concordance, index) == totals
+
+        targets = {category: (k + 1) / 5 * total
+                   for k, (category, total) in enumerate(totals.items())}
+        spec = ScenarioSpec(name="mixed", home_region="R0",
+                            category_targets=targets | {GFCF_CATEGORY: None})
+        factors = scenario.category_scaling_factors(totals, targets)
+        per_sector = np.zeros(index.n)
+        for flat, (_, sector) in enumerate(index.labels()):
+            if sector in mapping:
+                per_sector[flat] = factors[mapping[sector]]
+        y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, concordance, spec, index)
+        assert y_scen.tobytes() == (y * per_sector).tobytes()
+
+        parts = {category: np.zeros(index.n) for category in SPENDING_CATEGORIES}
+        for flat, (_, sector) in enumerate(index.labels()):
+            if sector in mapping:
+                parts[mapping[sector]][flat] = y_scen[flat]
+        parts[GFCF_CATEGORY] = gfcf_scen.copy()
+        decomposed = indicators.decompose_demand_by_category(
+            y_scen, gfcf_scen, concordance, index)
+        assert list(decomposed) == list(parts)
+        for category, part in parts.items():
+            assert decomposed[category].tobytes() == part.tobytes()
 
 
 class TestScalingFactors:
