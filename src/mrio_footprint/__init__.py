@@ -9,7 +9,6 @@ from . import errors
 from .algebra import (
     LeontiefOperator,
     ProductivityEstimate,
-    TechnicalCoefficients,
     factorize,
     footprint_by_source,
     footprint_total,

@@ -30,8 +30,9 @@ ZERO_OUTPUT_EPS = 1e-9
 # relative to max(1, ||y||_inf).
 SOLVE_RESIDUAL_RTOL = 1e-10
 
-# An economy is flagged productive when the spectral radius estimate is
-# below 1 - PRODUCTIVITY_MARGIN.
+# An economy is certified productive when (I - A) q = 1 solves with
+# max(q) < 1 / PRODUCTIVITY_MARGIN, i.e. a spectral radius bound below
+# 1 - PRODUCTIVITY_MARGIN.
 PRODUCTIVITY_MARGIN = 1e-6
 
 
@@ -49,30 +50,11 @@ def _as_vector(values: np.ndarray, dim: int, name: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class TechnicalCoefficients:
-    """Unitless input shares A with A[i, j] = Z[i, j] / x[j].
+def technical_coefficients(Z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Unitless input shares A = Z @ diag(x)^-1, A[i, j] = Z[i, j] / x[j].
 
-    Columns of inactive sectors (output <= eps) are all-zero.
-    ``column_sum_violations`` reports columns whose sum is >= 1, a necessary
-    (Hawkins-Simon) signal that the economy may be unproductive; it is a
-    report, not an error, because the solver guards itself.
+    Columns of inactive sectors (output <= ZERO_OUTPUT_EPS) are all-zero.
     """
-
-    entries: np.ndarray
-    dim: int
-    column_sum_violations: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
-        if self.entries.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"coefficient matrix shape {self.entries.shape} != ({self.dim}, {self.dim})"
-            )
-
-
-def technical_coefficients(Z: np.ndarray, x: np.ndarray) -> TechnicalCoefficients:
-    """Build A = Z @ diag(x)^-1, zeroing columns of inactive sectors."""
     Zm = _as_square(Z, "Z")
     n = Zm.shape[0]
     xv = _as_vector(x, n, "x")
@@ -86,54 +68,39 @@ def technical_coefficients(Z: np.ndarray, x: np.ndarray) -> TechnicalCoefficient
     active = xv > ZERO_OUTPUT_EPS
     scale = np.zeros(n)
     scale[active] = 1.0 / xv[active]
-    A = Zm * scale[np.newaxis, :]
-    col_sums = A.sum(axis=0)
-    violations = tuple(int(j) for j in np.nonzero(col_sums >= 1.0)[0])
-    return TechnicalCoefficients(entries=A, dim=n, column_sum_violations=violations)
+    return Zm * scale[np.newaxis, :]
 
 
 @dataclass(frozen=True)
 class ProductivityEstimate:
-    """Power-iteration estimate of the spectral radius of A."""
+    """Certified upper bound on the spectral radius of a nonnegative A.
 
-    spectral_radius: float
-    converged: bool
-    iterations: int
-    margin: float = PRODUCTIVITY_MARGIN
+    ``spectral_radius`` is None when (I - A) q = 1 has no solution with
+    q >= 1, which for nonnegative A means the spectral radius is >= 1.
+    """
+
+    spectral_radius: float | None
 
     @property
-    def productive(self) -> bool | None:
-        """True/False once converged; None (indeterminate) otherwise."""
-        if not self.converged:
-            return None
-        return self.spectral_radius < 1.0 - self.margin
+    def productive(self) -> bool:
+        return (self.spectral_radius is not None
+                and self.spectral_radius < 1.0 - PRODUCTIVITY_MARGIN)
 
 
-def productivity_check(A: TechnicalCoefficients | np.ndarray, tol: float = 1e-4,
-                       margin: float = PRODUCTIVITY_MARGIN,
-                       max_iterations: int = 5000) -> ProductivityEstimate:
-    """Estimate the spectral radius of a nonnegative matrix by power iteration.
+def productivity_check(A: np.ndarray) -> ProductivityEstimate:
+    """Certify rho(A) < 1 for a nonnegative A with one Leontief solve.
 
-    Non-convergence within ``max_iterations`` is reported (converged=False,
-    best estimate retained) rather than raised, so callers can treat the
-    result as indeterminate.
+    rho(A) < 1 exactly when (I - A) q = 1 has a solution q >= 1, and then
+    rho(A) <= 1 - 1/max(q) (Collatz-Wielandt). The solve is the pipeline's
+    own ``factorize(A).apply``, so its residual and output-covers-demand
+    checks decide the unproductive case.
     """
-    matrix = A.entries if isinstance(A, TechnicalCoefficients) else _as_square(A, "A")
-    n = matrix.shape[0]
-    v = np.full(n, 1.0 / max(n, 1))
-    estimate = 0.0
-    for k in range(1, max_iterations + 1):
-        w = matrix @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            # v landed in the kernel; for nonnegative A with a positive start
-            # vector this means rho(A) = 0.
-            return ProductivityEstimate(0.0, converged=True, iterations=k, margin=margin)
-        previous, estimate = estimate, norm / float(np.linalg.norm(v))
-        v = w / norm
-        if k > 1 and abs(estimate - previous) <= tol * max(estimate, 1.0):
-            return ProductivityEstimate(estimate, converged=True, iterations=k, margin=margin)
-    return ProductivityEstimate(estimate, converged=False, iterations=max_iterations, margin=margin)
+    operator = factorize(A)
+    try:
+        q = operator.apply(np.ones(operator.dim))
+    except UnproductiveEconomy:
+        return ProductivityEstimate(None)
+    return ProductivityEstimate(1.0 - 1.0 / float(np.max(q, initial=1.0)))
 
 
 class LeontiefOperator:
@@ -144,10 +111,10 @@ class LeontiefOperator:
     system. Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, coefficients: TechnicalCoefficients, lu: tuple):
-        self._A = coefficients.entries
-        self.dim = coefficients.dim
-        self._lu = lu
+    def __init__(self, A: np.ndarray):
+        self._A = _as_square(A, "A")
+        self.dim = self._A.shape[0]
+        self._lu = _quiet_lu_factor(np.eye(self.dim) - self._A)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Solve (I - A) q = y and return q, with a residual check."""
@@ -202,12 +169,12 @@ def _quiet_lu_factor(system: np.ndarray):
         return lu_factor(system, check_finite=False)
 
 
-def factorize(A: TechnicalCoefficients) -> LeontiefOperator:
+def factorize(A: np.ndarray) -> LeontiefOperator:
     """LU-factorize (I - A) for repeated solves."""
-    return LeontiefOperator(A, _quiet_lu_factor(np.eye(A.dim) - A.entries))
+    return LeontiefOperator(A)
 
 
-def leontief_solve(A: TechnicalCoefficients, y: np.ndarray) -> np.ndarray:
+def leontief_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """One-shot solve of (I - A) q = y.
 
     Callers with several demand vectors should hold on to ``factorize(A)``

@@ -73,6 +73,9 @@ class RunConfig:
         extensions = None
         if args.extensions:
             extensions = tuple(name.strip() for name in args.extensions.split(",") if name.strip())
+            for k, name in enumerate(extensions):
+                if name in extensions[:k]:
+                    raise MrioError(f"extension {name!r} is listed twice in --extensions")
         return cls(
             layout_path=layout_path,
             scenario_paths=tuple(scenario_paths),
@@ -116,8 +119,7 @@ def _load(config: RunConfig) -> LoadedData:
     concordance = scenario.load_concordance(config.categories_path, account.index.sectors)
     groups = indicators.load_sector_groups(config.groups_path, account.index.sectors)
     params = indicators.load_conversion_params(config.params_path)
-    coefficients = algebra.technical_coefficients(account.Z, account.x)
-    operator = algebra.factorize(coefficients)
+    operator = algebra.factorize(algebra.technical_coefficients(account.Z, account.x))
     variants = indicators.report_variants(
         account, operator, _selected_extensions(account, config.extensions))
     return LoadedData(account=account, concordance=concordance, groups=groups,
@@ -422,10 +424,9 @@ def cmd_validate(args) -> int:
     for violation in balance.violations:
         print(f"  row {violation.row} ({violation.region}, {violation.sector}): "
               f"residual {violation.residual:.3e}")
-    status = ("productive" if estimate.productive
-              else "UNPRODUCTIVE" if estimate.productive is False
-              else "indeterminate")
-    print(f"productivity: spectral radius {estimate.spectral_radius:.6f} — {status}")
+    bound = ("spectral radius >= 1" if estimate.spectral_radius is None
+             else f"spectral radius <= {estimate.spectral_radius:.6f}")
+    print(f"productivity: {bound} — {'productive' if estimate.productive else 'UNPRODUCTIVE'}")
     for warning in result.warnings:
         print(f"warning: ({warning.region}, {warning.sector}) {warning.note}")
 
@@ -447,7 +448,6 @@ def cmd_validate(args) -> int:
             },
             "productivity": {
                 "spectral_radius": estimate.spectral_radius,
-                "converged": estimate.converged,
                 "productive": estimate.productive,
             },
             "warnings": [
@@ -458,7 +458,7 @@ def cmd_validate(args) -> int:
         (out_dir / "validation.json").write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    clean = balance.ok and estimate.productive is True
+    clean = balance.ok and estimate.productive
     return 0 if clean else 2
 
 

@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, UnitMismatch
-from .model import ExtensionAccount, MrioAccount, RegionSectorIndex
+from .model import (MATERIAL_UNUSED, MATERIAL_USED, ExtensionAccount, MrioAccount,
+                    RegionSectorIndex)
 
 DEFAULT_HOURS_PER_WORKER_YEAR = 1840.0
 
@@ -67,7 +68,7 @@ class ExtensionEntry:
 
 
 @dataclass(frozen=True)
-class IngestWarningSpec:
+class IngestWarning:
     """A known data quirk, keyed by (region, sector), surfaced at ingest."""
 
     region: str
@@ -88,7 +89,7 @@ class Layout:
     total_output: str
     extensions: tuple[ExtensionEntry, ...]
     hours_per_worker_year: float = DEFAULT_HOURS_PER_WORKER_YEAR
-    ingest_warnings: tuple[IngestWarningSpec, ...] = ()
+    ingest_warnings: tuple[IngestWarning, ...] = ()
 
     def path(self, name: str) -> Path:
         return self.base_dir / name
@@ -120,8 +121,8 @@ def load_layout(path: str | Path) -> Layout:
             for e in raw.get("extensions", [])
         )
         warnings = tuple(
-            IngestWarningSpec(region=str(w["region"]), sector=str(w["sector"]),
-                              note=str(w.get("note", "")))
+            IngestWarning(region=str(w["region"]), sector=str(w["sector"]),
+                          note=str(w.get("note", "")))
             for w in raw.get("ingest_warnings", [])
         )
         return Layout(
@@ -140,13 +141,6 @@ def load_layout(path: str | Path) -> Layout:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid layout descriptor: {exc}", path=str(path)) from exc
-
-
-@dataclass(frozen=True)
-class IngestWarning:
-    region: str
-    sector: str
-    note: str
 
 
 @dataclass(frozen=True)
@@ -366,6 +360,26 @@ def _column_pairs(headers: list[list[str]], index_cols: int, path: Path):
     ]
 
 
+def _check_unique(labels: list[tuple[str, ...]], what: str, path: Path, delimiter: str,
+                  index_cols: int) -> None:
+    """Raise a ParseError at the first row of a grid with two header rows
+    whose labels repeat an earlier row's."""
+    seen: set[tuple[str, ...]] = set()
+    for k, label in enumerate(labels):
+        if label in seen:
+            # Blank lines are not rows, so find the line number by reading again.
+            linenos: list[int] = []
+            with _reading(path), _open_text(path) as handle:
+                headers, used = _read_headers(handle, delimiter, 2)
+                body = _body_lines(handle, path, delimiter, index_cols, len(headers[-1]),
+                                   used + 1, [], linenos)
+                for _ in islice(body, k + 1):
+                    pass
+            raise ParseError(f"{what} label {' / '.join(label)!r} is repeated",
+                             path=str(path), row=linenos[k])
+        seen.add(label)
+
+
 def _index_from_labels(labels: list[tuple[str, ...]], path: Path) -> RegionSectorIndex:
     regions: list[str] = []
     for region, _ in labels:
@@ -384,20 +398,20 @@ def _index_from_labels(labels: list[tuple[str, ...]], path: Path) -> RegionSecto
     return RegionSectorIndex(regions=tuple(regions), sectors=tuple(sectors))
 
 
-def ingest(layout: Layout | str | Path) -> IngestResult:
+def ingest(layout_path: str | Path) -> IngestResult:
     """Read a full account from a layout descriptor.
 
     Known data quirks listed in the descriptor come back as warnings, never
     errors; structural problems raise ParseError / DimensionMismatch /
     UnitMismatch.
     """
-    if not isinstance(layout, Layout):
-        layout = load_layout(layout)
+    layout = load_layout(layout_path)
     delim = layout.delimiter
     cache_dir = layout.base_dir / CACHE_DIR
 
     z_path = layout.path(layout.transactions)
     z_headers, z_labels, Z = _read_grid(z_path, cache_dir, delim, index_cols=2)
+    _check_unique(z_labels, "region-sector", z_path, delim, index_cols=2)
     index = _index_from_labels(z_labels, z_path)
     if Z.shape != (index.n, index.n):
         raise DimensionMismatch(
@@ -430,6 +444,7 @@ def ingest(layout: Layout | str | Path) -> IngestResult:
             raise UnitMismatch(f"extension {entry.name!r} has no unit label in the layout")
         ext_path = layout.path(entry.file)
         ext_headers, ext_labels, rows = _read_grid(ext_path, cache_dir, delim, index_cols=1)
+        _check_unique(ext_labels, "stressor", ext_path, delim, index_cols=1)
         if rows.shape[1] != index.n:
             raise DimensionMismatch(
                 f"extension {entry.name!r} has {rows.shape[1]} columns, expected {index.n}"
@@ -441,12 +456,21 @@ def ingest(layout: Layout | str | Path) -> IngestResult:
         if entry.workers_per_unit is not None:
             rows = rows * (entry.workers_per_unit * layout.hours_per_worker_year)
             unit = "hours"
+        stressors = tuple(label[0] for label in ext_labels)
+        if entry.kind == "material" and entry.material_flags is not None:
+            for label in stressors:
+                flag = entry.material_flags.get(label)
+                if flag not in (MATERIAL_USED, MATERIAL_UNUSED):
+                    raise ParseError(
+                        f"material stressor {label!r} of extension {entry.name!r} is flagged "
+                        f"{flag!r}, not {MATERIAL_USED!r} or {MATERIAL_UNUSED!r}",
+                        path=str(layout_path))
         direct = None
         if entry.direct_file is not None:
             direct = _read_direct(layout.path(entry.direct_file), delim)
         extensions[entry.name] = ExtensionAccount(
             name=entry.name, unit=unit,
-            stressors=tuple(label[0] for label in ext_labels),
+            stressors=stressors,
             rows=rows, direct=direct, kind=entry.kind,
             material_flags=(dict(entry.material_flags)
                             if entry.material_flags is not None else None),
@@ -454,11 +478,7 @@ def ingest(layout: Layout | str | Path) -> IngestResult:
 
     account = MrioAccount(index=index, Z=Z, Y=Y, y_columns=y_columns, x=x,
                           extensions=extensions, year=layout.year)
-    warnings = tuple(
-        IngestWarning(region=w.region, sector=w.sector, note=w.note)
-        for w in layout.ingest_warnings
-    )
-    return IngestResult(account=account, warnings=warnings)
+    return IngestResult(account=account, warnings=layout.ingest_warnings)
 
 
 def _read_direct(path: Path, delimiter: str) -> dict[str, float]:

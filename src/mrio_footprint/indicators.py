@@ -25,17 +25,16 @@ from .errors import (
     UnmappedSector,
     ZeroEmbeddedBase,
 )
-from .model import ExtensionAccount, MrioAccount, RegionSectorIndex
+from .model import (MATERIAL_UNUSED, MATERIAL_USED, ExtensionAccount, MrioAccount,
+                    RegionSectorIndex)
 from .scenario import (
     CONSUMPTION_SPENDING_CATEGORIES,
     GFCF_CATEGORY,
+    WEEKS_PER_YEAR,
     CategoryConcordance,
     _data_rows,
     _sector_codes,
 )
-
-# Calendar weeks per average year, used to annualise average weekly hours.
-CALENDAR_WEEKS_PER_YEAR = 365.25 / 7  # ~52.18
 
 # Default working pattern: statutory leave leaves ~46.6 working weeks per
 # year, and people are assumed to work 80% of their working-age years.
@@ -43,9 +42,6 @@ DEFAULT_WEEKS_WORKED_PER_YEAR = 46.6
 DEFAULT_WORKING_LIFE_SHARE = 0.8
 
 SKILL_LEVELS = ("low", "medium", "high")
-
-MATERIAL_USED = "used"
-MATERIAL_UNUSED = "unused"
 
 _SKILL_PATTERN = re.compile(r"\b(low|medium|high)\b", re.IGNORECASE)
 
@@ -91,7 +87,7 @@ def load_conversion_params(path: str | Path) -> ConversionParams:
 
 
 def annual_hours_from_weekly(average_weekly_hours: float,
-                             calendar_weeks: float = CALENDAR_WEEKS_PER_YEAR) -> float:
+                             calendar_weeks: float = WEEKS_PER_YEAR) -> float:
     """Annual hours per person implied by an average over calendar weeks."""
     return average_weekly_hours * calendar_weeks
 
@@ -180,7 +176,7 @@ def load_sector_groups(path: str | Path, sectors) -> SectorGroupConcordance:
     account once; groups are reported in the order they first appear."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    for lineno, row in _data_rows(path, "\t"):
+    for lineno, row in _data_rows(path):
         if len(row) < 2:
             raise ParseError("expected two columns (sector, group)",
                              path=str(path), row=lineno)

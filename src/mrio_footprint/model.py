@@ -44,6 +44,12 @@ SELECTABLE_CATEGORIES = tuple(c for c in DEMAND_CATEGORIES if c != CATEGORY_INVE
 # purchases summed into one vector; capital formation kept separate.
 CONSUMPTION_CATEGORIES = (CATEGORY_HOUSEHOLDS, CATEGORY_NON_PROFIT, CATEGORY_GOVERNMENT)
 
+# The flags of a material extension's stressors: extraction that enters the
+# economy (material footprint) or that does not (counted in total material
+# consumption only).
+MATERIAL_USED = "used"
+MATERIAL_UNUSED = "unused"
+
 
 @dataclass(frozen=True)
 class RegionSectorIndex:

@@ -61,7 +61,8 @@ SPENDING_CATEGORIES = (
 
 CONSUMPTION_SPENDING_CATEGORIES = SPENDING_CATEGORIES[:-1]
 
-# Calendar weeks in an average year, used to annualise weekly budgets.
+# Calendar weeks in an average year, used to annualise weekly budgets and
+# average weekly hours.
 WEEKS_PER_YEAR = 365.25 / 7  # ~52.18
 
 
@@ -383,19 +384,20 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
         raise ParseError(f"invalid scenario spec: {exc}", path=str(path)) from exc
 
 
-def _data_rows(path: Path, delimiter: str):
+def _data_rows(path: Path):
+    """Numbered rows of a tab-separated table, without blank and "#" lines."""
     with path.open(newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
+        for lineno, row in enumerate(csv.reader(handle, delimiter="\t"), start=1):
             if not row or (row[0].startswith("#")):
                 continue
             yield lineno, row
 
 
-def load_concordance(path: str | Path, sectors, delimiter: str = "\t") -> CategoryConcordance:
+def load_concordance(path: str | Path, sectors) -> CategoryConcordance:
     """Read a two-column (sector, category) file; absent sectors are unsorted."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    for lineno, row in _data_rows(path, delimiter):
+    for lineno, row in _data_rows(path):
         if len(row) < 2:
             raise ParseError("expected two columns (sector, category)",
                              path=str(path), row=lineno)
@@ -410,13 +412,13 @@ def load_concordance(path: str | Path, sectors, delimiter: str = "\t") -> Catego
     return CategoryConcordance.for_sectors(mapping, sectors)
 
 
-def load_cofog(path: str | Path, delimiter: str = "\t") -> CofogTable:
+def load_cofog(path: str | Path) -> CofogTable:
     """Read a three-column (function, spending, included) file."""
     path = Path(path)
     entries: list[CofogEntry] = []
     truthy = {"1", "true", "yes", "included"}
     falsy = {"0", "false", "no", "excluded"}
-    for lineno, row in _data_rows(path, delimiter):
+    for lineno, row in _data_rows(path):
         if len(row) < 3:
             raise ParseError("expected three columns (function, spending, included)",
                              path=str(path), row=lineno)

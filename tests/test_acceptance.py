@@ -47,7 +47,7 @@ def test_criterion_1_leontief_oracle_equivalence():
             y = model.select_demand(
                 account, model.consumption_selection(account.index.regions[0]))
             solved = algebra.leontief_solve(coefficients, y)
-            series = power_series_solve(coefficients.entries, y)
+            series = power_series_solve(coefficients, y)
             worst = max(worst, relative_error(solved, series))
         elapsed = time.perf_counter() - start
         assert worst <= 1e-6, f"worst relative error {worst:.3e}"
@@ -58,8 +58,7 @@ def test_criterion_1_leontief_oracle_equivalence():
 def test_criterion_2_worked_2x2_example():
     with criterion(2, "hand-derived 2x2 economy: q = [17.5, 13.3333], "
                       "footprint 22.0833 within 1e-9"):
-        A = algebra.TechnicalCoefficients(
-            entries=np.array([[0.2, 0.3], [0.4, 0.1]]), dim=2)
+        A = np.array([[0.2, 0.3], [0.4, 0.1]])
         q = algebra.leontief_solve(A, np.array([10.0, 5.0]))
         np.testing.assert_allclose(q, [17.5, 40.0 / 3.0], atol=1e-9, rtol=0)
         footprint = algebra.footprint_total(np.array([0.5, 1.0]), q)

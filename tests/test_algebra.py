@@ -27,27 +27,23 @@ Y_HAND = np.array([10.0, 5.0])
 Q_HAND = np.array([17.5, 40.0 / 3.0])
 S_HAND = np.array([0.5, 1.0])
 FOOTPRINT_HAND = 66.25 / 3.0
-
-
-def coeffs(matrix) -> algebra.TechnicalCoefficients:
-    matrix = np.asarray(matrix, dtype=float)
-    return algebra.TechnicalCoefficients(entries=matrix, dim=matrix.shape[0])
+PERIODIC = np.array([[0.0, 0.9], [0.1, 0.0]])
 
 
 class TestTechnicalCoefficients:
     def test_zero_transactions(self):
         A = algebra.technical_coefficients(np.zeros((2, 2)), np.array([100.0, 100.0]))
-        np.testing.assert_array_equal(A.entries, np.zeros((2, 2)))
+        np.testing.assert_array_equal(A, np.zeros((2, 2)))
 
     def test_hand_division(self):
         A = algebra.technical_coefficients(
             np.array([[20.0, 30.0], [40.0, 10.0]]), np.array([100.0, 100.0]))
-        np.testing.assert_allclose(A.entries, A_HAND, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(A, A_HAND, rtol=0, atol=1e-15)
 
     def test_zero_output_column_zeroed(self):
         A = algebra.technical_coefficients(
             np.array([[0.0, 5.0], [0.0, 5.0]]), np.array([0.0, 10.0]))
-        np.testing.assert_array_equal(A.entries, np.array([[0.0, 0.5], [0.0, 0.5]]))
+        np.testing.assert_array_equal(A, np.array([[0.0, 0.5], [0.0, 0.5]]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -62,19 +58,14 @@ class TestTechnicalCoefficients:
         with pytest.raises(NegativeEntry):
             algebra.technical_coefficients(np.zeros((2, 2)), np.array([-1.0, 1.0]))
 
-    def test_column_sum_violations_reported(self):
-        A = algebra.technical_coefficients(
-            np.array([[60.0, 0.0], [50.0, 0.0]]), np.array([100.0, 100.0]))
-        assert A.column_sum_violations == (0,)
-
 
 class TestLeontiefSolve:
     def test_identity_economy(self):
-        q = algebra.leontief_solve(coeffs(np.zeros((2, 2))), Y_HAND)
+        q = algebra.leontief_solve(np.zeros((2, 2)), Y_HAND)
         np.testing.assert_allclose(q, Y_HAND, rtol=0, atol=0)
 
     def test_hand_2x2(self):
-        q = algebra.leontief_solve(coeffs(A_HAND), Y_HAND)
+        q = algebra.leontief_solve(A_HAND, Y_HAND)
         np.testing.assert_allclose(q, Q_HAND, rtol=1e-12)
 
     def test_matches_power_series(self, rng):
@@ -82,17 +73,17 @@ class TestLeontiefSolve:
             n = int(rng.integers(2, 12))
             A = random_productive_matrix(rng, n)
             y = rng.uniform(0.0, 10.0, size=n)
-            q = algebra.leontief_solve(coeffs(A), y)
+            q = algebra.leontief_solve(A, y)
             assert relative_error(q, power_series_solve(A, y)) <= 1e-6
 
     def test_output_covers_demand(self, rng):
         A = random_productive_matrix(rng, 8)
         y = rng.uniform(0.0, 5.0, size=8)
-        q = algebra.leontief_solve(coeffs(A), y)
+        q = algebra.leontief_solve(A, y)
         assert np.all(q >= y - 1e-12)
 
     def test_linearity(self, rng):
-        A = coeffs(random_productive_matrix(rng, 6))
+        A = random_productive_matrix(rng, 6)
         op = algebra.factorize(A)
         y1 = rng.uniform(0.0, 5.0, size=6)
         y2 = rng.uniform(0.0, 5.0, size=6)
@@ -102,7 +93,7 @@ class TestLeontiefSolve:
         np.testing.assert_allclose(combined, separate, rtol=1e-9)
 
     def test_monotonicity(self, rng):
-        A = coeffs(random_productive_matrix(rng, 6))
+        A = random_productive_matrix(rng, 6)
         op = algebra.factorize(A)
         y = rng.uniform(0.0, 5.0, size=6)
         q = op.apply(y)
@@ -113,37 +104,43 @@ class TestLeontiefSolve:
 
     def test_unproductive_singular(self):
         with pytest.raises(UnproductiveEconomy):
-            algebra.leontief_solve(coeffs(np.eye(2)), Y_HAND)
+            algebra.leontief_solve(np.eye(2), Y_HAND)
 
     def test_unproductive_negative_output(self):
         # (I - A) is invertible here but the economy consumes more than it
         # produces; the demand-coverage check must catch it.
         with pytest.raises(UnproductiveEconomy):
-            algebra.leontief_solve(coeffs(np.array([[2.0]])), np.array([1.0]))
+            algebra.leontief_solve(np.array([[2.0]]), np.array([1.0]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            algebra.leontief_solve(np.zeros((2, 3)), Y_HAND)
+        with pytest.raises(DimensionMismatch):
+            algebra.factorize(np.zeros(2))
 
 
 class TestMultipliers:
     def test_hand_2x2(self):
-        m = algebra.factorize(coeffs(A_HAND)).multipliers(S_HAND)
+        m = algebra.factorize(A_HAND).multipliers(S_HAND)
         np.testing.assert_allclose(m, S_HAND @ L_HAND, rtol=1e-12)
 
     def test_defining_identity(self, rng):
         A = random_productive_matrix(rng, 7)
         S = rng.uniform(0.0, 3.0, size=(4, 7))
-        M = algebra.factorize(coeffs(A)).multipliers(S)
+        M = algebra.factorize(A).multipliers(S)
         np.testing.assert_allclose(M @ (np.eye(7) - A), S, rtol=0, atol=1e-9)
 
     def test_dominates_intensities(self, rng):
         S = rng.uniform(0.0, 3.0, size=(3, 7))
-        M = algebra.factorize(coeffs(random_productive_matrix(rng, 7))).multipliers(S)
+        M = algebra.factorize(random_productive_matrix(rng, 7)).multipliers(S)
         assert np.all(M - S >= -1e-12)
 
     def test_unproductive(self):
         with pytest.raises(UnproductiveEconomy):
-            algebra.factorize(coeffs(np.eye(2))).multipliers(S_HAND)
+            algebra.factorize(np.eye(2)).multipliers(S_HAND)
 
     def test_agrees_with_solve(self, rng):
-        op = algebra.factorize(coeffs(random_productive_matrix(rng, 9)))
+        op = algebra.factorize(random_productive_matrix(rng, 9))
         s = rng.uniform(0.0, 3.0, size=9)
         m = op.multipliers(s)
         for _ in range(5):
@@ -153,7 +150,7 @@ class TestMultipliers:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            algebra.factorize(coeffs(A_HAND)).multipliers(np.ones(3))
+            algebra.factorize(A_HAND).multipliers(np.ones(3))
 
 
 class TestIntensity:
@@ -209,25 +206,39 @@ class TestProductivityCheck:
     def test_zero_matrix(self):
         estimate = algebra.productivity_check(np.zeros((4, 4)))
         assert estimate.spectral_radius == 0.0
-        assert estimate.converged and estimate.productive
+        assert estimate.productive
 
     def test_hand_2x2(self):
-        estimate = algebra.productivity_check(coeffs(A_HAND))
-        assert estimate.converged
+        # q = L 1 = [2, 2], so the bound 1 - 1/max(q) meets rho = 0.5.
+        estimate = algebra.productivity_check(A_HAND)
+        assert estimate.spectral_radius == 0.5
         assert estimate.spectral_radius == pytest.approx(0.5, abs=1e-4)
         assert estimate.productive
 
+    def test_periodic_two_sector(self):
+        # Two sectors that trade only with each other: eigenvalues +-0.3, the
+        # case where a power iteration never settles.
+        estimate = algebra.productivity_check(PERIODIC)
+        assert 0.3 <= estimate.spectral_radius < 1.0
+        assert estimate.productive
+
+    def test_bound_dominates_spectral_radius(self, rng):
+        for _ in range(20):
+            A = random_productive_matrix(rng, int(rng.integers(2, 12)))
+            estimate = algebra.productivity_check(A)
+            assert estimate.productive
+            assert estimate.spectral_radius >= max(abs(np.linalg.eigvals(A))) - 1e-12
+
     def test_identity_flagged_unproductive(self):
         estimate = algebra.productivity_check(np.eye(3))
-        assert estimate.converged
-        assert estimate.spectral_radius == pytest.approx(1.0, abs=1e-6)
+        assert estimate.spectral_radius is None
         assert estimate.productive is False
 
-    def test_non_convergence_reports_indeterminate(self):
-        # Nearly equal eigenvalues converge slowly; a tight budget must
-        # come back indeterminate with the best estimate, not raise.
-        A = np.array([[0.5, 0.1], [0.1, 0.5001]])
-        estimate = algebra.productivity_check(A, tol=1e-14, max_iterations=2)
-        assert not estimate.converged
-        assert estimate.productive is None
-        assert 0.0 < estimate.spectral_radius < 1.0
+    def test_output_below_demand_flagged_unproductive(self):
+        estimate = algebra.productivity_check(np.array([[2.0]]))
+        assert estimate.spectral_radius is None
+        assert estimate.productive is False
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            algebra.productivity_check(np.zeros((2, 3)))

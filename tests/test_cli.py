@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mrio_footprint import algebra, fileio, model
@@ -71,6 +72,39 @@ class TestValidate:
         layout_path = fileio.write_account(broken, tmp_path / "broken")
         assert main(["validate", "--layout", str(layout_path)]) == 2
         assert "row 2" in capsys.readouterr().out
+
+    @staticmethod
+    def write_two_sector_account(out_dir: Path, Z, y_columns, Y) -> Path:
+        index = model.RegionSectorIndex(regions=("R0",), sectors=("S0", "S1"))
+        account = model.MrioAccount(index=index, Z=np.array(Z), Y=np.array(Y),
+                                    y_columns=y_columns, x=np.array([100.0, 100.0]),
+                                    extensions={}, year=2012)
+        return fileio.write_account(account, out_dir)
+
+    def test_periodic_account_is_certified_productive(self, tmp_path, capsys):
+        # Two sectors that trade only with each other: A = [[0, 0.9], [0.1, 0]]
+        # has eigenvalues +-0.3, on which a power iteration never settles.
+        layout_path = self.write_two_sector_account(
+            tmp_path / "periodic", [[0.0, 90.0], [10.0, 0.0]],
+            (("R0", "households"),), [[10.0], [90.0]])
+        assert main(["validate", "--layout", str(layout_path)]) == 0
+        out = capsys.readouterr().out
+        assert "0 violation(s)" in out
+        assert "productivity: spectral radius <= " in out and "— productive" in out
+
+    def test_unproductive_account_exits_two(self, tmp_path, capsys):
+        # Balanced through a negative inventory change, but sector S0 uses
+        # 1.5 units of its own output per unit produced.
+        layout_path = self.write_two_sector_account(
+            tmp_path / "unproductive", [[150.0, 0.0], [0.0, 50.0]],
+            (("R0", "households"), ("R0", "inventory-change")),
+            [[0.0, -50.0], [50.0, 0.0]])
+        out_dir = tmp_path / "report"
+        assert main(["validate", "--layout", str(layout_path), "--out", str(out_dir)]) == 2
+        out = capsys.readouterr().out
+        assert "0 violation(s)" in out and "— UNPRODUCTIVE" in out
+        payload = json.loads((out_dir / "validation.json").read_text())
+        assert payload["productivity"] == {"spectral_radius": None, "productive": False}
 
     def test_missing_file_exits_one_with_path(self, tmp_path, capsys):
         missing = tmp_path / "nowhere" / "layout.json"
@@ -282,6 +316,21 @@ class TestCompare:
         assert rc == 0
         rows = read_report(tmp_path / "cmp" / "baseline" / "report.csv")
         assert {r["extension"] for r in rows} == {"labour"}
+
+    @pytest.mark.parametrize("verb", ["compare", "footprint"])
+    def test_extension_listed_twice_exits_one(self, fixture_dir, tmp_path, capsys,
+                                              monkeypatch, verb):
+        def no_ingest(*args):
+            raise AssertionError("ingest ran before --extensions was checked")
+        monkeypatch.setattr(fileio, "ingest", no_ingest)
+        rc = main([verb, "--layout", str(fixture_dir / "layout.json"),
+                   "--params", str(fixture_dir / "params.json"),
+                   "--out", str(tmp_path / "out"),
+                   "--scenario", str(fixture_dir / "scenarios" / "baseline.json"),
+                   "--extensions", "labour,energy,labour"])
+        assert rc == 1
+        assert "'labour'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFixtureCommand:

@@ -161,6 +161,39 @@ class TestParseErrors:
             fileio.ingest(layout_path)
         assert excinfo.value.row == 4
 
+    def test_repeated_sector_label_names_row(self, tmp_path):
+        layout_path = fileio.write_account(fixtures.fixture(2, 3, 5), tmp_path)
+        z_path = tmp_path / "z.tsv"
+        lines = z_path.read_text().replace("S1", "S0").splitlines()
+        lines.insert(3, "")  # a blank line is not a row, but it is a line
+        z_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.row == 5
+        assert "z.tsv" in str(excinfo.value) and "'R0 / S0' is repeated" in str(excinfo.value)
+
+    def test_repeated_stressor_label_names_row(self, tmp_path):
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        ext_path = tmp_path / "ext_emissions.tsv"
+        ext_path.write_text(ext_path.read_text().replace("CH4 (CO2-eq)", "CO2"))
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.row == 4
+        assert "ext_emissions.tsv" in str(excinfo.value) and "'CO2'" in str(excinfo.value)
+
+    def test_material_stressor_without_used_or_unused_flag(self, tmp_path):
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        descriptor = json.loads(layout_path.read_text())
+        material = next(e for e in descriptor["extensions"] if e["name"] == "material")
+        material["material_flags"]["metal ores (used)"] = "usd"
+        del material["material_flags"]["unused extraction"]
+        layout_path.write_text(json.dumps(descriptor))
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        message = str(excinfo.value)
+        assert excinfo.value.path == str(layout_path)
+        assert "'material'" in message and "'metal ores (used)'" in message
+
     def test_missing_unit_label(self, written_set, tmp_path):
         _, layout_path = written_set
         descriptor = json.loads(layout_path.read_text())

@@ -169,17 +169,14 @@ class TestSkillAggregation:
 
 class TestCategoryAttribution:
     def test_single_category_demand(self):
-        A = algebra.TechnicalCoefficients(entries=np.zeros((2, 2)), dim=2)
-        op = algebra.factorize(A)
+        op = algebra.factorize(np.zeros((2, 2)))
         s = np.array([1.0, 1.0])
         parts = {"only": np.array([3.0, 4.0])}
         assert indicators.attribute_by_category(op.multipliers(s), parts) == {"only": 7.0}
 
     def test_two_categories_hand_solved(self):
         # Reuses the worked 2x2 case: y = [10, 5] split into [10, 0] + [0, 5].
-        A = algebra.TechnicalCoefficients(
-            entries=np.array([[0.2, 0.3], [0.4, 0.1]]), dim=2)
-        op = algebra.factorize(A)
+        op = algebra.factorize(np.array([[0.2, 0.3], [0.4, 0.1]]))
         s = np.array([0.5, 1.0])
         parts = {"first": np.array([10.0, 0.0]), "second": np.array([0.0, 5.0])}
         attributed = indicators.attribute_by_category(op.multipliers(s), parts)

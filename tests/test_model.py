@@ -49,7 +49,7 @@ class TestFixture:
         account = fixtures.fixture(3, 5, 7)
         A = algebra.technical_coefficients(account.Z, account.x)
         estimate = algebra.productivity_check(A)
-        assert estimate.converged and estimate.spectral_radius < 0.8
+        assert estimate.productive and estimate.spectral_radius < 0.8
 
     def test_extension_set(self, account_357):
         assert set(account_357.extensions) == {"labour", "energy", "emissions", "material"}
