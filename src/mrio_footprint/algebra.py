@@ -8,16 +8,18 @@ The quantity model used throughout the package:
     footprint = s @ q         total impact embodied in y
 
 All kernels are pure functions of immutable inputs and may be called
-concurrently. Solves go through one reusable LU factorization of (I - A);
-the explicit inverse is never built.
+concurrently. Solves go through one reusable LU factorization of (I - A),
+built from Z and x without forming A; the explicit inverse is never built.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import DimensionMismatch, NegativeEntry, UnproductiveEconomy
@@ -50,25 +52,29 @@ def _as_vector(values: np.ndarray, dim: int, name: str) -> np.ndarray:
     return v
 
 
+def _column_scale(x: np.ndarray, n: int) -> np.ndarray:
+    """1 / x[j] per column of Z, zero for inactive sectors (output <= ZERO_OUTPUT_EPS)."""
+    xv = _as_vector(x, n, "x")
+    if np.any(xv < 0):
+        i = int(np.argmin(xv))
+        raise NegativeEntry(f"x[{i}] = {xv[i]} is negative")
+    active = xv > ZERO_OUTPUT_EPS
+    scale = np.zeros(n)
+    scale[active] = 1.0 / xv[active]
+    return scale
+
+
 def technical_coefficients(Z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Unitless input shares A = Z @ diag(x)^-1, A[i, j] = Z[i, j] / x[j].
 
     Columns of inactive sectors (output <= ZERO_OUTPUT_EPS) are all-zero.
     """
     Zm = _as_square(Z, "Z")
-    n = Zm.shape[0]
-    xv = _as_vector(x, n, "x")
-    if np.any(Zm < 0):
+    # A min screens for negative cells without an n x n mask.
+    if Zm.min(initial=0.0) < 0:
         i, j = np.argwhere(Zm < 0)[0]
         raise NegativeEntry(f"Z[{i}][{j}] = {Zm[i, j]} is negative")
-    if np.any(xv < 0):
-        i = int(np.argmin(xv))
-        raise NegativeEntry(f"x[{i}] = {xv[i]} is negative")
-
-    active = xv > ZERO_OUTPUT_EPS
-    scale = np.zeros(n)
-    scale[active] = 1.0 / xv[active]
-    return Zm * scale[np.newaxis, :]
+    return Zm * _column_scale(x, Zm.shape[0])[np.newaxis, :]
 
 
 @dataclass(frozen=True)
@@ -87,15 +93,14 @@ class ProductivityEstimate:
                 and self.spectral_radius < 1.0 - PRODUCTIVITY_MARGIN)
 
 
-def productivity_check(A: np.ndarray) -> ProductivityEstimate:
+def productivity_check(operator: LeontiefOperator) -> ProductivityEstimate:
     """Certify rho(A) < 1 for a nonnegative A with one Leontief solve.
 
     rho(A) < 1 exactly when (I - A) q = 1 has a solution q >= 1, and then
     rho(A) <= 1 - 1/max(q) (Collatz-Wielandt). The solve is the pipeline's
-    own ``factorize(A).apply``, so its residual and output-covers-demand
-    checks decide the unproductive case.
+    own ``operator.apply``, so its residual and output-covers-demand checks
+    decide the unproductive case.
     """
-    operator = factorize(A)
     try:
         q = operator.apply(np.ones(operator.dim))
     except UnproductiveEconomy:
@@ -104,25 +109,69 @@ def productivity_check(A: np.ndarray) -> ProductivityEstimate:
 
 
 class LeontiefOperator:
-    """Reusable LU factorization of (I - A).
+    """Reusable LU factorization of I - A, for A = Z @ diag(x)^-1.
 
-    ``apply`` solves for gross output, ``multipliers`` for footprints per
-    unit of final demand; both verify their results against the defining
-    system. Instances are immutable after construction and safe to share.
+    The operator keeps Z and the column scale 1/x, never A itself: I - A is
+    built in the buffer that becomes its LU. ``apply`` solves for gross
+    output, ``multipliers`` for footprints per unit of final demand; both
+    verify their results against the defining system.
+
+    ``store``, when given, has ``load()``, returning a saved ``(lu, piv)``
+    pair or None, and ``store(lu, piv)``. A saved factorization is used when
+    it has the right shape, and it is trusted only through the checks: the
+    first check it fails replaces it by a factorization of Z and x, and the
+    solve is made again. So a damaged store costs one factorization and
+    never changes a verdict. A factorization made here is saved once a
+    solve with it has passed its check.
     """
 
-    def __init__(self, A: np.ndarray):
-        self._A = _as_square(A, "A")
-        self.dim = self._A.shape[0]
-        self._lu = _quiet_lu_factor(np.eye(self.dim) - self._A)
+    def __init__(self, Z: np.ndarray, x: np.ndarray, store=None):
+        self._Z = _as_square(Z, "Z")
+        self.dim = self._Z.shape[0]
+        self._scale = _column_scale(x, self.dim)
+        self._store = store
+        saved = None if store is None else store.load()
+        self._saved = saved is not None and _fits(*saved, self.dim)
+        self._lu = saved if self._saved else self._factorize()
+        self._unstored = store is not None and not self._saved
+
+    def _factorize(self):
+        # I - A in one Fortran-ordered buffer, which lu_factor then overwrites
+        # in place. 0.0 - a keeps the +0.0 entries of np.eye(n) - A, so the LU
+        # is bit-identical to that of the explicit difference.
+        system = np.multiply(self._Z, self._scale, out=np.empty_like(self._Z, order="F"))
+        np.subtract(0.0, system, out=system)
+        diagonal = np.arange(self.dim)
+        system[diagonal, diagonal] += 1.0
+        # Singular systems surface as UnproductiveEconomy via the residual
+        # checks; scipy's warning would just be noise before that.
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", LinAlgWarning)
+            return lu_factor(system, overwrite_a=True, check_finite=False)
+
+    def _solve(self, rhs: np.ndarray, trans: int, check) -> np.ndarray:
+        """lu_solve, accepted by ``check``; a saved LU that fails is replaced once."""
+        while True:
+            try:
+                with np.errstate(all="ignore"):
+                    solution = lu_solve(self._lu, rhs, trans=trans, check_finite=False)
+                    check(solution)
+                break
+            except UnproductiveEconomy:
+                if not self._saved:
+                    raise
+                self._saved, self._unstored = False, True
+                self._lu = self._factorize()
+        if self._unstored:
+            self._store.store(*self._lu)
+            self._unstored = False
+        return solution
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Solve (I - A) q = y and return q, with a residual check."""
         yv = _as_vector(y, self.dim, "y")
-        with np.errstate(all="ignore"):
-            q = lu_solve(self._lu, yv)
-        _check_solution(self._A, q, yv)
-        return q
+        # A q = Z (q / x).
+        return self._solve(yv, 0, lambda q: _check_solution(q, self._Z @ (self._scale * q), yv))
 
     def multipliers(self, S: np.ndarray) -> np.ndarray:
         """Multipliers M = S (I - A)^-1 of one intensity row or a block of them.
@@ -135,18 +184,26 @@ class LeontiefOperator:
         if rows.ndim not in (1, 2) or rows.shape[-1] != self.dim:
             raise DimensionMismatch(
                 f"intensity rows must have {self.dim} columns, got shape {rows.shape}")
-        with np.errstate(all="ignore"):
-            transposed = lu_solve(self._lu, rows.T, trans=1)
-        # M (I - A) = S is (I - A)^T M^T = S^T: the same check on the transpose.
-        _check_solution(self._A.T, transposed, rows.T)
+        # M (I - A) = S is (I - A)^T M^T = S^T: the same check on the
+        # transpose, with A^T M^T = diag(1/x) Z^T M^T = (M Z diag(1/x))^T.
+        transposed = self._solve(
+            rows.T, 1,
+            lambda mt: _check_solution(mt, ((mt.T @ self._Z) * self._scale).T, rows.T))
         return np.ascontiguousarray(transposed.T)
 
 
-def _check_solution(A: np.ndarray, q: np.ndarray, y: np.ndarray) -> None:
-    """Accept q as the solution of (I - A) q = y, per column if y is a block."""
-    with np.errstate(all="ignore"):
-        scale = np.maximum(1.0, np.max(np.abs(y), axis=0, initial=0.0))
-        worst = np.max(np.abs(q - A @ q - y), axis=0, initial=0.0)
+def _fits(lu, piv: np.ndarray, n: int) -> bool:
+    """Whether a saved (lu, piv) pair has the shapes and types of an n x n LU."""
+    return bool(isinstance(lu, np.ndarray) and lu.dtype == np.float64
+                and lu.shape == (n, n) and piv.shape == (n,)
+                and np.all((piv >= 0) & (piv < n)))
+
+
+def _check_solution(q: np.ndarray, Aq: np.ndarray, y: np.ndarray) -> None:
+    """Accept q as the solution of (I - A) q = y, given A q; per column if y
+    is a block."""
+    scale = np.maximum(1.0, np.max(np.abs(y), axis=0, initial=0.0))
+    worst = np.max(np.abs(q - Aq - y), axis=0, initial=0.0)
     if not np.all(worst <= SOLVE_RESIDUAL_RTOL * scale):
         raise UnproductiveEconomy(
             f"Leontief solve failed the residual check (|r| = {np.max(worst):.3e}); "
@@ -161,17 +218,32 @@ def _check_solution(A: np.ndarray, q: np.ndarray, y: np.ndarray) -> None:
         )
 
 
-def _quiet_lu_factor(system: np.ndarray):
-    # Singular systems surface as UnproductiveEconomy via the residual
-    # checks; scipy's warning would just be noise before that.
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore", LinAlgWarning)
-        return lu_factor(system, check_finite=False)
-
-
 def factorize(A: np.ndarray) -> LeontiefOperator:
     """LU-factorize (I - A) for repeated solves."""
-    return LeontiefOperator(A)
+    # With x = 1 the column scale is 1, and Z * 1.0 is A bit for bit.
+    Am = _as_square(A, "A")
+    return LeontiefOperator(Am, np.ones(Am.shape[0]))
+
+
+def factorization_identity() -> str | None:
+    """What fixes the bits of an LU besides the matrix: the numpy and scipy
+    versions, and the build, CPU core and thread count of the OpenBLAS that
+    scipy's LAPACK calls. None when that BLAS cannot be identified."""
+    try:
+        from scipy.linalg import _flapack
+        # Symbol lookup in scipy's LAPACK module also searches the OpenBLAS
+        # it is linked against.
+        openblas = ctypes.CDLL(_flapack.__file__)
+        config, core, threads = (getattr(openblas, f"scipy_openblas_{name}")
+                                 for name in ("get_config", "get_corename", "get_num_threads"))
+    except (ImportError, OSError, AttributeError):
+        return None
+    for function, restype in ((config, ctypes.c_char_p), (core, ctypes.c_char_p),
+                              (threads, ctypes.c_int)):
+        function.argtypes, function.restype = [], restype
+    return (f"numpy {np.__version__}; scipy {scipy.__version__}; "
+            f"{config().decode('ascii', 'replace')}; "
+            f"core {core().decode('ascii', 'replace')}; threads {threads()}")
 
 
 def leontief_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -112,18 +112,32 @@ class LoadedData:
     params: ConversionParams
     operator: algebra.LeontiefOperator
     variants: tuple[ReportVariant, ...]
+    # Each region-sector's spending category and sector group, as codes.
+    category_codes: np.ndarray
+    group_codes: np.ndarray
+
+
+def _operator(ingested: fileio.IngestResult) -> algebra.LeontiefOperator:
+    """The account's Leontief operator; its LU is read from the cache next to
+    the layout when one was saved under this BLAS, and saved there when made."""
+    identity = algebra.factorization_identity()
+    entry = None if identity is None else fileio.factorization_entry(ingested, identity)
+    return algebra.LeontiefOperator(ingested.account.Z, ingested.account.x, entry)
 
 
 def _load(config: RunConfig) -> LoadedData:
-    account = fileio.ingest(config.layout_path).account
+    ingested = fileio.ingest(config.layout_path)
+    account = ingested.account
     concordance = scenario.load_concordance(config.categories_path, account.index.sectors)
     groups = indicators.load_sector_groups(config.groups_path, account.index.sectors)
     params = indicators.load_conversion_params(config.params_path)
-    operator = algebra.factorize(algebra.technical_coefficients(account.Z, account.x))
+    operator = _operator(ingested)
     variants = indicators.report_variants(
         account, operator, _selected_extensions(account, config.extensions))
     return LoadedData(account=account, concordance=concordance, groups=groups,
-                      params=params, operator=operator, variants=tuple(variants))
+                      params=params, operator=operator, variants=tuple(variants),
+                      category_codes=concordance.codes(account.index),
+                      group_codes=groups.codes(account.index))
 
 
 def _load_specs(config: RunConfig, one_home_region: bool) -> list[ScenarioSpec]:
@@ -190,15 +204,17 @@ def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
     """All reports for one scenario, from one solve of its whole demand."""
     account = data.account
     y_scen, gfcf_scen = scenario.apply_scenario(
-        baseline.y, baseline.gfcf, data.concordance, spec, account.index)
+        baseline.y, baseline.gfcf, data.concordance, spec, account.index,
+        codes=data.category_codes)
     demand_by_category = indicators.decompose_demand_by_category(
-        y_scen, gfcf_scen, data.concordance, account.index)
+        y_scen, gfcf_scen, data.concordance, account.index, codes=data.category_codes)
     # Every element lies in one category only, so this equals the sum of the parts.
     q = data.operator.apply(y_scen + gfcf_scen)
     return [
         indicators.build_footprint_report(
             account=account, variant=variant, q=q, demand_by_category=demand_by_category,
-            home_region=home_region, groups=data.groups, params=data.params,
+            home_region=home_region, groups=data.groups, group_codes=data.group_codes,
+            params=data.params,
             scenario_name=spec.name, baseline_embedded=baseline.embedded.get(variant.name),
         )
         for variant in data.variants
@@ -415,7 +431,7 @@ def cmd_validate(args) -> int:
     result = fileio.ingest(layout_path)
     account = result.account
     balance = model.validate_balance(account, tol=args.tol)
-    estimate = algebra.productivity_check(algebra.technical_coefficients(account.Z, account.x))
+    estimate = algebra.productivity_check(_operator(result))
 
     print(f"account: {account.index.n_regions} regions x {account.index.n_sectors} sectors "
           f"(n={account.index.n}), year {account.year}")

@@ -147,6 +147,9 @@ def load_layout(path: str | Path) -> Layout:
 class IngestResult:
     account: MrioAccount
     warnings: tuple[IngestWarning, ...] = ()
+    # The parse-cache entries of the transaction grid and total output,
+    # which name the cached factorization of the account's I - A.
+    system_entries: tuple[Path, Path] | None = None
 
 
 @contextmanager
@@ -284,23 +287,15 @@ def _cache_key(path: Path, base: Path, delimiter: str, index_cols: int,
     return f"{name}-{settings}/{digest.hexdigest()}"
 
 
-def _cache_load(entry: Path, index_cols: int, header_rows: int):
-    """A cached grid, or None when the entry is missing, unreadable or does
-    not fit the grid it names."""
+def _cache_load(entry: Path):
+    """The matrix and the json part of a cache entry, or None when the entry
+    is missing or unreadable."""
     try:
         meta = json.loads(entry.with_suffix(".json").read_text(encoding="utf-8"))
         matrix = np.load(entry.with_suffix(".npy"), allow_pickle=False)
-        headers = meta["headers"]
-        labels = [tuple(label) for label in meta["labels"]]
-        fits = (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
-                and len(headers) == header_rows
-                and matrix.shape == (len(labels), len(headers[-1]) - index_cols)
-                and all(len(label) == index_cols for label in labels))
-    except (OSError, ValueError, EOFError, LookupError, TypeError):
+    except (OSError, ValueError, EOFError):
         return None
-    if not fits or _non_finite_cell(matrix) is not None:
-        return None
-    return headers, labels, matrix
+    return matrix, meta
 
 
 def _replace(target: Path, write) -> None:
@@ -316,38 +311,103 @@ def _replace(target: Path, write) -> None:
         raise
 
 
-def _cache_store(entry: Path, headers, labels, matrix: np.ndarray) -> None:
-    meta = json.dumps({"headers": headers, "labels": labels}).encode("utf-8")
+def _cache_store(entry: Path, matrix: np.ndarray, meta: dict) -> None:
+    """Store an entry, a ``.npy`` matrix and a ``.json`` part, and delete
+    the other entries of its directory."""
+    text = json.dumps(meta).encode("utf-8")
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         # The matrix goes first: a readable .json means its .npy is whole.
         _replace(entry.with_suffix(".npy"), lambda h: np.save(h, matrix, allow_pickle=False))
-        _replace(entry.with_suffix(".json"), lambda h: h.write(meta))
-        # The other entries hold earlier contents of the same file.
+        _replace(entry.with_suffix(".json"), lambda h: h.write(text))
+        # The other entries are stale: they hold earlier contents of the same
+        # files, or a factorization made under another identity.
         for old in entry.parent.iterdir():
             if old.suffix in (".npy", ".json") and old.stem != entry.name:
                 old.unlink(missing_ok=True)
     except OSError:
-        pass  # an unwritable cache only means the next run parses again
+        pass  # an unwritable cache only means the next run does the work again
+
+
+def _grid_load(entry: Path, index_cols: int, header_rows: int):
+    """A cached grid, or None when the entry is missing, unreadable or does
+    not fit the grid it names."""
+    cached = _cache_load(entry)
+    if cached is None:
+        return None
+    matrix, meta = cached
+    try:
+        headers = meta["headers"]
+        labels = [tuple(label) for label in meta["labels"]]
+        fits = (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+                and len(headers) == header_rows
+                and matrix.shape == (len(labels), len(headers[-1]) - index_cols)
+                and all(len(label) == index_cols for label in labels))
+    except (LookupError, TypeError):
+        return None
+    if not fits or _non_finite_cell(matrix) is not None:
+        return None
+    return headers, labels, matrix
 
 
 def _read_grid(path: Path, cache_dir: Path, delimiter: str, index_cols: int,
                header_rows: int = 2):
     """Read a labelled grid: header rows, index columns, numeric body.
 
-    Returns (headers, row_labels, matrix). Ragged rows and non-numeric or
-    non-finite values are ParseErrors; the caller checks the resulting shape
-    against the model dimension. A parsed grid is kept in ``cache_dir``
-    under the file's path, the parse settings and the sha256 of the file's
-    bytes, and is read from there while the file is unchanged.
+    Returns (headers, row_labels, matrix, cache entry). Ragged rows and
+    non-numeric or non-finite values are ParseErrors; the caller checks the
+    resulting shape against the model dimension. A parsed grid is kept in
+    ``cache_dir`` under the file's path, the parse settings and the sha256
+    of the file's bytes, and is read from there while the file is unchanged.
     """
     entry = cache_dir / _cache_key(path, cache_dir.parent, delimiter, index_cols, header_rows)
-    cached = _cache_load(entry, index_cols, header_rows)
-    if cached is not None:
-        return cached
-    grid = _parse_grid(path, delimiter, index_cols, header_rows)
-    _cache_store(entry, *grid)
-    return grid
+    grid = _grid_load(entry, index_cols, header_rows)
+    if grid is None:
+        grid = _parse_grid(path, delimiter, index_cols, header_rows)
+        headers, labels, matrix = grid
+        _cache_store(entry, matrix, {"headers": headers, "labels": labels})
+    return (*grid, entry)
+
+
+@dataclass(frozen=True)
+class FactorizationEntry:
+    """A cache entry holding an LU factorization: ``lu`` as the entry's
+    matrix and the pivot indices in its json part."""
+
+    path: Path
+
+    def load(self) -> tuple[np.ndarray, np.ndarray] | None:
+        cached = _cache_load(self.path)
+        if cached is None:
+            return None
+        lu, meta = cached
+        try:
+            return lu, np.asarray(meta["piv"], dtype=np.int32)
+        except (LookupError, TypeError, ValueError, OverflowError):
+            return None
+
+    def store(self, lu: np.ndarray, piv: np.ndarray) -> None:
+        _cache_store(self.path, lu, {"piv": piv.tolist()})
+
+
+def factorization_entry(result: IngestResult, identity: str) -> FactorizationEntry | None:
+    """Where the LU of the account's I - A is cached, for a factorization made
+    under ``identity`` (the libraries and settings that fix its bits).
+
+    I - A is a function of the transaction grid and total output, so the
+    entry is named by their parse-cache entries, whose names already hold
+    the files' sha256, and by ``identity``. Its directory is named by the two
+    grids, so storing an entry replaces that of earlier contents or of
+    another identity.
+    """
+    if result.system_entries is None:
+        return None
+    z_entry, x_entry = result.system_entries
+    cache_dir = z_entry.parent.parent
+    key = "\n".join([z_entry.relative_to(cache_dir).as_posix(),
+                     x_entry.relative_to(cache_dir).as_posix(), identity])
+    name = hashlib.sha256(key.encode("utf-8")).hexdigest()
+    return FactorizationEntry(cache_dir / f"lu-{z_entry.parent.name}-{x_entry.parent.name}" / name)
 
 
 def _column_pairs(headers: list[list[str]], index_cols: int, path: Path):
@@ -410,7 +470,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
     cache_dir = layout.base_dir / CACHE_DIR
 
     z_path = layout.path(layout.transactions)
-    z_headers, z_labels, Z = _read_grid(z_path, cache_dir, delim, index_cols=2)
+    z_headers, z_labels, Z, z_entry = _read_grid(z_path, cache_dir, delim, index_cols=2)
     _check_unique(z_labels, "region-sector", z_path, delim, index_cols=2)
     index = _index_from_labels(z_labels, z_path)
     if Z.shape != (index.n, index.n):
@@ -421,15 +481,15 @@ def ingest(layout_path: str | Path) -> IngestResult:
         raise ParseError("column labels do not match row labels", path=str(z_path))
 
     y_path = layout.path(layout.final_demand)
-    y_headers, y_labels, Y = _read_grid(y_path, cache_dir, delim, index_cols=2)
+    y_headers, y_labels, Y, _ = _read_grid(y_path, cache_dir, delim, index_cols=2)
     if list(y_labels) != index.labels():
         raise ParseError("final-demand rows do not match the transaction index",
                          path=str(y_path))
     y_columns = tuple(_column_pairs(y_headers, 2, y_path))
 
     x_path = layout.path(layout.total_output)
-    _, x_labels, x_grid = _read_grid(x_path, cache_dir, delim, index_cols=2,
-                                       header_rows=1)
+    _, x_labels, x_grid, x_entry = _read_grid(x_path, cache_dir, delim, index_cols=2,
+                                              header_rows=1)
     if list(x_labels) != index.labels():
         raise ParseError("total-output rows do not match the transaction index",
                          path=str(x_path))
@@ -443,7 +503,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
         if not entry.unit:
             raise UnitMismatch(f"extension {entry.name!r} has no unit label in the layout")
         ext_path = layout.path(entry.file)
-        ext_headers, ext_labels, rows = _read_grid(ext_path, cache_dir, delim, index_cols=1)
+        ext_headers, ext_labels, rows, _ = _read_grid(ext_path, cache_dir, delim, index_cols=1)
         _check_unique(ext_labels, "stressor", ext_path, delim, index_cols=1)
         if rows.shape[1] != index.n:
             raise DimensionMismatch(
@@ -478,7 +538,8 @@ def ingest(layout_path: str | Path) -> IngestResult:
 
     account = MrioAccount(index=index, Z=Z, Y=Y, y_columns=y_columns, x=x,
                           extensions=extensions, year=layout.year)
-    return IngestResult(account=account, warnings=layout.ingest_warnings)
+    return IngestResult(account=account, warnings=layout.ingest_warnings,
+                        system_entries=(z_entry, x_entry))
 
 
 def _read_direct(path: Path, delimiter: str) -> dict[str, float]:

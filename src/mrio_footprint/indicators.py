@@ -191,9 +191,16 @@ def load_sector_groups(path: str | Path, sectors) -> SectorGroupConcordance:
 
 
 def aggregate_by_sector_group(by_source: np.ndarray, groups: SectorGroupConcordance,
-                              index: RegionSectorIndex) -> dict[str, float]:
-    """Sum per-source contributions into sector groups (totals are preserved)."""
-    sums = np.bincount(groups.codes(index), weights=np.asarray(by_source, dtype=float),
+                              index: RegionSectorIndex, *,
+                              codes: np.ndarray | None = None) -> dict[str, float]:
+    """Sum per-source contributions into sector groups (totals are preserved).
+
+    ``codes``, when given, is ``groups.codes(index)``, made once per account
+    by a caller with many reports.
+    """
+    if codes is None:
+        codes = groups.codes(index)
+    sums = np.bincount(codes, weights=np.asarray(by_source, dtype=float),
                        minlength=len(groups.groups))
     return dict(zip(groups.groups, sums.tolist()))
 
@@ -232,14 +239,17 @@ def attribute_by_category(m: np.ndarray,
 
 def decompose_demand_by_category(y: np.ndarray, gfcf: np.ndarray,
                                  concordance: CategoryConcordance,
-                                 index: RegionSectorIndex) -> dict[str, np.ndarray]:
+                                 index: RegionSectorIndex, *,
+                                 codes: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Partition demand into the 13 categories (capital formation last).
 
     The pieces sum to y + gfcf elementwise exactly, so category attributions
-    reproduce whole-vector footprints up to solver tolerance.
+    reproduce whole-vector footprints up to solver tolerance. ``codes``,
+    when given, is ``concordance.codes(index)``.
     """
     yv = np.asarray(y, dtype=float)
-    codes = concordance.codes(index)
+    if codes is None:
+        codes = concordance.codes(index)
     parts = {category: np.where(codes == k, yv, 0.0)
              for k, category in enumerate(CONSUMPTION_SPENDING_CATEGORIES)}
     parts[GFCF_CATEGORY] = np.asarray(gfcf, dtype=float).copy()
@@ -376,13 +386,15 @@ def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.n
                            demand_by_category: dict[str, np.ndarray],
                            home_region: str, groups: SectorGroupConcordance,
                            params: ConversionParams, scenario_name: str,
-                           baseline_embedded: float | None = None) -> FootprintReport:
+                           baseline_embedded: float | None = None, *,
+                           group_codes: np.ndarray | None = None) -> FootprintReport:
     """Compute a full report for one variant and one scenario demand.
 
     ``q`` is the gross output of the whole demand, the sum of
     ``demand_by_category``; every report of a scenario shares it.
     ``baseline_embedded`` enables direct-use scaling: scenario direct use =
-    base direct x embedded/baseline-embedded.
+    base direct x embedded/baseline-embedded. ``group_codes`` is as
+    ``codes`` in ``aggregate_by_sector_group``.
     """
     extension = variant.extension
     total = algebra.footprint_total(variant.total_intensity, q)
@@ -414,7 +426,8 @@ def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.n
         total=total,
         per_capita=per_capita(total, params.total_population),
         by_origin=split_origin(by_source, home_region, account.index),
-        by_sector_group=aggregate_by_sector_group(by_source, groups, account.index),
+        by_sector_group=aggregate_by_sector_group(by_source, groups, account.index,
+                                                  codes=group_codes),
         by_category=attribute_by_category(variant.multipliers, demand_by_category),
         params=params,
         hours_week_equivalent=hours_week,

@@ -187,7 +187,8 @@ class MrioAccount:
             )
         if self.x.shape != (n,):
             raise DimensionMismatch(f"x shape {self.x.shape} != ({n},)")
-        if np.any(self.Z < 0):
+        # A min screens for negative cells without an n x n mask.
+        if self.Z.min(initial=0.0) < 0:
             raise NegativeEntry("transaction matrix contains negative entries")
         if np.any(self.x < 0):
             raise NegativeEntry("total output contains negative entries")

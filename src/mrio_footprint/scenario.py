@@ -218,14 +218,18 @@ def aggregate_household_budgets(table: HouseholdBudgetTable, counts: dict[str, f
 
 
 def baseline_category_totals(y_base: np.ndarray, concordance: CategoryConcordance,
-                             index: RegionSectorIndex) -> dict[str, float]:
+                             index: RegionSectorIndex, *,
+                             codes: np.ndarray | None = None) -> dict[str, float]:
     """Per-category sums of a spending vector over the 12 sector categories.
 
     Every sector carrying demand must be sorted; an unsorted sector with
     nonzero demand voids the premise that unsorted sectors are inactive.
+    ``codes``, when given, is ``concordance.codes(index)``, made once per
+    account by a caller with many vectors.
     """
     y = np.asarray(y_base, dtype=float)
-    codes = concordance.codes(index)
+    if codes is None:
+        codes = concordance.codes(index)
     unsorted = len(CONSUMPTION_SPENDING_CATEGORIES)
     offending = np.flatnonzero((codes == unsorted) & (y != 0.0))
     if offending.size:
@@ -280,16 +284,20 @@ def resolve_targets(spec: ScenarioSpec, baseline: dict[str, float]) -> dict[str,
 
 def apply_scenario(y_base: np.ndarray, gfcf_base: np.ndarray,
                    concordance: CategoryConcordance, spec: ScenarioSpec,
-                   index: RegionSectorIndex) -> tuple[np.ndarray, np.ndarray]:
+                   index: RegionSectorIndex, *,
+                   codes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rescale a baseline demand vector and capital-formation vector to a spec.
 
     Each sector's demand is multiplied by its category's factor, so
     per-category sums land on the targets while within-category composition
-    is untouched. Unsorted sectors stay at zero.
+    is untouched. Unsorted sectors stay at zero. ``codes`` is as in
+    ``baseline_category_totals``.
     """
     y = np.asarray(y_base, dtype=float)
     gfcf = np.asarray(gfcf_base, dtype=float)
-    baseline = baseline_category_totals(y, concordance, index)
+    if codes is None:
+        codes = concordance.codes(index)
+    baseline = baseline_category_totals(y, concordance, index, codes=codes)
     baseline[GFCF_CATEGORY] = float(gfcf.sum())
     targets = resolve_targets(spec, baseline)
     factors = category_scaling_factors(
@@ -299,7 +307,7 @@ def apply_scenario(y_base: np.ndarray, gfcf_base: np.ndarray,
 
     # One slot per category, and a last, zero slot for unsorted sectors.
     factor_by_code = np.array([factors[c] for c in CONSUMPTION_SPENDING_CATEGORIES] + [0.0])
-    y_scenario = y * factor_by_code[concordance.codes(index)]
+    y_scenario = y * factor_by_code[codes]
     gfcf_scenario = scale_gfcf(gfcf, targets[GFCF_CATEGORY])
     return y_scenario, gfcf_scenario
 

@@ -16,6 +16,7 @@ Hand-verified 2x2 case used throughout:
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
 from _oracles import power_series_solve, random_productive_matrix, relative_error
 from mrio_footprint import algebra
@@ -52,7 +53,7 @@ class TestTechnicalCoefficients:
             algebra.technical_coefficients(np.zeros((2, 3)), np.array([1.0, 2.0]))
 
     def test_negative_entry(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(NegativeEntry, match=r"^Z\[0\]\[1\] = -2.0 is negative$"):
             algebra.technical_coefficients(
                 np.array([[1.0, -2.0], [0.0, 1.0]]), np.array([10.0, 10.0]))
         with pytest.raises(NegativeEntry):
@@ -117,6 +118,22 @@ class TestLeontiefSolve:
             algebra.leontief_solve(np.zeros((2, 3)), Y_HAND)
         with pytest.raises(DimensionMismatch):
             algebra.factorize(np.zeros(2))
+
+
+class TestLeontiefOperator:
+    @pytest.mark.parametrize("zero_cells", [False, True])
+    def test_lu_matches_explicit_difference(self, account_357, zero_cells):
+        # I - A built in place from Z and 1/x has the LU of np.eye(n) - A,
+        # bit for bit, also where Z or a whole column of A is zero.
+        Z, x = account_357.Z.copy(), account_357.x.copy()
+        if zero_cells:
+            Z[::2, 1::3] = 0.0
+            x[4] = 0.0
+        lu, piv = algebra.LeontiefOperator(Z, x)._lu
+        A = algebra.technical_coefficients(Z, x)
+        expected_lu, expected_piv = lu_factor(np.eye(len(x)) - A)
+        assert lu.tobytes() == expected_lu.tobytes()
+        assert piv.tobytes() == expected_piv.tobytes()
 
 
 class TestMultipliers:
@@ -204,13 +221,13 @@ class TestFootprint:
 
 class TestProductivityCheck:
     def test_zero_matrix(self):
-        estimate = algebra.productivity_check(np.zeros((4, 4)))
+        estimate = algebra.productivity_check(algebra.factorize(np.zeros((4, 4))))
         assert estimate.spectral_radius == 0.0
         assert estimate.productive
 
     def test_hand_2x2(self):
         # q = L 1 = [2, 2], so the bound 1 - 1/max(q) meets rho = 0.5.
-        estimate = algebra.productivity_check(A_HAND)
+        estimate = algebra.productivity_check(algebra.factorize(A_HAND))
         assert estimate.spectral_radius == 0.5
         assert estimate.spectral_radius == pytest.approx(0.5, abs=1e-4)
         assert estimate.productive
@@ -218,27 +235,27 @@ class TestProductivityCheck:
     def test_periodic_two_sector(self):
         # Two sectors that trade only with each other: eigenvalues +-0.3, the
         # case where a power iteration never settles.
-        estimate = algebra.productivity_check(PERIODIC)
+        estimate = algebra.productivity_check(algebra.factorize(PERIODIC))
         assert 0.3 <= estimate.spectral_radius < 1.0
         assert estimate.productive
 
     def test_bound_dominates_spectral_radius(self, rng):
         for _ in range(20):
             A = random_productive_matrix(rng, int(rng.integers(2, 12)))
-            estimate = algebra.productivity_check(A)
+            estimate = algebra.productivity_check(algebra.factorize(A))
             assert estimate.productive
             assert estimate.spectral_radius >= max(abs(np.linalg.eigvals(A))) - 1e-12
 
     def test_identity_flagged_unproductive(self):
-        estimate = algebra.productivity_check(np.eye(3))
+        estimate = algebra.productivity_check(algebra.factorize(np.eye(3)))
         assert estimate.spectral_radius is None
         assert estimate.productive is False
 
     def test_output_below_demand_flagged_unproductive(self):
-        estimate = algebra.productivity_check(np.array([[2.0]]))
+        estimate = algebra.productivity_check(algebra.factorize(np.array([[2.0]])))
         assert estimate.spectral_radius is None
         assert estimate.productive is False
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            algebra.productivity_check(np.zeros((2, 3)))
+            algebra.productivity_check(algebra.factorize(np.zeros((2, 3))))

@@ -284,7 +284,7 @@ class TestCompare:
 
         def no_factorize(*args):
             raise AssertionError("factorize ran before the sector groups were checked")
-        monkeypatch.setattr(algebra, "factorize", no_factorize)
+        monkeypatch.setattr(algebra, "LeontiefOperator", no_factorize)
         assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline"]) == 1
         err = capsys.readouterr().err
         assert "'S3' has no sector group" in err and "sector_groups.tsv" in err
@@ -331,6 +331,121 @@ class TestCompare:
         assert rc == 1
         assert "'labour'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+SCENARIOS = ["baseline", "halved"]
+
+
+def lu_entry(fixture_dir: Path) -> Path:
+    """The one cached LU factorization of a fixture set."""
+    (entry,) = (fixture_dir / fileio.CACHE_DIR).glob("lu-*/*.npy")
+    return entry
+
+
+@pytest.fixture()
+def lu_factor_calls(monkeypatch) -> list:
+    calls = []
+    factor = algebra.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factor(*args, **kwargs)
+    monkeypatch.setattr(algebra, "lu_factor", counted)
+    return calls
+
+
+class TestFactorizationCache:
+    @pytest.fixture(autouse=True)
+    def identified_blas(self):
+        if algebra.factorization_identity() is None:
+            pytest.skip("the BLAS under scipy cannot be identified, so no LU is cached")
+
+    def test_warm_compare_makes_no_factorization(self, fixture_dir, tmp_path, lu_factor_calls):
+        assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
+        assert len(lu_factor_calls) == 1
+        assert run_compare(fixture_dir, tmp_path / "warm", SCENARIOS) == 0
+        assert len(lu_factor_calls) == 1
+
+    def test_outputs_identical_computed_and_loaded(self, fixture_dir, tmp_path):
+        for run in ("computed", "loaded"):
+            assert run_compare(fixture_dir, tmp_path / run / "compare", SCENARIOS) == 0
+            assert run_footprint(fixture_dir, tmp_path / run / "footprint") == 0
+            assert main(["validate", "--layout", str(fixture_dir / "layout.json"),
+                         "--out", str(tmp_path / run / "validate")]) == 0
+        assert tree_bytes(tmp_path / "loaded") == tree_bytes(tmp_path / "computed")
+
+    @pytest.mark.parametrize("verb", ["compare", "validate"])
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape", "nan", "perturbed"])
+    def test_damaged_entry_is_refactorized_and_rewritten(
+            self, fixture_dir, tmp_path, lu_factor_calls, damage, verb):
+        assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
+        entry = lu_entry(fixture_dir)
+        whole = entry.read_bytes()
+        lu = np.load(entry)
+        if damage == "truncated":
+            entry.write_bytes(whole[: len(whole) // 2])
+        elif damage == "wrong-shape":
+            np.save(entry, lu[:-1, :-1])
+        elif damage == "nan":
+            np.save(entry, np.full_like(lu, np.nan))
+        else:
+            np.save(entry, lu * (1.0 + 1e-3))
+        if verb == "compare":
+            assert run_compare(fixture_dir, tmp_path / "again", SCENARIOS) == 0
+            assert tree_bytes(tmp_path / "again") == tree_bytes(tmp_path / "cold")
+        else:
+            # Never an UNPRODUCTIVE verdict (exit 2) from a damaged entry.
+            assert main(["validate", "--layout", str(fixture_dir / "layout.json")]) == 0
+        assert len(lu_factor_calls) == 2
+        assert entry.read_bytes() == whole
+
+    def test_changed_blas_identity_replaces_the_entry(self, fixture_dir, tmp_path,
+                                                      lu_factor_calls, monkeypatch):
+        assert run_compare(fixture_dir, tmp_path / "first", SCENARIOS) == 0
+        first = lu_entry(fixture_dir)
+        identity = algebra.factorization_identity()
+        monkeypatch.setattr(algebra, "factorization_identity", lambda: identity + "; other")
+        assert run_compare(fixture_dir, tmp_path / "second", SCENARIOS) == 0
+        assert len(lu_factor_calls) == 2
+        second = lu_entry(fixture_dir)
+        assert second != first and not first.exists() and not first.with_suffix(".json").exists()
+
+    def test_unidentified_blas_uses_no_entry(self, fixture_dir, tmp_path, lu_factor_calls,
+                                             monkeypatch):
+        assert run_compare(fixture_dir, tmp_path / "cached", SCENARIOS) == 0
+        entry = lu_entry(fixture_dir)
+        whole = entry.read_bytes()
+        monkeypatch.setattr(algebra, "factorization_identity", lambda: None)
+        for run in ("first", "second"):
+            assert run_compare(fixture_dir, tmp_path / run, SCENARIOS) == 0
+            assert tree_bytes(tmp_path / run) == tree_bytes(tmp_path / "cached")
+        assert len(lu_factor_calls) == 3
+        assert lu_entry(fixture_dir) == entry and entry.read_bytes() == whole
+
+    def test_unwritable_cache_factorizes_every_run(self, fixture_dir, tmp_path,
+                                                  lu_factor_calls):
+        (fixture_dir / fileio.CACHE_DIR).write_text("not a directory")
+        for run in ("first", "second"):
+            assert run_compare(fixture_dir, tmp_path / run, SCENARIOS) == 0
+        assert len(lu_factor_calls) == 2
+        assert tree_bytes(tmp_path / "second") == tree_bytes(tmp_path / "first")
+
+    def test_unproductive_account_stores_no_entry(self, tmp_path, lu_factor_calls):
+        # A factorization is saved only once a solve with it passes its check.
+        layout_path = TestValidate.write_two_sector_account(
+            tmp_path / "unproductive", [[150.0, 0.0], [0.0, 50.0]],
+            (("R0", "households"), ("R0", "inventory-change")),
+            [[0.0, -50.0], [50.0, 0.0]])
+        for _ in range(2):
+            assert main(["validate", "--layout", str(layout_path)]) == 2
+        assert len(lu_factor_calls) == 2
+        assert not list((layout_path.parent / fileio.CACHE_DIR).glob("lu-*/*"))
+
+    def test_validate_reuses_the_entry_compare_wrote(self, fixture_dir, tmp_path,
+                                                     lu_factor_calls):
+        assert run_compare(fixture_dir, tmp_path / "cmp", SCENARIOS) == 0
+        assert main(["validate", "--layout", str(fixture_dir / "layout.json")]) == 0
+        assert len(lu_factor_calls) == 1
 
 
 class TestFixtureCommand:

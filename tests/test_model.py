@@ -48,7 +48,7 @@ class TestFixture:
     def test_productive(self):
         account = fixtures.fixture(3, 5, 7)
         A = algebra.technical_coefficients(account.Z, account.x)
-        estimate = algebra.productivity_check(A)
+        estimate = algebra.productivity_check(algebra.factorize(A))
         assert estimate.productive and estimate.spectral_radius < 0.8
 
     def test_extension_set(self, account_357):
@@ -72,6 +72,15 @@ class TestFixture:
         columns = [i for i, (_, c) in enumerate(account_357.y_columns)
                    if c == model.CATEGORY_INVENTORY]
         assert np.min(account_357.Y[:, columns]) < 0.0
+
+    def test_negative_transaction_rejected(self, account_357):
+        Z = account_357.Z.copy()
+        Z[2, 3] = -1.0
+        with pytest.raises(NegativeEntry, match="^transaction matrix contains negative entries$"):
+            model.MrioAccount(
+                index=account_357.index, Z=Z, Y=account_357.Y,
+                y_columns=account_357.y_columns, x=account_357.x,
+                extensions=account_357.extensions, year=account_357.year)
 
 
 class TestValidateBalance:
