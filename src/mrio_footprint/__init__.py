@@ -34,7 +34,6 @@ from .fixtures import (
 from .indicators import (
     ConversionParams,
     FootprintReport,
-    MaterialTotals,
     OriginSplit,
     ReportVariant,
     SectorGroupConcordance,
@@ -47,7 +46,6 @@ from .indicators import (
     direct_use_scaled,
     hours_per_week_equivalent,
     load_sector_groups,
-    material_indicators,
     per_capita,
     report_variants,
     split_origin,
@@ -65,16 +63,11 @@ from .model import (
 )
 from .scenario import (
     CategoryConcordance,
-    CofogTable,
-    HouseholdBudgetTable,
     ScenarioSpec,
-    aggregate_household_budgets,
     apply_scenario,
     baseline_category_totals,
     category_scaling_factors,
     dining_out_adjustment,
-    gfcf_depreciation_target,
-    government_factor,
     load_concordance,
     load_scenario_spec,
     scale_gfcf,

@@ -7,9 +7,11 @@ The quantity model used throughout the package:
     s = e / x                 impact intensity per unit of output
     footprint = s @ q         total impact embodied in y
 
-All kernels are pure functions of immutable inputs and may be called
-concurrently. Solves go through one reusable LU factorization of (I - A),
-built from Z and x without forming A; the explicit inverse is never built.
+The kernels do not modify their inputs. Solves go through one reusable LU
+factorization of (I - A), built from Z and x without forming A; the explicit
+inverse is never built. A LeontiefOperator without a store keeps its LU
+unchanged after construction; one with a store may replace its LU and write
+the store inside a solve, so concurrent callers must not share it unlocked.
 """
 
 from __future__ import annotations

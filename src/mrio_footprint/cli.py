@@ -27,7 +27,7 @@ from . import algebra, fileio, fixtures, indicators, model, scenario
 from .errors import MrioError, UnknownScenario
 from .indicators import ConversionParams, FootprintReport, ReportVariant, SectorGroupConcordance
 from .model import MrioAccount
-from .scenario import CategoryConcordance, ScenarioSpec
+from .scenario import ScenarioSpec
 
 _FMT = fileio._fmt
 
@@ -71,8 +71,10 @@ class RunConfig:
             if not p.exists():
                 raise FileNotFoundError(str(p))
         extensions = None
-        if args.extensions:
+        if args.extensions is not None:
             extensions = tuple(name.strip() for name in args.extensions.split(",") if name.strip())
+            if not extensions:
+                raise MrioError(f"--extensions {args.extensions!r} names no extension")
             for k, name in enumerate(extensions):
                 if name in extensions[:k]:
                     raise MrioError(f"extension {name!r} is listed twice in --extensions")
@@ -107,7 +109,6 @@ class PlotSeries:
 @dataclass(frozen=True)
 class LoadedData:
     account: MrioAccount
-    concordance: CategoryConcordance
     groups: SectorGroupConcordance
     params: ConversionParams
     operator: algebra.LeontiefOperator
@@ -134,8 +135,8 @@ def _load(config: RunConfig) -> LoadedData:
     operator = _operator(ingested)
     variants = indicators.report_variants(
         account, operator, _selected_extensions(account, config.extensions))
-    return LoadedData(account=account, concordance=concordance, groups=groups,
-                      params=params, operator=operator, variants=tuple(variants),
+    return LoadedData(account=account, groups=groups, params=params,
+                      operator=operator, variants=tuple(variants),
                       category_codes=concordance.codes(account.index),
                       group_codes=groups.codes(account.index))
 
@@ -204,10 +205,9 @@ def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
     """All reports for one scenario, from one solve of its whole demand."""
     account = data.account
     y_scen, gfcf_scen = scenario.apply_scenario(
-        baseline.y, baseline.gfcf, data.concordance, spec, account.index,
-        codes=data.category_codes)
+        baseline.y, baseline.gfcf, data.category_codes, spec, account.index)
     demand_by_category = indicators.decompose_demand_by_category(
-        y_scen, gfcf_scen, data.concordance, account.index, codes=data.category_codes)
+        y_scen, gfcf_scen, data.category_codes)
     # Every element lies in one category only, so this equals the sum of the parts.
     q = data.operator.apply(y_scen + gfcf_scen)
     return [

@@ -59,10 +59,6 @@ class UnknownCategory(MrioError):
     """A demand category is unknown or excluded by policy."""
 
 
-class MissingHouseholdType(MrioError):
-    """Household counts do not cover every budget-table row."""
-
-
 class UnsortedNonzeroDemand(MrioError):
     """A sector with nonzero final demand has no spending category."""
 
@@ -71,20 +67,12 @@ class ZeroBaselineNonzeroTarget(MrioError):
     """A proportional scaling target is nonzero where the baseline is zero."""
 
 
-class EmptyCofogTable(MrioError):
-    """A government-function table has no eligible spending."""
-
-
 class UnmappedSector(MrioError):
     """A sector is missing from a total concordance (sector groups)."""
 
 
 class MissingStressorLabel(MrioError):
     """A labour stressor label does not encode a recognisable skill level."""
-
-
-class UnflaggedStressor(MrioError):
-    """A material stressor is not flagged as used or unused."""
 
 
 class ZeroEmbeddedBase(MrioError):

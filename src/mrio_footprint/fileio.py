@@ -559,7 +559,10 @@ def _read_direct(path: Path, delimiter: str) -> dict[str, float]:
         if not np.isfinite(value):
             raise ParseError(f"non-finite value {row[1]!r}", path=str(path),
                              row=lineno, column=2)
-        direct[row[0].strip()] = value
+        region = row[0].strip()
+        if region in direct:
+            raise ParseError(f"region {region!r} listed twice", path=str(path), row=lineno)
+        direct[region] = value
     return direct
 
 

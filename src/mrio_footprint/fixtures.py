@@ -152,7 +152,7 @@ def fixture_category_concordance(index: RegionSectorIndex) -> CategoryConcordanc
         sector: CONSUMPTION_SPENDING_CATEGORIES[j % len(CONSUMPTION_SPENDING_CATEGORIES)]
         for j, sector in enumerate(index.sectors)
     }
-    return CategoryConcordance.for_sectors(mapping, index.sectors)
+    return CategoryConcordance(mapping)
 
 
 def fixture_sector_groups(index: RegionSectorIndex) -> SectorGroupConcordance:
@@ -214,7 +214,7 @@ def write_fixture_set(n_regions: int, n_sectors: int, seed: int,
 
     # Halve the category of the first sector, leave everything else alone.
     y_base = select_demand(account, consumption_selection(home_region))
-    totals = baseline_category_totals(y_base, concordance, index)
+    totals = baseline_category_totals(y_base, concordance.codes(index), index)
     halved_category = concordance.mapping[index.sectors[0]]
     halved_targets: dict[str, float | None] = {
         category: None for category in CONSUMPTION_SPENDING_CATEGORIES

@@ -9,6 +9,7 @@ used/unused material variants and proportional direct-use scaling.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,18 +21,15 @@ from .algebra import LeontiefOperator
 from .errors import (
     MissingStressorLabel,
     ParseError,
-    UnflaggedStressor,
     UnitMismatch,
     UnmappedSector,
     ZeroEmbeddedBase,
 )
-from .model import (MATERIAL_UNUSED, MATERIAL_USED, ExtensionAccount, MrioAccount,
-                    RegionSectorIndex)
+from .model import MATERIAL_USED, ExtensionAccount, MrioAccount, RegionSectorIndex
 from .scenario import (
     CONSUMPTION_SPENDING_CATEGORIES,
     GFCF_CATEGORY,
     WEEKS_PER_YEAR,
-    CategoryConcordance,
     _data_rows,
     _sector_codes,
 )
@@ -64,8 +62,9 @@ class ConversionParams:
             raise ValueError(
                 f"working_life_share must be in (0, 1], got {self.working_life_share}"
             )
-        if self.working_age_population <= 0 or self.total_population <= 0:
-            raise ValueError("populations must be positive")
+        for population in (self.working_age_population, self.total_population):
+            if not (math.isfinite(population) and population > 0.0):
+                raise ValueError(f"populations must be finite and positive, got {population}")
 
 
 def load_conversion_params(path: str | Path) -> ConversionParams:
@@ -191,15 +190,11 @@ def load_sector_groups(path: str | Path, sectors) -> SectorGroupConcordance:
 
 
 def aggregate_by_sector_group(by_source: np.ndarray, groups: SectorGroupConcordance,
-                              index: RegionSectorIndex, *,
-                              codes: np.ndarray | None = None) -> dict[str, float]:
+                              codes: np.ndarray) -> dict[str, float]:
     """Sum per-source contributions into sector groups (totals are preserved).
 
-    ``codes``, when given, is ``groups.codes(index)``, made once per account
-    by a caller with many reports.
+    ``codes`` is ``groups.codes(index)``, made once per account.
     """
-    if codes is None:
-        codes = groups.codes(index)
     sums = np.bincount(codes, weights=np.asarray(by_source, dtype=float),
                        minlength=len(groups.groups))
     return dict(zip(groups.groups, sums.tolist()))
@@ -238,18 +233,14 @@ def attribute_by_category(m: np.ndarray,
 
 
 def decompose_demand_by_category(y: np.ndarray, gfcf: np.ndarray,
-                                 concordance: CategoryConcordance,
-                                 index: RegionSectorIndex, *,
-                                 codes: np.ndarray | None = None) -> dict[str, np.ndarray]:
+                                 codes: np.ndarray) -> dict[str, np.ndarray]:
     """Partition demand into the 13 categories (capital formation last).
 
-    The pieces sum to y + gfcf elementwise exactly, so category attributions
-    reproduce whole-vector footprints up to solver tolerance. ``codes``,
-    when given, is ``concordance.codes(index)``.
+    ``codes`` is ``CategoryConcordance.codes(index)``. The pieces sum to
+    y + gfcf elementwise exactly, so category attributions reproduce
+    whole-vector footprints up to solver tolerance.
     """
     yv = np.asarray(y, dtype=float)
-    if codes is None:
-        codes = concordance.codes(index)
     parts = {category: np.where(codes == k, yv, 0.0)
              for k, category in enumerate(CONSUMPTION_SPENDING_CATEGORIES)}
     parts[GFCF_CATEGORY] = np.asarray(gfcf, dtype=float).copy()
@@ -264,30 +255,6 @@ def direct_use_scaled(direct_base: float, embedded_scenario: float,
             f"cannot scale direct use against embedded baseline {embedded_base}"
         )
     return direct_base * (embedded_scenario / embedded_base)
-
-
-@dataclass(frozen=True)
-class MaterialTotals:
-    """Material footprint variants: with and without unused extraction."""
-
-    tmc: float
-    mf: float
-
-
-def material_indicators(material_by_stressor: dict[str, float],
-                        flags: dict[str, str]) -> MaterialTotals:
-    """Total material consumption (used + unused) and material footprint (used)."""
-    used = 0.0
-    unused = 0.0
-    for label, value in material_by_stressor.items():
-        flag = flags.get(label)
-        if flag == MATERIAL_USED:
-            used += value
-        elif flag == MATERIAL_UNUSED:
-            unused += value
-        else:
-            raise UnflaggedStressor(f"material stressor {label!r} is not flagged used/unused")
-    return MaterialTotals(tmc=used + unused, mf=used)
 
 
 @dataclass(frozen=True)
@@ -314,11 +281,6 @@ class FootprintReport:
     by_skill: dict[str, float] | None = None
     by_stressor: dict[str, float] | None = None
     direct_use: float | None = None
-
-    @property
-    def total_with_direct(self) -> float:
-        """Embedded plus direct use, the quantity displayed for resources."""
-        return self.total + (self.direct_use or 0.0)
 
 
 @dataclass(frozen=True)
@@ -385,16 +347,16 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator,
 def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.ndarray,
                            demand_by_category: dict[str, np.ndarray],
                            home_region: str, groups: SectorGroupConcordance,
-                           params: ConversionParams, scenario_name: str,
-                           baseline_embedded: float | None = None, *,
-                           group_codes: np.ndarray | None = None) -> FootprintReport:
+                           group_codes: np.ndarray, params: ConversionParams,
+                           scenario_name: str,
+                           baseline_embedded: float | None = None) -> FootprintReport:
     """Compute a full report for one variant and one scenario demand.
 
     ``q`` is the gross output of the whole demand, the sum of
     ``demand_by_category``; every report of a scenario shares it.
+    ``group_codes`` is ``groups.codes(account.index)``.
     ``baseline_embedded`` enables direct-use scaling: scenario direct use =
-    base direct x embedded/baseline-embedded. ``group_codes`` is as
-    ``codes`` in ``aggregate_by_sector_group``.
+    base direct x embedded/baseline-embedded.
     """
     extension = variant.extension
     total = algebra.footprint_total(variant.total_intensity, q)
@@ -426,8 +388,7 @@ def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.n
         total=total,
         per_capita=per_capita(total, params.total_population),
         by_origin=split_origin(by_source, home_region, account.index),
-        by_sector_group=aggregate_by_sector_group(by_source, groups, account.index,
-                                                  codes=group_codes),
+        by_sector_group=aggregate_by_sector_group(by_source, groups, group_codes),
         by_category=attribute_by_category(variant.multipliers, demand_by_category),
         params=params,
         hours_week_equivalent=hours_week,

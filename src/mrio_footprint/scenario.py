@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    EmptyCofogTable,
-    MissingHouseholdType,
     ParseError,
     UnsortedNonzeroDemand,
     ZeroBaselineNonzeroTarget,
@@ -61,8 +60,7 @@ SPENDING_CATEGORIES = (
 
 CONSUMPTION_SPENDING_CATEGORIES = SPENDING_CATEGORIES[:-1]
 
-# Calendar weeks in an average year, used to annualise weekly budgets and
-# average weekly hours.
+# Calendar weeks in an average year, used to annualise average weekly hours.
 WEEKS_PER_YEAR = 365.25 / 7  # ~52.18
 
 
@@ -73,6 +71,17 @@ def _sector_codes(mapping: dict[str, str], labels: tuple[str, ...],
     position = {label: k for k, label in enumerate(labels)}
     per_sector = [position.get(mapping.get(sector), len(labels)) for sector in index.sectors]
     return np.tile(np.array(per_sector, dtype=np.intp), index.n_regions)
+
+
+def _check_category(sector: str, category: str) -> None:
+    """A sector's category must be one of the 12 sector categories."""
+    if category == GFCF_CATEGORY:
+        raise ValueError(
+            f"sector {sector!r} mapped to the capital-formation block; "
+            "it is a demand column, not a sector category"
+        )
+    if category not in CONSUMPTION_SPENDING_CATEGORIES:
+        raise ValueError(f"sector {sector!r} mapped to unknown category {category!r}")
 
 
 @dataclass(frozen=True)
@@ -86,52 +95,16 @@ class CategoryConcordance:
     """
 
     mapping: dict[str, str]
-    unsorted: frozenset[str] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", dict(self.mapping))
-        object.__setattr__(self, "unsorted", frozenset(self.unsorted))
         for sector, category in self.mapping.items():
-            if category == GFCF_CATEGORY:
-                raise ValueError(
-                    f"sector {sector!r} mapped to the capital-formation block; "
-                    "it is a demand column, not a sector category"
-                )
-            if category not in CONSUMPTION_SPENDING_CATEGORIES:
-                raise ValueError(f"sector {sector!r} mapped to unknown category {category!r}")
-        overlap = self.unsorted & set(self.mapping)
-        if overlap:
-            raise ValueError(f"sectors both sorted and unsorted: {sorted(overlap)}")
-
-    @classmethod
-    def for_sectors(cls, mapping: dict[str, str], sectors) -> "CategoryConcordance":
-        """Build a concordance over a full sector list, inferring the unsorted set."""
-        return cls(mapping=mapping, unsorted=frozenset(sectors) - set(mapping))
+            _check_category(sector, category)
 
     def codes(self, index: RegionSectorIndex) -> np.ndarray:
         """Position in ``CONSUMPTION_SPENDING_CATEGORIES`` of every
         region-sector's category, in flat order; unsorted sectors get 12."""
         return _sector_codes(self.mapping, CONSUMPTION_SPENDING_CATEGORIES, index)
-
-
-@dataclass(frozen=True)
-class HouseholdBudgetTable:
-    """Weekly per-household budgets: household type -> category -> currency/week."""
-
-    rows: dict[str, dict[str, float]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", {t: dict(b) for t, b in self.rows.items()})
-        for household_type, budgets in self.rows.items():
-            for category, value in budgets.items():
-                if category not in SPENDING_CATEGORIES:
-                    raise ValueError(
-                        f"household type {household_type!r} budgets unknown category {category!r}"
-                    )
-                if value < 0:
-                    raise ValueError(
-                        f"household type {household_type!r} has negative budget for {category!r}"
-                    )
 
 
 @dataclass(frozen=True)
@@ -175,61 +148,22 @@ class ScenarioSpec:
         if unknown:
             raise ValueError(f"unknown categories in spec {self.name!r}: {sorted(unknown)}")
         for category, target in self.category_targets.items():
-            if target is not None and target < 0:
-                raise ValueError(f"negative target for {category!r} in spec {self.name!r}")
+            if target is not None and not (math.isfinite(target) and target >= 0.0):
+                raise ValueError(f"target for {category!r} in spec {self.name!r} must be "
+                                 f"finite and nonnegative, got {target}")
         if self.government_factor is not None and not 0.0 <= self.government_factor <= 1.0:
             raise ValueError(f"government factor must be in [0, 1], got {self.government_factor}")
 
 
-@dataclass(frozen=True)
-class CofogEntry:
-    function: str
-    spending: float
-    included: bool
-
-
-@dataclass(frozen=True)
-class CofogTable:
-    """Government spending by function, with scenario inclusion flags."""
-
-    entries: tuple[CofogEntry, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for entry in self.entries:
-            if entry.spending < 0:
-                raise ValueError(f"negative spending for function {entry.function!r}")
-
-
-def aggregate_household_budgets(table: HouseholdBudgetTable, counts: dict[str, float],
-                                weeks_per_year: float = WEEKS_PER_YEAR) -> dict[str, float]:
-    """Annual national totals: budget x household count x weeks, per category."""
-    if weeks_per_year <= 0:
-        raise ValueError(f"weeks_per_year must be positive, got {weeks_per_year}")
-    missing = set(table.rows) - set(counts)
-    if missing:
-        raise MissingHouseholdType(f"no counts for household types: {sorted(missing)}")
-    totals = {category: 0.0 for category in SPENDING_CATEGORIES}
-    for household_type, budgets in table.rows.items():
-        count = counts[household_type]
-        for category, weekly in budgets.items():
-            totals[category] += weekly * count * weeks_per_year
-    return totals
-
-
-def baseline_category_totals(y_base: np.ndarray, concordance: CategoryConcordance,
-                             index: RegionSectorIndex, *,
-                             codes: np.ndarray | None = None) -> dict[str, float]:
+def baseline_category_totals(y_base: np.ndarray, codes: np.ndarray,
+                             index: RegionSectorIndex) -> dict[str, float]:
     """Per-category sums of a spending vector over the 12 sector categories.
 
-    Every sector carrying demand must be sorted; an unsorted sector with
-    nonzero demand voids the premise that unsorted sectors are inactive.
-    ``codes``, when given, is ``concordance.codes(index)``, made once per
-    account by a caller with many vectors.
+    ``codes`` is ``CategoryConcordance.codes(index)``. Every sector carrying
+    demand must be sorted; an unsorted sector with nonzero demand voids the
+    premise that unsorted sectors are inactive.
     """
     y = np.asarray(y_base, dtype=float)
-    if codes is None:
-        codes = concordance.codes(index)
     unsorted = len(CONSUMPTION_SPENDING_CATEGORIES)
     offending = np.flatnonzero((codes == unsorted) & (y != 0.0))
     if offending.size:
@@ -282,10 +216,8 @@ def resolve_targets(spec: ScenarioSpec, baseline: dict[str, float]) -> dict[str,
     return targets
 
 
-def apply_scenario(y_base: np.ndarray, gfcf_base: np.ndarray,
-                   concordance: CategoryConcordance, spec: ScenarioSpec,
-                   index: RegionSectorIndex, *,
-                   codes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def apply_scenario(y_base: np.ndarray, gfcf_base: np.ndarray, codes: np.ndarray,
+                   spec: ScenarioSpec, index: RegionSectorIndex) -> tuple[np.ndarray, np.ndarray]:
     """Rescale a baseline demand vector and capital-formation vector to a spec.
 
     Each sector's demand is multiplied by its category's factor, so
@@ -295,9 +227,7 @@ def apply_scenario(y_base: np.ndarray, gfcf_base: np.ndarray,
     """
     y = np.asarray(y_base, dtype=float)
     gfcf = np.asarray(gfcf_base, dtype=float)
-    if codes is None:
-        codes = concordance.codes(index)
-    baseline = baseline_category_totals(y, concordance, index, codes=codes)
+    baseline = baseline_category_totals(y, codes, index)
     baseline[GFCF_CATEGORY] = float(gfcf.sum())
     targets = resolve_targets(spec, baseline)
     factors = category_scaling_factors(
@@ -325,24 +255,6 @@ def scale_gfcf(gfcf_base: np.ndarray, target_total: float) -> np.ndarray:
             f"capital-formation target {target_total} with zero baseline total"
         )
     return gfcf * (target_total / base_total)
-
-
-def government_factor(cofog: CofogTable) -> float:
-    """Share of eligible government spending retained by a scenario."""
-    total = sum(entry.spending for entry in cofog.entries)
-    if not cofog.entries or total <= 0.0:
-        raise EmptyCofogTable("no eligible government spending to scale against")
-    included = sum(entry.spending for entry in cofog.entries if entry.included)
-    return included / total
-
-
-def gfcf_depreciation_target(gdp: float, rate: float) -> float:
-    """Capital formation needed to cover depreciation only: gdp x rate."""
-    if gdp <= 0:
-        raise ValueError(f"gdp must be positive, got {gdp}")
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"depreciation rate must be in (0, 1), got {rate}")
-    return gdp * rate
 
 
 def dining_out_adjustment(food_total: float, fraction: float) -> tuple[float, float]:
@@ -412,36 +324,12 @@ def load_concordance(path: str | Path, sectors) -> CategoryConcordance:
         sector, category = row[0].strip(), row[1].strip()
         if sector in mapping:
             raise ParseError(f"sector {sector!r} listed twice", path=str(path), row=lineno)
+        try:
+            _check_category(sector, category)
+        except ValueError as exc:
+            raise ParseError(str(exc), path=str(path), row=lineno) from None
         mapping[sector] = category
     # Rows for sectors the account does not carry are tolerated so one
     # concordance file can serve differently trimmed tables.
     known = set(sectors)
-    mapping = {s: c for s, c in mapping.items() if s in known}
-    return CategoryConcordance.for_sectors(mapping, sectors)
-
-
-def load_cofog(path: str | Path) -> CofogTable:
-    """Read a three-column (function, spending, included) file."""
-    path = Path(path)
-    entries: list[CofogEntry] = []
-    truthy = {"1", "true", "yes", "included"}
-    falsy = {"0", "false", "no", "excluded"}
-    for lineno, row in _data_rows(path):
-        if len(row) < 3:
-            raise ParseError("expected three columns (function, spending, included)",
-                             path=str(path), row=lineno)
-        try:
-            spending = float(row[1])
-        except ValueError:
-            raise ParseError(f"non-numeric spending {row[1]!r}",
-                             path=str(path), row=lineno, column=2) from None
-        flag = row[2].strip().lower()
-        if flag in truthy:
-            included = True
-        elif flag in falsy:
-            included = False
-        else:
-            raise ParseError(f"unrecognised inclusion flag {row[2]!r}",
-                             path=str(path), row=lineno, column=3)
-        entries.append(CofogEntry(function=row[0].strip(), spending=spending, included=included))
-    return CofogTable(entries=tuple(entries))
+    return CategoryConcordance({s: c for s, c in mapping.items() if s in known})

@@ -71,14 +71,14 @@ def test_criterion_3_additivity_suite():
         for n_regions, n_sectors, seed in ((3, 5, 7), (2, 13, 1), (1, 1, 0), (6, 8, 42)):
             account = fixtures.fixture(n_regions, n_sectors, seed)
             index = account.index
-            concordance = fixtures.fixture_category_concordance(index)
+            codes = fixtures.fixture_category_concordance(index).codes(index)
             groups = fixtures.fixture_sector_groups(index)
             params = fixtures.fixture_conversion_params()
             operator = algebra.factorize(
                 algebra.technical_coefficients(account.Z, account.x))
             y = model.select_demand(account, model.consumption_selection("R0"))
             gfcf = model.select_demand(account, model.gfcf_selection("R0"))
-            parts = indicators.decompose_demand_by_category(y, gfcf, concordance, index)
+            parts = indicators.decompose_demand_by_category(y, gfcf, codes)
             q = operator.apply(y + gfcf)
 
             for variant in indicators.report_variants(account, operator,
@@ -86,7 +86,8 @@ def test_criterion_3_additivity_suite():
                 report = indicators.build_footprint_report(
                     account=account, variant=variant, q=q,
                     demand_by_category=parts, home_region="R0", groups=groups,
-                    params=params, scenario_name="baseline")
+                    group_codes=groups.codes(index), params=params,
+                    scenario_name="baseline")
                 if report.total == 0.0:
                     continue
                 assert _rel(report.by_origin.total, report.total) <= 1e-9
@@ -103,10 +104,10 @@ def test_criterion_4_scenario_conformance():
         for seed in range(10):
             account = fixtures.fixture(seed % 3 + 1, 13, seed)
             index = account.index
-            concordance = fixtures.fixture_category_concordance(index)
+            codes = fixtures.fixture_category_concordance(index).codes(index)
             y = model.select_demand(account, model.consumption_selection("R0"))
             gfcf = model.select_demand(account, model.gfcf_selection("R0"))
-            baseline = scenario.baseline_category_totals(y, concordance, index)
+            baseline = scenario.baseline_category_totals(y, codes, index)
 
             targets: dict[str, float | None] = {
                 c: (float(rng.uniform(0.0, 2.5)) * baseline[c] if baseline[c] > 0 else 0.0)
@@ -115,8 +116,8 @@ def test_criterion_4_scenario_conformance():
             targets[scenario.GFCF_CATEGORY] = float(rng.uniform(0.0, 2.5) * gfcf.sum())
             spec = scenario.ScenarioSpec(name="random", home_region="R0",
                                          category_targets=targets)
-            y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, concordance, spec, index)
-            scaled = scenario.baseline_category_totals(y_scen, concordance, index)
+            y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, codes, spec, index)
+            scaled = scenario.baseline_category_totals(y_scen, codes, index)
             for category, target in targets.items():
                 if category == scenario.GFCF_CATEGORY:
                     achieved = float(gfcf_scen.sum())
@@ -128,8 +129,7 @@ def test_criterion_4_scenario_conformance():
             identity = scenario.ScenarioSpec(
                 name="identity", home_region="R0",
                 category_targets={c: None for c in scenario.SPENDING_CATEGORIES})
-            y_same, gfcf_same = scenario.apply_scenario(y, gfcf, concordance,
-                                                        identity, index)
+            y_same, gfcf_same = scenario.apply_scenario(y, gfcf, codes, identity, index)
             np.testing.assert_array_equal(y_same, y)
             np.testing.assert_array_equal(gfcf_same, gfcf)
 

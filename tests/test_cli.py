@@ -332,6 +332,55 @@ class TestCompare:
         assert "'labour'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("selection", [",", ""])
+    @pytest.mark.parametrize("verb", ["compare", "footprint"])
+    def test_extensions_naming_none_exits_one(self, fixture_dir, tmp_path, capsys,
+                                              monkeypatch, verb, selection):
+        def no_ingest(*args):
+            raise AssertionError("ingest ran before --extensions was checked")
+        monkeypatch.setattr(fileio, "ingest", no_ingest)
+        rc = main([verb, "--layout", str(fixture_dir / "layout.json"),
+                   "--params", str(fixture_dir / "params.json"),
+                   "--out", str(tmp_path / "out"),
+                   "--scenario", str(fixture_dir / "scenarios" / "baseline.json"),
+                   "--extensions", selection])
+        assert rc == 1
+        assert f"--extensions {selection!r} names no extension" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf")])
+    def test_non_finite_target_exits_one(self, fixture_dir, tmp_path, capsys, target):
+        spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
+        spec["name"] = "odd"
+        spec["category_targets"]["Housing"] = target
+        # json writes NaN and Infinity, which its reader accepts.
+        (fixture_dir / "scenarios" / "odd.json").write_text(json.dumps(spec))
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "odd"]) == 1
+        err = capsys.readouterr().err
+        assert "odd.json" in err and "'Housing'" in err and "finite" in err
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("category", ["Yachts", "Gross fixed capital formation"])
+    def test_concordance_category_outside_the_sector_categories_exits_one(
+            self, fixture_dir, tmp_path, capsys, category):
+        path = fixture_dir / "category_concordance.tsv"
+        lines = path.read_text().splitlines(True)
+        lines[2] = f"S2\t{category}\n"
+        path.write_text("".join(lines))
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline"]) == 1
+        err = capsys.readouterr().err
+        assert "'S2'" in err and "category_concordance.tsv, row 3" in err
+
+    @pytest.mark.parametrize("field", ["working_age_population", "total_population"])
+    def test_non_finite_population_exits_one(self, fixture_dir, tmp_path, capsys, field):
+        path = fixture_dir / "params.json"
+        params = json.loads(path.read_text())
+        params[field] = float("nan")
+        path.write_text(json.dumps(params))
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline"]) == 1
+        err = capsys.readouterr().err
+        assert "params.json" in err and "finite and positive" in err
+
 
 SCENARIOS = ["baseline", "halved"]
 

@@ -107,6 +107,15 @@ class TestParseErrors:
             fileio.ingest(layout_path)
         assert (excinfo.value.row, excinfo.value.column) == (3, 2)
 
+    def test_repeated_direct_use_region(self, written_set, tmp_path):
+        _, layout_path = written_set
+        direct_path = tmp_path / "direct_energy.tsv"
+        direct_path.write_text(direct_path.read_text() + "R0\t1000\n")
+        with pytest.raises(ParseError, match="'R0' listed twice") as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.path.endswith("direct_energy.tsv")
+        assert excinfo.value.row == 4
+
     def test_extension_with_missing_column(self, written_set, tmp_path):
         _, layout_path = written_set
         ext_path = tmp_path / "ext_energy.tsv"

@@ -1,4 +1,4 @@
-"""Indicator tests: conversions, splits, category attribution, materials.
+"""Indicator tests: conversions, splits, category attribution, material variants.
 
 Unit-conversion anchor: a working-age person averaging 19.6 hours per week
 over ~52.18 calendar weeks works 1022.7 hours per year, which is
@@ -20,7 +20,6 @@ from mrio_footprint.errors import (
     UnitMismatch,
     UnmappedSector,
     UnknownRegion,
-    UnflaggedStressor,
     ZeroEmbeddedBase,
 )
 from mrio_footprint.indicators import ConversionParams, OriginSplit, SectorGroupConcordance
@@ -95,7 +94,8 @@ class TestSectorGroups:
     def test_single_group_carries_total(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
         groups = SectorGroupConcordance({"S0": "services", "S1": "services"}, ("services",))
-        totals = indicators.aggregate_by_sector_group(np.array([2.0, 3.0]), groups, index)
+        totals = indicators.aggregate_by_sector_group(
+            np.array([2.0, 3.0]), groups, groups.codes(index))
         assert totals == {"services": 5.0}
 
     def test_hand_assignment(self):
@@ -103,19 +103,21 @@ class TestSectorGroups:
         groups = SectorGroupConcordance({"S0": "goods", "S1": "services"},
                                         ("goods", "services"))
         totals = indicators.aggregate_by_sector_group(
-            np.array([1.0, 2.0, 4.0, 8.0]), groups, index)
+            np.array([1.0, 2.0, 4.0, 8.0]), groups, groups.codes(index))
         assert totals == {"goods": 5.0, "services": 10.0}
 
     def test_unmapped_sector(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
         groups = SectorGroupConcordance({"S0": "goods"}, ("goods",))
         with pytest.raises(UnmappedSector, match="S1"):
-            indicators.aggregate_by_sector_group(np.array([1.0, 2.0]), groups, index)
+            indicators.aggregate_by_sector_group(np.array([1.0, 2.0]), groups,
+                                                 groups.codes(index))
 
     def test_group_total_preserved(self, account_357):
         groups = fixtures.fixture_sector_groups(account_357.index)
         by_source = np.linspace(0.0, 1.0, account_357.index.n)
-        totals = indicators.aggregate_by_sector_group(by_source, groups, account_357.index)
+        totals = indicators.aggregate_by_sector_group(
+            by_source, groups, groups.codes(account_357.index))
         assert sum(totals.values()) == pytest.approx(float(by_source.sum()), rel=1e-12)
 
 
@@ -127,7 +129,7 @@ class TestSectorGroups:
         for flat, (_, sector) in enumerate(account_357.index.labels()):
             expected[groups.mapping[sector]] += float(by_source[flat])
         assert indicators.aggregate_by_sector_group(
-            by_source, groups, account_357.index) == expected
+            by_source, groups, groups.codes(account_357.index)) == expected
 
 
     def test_sector_listed_twice_is_a_parse_error(self, tmp_path):
@@ -187,11 +189,10 @@ class TestCategoryAttribution:
         assert sum(attributed.values()) == pytest.approx(total, rel=1e-9)
 
     def test_partition_sums_to_whole(self, account_357):
-        concordance = fixtures.fixture_category_concordance(account_357.index)
+        codes = fixtures.fixture_category_concordance(account_357.index).codes(account_357.index)
         y = model.select_demand(account_357, model.consumption_selection("R0"))
         gfcf = model.select_demand(account_357, model.gfcf_selection("R0"))
-        parts = indicators.decompose_demand_by_category(
-            y, gfcf, concordance, account_357.index)
+        parts = indicators.decompose_demand_by_category(y, gfcf, codes)
         assert set(parts) == set(scenario.SPENDING_CATEGORIES)
         np.testing.assert_allclose(sum(parts.values()), y + gfcf, rtol=0, atol=0)
 
@@ -212,21 +213,47 @@ class TestDirectUse:
 
 
 class TestMaterialIndicators:
-    def test_no_unused_extraction(self):
-        totals = indicators.material_indicators(
-            {"ores": 4.0, "biomass": 6.0}, {"ores": "used", "biomass": "used"})
-        assert totals.tmc == totals.mf == 10.0
+    """report_variants gives a flagged material extension a -tmc report over
+    every row and a -mf report over the used rows."""
+
+    @staticmethod
+    def _variants(flags):
+        index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
+        Z = np.array([[1.0, 2.0], [3.0, 1.0]])
+        x = np.array([10.0, 10.0])
+        materials = model.ExtensionAccount(
+            name="materials", unit="kt", stressors=("ores", "overburden"),
+            rows=np.array([[2.0, 4.0], [1.0, 3.0]]), kind="material",
+            material_flags=flags)
+        account = model.MrioAccount(
+            index=index, Z=Z, Y=np.zeros((2, 0)), y_columns=(), x=x,
+            extensions={"materials": materials}, year=2012)
+        operator = algebra.LeontiefOperator(Z, x)
+        # Demand x - Z 1 = [7, 6] needs gross output x, so each row's
+        # footprint is its row sum: ores 6, overburden 4.
+        y = x - Z.sum(axis=1)
+        return {v.name: (v.labels, float(v.multipliers @ y))
+                for v in indicators.report_variants(account, operator, ["materials"])}
 
     def test_hand_sum(self):
-        totals = indicators.material_indicators(
-            {"used stuff": 5.0, "overburden": 3.0},
-            {"used stuff": "used", "overburden": "unused"})
-        assert totals.tmc == 8.0 and totals.mf == 5.0
-        assert totals.mf <= totals.tmc
+        variants = self._variants({"ores": "used", "overburden": "unused"})
+        assert list(variants) == ["materials-tmc", "materials-mf"]
+        labels, tmc = variants["materials-tmc"]
+        assert labels == ("ores", "overburden")
+        assert tmc == pytest.approx(6.0 + 4.0, rel=1e-12)
+        labels, mf = variants["materials-mf"]
+        assert labels == ("ores",)
+        assert mf == pytest.approx(6.0, rel=1e-12)
 
-    def test_unflagged_stressor(self):
-        with pytest.raises(UnflaggedStressor):
-            indicators.material_indicators({"mystery": 1.0}, {})
+    def test_no_unused_extraction(self):
+        variants = self._variants({"ores": "used", "overburden": "used"})
+        assert variants["materials-tmc"][1] == pytest.approx(10.0, rel=1e-12)
+        assert variants["materials-mf"][1] == pytest.approx(10.0, rel=1e-12)
+
+    def test_no_mf_report_without_used_rows(self):
+        variants = self._variants({"ores": "unused", "overburden": "unused"})
+        assert list(variants) == ["materials-tmc"]
+        assert variants["materials-tmc"][1] == pytest.approx(10.0, rel=1e-12)
 
 
 class TestCompareReports:
@@ -265,20 +292,21 @@ class TestReportAdditivity:
 
     @pytest.fixture()
     def report(self, account_357):
-        concordance = fixtures.fixture_category_concordance(account_357.index)
+        codes = fixtures.fixture_category_concordance(account_357.index).codes(account_357.index)
         groups = fixtures.fixture_sector_groups(account_357.index)
         params = fixtures.fixture_conversion_params()
         A = algebra.technical_coefficients(account_357.Z, account_357.x)
         op = algebra.factorize(A)
         y = model.select_demand(account_357, model.consumption_selection("R0"))
         gfcf = model.select_demand(account_357, model.gfcf_selection("R0"))
-        parts = indicators.decompose_demand_by_category(
-            y, gfcf, concordance, account_357.index)
+        parts = indicators.decompose_demand_by_category(y, gfcf, codes)
         [labour] = indicators.report_variants(account_357, op, ["labour"])
         return indicators.build_footprint_report(
             account=account_357, variant=labour, q=op.apply(y + gfcf),
             demand_by_category=parts,
-            home_region="R0", groups=groups, params=params, scenario_name="baseline")
+            home_region="R0", groups=groups,
+            group_codes=groups.codes(account_357.index), params=params,
+            scenario_name="baseline")
 
     def test_origin_additivity(self, report):
         assert report.by_origin.total == pytest.approx(report.total, rel=1e-9)
@@ -298,21 +326,21 @@ class TestReportAdditivity:
             name="labour", unit="hours",
             stressors=account_357.extensions["labour"].stressors,
             rows=account_357.extensions["labour"].rows * 2.0, kind="labour")
-        concordance = fixtures.fixture_category_concordance(account_357.index)
+        codes = fixtures.fixture_category_concordance(account_357.index).codes(account_357.index)
         groups = fixtures.fixture_sector_groups(account_357.index)
         params = fixtures.fixture_conversion_params()
         op = algebra.factorize(
             algebra.technical_coefficients(account_357.Z, account_357.x))
         y = model.select_demand(account_357, model.consumption_selection("R0"))
         gfcf = model.select_demand(account_357, model.gfcf_selection("R0"))
-        parts = indicators.decompose_demand_by_category(
-            y, gfcf, concordance, account_357.index)
+        parts = indicators.decompose_demand_by_category(y, gfcf, codes)
         doubled_account = dataclasses.replace(account_357, extensions={"labour": doubled_ext})
         [doubled_labour] = indicators.report_variants(doubled_account, op, ["labour"])
         doubled = indicators.build_footprint_report(
             account=account_357, variant=doubled_labour, q=op.apply(y + gfcf),
             demand_by_category=parts, home_region="R0", groups=groups,
-            params=params, scenario_name="baseline")
+            group_codes=groups.codes(account_357.index), params=params,
+            scenario_name="baseline")
         assert doubled.total == pytest.approx(2 * report.total, rel=1e-12)
         for group in report.by_sector_group:
             assert doubled.by_sector_group[group] == pytest.approx(

@@ -1,4 +1,4 @@
-"""Scenario-engine tests: budgets, factors, scaling, and the shipped specs.
+"""Scenario-engine tests: factors, scaling, and the shipped specs.
 
 Reference ratios implied by the shipped 2012 scenario data (spending in
 millions of 2012 euros):
@@ -16,8 +16,7 @@ import pytest
 
 from mrio_footprint import fileio, fixtures, indicators, model, scenario
 from mrio_footprint.errors import (
-    EmptyCofogTable,
-    MissingHouseholdType,
+    ParseError,
     UnsortedNonzeroDemand,
     ZeroBaselineNonzeroTarget,
 )
@@ -26,9 +25,6 @@ from mrio_footprint.scenario import (
     GFCF_CATEGORY,
     SPENDING_CATEGORIES,
     CategoryConcordance,
-    CofogEntry,
-    CofogTable,
-    HouseholdBudgetTable,
     ScenarioSpec,
 )
 
@@ -50,37 +46,15 @@ def concordance_357(account_357):
     return fixtures.fixture_category_concordance(account_357.index)
 
 
-class TestHouseholdBudgets:
-    def test_single_type(self):
-        table = HouseholdBudgetTable({"single": {scenario.GROCERIES: 100.0}})
-        totals = scenario.aggregate_household_budgets(table, {"single": 10}, weeks_per_year=52)
-        assert totals[scenario.GROCERIES] == pytest.approx(52_000.0)
-
-    def test_two_types_hand_sum(self):
-        # 100*2*10 + 50*4*10 = 4000
-        table = HouseholdBudgetTable({
-            "A": {scenario.GROCERIES: 100.0},
-            "B": {scenario.GROCERIES: 50.0},
-        })
-        totals = scenario.aggregate_household_budgets(table, {"A": 2, "B": 4},
-                                                      weeks_per_year=10)
-        assert totals[scenario.GROCERIES] == pytest.approx(4000.0)
-
-    def test_zero_counts(self):
-        table = HouseholdBudgetTable({"A": {scenario.CLOTHING: 30.0}})
-        totals = scenario.aggregate_household_budgets(table, {"A": 0})
-        assert all(v == 0.0 for v in totals.values())
-
-    def test_missing_household_type(self):
-        table = HouseholdBudgetTable({"A": {scenario.CLOTHING: 30.0}})
-        with pytest.raises(MissingHouseholdType):
-            scenario.aggregate_household_budgets(table, {})
+@pytest.fixture()
+def codes_357(account_357, concordance_357):
+    return concordance_357.codes(account_357.index)
 
 
 class TestBaselineCategoryTotals:
-    def test_hand_sums(self, account_357, demand_357, concordance_357):
+    def test_hand_sums(self, account_357, demand_357, concordance_357, codes_357):
         y, _ = demand_357
-        totals = scenario.baseline_category_totals(y, concordance_357, account_357.index)
+        totals = scenario.baseline_category_totals(y, codes_357, account_357.index)
         for category in CONSUMPTION_SPENDING_CATEGORIES:
             expected = sum(
                 y[flat] for flat, (_, sector) in enumerate(account_357.index.labels())
@@ -91,25 +65,22 @@ class TestBaselineCategoryTotals:
 
     def test_single_category_holds_everything(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
-        concordance = CategoryConcordance.for_sectors(
-            {"S0": scenario.HOUSING, "S1": scenario.HOUSING}, index.sectors)
+        concordance = CategoryConcordance({"S0": scenario.HOUSING, "S1": scenario.HOUSING})
         totals = scenario.baseline_category_totals(
-            np.array([3.0, 4.0]), concordance, index)
+            np.array([3.0, 4.0]), concordance.codes(index), index)
         assert totals[scenario.HOUSING] == 7.0
         assert all(v == 0.0 for c, v in totals.items() if c != scenario.HOUSING)
 
     def test_unsorted_sector_with_demand_is_loud(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
-        concordance = CategoryConcordance.for_sectors({"S0": scenario.HOUSING},
-                                                      index.sectors)
+        codes = CategoryConcordance({"S0": scenario.HOUSING}).codes(index)
         with pytest.raises(UnsortedNonzeroDemand, match="S1"):
-            scenario.baseline_category_totals(np.array([1.0, 2.0]), concordance, index)
+            scenario.baseline_category_totals(np.array([1.0, 2.0]), codes, index)
 
     def test_unsorted_sector_with_zero_demand_is_fine(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
-        concordance = CategoryConcordance.for_sectors({"S0": scenario.HOUSING},
-                                                      index.sectors)
-        totals = scenario.baseline_category_totals(np.array([1.0, 0.0]), concordance, index)
+        codes = CategoryConcordance({"S0": scenario.HOUSING}).codes(index)
+        totals = scenario.baseline_category_totals(np.array([1.0, 0.0]), codes, index)
         assert totals[scenario.HOUSING] == 1.0
 
 
@@ -120,7 +91,7 @@ class TestCategoryCodes:
         index = account_357.index
         mapping = dict(fixtures.fixture_category_concordance(index).mapping)
         del mapping["S1"]
-        concordance = CategoryConcordance.for_sectors(mapping, index.sectors)
+        codes = CategoryConcordance(mapping).codes(index)
         y, gfcf = demand_357
         y = y.copy()
         y[[index.lookup(region, "S1") for region in index.regions]] = 0.0
@@ -129,7 +100,7 @@ class TestCategoryCodes:
         for flat, (_, sector) in enumerate(index.labels()):
             if sector in mapping:
                 totals[mapping[sector]] += float(y[flat])
-        assert scenario.baseline_category_totals(y, concordance, index) == totals
+        assert scenario.baseline_category_totals(y, codes, index) == totals
 
         targets = {category: (k + 1) / 5 * total
                    for k, (category, total) in enumerate(totals.items())}
@@ -140,7 +111,7 @@ class TestCategoryCodes:
         for flat, (_, sector) in enumerate(index.labels()):
             if sector in mapping:
                 per_sector[flat] = factors[mapping[sector]]
-        y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, concordance, spec, index)
+        y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, codes, spec, index)
         assert y_scen.tobytes() == (y * per_sector).tobytes()
 
         parts = {category: np.zeros(index.n) for category in SPENDING_CATEGORIES}
@@ -148,8 +119,7 @@ class TestCategoryCodes:
             if sector in mapping:
                 parts[mapping[sector]][flat] = y_scen[flat]
         parts[GFCF_CATEGORY] = gfcf_scen.copy()
-        decomposed = indicators.decompose_demand_by_category(
-            y_scen, gfcf_scen, concordance, index)
+        decomposed = indicators.decompose_demand_by_category(y_scen, gfcf_scen, codes)
         assert list(decomposed) == list(parts)
         for category, part in parts.items():
             assert decomposed[category].tobytes() == part.tobytes()
@@ -187,24 +157,24 @@ class TestScalingFactors:
 
 class TestApplyScenario:
     def test_identity_reproduces_baseline_elementwise(self, account_357, demand_357,
-                                                      concordance_357):
+                                                      codes_357):
         y, gfcf = demand_357
         y_scen, gfcf_scen = scenario.apply_scenario(
-            y, gfcf, concordance_357, identity_spec(), account_357.index)
+            y, gfcf, codes_357, identity_spec(), account_357.index)
         np.testing.assert_array_equal(y_scen, y)
         np.testing.assert_array_equal(gfcf_scen, gfcf)
 
     def test_halved_category_touches_only_its_sectors(self, account_357, demand_357,
-                                                      concordance_357):
+                                                      concordance_357, codes_357):
         y, gfcf = demand_357
         index = account_357.index
-        baseline = scenario.baseline_category_totals(y, concordance_357, index)
+        baseline = scenario.baseline_category_totals(y, codes_357, index)
         target_category = concordance_357.mapping[index.sectors[0]]
         targets: dict[str, float | None] = {c: None for c in SPENDING_CATEGORIES}
         targets[target_category] = 0.5 * baseline[target_category]
         spec = ScenarioSpec(name="halved", home_region="R0", category_targets=targets)
 
-        y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, concordance_357, spec, index)
+        y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, codes_357, spec, index)
         for flat, (_, sector) in enumerate(index.labels()):
             if concordance_357.mapping[sector] == target_category:
                 assert y_scen[flat] == pytest.approx(0.5 * y[flat], rel=1e-12)
@@ -212,10 +182,10 @@ class TestApplyScenario:
                 assert y_scen[flat] == y[flat]
         np.testing.assert_array_equal(gfcf_scen, gfcf)
 
-    def test_mixed_factors_hit_targets(self, account_357, demand_357, concordance_357):
+    def test_mixed_factors_hit_targets(self, account_357, demand_357, codes_357):
         y, gfcf = demand_357
         index = account_357.index
-        baseline = scenario.baseline_category_totals(y, concordance_357, index)
+        baseline = scenario.baseline_category_totals(y, codes_357, index)
         # Double one category, halve another, zero a third.
         touched = [c for c in CONSUMPTION_SPENDING_CATEGORIES if baseline[c] > 0][:3]
         factors = dict(zip(touched, (2.0, 0.5, 0.0)))
@@ -224,22 +194,22 @@ class TestApplyScenario:
             targets[category] = factor * baseline[category]
         spec = ScenarioSpec(name="mixed", home_region="R0", category_targets=targets)
 
-        y_scen, _ = scenario.apply_scenario(y, gfcf, concordance_357, spec, index)
-        scaled = scenario.baseline_category_totals(y_scen, concordance_357, index)
+        y_scen, _ = scenario.apply_scenario(y, gfcf, codes_357, spec, index)
+        scaled = scenario.baseline_category_totals(y_scen, codes_357, index)
         for category in CONSUMPTION_SPENDING_CATEGORIES:
             expected = factors.get(category, 1.0) * baseline[category]
             assert scaled[category] == pytest.approx(expected, rel=1e-9)
 
     def test_composition_preserved_within_category(self, account_357, demand_357,
-                                                   concordance_357):
+                                                   concordance_357, codes_357):
         y, gfcf = demand_357
         index = account_357.index
-        baseline = scenario.baseline_category_totals(y, concordance_357, index)
+        baseline = scenario.baseline_category_totals(y, codes_357, index)
         category = concordance_357.mapping[index.sectors[0]]
         targets: dict[str, float | None] = {c: None for c in SPENDING_CATEGORIES}
         targets[category] = 1.7 * baseline[category]
         spec = ScenarioSpec(name="scaled", home_region="R0", category_targets=targets)
-        y_scen, _ = scenario.apply_scenario(y, gfcf, concordance_357, spec, index)
+        y_scen, _ = scenario.apply_scenario(y, gfcf, codes_357, spec, index)
 
         members = [flat for flat, (_, s) in enumerate(index.labels())
                    if concordance_357.mapping[s] == category and y[flat] > 0]
@@ -252,18 +222,18 @@ class TestApplyScenario:
         for seed in range(5):
             account = fixtures.fixture(2, 13, seed)
             index = account.index
-            concordance = fixtures.fixture_category_concordance(index)
+            codes = fixtures.fixture_category_concordance(index).codes(index)
             y = model.select_demand(account, model.consumption_selection("R0"))
             gfcf = model.select_demand(account, model.gfcf_selection("R0"))
-            baseline = scenario.baseline_category_totals(y, concordance, index)
+            baseline = scenario.baseline_category_totals(y, codes, index)
             targets = {
                 c: (rng.uniform(0.0, 2.0) * baseline[c] if baseline[c] > 0 else 0.0)
                 for c in CONSUMPTION_SPENDING_CATEGORIES
             }
             targets[GFCF_CATEGORY] = rng.uniform(0.0, 2.0) * float(gfcf.sum())
             spec = ScenarioSpec(name="random", home_region="R0", category_targets=targets)
-            y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, concordance, spec, index)
-            scaled = scenario.baseline_category_totals(y_scen, concordance, index)
+            y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, codes, spec, index)
+            scaled = scenario.baseline_category_totals(y_scen, codes, index)
             for category in CONSUMPTION_SPENDING_CATEGORIES:
                 assert scaled[category] == pytest.approx(targets[category], rel=1e-9, abs=1e-12)
             assert float(gfcf_scen.sum()) == pytest.approx(targets[GFCF_CATEGORY], rel=1e-9)
@@ -287,59 +257,19 @@ class TestGfcf:
             scenario.scale_gfcf(np.zeros(2), 10.0)
 
 
-class TestGovernmentFactor:
-    def test_everything_included(self):
-        table = CofogTable((CofogEntry("health", 10.0, True),
-                            CofogEntry("public order", 5.0, True)))
-        assert scenario.government_factor(table) == 1.0
-
-    def test_hand_ratio(self):
-        table = CofogTable((CofogEntry("f1", 60.0, True), CofogEntry("f2", 40.0, False)))
-        assert scenario.government_factor(table) == pytest.approx(0.6)
-
-    def test_defence_share_matches_shipped_factor(self):
-        # Removing defence (~27.6% of eligible spending) leaves the 0.724
-        # factor carried by the shipped good-life spec.
-        table = CofogTable((CofogEntry("defence", 178590.0 - 129328.0, False),
-                            CofogEntry("everything else", 129328.0, True)))
-        assert scenario.government_factor(table) == pytest.approx(0.724, abs=1e-3)
-
-    def test_empty_table(self):
-        with pytest.raises(EmptyCofogTable):
-            scenario.government_factor(CofogTable(()))
-
-    def test_factor_fills_absent_public_admin_target(self, account_357, demand_357,
-                                                     concordance_357):
-        y, gfcf = demand_357
-        index = account_357.index
-        baseline = scenario.baseline_category_totals(y, concordance_357, index)
-        baseline[GFCF_CATEGORY] = float(gfcf.sum())
-        spec = ScenarioSpec(
-            name="pruned-government", home_region="R0",
-            category_targets={c: None for c in SPENDING_CATEGORIES},
-            government_factor=0.6,
-        )
-        targets = scenario.resolve_targets(spec, baseline)
-        assert targets[scenario.PUBLIC_ADMIN] == pytest.approx(
-            0.6 * baseline[scenario.PUBLIC_ADMIN], rel=1e-12)
-
-
-class TestDepreciationTarget:
-    def test_direct_product(self):
-        assert scenario.gfcf_depreciation_target(1000.0, 0.135) == pytest.approx(135.0)
-
-    def test_rate_bounds(self):
-        with pytest.raises(ValueError):
-            scenario.gfcf_depreciation_target(1000.0, 0.0)
-        with pytest.raises(ValueError):
-            scenario.gfcf_depreciation_target(-1.0, 0.1)
-
-    def test_back_solves_shipped_capital_target(self):
-        # The shipped good-life capital-formation total (287,695) at a 13.5%
-        # depreciation rate implies a 2012 GDP of ~2,131,074.
-        implied_gdp = 287_695.0 / 0.135
-        assert implied_gdp == pytest.approx(2_131_074.0, abs=1.0)
-        assert scenario.gfcf_depreciation_target(implied_gdp, 0.135) == pytest.approx(287_695.0)
+def test_factor_fills_absent_public_admin_target(account_357, demand_357, codes_357):
+    y, gfcf = demand_357
+    index = account_357.index
+    baseline = scenario.baseline_category_totals(y, codes_357, index)
+    baseline[GFCF_CATEGORY] = float(gfcf.sum())
+    spec = ScenarioSpec(
+        name="pruned-government", home_region="R0",
+        category_targets={c: None for c in SPENDING_CATEGORIES},
+        government_factor=0.6,
+    )
+    targets = scenario.resolve_targets(spec, baseline)
+    assert targets[scenario.PUBLIC_ADMIN] == pytest.approx(
+        0.6 * baseline[scenario.PUBLIC_ADMIN], rel=1e-12)
 
 
 class TestDiningOutAdjustment:
@@ -377,24 +307,6 @@ class TestDiningOutAdjustment:
 
 
 class TestFileFormats:
-    def test_cofog_round_trip(self, tmp_path):
-        path = tmp_path / "cofog.tsv"
-        path.write_text(
-            "# function\tspending\tincluded\n"
-            "defence\t40\tno\n"
-            "public order\t35\tyes\n"
-            "executive\t25\t1\n"
-        )
-        table = scenario.load_cofog(path)
-        assert scenario.government_factor(table) == pytest.approx(0.6)
-
-    def test_cofog_bad_flag(self, tmp_path):
-        path = tmp_path / "cofog.tsv"
-        path.write_text("defence\t40\tmaybe\n")
-        from mrio_footprint.errors import ParseError
-        with pytest.raises(ParseError):
-            scenario.load_cofog(path)
-
     def test_concordance_file(self, tmp_path):
         path = tmp_path / "cats.tsv"
         path.write_text(
@@ -404,17 +316,18 @@ class TestFileFormats:
         )
         concordance = scenario.load_concordance(path, ["S0", "S1"])
         assert concordance.mapping == {"S0": scenario.HOUSING}
-        assert concordance.unsorted == frozenset({"S1"})
+        index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
+        unsorted = len(CONSUMPTION_SPENDING_CATEGORIES)
+        assert concordance.codes(index).tolist() == [
+            CONSUMPTION_SPENDING_CATEGORIES.index(scenario.HOUSING), unsorted]
 
     def test_scenario_spec_rejects_bad_json(self, tmp_path):
-        from mrio_footprint.errors import ParseError
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ParseError):
             scenario.load_scenario_spec(path)
 
     def test_scenario_spec_rejects_unknown_category(self, tmp_path):
-        from mrio_footprint.errors import ParseError
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
             "name": "bad", "home_region": "R0",
