@@ -9,20 +9,25 @@ The quantity model used throughout the package:
 
 The kernels do not modify their inputs. Solves go through one reusable LU
 factorization of (I - A), built from Z and x without forming A; the explicit
-inverse is never built. A LeontiefOperator without a store keeps its LU
-unchanged after construction; one with a store may replace its LU and write
-the store inside a solve, so concurrent callers must not share it unlocked.
+inverse is never built. The LU and its solves are LAPACK's dgetrf and dgetrs,
+called through the compiled wrappers that scipy.linalg.lu_factor and lu_solve
+call, loaded without the scipy.linalg package. A LeontiefOperator without a
+store keeps its LU unchanged after construction; one with a store may replace
+its LU and write the store inside a solve, so concurrent callers must not
+share it unlocked.
 """
 
 from __future__ import annotations
 
 import ctypes
-import warnings
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import DimensionMismatch, NegativeEntry, UnproductiveEconomy
 
@@ -38,6 +43,55 @@ SOLVE_RESIDUAL_RTOL = 1e-10
 # max(q) < 1 / PRODUCTIVITY_MARGIN, i.e. a spectral radius bound below
 # 1 - PRODUCTIVITY_MARGIN.
 PRODUCTIVITY_MARGIN = 1e-6
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, without running scipy.linalg's package
+    init, which costs more than numpy's own import. ``import scipy`` alone has
+    put scipy's OpenBLAS where the loader finds it."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"{name} not found in the scipy at {scipy.__path__[0]}")
+    module = importlib.util.module_from_spec(spec)
+    # Registered, so a later scipy.linalg import shares this module.
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+
+
+def lu_factor(a: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(lu, piv) of a float64 matrix by LAPACK dgetrf, bit for bit what
+    ``scipy.linalg.lu_factor`` returns: L and U in one Fortran-ordered array,
+    and 0-based pivots. ``a`` is overwritten only when it is Fortran-ordered
+    float64 and ``overwrite_a`` is set. An exactly singular matrix gives a zero
+    on U's diagonal and no error; the solves' checks decide about it."""
+    if np.size(a) == 0:  # LAPACK rejects an empty matrix, scipy does not
+        return np.empty(np.shape(a), order="F"), np.empty(0, dtype=np.int32)
+    lu, piv, info = _flapack.dgetrf(a, overwrite_a=overwrite_a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
+    return lu, piv
+
+
+def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray,
+             trans: int = 0) -> np.ndarray:
+    """Solve a x = b (``trans`` 0) or a^T x = b (``trans`` 1) for a vector or
+    a block b, given ``lu_factor(a)``, by LAPACK dgetrs, bit for bit as
+    ``scipy.linalg.lu_solve``."""
+    if np.size(b) == 0:
+        return np.empty(np.shape(b))
+    lu, piv = lu_and_piv
+    x, info = _flapack.dgetrs(lu, piv, b, trans=trans)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
+    return x
 
 
 def _as_square(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -145,18 +199,15 @@ class LeontiefOperator:
         np.subtract(0.0, system, out=system)
         diagonal = np.arange(self.dim)
         system[diagonal, diagonal] += 1.0
-        # Singular systems surface as UnproductiveEconomy via the residual
-        # checks; scipy's warning would just be noise before that.
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore", LinAlgWarning)
-            return lu_factor(system, overwrite_a=True, check_finite=False)
+        # Singular systems surface as UnproductiveEconomy via the residual checks.
+        return lu_factor(system, overwrite_a=True)
 
     def _solve(self, rhs: np.ndarray, trans: int, check) -> np.ndarray:
         """lu_solve, accepted by ``check``; a saved LU that fails is replaced once."""
         while True:
             try:
                 with np.errstate(all="ignore"):
-                    solution = lu_solve(self._lu, rhs, trans=trans, check_finite=False)
+                    solution = lu_solve(self._lu, rhs, trans=trans)
                     check(solution)
                 break
             except UnproductiveEconomy:
@@ -232,13 +283,12 @@ def factorization_identity() -> str | None:
     versions, and the build, CPU core and thread count of the OpenBLAS that
     scipy's LAPACK calls. None when that BLAS cannot be identified."""
     try:
-        from scipy.linalg import _flapack
         # Symbol lookup in scipy's LAPACK module also searches the OpenBLAS
         # it is linked against.
         openblas = ctypes.CDLL(_flapack.__file__)
         config, core, threads = (getattr(openblas, f"scipy_openblas_{name}")
                                  for name in ("get_config", "get_corename", "get_num_threads"))
-    except (ImportError, OSError, AttributeError):
+    except (OSError, AttributeError):
         return None
     for function, restype in ((config, ctypes.c_char_p), (core, ctypes.c_char_p),
                               (threads, ctypes.c_int)):

@@ -425,6 +425,9 @@ def _write_comparison(path: Path, rows_by_extension: dict[str, list]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    # nan would pass every row, since no comparison with it is true.
+    if not args.tol >= 0:
+        raise MrioError(f"--tol {args.tol:g} is not a nonnegative number")
     layout_path = Path(args.layout)
     if not layout_path.exists():
         raise FileNotFoundError(str(layout_path))

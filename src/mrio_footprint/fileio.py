@@ -95,6 +95,13 @@ class Layout:
         return self.base_dir / name
 
 
+def _positive(value, what: str, path: Path) -> float:
+    number = float(value)
+    if not (np.isfinite(number) and number > 0):
+        raise ParseError(f"{what} is {value!r}; it must be finite and positive", path=str(path))
+    return number
+
+
 def load_layout(path: str | Path) -> Layout:
     path = Path(path)
     try:
@@ -115,7 +122,8 @@ def load_layout(path: str | Path) -> Layout:
                 kind=e.get("kind"),
                 direct_file=e.get("direct_file"),
                 workers_per_unit=(None if e.get("workers_per_unit") is None
-                                  else float(e["workers_per_unit"])),
+                                  else _positive(e["workers_per_unit"],
+                                                 f"workers_per_unit of {e['name']!r}", path)),
                 material_flags=e.get("material_flags"),
             )
             for e in raw.get("extensions", [])
@@ -125,18 +133,21 @@ def load_layout(path: str | Path) -> Layout:
                           note=str(w.get("note", "")))
             for w in raw.get("ingest_warnings", [])
         )
+        year = raw["year"]
+        if isinstance(year, bool) or not isinstance(year, int):
+            raise ParseError(f"year {year!r} is not an integer", path=str(path))
         return Layout(
             base_dir=path.parent,
             delimiter=_DELIMITERS[delimiter_name],
-            year=int(raw["year"]),
+            year=year,
             currency_unit=str(raw.get("currency_unit", "")),
             transactions=str(raw["files"]["transactions"]),
             final_demand=str(raw["files"]["final_demand"]),
             total_output=str(raw["files"]["total_output"]),
             extensions=extensions,
-            hours_per_worker_year=float(
-                raw.get("hours_per_worker_year", DEFAULT_HOURS_PER_WORKER_YEAR)
-            ),
+            hours_per_worker_year=_positive(
+                raw.get("hours_per_worker_year", DEFAULT_HOURS_PER_WORKER_YEAR),
+                "hours_per_worker_year", path),
             ingest_warnings=warnings,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -527,7 +538,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
                         path=str(layout_path))
         direct = None
         if entry.direct_file is not None:
-            direct = _read_direct(layout.path(entry.direct_file), delim)
+            direct = _read_direct(layout.path(entry.direct_file), delim, index.regions)
         extensions[entry.name] = ExtensionAccount(
             name=entry.name, unit=unit,
             stressors=stressors,
@@ -542,7 +553,9 @@ def ingest(layout_path: str | Path) -> IngestResult:
                         system_entries=(z_entry, x_entry))
 
 
-def _read_direct(path: Path, delimiter: str) -> dict[str, float]:
+def _read_direct(path: Path, delimiter: str, regions: tuple[str, ...]) -> dict[str, float]:
+    """A direct-use file's value for each of the account's ``regions``; each
+    must be listed exactly once."""
     rows = _read_rows(path, delimiter)
     direct: dict[str, float] = {}
     for lineno, row in enumerate(rows[1:], start=2):
@@ -560,9 +573,15 @@ def _read_direct(path: Path, delimiter: str) -> dict[str, float]:
             raise ParseError(f"non-finite value {row[1]!r}", path=str(path),
                              row=lineno, column=2)
         region = row[0].strip()
+        if region not in regions:
+            raise ParseError(f"region {region!r} is not a region of the account",
+                             path=str(path), row=lineno)
         if region in direct:
             raise ParseError(f"region {region!r} listed twice", path=str(path), row=lineno)
         direct[region] = value
+    for region in regions:
+        if region not in direct:
+            raise ParseError(f"region {region!r} has no direct-use row", path=str(path))
     return direct
 
 

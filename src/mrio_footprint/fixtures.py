@@ -14,8 +14,8 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
+from .algebra import lu_factor, lu_solve
 from .fileio import _writer, write_account
 from .indicators import ConversionParams, SectorGroupConcordance
 from .model import (

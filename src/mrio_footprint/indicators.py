@@ -372,9 +372,11 @@ def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.n
         by_skill = aggregate_by_skill(by_stressor)
         hours_week = hours_per_week_equivalent(total, params)
 
+    # Split first: it rejects a home region that is not an account region.
+    by_origin = split_origin(by_source, home_region, account.index)
     direct = None
     if variant.has_direct_use:
-        base_direct = float(extension.direct.get(home_region, 0.0))
+        base_direct = float(extension.direct[home_region])
         if baseline_embedded is None:
             direct = base_direct
         else:
@@ -387,7 +389,7 @@ def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.n
         home_region=home_region,
         total=total,
         per_capita=per_capita(total, params.total_population),
-        by_origin=split_origin(by_source, home_region, account.index),
+        by_origin=by_origin,
         by_sector_group=aggregate_by_sector_group(by_source, groups, group_codes),
         by_category=attribute_by_category(variant.multipliers, demand_by_category),
         params=params,

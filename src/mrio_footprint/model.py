@@ -108,8 +108,9 @@ class RegionSectorIndex:
 class ExtensionAccount:
     """One satellite account: stressor rows over all region-sectors.
 
-    ``direct`` carries optional per-region direct-use values (household fuel
-    burning, residential energy) that sit outside the inter-industry system.
+    ``direct`` carries optional direct-use values, one for each region of the
+    account (household fuel burning, residential energy), that sit outside
+    the inter-industry system.
     ``kind`` selects indicator behaviour downstream: "labour" reports get
     skill splits and hours-per-week conversion, "energy"/"emissions" get
     direct-use scaling, "material" gets used/unused totals via

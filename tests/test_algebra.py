@@ -16,6 +16,7 @@ Hand-verified 2x2 case used throughout:
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import lu_factor
 
 from _oracles import power_series_solve, random_productive_matrix, relative_error
@@ -118,6 +119,38 @@ class TestLeontiefSolve:
             algebra.leontief_solve(np.zeros((2, 3)), Y_HAND)
         with pytest.raises(DimensionMismatch):
             algebra.factorize(np.zeros(2))
+
+
+class TestLapackWrappers:
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("rhs", ["vector", "block", "transposed block"])
+    def test_bit_identical_to_scipy_linalg(self, rng, trans, rhs):
+        n = 80
+        system = np.eye(n) - random_productive_matrix(rng, n)
+        b = {"vector": lambda: rng.uniform(size=n),
+             "block": lambda: rng.uniform(size=(n, 3)),
+             # What multipliers passes: the transpose of a C-ordered block.
+             "transposed block": lambda: rng.uniform(size=(3, n)).T}[rhs]()
+        lu, piv = algebra.lu_factor(system)
+        expected_lu, expected_piv = scipy.linalg.lu_factor(system)
+        assert lu.tobytes() == expected_lu.tobytes()
+        assert piv.tobytes() == expected_piv.tobytes() and piv.dtype == expected_piv.dtype
+        solution = algebra.lu_solve((lu, piv), b, trans=trans)
+        expected = scipy.linalg.lu_solve((expected_lu, expected_piv), b, trans=trans)
+        assert solution.shape == expected.shape
+        assert solution.tobytes() == expected.tobytes()
+
+    def test_factorizes_a_fortran_buffer_in_place(self, rng):
+        system = np.asfortranarray(np.eye(6) - random_productive_matrix(rng, 6))
+        expected_lu, _ = scipy.linalg.lu_factor(system)
+        lu, _ = algebra.lu_factor(system, overwrite_a=True)
+        assert np.shares_memory(lu, system)
+        assert lu.tobytes() == expected_lu.tobytes()
+
+    def test_empty_system(self):
+        lu, piv = algebra.lu_factor(np.zeros((0, 0)))
+        assert lu.shape == (0, 0) and piv.shape == (0,)
+        assert algebra.lu_solve((lu, piv), np.zeros(0)).shape == (0,)
 
 
 class TestLeontiefOperator:

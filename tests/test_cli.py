@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrio_footprint
 from mrio_footprint import algebra, fileio, model
 from mrio_footprint.cli import main
 
@@ -105,6 +109,28 @@ class TestValidate:
         assert "0 violation(s)" in out and "— UNPRODUCTIVE" in out
         payload = json.loads((out_dir / "validation.json").read_text())
         assert payload["productivity"] == {"spectral_radius": None, "productive": False}
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_nan_or_negative_tol_exits_one_before_ingest(self, fixture_dir, capsys,
+                                                        monkeypatch, tol):
+        def no_ingest(*args):
+            raise AssertionError("ingest ran before --tol was checked")
+        monkeypatch.setattr(fileio, "ingest", no_ingest)
+        assert main(["validate", "--layout", str(fixture_dir / "layout.json"),
+                     "--tol", tol]) == 1
+        assert f"--tol {tol} is not a nonnegative number" in capsys.readouterr().err
+
+    def test_infinite_tol_passes_every_row(self, fixture_dir, capsys):
+        x_path = fixture_dir / "x.tsv"
+        lines = x_path.read_text().splitlines(True)
+        region, sector, value = lines[1].rstrip("\n").split("\t")
+        lines[1] = f"{region}\t{sector}\t{float(value) * 1.5!r}\n"
+        x_path.write_text("".join(lines))
+        layout = str(fixture_dir / "layout.json")
+        assert main(["validate", "--layout", layout]) == 2
+        assert "1 violation(s)" in capsys.readouterr().out
+        assert main(["validate", "--layout", layout, "--tol", "inf"]) == 0
+        assert "0 violation(s)" in capsys.readouterr().out
 
     def test_missing_file_exits_one_with_path(self, tmp_path, capsys):
         missing = tmp_path / "nowhere" / "layout.json"
@@ -371,6 +397,40 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "'S2'" in err and "category_concordance.tsv, row 3" in err
 
+    def test_home_region_with_demand_but_no_sectors_exits_one(self, fixture_dir, tmp_path,
+                                                              capsys):
+        # Final-demand columns may name a region that owns no sector; as home
+        # region it has no direct use and no domestic block.
+        y_path = fixture_dir / "y.tsv"
+        header, rest = y_path.read_text().split("\n", 1)
+        y_path.write_text(header.replace("R2", "R9") + "\n" + rest)
+        rc = main(["footprint", "--layout", str(fixture_dir / "layout.json"),
+                   "--scenario", str(fixture_dir / "scenarios" / "baseline.json"),
+                   "--params", str(fixture_dir / "params.json"),
+                   "--out", str(tmp_path / "out"), "--home-region", "R9",
+                   "--extensions", "energy"])
+        assert rc == 1
+        assert "unknown region 'R9'" in capsys.readouterr().err
+
+    def test_direct_use_without_the_home_region_exits_one(self, fixture_dir, tmp_path, capsys):
+        path = fixture_dir / "direct_energy.tsv"
+        lines = path.read_text().splitlines(True)
+        path.write_text("".join(line for line in lines if not line.startswith("R0\t")))
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline"]) == 1
+        err = capsys.readouterr().err
+        assert "'R0'" in err and "direct_energy.tsv" in err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_non_finite_workers_per_unit_exits_one(self, fixture_dir, tmp_path, capsys):
+        path = fixture_dir / "layout.json"
+        layout = json.loads(path.read_text())
+        (labour,) = (e for e in layout["extensions"] if e["name"] == "labour")
+        labour["workers_per_unit"] = float("nan")
+        path.write_text(json.dumps(layout))
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline"]) == 1
+        err = capsys.readouterr().err
+        assert "layout.json" in err and "workers_per_unit" in err and "spectral" not in err
+
     @pytest.mark.parametrize("field", ["working_age_population", "total_population"])
     def test_non_finite_population_exits_one(self, fixture_dir, tmp_path, capsys, field):
         path = fixture_dir / "params.json"
@@ -495,6 +555,37 @@ class TestFactorizationCache:
         assert run_compare(fixture_dir, tmp_path / "cmp", SCENARIOS) == 0
         assert main(["validate", "--layout", str(fixture_dir / "layout.json")]) == 0
         assert len(lu_factor_calls) == 1
+
+
+# Every verb in one fresh interpreter; the last line of its output is a JSON
+# list of the exit codes and whether scipy.linalg was imported.
+EVERY_VERB = """
+import json, sys
+from mrio_footprint.cli import main
+out = sys.argv[1]
+fx = out + "/fx"
+run = ["--layout", fx + "/layout.json", "--params", fx + "/params.json",
+       "--scenario", fx + "/scenarios/baseline.json"]
+codes = [main(["fixture", "--regions", "3", "--sectors", "5", "--seed", "7", "--out", fx]),
+         main(["validate", "--layout", fx + "/layout.json", "--out", out + "/validate"]),
+         main(["footprint", *run, "--out", out + "/footprint"]),
+         main(["compare", *run, "--scenario", fx + "/scenarios/halved.json",
+               "--out", out + "/compare"])]
+print(json.dumps([codes, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_no_verb_imports_scipy_linalg(tmp_path):
+    # The LU and its solves need scipy's LAPACK wrappers only; importing the
+    # scipy.linalg package would double the start-up time of a warm run.
+    source = str(Path(mrio_footprint.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [source, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", EVERY_VERB, str(tmp_path)],
+                            env=env, capture_output=True, text=True, check=True)
+    codes, imported = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert not imported
 
 
 class TestFixtureCommand:

@@ -116,6 +116,25 @@ class TestParseErrors:
         assert excinfo.value.path.endswith("direct_energy.tsv")
         assert excinfo.value.row == 4
 
+    def test_direct_use_without_a_region(self, written_set, tmp_path):
+        _, layout_path = written_set
+        direct_path = tmp_path / "direct_energy.tsv"
+        lines = direct_path.read_text().splitlines(True)
+        assert lines[1].startswith("R0\t")
+        direct_path.write_text("".join(lines[:1] + lines[2:]))
+        with pytest.raises(ParseError, match="'R0' has no direct-use row") as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.path.endswith("direct_energy.tsv")
+
+    def test_direct_use_of_a_region_outside_the_account(self, written_set, tmp_path):
+        _, layout_path = written_set
+        direct_path = tmp_path / "direct_energy.tsv"
+        direct_path.write_text(direct_path.read_text() + "R9\t5\n")
+        with pytest.raises(ParseError, match="'R9' is not a region") as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.path.endswith("direct_energy.tsv")
+        assert excinfo.value.row == 4
+
     def test_extension_with_missing_column(self, written_set, tmp_path):
         _, layout_path = written_set
         ext_path = tmp_path / "ext_energy.tsv"
@@ -230,6 +249,26 @@ class TestLayoutFeatures:
         np.testing.assert_allclose(
             converted.rows, account.extensions["labour"].rows * 2_000_000.0, rtol=1e-15)
         assert converted.unit == "hours"
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers_per_unit", float("nan")), ("workers_per_unit", float("inf")),
+        ("workers_per_unit", 0.0), ("workers_per_unit", -1000.0),
+        ("hours_per_worker_year", float("nan")), ("hours_per_worker_year", float("-inf")),
+        ("hours_per_worker_year", 0.0),
+        ("year", 2012.7), ("year", "2012"), ("year", True),
+    ])
+    def test_bad_layout_number_names_the_layout(self, written_set, field, value):
+        _, layout_path = written_set
+        descriptor = json.loads(layout_path.read_text())
+        if field == "workers_per_unit":
+            descriptor["extensions"][0][field] = value
+        else:
+            descriptor[field] = value
+        # json writes NaN and Infinity, which its reader accepts.
+        layout_path.write_text(json.dumps(descriptor))
+        with pytest.raises(ParseError, match=field) as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.path == str(layout_path)
 
     def test_known_quirks_become_warnings(self, written_set, tmp_path):
         _, layout_path = written_set
