@@ -41,7 +41,6 @@ from .indicators import (
     aggregate_by_skill,
     attribute_by_category,
     build_footprint_report,
-    compare_reports,
     decompose_demand_by_category,
     direct_use_scaled,
     hours_per_week_equivalent,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, fileio, fixtures, indicators, model, scenario
-from .errors import MrioError, UnknownScenario
+from .errors import MrioError, ParseError, UnknownScenario
 from .indicators import ConversionParams, FootprintReport, ReportVariant, SectorGroupConcordance
 from .model import MrioAccount
 from .scenario import ScenarioSpec
@@ -35,6 +35,9 @@ _FMT = fileio._fmt
 # corresponding flags are not given.
 DEFAULT_CATEGORY_CONCORDANCE = "category_concordance.tsv"
 DEFAULT_SECTOR_GROUPS = "sector_groups.tsv"
+
+# What compare writes next to the scenario directories.
+COMPARE_OUTPUTS = ("comparison.csv", "plots")
 
 
 @dataclass(frozen=True)
@@ -90,18 +93,6 @@ class RunConfig:
         )
 
 
-@dataclass(frozen=True)
-class PlotSeries:
-    """Stacked-bar data for one figure analogue: label -> nonnegative value."""
-
-    figure: str
-    scenario: str
-    extension: str
-    unit: str
-    segments: tuple[tuple[str, float], ...]
-    shares: tuple[float, ...] | None = None
-
-
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -141,24 +132,27 @@ def _load(config: RunConfig) -> LoadedData:
                       group_codes=groups.codes(account.index))
 
 
-def _load_specs(config: RunConfig, one_home_region: bool) -> list[ScenarioSpec]:
+def _load_specs(config: RunConfig, compare: bool) -> list[ScenarioSpec]:
     """Every scenario spec of a run; two specs may not share a name.
 
-    With ``one_home_region`` (compare's deltas and per-capita values assume
-    one population) the specs must also share a home region, unless
-    --home-region overrides them all.
+    For ``compare`` no spec may be named after compare's own outputs, and
+    the specs must share a home region (the deltas and per-capita values
+    assume one population), unless --home-region overrides them all.
     """
     paths = config.scenario_paths
     specs: list[ScenarioSpec] = []
     seen: dict[str, Path] = {}
     for path in paths:
         spec = scenario.load_scenario_spec(path)
+        if compare and spec.name in COMPARE_OUTPUTS:
+            raise ParseError(f"scenario name {spec.name!r} is the name of an output "
+                             "of compare", path=str(path))
         if spec.name in seen:
             raise MrioError(f"scenario name {spec.name!r} is used by both "
                             f"{seen[spec.name]} and {path}")
         seen[spec.name] = path
         specs.append(spec)
-    if one_home_region and config.home_region is None:
+    if compare and config.home_region is None:
         first, first_path = specs[0], paths[0]
         for spec, path in zip(specs, paths):
             if spec.home_region != first.home_region:
@@ -221,13 +215,13 @@ def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
     ]
 
 
-def _run(args, one_home_region: bool = False) -> tuple[
+def _run(args, compare: bool = False) -> tuple[
         RunConfig, LoadedData, Iterator[tuple[ScenarioSpec, list[FootprintReport]]]]:
     """The shared run of ``footprint`` and ``compare``: checks the specs and
     loads the inputs, then iterates over each scenario's reports, written to
     the scenario's directory as made."""
     config = RunConfig.from_args(args)
-    specs = _load_specs(config, one_home_region)
+    specs = _load_specs(config, compare)
     data = _load(config)
 
     def reports_by_scenario():
@@ -239,7 +233,8 @@ def _run(args, one_home_region: bool = False) -> tuple[
             reports = _scenario_reports(data, spec, home_region, baselines[home_region])
             out_dir = config.out_dir / spec.name
             out_dir.mkdir(parents=True, exist_ok=True)
-            _write_report_csv(out_dir / "report.csv", reports)
+            _write_csv(out_dir / "report.csv", REPORT_HEADER,
+                       [row for report in reports for row in _report_rows(report)])
             _write_summary(out_dir / "summary.txt", config, spec, home_region, data, reports)
             yield spec, reports
 
@@ -250,47 +245,46 @@ def _run(args, one_home_region: bool = False) -> tuple[
 # Emission
 # ---------------------------------------------------------------------------
 
-def _report_rows(report: FootprintReport) -> list[list[str]]:
-    rows = [[report.scenario, report.extension_name, "total", "",
-             _FMT(report.total), report.unit]]
-    rows.append([report.scenario, report.extension_name, "per-capita", "",
-                 _FMT(report.per_capita), f"{report.unit}/person/year"])
-    if report.hours_week_equivalent is not None:
-        rows.append([report.scenario, report.extension_name, "hours-week-equivalent", "",
-                     _FMT(report.hours_week_equivalent), "hours/week"])
-    for label, value in (("domestic", report.by_origin.domestic),
-                         ("imported", report.by_origin.imported)):
-        rows.append([report.scenario, report.extension_name, "origin", label,
-                     _FMT(value), report.unit])
-    for label, value in report.by_sector_group.items():
-        rows.append([report.scenario, report.extension_name, "sector-group", label,
-                     _FMT(value), report.unit])
-    if report.by_skill is not None:
-        for label, value in report.by_skill.items():
-            rows.append([report.scenario, report.extension_name, "skill", label,
-                         _FMT(value), report.unit])
-    for label, value in report.by_category.items():
-        rows.append([report.scenario, report.extension_name, "category", label,
-                     _FMT(value), report.unit])
-    if report.by_stressor is not None:
-        for label, value in report.by_stressor.items():
-            rows.append([report.scenario, report.extension_name, "stressor", label,
-                         _FMT(value), report.unit])
-    if report.direct_use is not None:
-        rows.append([report.scenario, report.extension_name, "direct-use", "",
-                     _FMT(report.direct_use), report.unit])
-    return rows
-
-
 REPORT_HEADER = ["scenario", "extension", "dimension", "label", "value", "unit"]
+COMPARISON_HEADER = ["extension", "scenario", "total", "per_capita", "hours_week_equivalent",
+                     "domestic", "imported", "import_share", "direct_use", "delta_total",
+                     "delta_per_capita"]
+PLOT_HEADER = ["figure", "scenario", "extension", "segment", "value", "share", "unit"]
 
 
-def _write_report_csv(path: Path, reports: list[FootprintReport]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         out = csv.writer(handle, lineterminator="\n")
-        out.writerow(REPORT_HEADER)
-        for report in reports:
-            out.writerows(_report_rows(report))
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def _optional(value: float | None) -> str:
+    return "" if value is None else _FMT(value)
+
+
+def _report_rows(report: FootprintReport) -> list[list[str]]:
+    rows = []
+
+    def add(dimension: str, label: str, value: float, unit: str = report.unit) -> None:
+        rows.append([report.scenario, report.extension_name, dimension, label,
+                     _FMT(value), unit])
+
+    add("total", "", report.total)
+    add("per-capita", "", report.per_capita, f"{report.unit}/person/year")
+    if report.hours_week_equivalent is not None:
+        add("hours-week-equivalent", "", report.hours_week_equivalent, "hours/week")
+    add("origin", "domestic", report.by_origin.domestic)
+    add("origin", "imported", report.by_origin.imported)
+    for dimension, values in (("sector-group", report.by_sector_group),
+                              ("skill", report.by_skill),
+                              ("category", report.by_category),
+                              ("stressor", report.by_stressor)):
+        for label, value in (values or {}).items():
+            add(dimension, label, value)
+    if report.direct_use is not None:
+        add("direct-use", "", report.direct_use)
+    return rows
 
 
 def _write_summary(path: Path, config: RunConfig, spec: ScenarioSpec,
@@ -324,100 +318,58 @@ def _write_summary(path: Path, config: RunConfig, spec: ScenarioSpec,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _labour_reports(reports: list[FootprintReport]) -> list[FootprintReport]:
-    return [r for r in reports if r.hours_week_equivalent is not None]
+def _comparison_rows(reports_per_scenario: list[list[FootprintReport]]):
+    """One row per report, extension-major, with deltas against the first
+    scenario. Every scenario's reports follow ``data.variants`` order."""
+    for aligned in zip(*reports_per_scenario):
+        first = aligned[0]
+        for r in aligned:
+            yield [r.extension_name, r.scenario, _FMT(r.total), _FMT(r.per_capita),
+                   _optional(r.hours_week_equivalent), _FMT(r.by_origin.domestic),
+                   _FMT(r.by_origin.imported), _FMT(r.by_origin.import_share),
+                   _optional(r.direct_use), _FMT(r.total - first.total),
+                   _FMT(r.per_capita - first.per_capita)]
 
 
-def build_plot_series(reports_by_scenario: dict[str, list[FootprintReport]],
-                      params: ConversionParams) -> list[PlotSeries]:
-    """Plot-ready stacked series mirroring the five result figures.
+def _plot_rows(reports_per_scenario: list[list[FootprintReport]],
+               params: ConversionParams) -> dict[str, list[list[str]]]:
+    """Plot-ready stacked series mirroring the five result figures, by figure.
 
     Figures 1-4 cover labour (by category, origin, sector group, skill);
     figure 5 covers per-capita resource footprints split by origin plus
     direct use. Segment sums reproduce the underlying report totals (for
-    figure 5, embedded plus direct use).
+    figure 5, embedded plus direct use); figures 3 and 4 also give each
+    segment's percentage share.
     """
-    series: list[PlotSeries] = []
-    for name, reports in reports_by_scenario.items():
-        for report in _labour_reports(reports):
-            to_week = lambda v: indicators.hours_per_week_equivalent(v, params)
-            series.append(PlotSeries(
-                figure="fig1", scenario=name, extension=report.extension_name,
-                unit="hours/week",
-                segments=tuple((c, to_week(v)) for c, v in report.by_category.items()),
-            ))
-            series.append(PlotSeries(
-                figure="fig2", scenario=name, extension=report.extension_name,
-                unit="hours/week",
-                segments=(("domestic", to_week(report.by_origin.domestic)),
-                          ("imported", to_week(report.by_origin.imported))),
-            ))
-            group_items = tuple(report.by_sector_group.items())
-            series.append(PlotSeries(
-                figure="fig3", scenario=name, extension=report.extension_name,
-                unit=report.unit, segments=group_items,
-                shares=_shares([v for _, v in group_items]),
-            ))
-            skill_items = tuple((report.by_skill or {}).items())
-            series.append(PlotSeries(
-                figure="fig4", scenario=name, extension=report.extension_name,
-                unit=report.unit, segments=skill_items,
-                shares=_shares([v for _, v in skill_items]),
-            ))
+    figures: dict[str, list[list[str]]] = {}
+
+    def add(figure: str, report: FootprintReport, unit: str, segments, shares=False) -> None:
+        total = sum(value for _, value in segments)
+        for label, value in segments:
+            share = ""
+            if shares:
+                share = _FMT(100.0 * value / total if total != 0.0 else 0.0)
+            figures.setdefault(figure, []).append(
+                [figure, report.scenario, report.extension_name, label, _FMT(value), share, unit])
+
+    population = params.total_population
+    to_week = lambda v: indicators.hours_per_week_equivalent(v, params)
+    for reports in reports_per_scenario:
         for report in reports:
-            if report.hours_week_equivalent is not None:
+            origin = (("domestic", report.by_origin.domestic),
+                      ("imported", report.by_origin.imported))
+            if report.hours_week_equivalent is None:
+                segments = [(label, value / population) for label, value in origin]
+                if report.direct_use is not None:
+                    segments.append(("direct use", report.direct_use / population))
+                add("fig5", report, f"{report.unit}/person/year", segments)
                 continue
-            segments = [
-                ("domestic", report.by_origin.domestic / params.total_population),
-                ("imported", report.by_origin.imported / params.total_population),
-            ]
-            if report.direct_use is not None:
-                segments.append(("direct use", report.direct_use / params.total_population))
-            series.append(PlotSeries(
-                figure="fig5", scenario=name, extension=report.extension_name,
-                unit=f"{report.unit}/person/year", segments=tuple(segments),
-            ))
-    return series
-
-
-def _shares(values: list[float]) -> tuple[float, ...]:
-    total = sum(values)
-    if total == 0.0:
-        return tuple(0.0 for _ in values)
-    return tuple(100.0 * v / total for v in values)
-
-
-def _write_plot_series(out_dir: Path, series: list[PlotSeries]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    by_figure: dict[str, list[PlotSeries]] = {}
-    for s in series:
-        by_figure.setdefault(s.figure, []).append(s)
-    for figure, group in by_figure.items():
-        with (out_dir / f"{figure}.csv").open("w", newline="", encoding="utf-8") as handle:
-            out = csv.writer(handle, lineterminator="\n")
-            out.writerow(["figure", "scenario", "extension", "segment", "value", "share", "unit"])
-            for s in group:
-                shares = s.shares if s.shares is not None else [""] * len(s.segments)
-                for (label, value), share in zip(s.segments, shares):
-                    out.writerow([s.figure, s.scenario, s.extension, label, _FMT(value),
-                                  _FMT(share) if share != "" else "", s.unit])
-
-
-def _write_comparison(path: Path, rows_by_extension: dict[str, list]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        out = csv.writer(handle, lineterminator="\n")
-        out.writerow(["extension", "scenario", "total", "per_capita",
-                      "hours_week_equivalent", "domestic", "imported", "import_share",
-                      "direct_use", "delta_total", "delta_per_capita"])
-        for extension, rows in rows_by_extension.items():
-            for row in rows:
-                out.writerow([
-                    extension, row.scenario, _FMT(row.total), _FMT(row.per_capita),
-                    "" if row.hours_week_equivalent is None else _FMT(row.hours_week_equivalent),
-                    _FMT(row.domestic), _FMT(row.imported), _FMT(row.import_share),
-                    "" if row.direct_use is None else _FMT(row.direct_use),
-                    _FMT(row.delta_total), _FMT(row.delta_per_capita),
-                ])
+            add("fig1", report, "hours/week",
+                [(c, to_week(v)) for c, v in report.by_category.items()])
+            add("fig2", report, "hours/week", [(label, to_week(v)) for label, v in origin])
+            add("fig3", report, report.unit, list(report.by_sector_group.items()), shares=True)
+            add("fig4", report, report.unit, list((report.by_skill or {}).items()), shares=True)
+    return figures
 
 
 # ---------------------------------------------------------------------------
@@ -491,24 +443,16 @@ def cmd_footprint(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config, data, runs = _run(args, one_home_region=True)
-    reports_by_scenario = {spec.name: reports for spec, reports in runs}
-
-    report_names = [r.extension_name for r in next(iter(reports_by_scenario.values()))]
-    rows_by_extension = {}
-    for name in report_names:
-        aligned = [
-            next(r for r in reports if r.extension_name == name)
-            for reports in reports_by_scenario.values()
-        ]
-        rows_by_extension[name] = indicators.compare_reports(aligned)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_comparison(config.out_dir / "comparison.csv", rows_by_extension)
-
-    series = build_plot_series(reports_by_scenario, data.params)
-    _write_plot_series(config.out_dir / "plots", series)
-    print(f"compared {len(reports_by_scenario)} scenario(s) over "
-          f"{len(report_names)} report(s)")
+    config, data, runs = _run(args, compare=True)
+    reports_per_scenario = [reports for _, reports in runs]
+    _write_csv(config.out_dir / "comparison.csv", COMPARISON_HEADER,
+               _comparison_rows(reports_per_scenario))
+    plots = config.out_dir / "plots"
+    plots.mkdir(exist_ok=True)
+    for figure, rows in _plot_rows(reports_per_scenario, data.params).items():
+        _write_csv(plots / f"{figure}.csv", PLOT_HEADER, rows)
+    print(f"compared {len(reports_per_scenario)} scenario(s) over "
+          f"{len(data.variants)} report(s)")
     return 0
 
 

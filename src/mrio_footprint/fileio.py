@@ -83,7 +83,6 @@ class Layout:
     base_dir: Path
     delimiter: str
     year: int
-    currency_unit: str
     transactions: str
     final_demand: str
     total_output: str
@@ -102,6 +101,14 @@ def _positive(value, what: str, path: Path) -> float:
     return number
 
 
+def _of_type(value, kind: type, what: str, path: Path):
+    """``value`` if it is None or of JSON type ``kind`` (str or dict)."""
+    if value is not None and not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a string"
+        raise ParseError(f"{what} is {value!r}; it must be {expected}", path=str(path))
+    return value
+
+
 def load_layout(path: str | Path) -> Layout:
     path = Path(path)
     try:
@@ -110,6 +117,8 @@ def load_layout(path: str | Path) -> Layout:
         raise
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid layout descriptor: {exc}", path=str(path)) from exc
+    if not isinstance(raw, dict):
+        raise ParseError("invalid layout descriptor: not a JSON object", path=str(path))
     try:
         delimiter_name = raw.get("delimiter", "tab")
         if delimiter_name not in _DELIMITERS:
@@ -120,11 +129,13 @@ def load_layout(path: str | Path) -> Layout:
                 file=str(e["file"]),
                 unit=str(e.get("unit", "")),
                 kind=e.get("kind"),
-                direct_file=e.get("direct_file"),
+                direct_file=_of_type(e.get("direct_file"), str,
+                                     f"direct_file of {e['name']!r}", path),
                 workers_per_unit=(None if e.get("workers_per_unit") is None
                                   else _positive(e["workers_per_unit"],
                                                  f"workers_per_unit of {e['name']!r}", path)),
-                material_flags=e.get("material_flags"),
+                material_flags=_of_type(e.get("material_flags"), dict,
+                                        f"material_flags of {e['name']!r}", path),
             )
             for e in raw.get("extensions", [])
         )
@@ -140,7 +151,6 @@ def load_layout(path: str | Path) -> Layout:
             base_dir=path.parent,
             delimiter=_DELIMITERS[delimiter_name],
             year=year,
-            currency_unit=str(raw.get("currency_unit", "")),
             transactions=str(raw["files"]["transactions"]),
             final_demand=str(raw["files"]["final_demand"]),
             total_output=str(raw["files"]["total_output"]),
@@ -610,8 +620,7 @@ def _write_grid(path: Path, delimiter: str, headers: list[list[str]],
 
 
 def write_account(account: MrioAccount, out_dir: str | Path,
-                  delimiter_name: str = "tab", currency_unit: str = "fixture units",
-                  layout_name: str = "layout.json") -> Path:
+                  delimiter_name: str = "tab") -> Path:
     """Emit an account as an ingestible file set; returns the layout path.
 
     Values are written post-conversion (labour already in hours), so
@@ -664,7 +673,7 @@ def write_account(account: MrioAccount, out_dir: str | Path,
     descriptor = {
         "delimiter": delimiter_name,
         "year": account.year,
-        "currency_unit": currency_unit,
+        "currency_unit": "fixture units",
         "hours_per_worker_year": DEFAULT_HOURS_PER_WORKER_YEAR,
         "files": {
             "transactions": "z.tsv",
@@ -673,7 +682,7 @@ def write_account(account: MrioAccount, out_dir: str | Path,
         },
         "extensions": entries,
     }
-    layout_path = out_dir / layout_name
+    layout_path = out_dir / "layout.json"
     layout_path.write_text(json.dumps(descriptor, indent=2) + "\n", encoding="utf-8")
     return layout_path
 

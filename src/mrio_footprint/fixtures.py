@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import lu_factor, lu_solve
+from .algebra import leontief_solve
 from .fileio import _writer, write_account
 from .indicators import ConversionParams, SectorGroupConcordance
 from .model import (
@@ -109,7 +109,7 @@ def fixture(n_regions: int, n_sectors: int, seed: int) -> MrioAccount:
             y_columns.append((region, category))
 
     y_total = Y.sum(axis=1)
-    x = lu_solve(lu_factor(np.eye(n) - A), y_total)
+    x = leontief_solve(A, y_total)
     x[np.abs(x) < 1e-12] = 0.0
     Z = A * x[np.newaxis, :]
 

@@ -21,7 +21,6 @@ from .algebra import LeontiefOperator
 from .errors import (
     MissingStressorLabel,
     ParseError,
-    UnitMismatch,
     UnmappedSector,
     ZeroEmbeddedBase,
 )
@@ -85,10 +84,9 @@ def load_conversion_params(path: str | Path) -> ConversionParams:
         raise ParseError(f"invalid conversion params: {exc}", path=str(path)) from exc
 
 
-def annual_hours_from_weekly(average_weekly_hours: float,
-                             calendar_weeks: float = WEEKS_PER_YEAR) -> float:
+def annual_hours_from_weekly(average_weekly_hours: float) -> float:
     """Annual hours per person implied by an average over calendar weeks."""
-    return average_weekly_hours * calendar_weeks
+    return average_weekly_hours * WEEKS_PER_YEAR
 
 
 def hours_per_week_equivalent(total_annual_hours: float, params: ConversionParams) -> float:
@@ -276,7 +274,6 @@ class FootprintReport:
     by_origin: OriginSplit
     by_sector_group: dict[str, float]
     by_category: dict[str, float]
-    params: ConversionParams
     hours_week_equivalent: float | None = None
     by_skill: dict[str, float] | None = None
     by_stressor: dict[str, float] | None = None
@@ -392,54 +389,8 @@ def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.n
         by_origin=by_origin,
         by_sector_group=aggregate_by_sector_group(by_source, groups, group_codes),
         by_category=attribute_by_category(variant.multipliers, demand_by_category),
-        params=params,
         hours_week_equivalent=hours_week,
         by_skill=by_skill,
         by_stressor=by_stressor,
         direct_use=direct,
     )
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    scenario: str
-    total: float
-    per_capita: float
-    domestic: float
-    imported: float
-    import_share: float
-    delta_total: float
-    delta_per_capita: float
-    hours_week_equivalent: float | None = None
-    direct_use: float | None = None
-
-
-def compare_reports(reports: list[FootprintReport]) -> list[ComparisonRow]:
-    """Align reports of one extension into rows with deltas vs the first.
-
-    Report order is preserved; the first report is the comparison base.
-    """
-    if not reports:
-        return []
-    first = reports[0]
-    for report in reports[1:]:
-        if report.extension_name != first.extension_name or report.unit != first.unit:
-            raise UnitMismatch(
-                f"cannot compare {report.extension_name!r} [{report.unit}] "
-                f"against {first.extension_name!r} [{first.unit}]"
-            )
-    rows = []
-    for report in reports:
-        rows.append(ComparisonRow(
-            scenario=report.scenario,
-            total=report.total,
-            per_capita=report.per_capita,
-            domestic=report.by_origin.domestic,
-            imported=report.by_origin.imported,
-            import_share=report.by_origin.import_share,
-            delta_total=report.total - first.total,
-            delta_per_capita=report.per_capita - first.per_capita,
-            hours_week_equivalent=report.hours_week_equivalent,
-            direct_use=report.direct_use,
-        ))
-    return rows

@@ -142,6 +142,11 @@ class ScenarioSpec:
     adjustments: tuple[BudgetMove, ...] = ()
 
     def __post_init__(self):
+        # The name is a directory under --out.
+        if (self.name in ("", ".", "..")
+                or any(char in self.name for char in ("/", "\\", "\0"))):
+            raise ValueError(f"scenario name {self.name!r} is not a single directory name; "
+                             "it may not be empty, '.' or '..', nor hold '/', '\\' or NUL")
         object.__setattr__(self, "category_targets", dict(self.category_targets))
         object.__setattr__(self, "adjustments", tuple(self.adjustments))
         unknown = set(self.category_targets) - set(SPENDING_CATEGORIES)
@@ -283,9 +288,13 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid scenario spec: {exc}", path=str(path)) from exc
     try:
+        raw_targets = raw["category_targets"]
+        if not isinstance(raw_targets, dict):
+            raise ParseError(f"category_targets is {raw_targets!r}; it must be an object",
+                             path=str(path))
         targets = {
             str(category): (None if value is None else float(value))
-            for category, value in raw["category_targets"].items()
+            for category, value in raw_targets.items()
         }
         adjustments = tuple(
             BudgetMove(source=a["source"], fraction=float(a["fraction"]),

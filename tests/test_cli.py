@@ -218,14 +218,40 @@ class TestCompare:
 
     def test_deltas_match_report_subtraction(self, fixture_dir, tmp_path):
         assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "halved"]) == 0
-        base = read_report(tmp_path / "cmp" / "baseline" / "report.csv")
-        half = read_report(tmp_path / "cmp" / "halved" / "report.csv")
+        reports = {name: read_report(tmp_path / "cmp" / name / "report.csv")
+                   for name in ("baseline", "halved")}
         with (tmp_path / "cmp" / "comparison.csv").open(newline="") as handle:
-            rows = [r for r in csv.DictReader(handle)
-                    if r["extension"] == "labour" and r["scenario"] == "halved"]
-        expected = (report_value(half, "labour", "total")
-                    - report_value(base, "labour", "total"))
-        assert float(rows[0]["delta_total"]) == pytest.approx(expected, rel=1e-12)
+            rows = list(csv.DictReader(handle))
+        for row in rows:
+            for column, dimension in (("delta_total", "total"),
+                                      ("delta_per_capita", "per-capita")):
+                values = [report_value(reports[name], row["extension"], dimension)
+                          for name in (row["scenario"], "baseline")]
+                assert float(row[column]) == values[0] - values[1]
+
+    def test_comparison_rows_run_extension_major(self, fixture_dir, tmp_path):
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["halved", "baseline"]) == 0
+        report = read_report(tmp_path / "cmp" / "halved" / "report.csv")
+        extensions = list(dict.fromkeys(r["extension"] for r in report))
+        with (tmp_path / "cmp" / "comparison.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["extension"], r["scenario"]) for r in rows] == [
+            (extension, name) for extension in extensions for name in ("halved", "baseline")]
+
+    @pytest.mark.parametrize("extensions, figures", [
+        (None, ["fig1", "fig2", "fig3", "fig4", "fig5"]),
+        ("labour", ["fig1", "fig2", "fig3", "fig4"]),
+        ("energy", ["fig5"]),
+    ])
+    def test_a_figure_is_written_when_it_has_rows(self, fixture_dir, tmp_path,
+                                                 extensions, figures):
+        argv = ["compare", "--layout", str(fixture_dir / "layout.json"),
+                "--params", str(fixture_dir / "params.json"), "--out", str(tmp_path / "cmp"),
+                "--scenario", str(fixture_dir / "scenarios" / "baseline.json")]
+        if extensions is not None:
+            argv += ["--extensions", extensions]
+        assert main(argv) == 0
+        assert sorted(p.stem for p in (tmp_path / "cmp" / "plots").iterdir()) == figures
 
     def test_plot_segments_sum_to_report_totals(self, fixture_dir, tmp_path):
         assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "halved"]) == 0
@@ -279,6 +305,35 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "baseline.json" in err and "renamed.json" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb, name", [
+        ("compare", ".."), ("footprint", ".."), ("compare", "a/b"),
+        ("compare", "comparison.csv"), ("compare", "plots"),
+    ])
+    def test_spec_name_outside_its_directory_exits_one_before_ingest(
+            self, fixture_dir, tmp_path, capsys, monkeypatch, verb, name):
+        spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
+        spec["name"] = name
+        (fixture_dir / "scenarios" / "renamed.json").write_text(json.dumps(spec))
+
+        def no_ingest(*args):
+            raise AssertionError("ingest ran before the scenario names were checked")
+        monkeypatch.setattr(fileio, "ingest", no_ingest)
+        out = tmp_path / "runs" / "out"
+        rc = main([verb, "--layout", str(fixture_dir / "layout.json"),
+                   "--params", str(fixture_dir / "params.json"), "--out", str(out),
+                   "--scenario", str(fixture_dir / "scenarios" / "baseline.json"),
+                   "--scenario", str(fixture_dir / "scenarios" / "renamed.json")])
+        assert rc == 1
+        assert "renamed.json" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_footprint_may_name_a_scenario_plots(self, fixture_dir, tmp_path):
+        spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
+        spec["name"] = "plots"
+        (fixture_dir / "scenarios" / "plots.json").write_text(json.dumps(spec))
+        assert run_footprint(fixture_dir, tmp_path / "fp", "plots") == 0
+        assert (tmp_path / "fp" / "plots" / "report.csv").exists()
 
     def test_mixed_home_regions_exit_one(self, fixture_dir, tmp_path, capsys, monkeypatch):
         spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())

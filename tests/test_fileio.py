@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrio_footprint import fileio, fixtures, model
+from mrio_footprint import algebra, fileio, fixtures, model
 from mrio_footprint.errors import DimensionMismatch, ParseError, UnitMismatch
 
 
@@ -270,6 +270,25 @@ class TestLayoutFeatures:
             fileio.ingest(layout_path)
         assert excinfo.value.path == str(layout_path)
 
+    @pytest.mark.parametrize("shape", ["layout is a list", "layout is null",
+                                       "material_flags is a list", "direct_file is a number"])
+    def test_wrong_json_shape_names_the_layout(self, written_set, shape):
+        _, layout_path = written_set
+        descriptor = json.loads(layout_path.read_text())
+        entries = {entry["name"]: entry for entry in descriptor["extensions"]}
+        if shape == "layout is a list":
+            descriptor = []
+        elif shape == "layout is null":
+            descriptor = None
+        elif shape == "material_flags is a list":
+            entries["material"]["material_flags"] = ["used"]
+        else:
+            entries["energy"]["direct_file"] = 5
+        layout_path.write_text(json.dumps(descriptor))
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.path == str(layout_path)
+
     def test_known_quirks_become_warnings(self, written_set, tmp_path):
         _, layout_path = written_set
         descriptor = json.loads(layout_path.read_text())
@@ -383,6 +402,19 @@ class TestFixtureSet:
         assert files_a == files_b
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    def test_output_comes_from_one_in_place_factorization(self, monkeypatch):
+        # The pipeline's LU path builds I - A in one Fortran buffer and
+        # factorizes it in place, so no n x n identity or difference is made.
+        calls = []
+        factor = algebra.lu_factor
+
+        def recorded(a, overwrite_a=False):
+            calls.append((a.flags.f_contiguous, overwrite_a))
+            return factor(a, overwrite_a=overwrite_a)
+        monkeypatch.setattr(algebra, "lu_factor", recorded)
+        fixtures.fixture(2, 3, 42)
+        assert calls == [(True, True)]
 
     def test_contains_runnable_inputs(self, tmp_path):
         layout_path = fixtures.write_fixture_set(2, 3, 1, tmp_path)

@@ -17,7 +17,6 @@ from mrio_footprint import algebra, fixtures, indicators, model, scenario
 from mrio_footprint.errors import (
     MissingStressorLabel,
     ParseError,
-    UnitMismatch,
     UnmappedSector,
     UnknownRegion,
     ZeroEmbeddedBase,
@@ -254,37 +253,6 @@ class TestMaterialIndicators:
         variants = self._variants({"ores": "unused", "overburden": "unused"})
         assert list(variants) == ["materials-tmc"]
         assert variants["materials-tmc"][1] == pytest.approx(10.0, rel=1e-12)
-
-
-class TestCompareReports:
-    def _report(self, scenario_name: str, total: float, **overrides):
-        fields = dict(
-            scenario=scenario_name, extension_name="labour", unit="hours",
-            home_region="R0", total=total, per_capita=total / 100.0,
-            by_origin=OriginSplit(domestic=total * 0.4, imported=total * 0.6),
-            by_sector_group={"services": total},
-            by_category={c: 0.0 for c in scenario.SPENDING_CATEGORIES},
-            params=single_person_params(working_age_population=100.0,
-                                        total_population=100.0),
-        )
-        fields.update(overrides)
-        return indicators.FootprintReport(**fields)
-
-    def test_single_report_identity(self):
-        rows = indicators.compare_reports([self._report("base", 10.0)])
-        assert len(rows) == 1
-        assert rows[0].delta_total == 0.0
-
-    def test_delta_is_hand_subtraction(self):
-        rows = indicators.compare_reports(
-            [self._report("base", 10.0), self._report("low", 4.0)])
-        assert rows[1].delta_total == pytest.approx(-6.0)
-        assert rows[1].delta_per_capita == pytest.approx(-0.06)
-
-    def test_unit_mismatch(self):
-        with pytest.raises(UnitMismatch):
-            indicators.compare_reports(
-                [self._report("base", 10.0), self._report("other", 4.0, unit="TJ")])
 
 
 class TestReportAdditivity:

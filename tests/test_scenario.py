@@ -337,6 +337,19 @@ class TestFileFormats:
             scenario.load_scenario_spec(path)
 
 
+    @pytest.mark.parametrize("change", [
+        {"category_targets": [1]}, {"category_targets": "none"},
+        {"name": ""}, {"name": "."}, {"name": ".."}, {"name": "a/b"},
+        {"name": "a\\b"}, {"name": "a\0b"},
+    ], ids=repr)
+    def test_bad_spec_names_the_spec_file(self, tmp_path, change):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "name": "ok", "home_region": "R0", "category_targets": {}} | change))
+        with pytest.raises(ParseError) as excinfo:
+            scenario.load_scenario_spec(path)
+        assert excinfo.value.path == str(path)
+
 class TestShippedSpecs:
     def test_totals_match_reference_sums(self):
         sums = {
