@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, fileio, fixtures, indicators, model, scenario
-from .errors import MrioError, ParseError, UnknownScenario
+from .errors import MrioError, ParseError, UnknownRegion, UnknownScenario
 from .indicators import ConversionParams, FootprintReport, ReportVariant, SectorGroupConcordance
 from .model import MrioAccount
 from .scenario import ScenarioSpec
@@ -117,9 +117,15 @@ def _operator(ingested: fileio.IngestResult) -> algebra.LeontiefOperator:
     return algebra.LeontiefOperator(ingested.account.Z, ingested.account.x, entry)
 
 
-def _load(config: RunConfig) -> LoadedData:
+def _load(config: RunConfig, specs: list[ScenarioSpec]) -> LoadedData:
     ingested = fileio.ingest(config.layout_path)
     account = ingested.account
+    for spec, path in zip(specs, config.scenario_paths):
+        region = config.home_region or spec.home_region
+        if region not in account.index.regions:
+            source = "--home-region" if config.home_region else str(path)
+            raise UnknownRegion(f"unknown region {region!r}: {source} sets it as the home "
+                                "region, but the account has no such region")
     concordance = scenario.load_concordance(config.categories_path, account.index.sectors)
     groups = indicators.load_sector_groups(config.groups_path, account.index.sectors)
     params = indicators.load_conversion_params(config.params_path)
@@ -222,7 +228,7 @@ def _run(args, compare: bool = False) -> tuple[
     the scenario's directory as made."""
     config = RunConfig.from_args(args)
     specs = _load_specs(config, compare)
-    data = _load(config)
+    data = _load(config, specs)
 
     def reports_by_scenario():
         baselines: dict[str, Baseline] = {}

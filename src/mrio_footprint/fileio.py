@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, UnitMismatch
+from .errors import POSITIVE, DimensionMismatch, ParseError, UnitMismatch, read_json
 from .model import (MATERIAL_UNUSED, MATERIAL_USED, ExtensionAccount, MrioAccount,
                     RegionSectorIndex)
 
@@ -94,74 +94,50 @@ class Layout:
         return self.base_dir / name
 
 
-def _positive(value, what: str, path: Path) -> float:
-    number = float(value)
-    if not (np.isfinite(number) and number > 0):
-        raise ParseError(f"{what} is {value!r}; it must be finite and positive", path=str(path))
-    return number
+_EXTENSION = {
+    "name": str,
+    "file": str,
+    "unit": (str, ""),
+    "kind": ({"labour", "energy", "emissions", "material"}, None),
+    "direct_file": (str, None),
+    "workers_per_unit": (POSITIVE, None),
+    "material_flags": ({str: str}, None),
+}
 
-
-def _of_type(value, kind: type, what: str, path: Path):
-    """``value`` if it is None or of JSON type ``kind`` (str or dict)."""
-    if value is not None and not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a string"
-        raise ParseError(f"{what} is {value!r}; it must be {expected}", path=str(path))
-    return value
+_LAYOUT = {
+    "delimiter": (set(_DELIMITERS), "tab"),
+    "year": int,
+    "currency_unit": (str, None),
+    "hours_per_worker_year": (POSITIVE, DEFAULT_HOURS_PER_WORKER_YEAR),
+    "files": {"transactions": str, "final_demand": str, "total_output": str},
+    "extensions": ([_EXTENSION], ()),
+    "ingest_warnings": ([{"region": str, "sector": str, "note": (str, "")}], ()),
+}
 
 
 def load_layout(path: str | Path) -> Layout:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid layout descriptor: {exc}", path=str(path)) from exc
-    if not isinstance(raw, dict):
-        raise ParseError("invalid layout descriptor: not a JSON object", path=str(path))
-    try:
-        delimiter_name = raw.get("delimiter", "tab")
-        if delimiter_name not in _DELIMITERS:
-            raise ParseError(f"unknown delimiter {delimiter_name!r}", path=str(path))
-        extensions = tuple(
-            ExtensionEntry(
-                name=str(e["name"]),
-                file=str(e["file"]),
-                unit=str(e.get("unit", "")),
-                kind=e.get("kind"),
-                direct_file=_of_type(e.get("direct_file"), str,
-                                     f"direct_file of {e['name']!r}", path),
-                workers_per_unit=(None if e.get("workers_per_unit") is None
-                                  else _positive(e["workers_per_unit"],
-                                                 f"workers_per_unit of {e['name']!r}", path)),
-                material_flags=_of_type(e.get("material_flags"), dict,
-                                        f"material_flags of {e['name']!r}", path),
-            )
-            for e in raw.get("extensions", [])
-        )
-        warnings = tuple(
-            IngestWarning(region=str(w["region"]), sector=str(w["sector"]),
-                          note=str(w.get("note", "")))
-            for w in raw.get("ingest_warnings", [])
-        )
-        year = raw["year"]
-        if isinstance(year, bool) or not isinstance(year, int):
-            raise ParseError(f"year {year!r} is not an integer", path=str(path))
-        return Layout(
-            base_dir=path.parent,
-            delimiter=_DELIMITERS[delimiter_name],
-            year=year,
-            transactions=str(raw["files"]["transactions"]),
-            final_demand=str(raw["files"]["final_demand"]),
-            total_output=str(raw["files"]["total_output"]),
-            extensions=extensions,
-            hours_per_worker_year=_positive(
-                raw.get("hours_per_worker_year", DEFAULT_HOURS_PER_WORKER_YEAR),
-                "hours_per_worker_year", path),
-            ingest_warnings=warnings,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid layout descriptor: {exc}", path=str(path)) from exc
+    raw = read_json(path, _LAYOUT, "layout")
+    extensions = tuple(ExtensionEntry(**entry) for entry in raw["extensions"])
+    readers = {"direct_file": ("energy", "emissions"), "material_flags": ("material",)}
+    for k, entry in enumerate(extensions):
+        if entry.name in (earlier.name for earlier in extensions[:k]):
+            raise ParseError(f"layout.extensions[{k}].name repeats the name {entry.name!r}",
+                             path=str(path))
+        for key, kinds in readers.items():
+            if getattr(entry, key) is not None and entry.kind not in kinds:
+                raise ParseError(f"layout.extensions[{k}].{key} is read only for kind "
+                                 f"{' or '.join(kinds)}; extension {entry.name!r} has kind "
+                                 f"{entry.kind!r}", path=str(path))
+    return Layout(
+        base_dir=path.parent,
+        delimiter=_DELIMITERS[raw["delimiter"]],
+        year=raw["year"],
+        **raw["files"],
+        extensions=extensions,
+        hours_per_worker_year=raw["hours_per_worker_year"],
+        ingest_warnings=tuple(IngestWarning(**warning) for warning in raw["ingest_warnings"]),
+    )
 
 
 @dataclass(frozen=True)
@@ -538,7 +514,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
             rows = rows * (entry.workers_per_unit * layout.hours_per_worker_year)
             unit = "hours"
         stressors = tuple(label[0] for label in ext_labels)
-        if entry.kind == "material" and entry.material_flags is not None:
+        if entry.material_flags is not None:
             for label in stressors:
                 flag = entry.material_flags.get(label)
                 if flag not in (MATERIAL_USED, MATERIAL_UNUSED):
@@ -553,8 +529,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
             name=entry.name, unit=unit,
             stressors=stressors,
             rows=rows, direct=direct, kind=entry.kind,
-            material_flags=(dict(entry.material_flags)
-                            if entry.material_flags is not None else None),
+            material_flags=entry.material_flags,
         )
 
     account = MrioAccount(index=index, Z=Z, Y=Y, y_columns=y_columns, x=x,

@@ -8,7 +8,6 @@ used/unused material variants and proportional direct-use scaling.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from .errors import (
     ParseError,
     UnmappedSector,
     ZeroEmbeddedBase,
+    read_json,
 )
 from .model import MATERIAL_USED, ExtensionAccount, MrioAccount, RegionSectorIndex
 from .scenario import (
@@ -66,21 +66,19 @@ class ConversionParams:
                 raise ValueError(f"populations must be finite and positive, got {population}")
 
 
+_PARAMS = {
+    "working_age_population": float,
+    "total_population": float,
+    "weeks_worked_per_year": (float, DEFAULT_WEEKS_WORKED_PER_YEAR),
+    "working_life_share": (float, DEFAULT_WORKING_LIFE_SHARE),
+}
+
+
 def load_conversion_params(path: str | Path) -> ConversionParams:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        return ConversionParams(
-            working_age_population=float(raw["working_age_population"]),
-            total_population=float(raw["total_population"]),
-            weeks_worked_per_year=float(
-                raw.get("weeks_worked_per_year", DEFAULT_WEEKS_WORKED_PER_YEAR)
-            ),
-            working_life_share=float(
-                raw.get("working_life_share", DEFAULT_WORKING_LIFE_SHARE)
-            ),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        return ConversionParams(**read_json(path, _PARAMS, "conversion params"))
+    except ValueError as exc:
         raise ParseError(f"invalid conversion params: {exc}", path=str(path)) from exc
 
 
@@ -174,7 +172,7 @@ def load_sector_groups(path: str | Path, sectors) -> SectorGroupConcordance:
     path = Path(path)
     mapping: dict[str, str] = {}
     for lineno, row in _data_rows(path):
-        if len(row) < 2:
+        if len(row) != 2:
             raise ParseError("expected two columns (sector, group)",
                              path=str(path), row=lineno)
         sector, group = row[0].strip(), row[1].strip()

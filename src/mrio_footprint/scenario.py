@@ -11,7 +11,6 @@ category beyond its baseline total.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +21,7 @@ from .errors import (
     ParseError,
     UnsortedNonzeroDemand,
     ZeroBaselineNonzeroTarget,
+    read_json,
 )
 from .model import RegionSectorIndex
 
@@ -280,36 +280,23 @@ def dining_out_adjustment(food_total: float, fraction: float) -> tuple[float, fl
 # File formats
 # ---------------------------------------------------------------------------
 
+_SPEC = {
+    "name": str,
+    "home_region": str,
+    "category_targets": {str: float},
+    "government_factor": (float, None),
+    "adjustments": ([{"source": str, "fraction": float, "destination": (str, None)}], ()),
+}
+
+
 def load_scenario_spec(path: str | Path) -> ScenarioSpec:
     """Read a scenario spec file (JSON with a nested category-target table)."""
     path = Path(path)
+    raw = read_json(path, _SPEC, "scenario spec")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid scenario spec: {exc}", path=str(path)) from exc
-    try:
-        raw_targets = raw["category_targets"]
-        if not isinstance(raw_targets, dict):
-            raise ParseError(f"category_targets is {raw_targets!r}; it must be an object",
-                             path=str(path))
-        targets = {
-            str(category): (None if value is None else float(value))
-            for category, value in raw_targets.items()
-        }
-        adjustments = tuple(
-            BudgetMove(source=a["source"], fraction=float(a["fraction"]),
-                       destination=a.get("destination"))
-            for a in raw.get("adjustments", [])
-        )
-        factor = raw.get("government_factor")
-        return ScenarioSpec(
-            name=str(raw["name"]),
-            home_region=str(raw["home_region"]),
-            category_targets=targets,
-            government_factor=None if factor is None else float(factor),
-            adjustments=adjustments,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        adjustments = tuple(BudgetMove(**move) for move in raw["adjustments"])
+        return ScenarioSpec(**raw | {"adjustments": adjustments})
+    except ValueError as exc:
         raise ParseError(f"invalid scenario spec: {exc}", path=str(path)) from exc
 
 
@@ -327,7 +314,7 @@ def load_concordance(path: str | Path, sectors) -> CategoryConcordance:
     path = Path(path)
     mapping: dict[str, str] = {}
     for lineno, row in _data_rows(path):
-        if len(row) < 2:
+        if len(row) != 2:
             raise ParseError("expected two columns (sector, category)",
                              path=str(path), row=lineno)
         sector, category = row[0].strip(), row[1].strip()

@@ -467,6 +467,26 @@ class TestCompare:
         assert rc == 1
         assert "unknown region 'R9'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [False, True], ids=["spec", "--home-region"])
+    def test_unknown_home_region_exits_one_before_factorize(
+            self, fixture_dir, tmp_path, capsys, monkeypatch, flag):
+        spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
+        if not flag:
+            spec["home_region"] = "R9"
+        (fixture_dir / "scenarios" / "abroad.json").write_text(json.dumps(spec))
+
+        def no_factorize(*args):
+            raise AssertionError("factorize ran before the home region was checked")
+        monkeypatch.setattr(algebra, "LeontiefOperator", no_factorize)
+        argv = ["compare", "--layout", str(fixture_dir / "layout.json"),
+                "--params", str(fixture_dir / "params.json"), "--out", str(tmp_path / "cmp"),
+                "--scenario", str(fixture_dir / "scenarios" / "abroad.json")]
+        assert main(argv + ["--home-region", "R9"] if flag else argv) == 1
+        err = capsys.readouterr().err
+        assert "unknown region 'R9'" in err
+        assert ("--home-region" in err) if flag else ("abroad.json" in err)
+        assert not (tmp_path / "cmp").exists()
+
     def test_direct_use_without_the_home_region_exits_one(self, fixture_dir, tmp_path, capsys):
         path = fixture_dir / "direct_energy.tsv"
         lines = path.read_text().splitlines(True)

@@ -321,6 +321,18 @@ class TestFileFormats:
         assert concordance.codes(index).tolist() == [
             CONSUMPTION_SPENDING_CATEGORIES.index(scenario.HOUSING), unsorted]
 
+    @pytest.mark.parametrize("load, message", [
+        (scenario.load_concordance, "expected two columns (sector, category)"),
+        (indicators.load_sector_groups, "expected two columns (sector, group)"),
+    ], ids=["categories", "sector groups"])
+    def test_concordance_row_with_a_third_cell(self, tmp_path, load, message):
+        path = tmp_path / "concordance.tsv"
+        path.write_text(f"S0\t{scenario.HOUSING}\nS1\t{scenario.CLOTHING}\textra\n")
+        with pytest.raises(ParseError) as excinfo:
+            load(path, ["S0", "S1"])
+        assert message in str(excinfo.value)
+        assert (excinfo.value.path, excinfo.value.row) == (str(path), 2)
+
     def test_scenario_spec_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
