@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,6 +42,11 @@ _DELIMITER_NAMES = {char: name for name, char in _DELIMITERS.items()}
 
 # Parsed grids are kept here, next to the layout descriptor.
 CACHE_DIR = ".mrio-cache"
+
+# A grid of fewer bytes than this (file bytes to parse, matrix bytes to
+# write) is parsed or written in-process; a larger one is split over the
+# usable CPUs, and written in blocks of about this many matrix bytes.
+PARALLEL_BYTES = 1 << 22
 
 
 def data_path(relative: str) -> Path:
@@ -242,25 +248,163 @@ def _non_finite_cell(matrix: np.ndarray) -> tuple[int, int] | None:
     return (int(bad[0][0]), int(bad[0][1])) if bad.size else None
 
 
-def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
+def _processes(nbytes: int) -> int:
+    """How many processes share the work on a grid of ``nbytes``: every
+    usable CPU, or only the caller's when the grid is smaller than
+    PARALLEL_BYTES, one CPU is usable, "fork" is not available, or another
+    Python thread is alive (a fork copies the locks it may hold)."""
+    if nbytes < PARALLEL_BYTES or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2 or threading.active_count() > 1:
+        return 1
+    import multiprocessing
+    return cpus if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+# Set once in each forked worker, by the pool's initializer; never in the
+# process that made the pool.
+_shared = None
+
+
+def _share(value) -> None:
+    """Worker initializer: keep what every chunk reads."""
+    global _shared
+    _shared = value
+
+
+def _run_chunk(function, chunk):
+    return function(_shared, chunk)
+
+
+def _fork_map(function, shared, chunks: list, processes: int) -> Iterator:
+    """Yield ``function(shared, chunk)`` for each chunk, in order.
+
+    With ``processes`` > 1, the caller does the first chunk of every round
+    of ``processes`` chunks itself and workers forked from it do the others.
+    ``shared`` reaches the workers through the fork, so it is never pickled;
+    chunks and results are. At most two rounds of chunks are in flight.
+    """
+    processes = min(processes, len(chunks))
+    if processes < 2:
+        for chunk in chunks:
+            yield function(shared, chunk)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(processes - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_share, initargs=(shared,)) as pool:
+        pending = {}
+        for i, chunk in enumerate(chunks):
+            for j in range(i, min(i + 2 * processes, len(chunks))):
+                if j % processes and j not in pending:
+                    pending[j] = pool.submit(_run_chunk, function, chunks[j])
+            yield function(shared, chunk) if i % processes == 0 else pending.pop(i).result()
+
+
+def _line_start(handle, offset: int) -> int:
+    """The first line start at or after byte ``offset`` > 0 of a binary
+    handle. A line ends at LF, CR LF or CR, as in text read with
+    ``newline=""``."""
+    position = offset - 1
+    handle.seek(position)
+    while block := handle.read(1 << 16):
+        ends = [k for k in (block.find(b"\n"), block.find(b"\r")) if k >= 0]
+        if ends:
+            position += min(ends)
+            handle.seek(position)
+            return position + (2 if handle.read(2) == b"\r\n" else 1)
+        position += len(block)
+    return position
+
+
+def _spans(path: Path, start: int, end: int, count: int) -> list[tuple[int, int]]:
+    """Up to ``count`` byte spans of about equal size, cut at line starts,
+    that together cover bytes [start, end) of a file."""
+    cuts = [start]
+    with path.open("rb") as handle:
+        for k in range(1, count):
+            cuts.append(max(cuts[-1], _line_start(handle, start + (end - start) * k // count)))
+    cuts.append(end)
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _parse_span(grid, span: tuple[int, int], first_lineno: int = 1):
+    """Parse the body lines in the byte span [start, end) of a grid file,
+    streaming them from disk.
+
+    ``grid`` is (path, delimiter, index_cols, width). Returns the lines'
+    labels, their line numbers counted from ``first_lineno`` at the span's
+    first line, the span's physical line count, and their matrix. A bad line
+    raises ValueError, or a ParseError whose row is counted likewise.
+    """
+    path, delimiter, index_cols, width = grid
+    start, end = span
     labels: list[tuple[str, ...]] = []
     linenos: list[int] = []
-    with _reading(path), _open_text(path) as handle:
-        headers, used = _read_headers(handle, delimiter, header_rows)
+    count = 0
+
+    def lines(handle):
+        nonlocal start, count
+        for line in handle:
+            if start >= end:
+                return
+            start += len(line) if line.isascii() else len(line.encode("utf-8"))
+            count += 1
+            yield line
+
+    with path.open("rb") as raw:
+        raw.seek(start)
+        handle = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+        body = _body_lines(lines(handle), path, delimiter, index_cols, width, first_lineno,
+                           labels, linenos)
+        first = next(body, None)
+        matrix = (np.empty((0, width - index_cols)) if first is None
+                  else _load_numbers(chain([first], body), delimiter))
+    return labels, linenos, count, matrix
+
+
+def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
+    """Parse a grid file: its header rows, row labels and matrix.
+
+    The body is cut into one byte span per process (see ``_processes``),
+    and the spans are parsed side by side. If any span fails, or the body
+    has no rows, the whole body is parsed again in-process, so that the
+    ParseError names the first bad line by its row in the file.
+    """
+    with _reading(path):
+        with _open_text(path) as handle:
+            headers, used = _read_headers(handle, delimiter, header_rows)
         if len(headers) < header_rows:
             raise ParseError("file has no data rows", path=str(path))
         if len(headers[-1]) <= index_cols:
             raise ParseError("file has no data columns", path=str(path), row=header_rows)
-        body = _body_lines(handle, path, delimiter, index_cols, len(headers[-1]),
-                           used + 1, labels, linenos)
-        first = next(body, None)
-        if first is None:
-            raise ParseError("file has no data rows", path=str(path))
+        with _open_text(path) as handle:
+            start = sum(len(line.encode("utf-8")) for line in islice(handle, used))
+        size = path.stat().st_size
+        processes = _processes(size - start)
+        grid = (path, delimiter, index_cols, len(headers[-1]))
         try:
-            matrix = _load_numbers(chain([first], body), delimiter)
-        except ValueError as exc:
-            _find_bad_cell(path, delimiter, index_cols, header_rows)
-            raise ParseError(f"malformed numeric value: {exc}", path=str(path)) from exc
+            parts = list(_fork_map(_parse_span, grid, _spans(path, start, size, processes),
+                                   processes))
+        except (ValueError, ParseError):
+            parts = []
+        if not any(part[0] for part in parts):
+            try:
+                parts = [_parse_span(grid, (start, size), used + 1)]
+            except ValueError as exc:
+                _find_bad_cell(path, delimiter, index_cols, header_rows)
+                raise ParseError(f"malformed numeric value: {exc}", path=str(path)) from exc
+            if not parts[0][0]:
+                raise ParseError("file has no data rows", path=str(path))
+            used = 0  # this part's line numbers are already the file's
+    labels: list[tuple[str, ...]] = []
+    linenos: list[int] = []
+    for part in parts:
+        labels += part[0]
+        linenos += [used + lineno for lineno in part[1]]
+        used += part[2]
+    matrix = parts[0][3] if len(parts) == 1 else np.concatenate([part[3] for part in parts])
     cell = _non_finite_cell(matrix)
     if cell is not None:
         r, c = cell
@@ -476,6 +620,12 @@ def ingest(layout_path: str | Path) -> IngestResult:
         )
     if _column_pairs(z_headers, 2, z_path) != list(z_labels):
         raise ParseError("column labels do not match row labels", path=str(z_path))
+    account_rows = set(z_labels)
+    for k, warning in enumerate(layout.ingest_warnings):
+        if (warning.region, warning.sector) not in account_rows:
+            raise ParseError(f"layout.ingest_warnings[{k}] names ({warning.region}, "
+                             f"{warning.sector}), which is not a row of the account",
+                             path=str(layout_path))
 
     y_path = layout.path(layout.final_demand)
     y_headers, y_labels, Y, _ = _read_grid(y_path, cache_dir, delim, index_cols=2)
@@ -496,7 +646,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
     x = x_grid[:, 0]
 
     extensions: dict[str, ExtensionAccount] = {}
-    for entry in layout.extensions:
+    for k, entry in enumerate(layout.extensions):
         if not entry.unit:
             raise UnitMismatch(f"extension {entry.name!r} has no unit label in the layout")
         ext_path = layout.path(entry.file)
@@ -522,6 +672,11 @@ def ingest(layout_path: str | Path) -> IngestResult:
                         f"material stressor {label!r} of extension {entry.name!r} is flagged "
                         f"{flag!r}, not {MATERIAL_USED!r} or {MATERIAL_UNUSED!r}",
                         path=str(layout_path))
+            for key in entry.material_flags:
+                if key not in stressors:
+                    raise ParseError(
+                        f"layout.extensions[{k}].material_flags key {key!r} names no "
+                        f"stressor of extension {entry.name!r}", path=str(layout_path))
         direct = None
         if entry.direct_file is not None:
             direct = _read_direct(layout.path(entry.direct_file), delim, index.regions)
@@ -578,20 +733,35 @@ def _writer(handle, delimiter: str):
     return csv.writer(handle, delimiter=delimiter, lineterminator="\n")
 
 
-def _write_grid(path: Path, delimiter: str, headers: list[list[str]],
-                labels: list[tuple[str, ...]], matrix: np.ndarray) -> None:
+def _format_rows(grid, rows: tuple[int, int]) -> str:
+    """The text of rows [start, stop) of ``grid``, (delimiter, labels, matrix)."""
+    delimiter, labels, matrix = grid
+    start, stop = rows
     # One "%.17g" template per row formats as _fmt does; the labels go through
     # csv (the trailing empty cell leaves their quoting as in a full row).
     template = delimiter.join(["%.17g"] * matrix.shape[1]) + "\n"
     prefix = io.StringIO()
     label_writer = _writer(prefix, delimiter)
+    text = []
+    for label, row in zip(labels[start:stop], matrix[start:stop]):
+        prefix.seek(0)
+        prefix.truncate()
+        label_writer.writerow([*label, ""])
+        text.append(prefix.getvalue()[:-1] + template % tuple(row.tolist()))
+    return "".join(text)
+
+
+def _write_grid(path: Path, delimiter: str, headers: list[list[str]],
+                labels: list[tuple[str, ...]], matrix: np.ndarray) -> None:
+    """Write a grid in blocks of rows of about PARALLEL_BYTES of the matrix,
+    formatted side by side (see ``_processes``) and written in order."""
+    step = max(1, PARALLEL_BYTES // max(1, matrix.itemsize * matrix.shape[1]))
+    blocks = [(start, min(start + step, len(matrix))) for start in range(0, len(matrix), step)]
     with path.open("w", newline="", encoding="utf-8") as handle:
         _writer(handle, delimiter).writerows(headers)
-        for label, row in zip(labels, matrix):
-            prefix.seek(0)
-            prefix.truncate()
-            label_writer.writerow([*label, ""])
-            handle.write(prefix.getvalue()[:-1] + template % tuple(row.tolist()))
+        for text in _fork_map(_format_rows, (delimiter, labels, matrix), blocks,
+                              _processes(matrix.nbytes)):
+            handle.write(text)
 
 
 def write_account(account: MrioAccount, out_dir: str | Path,
@@ -630,12 +800,16 @@ def write_account(account: MrioAccount, out_dir: str | Path,
                     [(label,) for label in ext.stressors], ext.rows)
         direct_file = None
         if ext.direct is not None:
+            if set(ext.direct) != set(index.regions):
+                raise DimensionMismatch(
+                    f"extension {name!r} has direct use for regions {sorted(ext.direct)}, "
+                    f"not one value for each account region {list(index.regions)}")
             direct_file = f"direct_{name}.tsv"
             with (out_dir / direct_file).open("w", newline="", encoding="utf-8") as handle:
                 out = _writer(handle, delim)
                 out.writerow(["region", "value"])
                 for region in index.regions:
-                    out.writerow([region, _fmt(ext.direct.get(region, 0.0))])
+                    out.writerow([region, _fmt(ext.direct[region])])
         entry: dict = {"name": name, "file": filename, "unit": ext.unit}
         if ext.kind is not None:
             entry["kind"] = ext.kind

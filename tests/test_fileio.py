@@ -1,6 +1,8 @@
 """Ingest / emit round-trip and parse-error tests."""
 
 import json
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +38,15 @@ class TestRoundTrip:
             assert loaded.kind == ext.kind
             assert loaded.direct == ext.direct
             assert loaded.material_flags == ext.material_flags
+
+    @pytest.mark.parametrize("direct", [{"R0": 1.0, "R7": 2.0},
+                                        {"R0": 1.0, "R1": 2.0},
+                                        {"R0": 1.0, "R1": 2.0, "R2": 3.0, "R7": 4.0}])
+    def test_direct_use_must_cover_each_region_once(self, account_357, tmp_path, direct):
+        energy = replace(account_357.extensions["energy"], direct=direct)
+        account = replace(account_357, extensions=account_357.extensions | {"energy": energy})
+        with pytest.raises(DimensionMismatch, match="not one value for each account region"):
+            fileio.write_account(account, tmp_path)
 
     def test_writer_is_deterministic(self, tmp_path):
         account = fixtures.fixture(2, 3, 42)
@@ -221,6 +232,33 @@ class TestParseErrors:
         message = str(excinfo.value)
         assert excinfo.value.path == str(layout_path)
         assert "'material'" in message and "'metal ores (used)'" in message
+
+    def test_material_flag_naming_no_stressor(self, tmp_path):
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        descriptor = json.loads(layout_path.read_text())
+        k, material = next((k, e) for k, e in enumerate(descriptor["extensions"])
+                           if e["name"] == "material")
+        material["material_flags"]["metal ores (usde)"] = "unused"
+        layout_path.write_text(json.dumps(descriptor))
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        message = str(excinfo.value)
+        assert excinfo.value.path == str(layout_path)
+        assert f"layout.extensions[{k}].material_flags" in message
+        assert "'material'" in message and "'metal ores (usde)'" in message
+
+    def test_warning_for_a_row_the_account_lacks(self, tmp_path):
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        descriptor = json.loads(layout_path.read_text())
+        descriptor["ingest_warnings"] = [
+            {"region": "R0", "sector": "S1", "note": "known gap"},
+            {"region": "R9", "sector": "S77", "note": "no such row"}]
+        layout_path.write_text(json.dumps(descriptor))
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.path == str(layout_path)
+        assert "layout.ingest_warnings[1]" in str(excinfo.value)
+        assert "(R9, S77)" in str(excinfo.value)
 
     def test_missing_unit_label(self, written_set, tmp_path):
         _, layout_path = written_set
@@ -423,3 +461,154 @@ class TestFixtureSet:
             assert (tmp_path / name).exists()
         assert (tmp_path / "scenarios" / "baseline.json").exists()
         assert (tmp_path / "scenarios" / "halved.json").exists()
+
+
+def _pid(shared, chunk):
+    return os.getpid()
+
+
+def _split_in_two(patch):
+    """Make every grid large enough to split, over two usable CPUs, so that
+    one of its two chunks goes to a forked worker; returns the span count
+    of each parse made from then on."""
+    patch.setattr(fileio, "PARALLEL_BYTES", 1)
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    counts = []
+    spans = fileio._spans
+
+    def recorded(*args):
+        counts.append(len(spans(*args)))
+        return spans(*args)
+    patch.setattr(fileio, "_spans", recorded)
+    return counts
+
+
+def _parse(path, index_cols=2, header_rows=2, delimiter="\t"):
+    """A grid parsed by the pipeline, or the ParseError it raises."""
+    try:
+        headers, labels, matrix = fileio._parse_grid(path, delimiter, index_cols, header_rows)
+    except ParseError as exc:
+        return str(exc), exc.path, exc.row, exc.column
+    return headers, labels, matrix.shape, matrix.tobytes()
+
+
+def _compare(monkeypatch, path, *args, **kwargs):
+    """Parse a grid in-process and split in two; returns the parse, which
+    must be the same both ways, and the span count of the split one."""
+    expected = _parse(path, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        counts = _split_in_two(patch)
+        assert _parse(path, *args, **kwargs) == expected
+    return expected, counts[-1]
+
+
+GRIDS = [("z.tsv", 2, 2), ("y.tsv", 2, 2), ("x.tsv", 2, 1), ("ext_labour.tsv", 1, 2),
+         ("ext_energy.tsv", 1, 2), ("ext_emissions.tsv", 1, 2), ("ext_material.tsv", 1, 2)]
+
+
+class TestParallelGrids:
+    """Grids split over processes parse and write exactly as in-process."""
+
+    def test_workers_take_every_other_chunk(self):
+        parent = os.getpid()
+        pids = list(fileio._fork_map(_pid, None, list(range(5)), 2))
+        assert pids[0::2] == [parent] * 3 and parent not in pids[1::2]
+
+    @pytest.mark.parametrize("name, index_cols, header_rows", GRIDS)
+    def test_fixture_grids(self, tmp_path, monkeypatch, name, index_cols, header_rows):
+        fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        (_, labels, _, _), spans = _compare(monkeypatch, tmp_path / name, index_cols,
+                                            header_rows)
+        # A body of a line or two may end before the middle byte's line.
+        assert spans == 2 or len(labels) <= 2
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_chunks_are_cut_at_line_starts(self, tmp_path, ending):
+        fileio.write_account(fixtures.fixture(2, 2, 7), tmp_path)
+        path = tmp_path / "z.tsv"
+        lines = path.read_text().splitlines()
+        path.write_bytes((ending.join(lines) + ending).encode())
+        starts = np.cumsum([len(line) + len(ending) for line in lines])
+        with path.open("rb") as handle:
+            for offset in range(1, path.stat().st_size + 1):
+                expected = starts[np.searchsorted(starts, offset)]
+                assert fileio._line_start(handle, offset) == expected
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_blank_lines_and_line_endings(self, tmp_path, monkeypatch, ending):
+        fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / "z.tsv"
+        lines = path.read_text().splitlines()
+        for k in (len(lines), 10, 9, 2):
+            lines.insert(k, "")
+        path.write_bytes((ending.join(lines) + ending * 2).encode())
+        (headers, labels, shape, _), spans = _compare(monkeypatch, path)
+        assert shape == (15, 15) and len(labels) == 15 and spans == 2
+
+    def test_quoted_label_holding_the_delimiter(self, tmp_path, monkeypatch):
+        account = fixtures.fixture(2, 2, 3)
+        index = model.RegionSectorIndex(
+            regions=account.index.regions,
+            sectors=("Vegetables, fruit, nuts", 'Manure treatment ("biogas"), land'))
+        fileio.write_account(replace(account, index=index), tmp_path, delimiter_name="comma")
+        (_, labels, _, _), spans = _compare(monkeypatch, tmp_path / "z.tsv", delimiter=",")
+        assert labels[-1] == ("R1", 'Manure treatment ("biogas"), land') and spans == 2
+
+    def test_body_with_fewer_lines_than_chunks(self, tmp_path, monkeypatch):
+        fileio.write_account(fixtures.fixture(1, 1, 0), tmp_path)
+        (_, _, shape, _), spans = _compare(monkeypatch, tmp_path / "z.tsv")
+        assert shape == (1, 1) and spans == 1
+
+    def test_empty_body(self, tmp_path, monkeypatch):
+        path = tmp_path / "z.tsv"
+        path.write_text("\t\tR0\nregion\tsector\tS0\n\n\n")
+        (message, *_), spans = _compare(monkeypatch, path)
+        assert "file has no data rows" in message and spans == 2
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("text", ["oops", "1_000", "nan", "ragged"])
+    def test_bad_cell_in_the_last_chunk(self, tmp_path, monkeypatch, text, ending):
+        fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / "z.tsv"
+        lines = path.read_text().splitlines()
+        cells = lines[-2].split("\t")
+        if text == "ragged":
+            del cells[-3]
+        else:
+            cells[-3] = text
+        lines[-2] = "\t".join(cells)
+        lines.insert(3, "")  # a blank line is not a row, but it is a line
+        path.write_bytes((ending.join(lines) + ending).encode())
+        (message, where, row, column), spans = _compare(monkeypatch, path)
+        assert (where, row, spans) == (str(path), len(lines) - 1, 2)
+        if text == "ragged":
+            assert column == 17 and "expected 17 cells, found 16" in message
+        else:
+            assert column == 15 and text in message
+
+    def test_written_grids_are_byte_identical(self, tmp_path, monkeypatch):
+        account = fixtures.fixture(3, 5, 7)
+        fileio.write_account(account, tmp_path / "in-process")
+        with monkeypatch.context() as patch:
+            _split_in_two(patch)
+            fileio.write_account(account, tmp_path / "forked")
+        for path in (tmp_path / "in-process").iterdir():
+            assert (tmp_path / "forked" / path.name).read_bytes() == path.read_bytes()
+
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert fileio._processes(1 << 40) == 1
+
+    def test_a_live_thread_keeps_the_work_in_process(self, tmp_path, monkeypatch):
+        fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        counts = _split_in_two(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert fileio._processes(1 << 40) == 1
+            _parse(tmp_path / "z.tsv")
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and counts == [1]
