@@ -87,10 +87,20 @@ class RunConfig:
             params_path=params_path,
             categories_path=categories_path,
             groups_path=groups_path,
-            out_dir=Path(args.out),
+            out_dir=_out_dir(args.out),
             extensions=extensions,
             home_region=args.home_region,
         )
+
+
+def _out_dir(raw: str) -> Path:
+    """``--out`` as a path, checked before any work: the path, or else its
+    nearest existing parent, must be a directory."""
+    out = Path(raw)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise MrioError(f"--out {raw}: {existing} exists and is not a directory")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +114,8 @@ class LoadedData:
     params: ConversionParams
     operator: algebra.LeontiefOperator
     variants: tuple[ReportVariant, ...]
+    # Each home region's baseline consumption and capital-formation demand.
+    demand: dict[str, tuple[np.ndarray, np.ndarray]]
     # Each region-sector's spending category and sector group, as codes.
     category_codes: np.ndarray
     group_codes: np.ndarray
@@ -120,12 +132,16 @@ def _operator(ingested: fileio.IngestResult) -> algebra.LeontiefOperator:
 def _load(config: RunConfig, specs: list[ScenarioSpec]) -> LoadedData:
     ingested = fileio.ingest(config.layout_path)
     account = ingested.account
+    demand = {}
     for spec, path in zip(specs, config.scenario_paths):
         region = config.home_region or spec.home_region
         if region not in account.index.regions:
             source = "--home-region" if config.home_region else str(path)
             raise UnknownRegion(f"unknown region {region!r}: {source} sets it as the home "
                                 "region, but the account has no such region")
+        if region not in demand:
+            demand[region] = (model.select_demand(account, model.consumption_selection(region)),
+                              model.select_demand(account, model.gfcf_selection(region)))
     concordance = scenario.load_concordance(config.categories_path, account.index.sectors)
     groups = indicators.load_sector_groups(config.groups_path, account.index.sectors)
     params = indicators.load_conversion_params(config.params_path)
@@ -133,7 +149,7 @@ def _load(config: RunConfig, specs: list[ScenarioSpec]) -> LoadedData:
     variants = indicators.report_variants(
         account, operator, _selected_extensions(account, config.extensions))
     return LoadedData(account=account, groups=groups, params=params,
-                      operator=operator, variants=tuple(variants),
+                      operator=operator, variants=tuple(variants), demand=demand,
                       category_codes=concordance.codes(account.index),
                       group_codes=groups.codes(account.index))
 
@@ -177,35 +193,25 @@ def _selected_extensions(account: MrioAccount, selection: tuple[str, ...] | None
     return list(selection)
 
 
-@dataclass(frozen=True)
-class Baseline:
-    """One home region's baseline demand and the embedded footprints that
-    scale direct use, shared by every scenario of that region."""
-
-    y: np.ndarray
-    gfcf: np.ndarray
-    embedded: dict[str, float]
-
-
-def _baseline(data: LoadedData, home_region: str) -> Baseline:
-    account = data.account
-    y = model.select_demand(account, model.consumption_selection(home_region))
-    gfcf = model.select_demand(account, model.gfcf_selection(home_region))
+def _embedded(data: LoadedData, home_region: str) -> dict[str, float]:
+    """The baseline embedded footprint of each report that scales direct
+    use, shared by every scenario of ``home_region``."""
     scaled = [v for v in data.variants if v.has_direct_use]
-    embedded = {}
-    if scaled:
-        # One baseline solve serves every report's direct-use scaling.
-        q = data.operator.apply(y + gfcf)
-        embedded = {v.name: algebra.footprint_total(v.total_intensity, q) for v in scaled}
-    return Baseline(y=y, gfcf=gfcf, embedded=embedded)
+    if not scaled:
+        return {}
+    # One baseline solve serves every report's direct-use scaling.
+    y, gfcf = data.demand[home_region]
+    q = data.operator.apply(y + gfcf)
+    return {v.name: algebra.footprint_total(v.total_intensity, q) for v in scaled}
 
 
 def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
-                      baseline: Baseline) -> list[FootprintReport]:
+                      embedded: dict[str, float]) -> list[FootprintReport]:
     """All reports for one scenario, from one solve of its whole demand."""
     account = data.account
-    y_scen, gfcf_scen = scenario.apply_scenario(
-        baseline.y, baseline.gfcf, data.category_codes, spec, account.index)
+    y, gfcf = data.demand[home_region]
+    y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, data.category_codes, spec,
+                                                account.index)
     demand_by_category = indicators.decompose_demand_by_category(
         y_scen, gfcf_scen, data.category_codes)
     # Every element lies in one category only, so this equals the sum of the parts.
@@ -215,7 +221,7 @@ def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
             account=account, variant=variant, q=q, demand_by_category=demand_by_category,
             home_region=home_region, groups=data.groups, group_codes=data.group_codes,
             params=data.params,
-            scenario_name=spec.name, baseline_embedded=baseline.embedded.get(variant.name),
+            scenario_name=spec.name, baseline_embedded=embedded.get(variant.name),
         )
         for variant in data.variants
     ]
@@ -231,12 +237,12 @@ def _run(args, compare: bool = False) -> tuple[
     data = _load(config, specs)
 
     def reports_by_scenario():
-        baselines: dict[str, Baseline] = {}
+        embedded: dict[str, dict[str, float]] = {}
         for spec in specs:
             home_region = config.home_region or spec.home_region
-            if home_region not in baselines:
-                baselines[home_region] = _baseline(data, home_region)
-            reports = _scenario_reports(data, spec, home_region, baselines[home_region])
+            if home_region not in embedded:
+                embedded[home_region] = _embedded(data, home_region)
+            reports = _scenario_reports(data, spec, home_region, embedded[home_region])
             out_dir = config.out_dir / spec.name
             out_dir.mkdir(parents=True, exist_ok=True)
             _write_csv(out_dir / "report.csv", REPORT_HEADER,
@@ -389,6 +395,7 @@ def cmd_validate(args) -> int:
     layout_path = Path(args.layout)
     if not layout_path.exists():
         raise FileNotFoundError(str(layout_path))
+    out_dir = _out_dir(args.out) if args.out else None
     result = fileio.ingest(layout_path)
     account = result.account
     balance = model.validate_balance(account, tol=args.tol)
@@ -407,8 +414,7 @@ def cmd_validate(args) -> int:
     for warning in result.warnings:
         print(f"warning: ({warning.region}, {warning.sector}) {warning.note}")
 
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "n_regions": account.index.n_regions,

@@ -31,12 +31,13 @@ class UnproductiveEconomy(MrioError):
 class ParseError(MrioError):
     """An input file is malformed.
 
-    Carries the file path plus 1-based row/column of the offending cell
-    when they can be located.
+    Carries the message without its location, the file path, and the
+    1-based row/column of the offending cell when they can be located.
     """
 
     def __init__(self, message: str, *, path: str | None = None,
                  row: int | None = None, column: int | None = None):
+        self.message = message
         self.path = path
         self.row = row
         self.column = column

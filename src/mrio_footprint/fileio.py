@@ -149,10 +149,10 @@ def load_layout(path: str | Path) -> Layout:
 @dataclass(frozen=True)
 class IngestResult:
     account: MrioAccount
-    warnings: tuple[IngestWarning, ...] = ()
     # The parse-cache entries of the transaction grid and total output,
     # which name the cached factorization of the account's I - A.
-    system_entries: tuple[Path, Path] | None = None
+    system_entries: tuple[Path, Path]
+    warnings: tuple[IngestWarning, ...] = ()
 
 
 @contextmanager
@@ -180,21 +180,17 @@ def _load_numbers(lines, delimiter: str) -> np.ndarray:
     return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
 
 
-def _read_headers(handle, delimiter: str, header_rows: int) -> tuple[list[list[str]], int]:
-    """The header rows of an open grid file, and the number of lines they took."""
-    reader = csv.reader(handle, delimiter=delimiter)
-    return list(islice(reader, header_rows)), reader.line_num
-
-
-def _body_lines(handle, path: Path, delimiter: str, index_cols: int, width: int,
-                first_lineno: int, labels: list, linenos: list[int]) -> Iterator[str]:
-    """Yield the numeric part of each non-blank body line of a grid.
+def _body_lines(lines, path: Path, delimiter: str, index_cols: int, width: int,
+                labels: list, linenos: list[int]) -> Iterator[str]:
+    """Yield the numeric part of each non-blank line of ``lines``, the body
+    lines of a grid.
 
     Every line must hold ``width`` cells. Its index cells go to ``labels``
-    and its 1-based line number to ``linenos``. Lines holding a quote are
-    read with csv rules, since a quoted label may contain the delimiter.
+    and its line number, counted from 1 at the first of ``lines``, to
+    ``linenos``. Lines holding a quote are read with csv rules, since a
+    quoted label may contain the delimiter.
     """
-    for lineno, line in enumerate(handle, start=first_lineno):
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
         if not line:
             continue
@@ -214,37 +210,18 @@ def _body_lines(handle, path: Path, delimiter: str, index_cols: int, width: int,
         yield rest
 
 
-def _find_bad_cell(path: Path, delimiter: str, index_cols: int, header_rows: int) -> None:
-    """Re-read a grid whose body failed to load, one row at a time and then
-    one cell at a time, to raise a ParseError naming the row and column of
-    the first cell that is not a number."""
-    linenos: list[int] = []
-    with _reading(path), _open_text(path) as handle:
-        headers, used = _read_headers(handle, delimiter, header_rows)
-        for rest in _body_lines(handle, path, delimiter, index_cols, len(headers[-1]),
-                                used + 1, [], linenos):
-            try:
-                _load_numbers([rest], delimiter)
-            except ValueError:
-                for offset, cell in enumerate(rest.split(delimiter)):
-                    try:
-                        _load_numbers([cell], delimiter)
-                    except ValueError:
-                        raise ParseError(f"non-numeric value {cell!r}", path=str(path),
-                                         row=linenos[-1],
-                                         column=index_cols + offset + 1) from None
-                raise ParseError("malformed numeric row", path=str(path),
-                                 row=linenos[-1]) from None
-
-
-def _non_finite_cell(matrix: np.ndarray) -> tuple[int, int] | None:
-    """Position of the first nan or inf cell, if any."""
+def _bad_cell(matrix: np.ndarray, nonnegative: bool) -> tuple[int, int] | None:
+    """Position of the first cell that is nan or inf, or negative when
+    ``nonnegative``; None when there is none."""
     # A finite sum proves every cell finite without an n x n mask; a sum that
     # overflows on finite cells falls through to the cell check and passes.
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(matrix.sum()):
+        if np.isfinite(matrix.sum()) and not (nonnegative and matrix.min(initial=0.0) < 0):
             return None
-    bad = np.argwhere(~np.isfinite(matrix))
+    bad = ~np.isfinite(matrix)
+    if nonnegative:
+        bad |= matrix < 0
+    bad = np.argwhere(bad)
     return (int(bad[0][0]), int(bad[0][1])) if bad.size else None
 
 
@@ -329,87 +306,118 @@ def _spans(path: Path, start: int, end: int, count: int) -> list[tuple[int, int]
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def _parse_span(grid, span: tuple[int, int], first_lineno: int = 1):
+def _span_lines(raw, span: tuple[int, int], count: list[int]) -> Iterator[str]:
+    """Yield the lines in the byte span [start, end) of a binary handle, as
+    text read with ``newline=""``, adding one to ``count[0]`` for each."""
+    start, end = span
+    raw.seek(start)
+    for line in io.TextIOWrapper(raw, encoding="utf-8", newline=""):
+        if start >= end:
+            return
+        start += len(line) if line.isascii() else len(line.encode("utf-8"))
+        count[0] += 1
+        yield line
+
+
+def _parse_span(grid, span: tuple[int, int]):
     """Parse the body lines in the byte span [start, end) of a grid file,
     streaming them from disk.
 
     ``grid`` is (path, delimiter, index_cols, width). Returns the lines'
-    labels, their line numbers counted from ``first_lineno`` at the span's
-    first line, the span's physical line count, and their matrix. A bad line
-    raises ValueError, or a ParseError whose row is counted likewise.
+    labels, their line numbers counted from 1 at the span's first line, the
+    span's physical line count, and their matrix. A bad line raises a
+    ParseError whose row is counted likewise.
     """
     path, delimiter, index_cols, width = grid
-    start, end = span
     labels: list[tuple[str, ...]] = []
     linenos: list[int] = []
-    count = 0
-
-    def lines(handle):
-        nonlocal start, count
-        for line in handle:
-            if start >= end:
-                return
-            start += len(line) if line.isascii() else len(line.encode("utf-8"))
-            count += 1
-            yield line
-
+    count = [0]
     with path.open("rb") as raw:
-        raw.seek(start)
-        handle = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-        body = _body_lines(lines(handle), path, delimiter, index_cols, width, first_lineno,
+        body = _body_lines(_span_lines(raw, span, count), path, delimiter, index_cols, width,
                            labels, linenos)
         first = next(body, None)
-        matrix = (np.empty((0, width - index_cols)) if first is None
-                  else _load_numbers(chain([first], body), delimiter))
-    return labels, linenos, count, matrix
+        try:
+            matrix = (np.empty((0, width - index_cols)) if first is None
+                      else _load_numbers(chain([first], body), delimiter))
+        except ValueError as exc:
+            error = exc
+        else:
+            return labels, linenos, count[0], matrix
+    # Stream the span again, one row and then one cell at a time, to name
+    # the first cell that is not a number.
+    linenos = []
+    with path.open("rb") as raw:
+        for rest in _body_lines(_span_lines(raw, span, [0]), path, delimiter, index_cols, width,
+                                [], linenos):
+            try:
+                _load_numbers([rest], delimiter)
+            except ValueError:
+                for offset, cell in enumerate(rest.split(delimiter)):
+                    try:
+                        _load_numbers([cell], delimiter)
+                    except ValueError:
+                        raise ParseError(f"non-numeric value {cell!r}", path=str(path),
+                                         row=linenos[-1],
+                                         column=index_cols + offset + 1) from None
+                raise ParseError("malformed numeric row", path=str(path),
+                                 row=linenos[-1]) from None
+    raise ParseError(f"malformed numeric value: {error}", path=str(path)) from error
 
 
-def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
+def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
+                nonnegative: bool = False):
     """Parse a grid file: its header rows, row labels and matrix.
 
     The body is cut into one byte span per process (see ``_processes``),
-    and the spans are parsed side by side. If any span fails, or the body
-    has no rows, the whole body is parsed again in-process, so that the
-    ParseError names the first bad line by its row in the file.
+    the spans are parsed side by side, and their parts are joined in order.
+    A span that fails names its row within the span; every span before it
+    is joined by then, so the row in the file is known. A cell that is not
+    finite, or negative when ``nonnegative``, and a row that repeats an
+    earlier row's labels, are ParseErrors naming their row.
     """
     with _reading(path):
         with _open_text(path) as handle:
-            headers, used = _read_headers(handle, delimiter, header_rows)
+            reader = csv.reader(handle, delimiter=delimiter)
+            headers = list(islice(reader, header_rows))
         if len(headers) < header_rows:
             raise ParseError("file has no data rows", path=str(path))
         if len(headers[-1]) <= index_cols:
             raise ParseError("file has no data columns", path=str(path), row=header_rows)
+        used = reader.line_num  # lines before the next span
         with _open_text(path) as handle:
             start = sum(len(line.encode("utf-8")) for line in islice(handle, used))
         size = path.stat().st_size
         processes = _processes(size - start)
         grid = (path, delimiter, index_cols, len(headers[-1]))
+        labels: list[tuple[str, ...]] = []
+        linenos: list[int] = []
+        blocks = []
         try:
-            parts = list(_fork_map(_parse_span, grid, _spans(path, start, size, processes),
-                                   processes))
-        except (ValueError, ParseError):
-            parts = []
-        if not any(part[0] for part in parts):
-            try:
-                parts = [_parse_span(grid, (start, size), used + 1)]
-            except ValueError as exc:
-                _find_bad_cell(path, delimiter, index_cols, header_rows)
-                raise ParseError(f"malformed numeric value: {exc}", path=str(path)) from exc
-            if not parts[0][0]:
-                raise ParseError("file has no data rows", path=str(path))
-            used = 0  # this part's line numbers are already the file's
-    labels: list[tuple[str, ...]] = []
-    linenos: list[int] = []
-    for part in parts:
-        labels += part[0]
-        linenos += [used + lineno for lineno in part[1]]
-        used += part[2]
-    matrix = parts[0][3] if len(parts) == 1 else np.concatenate([part[3] for part in parts])
-    cell = _non_finite_cell(matrix)
+            for part_labels, part_linenos, count, block in _fork_map(
+                    _parse_span, grid, _spans(path, start, size, processes), processes):
+                labels += part_labels
+                linenos += [used + lineno for lineno in part_linenos]
+                blocks.append(block)
+                used += count
+        except ParseError as exc:
+            raise ParseError(exc.message, path=exc.path, column=exc.column,
+                             row=None if exc.row is None else used + exc.row) from None
+    if not labels:
+        raise ParseError("file has no data rows", path=str(path))
+    matrix = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    cell = _bad_cell(matrix, nonnegative)
     if cell is not None:
         r, c = cell
-        raise ParseError(f"non-finite value {float(matrix[r, c])}", path=str(path),
-                         row=linenos[r], column=index_cols + c + 1)
+        value = float(matrix[r, c])
+        raise ParseError(f"{'negative' if np.isfinite(value) else 'non-finite'} value {value}",
+                         path=str(path), row=linenos[r], column=index_cols + c + 1)
+    seen: set[tuple[str, ...]] = set()
+    for label, lineno in zip(labels, linenos):
+        if label in seen:
+            what = "stressor" if index_cols == 1 else "region-sector"
+            raise ParseError(f"{what} label {' / '.join(label)!r} is repeated",
+                             path=str(path), row=lineno)
+        seen.add(label)
     return headers, labels, matrix
 
 
@@ -470,9 +478,10 @@ def _cache_store(entry: Path, matrix: np.ndarray, meta: dict) -> None:
         pass  # an unwritable cache only means the next run does the work again
 
 
-def _grid_load(entry: Path, index_cols: int, header_rows: int):
-    """A cached grid, or None when the entry is missing, unreadable or does
-    not fit the grid it names."""
+def _grid_load(entry: Path, index_cols: int, header_rows: int, nonnegative: bool):
+    """A cached grid, or None when the entry is missing, unreadable, does
+    not fit the grid it names or would fail a check of ``_parse_grid``, which
+    then parses the file again to name the bad row."""
     cached = _cache_load(entry)
     if cached is None:
         return None
@@ -483,28 +492,30 @@ def _grid_load(entry: Path, index_cols: int, header_rows: int):
         fits = (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
                 and len(headers) == header_rows
                 and matrix.shape == (len(labels), len(headers[-1]) - index_cols)
-                and all(len(label) == index_cols for label in labels))
+                and all(len(label) == index_cols for label in labels)
+                and len(set(labels)) == len(labels))
     except (LookupError, TypeError):
         return None
-    if not fits or _non_finite_cell(matrix) is not None:
+    if not fits or _bad_cell(matrix, nonnegative) is not None:
         return None
     return headers, labels, matrix
 
 
 def _read_grid(path: Path, cache_dir: Path, delimiter: str, index_cols: int,
-               header_rows: int = 2):
+               header_rows: int = 2, nonnegative: bool = False):
     """Read a labelled grid: header rows, index columns, numeric body.
 
-    Returns (headers, row_labels, matrix, cache entry). Ragged rows and
-    non-numeric or non-finite values are ParseErrors; the caller checks the
+    Returns (headers, row_labels, matrix, cache entry). Ragged rows, repeated
+    row labels, and non-numeric, non-finite or (when ``nonnegative``)
+    negative values are ParseErrors; the caller checks the
     resulting shape against the model dimension. A parsed grid is kept in
     ``cache_dir`` under the file's path, the parse settings and the sha256
     of the file's bytes, and is read from there while the file is unchanged.
     """
     entry = cache_dir / _cache_key(path, cache_dir.parent, delimiter, index_cols, header_rows)
-    grid = _grid_load(entry, index_cols, header_rows)
+    grid = _grid_load(entry, index_cols, header_rows, nonnegative)
     if grid is None:
-        grid = _parse_grid(path, delimiter, index_cols, header_rows)
+        grid = _parse_grid(path, delimiter, index_cols, header_rows, nonnegative)
         headers, labels, matrix = grid
         _cache_store(entry, matrix, {"headers": headers, "labels": labels})
     return (*grid, entry)
@@ -531,7 +542,7 @@ class FactorizationEntry:
         _cache_store(self.path, lu, {"piv": piv.tolist()})
 
 
-def factorization_entry(result: IngestResult, identity: str) -> FactorizationEntry | None:
+def factorization_entry(result: IngestResult, identity: str) -> FactorizationEntry:
     """Where the LU of the account's I - A is cached, for a factorization made
     under ``identity`` (the libraries and settings that fix its bits).
 
@@ -541,8 +552,6 @@ def factorization_entry(result: IngestResult, identity: str) -> FactorizationEnt
     grids, so storing an entry replaces that of earlier contents or of
     another identity.
     """
-    if result.system_entries is None:
-        return None
     z_entry, x_entry = result.system_entries
     cache_dir = z_entry.parent.parent
     key = "\n".join([z_entry.relative_to(cache_dir).as_posix(),
@@ -559,26 +568,6 @@ def _column_pairs(headers: list[list[str]], index_cols: int, path: Path):
         (first[i].strip(), second[i].strip())
         for i in range(index_cols, len(second))
     ]
-
-
-def _check_unique(labels: list[tuple[str, ...]], what: str, path: Path, delimiter: str,
-                  index_cols: int) -> None:
-    """Raise a ParseError at the first row of a grid with two header rows
-    whose labels repeat an earlier row's."""
-    seen: set[tuple[str, ...]] = set()
-    for k, label in enumerate(labels):
-        if label in seen:
-            # Blank lines are not rows, so find the line number by reading again.
-            linenos: list[int] = []
-            with _reading(path), _open_text(path) as handle:
-                headers, used = _read_headers(handle, delimiter, 2)
-                body = _body_lines(handle, path, delimiter, index_cols, len(headers[-1]),
-                                   used + 1, [], linenos)
-                for _ in islice(body, k + 1):
-                    pass
-            raise ParseError(f"{what} label {' / '.join(label)!r} is repeated",
-                             path=str(path), row=linenos[k])
-        seen.add(label)
 
 
 def _index_from_labels(labels: list[tuple[str, ...]], path: Path) -> RegionSectorIndex:
@@ -611,8 +600,8 @@ def ingest(layout_path: str | Path) -> IngestResult:
     cache_dir = layout.base_dir / CACHE_DIR
 
     z_path = layout.path(layout.transactions)
-    z_headers, z_labels, Z, z_entry = _read_grid(z_path, cache_dir, delim, index_cols=2)
-    _check_unique(z_labels, "region-sector", z_path, delim, index_cols=2)
+    z_headers, z_labels, Z, z_entry = _read_grid(z_path, cache_dir, delim, index_cols=2,
+                                                 nonnegative=True)
     index = _index_from_labels(z_labels, z_path)
     if Z.shape != (index.n, index.n):
         raise DimensionMismatch(
@@ -636,7 +625,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
 
     x_path = layout.path(layout.total_output)
     _, x_labels, x_grid, x_entry = _read_grid(x_path, cache_dir, delim, index_cols=2,
-                                              header_rows=1)
+                                              header_rows=1, nonnegative=True)
     if list(x_labels) != index.labels():
         raise ParseError("total-output rows do not match the transaction index",
                          path=str(x_path))
@@ -650,8 +639,8 @@ def ingest(layout_path: str | Path) -> IngestResult:
         if not entry.unit:
             raise UnitMismatch(f"extension {entry.name!r} has no unit label in the layout")
         ext_path = layout.path(entry.file)
-        ext_headers, ext_labels, rows, _ = _read_grid(ext_path, cache_dir, delim, index_cols=1)
-        _check_unique(ext_labels, "stressor", ext_path, delim, index_cols=1)
+        ext_headers, ext_labels, rows, _ = _read_grid(ext_path, cache_dir, delim, index_cols=1,
+                                                      nonnegative=True)
         if rows.shape[1] != index.n:
             raise DimensionMismatch(
                 f"extension {entry.name!r} has {rows.shape[1]} columns, expected {index.n}"

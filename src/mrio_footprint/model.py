@@ -247,7 +247,8 @@ def select_demand(account: MrioAccount, selection: DemandSelection) -> np.ndarra
     """Sum the selected Y columns into one spending vector.
 
     Each category's columns are summed and checked for negative entries
-    first, then the category vectors are added in selection order.
+    first, then the category vectors are added in selection order. Every
+    paying region needs a column for every included category.
     """
     known_regions = set(account.regions_in_y)
     for region in selection.paying_regions:
@@ -258,8 +259,12 @@ def select_demand(account: MrioAccount, selection: DemandSelection) -> np.ndarra
     for category in selection.included_categories:
         columns: list[int] = []
         for region in selection.paying_regions:
-            columns.extend(account.y_column_indices(region, category))
-        vector = account.Y[:, columns].sum(axis=1) if columns else np.zeros(account.index.n)
+            found = account.y_column_indices(region, category)
+            if not found:
+                raise UnknownCategory(f"region {region!r} has no final-demand column for "
+                                      f"category {category!r}")
+            columns.extend(found)
+        vector = account.Y[:, columns].sum(axis=1)
         if np.any(vector < 0):
             i = int(np.argmin(vector))
             region, sector = account.index.labels()[i]

@@ -487,6 +487,22 @@ class TestCompare:
         assert ("--home-region" in err) if flag else ("abroad.json" in err)
         assert not (tmp_path / "cmp").exists()
 
+    def test_misspelt_demand_category_exits_one_before_factorize(
+            self, fixture_dir, tmp_path, capsys, monkeypatch):
+        # Extra categories stay allowed, but a selected one may not go missing.
+        y_path = fixture_dir / "y.tsv"
+        header, categories, rest = y_path.read_text().split("\n", 2)
+        categories = categories.replace("households", "household")
+        y_path.write_text("\n".join([header, categories, rest]))
+
+        def no_factorize(*args):
+            raise AssertionError("factorize ran before the demand columns were checked")
+        monkeypatch.setattr(algebra, "LeontiefOperator", no_factorize)
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "halved"]) == 1
+        err = capsys.readouterr().err
+        assert "region 'R0' has no final-demand column for category 'households'" in err
+        assert not (tmp_path / "cmp").exists()
+
     def test_direct_use_without_the_home_region_exits_one(self, fixture_dir, tmp_path, capsys):
         path = fixture_dir / "direct_energy.tsv"
         lines = path.read_text().splitlines(True)
@@ -649,6 +665,26 @@ codes = [main(["fixture", "--regions", "3", "--sectors", "5", "--seed", "7", "--
 print(json.dumps([codes, [name for name in ("scipy.linalg", "multiprocessing",
                                              "concurrent.futures") if name in sys.modules]]))
 """
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("verb", ["validate", "footprint", "compare"])
+def test_out_on_a_file_exits_one_before_ingest(fixture_dir, tmp_path, capsys, monkeypatch,
+                                               verb, below):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+
+    def no_ingest(*args):
+        raise AssertionError("ingest ran before --out was checked")
+    monkeypatch.setattr(fileio, "ingest", no_ingest)
+    argv = [verb, "--layout", str(fixture_dir / "layout.json"),
+            "--out", str(afile / "sub" if below else afile)]
+    if verb != "validate":
+        argv += ["--params", str(fixture_dir / "params.json"),
+                 "--scenario", str(fixture_dir / "scenarios" / "baseline.json")]
+    assert main(argv) == 1
+    assert f"{afile} exists and is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
 
 
 def test_no_verb_imports_scipy_linalg(tmp_path):

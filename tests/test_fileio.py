@@ -220,6 +220,29 @@ class TestParseErrors:
         assert excinfo.value.row == 4
         assert "ext_emissions.tsv" in str(excinfo.value) and "'CO2'" in str(excinfo.value)
 
+    def test_repeated_final_demand_row_names_row(self, written_set, tmp_path):
+        _, layout_path = written_set
+        y_path = tmp_path / "y.tsv"
+        lines = y_path.read_text().splitlines()
+        lines[3] = lines[2]
+        y_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.row == 4
+        assert "y.tsv" in str(excinfo.value) and "'R0 / S0' is repeated" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name, line, cell", [("z.tsv", 4, 5), ("x.tsv", 2, 2),
+                                                  ("ext_energy.tsv", 2, 3)])
+    def test_negative_cell_names_row_and_column(self, written_set, tmp_path, name, line, cell):
+        _, layout_path = written_set
+        # Final demand keeps its negative inventory changes.
+        assert (fileio.ingest(layout_path).account.Y < 0).any()
+        self._set_cell(tmp_path / name, line, cell, "-0.25")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert (excinfo.value.row, excinfo.value.column) == (line + 1, cell + 1)
+        assert name in str(excinfo.value) and "negative value -0.25" in str(excinfo.value)
+
     def test_material_stressor_without_used_or_unused_flag(self, tmp_path):
         layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
         descriptor = json.loads(layout_path.read_text())
@@ -421,6 +444,30 @@ class TestCache:
         assert fileio.ingest(layout_path).account.Z.tobytes() == expected.tobytes()
         assert entry.read_bytes() == whole
 
+    @pytest.mark.parametrize("bad", ["repeated label", "negative cell"])
+    def test_entry_of_a_bad_grid_is_parsed_again(self, written_set, tmp_path, bad):
+        # An entry that fails a check of the parse, such as one stored by a
+        # reader without that check, is parsed again to name the row.
+        _, layout_path = written_set
+        z_path = tmp_path / "z.tsv"
+        if bad == "repeated label":
+            lines = z_path.read_text().splitlines()
+            lines[3] = lines[2]
+            z_path.write_text("\n".join(lines) + "\n")
+        else:
+            TestParseErrors._set_cell(z_path, 3, 4, "-0.5")
+        rows = [line.split("\t") for line in z_path.read_text().splitlines()]
+        entry = _z_entry(layout_path).with_suffix("")
+        fileio._cache_store(entry, np.array([[float(c) for c in row[2:]] for row in rows[2:]]),
+                            {"headers": rows[:2], "labels": [row[:2] for row in rows[2:]]})
+        assert entry.with_suffix(".npy").exists()
+        assert fileio._grid_load(entry, 2, 2, nonnegative=True) is None
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert excinfo.value.row == 4
+        assert ("'R0 / S0' is repeated" if bad == "repeated label"
+                else "negative value -0.5") in str(excinfo.value)
+
     def test_unwritable_cache_is_skipped(self, written_set, tmp_path):
         account, layout_path = written_set
         (tmp_path / fileio.CACHE_DIR).write_text("not a directory")
@@ -585,6 +632,70 @@ class TestParallelGrids:
             assert column == 17 and "expected 17 cells, found 16" in message
         else:
             assert column == 15 and text in message
+
+    @staticmethod
+    def _bad_z(tmp_path, edits):
+        """fixture(3, 5, 7)'s z.tsv, with a blank line after the headers and
+        each (line, cell, text) of ``edits`` made; returns its path."""
+        fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / "z.tsv"
+        lines = path.read_text().splitlines()
+        for line, cell, text in edits:
+            cells = lines[line].split("\t")
+            cells[cell] = text
+            lines[line] = "\t".join(cells)
+        lines.insert(2, "")
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_bad_cell_in_the_first_chunk(self, tmp_path, monkeypatch):
+        path = self._bad_z(tmp_path, [(3, 4, "oops")])
+        (message, where, row, column), spans = _compare(monkeypatch, path)
+        assert (where, row, column, spans) == (str(path), 5, 5, 2) and "'oops'" in message
+
+    def test_bad_cells_in_both_chunks_name_the_first(self, tmp_path, monkeypatch):
+        path = self._bad_z(tmp_path, [(3, 4, "oops"), (15, 6, "nan")])
+        (message, _, row, column), spans = _compare(monkeypatch, path)
+        assert (row, column, spans) == (5, 5, 2) and "'oops'" in message
+        path = self._bad_z(tmp_path, [(3, 4, "inf"), (15, 6, "1,5")])
+        (message, _, row, column), spans = _compare(monkeypatch, path)
+        assert (row, column, spans) == (17, 7, 2) and "'1,5'" in message
+
+    def test_label_repeating_one_of_the_first_chunk(self, tmp_path, monkeypatch):
+        path = self._bad_z(tmp_path, [(15, 0, "R0"), (15, 1, "S1")])
+        (message, _, row, column), spans = _compare(monkeypatch, path)
+        assert (row, column, spans) == (17, None, 2)
+        assert "region-sector label 'R0 / S1' is repeated" in message
+
+    @pytest.mark.parametrize("line", [3, 15])
+    def test_a_bad_grid_is_parsed_once_and_its_bad_chunk_read_again(
+            self, tmp_path, monkeypatch, line):
+        path = self._bad_z(tmp_path, [(line, 4, "oops")])
+        _split_in_two(monkeypatch)
+        monkeypatch.setattr(fileio, "_fork_map", lambda function, shared, chunks, processes:
+                            (function(shared, chunk) for chunk in chunks))
+        parsed, read = [], []
+        parse_span, span_lines = fileio._parse_span, fileio._span_lines
+
+        def parse(grid, span):
+            parsed.append(span)
+            return parse_span(grid, span)
+
+        def lines(raw, span, count):
+            read.append(span)
+            return span_lines(raw, span, count)
+        monkeypatch.setattr(fileio, "_parse_span", parse)
+        monkeypatch.setattr(fileio, "_span_lines", lines)
+        with pytest.raises(ParseError, match="oops"):
+            fileio._parse_grid(path, "\t", 2, 2)
+        # The body's spans are parsed in order up to the failing one, which
+        # alone is read from disk a second time.
+        body = len("".join(path.read_text().splitlines(True)[:2]))
+        cuts = [body] + [end for _, end in parsed]
+        assert parsed == list(zip(cuts, cuts[1:]))
+        assert (len(parsed), cuts[-1] == path.stat().st_size) == ((1, False) if line == 3
+                                                                  else (2, True))
+        assert read == parsed + parsed[-1:]
 
     def test_written_grids_are_byte_identical(self, tmp_path, monkeypatch):
         account = fixtures.fixture(3, 5, 7)

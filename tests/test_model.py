@@ -135,6 +135,18 @@ class TestSelectDemand:
             model.select_demand(
                 account_357, model.DemandSelection(("R9",), (model.CATEGORY_HOUSEHOLDS,)))
 
+    def test_missing_category_column_rejected(self, account_357):
+        keep = [k for k, column in enumerate(account_357.y_columns)
+                if column != ("R1", model.CATEGORY_GFCF)]
+        partial = model.MrioAccount(
+            index=account_357.index, Z=account_357.Z, Y=account_357.Y[:, keep],
+            y_columns=[account_357.y_columns[k] for k in keep],
+            x=account_357.x, extensions=account_357.extensions, year=account_357.year)
+        model.select_demand(partial, model.consumption_selection("R1"))
+        with pytest.raises(UnknownCategory, match="'R1' has no final-demand column for "
+                                                  "category 'gfcf'"):
+            model.select_demand(partial, model.gfcf_selection("R1"))
+
     def test_extra_demand_columns_survive_but_are_unselectable(self, account_357):
         Y = np.hstack([account_357.Y, np.ones((account_357.index.n, 1))])
         extended = model.MrioAccount(
