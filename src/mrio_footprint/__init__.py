@@ -36,7 +36,6 @@ from .indicators import (
     FootprintReport,
     OriginSplit,
     ReportVariant,
-    SectorGroupConcordance,
     aggregate_by_sector_group,
     aggregate_by_skill,
     attribute_by_category,
@@ -47,24 +46,22 @@ from .indicators import (
     load_sector_groups,
     per_capita,
     report_variants,
+    sector_group_codes,
     split_origin,
 )
 from .model import (
     BalanceReport,
-    DemandSelection,
     ExtensionAccount,
     MrioAccount,
     RegionSectorIndex,
-    consumption_selection,
-    gfcf_selection,
-    select_demand,
+    home_demand,
     validate_balance,
 )
 from .scenario import (
-    CategoryConcordance,
     ScenarioSpec,
     apply_scenario,
     baseline_category_totals,
+    category_codes,
     category_scaling_factors,
     dining_out_adjustment,
     load_concordance,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import algebra, fileio, fixtures, indicators, model, scenario
 from .errors import MrioError, ParseError, UnknownRegion, UnknownScenario
-from .indicators import ConversionParams, FootprintReport, ReportVariant, SectorGroupConcordance
+from .indicators import ConversionParams, FootprintReport, ReportVariant
 from .model import MrioAccount
 from .scenario import ScenarioSpec
 
@@ -110,14 +110,15 @@ def _out_dir(raw: str) -> Path:
 @dataclass(frozen=True)
 class LoadedData:
     account: MrioAccount
-    groups: SectorGroupConcordance
     params: ConversionParams
     operator: algebra.LeontiefOperator
     variants: tuple[ReportVariant, ...]
     # Each home region's baseline consumption and capital-formation demand.
     demand: dict[str, tuple[np.ndarray, np.ndarray]]
-    # Each region-sector's spending category and sector group, as codes.
+    # Each region-sector's spending category and sector group, as codes; the
+    # group codes index ``group_labels``.
     category_codes: np.ndarray
+    group_labels: tuple[str, ...]
     group_codes: np.ndarray
 
 
@@ -140,18 +141,16 @@ def _load(config: RunConfig, specs: list[ScenarioSpec]) -> LoadedData:
             raise UnknownRegion(f"unknown region {region!r}: {source} sets it as the home "
                                 "region, but the account has no such region")
         if region not in demand:
-            demand[region] = (model.select_demand(account, model.consumption_selection(region)),
-                              model.select_demand(account, model.gfcf_selection(region)))
-    concordance = scenario.load_concordance(config.categories_path, account.index.sectors)
-    groups = indicators.load_sector_groups(config.groups_path, account.index.sectors)
+            demand[region] = model.home_demand(account, region)
+    category_codes = scenario.load_concordance(config.categories_path, account.index)
+    group_labels, group_codes = indicators.load_sector_groups(config.groups_path, account.index)
     params = indicators.load_conversion_params(config.params_path)
     operator = _operator(ingested)
     variants = indicators.report_variants(
         account, operator, _selected_extensions(account, config.extensions))
-    return LoadedData(account=account, groups=groups, params=params,
-                      operator=operator, variants=tuple(variants), demand=demand,
-                      category_codes=concordance.codes(account.index),
-                      group_codes=groups.codes(account.index))
+    return LoadedData(account=account, params=params, operator=operator,
+                      variants=tuple(variants), demand=demand, category_codes=category_codes,
+                      group_labels=group_labels, group_codes=group_codes)
 
 
 def _load_specs(config: RunConfig, compare: bool) -> list[ScenarioSpec]:
@@ -219,8 +218,8 @@ def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
     return [
         indicators.build_footprint_report(
             account=account, variant=variant, q=q, demand_by_category=demand_by_category,
-            home_region=home_region, groups=data.groups, group_codes=data.group_codes,
-            params=data.params,
+            home_region=home_region, group_labels=data.group_labels,
+            group_codes=data.group_codes, params=data.params,
             scenario_name=spec.name, baseline_embedded=embedded.get(variant.name),
         )
         for variant in data.variants

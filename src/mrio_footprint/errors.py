@@ -6,8 +6,10 @@ CLI) can distinguish domain failures from programming errors.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -88,6 +90,43 @@ class UnknownScenario(MrioError):
     """A named scenario cannot be resolved to a spec file."""
 
 
+@contextmanager
+def reading(path: Path):
+    """Turn a failure to read ``path``, other than its absence, into a ParseError."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=str(path)) from exc
+
+
+def read_pairs(path: Path, columns: tuple[str, str], delimiter: str = "\t",
+               header: bool = False):
+    """Yield (line number, first cell, second cell), both stripped, for each
+    row of a two-column table, such as a concordance's (sector, category).
+
+    Blank lines, lines whose first cell starts with "#" and, with ``header``,
+    the first line are skipped. A row of any other number of cells, or one
+    that repeats an earlier row's first cell, is a ParseError naming the file
+    and the row; ``columns`` names the two columns in its message.
+    """
+    seen: set[str] = set()
+    with reading(path), path.open(newline="", encoding="utf-8") as handle:
+        for lineno, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
+            if (header and lineno == 1) or not row or row[0].startswith("#"):
+                continue
+            if len(row) != 2:
+                raise ParseError(f"expected two columns ({', '.join(columns)}), "
+                                 f"found {len(row)}", path=str(path), row=lineno)
+            first, second = row[0].strip(), row[1].strip()
+            if first in seen:
+                raise ParseError(f"{columns[0]} {first!r} listed twice", path=str(path),
+                                 row=lineno)
+            seen.add(first)
+            yield lineno, first, second
+
+
 POSITIVE = "a finite, positive number"
 _NOTES = ("_comment", "description")  # keys accepted in every object and never read
 _SCALARS = {str: (str, "a string"), int: (int, "an integer"),
@@ -113,7 +152,8 @@ def read_json(path: Path, fields: dict, what: str) -> dict:
         return read
 
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
+        with reading(path):
+            raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
     except ValueError as exc:
         raise ParseError(f"invalid {what}: {exc}", path=str(path)) from exc
     return _read(raw, fields, what, str(path))

@@ -24,16 +24,16 @@ import json
 import os
 import threading
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import POSITIVE, DimensionMismatch, ParseError, UnitMismatch, read_json
+from .errors import (POSITIVE, DimensionMismatch, MissingStressorLabel, ParseError,
+                     UnitMismatch, read_json, read_pairs, reading)
 from .model import (MATERIAL_UNUSED, MATERIAL_USED, ExtensionAccount, MrioAccount,
-                    RegionSectorIndex)
+                    RegionSectorIndex, skill_of)
 
 DEFAULT_HOURS_PER_WORKER_YEAR = 1840.0
 
@@ -155,24 +155,8 @@ class IngestResult:
     warnings: tuple[IngestWarning, ...] = ()
 
 
-@contextmanager
-def _reading(path: Path):
-    """Turn a failure to read ``path``, other than its absence, into a ParseError."""
-    try:
-        yield
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=str(path)) from exc
-
-
 def _open_text(path: Path):
     return path.open(newline="", encoding="utf-8")
-
-
-def _read_rows(path: Path, delimiter: str) -> list[list[str]]:
-    with _reading(path), _open_text(path) as handle:
-        return list(csv.reader(handle, delimiter=delimiter))
 
 
 def _load_numbers(lines, delimiter: str) -> np.ndarray:
@@ -354,6 +338,9 @@ def _parse_span(grid, span: tuple[int, int]):
             except ValueError:
                 for offset, cell in enumerate(rest.split(delimiter)):
                     try:
+                        # loadtxt reads a blank cell as no data, with a warning.
+                        if not cell.strip():
+                            raise ValueError
                         _load_numbers([cell], delimiter)
                     except ValueError:
                         raise ParseError(f"non-numeric value {cell!r}", path=str(path),
@@ -375,7 +362,7 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
     finite, or negative when ``nonnegative``, and a row that repeats an
     earlier row's labels, are ParseErrors naming their row.
     """
-    with _reading(path):
+    with reading(path):
         with _open_text(path) as handle:
             reader = csv.reader(handle, delimiter=delimiter)
             headers = list(islice(reader, header_rows))
@@ -428,7 +415,7 @@ def _cache_key(path: Path, base: Path, delimiter: str, index_cols: int,
     path from ``base`` with "%" for each separator, so grids of the same name
     in different directories keep their own entries."""
     digest = hashlib.sha256()
-    with _reading(path), path.open("rb") as handle:
+    with reading(path), path.open("rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     name = os.path.relpath(path, base).replace(os.sep, "%")
@@ -653,6 +640,13 @@ def ingest(layout_path: str | Path) -> IngestResult:
             rows = rows * (entry.workers_per_unit * layout.hours_per_worker_year)
             unit = "hours"
         stressors = tuple(label[0] for label in ext_labels)
+        if entry.kind == "labour":
+            for label in stressors:
+                try:
+                    skill_of(label)
+                except MissingStressorLabel as exc:
+                    raise ParseError(f"{exc}: low, medium or high",
+                                     path=str(ext_path)) from None
         if entry.material_flags is not None:
             for label in stressors:
                 flag = entry.material_flags.get(label)
@@ -684,29 +678,20 @@ def ingest(layout_path: str | Path) -> IngestResult:
 
 def _read_direct(path: Path, delimiter: str, regions: tuple[str, ...]) -> dict[str, float]:
     """A direct-use file's value for each of the account's ``regions``; each
-    must be listed exactly once."""
-    rows = _read_rows(path, delimiter)
+    must be listed exactly once, below a header line."""
     direct: dict[str, float] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected two cells, found {len(row)}",
-                             path=str(path), row=lineno)
+    for lineno, region, cell in read_pairs(path, ("region", "value"), delimiter, header=True):
         try:
-            value = float(row[1])
+            value = float(cell)
         except ValueError:
-            raise ParseError(f"non-numeric value {row[1]!r}", path=str(path),
+            raise ParseError(f"non-numeric value {cell!r}", path=str(path),
                              row=lineno, column=2) from None
         if not np.isfinite(value):
-            raise ParseError(f"non-finite value {row[1]!r}", path=str(path),
+            raise ParseError(f"non-finite value {cell!r}", path=str(path),
                              row=lineno, column=2)
-        region = row[0].strip()
         if region not in regions:
             raise ParseError(f"region {region!r} is not a region of the account",
                              path=str(path), row=lineno)
-        if region in direct:
-            raise ParseError(f"region {region!r} listed twice", path=str(path), row=lineno)
         direct[region] = value
     for region in regions:
         if region not in direct:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import leontief_solve
 from .fileio import _writer, write_account
-from .indicators import ConversionParams, SectorGroupConcordance
+from .indicators import ConversionParams
 from .model import (
     CATEGORY_GFCF,
     CATEGORY_GOVERNMENT,
@@ -28,14 +28,13 @@ from .model import (
     ExtensionAccount,
     MrioAccount,
     RegionSectorIndex,
-    consumption_selection,
-    select_demand,
+    home_demand,
 )
 from .scenario import (
     CONSUMPTION_SPENDING_CATEGORIES,
     GFCF_CATEGORY,
-    CategoryConcordance,
     baseline_category_totals,
+    category_codes,
 )
 
 FIXTURE_YEAR = 2012
@@ -146,22 +145,20 @@ def fixture(n_regions: int, n_sectors: int, seed: int) -> MrioAccount:
                        extensions=extensions, year=FIXTURE_YEAR)
 
 
-def fixture_category_concordance(index: RegionSectorIndex) -> CategoryConcordance:
+def fixture_category_concordance(index: RegionSectorIndex) -> dict[str, str]:
     """Round-robin sectors over the 12 consumption categories (all sorted)."""
-    mapping = {
+    return {
         sector: CONSUMPTION_SPENDING_CATEGORIES[j % len(CONSUMPTION_SPENDING_CATEGORIES)]
         for j, sector in enumerate(index.sectors)
     }
-    return CategoryConcordance(mapping)
 
 
-def fixture_sector_groups(index: RegionSectorIndex) -> SectorGroupConcordance:
+def fixture_sector_groups(index: RegionSectorIndex) -> dict[str, str]:
     """Round-robin sectors over the seven sector groups."""
-    mapping = {
+    return {
         sector: SECTOR_GROUPS[j % len(SECTOR_GROUPS)]
         for j, sector in enumerate(index.sectors)
     }
-    return SectorGroupConcordance(mapping=mapping, groups=SECTOR_GROUPS)
 
 
 def fixture_conversion_params() -> ConversionParams:
@@ -182,15 +179,9 @@ def write_fixture_set(n_regions: int, n_sectors: int, seed: int,
 
     concordance = fixture_category_concordance(index)
     with (out_dir / "category_concordance.tsv").open("w", newline="", encoding="utf-8") as handle:
-        out = _writer(handle, "\t")
-        for sector in index.sectors:
-            out.writerow([sector, concordance.mapping[sector]])
-
-    groups = fixture_sector_groups(index)
+        _writer(handle, "\t").writerows(concordance.items())
     with (out_dir / "sector_groups.tsv").open("w", newline="", encoding="utf-8") as handle:
-        out = _writer(handle, "\t")
-        for sector in index.sectors:
-            out.writerow([sector, groups.mapping[sector]])
+        _writer(handle, "\t").writerows(fixture_sector_groups(index).items())
 
     params = fixture_conversion_params()
     (out_dir / "params.json").write_text(json.dumps({
@@ -213,9 +204,9 @@ def write_fixture_set(n_regions: int, n_sectors: int, seed: int,
         json.dumps(baseline_spec, indent=2) + "\n", encoding="utf-8")
 
     # Halve the category of the first sector, leave everything else alone.
-    y_base = select_demand(account, consumption_selection(home_region))
-    totals = baseline_category_totals(y_base, concordance.codes(index), index)
-    halved_category = concordance.mapping[index.sectors[0]]
+    y_base, _ = home_demand(account, home_region)
+    totals = baseline_category_totals(y_base, category_codes(concordance, index), index)
+    halved_category = concordance[index.sectors[0]]
     halved_targets: dict[str, float | None] = {
         category: None for category in CONSUMPTION_SPENDING_CATEGORIES
     }

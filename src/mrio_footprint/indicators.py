@@ -9,7 +9,6 @@ used/unused material variants and proportional direct-use scaling.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,29 +17,27 @@ import numpy as np
 from . import algebra
 from .algebra import LeontiefOperator
 from .errors import (
-    MissingStressorLabel,
     ParseError,
     UnmappedSector,
     ZeroEmbeddedBase,
     read_json,
+    read_pairs,
 )
-from .model import MATERIAL_USED, ExtensionAccount, MrioAccount, RegionSectorIndex
-from .scenario import (
-    CONSUMPTION_SPENDING_CATEGORIES,
-    GFCF_CATEGORY,
-    WEEKS_PER_YEAR,
-    _data_rows,
-    _sector_codes,
+from .model import (
+    MATERIAL_USED,
+    SKILL_LEVELS,
+    ExtensionAccount,
+    MrioAccount,
+    RegionSectorIndex,
+    sector_codes,
+    skill_of,
 )
+from .scenario import CONSUMPTION_SPENDING_CATEGORIES, GFCF_CATEGORY, WEEKS_PER_YEAR
 
 # Default working pattern: statutory leave leaves ~46.6 working weeks per
 # year, and people are assumed to work 80% of their working-age years.
 DEFAULT_WEEKS_WORKED_PER_YEAR = 46.6
 DEFAULT_WORKING_LIFE_SHARE = 0.8
-
-SKILL_LEVELS = ("low", "medium", "high")
-
-_SKILL_PATTERN = re.compile(r"\b(low|medium|high)\b", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -129,81 +126,43 @@ def split_origin(by_source: np.ndarray, home_region: str,
     return OriginSplit(domestic=domestic, imported=float(values.sum()) - domestic)
 
 
-@dataclass(frozen=True)
-class SectorGroupConcordance:
-    """Total mapping from sector names to a small set of group labels.
-
-    ``groups`` fixes the reporting order; every sector must be mapped.
-    """
-
-    mapping: dict[str, str]
-    groups: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", dict(self.mapping))
-        object.__setattr__(self, "groups", tuple(self.groups))
-        known = set(self.groups)
-        for sector, group in self.mapping.items():
-            if group not in known:
-                raise ValueError(f"sector {sector!r} mapped to unlisted group {group!r}")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, str]) -> "SectorGroupConcordance":
-        ordered: dict[str, None] = {}
-        for group in mapping.values():
-            ordered.setdefault(group)
-        return cls(mapping=mapping, groups=tuple(ordered))
-
-    def codes(self, index: RegionSectorIndex) -> np.ndarray:
-        """Position in ``groups`` of every region-sector's group, in flat
-        order; an unmapped sector raises."""
-        codes = _sector_codes(self.mapping, self.groups, index)
-        # The first region's block lists every sector, so a first unmapped
-        # flat index is also a position in ``index.sectors``.
-        unmapped = np.flatnonzero(codes == len(self.groups))
-        if unmapped.size:
-            raise UnmappedSector(f"sector {index.sectors[unmapped[0]]!r} has no sector group")
-        return codes
+def sector_group_codes(mapping: dict[str, str],
+                       index: RegionSectorIndex) -> tuple[tuple[str, ...], np.ndarray]:
+    """The group labels of a (sector, group) mapping, in the order they first
+    appear, and the position in them of every region-sector's group, in flat
+    order. Every sector of ``index`` must be mapped."""
+    labels = tuple(dict.fromkeys(mapping.values()))
+    codes = sector_codes(mapping, labels, index)
+    # The first region's block lists every sector, so a first unmapped
+    # flat index is also a position in ``index.sectors``.
+    unmapped = np.flatnonzero(codes == len(labels))
+    if unmapped.size:
+        raise UnmappedSector(f"sector {index.sectors[unmapped[0]]!r} has no sector group")
+    return labels, codes
 
 
-def load_sector_groups(path: str | Path, sectors) -> SectorGroupConcordance:
+def load_sector_groups(path: str | Path,
+                       index: RegionSectorIndex) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a two-column (sector, group) file that lists every sector of the
-    account once; groups are reported in the order they first appear."""
+    account once into the labels and codes of ``sector_group_codes``."""
     path = Path(path)
-    mapping: dict[str, str] = {}
-    for lineno, row in _data_rows(path):
-        if len(row) != 2:
-            raise ParseError("expected two columns (sector, group)",
-                             path=str(path), row=lineno)
-        sector, group = row[0].strip(), row[1].strip()
-        if sector in mapping:
-            raise ParseError(f"sector {sector!r} listed twice", path=str(path), row=lineno)
-        mapping[sector] = group
-    for sector in sectors:
+    mapping = {sector: group for _, sector, group in read_pairs(path, ("sector", "group"))}
+    for sector in index.sectors:
         if sector not in mapping:
             raise ParseError(f"sector {sector!r} has no sector group", path=str(path))
-    return SectorGroupConcordance.from_mapping(mapping)
+    return sector_group_codes(mapping, index)
 
 
-def aggregate_by_sector_group(by_source: np.ndarray, groups: SectorGroupConcordance,
+def aggregate_by_sector_group(by_source: np.ndarray, labels: tuple[str, ...],
                               codes: np.ndarray) -> dict[str, float]:
     """Sum per-source contributions into sector groups (totals are preserved).
 
-    ``codes`` is ``groups.codes(index)``, made once per account.
+    ``labels`` and ``codes`` are from ``sector_group_codes``, made once per
+    account.
     """
     sums = np.bincount(codes, weights=np.asarray(by_source, dtype=float),
-                       minlength=len(groups.groups))
-    return dict(zip(groups.groups, sums.tolist()))
-
-
-def skill_of(stressor_label: str) -> str:
-    """Extract the skill level encoded in a labour stressor label."""
-    match = _SKILL_PATTERN.search(stressor_label)
-    if match is None:
-        raise MissingStressorLabel(
-            f"labour stressor {stressor_label!r} does not name a skill level"
-        )
-    return match.group(1).lower()
+                       minlength=len(labels))
+    return dict(zip(labels, sums.tolist()))
 
 
 def aggregate_by_skill(labour_by_stressor: dict[str, float]) -> dict[str, float]:
@@ -232,7 +191,7 @@ def decompose_demand_by_category(y: np.ndarray, gfcf: np.ndarray,
                                  codes: np.ndarray) -> dict[str, np.ndarray]:
     """Partition demand into the 13 categories (capital formation last).
 
-    ``codes`` is ``CategoryConcordance.codes(index)``. The pieces sum to
+    ``codes`` is from ``scenario.category_codes``. The pieces sum to
     y + gfcf elementwise exactly, so category attributions reproduce
     whole-vector footprints up to solver tolerance.
     """
@@ -341,7 +300,7 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator,
 
 def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.ndarray,
                            demand_by_category: dict[str, np.ndarray],
-                           home_region: str, groups: SectorGroupConcordance,
+                           home_region: str, group_labels: tuple[str, ...],
                            group_codes: np.ndarray, params: ConversionParams,
                            scenario_name: str,
                            baseline_embedded: float | None = None) -> FootprintReport:
@@ -349,7 +308,7 @@ def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.n
 
     ``q`` is the gross output of the whole demand, the sum of
     ``demand_by_category``; every report of a scenario shares it.
-    ``group_codes`` is ``groups.codes(account.index)``.
+    ``group_labels`` and ``group_codes`` are from ``sector_group_codes``.
     ``baseline_embedded`` enables direct-use scaling: scenario direct use =
     base direct x embedded/baseline-embedded.
     """
@@ -385,7 +344,7 @@ def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.n
         total=total,
         per_capita=per_capita(total, params.total_population),
         by_origin=by_origin,
-        by_sector_group=aggregate_by_sector_group(by_source, groups, group_codes),
+        by_sector_group=aggregate_by_sector_group(by_source, group_labels, group_codes),
         by_category=attribute_by_category(variant.multipliers, demand_by_category),
         hours_week_equivalent=hours_week,
         by_skill=by_skill,

@@ -1,4 +1,4 @@
-"""The MRIO account model: indexing, balance validation, demand assembly.
+"""The MRIO account model: indexing, balance validation, home demand.
 
 An account holds one reference year of a multi-regional table: the
 inter-industry transaction matrix Z, the final-demand block Y, total output
@@ -9,19 +9,21 @@ region-block order. Accounts are immutable after construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    MissingStressorLabel,
     NegativeEntry,
     UnknownCategory,
     UnknownRegion,
 )
 
-# The five final-demand classes recognised by demand selection. Extra columns
-# in input files are preserved in storage but never selectable.
+# The five final-demand classes of the fixtures. Extra columns in input files
+# are preserved in storage but never read by ``home_demand``.
 CATEGORY_HOUSEHOLDS = "households"
 CATEGORY_NON_PROFIT = "non-profit"
 CATEGORY_GOVERNMENT = "government"
@@ -36,13 +38,14 @@ DEMAND_CATEGORIES = (
     CATEGORY_INVENTORY,
 )
 
-# Categories that may enter a consumption vector. Inventory changes do not
-# involve consumption and are excluded from selection by policy.
-SELECTABLE_CATEGORIES = tuple(c for c in DEMAND_CATEGORIES if c != CATEGORY_INVENTORY)
-
 # The consolidated spending vector: household, non-profit, and government
 # purchases summed into one vector; capital formation kept separate.
 CONSUMPTION_CATEGORIES = (CATEGORY_HOUSEHOLDS, CATEGORY_NON_PROFIT, CATEGORY_GOVERNMENT)
+
+# The skill levels a labour stressor label must name, matched as whole words
+# in any case ("female low-skilled", "Employment hours: High-skilled male").
+SKILL_LEVELS = ("low", "medium", "high")
+_SKILL_PATTERN = re.compile(r"\b(low|medium|high)\b", re.IGNORECASE)
 
 # The flags of a material extension's stressors: extraction that enters the
 # economy (material footprint) or that does not (counted in total material
@@ -104,6 +107,15 @@ class RegionSectorIndex:
         return [(r, s) for r in self.regions for s in self.sectors]
 
 
+def sector_codes(mapping: dict[str, str], labels: tuple[str, ...],
+                 index: RegionSectorIndex) -> np.ndarray:
+    """Position in ``labels`` of every region-sector's label, in flat
+    region-major order; sectors absent from ``mapping`` get ``len(labels)``."""
+    position = {label: k for k, label in enumerate(labels)}
+    per_sector = [position.get(mapping.get(sector), len(labels)) for sector in index.sectors]
+    return np.tile(np.array(per_sector, dtype=np.intp), index.n_regions)
+
+
 @dataclass(frozen=True)
 class ExtensionAccount:
     """One satellite account: stressor rows over all region-sectors.
@@ -155,13 +167,23 @@ class ExtensionAccount:
         return self.rows.sum(axis=0)
 
 
+def skill_of(stressor_label: str) -> str:
+    """Extract the skill level encoded in a labour stressor label."""
+    match = _SKILL_PATTERN.search(stressor_label)
+    if match is None:
+        raise MissingStressorLabel(
+            f"labour stressor {stressor_label!r} does not name a skill level"
+        )
+    return match.group(1).lower()
+
+
 @dataclass(frozen=True)
 class MrioAccount:
     """One reference year of MRIO data plus extension accounts.
 
     ``y_columns`` labels the columns of Y as (paying region, category) pairs.
     Negative values are allowed only in inventory-change columns (real tables
-    contain them); they are unreachable by demand selection.
+    contain them); ``home_demand`` never reads them.
     """
 
     index: RegionSectorIndex
@@ -199,81 +221,39 @@ class MrioAccount:
                     f"extension {ext.name!r} has {ext.rows.shape[1]} columns, expected {n}"
                 )
 
-    def y_column_indices(self, region: str, category: str) -> list[int]:
-        return [i for i, (r, c) in enumerate(self.y_columns) if r == region and c == category]
 
-    @property
-    def regions_in_y(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for r, _ in self.y_columns:
-            seen.setdefault(r)
-        return tuple(seen)
-
-
-@dataclass(frozen=True)
-class DemandSelection:
-    """Which final-demand columns enter a spending vector.
-
-    Inventory changes are excluded at the type level: naming them here is an
-    error, not a no-op, so scenario demand can never contain them.
-    """
-
-    paying_regions: tuple[str, ...]
-    included_categories: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "paying_regions", tuple(self.paying_regions))
-        object.__setattr__(self, "included_categories", tuple(self.included_categories))
-        for category in self.included_categories:
-            if category == CATEGORY_INVENTORY:
-                raise UnknownCategory(
-                    "inventory-change is excluded from demand selection by policy"
-                )
-            if category not in SELECTABLE_CATEGORIES:
-                raise UnknownCategory(f"unknown demand category {category!r}")
-
-
-def consumption_selection(region: str) -> DemandSelection:
-    """Household + non-profit + government spending of one region, merged."""
-    return DemandSelection((region,), CONSUMPTION_CATEGORIES)
-
-
-def gfcf_selection(region: str) -> DemandSelection:
-    """Gross fixed capital formation of one region, as its own vector."""
-    return DemandSelection((region,), (CATEGORY_GFCF,))
-
-
-def select_demand(account: MrioAccount, selection: DemandSelection) -> np.ndarray:
-    """Sum the selected Y columns into one spending vector.
+def home_demand(account: MrioAccount, region: str) -> tuple[np.ndarray, np.ndarray]:
+    """One region's consumption (household, non-profit and government
+    spending, summed) and its gross fixed capital formation, as two vectors.
 
     Each category's columns are summed and checked for negative entries
-    first, then the category vectors are added in selection order. Every
-    paying region needs a column for every included category.
+    first, then added into a fresh zero vector in the order above. Inventory
+    changes are never read, as they are not consumption, nor are columns of
+    categories this function does not name.
     """
-    known_regions = set(account.regions_in_y)
-    for region in selection.paying_regions:
-        if region not in known_regions:
-            raise UnknownRegion(f"region {region!r} has no final-demand columns")
+    columns = [(k, category) for k, (r, category) in enumerate(account.y_columns) if r == region]
+    if not columns:
+        raise UnknownRegion(f"region {region!r} has no final-demand columns")
 
-    total = np.zeros(account.index.n)
-    for category in selection.included_categories:
-        columns: list[int] = []
-        for region in selection.paying_regions:
-            found = account.y_column_indices(region, category)
+    def summed(categories: tuple[str, ...]) -> np.ndarray:
+        total = np.zeros(account.index.n)
+        for category in categories:
+            found = [k for k, c in columns if c == category]
             if not found:
                 raise UnknownCategory(f"region {region!r} has no final-demand column for "
                                       f"category {category!r}")
-            columns.extend(found)
-        vector = account.Y[:, columns].sum(axis=1)
-        if np.any(vector < 0):
-            i = int(np.argmin(vector))
-            region, sector = account.index.labels()[i]
-            raise NegativeEntry(
-                f"selected demand is negative for ({region}, {sector}) "
-                f"in category {category!r}"
-            )
-        total += vector
-    return total
+            vector = account.Y[:, found].sum(axis=1)
+            if np.any(vector < 0):
+                i = int(np.argmin(vector))
+                r, sector = account.index.labels()[i]
+                raise NegativeEntry(
+                    f"selected demand is negative for ({r}, {sector}) "
+                    f"in category {category!r}"
+                )
+            total += vector
+        return total
+
+    return summed(CONSUMPTION_CATEGORIES), summed((CATEGORY_GFCF,))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ category beyond its baseline total.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +21,9 @@ from .errors import (
     UnsortedNonzeroDemand,
     ZeroBaselineNonzeroTarget,
     read_json,
+    read_pairs,
 )
-from .model import RegionSectorIndex
+from .model import RegionSectorIndex, sector_codes
 
 # The 13 spending categories, in canonical order. The final one is the
 # capital-formation block, which is a demand column rather than a set of
@@ -64,15 +64,6 @@ CONSUMPTION_SPENDING_CATEGORIES = SPENDING_CATEGORIES[:-1]
 WEEKS_PER_YEAR = 365.25 / 7  # ~52.18
 
 
-def _sector_codes(mapping: dict[str, str], labels: tuple[str, ...],
-                  index: RegionSectorIndex) -> np.ndarray:
-    """Position in ``labels`` of every region-sector's label, in flat
-    region-major order; sectors absent from ``mapping`` get ``len(labels)``."""
-    position = {label: k for k, label in enumerate(labels)}
-    per_sector = [position.get(mapping.get(sector), len(labels)) for sector in index.sectors]
-    return np.tile(np.array(per_sector, dtype=np.intp), index.n_regions)
-
-
 def _check_category(sector: str, category: str) -> None:
     """A sector's category must be one of the 12 sector categories."""
     if category == GFCF_CATEGORY:
@@ -84,27 +75,18 @@ def _check_category(sector: str, category: str) -> None:
         raise ValueError(f"sector {sector!r} mapped to unknown category {category!r}")
 
 
-@dataclass(frozen=True)
-class CategoryConcordance:
-    """Maps each sector name to one spending category.
+def category_codes(mapping: dict[str, str], index: RegionSectorIndex) -> np.ndarray:
+    """Position in ``CONSUMPTION_SPENDING_CATEGORIES`` of every region-sector's
+    spending category, in flat order, from a (sector, category) mapping.
 
-    Sectors absent from ``mapping`` are unsorted; that is only legal while
-    their final demand is zero, and violations are loud (see
-    ``baseline_category_totals``). The capital-formation category may not
-    appear here because it is a demand block, not a group of sectors.
+    Sectors absent from ``mapping`` are unsorted and get code 12; that is
+    only legal while their final demand is zero, and violations are loud
+    (see ``baseline_category_totals``). The capital-formation category may
+    not appear, because it is a demand block, not a group of sectors.
     """
-
-    mapping: dict[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", dict(self.mapping))
-        for sector, category in self.mapping.items():
-            _check_category(sector, category)
-
-    def codes(self, index: RegionSectorIndex) -> np.ndarray:
-        """Position in ``CONSUMPTION_SPENDING_CATEGORIES`` of every
-        region-sector's category, in flat order; unsorted sectors get 12."""
-        return _sector_codes(self.mapping, CONSUMPTION_SPENDING_CATEGORIES, index)
+    for sector, category in mapping.items():
+        _check_category(sector, category)
+    return sector_codes(mapping, CONSUMPTION_SPENDING_CATEGORIES, index)
 
 
 @dataclass(frozen=True)
@@ -164,9 +146,9 @@ def baseline_category_totals(y_base: np.ndarray, codes: np.ndarray,
                              index: RegionSectorIndex) -> dict[str, float]:
     """Per-category sums of a spending vector over the 12 sector categories.
 
-    ``codes`` is ``CategoryConcordance.codes(index)``. Every sector carrying
-    demand must be sorted; an unsorted sector with nonzero demand voids the
-    premise that unsorted sectors are inactive.
+    ``codes`` is from ``category_codes`` or ``load_concordance``. Every
+    sector carrying demand must be sorted; an unsorted sector with nonzero
+    demand voids the premise that unsorted sectors are inactive.
     """
     y = np.asarray(y_base, dtype=float)
     unsorted = len(CONSUMPTION_SPENDING_CATEGORIES)
@@ -300,26 +282,12 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
         raise ParseError(f"invalid scenario spec: {exc}", path=str(path)) from exc
 
 
-def _data_rows(path: Path):
-    """Numbered rows of a tab-separated table, without blank and "#" lines."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.reader(handle, delimiter="\t"), start=1):
-            if not row or (row[0].startswith("#")):
-                continue
-            yield lineno, row
-
-
-def load_concordance(path: str | Path, sectors) -> CategoryConcordance:
-    """Read a two-column (sector, category) file; absent sectors are unsorted."""
+def load_concordance(path: str | Path, index: RegionSectorIndex) -> np.ndarray:
+    """Read a two-column (sector, category) file into the code array of
+    ``category_codes``; a bad category fails naming the file and row."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    for lineno, row in _data_rows(path):
-        if len(row) != 2:
-            raise ParseError("expected two columns (sector, category)",
-                             path=str(path), row=lineno)
-        sector, category = row[0].strip(), row[1].strip()
-        if sector in mapping:
-            raise ParseError(f"sector {sector!r} listed twice", path=str(path), row=lineno)
+    for lineno, sector, category in read_pairs(path, ("sector", "category")):
         try:
             _check_category(sector, category)
         except ValueError as exc:
@@ -327,5 +295,4 @@ def load_concordance(path: str | Path, sectors) -> CategoryConcordance:
         mapping[sector] = category
     # Rows for sectors the account does not carry are tolerated so one
     # concordance file can serve differently trimmed tables.
-    known = set(sectors)
-    return CategoryConcordance({s: c for s, c in mapping.items() if s in known})
+    return category_codes(mapping, index)

@@ -44,8 +44,7 @@ def test_criterion_1_leontief_oracle_equivalence():
             n_sectors = seed % 8 + 1
             account = fixtures.fixture(n_regions, n_sectors, seed)
             coefficients = algebra.technical_coefficients(account.Z, account.x)
-            y = model.select_demand(
-                account, model.consumption_selection(account.index.regions[0]))
+            y, _ = model.home_demand(account, account.index.regions[0])
             solved = algebra.leontief_solve(coefficients, y)
             series = power_series_solve(coefficients, y)
             worst = max(worst, relative_error(solved, series))
@@ -71,13 +70,13 @@ def test_criterion_3_additivity_suite():
         for n_regions, n_sectors, seed in ((3, 5, 7), (2, 13, 1), (1, 1, 0), (6, 8, 42)):
             account = fixtures.fixture(n_regions, n_sectors, seed)
             index = account.index
-            codes = fixtures.fixture_category_concordance(index).codes(index)
-            groups = fixtures.fixture_sector_groups(index)
+            codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
+            labels, group_codes = indicators.sector_group_codes(
+                fixtures.fixture_sector_groups(index), index)
             params = fixtures.fixture_conversion_params()
             operator = algebra.factorize(
                 algebra.technical_coefficients(account.Z, account.x))
-            y = model.select_demand(account, model.consumption_selection("R0"))
-            gfcf = model.select_demand(account, model.gfcf_selection("R0"))
+            y, gfcf = model.home_demand(account, "R0")
             parts = indicators.decompose_demand_by_category(y, gfcf, codes)
             q = operator.apply(y + gfcf)
 
@@ -85,8 +84,8 @@ def test_criterion_3_additivity_suite():
                                                       list(account.extensions)):
                 report = indicators.build_footprint_report(
                     account=account, variant=variant, q=q,
-                    demand_by_category=parts, home_region="R0", groups=groups,
-                    group_codes=groups.codes(index), params=params,
+                    demand_by_category=parts, home_region="R0", group_labels=labels,
+                    group_codes=group_codes, params=params,
                     scenario_name="baseline")
                 if report.total == 0.0:
                     continue
@@ -104,9 +103,8 @@ def test_criterion_4_scenario_conformance():
         for seed in range(10):
             account = fixtures.fixture(seed % 3 + 1, 13, seed)
             index = account.index
-            codes = fixtures.fixture_category_concordance(index).codes(index)
-            y = model.select_demand(account, model.consumption_selection("R0"))
-            gfcf = model.select_demand(account, model.gfcf_selection("R0"))
+            codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
+            y, gfcf = model.home_demand(account, "R0")
             baseline = scenario.baseline_category_totals(y, codes, index)
 
             targets: dict[str, float | None] = {

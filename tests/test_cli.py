@@ -153,8 +153,7 @@ class TestFootprint:
 
         account = fileio.ingest(fixture_dir / "layout.json").account
         op = algebra.factorize(algebra.technical_coefficients(account.Z, account.x))
-        y = model.select_demand(account, model.consumption_selection("R0"))
-        gfcf = model.select_demand(account, model.gfcf_selection("R0"))
+        y, gfcf = model.home_demand(account, "R0")
         q = op.apply(y + gfcf)
         for name in ("labour", "energy", "emissions"):
             s = algebra.intensity(account.extensions[name].total_row(), account.x)
@@ -685,6 +684,57 @@ def test_out_on_a_file_exits_one_before_ingest(fixture_dir, tmp_path, capsys, mo
     assert main(argv) == 1
     assert f"{afile} exists and is not a directory" in capsys.readouterr().err
     assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("target, kind", [
+    ("--layout", "directory"), ("--scenario", "directory"), ("--params", "directory"),
+    ("--categories", "directory"), ("--groups", "directory"), ("direct_file", "directory"),
+    ("direct_file", "missing"),
+])
+def test_unreadable_input_exits_one_without_a_traceback(fixture_dir, tmp_path, target, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    flags = {"--layout": fixture_dir / "layout.json", "--params": fixture_dir / "params.json",
+             "--scenario": fixture_dir / "scenarios" / "baseline.json",
+             "--categories": fixture_dir / "category_concordance.tsv",
+             "--groups": fixture_dir / "sector_groups.tsv"}
+    if target == "direct_file":
+        layout = json.loads(flags["--layout"].read_text())
+        (energy,) = (e for e in layout["extensions"] if e["name"] == "energy")
+        energy["direct_file"] = str(path)
+        flags["--layout"].write_text(json.dumps(layout))
+    else:
+        flags[target] = path
+    argv = ["compare", "--out", str(tmp_path / "cmp")]
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    source = str(Path(mrio_footprint.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-m", "mrio_footprint.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=source),
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    expected = "cannot read file: " if kind == "directory" else "missing file: "
+    assert done.stderr.startswith("error: " + expected) and str(path) in done.stderr
+
+
+def test_labour_stressor_without_a_skill_level_fails_at_ingest(fixture_dir, tmp_path, capsys,
+                                                              monkeypatch):
+    path = fixture_dir / "ext_labour.tsv"
+    text = path.read_text()
+    assert "female low-skilled\t" in text
+    path.write_text(text.replace("female low-skilled\t", "female unskilled\t"))
+    assert main(["validate", "--layout", str(fixture_dir / "layout.json")]) == 1
+    err = capsys.readouterr().err
+    assert "labour stressor 'female unskilled'" in err and "ext_labour.tsv" in err
+
+    def no_factorize(*args):
+        raise AssertionError("factorize ran before the labour stressors were checked")
+    monkeypatch.setattr(algebra, "LeontiefOperator", no_factorize)
+    assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "halved"]) == 1
+    err = capsys.readouterr().err
+    assert "labour stressor 'female unskilled'" in err and "ext_labour.tsv" in err
 
 
 def test_no_verb_imports_scipy_linalg(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,17 @@ class TestParseErrors:
         assert excinfo.value.row == 5
         assert excinfo.value.column == 6
         assert "oops" in str(excinfo.value)
+
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_empty_cell_names_row_and_column(self, written_set, tmp_path, text):
+        _, layout_path = written_set
+        self._set_cell(tmp_path / "z.tsv", 4, 5, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            with pytest.raises(ParseError) as excinfo:
+                fileio.ingest(layout_path)
+        assert (excinfo.value.row, excinfo.value.column) == (5, 6)
+        assert f"non-numeric value {text!r}" in str(excinfo.value)
 
     @staticmethod
     def _set_cell(path, line, cell, text):
@@ -660,6 +672,15 @@ class TestParallelGrids:
         path = self._bad_z(tmp_path, [(3, 4, "inf"), (15, 6, "1,5")])
         (message, _, row, column), spans = _compare(monkeypatch, path)
         assert (row, column, spans) == (17, 7, 2) and "'1,5'" in message
+
+    @pytest.mark.parametrize("line, row", [(3, 5), (15, 17)], ids=["first", "last"])
+    def test_empty_cell_in_either_chunk(self, tmp_path, monkeypatch, line, row):
+        path = self._bad_z(tmp_path, [(line, 4, "")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            (message, _, found_row, column), spans = _compare(monkeypatch, path)
+        assert (found_row, column, spans) == (row, 5, 2)
+        assert "non-numeric value ''" in message
 
     def test_label_repeating_one_of_the_first_chunk(self, tmp_path, monkeypatch):
         path = self._bad_z(tmp_path, [(15, 0, "R0"), (15, 1, "S1")])

@@ -13,15 +13,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mrio_footprint import algebra, fixtures, indicators, model, scenario
+from mrio_footprint import algebra, fileio, fixtures, indicators, model, scenario
 from mrio_footprint.errors import (
     MissingStressorLabel,
     ParseError,
     UnmappedSector,
     UnknownRegion,
     ZeroEmbeddedBase,
+    read_pairs,
 )
-from mrio_footprint.indicators import ConversionParams, OriginSplit, SectorGroupConcordance
+from mrio_footprint.indicators import ConversionParams, OriginSplit
 
 
 def single_person_params(**overrides) -> ConversionParams:
@@ -92,50 +93,65 @@ class TestSplitOrigin:
 class TestSectorGroups:
     def test_single_group_carries_total(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
-        groups = SectorGroupConcordance({"S0": "services", "S1": "services"}, ("services",))
-        totals = indicators.aggregate_by_sector_group(
-            np.array([2.0, 3.0]), groups, groups.codes(index))
+        labels, codes = indicators.sector_group_codes({"S0": "services", "S1": "services"},
+                                                      index)
+        totals = indicators.aggregate_by_sector_group(np.array([2.0, 3.0]), labels, codes)
         assert totals == {"services": 5.0}
 
     def test_hand_assignment(self):
         index = model.RegionSectorIndex(("R0", "R1"), ("S0", "S1"))
-        groups = SectorGroupConcordance({"S0": "goods", "S1": "services"},
-                                        ("goods", "services"))
+        labels, codes = indicators.sector_group_codes({"S1": "services", "S0": "goods"}, index)
+        assert labels == ("services", "goods") and codes.tolist() == [1, 0, 1, 0]
         totals = indicators.aggregate_by_sector_group(
-            np.array([1.0, 2.0, 4.0, 8.0]), groups, groups.codes(index))
-        assert totals == {"goods": 5.0, "services": 10.0}
+            np.array([1.0, 2.0, 4.0, 8.0]), labels, codes)
+        assert totals == {"services": 10.0, "goods": 5.0}
 
     def test_unmapped_sector(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
-        groups = SectorGroupConcordance({"S0": "goods"}, ("goods",))
-        with pytest.raises(UnmappedSector, match="S1"):
-            indicators.aggregate_by_sector_group(np.array([1.0, 2.0]), groups,
-                                                 groups.codes(index))
+        with pytest.raises(UnmappedSector, match="'S1' has no sector group"):
+            indicators.sector_group_codes({"S0": "goods"}, index)
 
     def test_group_total_preserved(self, account_357):
-        groups = fixtures.fixture_sector_groups(account_357.index)
+        labels, codes = indicators.sector_group_codes(
+            fixtures.fixture_sector_groups(account_357.index), account_357.index)
         by_source = np.linspace(0.0, 1.0, account_357.index.n)
-        totals = indicators.aggregate_by_sector_group(
-            by_source, groups, groups.codes(account_357.index))
+        totals = indicators.aggregate_by_sector_group(by_source, labels, codes)
         assert sum(totals.values()) == pytest.approx(float(by_source.sum()), rel=1e-12)
 
 
     def test_matches_flat_order_loop(self, account_357):
         # The loop bincount replaced adds in the same flat order, so sums are equal.
-        groups = fixtures.fixture_sector_groups(account_357.index)
+        mapping = fixtures.fixture_sector_groups(account_357.index)
+        labels, codes = indicators.sector_group_codes(mapping, account_357.index)
         by_source = np.random.default_rng(7).uniform(0.0, 1.0, account_357.index.n)
-        expected = {group: 0.0 for group in groups.groups}
+        expected = {group: 0.0 for group in labels}
         for flat, (_, sector) in enumerate(account_357.index.labels()):
-            expected[groups.mapping[sector]] += float(by_source[flat])
-        assert indicators.aggregate_by_sector_group(
-            by_source, groups, groups.codes(account_357.index)) == expected
+            expected[mapping[sector]] += float(by_source[flat])
+        assert indicators.aggregate_by_sector_group(by_source, labels, codes) == expected
 
 
     def test_sector_listed_twice_is_a_parse_error(self, tmp_path):
         path = tmp_path / "groups.tsv"
         path.write_text("# sector\tgroup\nS0\tgoods\nS1\tservices\nS0\tservices\n")
         with pytest.raises(ParseError, match=r"'S0' listed twice \(.*groups.tsv, row 4\)"):
-            indicators.load_sector_groups(path, ["S0", "S1"])
+            indicators.load_sector_groups(path, model.RegionSectorIndex(("R0",), ("S0", "S1")))
+
+
+def test_shipped_concordances_load():
+    # An index over the 200 sectors of the group file, in two regions.
+    groups_path = fileio.data_path("concordances/exiobase3_sector_groups.tsv")
+    sectors = tuple(sector for _, sector, _ in read_pairs(groups_path, ("sector", "group")))
+    assert len(sectors) == 200
+    index = model.RegionSectorIndex(("GB", "DE"), sectors)
+    labels, groups = indicators.load_sector_groups(groups_path, index)
+    # Seven groups in file order, each holding some sector.
+    assert labels == fixtures.SECTOR_GROUPS and set(groups.tolist()) == set(range(7))
+    categories = scenario.load_concordance(
+        fileio.data_path("concordances/exiobase3_categories.tsv"), index)
+    unsorted = len(scenario.CONSUMPTION_SPENDING_CATEGORIES)
+    assert ((categories[:200] < unsorted).sum(), (categories[:200] == unsorted).sum()) == (127, 73)
+    for codes in (groups, categories):
+        assert (codes[200:] == codes[:200]).all()
 
 
 class TestSkillAggregation:
@@ -161,7 +177,7 @@ class TestSkillAggregation:
         assert sum(v / total for v in totals.values()) == pytest.approx(1.0)
 
     def test_alternate_label_style(self):
-        assert indicators.skill_of("Employment hours: Low-skilled male") == "low"
+        assert model.skill_of("Employment hours: Low-skilled male") == "low"
 
     def test_unlabelled_stressor(self):
         with pytest.raises(MissingStressorLabel):
@@ -188,9 +204,9 @@ class TestCategoryAttribution:
         assert sum(attributed.values()) == pytest.approx(total, rel=1e-9)
 
     def test_partition_sums_to_whole(self, account_357):
-        codes = fixtures.fixture_category_concordance(account_357.index).codes(account_357.index)
-        y = model.select_demand(account_357, model.consumption_selection("R0"))
-        gfcf = model.select_demand(account_357, model.gfcf_selection("R0"))
+        codes = scenario.category_codes(
+            fixtures.fixture_category_concordance(account_357.index), account_357.index)
+        y, gfcf = model.home_demand(account_357, "R0")
         parts = indicators.decompose_demand_by_category(y, gfcf, codes)
         assert set(parts) == set(scenario.SPENDING_CATEGORIES)
         np.testing.assert_allclose(sum(parts.values()), y + gfcf, rtol=0, atol=0)
@@ -260,20 +276,20 @@ class TestReportAdditivity:
 
     @pytest.fixture()
     def report(self, account_357):
-        codes = fixtures.fixture_category_concordance(account_357.index).codes(account_357.index)
-        groups = fixtures.fixture_sector_groups(account_357.index)
+        index = account_357.index
+        codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
+        labels, group_codes = indicators.sector_group_codes(
+            fixtures.fixture_sector_groups(index), index)
         params = fixtures.fixture_conversion_params()
         A = algebra.technical_coefficients(account_357.Z, account_357.x)
         op = algebra.factorize(A)
-        y = model.select_demand(account_357, model.consumption_selection("R0"))
-        gfcf = model.select_demand(account_357, model.gfcf_selection("R0"))
+        y, gfcf = model.home_demand(account_357, "R0")
         parts = indicators.decompose_demand_by_category(y, gfcf, codes)
         [labour] = indicators.report_variants(account_357, op, ["labour"])
         return indicators.build_footprint_report(
             account=account_357, variant=labour, q=op.apply(y + gfcf),
             demand_by_category=parts,
-            home_region="R0", groups=groups,
-            group_codes=groups.codes(account_357.index), params=params,
+            home_region="R0", group_labels=labels, group_codes=group_codes, params=params,
             scenario_name="baseline")
 
     def test_origin_additivity(self, report):
@@ -294,20 +310,21 @@ class TestReportAdditivity:
             name="labour", unit="hours",
             stressors=account_357.extensions["labour"].stressors,
             rows=account_357.extensions["labour"].rows * 2.0, kind="labour")
-        codes = fixtures.fixture_category_concordance(account_357.index).codes(account_357.index)
-        groups = fixtures.fixture_sector_groups(account_357.index)
+        index = account_357.index
+        codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
+        labels, group_codes = indicators.sector_group_codes(
+            fixtures.fixture_sector_groups(index), index)
         params = fixtures.fixture_conversion_params()
         op = algebra.factorize(
             algebra.technical_coefficients(account_357.Z, account_357.x))
-        y = model.select_demand(account_357, model.consumption_selection("R0"))
-        gfcf = model.select_demand(account_357, model.gfcf_selection("R0"))
+        y, gfcf = model.home_demand(account_357, "R0")
         parts = indicators.decompose_demand_by_category(y, gfcf, codes)
         doubled_account = dataclasses.replace(account_357, extensions={"labour": doubled_ext})
         [doubled_labour] = indicators.report_variants(doubled_account, op, ["labour"])
         doubled = indicators.build_footprint_report(
             account=account_357, variant=doubled_labour, q=op.apply(y + gfcf),
-            demand_by_category=parts, home_region="R0", groups=groups,
-            group_codes=groups.codes(account_357.index), params=params,
+            demand_by_category=parts, home_region="R0", group_labels=labels,
+            group_codes=group_codes, params=params,
             scenario_name="baseline")
         assert doubled.total == pytest.approx(2 * report.total, rel=1e-12)
         for group in report.by_sector_group:

@@ -1,4 +1,4 @@
-"""Account model tests: indexing, fixtures, balance, demand selection."""
+"""Account model tests: indexing, fixtures, balance, home demand."""
 
 import math
 
@@ -98,74 +98,71 @@ class TestValidateBalance:
         assert model.validate_balance(account_357, tol=math.inf).ok
 
 
+def _with_y(account, Y, y_columns=None):
+    return model.MrioAccount(
+        index=account.index, Z=account.Z, Y=Y,
+        y_columns=account.y_columns if y_columns is None else y_columns,
+        x=account.x, extensions=account.extensions, year=account.year)
+
+
+def _column(account, region, category):
+    return account.y_columns.index((region, category))
+
+
 class TestSelectDemand:
-    def test_single_region_households(self, account_357):
-        selection = model.DemandSelection(("R1",), (model.CATEGORY_HOUSEHOLDS,))
-        demand = model.select_demand(account_357, selection)
-        column = account_357.y_column_indices("R1", model.CATEGORY_HOUSEHOLDS)[0]
-        np.testing.assert_array_equal(demand, account_357.Y[:, column])
+    """``home_demand``: one region's consumption and capital formation."""
 
     def test_consumption_is_sum_of_three_columns(self, account_357):
-        demand = model.select_demand(account_357, model.consumption_selection("R0"))
+        consumption, gfcf = model.home_demand(account_357, "R0")
         expected = np.zeros(account_357.index.n)
         for category in model.CONSUMPTION_CATEGORIES:
-            expected += account_357.Y[:, account_357.y_column_indices("R0", category)[0]]
-        np.testing.assert_array_equal(demand, expected)
+            expected += account_357.Y[:, _column(account_357, "R0", category)]
+        np.testing.assert_array_equal(consumption, expected)
+        np.testing.assert_array_equal(
+            gfcf, account_357.Y[:, _column(account_357, "R0", model.CATEGORY_GFCF)])
 
     def test_additive_over_disjoint_category_sets(self, account_357):
-        households = model.select_demand(
-            account_357, model.DemandSelection(("R0",), (model.CATEGORY_HOUSEHOLDS,)))
-        rest = model.select_demand(
-            account_357,
-            model.DemandSelection(("R0",), (model.CATEGORY_NON_PROFIT,
-                                            model.CATEGORY_GOVERNMENT)))
-        union = model.select_demand(account_357, model.consumption_selection("R0"))
-        np.testing.assert_allclose(households + rest, union, rtol=1e-15)
+        consumption, gfcf = model.home_demand(account_357, "R1")
+        columns = [_column(account_357, "R1", category)
+                   for category in (*model.CONSUMPTION_CATEGORIES, model.CATEGORY_GFCF)]
+        np.testing.assert_allclose(consumption + gfcf, account_357.Y[:, columns].sum(axis=1),
+                                   rtol=1e-15)
 
-    def test_inventory_change_rejected_at_selection(self):
-        with pytest.raises(UnknownCategory):
-            model.DemandSelection(("R0",), (model.CATEGORY_INVENTORY,))
-
-    def test_unknown_category_rejected(self):
-        with pytest.raises(UnknownCategory):
-            model.DemandSelection(("R0",), ("exports",))
+    def test_inventory_change_never_enters(self, account_357):
+        Y = account_357.Y.copy()
+        for region in account_357.index.regions:
+            Y[:, _column(account_357, region, model.CATEGORY_INVENTORY)] = -1e6
+        changed = _with_y(account_357, Y)
+        for region in account_357.index.regions:
+            for before, after in zip(model.home_demand(account_357, region),
+                                     model.home_demand(changed, region)):
+                np.testing.assert_array_equal(after, before)
 
     def test_unknown_region(self, account_357):
-        with pytest.raises(UnknownRegion):
-            model.select_demand(
-                account_357, model.DemandSelection(("R9",), (model.CATEGORY_HOUSEHOLDS,)))
+        with pytest.raises(UnknownRegion, match="'R9' has no final-demand columns"):
+            model.home_demand(account_357, "R9")
 
     def test_missing_category_column_rejected(self, account_357):
         keep = [k for k, column in enumerate(account_357.y_columns)
                 if column != ("R1", model.CATEGORY_GFCF)]
-        partial = model.MrioAccount(
-            index=account_357.index, Z=account_357.Z, Y=account_357.Y[:, keep],
-            y_columns=[account_357.y_columns[k] for k in keep],
-            x=account_357.x, extensions=account_357.extensions, year=account_357.year)
-        model.select_demand(partial, model.consumption_selection("R1"))
+        partial = _with_y(account_357, account_357.Y[:, keep],
+                          [account_357.y_columns[k] for k in keep])
+        model.home_demand(partial, "R0")
         with pytest.raises(UnknownCategory, match="'R1' has no final-demand column for "
                                                   "category 'gfcf'"):
-            model.select_demand(partial, model.gfcf_selection("R1"))
+            model.home_demand(partial, "R1")
 
     def test_extra_demand_columns_survive_but_are_unselectable(self, account_357):
         Y = np.hstack([account_357.Y, np.ones((account_357.index.n, 1))])
-        extended = model.MrioAccount(
-            index=account_357.index, Z=account_357.Z, Y=Y,
-            y_columns=account_357.y_columns + (("R0", "exports"),),
-            x=account_357.x, extensions=account_357.extensions, year=account_357.year)
-        demand = model.select_demand(extended, model.consumption_selection("R0"))
-        baseline = model.select_demand(account_357, model.consumption_selection("R0"))
-        np.testing.assert_array_equal(demand, baseline)
-        with pytest.raises(UnknownCategory):
-            model.DemandSelection(("R0",), ("exports",))
+        extended = _with_y(account_357, Y, account_357.y_columns + (("R0", "exports"),))
+        assert extended.y_columns[-1] == ("R0", "exports")
+        for before, after in zip(model.home_demand(account_357, "R0"),
+                                 model.home_demand(extended, "R0")):
+            np.testing.assert_array_equal(after, before)
 
     def test_negative_selected_demand_rejected(self, account_357):
-        Y = account_357.Y.copy()
-        column = account_357.y_column_indices("R0", model.CATEGORY_HOUSEHOLDS)[0]
-        Y[0, column] = -5.0
-        corrupt = model.MrioAccount(
-            index=account_357.index, Z=account_357.Z, Y=Y,
-            y_columns=account_357.y_columns, x=account_357.x,
-            extensions=account_357.extensions, year=account_357.year)
-        with pytest.raises(NegativeEntry):
-            model.select_demand(corrupt, model.consumption_selection("R0"))
+        for category in (model.CATEGORY_HOUSEHOLDS, model.CATEGORY_GFCF):
+            Y = account_357.Y.copy()
+            Y[2, _column(account_357, "R0", category)] = -50.0
+            with pytest.raises(NegativeEntry, match=rf"\(R0, S2\) in category '{category}'"):
+                model.home_demand(_with_y(account_357, Y), "R0")

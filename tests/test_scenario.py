@@ -24,7 +24,6 @@ from mrio_footprint.scenario import (
     CONSUMPTION_SPENDING_CATEGORIES,
     GFCF_CATEGORY,
     SPENDING_CATEGORIES,
-    CategoryConcordance,
     ScenarioSpec,
 )
 
@@ -36,9 +35,7 @@ def identity_spec(home_region: str = "R0", name: str = "identity") -> ScenarioSp
 
 @pytest.fixture()
 def demand_357(account_357):
-    y = model.select_demand(account_357, model.consumption_selection("R0"))
-    gfcf = model.select_demand(account_357, model.gfcf_selection("R0"))
-    return y, gfcf
+    return model.home_demand(account_357, "R0")
 
 
 @pytest.fixture()
@@ -48,7 +45,7 @@ def concordance_357(account_357):
 
 @pytest.fixture()
 def codes_357(account_357, concordance_357):
-    return concordance_357.codes(account_357.index)
+    return scenario.category_codes(concordance_357, account_357.index)
 
 
 class TestBaselineCategoryTotals:
@@ -58,28 +55,27 @@ class TestBaselineCategoryTotals:
         for category in CONSUMPTION_SPENDING_CATEGORIES:
             expected = sum(
                 y[flat] for flat, (_, sector) in enumerate(account_357.index.labels())
-                if concordance_357.mapping.get(sector) == category
+                if concordance_357.get(sector) == category
             )
             assert totals[category] == pytest.approx(expected, rel=1e-12)
         assert sum(totals.values()) == pytest.approx(float(y.sum()), rel=1e-12)
 
     def test_single_category_holds_everything(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
-        concordance = CategoryConcordance({"S0": scenario.HOUSING, "S1": scenario.HOUSING})
-        totals = scenario.baseline_category_totals(
-            np.array([3.0, 4.0]), concordance.codes(index), index)
+        codes = scenario.category_codes({"S0": scenario.HOUSING, "S1": scenario.HOUSING}, index)
+        totals = scenario.baseline_category_totals(np.array([3.0, 4.0]), codes, index)
         assert totals[scenario.HOUSING] == 7.0
         assert all(v == 0.0 for c, v in totals.items() if c != scenario.HOUSING)
 
     def test_unsorted_sector_with_demand_is_loud(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
-        codes = CategoryConcordance({"S0": scenario.HOUSING}).codes(index)
+        codes = scenario.category_codes({"S0": scenario.HOUSING}, index)
         with pytest.raises(UnsortedNonzeroDemand, match="S1"):
             scenario.baseline_category_totals(np.array([1.0, 2.0]), codes, index)
 
     def test_unsorted_sector_with_zero_demand_is_fine(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
-        codes = CategoryConcordance({"S0": scenario.HOUSING}).codes(index)
+        codes = scenario.category_codes({"S0": scenario.HOUSING}, index)
         totals = scenario.baseline_category_totals(np.array([1.0, 0.0]), codes, index)
         assert totals[scenario.HOUSING] == 1.0
 
@@ -89,9 +85,9 @@ class TestCategoryCodes:
         # The loops the code arrays replaced, with S1 unsorted and its demand
         # zeroed, give bit-identical totals, scaled demand and parts.
         index = account_357.index
-        mapping = dict(fixtures.fixture_category_concordance(index).mapping)
+        mapping = fixtures.fixture_category_concordance(index)
         del mapping["S1"]
-        codes = CategoryConcordance(mapping).codes(index)
+        codes = scenario.category_codes(mapping, index)
         y, gfcf = demand_357
         y = y.copy()
         y[[index.lookup(region, "S1") for region in index.regions]] = 0.0
@@ -123,6 +119,12 @@ class TestCategoryCodes:
         assert list(decomposed) == list(parts)
         for category, part in parts.items():
             assert decomposed[category].tobytes() == part.tobytes()
+
+    @pytest.mark.parametrize("category", ["Yachts", GFCF_CATEGORY])
+    def test_category_outside_the_sector_categories(self, category):
+        index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
+        with pytest.raises(ValueError, match="sector 'S1' mapped to"):
+            scenario.category_codes({"S0": scenario.HOUSING, "S1": category}, index)
 
 
 class TestScalingFactors:
@@ -169,14 +171,14 @@ class TestApplyScenario:
         y, gfcf = demand_357
         index = account_357.index
         baseline = scenario.baseline_category_totals(y, codes_357, index)
-        target_category = concordance_357.mapping[index.sectors[0]]
+        target_category = concordance_357[index.sectors[0]]
         targets: dict[str, float | None] = {c: None for c in SPENDING_CATEGORIES}
         targets[target_category] = 0.5 * baseline[target_category]
         spec = ScenarioSpec(name="halved", home_region="R0", category_targets=targets)
 
         y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, codes_357, spec, index)
         for flat, (_, sector) in enumerate(index.labels()):
-            if concordance_357.mapping[sector] == target_category:
+            if concordance_357[sector] == target_category:
                 assert y_scen[flat] == pytest.approx(0.5 * y[flat], rel=1e-12)
             else:
                 assert y_scen[flat] == y[flat]
@@ -205,14 +207,14 @@ class TestApplyScenario:
         y, gfcf = demand_357
         index = account_357.index
         baseline = scenario.baseline_category_totals(y, codes_357, index)
-        category = concordance_357.mapping[index.sectors[0]]
+        category = concordance_357[index.sectors[0]]
         targets: dict[str, float | None] = {c: None for c in SPENDING_CATEGORIES}
         targets[category] = 1.7 * baseline[category]
         spec = ScenarioSpec(name="scaled", home_region="R0", category_targets=targets)
         y_scen, _ = scenario.apply_scenario(y, gfcf, codes_357, spec, index)
 
         members = [flat for flat, (_, s) in enumerate(index.labels())
-                   if concordance_357.mapping[s] == category and y[flat] > 0]
+                   if concordance_357[s] == category and y[flat] > 0]
         for i in members[1:]:
             assert (y_scen[i] / y_scen[members[0]]
                     == pytest.approx(y[i] / y[members[0]], rel=1e-12))
@@ -222,9 +224,8 @@ class TestApplyScenario:
         for seed in range(5):
             account = fixtures.fixture(2, 13, seed)
             index = account.index
-            codes = fixtures.fixture_category_concordance(index).codes(index)
-            y = model.select_demand(account, model.consumption_selection("R0"))
-            gfcf = model.select_demand(account, model.gfcf_selection("R0"))
+            codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
+            y, gfcf = model.home_demand(account, "R0")
             baseline = scenario.baseline_category_totals(y, codes, index)
             targets = {
                 c: (rng.uniform(0.0, 2.0) * baseline[c] if baseline[c] > 0 else 0.0)
@@ -314,22 +315,20 @@ class TestFileFormats:
             f"S0\t{scenario.HOUSING}\n"
             f"S9\t{scenario.CLOTHING}\n"
         )
-        concordance = scenario.load_concordance(path, ["S0", "S1"])
-        assert concordance.mapping == {"S0": scenario.HOUSING}
-        index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
+        index = model.RegionSectorIndex(("R0", "R1"), ("S0", "S1"))
+        housing = CONSUMPTION_SPENDING_CATEGORIES.index(scenario.HOUSING)
         unsorted = len(CONSUMPTION_SPENDING_CATEGORIES)
-        assert concordance.codes(index).tolist() == [
-            CONSUMPTION_SPENDING_CATEGORIES.index(scenario.HOUSING), unsorted]
+        assert scenario.load_concordance(path, index).tolist() == [housing, unsorted] * 2
 
     @pytest.mark.parametrize("load, message", [
-        (scenario.load_concordance, "expected two columns (sector, category)"),
-        (indicators.load_sector_groups, "expected two columns (sector, group)"),
+        (scenario.load_concordance, "expected two columns (sector, category), found 3"),
+        (indicators.load_sector_groups, "expected two columns (sector, group), found 3"),
     ], ids=["categories", "sector groups"])
     def test_concordance_row_with_a_third_cell(self, tmp_path, load, message):
         path = tmp_path / "concordance.tsv"
         path.write_text(f"S0\t{scenario.HOUSING}\nS1\t{scenario.CLOTHING}\textra\n")
         with pytest.raises(ParseError) as excinfo:
-            load(path, ["S0", "S1"])
+            load(path, model.RegionSectorIndex(("R0",), ("S0", "S1")))
         assert message in str(excinfo.value)
         assert (excinfo.value.path, excinfo.value.row) == (str(path), 2)
 
