@@ -10,8 +10,6 @@ from .algebra import (
     LeontiefOperator,
     ProductivityEstimate,
     factorize,
-    footprint_by_source,
-    footprint_total,
     intensity,
     leontief_solve,
     productivity_check,
@@ -36,18 +34,15 @@ from .indicators import (
     FootprintReport,
     OriginSplit,
     ReportVariant,
-    aggregate_by_sector_group,
     aggregate_by_skill,
-    attribute_by_category,
-    build_footprint_report,
-    decompose_demand_by_category,
     direct_use_scaled,
+    footprint_reports,
     hours_per_week_equivalent,
+    load_conversion_params,
     load_sector_groups,
     per_capita,
     report_variants,
     sector_group_codes,
-    split_origin,
 )
 from .model import (
     BalanceReport,

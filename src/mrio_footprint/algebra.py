@@ -221,10 +221,15 @@ class LeontiefOperator:
         return solution
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """Solve (I - A) q = y and return q, with a residual check."""
-        yv = _as_vector(y, self.dim, "y")
-        # A q = Z (q / x).
-        return self._solve(yv, 0, lambda q: _check_solution(q, self._Z @ (self._scale * q), yv))
+        """Solve (I - A) q = y for one demand vector, or for an n x k block of
+        them in one solve, with a residual check per column."""
+        yv = np.asarray(y, dtype=float)
+        if yv.ndim not in (1, 2) or yv.shape[0] != self.dim:
+            raise DimensionMismatch(
+                f"demand must have {self.dim} rows, got shape {yv.shape}")
+        # A q = Z (q / x), column by column.
+        return self._solve(
+            yv, 0, lambda q: _check_solution(q, self._Z @ (self._scale * q.T).T, yv))
 
     def multipliers(self, S: np.ndarray) -> np.ndarray:
         """Multipliers M = S (I - A)^-1 of one intensity row or a block of them.
@@ -262,10 +267,12 @@ def _check_solution(q: np.ndarray, Aq: np.ndarray, y: np.ndarray) -> None:
             f"Leontief solve failed the residual check (|r| = {np.max(worst):.3e}); "
             "the coefficient matrix is singular or has spectral radius >= 1"
         )
-    # Gross output must cover final demand; a shortfall on nonnegative demand
-    # is the signature of an unproductive economy even when the system solves.
-    if (y.size and np.min(y) >= 0.0
-            and np.any(np.min(q - y, axis=0) < -SOLVE_RESIDUAL_RTOL * scale)):
+    # Gross output must cover final demand; a shortfall on a nonnegative
+    # demand column is the signature of an unproductive economy even when
+    # the system solves.
+    nonnegative = np.min(y, axis=0, initial=np.inf) >= 0.0
+    short = np.min(q - y, axis=0, initial=np.inf) < -SOLVE_RESIDUAL_RTOL * scale
+    if np.any(nonnegative & short):
         raise UnproductiveEconomy(
             "gross output falls below final demand; spectral radius >= 1"
         )
@@ -319,21 +326,3 @@ def intensity(e: np.ndarray, x: np.ndarray) -> np.ndarray:
     values = np.zeros_like(ev)
     values[active] = ev[active] / xv[active]
     return values
-
-
-def footprint_total(s: np.ndarray, q: np.ndarray) -> float:
-    """Total impact s . q embodied in the output vector q."""
-    sv = np.asarray(s, dtype=float)
-    qv = np.asarray(q, dtype=float)
-    if sv.shape != qv.shape:
-        raise DimensionMismatch(f"intensity shape {sv.shape} != output shape {qv.shape}")
-    return float(sv @ qv)
-
-
-def footprint_by_source(s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per producing region-sector contributions s[j] * q[j]."""
-    sv = np.asarray(s, dtype=float)
-    qv = np.asarray(q, dtype=float)
-    if sv.shape != qv.shape:
-        raise DimensionMismatch(f"intensity shape {sv.shape} != output shape {qv.shape}")
-    return sv * qv

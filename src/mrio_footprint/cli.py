@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,64 +191,41 @@ def _selected_extensions(account: MrioAccount, selection: tuple[str, ...] | None
     return list(selection)
 
 
-def _embedded(data: LoadedData, home_region: str) -> dict[str, float]:
-    """The baseline embedded footprint of each report that scales direct
-    use, shared by every scenario of ``home_region``."""
-    scaled = [v for v in data.variants if v.has_direct_use]
-    if not scaled:
-        return {}
-    # One baseline solve serves every report's direct-use scaling.
-    y, gfcf = data.demand[home_region]
-    q = data.operator.apply(y + gfcf)
-    return {v.name: algebra.footprint_total(v.total_intensity, q) for v in scaled}
-
-
-def _scenario_reports(data: LoadedData, spec: ScenarioSpec, home_region: str,
-                      embedded: dict[str, float]) -> list[FootprintReport]:
-    """All reports for one scenario, from one solve of its whole demand."""
-    account = data.account
-    y, gfcf = data.demand[home_region]
-    y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, data.category_codes, spec,
-                                                account.index)
-    demand_by_category = indicators.decompose_demand_by_category(
-        y_scen, gfcf_scen, data.category_codes)
-    # Every element lies in one category only, so this equals the sum of the parts.
-    q = data.operator.apply(y_scen + gfcf_scen)
-    return [
-        indicators.build_footprint_report(
-            account=account, variant=variant, q=q, demand_by_category=demand_by_category,
-            home_region=home_region, group_labels=data.group_labels,
-            group_codes=data.group_codes, params=data.params,
-            scenario_name=spec.name, baseline_embedded=embedded.get(variant.name),
-        )
-        for variant in data.variants
-    ]
-
-
 def _run(args, compare: bool = False) -> tuple[
-        RunConfig, LoadedData, Iterator[tuple[ScenarioSpec, list[FootprintReport]]]]:
+        RunConfig, LoadedData, list[tuple[ScenarioSpec, list[FootprintReport]]]]:
     """The shared run of ``footprint`` and ``compare``: checks the specs and
-    loads the inputs, then iterates over each scenario's reports, written to
-    the scenario's directory as made."""
+    loads the inputs, makes every scenario's reports from one solve, then
+    writes them to one directory per scenario, in spec order."""
     config = RunConfig.from_args(args)
     specs = _load_specs(config, compare)
     data = _load(config, specs)
-
-    def reports_by_scenario():
-        embedded: dict[str, dict[str, float]] = {}
-        for spec in specs:
-            home_region = config.home_region or spec.home_region
-            if home_region not in embedded:
-                embedded[home_region] = _embedded(data, home_region)
-            reports = _scenario_reports(data, spec, home_region, embedded[home_region])
-            out_dir = config.out_dir / spec.name
-            out_dir.mkdir(parents=True, exist_ok=True)
-            _write_csv(out_dir / "report.csv", REPORT_HEADER,
-                       [row for report in reports for row in _report_rows(report)])
-            _write_summary(out_dir / "summary.txt", config, spec, home_region, data, reports)
-            yield spec, reports
-
-    return config, data, reports_by_scenario()
+    regions = [config.home_region or spec.home_region for spec in specs]
+    # One demand column per home region's baseline, then one per scenario;
+    # the baseline columns' reports only scale direct use, and are dropped.
+    homes = list(data.demand)
+    columns = [data.demand[region] for region in homes] + [
+        scenario.apply_scenario(*data.demand[region], data.category_codes, spec,
+                                data.account.index)
+        for spec, region in zip(specs, regions)]
+    y = np.column_stack([consumption for consumption, _ in columns])
+    gfcf = np.column_stack([capital for _, capital in columns])
+    # Every element lies in one category only, so y + gfcf is the sum of the parts.
+    q = data.operator.apply(y + gfcf)
+    reports = indicators.footprint_reports(
+        data.account, list(data.variants),
+        [(region, region) for region in homes] + [
+            (spec.name, region) for spec, region in zip(specs, regions)],
+        y, gfcf, q, baseline={region: k for k, region in enumerate(homes)},
+        category_codes=data.category_codes, group_labels=data.group_labels,
+        group_codes=data.group_codes, params=data.params)
+    runs = list(zip(specs, reports[len(homes):]))
+    for (spec, scenario_reports), region in zip(runs, regions):
+        out_dir = config.out_dir / spec.name
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_csv(out_dir / "report.csv", REPORT_HEADER,
+                   [row for report in scenario_reports for row in _report_rows(report)])
+        _write_summary(out_dir / "summary.txt", config, spec, region, data, scenario_reports)
+    return config, data, runs
 
 
 # ---------------------------------------------------------------------------

@@ -292,15 +292,23 @@ def _spans(path: Path, start: int, end: int, count: int) -> list[tuple[int, int]
 
 def _span_lines(raw, span: tuple[int, int], count: list[int]) -> Iterator[str]:
     """Yield the lines in the byte span [start, end) of a binary handle, as
-    text read with ``newline=""``, adding one to ``count[0]`` for each."""
+    text read with ``newline=""``, adding one to ``count[0]`` for each. The
+    handle stays the caller's to close, also when the lines stop early."""
     start, end = span
     raw.seek(start)
-    for line in io.TextIOWrapper(raw, encoding="utf-8", newline=""):
-        if start >= end:
-            return
-        start += len(line) if line.isascii() else len(line.encode("utf-8"))
-        count[0] += 1
-        yield line
+    text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    try:
+        for line in text:
+            if start >= end:
+                return
+            start += len(line) if line.isascii() else len(line.encode("utf-8"))
+            count[0] += 1
+            yield line
+    finally:
+        # A wrapper left to the garbage collector closes the handle, and
+        # warns if it was still open.
+        if not raw.closed:
+            text.detach()
 
 
 def _parse_span(grid, span: tuple[int, int]):

@@ -32,7 +32,7 @@ from .model import (
     sector_codes,
     skill_of,
 )
-from .scenario import CONSUMPTION_SPENDING_CATEGORIES, GFCF_CATEGORY, WEEKS_PER_YEAR
+from .scenario import CONSUMPTION_SPENDING_CATEGORIES, SPENDING_CATEGORIES, WEEKS_PER_YEAR
 
 # Default working pattern: statutory leave leaves ~46.6 working weeks per
 # year, and people are assumed to work 80% of their working-age years.
@@ -117,15 +117,6 @@ class OriginSplit:
         return self.imported / self.total if self.total else 0.0
 
 
-def split_origin(by_source: np.ndarray, home_region: str,
-                 index: RegionSectorIndex) -> OriginSplit:
-    """Split per-source contributions into home-region vs everywhere else."""
-    values = np.asarray(by_source, dtype=float)
-    home = index.region_slice(home_region)
-    domestic = float(values[home].sum())
-    return OriginSplit(domestic=domestic, imported=float(values.sum()) - domestic)
-
-
 def sector_group_codes(mapping: dict[str, str],
                        index: RegionSectorIndex) -> tuple[tuple[str, ...], np.ndarray]:
     """The group labels of a (sector, group) mapping, in the order they first
@@ -153,53 +144,12 @@ def load_sector_groups(path: str | Path,
     return sector_group_codes(mapping, index)
 
 
-def aggregate_by_sector_group(by_source: np.ndarray, labels: tuple[str, ...],
-                              codes: np.ndarray) -> dict[str, float]:
-    """Sum per-source contributions into sector groups (totals are preserved).
-
-    ``labels`` and ``codes`` are from ``sector_group_codes``, made once per
-    account.
-    """
-    sums = np.bincount(codes, weights=np.asarray(by_source, dtype=float),
-                       minlength=len(labels))
-    return dict(zip(labels, sums.tolist()))
-
-
 def aggregate_by_skill(labour_by_stressor: dict[str, float]) -> dict[str, float]:
     """Sum gender x skill stressor totals into low/medium/high hours."""
     totals = {skill: 0.0 for skill in SKILL_LEVELS}
     for label, value in labour_by_stressor.items():
         totals[skill_of(label)] += value
     return totals
-
-
-def attribute_by_category(m: np.ndarray,
-                          demand_by_category: dict[str, np.ndarray]) -> dict[str, float]:
-    """Footprint carried by each spending category's share of demand.
-
-    ``m`` is the multiplier row s (I - A)^-1, so each category costs one dot
-    product; by linearity the attributions sum to the footprint of the
-    whole demand vector.
-    """
-    return {
-        category: algebra.footprint_total(m, y_c)
-        for category, y_c in demand_by_category.items()
-    }
-
-
-def decompose_demand_by_category(y: np.ndarray, gfcf: np.ndarray,
-                                 codes: np.ndarray) -> dict[str, np.ndarray]:
-    """Partition demand into the 13 categories (capital formation last).
-
-    ``codes`` is from ``scenario.category_codes``. The pieces sum to
-    y + gfcf elementwise exactly, so category attributions reproduce
-    whole-vector footprints up to solver tolerance.
-    """
-    yv = np.asarray(y, dtype=float)
-    parts = {category: np.where(codes == k, yv, 0.0)
-             for k, category in enumerate(CONSUMPTION_SPENDING_CATEGORIES)}
-    parts[GFCF_CATEGORY] = np.asarray(gfcf, dtype=float).copy()
-    return parts
 
 
 def direct_use_scaled(direct_base: float, embedded_scenario: float,
@@ -298,56 +248,72 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator,
     ]
 
 
-def build_footprint_report(account: MrioAccount, variant: ReportVariant, q: np.ndarray,
-                           demand_by_category: dict[str, np.ndarray],
-                           home_region: str, group_labels: tuple[str, ...],
-                           group_codes: np.ndarray, params: ConversionParams,
-                           scenario_name: str,
-                           baseline_embedded: float | None = None) -> FootprintReport:
-    """Compute a full report for one variant and one scenario demand.
+def _one_hot(codes: np.ndarray, count: int) -> np.ndarray:
+    """An n x ``count`` matrix with a one in each row at its code; a code of
+    ``count`` or more leaves its row zero."""
+    return (codes[:, np.newaxis] == np.arange(count)).astype(float)
 
-    ``q`` is the gross output of the whole demand, the sum of
-    ``demand_by_category``; every report of a scenario shares it.
-    ``group_labels`` and ``group_codes`` are from ``sector_group_codes``.
-    ``baseline_embedded`` enables direct-use scaling: scenario direct use =
-    base direct x embedded/baseline-embedded.
+
+def footprint_reports(account: MrioAccount, variants: list[ReportVariant],
+                      scenarios: list[tuple[str, str]], y: np.ndarray, gfcf: np.ndarray,
+                      q: np.ndarray, baseline: dict[str, int], category_codes: np.ndarray,
+                      group_labels: tuple[str, ...], group_codes: np.ndarray,
+                      params: ConversionParams) -> list[list[FootprintReport]]:
+    """Every variant's report for every column of a demand block.
+
+    Column j of ``y`` and ``gfcf`` is one scenario's consumption and capital
+    formation demand, column j of ``q`` the gross output of their sum, and
+    ``scenarios[j]`` the scenario's name and home region. ``baseline`` maps
+    each home region to the column of its baseline demand, against whose
+    embedded footprint direct use scales. ``category_codes`` is from
+    ``scenario.category_codes``; ``group_labels`` and ``group_codes`` are
+    from ``sector_group_codes``. Returns each column's reports in
+    ``variants`` order.
     """
-    extension = variant.extension
-    total = algebra.footprint_total(variant.total_intensity, q)
-    by_source = algebra.footprint_by_source(variant.total_intensity, q)
-    by_stressor = {
-        label: algebra.footprint_total(s_k, q)
-        for label, s_k in zip(variant.labels, variant.intensities)
-    }
+    # Which rows are each column's home region; this also rejects a home
+    # region that is not an account region.
+    home = np.zeros(q.shape, dtype=bool)
+    for j, (_, region) in enumerate(scenarios):
+        home[account.index.region_slice(region), j] = True
+    categories = _one_hot(category_codes, len(CONSUMPTION_SPENDING_CATEGORIES))
+    groups = _one_hot(group_codes, len(group_labels))
 
-    by_skill = None
-    hours_week = None
-    if extension.kind == "labour":
-        by_skill = aggregate_by_skill(by_stressor)
-        hours_week = hours_per_week_equivalent(total, params)
-
-    # Split first: it rejects a home region that is not an account region.
-    by_origin = split_origin(by_source, home_region, account.index)
-    direct = None
-    if variant.has_direct_use:
-        base_direct = float(extension.direct[home_region])
-        if baseline_embedded is None:
-            direct = base_direct
-        else:
-            direct = direct_use_scaled(base_direct, total, baseline_embedded)
-
-    return FootprintReport(
-        scenario=scenario_name,
-        extension_name=variant.name,
-        unit=extension.unit,
-        home_region=home_region,
-        total=total,
-        per_capita=per_capita(total, params.total_population),
-        by_origin=by_origin,
-        by_sector_group=aggregate_by_sector_group(by_source, group_labels, group_codes),
-        by_category=attribute_by_category(variant.multipliers, demand_by_category),
-        hours_week_equivalent=hours_week,
-        by_skill=by_skill,
-        by_stressor=by_stressor,
-        direct_use=direct,
-    )
+    reports: list[list[FootprintReport]] = [[] for _ in scenarios]
+    for variant in variants:
+        s, m, extension = variant.total_intensity, variant.multipliers, variant.extension
+        labour = extension.kind == "labour"
+        # Column sums, not s @ q: BLAS may round a matrix-vector product's
+        # entries differently by their position, and identical columns must
+        # give identical totals, as identity scenarios scale direct use by 1.
+        by_source = s[:, np.newaxis] * q
+        totals = by_source.sum(axis=0).tolist()
+        domestic = np.where(home, by_source, 0.0).sum(axis=0).tolist()
+        by_group = (groups.T @ by_source).T.tolist()
+        # Each category's share of demand times the multipliers; by
+        # linearity the shares sum to the footprint of the whole column.
+        by_category = np.vstack([categories.T @ (m[:, np.newaxis] * y), m @ gfcf]).T.tolist()
+        by_stressor = (np.vstack(variant.intensities) @ q).T.tolist()
+        for j, (name, region) in enumerate(scenarios):
+            total = totals[j]
+            stressors = dict(zip(variant.labels, by_stressor[j]))
+            direct = None
+            if variant.has_direct_use:
+                direct = direct_use_scaled(float(extension.direct[region]), total,
+                                           totals[baseline[region]])
+            reports[j].append(FootprintReport(
+                scenario=name,
+                extension_name=variant.name,
+                unit=extension.unit,
+                home_region=region,
+                total=total,
+                per_capita=per_capita(total, params.total_population),
+                by_origin=OriginSplit(domestic=domestic[j], imported=total - domestic[j]),
+                by_sector_group=dict(zip(group_labels, by_group[j])),
+                by_category=dict(zip(SPENDING_CATEGORIES, by_category[j])),
+                hours_week_equivalent=(hours_per_week_equivalent(total, params)
+                                       if labour else None),
+                by_skill=aggregate_by_skill(stressors) if labour else None,
+                by_stressor=stressors,
+                direct_use=direct,
+            ))
+    return reports

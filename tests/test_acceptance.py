@@ -60,7 +60,7 @@ def test_criterion_2_worked_2x2_example():
         A = np.array([[0.2, 0.3], [0.4, 0.1]])
         q = algebra.leontief_solve(A, np.array([10.0, 5.0]))
         np.testing.assert_allclose(q, [17.5, 40.0 / 3.0], atol=1e-9, rtol=0)
-        footprint = algebra.footprint_total(np.array([0.5, 1.0]), q)
+        footprint = np.array([0.5, 1.0]) @ q
         assert abs(footprint - 66.25 / 3.0) <= 1e-9
 
 
@@ -77,16 +77,14 @@ def test_criterion_3_additivity_suite():
             operator = algebra.factorize(
                 algebra.technical_coefficients(account.Z, account.x))
             y, gfcf = model.home_demand(account, "R0")
-            parts = indicators.decompose_demand_by_category(y, gfcf, codes)
+            y, gfcf = y[:, np.newaxis], gfcf[:, np.newaxis]
             q = operator.apply(y + gfcf)
+            variants = indicators.report_variants(account, operator, list(account.extensions))
+            [reports] = indicators.footprint_reports(
+                account, variants, [("baseline", "R0")], y, gfcf, q, {"R0": 0}, codes,
+                labels, group_codes, params)
 
-            for variant in indicators.report_variants(account, operator,
-                                                      list(account.extensions)):
-                report = indicators.build_footprint_report(
-                    account=account, variant=variant, q=q,
-                    demand_by_category=parts, home_region="R0", group_labels=labels,
-                    group_codes=group_codes, params=params,
-                    scenario_name="baseline")
+            for report in reports:
                 if report.total == 0.0:
                     continue
                 assert _rel(report.by_origin.total, report.total) <= 1e-9

@@ -114,6 +114,16 @@ class TestLeontiefSolve:
         with pytest.raises(UnproductiveEconomy):
             algebra.leontief_solve(np.array([[2.0]]), np.array([1.0]))
 
+    def test_negative_column_keeps_the_coverage_check_on_the_others(self):
+        # (I - A) q = y solves here with q = -y: a shortfall in the first
+        # column, which a negative second column must not hide.
+        op = algebra.factorize(np.array([[2.0]]))
+        with pytest.raises(UnproductiveEconomy, match="falls below final demand"):
+            op.apply(np.array([[1.0, -1.0]]))
+        with pytest.raises(UnproductiveEconomy, match="falls below final demand"):
+            op.multipliers(np.array([[1.0], [-1.0]]))
+        np.testing.assert_array_equal(op.apply(np.array([[-1.0, -2.0]])), [[1.0, 2.0]])
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             algebra.leontief_solve(np.zeros((2, 3)), Y_HAND)
@@ -222,34 +232,30 @@ class TestIntensity:
 
 
 class TestFootprint:
+    """Footprints s @ q of demand blocks, one solve per block."""
+
     def test_hand_total(self):
-        assert algebra.footprint_total(S_HAND, Q_HAND) == pytest.approx(
-            FOOTPRINT_HAND, abs=1e-12)
+        q = algebra.factorize(A_HAND).apply(np.column_stack([Y_HAND, 2.0 * Y_HAND]))
+        np.testing.assert_allclose(S_HAND @ q, [FOOTPRINT_HAND, 2.0 * FOOTPRINT_HAND],
+                                   rtol=0, atol=1e-12)
 
-    def test_zero_intensity(self):
-        assert algebra.footprint_total(np.zeros(2), Q_HAND) == 0.0
-
-    def test_by_source_hand(self):
-        np.testing.assert_allclose(
-            algebra.footprint_by_source(S_HAND, Q_HAND),
-            np.array([8.75, 40.0 / 3.0]), rtol=1e-15)
-
-    def test_one_hot_intensity(self):
-        by_source = algebra.footprint_by_source(np.array([0.0, 2.0]), Q_HAND)
-        assert by_source[0] == 0.0 and by_source[1] == pytest.approx(80.0 / 3.0)
-
-    def test_total_equals_sum_of_sources(self, rng):
+    def test_block_columns_match_single_solves(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 30))
-            s = rng.uniform(0.0, 3.0, size=n)
-            q = rng.uniform(0.0, 100.0, size=n)
-            total = algebra.footprint_total(s, q)
-            np.testing.assert_allclose(
-                total, algebra.footprint_by_source(s, q).sum(), rtol=1e-9)
+            op = algebra.factorize(random_productive_matrix(rng, n))
+            Y = rng.uniform(0.0, 100.0, size=(n, 4))
+            # Identical columns solve to identical bits wherever they sit.
+            Y[:, 3] = Y[:, 1]
+            Q = op.apply(Y)
+            assert Q.shape == (n, 4) and Q[:, 3].tobytes() == Q[:, 1].tobytes()
+            for j in range(4):
+                np.testing.assert_allclose(Q[:, j], op.apply(Y[:, j]), rtol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            algebra.footprint_total(np.zeros(3), np.zeros(2))
+        op = algebra.factorize(A_HAND)
+        for shape in ((3,), (3, 2), (2, 2, 1)):
+            with pytest.raises(DimensionMismatch):
+                op.apply(np.zeros(shape))
 
 
 class TestProductivityCheck:

@@ -154,11 +154,31 @@ class TestFootprint:
         account = fileio.ingest(fixture_dir / "layout.json").account
         op = algebra.factorize(algebra.technical_coefficients(account.Z, account.x))
         y, gfcf = model.home_demand(account, "R0")
-        q = op.apply(y + gfcf)
+        # The run's block: the home region's baseline, then the identity
+        # scenario, which is the same demand.
+        q = op.apply(np.column_stack([y, y]) + np.column_stack([gfcf, gfcf]))
         for name in ("labour", "energy", "emissions"):
             s = algebra.intensity(account.extensions[name].total_row(), account.x)
-            expected = algebra.footprint_total(s, q)
+            expected = (s[:, np.newaxis] * q).sum(axis=0)[1]
             assert report_value(rows, name, "total") == expected
+
+    def test_identity_scenarios_of_two_home_regions_keep_their_direct_use(
+            self, fixture_dir, tmp_path):
+        spec = json.loads((fixture_dir / "scenarios" / "baseline.json").read_text())
+        spec.update(name="baseline-r1", home_region="R1")
+        (fixture_dir / "scenarios" / "baseline-r1.json").write_text(json.dumps(spec))
+        assert main(["footprint", "--layout", str(fixture_dir / "layout.json"),
+                     "--params", str(fixture_dir / "params.json"),
+                     "--out", str(tmp_path / "out"),
+                     "--scenario", str(fixture_dir / "scenarios" / "baseline.json"),
+                     "--scenario", str(fixture_dir / "scenarios" / "baseline-r1.json")]) == 0
+        with (fixture_dir / "direct_energy.tsv").open(newline="") as handle:
+            direct = {row["region"]: float(row["value"])
+                      for row in csv.DictReader(handle, delimiter="\t")}
+        for name, region in (("baseline", "R0"), ("baseline-r1", "R1")):
+            rows = read_report(tmp_path / "out" / name / "report.csv")
+            assert report_value(rows, "energy", "direct-use") == direct[region]
+        assert direct["R0"] != direct["R1"]
 
     def test_halved_scenario_halves_one_category(self, fixture_dir, tmp_path):
         assert run_footprint(fixture_dir, tmp_path / "base", "baseline") == 0
@@ -369,9 +389,14 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "'S3' has no sector group" in err and "sector_groups.tsv" in err
 
-    def test_one_solve_per_scenario(self, fixture_dir, tmp_path, monkeypatch):
-        # One baseline solve for direct-use scaling, one solve per scenario,
-        # and one block solve for the multipliers of all five reports.
+    @pytest.mark.parametrize("verb", ["compare", "footprint"])
+    def test_one_forward_and_one_transposed_solve_per_run(self, fixture_dir, tmp_path,
+                                                          monkeypatch, verb):
+        # One block solve for every home region's baseline and every
+        # scenario, and one for the multipliers of all five reports.
+        spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
+        spec.update(name="abroad", home_region="R1")
+        (fixture_dir / "scenarios" / "abroad.json").write_text(json.dumps(spec))
         calls = {"apply": 0, "multipliers": 0}
 
         def counted(name):
@@ -384,8 +409,23 @@ class TestCompare:
 
         for name in calls:
             monkeypatch.setattr(algebra.LeontiefOperator, name, counted(name))
-        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "halved"]) == 0
-        assert calls == {"apply": 3, "multipliers": 1}
+        argv = [verb, "--layout", str(fixture_dir / "layout.json"),
+                "--params", str(fixture_dir / "params.json"), "--out", str(tmp_path / "out")]
+        for name in ("baseline", "halved", "abroad"):
+            argv += ["--scenario", str(fixture_dir / "scenarios" / f"{name}.json")]
+        # compare takes one home region, footprint each spec's own.
+        assert main(argv + (["--home-region", "R2"] if verb == "compare" else [])) == 0
+        assert calls == {"apply": 1, "multipliers": 1}
+
+    def test_failing_scenario_writes_nothing(self, fixture_dir, tmp_path, capsys):
+        # The fixture's home region spends nothing on education.
+        spec = json.loads((fixture_dir / "scenarios" / "baseline.json").read_text())
+        spec["name"] = "schooling"
+        spec["category_targets"]["Education"] = 1.0
+        (fixture_dir / "scenarios" / "schooling.json").write_text(json.dumps(spec))
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "schooling"]) == 1
+        assert "Education" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
     def test_extension_selection(self, fixture_dir, tmp_path):
         rc = main(["compare", "--layout", str(fixture_dir / "layout.json"),

@@ -1,7 +1,9 @@
 """Ingest / emit round-trip and parse-error tests."""
 
+import gc
 import json
 import os
+import sys
 import threading
 import warnings
 from dataclasses import replace
@@ -88,6 +90,21 @@ class TestParseErrors:
                 fileio.ingest(layout_path)
         assert (excinfo.value.row, excinfo.value.column) == (5, 6)
         assert f"non-numeric value {text!r}" in str(excinfo.value)
+
+    def test_parse_stopped_at_a_bad_cell_leaves_no_file_open(self, written_set, tmp_path,
+                                                              monkeypatch):
+        # A file object dropped while open warns from the garbage collector,
+        # where the error this filter makes of it goes to the unraisable hook.
+        _, layout_path = written_set
+        self._set_cell(tmp_path / "z.tsv", 4, 5, "oops")
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(ParseError, match="oops"):
+                fileio.ingest(layout_path)
+            gc.collect()
+        assert [str(hook.exc_value) for hook in unraisable] == []
 
     @staticmethod
     def _set_cell(path, line, cell, text):

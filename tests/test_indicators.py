@@ -72,39 +72,72 @@ class TestPerCapita:
             indicators.per_capita(1.0, 0.0)
 
 
+def one_column_reports(account, y, gfcf=None, home_region="R0", category_codes=None,
+                       groups=None, names=None):
+    """footprint_reports for one demand column, in variant order. Sectors
+    are unsorted and in one group unless ``category_codes`` and ``groups``
+    say otherwise."""
+    n = account.index.n
+    gfcf = np.zeros(n) if gfcf is None else gfcf
+    if category_codes is None:
+        category_codes = np.full(n, len(scenario.CONSUMPTION_SPENDING_CATEGORIES))
+    group_labels, group_codes = groups or (("all",), np.zeros(n, dtype=int))
+    operator = algebra.LeontiefOperator(account.Z, account.x)
+    variants = indicators.report_variants(account, operator, names or list(account.extensions))
+    y, gfcf = np.asarray(y, dtype=float)[:, np.newaxis], gfcf[:, np.newaxis]
+    [reports] = indicators.footprint_reports(
+        account, variants, [("test", home_region)], y, gfcf, operator.apply(y + gfcf),
+        {home_region: 0}, category_codes, group_labels, group_codes,
+        fixtures.fixture_conversion_params())
+    return reports
+
+
+def hand_account(index, Z=None, x=None, intensity=None):
+    """An account over ``index`` with one stressor row; by default nothing is
+    traded and the row is one per unit of output, so a footprint is the sum
+    of its demand."""
+    n = index.n
+    x = np.ones(n) if x is None else np.asarray(x, dtype=float)
+    row = x if intensity is None else np.asarray(intensity, dtype=float) * x
+    ext = model.ExtensionAccount(name="use", unit="t", stressors=("use",), rows=row[np.newaxis])
+    return model.MrioAccount(index=index, Z=np.zeros((n, n)) if Z is None else Z,
+                             Y=np.zeros((n, 0)), y_columns=(), x=x,
+                             extensions={"use": ext}, year=2012)
+
+
 class TestSplitOrigin:
     def test_all_home_production(self):
         index = model.RegionSectorIndex(("R0", "R1"), ("S0",))
-        split = indicators.split_origin(np.array([5.0, 0.0]), "R0", index)
-        assert split == OriginSplit(domestic=5.0, imported=0.0)
+        [report] = one_column_reports(hand_account(index), [5.0, 0.0])
+        assert report.by_origin == OriginSplit(domestic=5.0, imported=0.0)
 
     def test_hand_placed_contributions(self):
         index = model.RegionSectorIndex(("home", "abroad"), ("S0",))
-        split = indicators.split_origin(np.array([3.0, 7.0]), "home", index)
+        [report] = one_column_reports(hand_account(index), [3.0, 7.0], home_region="home")
+        split = report.by_origin
         assert split.domestic == 3.0 and split.imported == 7.0
         assert split.import_share == pytest.approx(0.7)
 
     def test_unknown_region(self):
         index = model.RegionSectorIndex(("R0",), ("S0",))
         with pytest.raises(UnknownRegion):
-            indicators.split_origin(np.array([1.0]), "R9", index)
+            one_column_reports(hand_account(index), [1.0], home_region="R9")
 
 
 class TestSectorGroups:
     def test_single_group_carries_total(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
-        labels, codes = indicators.sector_group_codes({"S0": "services", "S1": "services"},
-                                                      index)
-        totals = indicators.aggregate_by_sector_group(np.array([2.0, 3.0]), labels, codes)
-        assert totals == {"services": 5.0}
+        groups = indicators.sector_group_codes({"S0": "services", "S1": "services"}, index)
+        [report] = one_column_reports(hand_account(index), [2.0, 3.0], groups=groups)
+        assert report.by_sector_group == {"services": 5.0}
 
     def test_hand_assignment(self):
         index = model.RegionSectorIndex(("R0", "R1"), ("S0", "S1"))
         labels, codes = indicators.sector_group_codes({"S1": "services", "S0": "goods"}, index)
         assert labels == ("services", "goods") and codes.tolist() == [1, 0, 1, 0]
-        totals = indicators.aggregate_by_sector_group(
-            np.array([1.0, 2.0, 4.0, 8.0]), labels, codes)
-        assert totals == {"services": 10.0, "goods": 5.0}
+        [report] = one_column_reports(hand_account(index), [1.0, 2.0, 4.0, 8.0],
+                                      groups=(labels, codes))
+        assert report.by_sector_group == {"services": 10.0, "goods": 5.0}
 
     def test_unmapped_sector(self):
         index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
@@ -112,23 +145,26 @@ class TestSectorGroups:
             indicators.sector_group_codes({"S0": "goods"}, index)
 
     def test_group_total_preserved(self, account_357):
-        labels, codes = indicators.sector_group_codes(
+        groups = indicators.sector_group_codes(
             fixtures.fixture_sector_groups(account_357.index), account_357.index)
-        by_source = np.linspace(0.0, 1.0, account_357.index.n)
-        totals = indicators.aggregate_by_sector_group(by_source, labels, codes)
-        assert sum(totals.values()) == pytest.approx(float(by_source.sum()), rel=1e-12)
-
+        y, gfcf = model.home_demand(account_357, "R0")
+        for report in one_column_reports(account_357, y, gfcf, groups=groups):
+            assert sum(report.by_sector_group.values()) == pytest.approx(report.total,
+                                                                         rel=1e-12)
 
     def test_matches_flat_order_loop(self, account_357):
-        # The loop bincount replaced adds in the same flat order, so sums are equal.
+        # Each region-sector's contribution lands in its own sector's group.
         mapping = fixtures.fixture_sector_groups(account_357.index)
-        labels, codes = indicators.sector_group_codes(mapping, account_357.index)
-        by_source = np.random.default_rng(7).uniform(0.0, 1.0, account_357.index.n)
-        expected = {group: 0.0 for group in labels}
+        groups = indicators.sector_group_codes(mapping, account_357.index)
+        y = np.random.default_rng(7).uniform(0.0, 1.0, account_357.index.n)
+        [report] = one_column_reports(account_357, y, groups=groups, names=["labour"])
+        operator = algebra.LeontiefOperator(account_357.Z, account_357.x)
+        s = algebra.intensity(account_357.extensions["labour"].total_row(), account_357.x)
+        by_source = s * operator.apply(y)
+        expected = {group: 0.0 for group in groups[0]}
         for flat, (_, sector) in enumerate(account_357.index.labels()):
             expected[mapping[sector]] += float(by_source[flat])
-        assert indicators.aggregate_by_sector_group(by_source, labels, codes) == expected
-
+        assert report.by_sector_group == pytest.approx(expected, rel=1e-12)
 
     def test_sector_listed_twice_is_a_parse_error(self, tmp_path):
         path = tmp_path / "groups.tsv"
@@ -185,31 +221,37 @@ class TestSkillAggregation:
 
 
 class TestCategoryAttribution:
+    FIRST, SECOND = scenario.CONSUMPTION_SPENDING_CATEGORIES[:2]
+
     def test_single_category_demand(self):
-        op = algebra.factorize(np.zeros((2, 2)))
-        s = np.array([1.0, 1.0])
-        parts = {"only": np.array([3.0, 4.0])}
-        assert indicators.attribute_by_category(op.multipliers(s), parts) == {"only": 7.0}
+        index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
+        [report] = one_column_reports(hand_account(index), [3.0, 4.0],
+                                      category_codes=np.array([0, 0]))
+        assert list(report.by_category) == list(scenario.SPENDING_CATEGORIES)
+        assert report.by_category[self.FIRST] == 7.0
+        assert sum(report.by_category.values()) == 7.0
 
     def test_two_categories_hand_solved(self):
-        # Reuses the worked 2x2 case: y = [10, 5] split into [10, 0] + [0, 5].
-        op = algebra.factorize(np.array([[0.2, 0.3], [0.4, 0.1]]))
-        s = np.array([0.5, 1.0])
-        parts = {"first": np.array([10.0, 0.0]), "second": np.array([0.0, 5.0])}
-        attributed = indicators.attribute_by_category(op.multipliers(s), parts)
+        # The worked 2x2 case, A = Z / x: y = [10, 5] splits into [10, 0] in
+        # the first category and [0, 5] in the second.
+        index = model.RegionSectorIndex(("R0",), ("S0", "S1"))
+        account = hand_account(index, Z=np.array([[20.0, 30.0], [40.0, 10.0]]),
+                               x=[100.0, 100.0], intensity=[0.5, 1.0])
+        [report] = one_column_reports(account, [10.0, 5.0], category_codes=np.array([0, 1]))
+        attributed = report.by_category
         # L columns: [1.5, 2/3] and [0.5, 4/3].
-        assert attributed["first"] == pytest.approx(0.5 * 15.0 + 20.0 / 3.0, rel=1e-12)
-        assert attributed["second"] == pytest.approx(0.5 * 2.5 + 20.0 / 3.0, rel=1e-12)
-        total = algebra.footprint_total(s, op.apply(np.array([10.0, 5.0])))
-        assert sum(attributed.values()) == pytest.approx(total, rel=1e-9)
+        assert attributed[self.FIRST] == pytest.approx(0.5 * 15.0 + 20.0 / 3.0, rel=1e-12)
+        assert attributed[self.SECOND] == pytest.approx(0.5 * 2.5 + 20.0 / 3.0, rel=1e-12)
+        assert report.total == pytest.approx(66.25 / 3.0, rel=1e-12)
+        assert sum(attributed.values()) == pytest.approx(report.total, rel=1e-9)
 
     def test_partition_sums_to_whole(self, account_357):
         codes = scenario.category_codes(
             fixtures.fixture_category_concordance(account_357.index), account_357.index)
         y, gfcf = model.home_demand(account_357, "R0")
-        parts = indicators.decompose_demand_by_category(y, gfcf, codes)
-        assert set(parts) == set(scenario.SPENDING_CATEGORIES)
-        np.testing.assert_allclose(sum(parts.values()), y + gfcf, rtol=0, atol=0)
+        for report in one_column_reports(account_357, y, gfcf, category_codes=codes):
+            assert list(report.by_category) == list(scenario.SPENDING_CATEGORIES)
+            assert sum(report.by_category.values()) == pytest.approx(report.total, rel=1e-9)
 
 
 class TestDirectUse:
@@ -274,23 +316,19 @@ class TestMaterialIndicators:
 class TestReportAdditivity:
     """Spot check on the pipeline's report builder with a fixture account."""
 
+    @staticmethod
+    def labour_report(account):
+        index = account.index
+        codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
+        groups = indicators.sector_group_codes(fixtures.fixture_sector_groups(index), index)
+        y, gfcf = model.home_demand(account, "R0")
+        [labour] = one_column_reports(account, y, gfcf, category_codes=codes, groups=groups,
+                                      names=["labour"])
+        return labour
+
     @pytest.fixture()
     def report(self, account_357):
-        index = account_357.index
-        codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
-        labels, group_codes = indicators.sector_group_codes(
-            fixtures.fixture_sector_groups(index), index)
-        params = fixtures.fixture_conversion_params()
-        A = algebra.technical_coefficients(account_357.Z, account_357.x)
-        op = algebra.factorize(A)
-        y, gfcf = model.home_demand(account_357, "R0")
-        parts = indicators.decompose_demand_by_category(y, gfcf, codes)
-        [labour] = indicators.report_variants(account_357, op, ["labour"])
-        return indicators.build_footprint_report(
-            account=account_357, variant=labour, q=op.apply(y + gfcf),
-            demand_by_category=parts,
-            home_region="R0", group_labels=labels, group_codes=group_codes, params=params,
-            scenario_name="baseline")
+        return self.labour_report(account_357)
 
     def test_origin_additivity(self, report):
         assert report.by_origin.total == pytest.approx(report.total, rel=1e-9)
@@ -310,22 +348,8 @@ class TestReportAdditivity:
             name="labour", unit="hours",
             stressors=account_357.extensions["labour"].stressors,
             rows=account_357.extensions["labour"].rows * 2.0, kind="labour")
-        index = account_357.index
-        codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
-        labels, group_codes = indicators.sector_group_codes(
-            fixtures.fixture_sector_groups(index), index)
-        params = fixtures.fixture_conversion_params()
-        op = algebra.factorize(
-            algebra.technical_coefficients(account_357.Z, account_357.x))
-        y, gfcf = model.home_demand(account_357, "R0")
-        parts = indicators.decompose_demand_by_category(y, gfcf, codes)
-        doubled_account = dataclasses.replace(account_357, extensions={"labour": doubled_ext})
-        [doubled_labour] = indicators.report_variants(doubled_account, op, ["labour"])
-        doubled = indicators.build_footprint_report(
-            account=account_357, variant=doubled_labour, q=op.apply(y + gfcf),
-            demand_by_category=parts, home_region="R0", group_labels=labels,
-            group_codes=group_codes, params=params,
-            scenario_name="baseline")
+        doubled = self.labour_report(
+            dataclasses.replace(account_357, extensions={"labour": doubled_ext}))
         assert doubled.total == pytest.approx(2 * report.total, rel=1e-12)
         for group in report.by_sector_group:
             assert doubled.by_sector_group[group] == pytest.approx(
