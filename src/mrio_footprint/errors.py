@@ -92,13 +92,16 @@ class UnknownScenario(MrioError):
 
 @contextmanager
 def reading(path: Path):
-    """Turn a failure to read ``path``, other than its absence, into a ParseError."""
+    """Turn a failure to read ``path``, other than its absence, and text in it
+    that is not UTF-8, into a ParseError."""
     try:
         yield
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc}", path=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError("text is not UTF-8", path=str(path)) from exc
 
 
 def read_pairs(path: Path, columns: tuple[str, str], delimiter: str = "\t",

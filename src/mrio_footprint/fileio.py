@@ -25,7 +25,7 @@ import os
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,10 @@ _DELIMITER_NAMES = {char: name for name, char in _DELIMITERS.items()}
 # Parsed grids are kept here, next to the layout descriptor.
 CACHE_DIR = ".mrio-cache"
 
-# A grid of fewer bytes than this (file bytes to parse, matrix bytes to
-# write) is parsed or written in-process; a larger one is split over the
-# usable CPUs, and written in blocks of about this many matrix bytes.
+# Grids are read and written in blocks of about this many bytes (file bytes
+# to parse, matrix bytes to write). A grid of fewer bytes is parsed or
+# written in-process; the blocks of a larger one are spread over the usable
+# CPUs.
 PARALLEL_BYTES = 1 << 22
 
 
@@ -155,29 +156,40 @@ class IngestResult:
     warnings: tuple[IngestWarning, ...] = ()
 
 
-def _open_text(path: Path):
-    return path.open(newline="", encoding="utf-8")
-
-
 def _load_numbers(lines, delimiter: str) -> np.ndarray:
     """Delimited numeric lines as a 2-D float array; ValueError on a bad cell."""
     return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
 
 
-def _body_lines(lines, path: Path, delimiter: str, index_cols: int, width: int,
-                labels: list, linenos: list[int]) -> Iterator[str]:
-    """Yield the numeric part of each non-blank line of ``lines``, the body
-    lines of a grid.
+def _number(cell: str, delimiter: str) -> float:
+    """One cell read as ``_load_numbers`` reads it; ValueError when it is not
+    one number."""
+    # loadtxt reads an empty cell as no data, with a warning, and a cell
+    # holding the delimiter as two cells.
+    if not cell.strip() or delimiter in cell:
+        raise ValueError(f"not one number: {cell!r}")
+    return float(_load_numbers([cell], delimiter)[0, 0])
 
-    Every line must hold ``width`` cells. Its index cells go to ``labels``
-    and its line number, counted from 1 at the first of ``lines``, to
-    ``linenos``. Lines holding a quote are read with csv rules, since a
-    quoted label may contain the delimiter.
+
+def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
+                width: int) -> tuple[list[tuple[str, ...]], list[int], list[str]]:
+    """The non-blank lines of ``lines``, the body lines of a grid, as three
+    lists: their index cells, their line numbers counted from 1 at the first
+    of ``lines``, and their numeric parts.
+
+    Every line must be UTF-8 and hold ``width`` cells. Lines holding a quote
+    are read with csv rules, since a quoted label may contain the delimiter.
     """
+    labels: list[tuple[str, ...]] = []
+    linenos: list[int] = []
+    rests: list[str] = []
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\r\n")
         if not line:
             continue
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("text is not UTF-8", path=str(path), row=lineno) from None
         if '"' in line:
             cells = next(csv.reader([line], delimiter=delimiter))
             head, rest, found = cells[:index_cols], delimiter.join(cells[index_cols:]), len(cells)
@@ -191,7 +203,8 @@ def _body_lines(lines, path: Path, delimiter: str, index_cols: int, width: int,
                              row=lineno, column=min(found, width) + 1)
         labels.append(tuple(cell.strip() for cell in head))
         linenos.append(lineno)
-        yield rest
+        rests.append(rest)
+    return labels, linenos, rests
 
 
 def _bad_cell(matrix: np.ndarray, nonnegative: bool) -> tuple[int, int] | None:
@@ -279,127 +292,107 @@ def _line_start(handle, offset: int) -> int:
     return position
 
 
-def _spans(path: Path, start: int, end: int, count: int) -> list[tuple[int, int]]:
-    """Up to ``count`` byte spans of about equal size, cut at line starts,
-    that together cover bytes [start, end) of a file."""
+def _spans(path: Path, start: int, end: int, size: int) -> list[tuple[int, int]]:
+    """Byte spans of about ``size`` bytes, cut at line starts, that together
+    cover bytes [start, end) of a file. A line longer than ``size`` is one
+    span."""
     cuts = [start]
     with path.open("rb") as handle:
-        for k in range(1, count):
-            cuts.append(max(cuts[-1], _line_start(handle, start + (end - start) * k // count)))
-    cuts.append(end)
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-
-
-def _span_lines(raw, span: tuple[int, int], count: list[int]) -> Iterator[str]:
-    """Yield the lines in the byte span [start, end) of a binary handle, as
-    text read with ``newline=""``, adding one to ``count[0]`` for each. The
-    handle stays the caller's to close, also when the lines stop early."""
-    start, end = span
-    raw.seek(start)
-    text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-    try:
-        for line in text:
-            if start >= end:
-                return
-            start += len(line) if line.isascii() else len(line.encode("utf-8"))
-            count[0] += 1
-            yield line
-    finally:
-        # A wrapper left to the garbage collector closes the handle, and
-        # warns if it was still open.
-        if not raw.closed:
-            text.detach()
+        while cuts[-1] + size < end:
+            cuts.append(_line_start(handle, cuts[-1] + size))
+    return [(a, min(b, end)) for a, b in zip(cuts, cuts[1:] + [end]) if a < b]
 
 
 def _parse_span(grid, span: tuple[int, int]):
-    """Parse the body lines in the byte span [start, end) of a grid file,
-    streaming them from disk.
+    """Parse the body lines in the byte span [start, end) of a grid file.
 
     ``grid`` is (path, delimiter, index_cols, width). Returns the lines'
     labels, their line numbers counted from 1 at the span's first line, the
     span's physical line count, and their matrix. A bad line raises a
-    ParseError whose row is counted likewise.
+    ParseError whose row is counted likewise. The span is read from disk
+    once, and a line ends at LF, CR LF or CR, as in text read with
+    ``newline=""``.
     """
     path, delimiter, index_cols, width = grid
-    labels: list[tuple[str, ...]] = []
-    linenos: list[int] = []
-    count = [0]
-    with path.open("rb") as raw:
-        body = _body_lines(_span_lines(raw, span, count), path, delimiter, index_cols, width,
-                           labels, linenos)
-        first = next(body, None)
-        try:
-            matrix = (np.empty((0, width - index_cols)) if first is None
-                      else _load_numbers(chain([first], body), delimiter))
-        except ValueError as exc:
-            error = exc
-        else:
-            return labels, linenos, count[0], matrix
-    # Stream the span again, one row and then one cell at a time, to name
-    # the first cell that is not a number.
-    linenos = []
-    with path.open("rb") as raw:
-        for rest in _body_lines(_span_lines(raw, span, [0]), path, delimiter, index_cols, width,
-                                [], linenos):
+    start, end = span
+    with path.open("rb") as handle:
+        handle.seek(start)
+        lines = handle.read(end - start).splitlines()
+    labels, linenos, rests = _body_lines(lines, path, delimiter, index_cols, width)
+    try:
+        matrix = (_load_numbers(rests, delimiter) if rests
+                  else np.empty((0, width - index_cols)))
+    except ValueError as error:
+        # Search the span's rows, then the failing row's cells, for the first
+        # cell that is not a number.
+        for lineno, rest in zip(linenos, rests):
             try:
                 _load_numbers([rest], delimiter)
             except ValueError:
                 for offset, cell in enumerate(rest.split(delimiter)):
                     try:
-                        # loadtxt reads a blank cell as no data, with a warning.
-                        if not cell.strip():
-                            raise ValueError
-                        _load_numbers([cell], delimiter)
+                        _number(cell, delimiter)
                     except ValueError:
                         raise ParseError(f"non-numeric value {cell!r}", path=str(path),
-                                         row=linenos[-1],
-                                         column=index_cols + offset + 1) from None
-                raise ParseError("malformed numeric row", path=str(path),
-                                 row=linenos[-1]) from None
-    raise ParseError(f"malformed numeric value: {error}", path=str(path)) from error
+                                         row=lineno, column=index_cols + offset + 1) from None
+                raise ParseError("malformed numeric row", path=str(path), row=lineno) from None
+        raise ParseError(f"malformed numeric value: {error}", path=str(path)) from error
+    return labels, linenos, len(lines), matrix
 
 
 def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
                 nonnegative: bool = False):
     """Parse a grid file: its header rows, row labels and matrix.
 
-    The body is cut into one byte span per process (see ``_processes``),
-    the spans are parsed side by side, and their parts are joined in order.
-    A span that fails names its row within the span; every span before it
-    is joined by then, so the row in the file is known. A cell that is not
-    finite, or negative when ``nonnegative``, and a row that repeats an
-    earlier row's labels, are ParseErrors naming their row.
+    The body is cut at line starts into spans of about PARALLEL_BYTES, the
+    spans are parsed side by side (see ``_processes``), and their parts are
+    joined in order. A span that fails names its row within the span; every
+    span before it is joined by then, so the row in the file is known. Text
+    that is not UTF-8, a cell that is not finite, or negative when
+    ``nonnegative``, and a row that repeats an earlier row's labels, are
+    ParseErrors naming their row.
     """
     with reading(path):
-        with _open_text(path) as handle:
+        # The decoder reads ahead into the body, whose bad bytes are left to
+        # the span that holds them, to be named by their row.
+        with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
             reader = csv.reader(handle, delimiter=delimiter)
             headers = list(islice(reader, header_rows))
+            used = reader.line_num  # lines before the first span
+            handle.seek(0)
+            start = 0
+            for row, line in enumerate(islice(handle, used), start=1):
+                try:
+                    start += len(line.encode("utf-8"))
+                except UnicodeEncodeError:
+                    raise ParseError("text is not UTF-8", path=str(path), row=row) from None
         if len(headers) < header_rows:
             raise ParseError("file has no data rows", path=str(path))
         if len(headers[-1]) <= index_cols:
             raise ParseError("file has no data columns", path=str(path), row=header_rows)
-        used = reader.line_num  # lines before the next span
-        with _open_text(path) as handle:
-            start = sum(len(line.encode("utf-8")) for line in islice(handle, used))
         size = path.stat().st_size
-        processes = _processes(size - start)
-        grid = (path, delimiter, index_cols, len(headers[-1]))
+        width = len(headers[-1])
         labels: list[tuple[str, ...]] = []
         linenos: list[int] = []
-        blocks = []
+        # Each part is copied in as it comes, into a matrix grown in place (no
+        # view of it exists yet): parts joined at the end would leave their
+        # pages to the C heap, which keeps them after they are freed.
+        matrix = np.empty((0, width - index_cols))
         try:
             for part_labels, part_linenos, count, block in _fork_map(
-                    _parse_span, grid, _spans(path, start, size, processes), processes):
+                    _parse_span, (path, delimiter, index_cols, width),
+                    _spans(path, start, size, PARALLEL_BYTES),
+                    _processes(size - start)):
                 labels += part_labels
                 linenos += [used + lineno for lineno in part_linenos]
-                blocks.append(block)
+                matrix.resize((len(labels), matrix.shape[1]), refcheck=False)
+                matrix[len(labels) - len(block):] = block
                 used += count
         except ParseError as exc:
             raise ParseError(exc.message, path=exc.path, column=exc.column,
                              row=None if exc.row is None else used + exc.row) from None
     if not labels:
         raise ParseError("file has no data rows", path=str(path))
-    matrix = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     cell = _bad_cell(matrix, nonnegative)
     if cell is not None:
         r, c = cell
@@ -690,13 +683,15 @@ def _read_direct(path: Path, delimiter: str, regions: tuple[str, ...]) -> dict[s
     direct: dict[str, float] = {}
     for lineno, region, cell in read_pairs(path, ("region", "value"), delimiter, header=True):
         try:
-            value = float(cell)
+            value = _number(cell, delimiter)
         except ValueError:
             raise ParseError(f"non-numeric value {cell!r}", path=str(path),
                              row=lineno, column=2) from None
         if not np.isfinite(value):
             raise ParseError(f"non-finite value {cell!r}", path=str(path),
                              row=lineno, column=2)
+        if value < 0:
+            raise ParseError(f"negative value {cell}", path=str(path), row=lineno, column=2)
         if region not in regions:
             raise ParseError(f"region {region!r} is not a region of the account",
                              path=str(path), row=lineno)

@@ -137,6 +137,16 @@ class TestValidate:
         assert main(["validate", "--layout", str(missing)]) == 1
         assert str(missing) in capsys.readouterr().err
 
+    def test_byte_that_is_not_utf8_exits_one_naming_its_row(self, fixture_dir, capsys):
+        path = fixture_dir / "z.tsv"
+        lines = path.read_bytes().split(b"\n")
+        lines[4] += b"\xe9"
+        path.write_bytes(b"\n".join(lines))
+        assert main(["validate", "--layout", str(fixture_dir / "layout.json")]) == 1
+        err = capsys.readouterr().err
+        assert "text is not UTF-8" in err and f"{path}, row 5)" in err
+        assert "Traceback" not in err
+
     def test_machine_readable_output(self, fixture_dir, tmp_path):
         out = tmp_path / "report"
         assert main(["validate", "--layout", str(fixture_dir / "layout.json"),
@@ -309,6 +319,15 @@ class TestCompare:
                    "--scenario", str(fixture_dir / "scenarios" / "absent.json")])
         assert rc == 1
         assert "absent.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["sector_groups.tsv", "category_concordance.tsv"])
+    def test_table_that_is_not_utf8_exits_one_naming_it(self, fixture_dir, tmp_path, capsys,
+                                                        name):
+        path = fixture_dir / name
+        path.write_bytes(path.read_bytes().replace(b"S1", b"S\xe91", 1))
+        assert run_footprint(fixture_dir, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"text is not UTF-8 ({path})" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("verb", ["compare", "footprint"])
     def test_duplicate_scenario_names_exit_one(self, fixture_dir, tmp_path, capsys, verb):

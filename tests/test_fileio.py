@@ -7,6 +7,7 @@ import sys
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +147,53 @@ class TestParseErrors:
         with pytest.raises(ParseError) as excinfo:
             fileio.ingest(layout_path)
         assert (excinfo.value.row, excinfo.value.column) == (3, 2)
+
+    # A direct-use value is read by the grid-cell rule, and is a use: never negative.
+    @pytest.mark.parametrize("text, message", [
+        ("1_000", "non-numeric value '1_000'"), ("\u0661\u0662", "non-numeric value '\u0661\u0662'"),
+        ('"1\t2"', "non-numeric value '1\\t2'"), ("-5", "negative value -5")])
+    def test_direct_use_value_follows_the_grid_cell_rule(self, written_set, tmp_path, text,
+                                                         message):
+        _, layout_path = written_set
+        direct_path = tmp_path / "direct_energy.tsv"
+        lines = direct_path.read_text(encoding="utf-8").splitlines()
+        assert lines[2].startswith("R1\t")
+        lines[2] = f"R1\t{text}"
+        direct_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        error = excinfo.value
+        assert (error.message, error.path, error.row, error.column) == (
+            message, str(direct_path), 3, 2)
+
+    @pytest.mark.parametrize("name, line, cell, row", [
+        ("z.tsv", 4, 2, 5), ("z.tsv", 4, 0, 5), ("z.tsv", 1, 3, 2), ("ext_energy.tsv", 2, 3, 3),
+        ("x.tsv", 0, 2, 1)])
+    def test_byte_that_is_not_utf8_names_file_and_row(self, written_set, tmp_path, name, line,
+                                                      cell, row):
+        # A header is read as text, which reads ahead into the body: a bad
+        # body byte must still be named by its own row.
+        _, layout_path = written_set
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")
+        cells = lines[line].split(b"\t")
+        cells[cell] += b"\xe9"
+        lines[line] = b"\t".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        error = excinfo.value
+        assert (error.message, error.path, error.row, error.column) == (
+            "text is not UTF-8", str(path), row, None)
+
+    def test_table_that_is_not_utf8_names_the_file(self, written_set, tmp_path):
+        _, layout_path = written_set
+        direct_path = tmp_path / "direct_energy.tsv"
+        direct_path.write_bytes(direct_path.read_bytes().replace(b"R1", b"R\xe91"))
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert (excinfo.value.message, excinfo.value.path) == ("text is not UTF-8",
+                                                               str(direct_path))
 
     def test_repeated_direct_use_region(self, written_set, tmp_path):
         _, layout_path = written_set
@@ -543,22 +591,6 @@ def _pid(shared, chunk):
     return os.getpid()
 
 
-def _split_in_two(patch):
-    """Make every grid large enough to split, over two usable CPUs, so that
-    one of its two chunks goes to a forked worker; returns the span count
-    of each parse made from then on."""
-    patch.setattr(fileio, "PARALLEL_BYTES", 1)
-    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    counts = []
-    spans = fileio._spans
-
-    def recorded(*args):
-        counts.append(len(spans(*args)))
-        return spans(*args)
-    patch.setattr(fileio, "_spans", recorded)
-    return counts
-
-
 def _parse(path, index_cols=2, header_rows=2, delimiter="\t"):
     """A grid parsed by the pipeline, or the ParseError it raises."""
     try:
@@ -568,14 +600,22 @@ def _parse(path, index_cols=2, header_rows=2, delimiter="\t"):
     return headers, labels, matrix.shape, matrix.tobytes()
 
 
+# Span sizes: one byte, so that each line is a span; sizes that cut the
+# fixtures' lines at odd places; and more than any body, one span in all.
+SPAN_SIZES = [1, 61, 333, 1001, 1 << 40]
+
+
 def _compare(monkeypatch, path, *args, **kwargs):
-    """Parse a grid in-process and split in two; returns the parse, which
-    must be the same both ways, and the span count of the split one."""
+    """Parse a grid in spans of each of SPAN_SIZES, in-process and with a
+    forked worker; returns the parse, which must be the same every way."""
     expected = _parse(path, *args, **kwargs)
-    with monkeypatch.context() as patch:
-        counts = _split_in_two(patch)
-        assert _parse(path, *args, **kwargs) == expected
-    return expected, counts[-1]
+    for size in SPAN_SIZES:
+        for processes in (1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(fileio, "PARALLEL_BYTES", size)
+                patch.setattr(fileio, "_processes", lambda nbytes: processes)
+                assert _parse(path, *args, **kwargs) == expected, (size, processes)
+    return expected
 
 
 GRIDS = [("z.tsv", 2, 2), ("y.tsv", 2, 2), ("x.tsv", 2, 1), ("ext_labour.tsv", 1, 2),
@@ -583,7 +623,8 @@ GRIDS = [("z.tsv", 2, 2), ("y.tsv", 2, 2), ("x.tsv", 2, 1), ("ext_labour.tsv", 1
 
 
 class TestParallelGrids:
-    """Grids split over processes parse and write exactly as in-process."""
+    """Grids cut into spans of any size, parsed in-process or split over
+    processes, parse and write exactly as in one span and one process."""
 
     def test_workers_take_every_other_chunk(self):
         parent = os.getpid()
@@ -593,10 +634,8 @@ class TestParallelGrids:
     @pytest.mark.parametrize("name, index_cols, header_rows", GRIDS)
     def test_fixture_grids(self, tmp_path, monkeypatch, name, index_cols, header_rows):
         fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
-        (_, labels, _, _), spans = _compare(monkeypatch, tmp_path / name, index_cols,
-                                            header_rows)
-        # A body of a line or two may end before the middle byte's line.
-        assert spans == 2 or len(labels) <= 2
+        _, labels, shape, _ = _compare(monkeypatch, tmp_path / name, index_cols, header_rows)
+        assert shape[0] == len(labels) > 0
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_chunks_are_cut_at_line_starts(self, tmp_path, ending):
@@ -618,8 +657,8 @@ class TestParallelGrids:
         for k in (len(lines), 10, 9, 2):
             lines.insert(k, "")
         path.write_bytes((ending.join(lines) + ending * 2).encode())
-        (headers, labels, shape, _), spans = _compare(monkeypatch, path)
-        assert shape == (15, 15) and len(labels) == 15 and spans == 2
+        headers, labels, shape, _ = _compare(monkeypatch, path)
+        assert shape == (15, 15) and len(labels) == 15
 
     def test_quoted_label_holding_the_delimiter(self, tmp_path, monkeypatch):
         account = fixtures.fixture(2, 2, 3)
@@ -627,19 +666,19 @@ class TestParallelGrids:
             regions=account.index.regions,
             sectors=("Vegetables, fruit, nuts", 'Manure treatment ("biogas"), land'))
         fileio.write_account(replace(account, index=index), tmp_path, delimiter_name="comma")
-        (_, labels, _, _), spans = _compare(monkeypatch, tmp_path / "z.tsv", delimiter=",")
-        assert labels[-1] == ("R1", 'Manure treatment ("biogas"), land') and spans == 2
+        _, labels, _, _ = _compare(monkeypatch, tmp_path / "z.tsv", delimiter=",")
+        assert labels[-1] == ("R1", 'Manure treatment ("biogas"), land')
 
     def test_body_with_fewer_lines_than_chunks(self, tmp_path, monkeypatch):
         fileio.write_account(fixtures.fixture(1, 1, 0), tmp_path)
-        (_, _, shape, _), spans = _compare(monkeypatch, tmp_path / "z.tsv")
-        assert shape == (1, 1) and spans == 1
+        _, _, shape, _ = _compare(monkeypatch, tmp_path / "z.tsv")
+        assert shape == (1, 1)
 
     def test_empty_body(self, tmp_path, monkeypatch):
         path = tmp_path / "z.tsv"
         path.write_text("\t\tR0\nregion\tsector\tS0\n\n\n")
-        (message, *_), spans = _compare(monkeypatch, path)
-        assert "file has no data rows" in message and spans == 2
+        message, *_ = _compare(monkeypatch, path)
+        assert "file has no data rows" in message
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("text", ["oops", "1_000", "nan", "ragged"])
@@ -655,8 +694,8 @@ class TestParallelGrids:
         lines[-2] = "\t".join(cells)
         lines.insert(3, "")  # a blank line is not a row, but it is a line
         path.write_bytes((ending.join(lines) + ending).encode())
-        (message, where, row, column), spans = _compare(monkeypatch, path)
-        assert (where, row, spans) == (str(path), len(lines) - 1, 2)
+        message, where, row, column = _compare(monkeypatch, path)
+        assert (where, row) == (str(path), len(lines) - 1)
         if text == "ragged":
             assert column == 17 and "expected 17 cells, found 16" in message
         else:
@@ -679,67 +718,92 @@ class TestParallelGrids:
 
     def test_bad_cell_in_the_first_chunk(self, tmp_path, monkeypatch):
         path = self._bad_z(tmp_path, [(3, 4, "oops")])
-        (message, where, row, column), spans = _compare(monkeypatch, path)
-        assert (where, row, column, spans) == (str(path), 5, 5, 2) and "'oops'" in message
+        message, where, row, column = _compare(monkeypatch, path)
+        assert (where, row, column) == (str(path), 5, 5) and "'oops'" in message
 
     def test_bad_cells_in_both_chunks_name_the_first(self, tmp_path, monkeypatch):
         path = self._bad_z(tmp_path, [(3, 4, "oops"), (15, 6, "nan")])
-        (message, _, row, column), spans = _compare(monkeypatch, path)
-        assert (row, column, spans) == (5, 5, 2) and "'oops'" in message
+        message, _, row, column = _compare(monkeypatch, path)
+        assert (row, column) == (5, 5) and "'oops'" in message
         path = self._bad_z(tmp_path, [(3, 4, "inf"), (15, 6, "1,5")])
-        (message, _, row, column), spans = _compare(monkeypatch, path)
-        assert (row, column, spans) == (17, 7, 2) and "'1,5'" in message
+        message, _, row, column = _compare(monkeypatch, path)
+        assert (row, column) == (17, 7) and "'1,5'" in message
 
     @pytest.mark.parametrize("line, row", [(3, 5), (15, 17)], ids=["first", "last"])
     def test_empty_cell_in_either_chunk(self, tmp_path, monkeypatch, line, row):
         path = self._bad_z(tmp_path, [(line, 4, "")])
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
-            (message, _, found_row, column), spans = _compare(monkeypatch, path)
-        assert (found_row, column, spans) == (row, 5, 2)
+            message, _, found_row, column = _compare(monkeypatch, path)
+        assert (found_row, column) == (row, 5)
         assert "non-numeric value ''" in message
 
     def test_label_repeating_one_of_the_first_chunk(self, tmp_path, monkeypatch):
         path = self._bad_z(tmp_path, [(15, 0, "R0"), (15, 1, "S1")])
-        (message, _, row, column), spans = _compare(monkeypatch, path)
-        assert (row, column, spans) == (17, None, 2)
+        message, _, row, column = _compare(monkeypatch, path)
+        assert (row, column) == (17, None)
         assert "region-sector label 'R0 / S1' is repeated" in message
 
-    @pytest.mark.parametrize("line", [3, 15])
-    def test_a_bad_grid_is_parsed_once_and_its_bad_chunk_read_again(
-            self, tmp_path, monkeypatch, line):
-        path = self._bad_z(tmp_path, [(line, 4, "oops")])
-        _split_in_two(monkeypatch)
-        monkeypatch.setattr(fileio, "_fork_map", lambda function, shared, chunks, processes:
-                            (function(shared, chunk) for chunk in chunks))
-        parsed, read = [], []
-        parse_span, span_lines = fileio._parse_span, fileio._span_lines
+    @pytest.mark.parametrize("edits", [[], [(3, 4, "oops")], [(15, 4, "oops")]],
+                             ids=["good", "bad-first", "bad-last"])
+    def test_every_span_is_opened_and_read_once(self, tmp_path, monkeypatch, edits):
+        path = self._bad_z(tmp_path, edits)
+        monkeypatch.setattr(fileio, "PARALLEL_BYTES", 1001)
+        monkeypatch.setattr(fileio, "_processes", lambda nbytes: 1)
+        opened, parsed = [], []
+        open_file, parse_span = Path.open, fileio._parse_span
+
+        class Recorded:
+            """A binary file that records the (position, size) of its reads."""
+
+            def __init__(self, handle):
+                self.handle, self.reads = handle, []
+                opened.append(self.reads)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def seek(self, offset):
+                return self.handle.seek(offset)
+
+            def read(self, size=-1):
+                self.reads.append((self.handle.tell(), size))
+                return self.handle.read(size)
+
+        def recorded_open(self, mode="r", *args, **kwargs):
+            handle = open_file(self, mode, *args, **kwargs)
+            return Recorded(handle) if mode == "rb" else handle
 
         def parse(grid, span):
-            parsed.append(span)
-            return parse_span(grid, span)
-
-        def lines(raw, span, count):
-            read.append(span)
-            return span_lines(raw, span, count)
+            first = len(opened)
+            try:
+                return parse_span(grid, span)
+            finally:
+                parsed.append((span, opened[first:]))
+        monkeypatch.setattr(Path, "open", recorded_open)
         monkeypatch.setattr(fileio, "_parse_span", parse)
-        monkeypatch.setattr(fileio, "_span_lines", lines)
-        with pytest.raises(ParseError, match="oops"):
-            fileio._parse_grid(path, "\t", 2, 2)
-        # The body's spans are parsed in order up to the failing one, which
-        # alone is read from disk a second time.
+        result = _parse(path)
+        # The body's spans are parsed in order up to the failing one, and
+        # each is opened once and read once, whole.
         body = len("".join(path.read_text().splitlines(True)[:2]))
-        cuts = [body] + [end for _, end in parsed]
-        assert parsed == list(zip(cuts, cuts[1:]))
-        assert (len(parsed), cuts[-1] == path.stat().st_size) == ((1, False) if line == 3
-                                                                  else (2, True))
-        assert read == parsed + parsed[-1:]
+        cuts = [body] + [end for (_, end), _ in parsed]
+        assert [span for span, _ in parsed] == list(zip(cuts, cuts[1:]))
+        assert all(reads == [[(start, end - start)]] for (start, end), reads in parsed)
+        if edits == [(3, 4, "oops")]:
+            assert len(parsed) == 1 and cuts[-1] < path.stat().st_size
+        else:
+            assert len(parsed) > 1 and cuts[-1] == path.stat().st_size
+        assert ("oops" in result[0]) == bool(edits)
 
     def test_written_grids_are_byte_identical(self, tmp_path, monkeypatch):
         account = fixtures.fixture(3, 5, 7)
         fileio.write_account(account, tmp_path / "in-process")
         with monkeypatch.context() as patch:
-            _split_in_two(patch)
+            patch.setattr(fileio, "PARALLEL_BYTES", 1)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
             fileio.write_account(account, tmp_path / "forked")
         for path in (tmp_path / "in-process").iterdir():
             assert (tmp_path / "forked" / path.name).read_bytes() == path.read_bytes()
@@ -750,14 +814,25 @@ class TestParallelGrids:
 
     def test_a_live_thread_keeps_the_work_in_process(self, tmp_path, monkeypatch):
         fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
-        counts = _split_in_two(monkeypatch)
+        expected = _parse(tmp_path / "z.tsv")
+        monkeypatch.setattr(fileio, "PARALLEL_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks = []
+        fork = os.fork
+
+        def recorded_fork():
+            forks.append(os.getpid())
+            return fork()
+        monkeypatch.setattr(os, "fork", recorded_fork)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
             assert fileio._processes(1 << 40) == 1
-            _parse(tmp_path / "z.tsv")
+            assert _parse(tmp_path / "z.tsv") == expected
         finally:
             release.set()
             thread.join(timeout=10)
-        assert not thread.is_alive() and counts == [1]
+        assert not thread.is_alive() and forks == []
+        # With the thread gone, the same parse forks a worker.
+        assert _parse(tmp_path / "z.tsv") == expected and forks
