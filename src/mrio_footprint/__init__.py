@@ -13,7 +13,6 @@ from .algebra import (
     intensity,
     leontief_solve,
     productivity_check,
-    technical_coefficients,
 )
 from .fileio import (
     IngestResult,

@@ -12,9 +12,10 @@ factorization of (I - A), built from Z and x without forming A; the explicit
 inverse is never built. The LU and its solves are LAPACK's dgetrf and dgetrs,
 called through the compiled wrappers that scipy.linalg.lu_factor and lu_solve
 call, loaded without the scipy.linalg package. A LeontiefOperator without a
-store keeps its LU unchanged after construction; one with a store may replace
-its LU and write the store inside a solve, so concurrent callers must not
-share it unlocked.
+store keeps its LU unchanged after construction. One with a store solves on
+the saved LU as the store gives it, a read-only mapped file included, and may
+replace it by a fresh factorization and write the store inside a solve, so
+concurrent callers must not share it unlocked.
 """
 
 from __future__ import annotations
@@ -118,19 +119,6 @@ def _column_scale(x: np.ndarray, n: int) -> np.ndarray:
     scale = np.zeros(n)
     scale[active] = 1.0 / xv[active]
     return scale
-
-
-def technical_coefficients(Z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Unitless input shares A = Z @ diag(x)^-1, A[i, j] = Z[i, j] / x[j].
-
-    Columns of inactive sectors (output <= ZERO_OUTPUT_EPS) are all-zero.
-    """
-    Zm = _as_square(Z, "Z")
-    # A min screens for negative cells without an n x n mask.
-    if Zm.min(initial=0.0) < 0:
-        i, j = np.argwhere(Zm < 0)[0]
-        raise NegativeEntry(f"Z[{i}][{j}] = {Zm[i, j]} is negative")
-    return Zm * _column_scale(x, Zm.shape[0])[np.newaxis, :]
 
 
 @dataclass(frozen=True)

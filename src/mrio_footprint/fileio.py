@@ -406,6 +406,8 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
             raise ParseError(f"{what} label {' / '.join(label)!r} is repeated",
                              path=str(path), row=lineno)
         seen.add(label)
+    # Read-only, as a grid served by the cache is.
+    matrix.flags.writeable = False
     return headers, labels, matrix
 
 
@@ -426,13 +428,16 @@ def _cache_key(path: Path, base: Path, delimiter: str, index_cols: int,
 
 def _cache_load(entry: Path):
     """The matrix and the json part of a cache entry, or None when the entry
-    is missing or unreadable."""
+    is missing or unreadable. The matrix is the ``.npy`` mapped read-only,
+    not copied; entries are only ever replaced whole (``_replace``), so the
+    mapped file never changes under it."""
     try:
         meta = json.loads(entry.with_suffix(".json").read_text(encoding="utf-8"))
-        matrix = np.load(entry.with_suffix(".npy"), allow_pickle=False)
+        matrix = np.load(entry.with_suffix(".npy"), mmap_mode="r", allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
-    return matrix, meta
+    # A plain ndarray, as a parsed grid is; its base keeps the mapping open.
+    return np.asarray(matrix), meta
 
 
 def _replace(target: Path, write) -> None:
@@ -639,6 +644,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
         unit = entry.unit
         if entry.workers_per_unit is not None:
             rows = rows * (entry.workers_per_unit * layout.hours_per_worker_year)
+            rows.flags.writeable = False
             unit = "hours"
         stressors = tuple(label[0] for label in ext_labels)
         if entry.kind == "labour":

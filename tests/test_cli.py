@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import mrio_footprint
-from mrio_footprint import algebra, fileio, model
+from _oracles import technical_coefficients, total_row
+from mrio_footprint import algebra, cli, fileio, model
 from mrio_footprint.cli import main
 
 
@@ -162,13 +163,13 @@ class TestFootprint:
         rows = read_report(tmp_path / "out" / "baseline" / "report.csv")
 
         account = fileio.ingest(fixture_dir / "layout.json").account
-        op = algebra.factorize(algebra.technical_coefficients(account.Z, account.x))
+        op = algebra.factorize(technical_coefficients(account.Z, account.x))
         y, gfcf = model.home_demand(account, "R0")
         # The run's block: the home region's baseline, then the identity
         # scenario, which is the same demand.
         q = op.apply(np.column_stack([y, y]) + np.column_stack([gfcf, gfcf]))
         for name in ("labour", "energy", "emissions"):
-            s = algebra.intensity(account.extensions[name].total_row(), account.x)
+            s = algebra.intensity(total_row(account.extensions[name]), account.x)
             expected = (s[:, np.newaxis] * q).sum(axis=0)[1]
             assert report_value(rows, name, "total") == expected
 
@@ -698,6 +699,49 @@ class TestFactorizationCache:
             assert main(["validate", "--layout", str(layout_path)]) == 2
         assert len(lu_factor_calls) == 2
         assert not list((layout_path.parent / fileio.CACHE_DIR).glob("lu-*/*"))
+
+    def test_warm_run_maps_every_entry(self, fixture_dir, lu_factor_calls, monkeypatch):
+        # A cold run parses, factorizes, and stores its LU after one solve.
+        layout_path = fixture_dir / "layout.json"
+        algebra.productivity_check(cli._operator(fileio.ingest(layout_path)))
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("a cache entry was copied into memory")
+        monkeypatch.setattr(np, "fromfile", no_copy)
+        ingested = fileio.ingest(layout_path)
+        operator = cli._operator(ingested)
+        assert algebra.productivity_check(operator).productive
+        assert len(lu_factor_calls) == 1
+        lu, _ = operator._lu
+        assert not (lu.flags.writeable or lu.flags.owndata)
+        assert not (ingested.account.Z.flags.writeable or ingested.account.Z.flags.owndata)
+
+    @pytest.mark.parametrize("what", ["grids re-stored", "grids replaced", "lu re-stored"])
+    def test_entries_stored_mid_run_leave_the_run_unchanged(
+            self, fixture_dir, tmp_path, lu_factor_calls, monkeypatch, what):
+        # Entries are replaced by a rename, never rewritten in place, so a run
+        # that holds them mapped keeps reading what it mapped.
+        assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
+        cache = fixture_dir / fileio.CACHE_DIR
+        held, before = [], []
+        operator = cli._operator
+
+        def store_mid_run(ingested):
+            result = operator(ingested)
+            held[:] = [ingested.account.Z, result._lu[0]]
+            before[:] = [array.tobytes() for array in held]
+            pattern = "lu-*/*.npy" if what.startswith("lu") else "*.tsv-*/*.npy"
+            for entry in cache.glob(pattern):
+                matrix, meta = fileio._cache_load(entry.with_suffix(""))
+                target = (entry.parent / ("0" * 64) if what == "grids replaced"
+                          else entry.with_suffix(""))
+                fileio._cache_store(target, matrix * 2.0 + 1.0, meta)
+            return result
+        monkeypatch.setattr(cli, "_operator", store_mid_run)
+        assert run_compare(fixture_dir, tmp_path / "warm", SCENARIOS) == 0
+        assert tree_bytes(tmp_path / "warm") == tree_bytes(tmp_path / "cold")
+        assert len(lu_factor_calls) == 1
+        assert [array.tobytes() for array in held] == before
 
     def test_validate_reuses_the_entry_compare_wrote(self, fixture_dir, tmp_path,
                                                      lu_factor_calls):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mrio_footprint import algebra, fileio, fixtures, model
+from mrio_footprint.cli import main
 from mrio_footprint.errors import DimensionMismatch, ParseError, UnitMismatch
 
 
@@ -484,7 +485,8 @@ class TestCache:
         _, layout_path = written_set
         before = fileio.ingest(layout_path).account.Z
         TestParseErrors._set_cell(tmp_path / "z.tsv", 4, 5, "123.25")
-        after = fileio.ingest(layout_path).account.Z
+        # Ingested arrays are read-only: edit a copy.
+        after = fileio.ingest(layout_path).account.Z.copy()
         assert after[2, 3] == 123.25 != before[2, 3]
         after[2, 3] = before[2, 3]
         np.testing.assert_array_equal(after, before)
@@ -508,18 +510,48 @@ class TestCache:
         monkeypatch.setattr(fileio, "_parse_grid", no_parse)
         fileio.ingest(layout_path)
 
-    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape"])
-    def test_damaged_entry_is_rewritten(self, written_set, damage):
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape", "truncated-validate"])
+    def test_damaged_entry_is_rewritten(self, written_set, damage, capsys):
         _, layout_path = written_set
-        expected = fileio.ingest(layout_path).account.Z
+        validate = ["validate", "--layout", str(layout_path)]
+        if damage.endswith("validate"):
+            # A cold run, then a warm one on the damaged entry, which it maps
+            # rather than reads: the entry is parsed again, with no SIGBUS and
+            # no unclosed file.
+            assert main(validate) == 0
+            cold = capsys.readouterr().out
+        # A copy: damaging the entry in place under a mapping of it would
+        # make reading the mapping fail.
+        expected = fileio.ingest(layout_path).account.Z.copy()
         entry = _z_entry(layout_path)
         whole = entry.read_bytes()
-        if damage == "truncated":
+        if damage.startswith("truncated"):
             entry.write_bytes(whole[: len(whole) // 2])
         else:
             np.save(entry, expected[:-1])
+        if damage.endswith("validate"):
+            assert main(validate) == 0
+            assert capsys.readouterr().out == cold
         assert fileio.ingest(layout_path).account.Z.tobytes() == expected.tobytes()
         assert entry.read_bytes() == whole
+
+    @pytest.mark.parametrize("run", ["cold", "warm"])
+    def test_ingested_arrays_are_read_only(self, written_set, run):
+        # Parsed or mapped from the cache, an ingested array cannot be
+        # written; nor can labour rows, which ingest converts into new arrays.
+        _, layout_path = written_set
+        descriptor = json.loads(layout_path.read_text())
+        for entry in descriptor["extensions"]:
+            if entry["name"] == "labour":
+                entry["workers_per_unit"] = 1000.0
+        layout_path.write_text(json.dumps(descriptor))
+        if run == "warm":
+            fileio.ingest(layout_path)
+        account = fileio.ingest(layout_path).account
+        for array in (account.Z, account.Y, account.x,
+                      *(ext.rows for ext in account.extensions.values())):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     @pytest.mark.parametrize("bad", ["repeated label", "negative cell"])
     def test_entry_of_a_bad_grid_is_parsed_again(self, written_set, tmp_path, bad):

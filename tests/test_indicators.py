@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from _oracles import total_row
 from mrio_footprint import algebra, fileio, fixtures, indicators, model, scenario
 from mrio_footprint.errors import (
     MissingStressorLabel,
@@ -159,7 +160,7 @@ class TestSectorGroups:
         y = np.random.default_rng(7).uniform(0.0, 1.0, account_357.index.n)
         [report] = one_column_reports(account_357, y, groups=groups, names=["labour"])
         operator = algebra.LeontiefOperator(account_357.Z, account_357.x)
-        s = algebra.intensity(account_357.extensions["labour"].total_row(), account_357.x)
+        s = algebra.intensity(total_row(account_357.extensions["labour"]), account_357.x)
         by_source = s * operator.apply(y)
         expected = {group: 0.0 for group in groups[0]}
         for flat, (_, sector) in enumerate(account_357.index.labels()):
