@@ -17,18 +17,16 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import algebra, fileio, fixtures, indicators, model, scenario
 from .errors import MrioError, ParseError, UnknownRegion, UnknownScenario
-from .indicators import ConversionParams, FootprintReport, ReportVariant
+from .fileio import format_number as _FMT
+from .indicators import ConversionParams, FootprintReport
 from .model import MrioAccount
 from .scenario import ScenarioSpec
-
-_FMT = fileio._fmt
 
 # Conventional companion files next to the layout descriptor, used when the
 # corresponding flags are not given.
@@ -39,57 +37,12 @@ DEFAULT_SECTOR_GROUPS = "sector_groups.tsv"
 COMPARE_OUTPUTS = ("comparison.csv", "plots")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved and existence-checked inputs for footprint/compare runs."""
-
-    layout_path: Path
-    scenario_paths: tuple[Path, ...]
-    params_path: Path
-    categories_path: Path
-    groups_path: Path
-    out_dir: Path
-    extensions: tuple[str, ...] | None
-    home_region: str | None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        layout_path = Path(args.layout)
-        if not layout_path.exists():
-            raise FileNotFoundError(str(layout_path))
-        scenario_paths = []
-        for raw in args.scenario:
-            p = Path(raw)
-            if not p.exists():
-                raise UnknownScenario(f"scenario spec not found: {p}")
-            scenario_paths.append(p)
-        params_path = Path(args.params)
-        if not params_path.exists():
-            raise FileNotFoundError(str(params_path))
-        base = layout_path.parent
-        categories_path = Path(args.categories) if args.categories else base / DEFAULT_CATEGORY_CONCORDANCE
-        groups_path = Path(args.groups) if args.groups else base / DEFAULT_SECTOR_GROUPS
-        for p in (categories_path, groups_path):
-            if not p.exists():
-                raise FileNotFoundError(str(p))
-        extensions = None
-        if args.extensions is not None:
-            extensions = tuple(name.strip() for name in args.extensions.split(",") if name.strip())
-            if not extensions:
-                raise MrioError(f"--extensions {args.extensions!r} names no extension")
-            for k, name in enumerate(extensions):
-                if name in extensions[:k]:
-                    raise MrioError(f"extension {name!r} is listed twice in --extensions")
-        return cls(
-            layout_path=layout_path,
-            scenario_paths=tuple(scenario_paths),
-            params_path=params_path,
-            categories_path=categories_path,
-            groups_path=groups_path,
-            out_dir=_out_dir(args.out),
-            extensions=extensions,
-            home_region=args.home_region,
-        )
+def _existing(path: str | Path) -> Path:
+    """``path`` as a Path; FileNotFoundError when nothing is there."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    return path
 
 
 def _out_dir(raw: str) -> Path:
@@ -106,21 +59,6 @@ def _out_dir(raw: str) -> Path:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoadedData:
-    account: MrioAccount
-    params: ConversionParams
-    operator: algebra.LeontiefOperator
-    variants: tuple[ReportVariant, ...]
-    # Each home region's baseline consumption and capital-formation demand.
-    demand: dict[str, tuple[np.ndarray, np.ndarray]]
-    # Each region-sector's spending category and sector group, as codes; the
-    # group codes index ``group_labels``.
-    category_codes: np.ndarray
-    group_labels: tuple[str, ...]
-    group_codes: np.ndarray
-
-
 def _operator(ingested: fileio.IngestResult) -> algebra.LeontiefOperator:
     """The account's Leontief operator; its LU is read from the cache next to
     the layout when one was saved under this BLAS, and saved there when made."""
@@ -129,37 +67,14 @@ def _operator(ingested: fileio.IngestResult) -> algebra.LeontiefOperator:
     return algebra.LeontiefOperator(ingested.account.Z, ingested.account.x, entry)
 
 
-def _load(config: RunConfig, specs: list[ScenarioSpec]) -> LoadedData:
-    ingested = fileio.ingest(config.layout_path)
-    account = ingested.account
-    demand = {}
-    for spec, path in zip(specs, config.scenario_paths):
-        region = config.home_region or spec.home_region
-        if region not in account.index.regions:
-            source = "--home-region" if config.home_region else str(path)
-            raise UnknownRegion(f"unknown region {region!r}: {source} sets it as the home "
-                                "region, but the account has no such region")
-        if region not in demand:
-            demand[region] = model.home_demand(account, region)
-    category_codes = scenario.load_concordance(config.categories_path, account.index)
-    group_labels, group_codes = indicators.load_sector_groups(config.groups_path, account.index)
-    params = indicators.load_conversion_params(config.params_path)
-    operator = _operator(ingested)
-    variants = indicators.report_variants(
-        account, operator, _selected_extensions(account, config.extensions))
-    return LoadedData(account=account, params=params, operator=operator,
-                      variants=tuple(variants), demand=demand, category_codes=category_codes,
-                      group_labels=group_labels, group_codes=group_codes)
-
-
-def _load_specs(config: RunConfig, compare: bool) -> list[ScenarioSpec]:
+def _load_specs(paths: list[Path], home_region: str | None,
+                compare: bool) -> list[ScenarioSpec]:
     """Every scenario spec of a run; two specs may not share a name.
 
     For ``compare`` no spec may be named after compare's own outputs, and
     the specs must share a home region (the deltas and per-capita values
     assume one population), unless --home-region overrides them all.
     """
-    paths = config.scenario_paths
     specs: list[ScenarioSpec] = []
     seen: dict[str, Path] = {}
     for path in paths:
@@ -172,7 +87,7 @@ def _load_specs(config: RunConfig, compare: bool) -> list[ScenarioSpec]:
                             f"{seen[spec.name]} and {path}")
         seen[spec.name] = path
         specs.append(spec)
-    if compare and config.home_region is None:
+    if compare and home_region is None:
         first, first_path = specs[0], paths[0]
         for spec, path in zip(specs, paths):
             if spec.home_region != first.home_region:
@@ -182,50 +97,78 @@ def _load_specs(config: RunConfig, compare: bool) -> list[ScenarioSpec]:
     return specs
 
 
-def _selected_extensions(account: MrioAccount, selection: tuple[str, ...] | None) -> list[str]:
-    if selection is None:
-        return list(account.extensions)
-    for name in selection:
-        if name not in account.extensions:
-            raise MrioError(f"extension {name!r} not present in the account")
-    return list(selection)
-
-
 def _run(args, compare: bool = False) -> tuple[
-        RunConfig, LoadedData, list[tuple[ScenarioSpec, list[FootprintReport]]]]:
-    """The shared run of ``footprint`` and ``compare``: checks the specs and
-    loads the inputs, makes every scenario's reports from one solve, then
-    writes them to one directory per scenario, in spec order."""
-    config = RunConfig.from_args(args)
-    specs = _load_specs(config, compare)
-    data = _load(config, specs)
-    regions = [config.home_region or spec.home_region for spec in specs]
+        Path, ConversionParams, list[tuple[ScenarioSpec, list[FootprintReport]]]]:
+    """The shared run of ``footprint`` and ``compare``: checks every flag,
+    file and spec, loads the inputs, makes every scenario's reports from one
+    solve, then writes them to one directory per scenario, in spec order.
+    Returns the output directory, the conversion params and each spec with
+    its reports."""
+    layout_path = _existing(args.layout)
+    spec_paths = [Path(raw) for raw in args.scenario]
+    for path in spec_paths:
+        if not path.exists():
+            raise UnknownScenario(f"scenario spec not found: {path}")
+    params_path = _existing(args.params)
+    base = layout_path.parent
+    categories_path = _existing(args.categories or base / DEFAULT_CATEGORY_CONCORDANCE)
+    groups_path = _existing(args.groups or base / DEFAULT_SECTOR_GROUPS)
+    extensions = None
+    if args.extensions is not None:
+        extensions = [name.strip() for name in args.extensions.split(",") if name.strip()]
+        if not extensions:
+            raise MrioError(f"--extensions {args.extensions!r} names no extension")
+        for k, name in enumerate(extensions):
+            if name in extensions[:k]:
+                raise MrioError(f"extension {name!r} is listed twice in --extensions")
+    out_root = _out_dir(args.out)
+    specs = _load_specs(spec_paths, args.home_region, compare)
+
+    ingested = fileio.ingest(layout_path)
+    account = ingested.account
+    regions = [args.home_region or spec.home_region for spec in specs]
+    # Each home region's baseline consumption and capital-formation demand.
+    demand: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for region, path in zip(regions, spec_paths):
+        if region not in account.index.regions:
+            source = "--home-region" if args.home_region else str(path)
+            raise UnknownRegion(f"unknown region {region!r}: {source} sets it as the home "
+                                "region, but the account has no such region")
+        if region not in demand:
+            demand[region] = model.home_demand(account, region)
+    category_codes = scenario.load_concordance(categories_path, account.index)
+    group_labels, group_codes = indicators.load_sector_groups(groups_path, account.index)
+    params = indicators.load_conversion_params(params_path)
+    operator = _operator(ingested)
+    variants = indicators.report_variants(account, operator,
+                                          extensions or list(account.extensions))
+
     # One demand column per home region's baseline, then one per scenario;
     # the baseline columns' reports only scale direct use, and are dropped.
-    homes = list(data.demand)
-    columns = [data.demand[region] for region in homes] + [
-        scenario.apply_scenario(*data.demand[region], data.category_codes, spec,
-                                data.account.index)
+    homes = list(demand)
+    columns = [demand[region] for region in homes] + [
+        scenario.apply_scenario(*demand[region], category_codes, spec, account.index)
         for spec, region in zip(specs, regions)]
     y = np.column_stack([consumption for consumption, _ in columns])
     gfcf = np.column_stack([capital for _, capital in columns])
     # Every element lies in one category only, so y + gfcf is the sum of the parts.
-    q = data.operator.apply(y + gfcf)
+    q = operator.apply(y + gfcf)
     reports = indicators.footprint_reports(
-        data.account, list(data.variants),
+        account, variants,
         [(region, region) for region in homes] + [
             (spec.name, region) for spec, region in zip(specs, regions)],
         y, gfcf, q, baseline={region: k for k, region in enumerate(homes)},
-        category_codes=data.category_codes, group_labels=data.group_labels,
-        group_codes=data.group_codes, params=data.params)
+        category_codes=category_codes, group_labels=group_labels,
+        group_codes=group_codes, params=params)
     runs = list(zip(specs, reports[len(homes):]))
     for (spec, scenario_reports), region in zip(runs, regions):
-        out_dir = config.out_dir / spec.name
+        out_dir = out_root / spec.name
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(out_dir / "report.csv", REPORT_HEADER,
                    [row for report in scenario_reports for row in _report_rows(report)])
-        _write_summary(out_dir / "summary.txt", config, spec, region, data, scenario_reports)
-    return config, data, runs
+        _write_summary(out_dir / "summary.txt", layout_path, account, params, spec, region,
+                       scenario_reports)
+    return out_root, params, runs
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +217,17 @@ def _report_rows(report: FootprintReport) -> list[list[str]]:
     return rows
 
 
-def _write_summary(path: Path, config: RunConfig, spec: ScenarioSpec,
-                   home_region: str, data: LoadedData,
+def _write_summary(path: Path, layout_path: Path, account: MrioAccount,
+                   params: ConversionParams, spec: ScenarioSpec, home_region: str,
                    reports: list[FootprintReport]) -> None:
-    params = data.params
     # Provenance names files rather than absolute paths so identical inputs
     # give byte-identical outputs regardless of where they live.
     lines = [
         f"scenario: {spec.name}",
         f"home region: {home_region}",
-        f"layout: {config.layout_path.name}",
-        f"account year: {data.account.year}",
-        f"regions x sectors: {data.account.index.n_regions} x {data.account.index.n_sectors}",
+        f"layout: {layout_path.name}",
+        f"account year: {account.year}",
+        f"regions x sectors: {account.index.n_regions} x {account.index.n_sectors}",
         "solver mode: factorized-solve",
         f"weeks worked per year: {_FMT(params.weeks_worked_per_year)}",
         f"working life share: {_FMT(params.working_life_share)}",
@@ -307,7 +249,7 @@ def _write_summary(path: Path, config: RunConfig, spec: ScenarioSpec,
 
 def _comparison_rows(reports_per_scenario: list[list[FootprintReport]]):
     """One row per report, extension-major, with deltas against the first
-    scenario. Every scenario's reports follow ``data.variants`` order."""
+    scenario. Every scenario's reports come in the same variant order."""
     for aligned in zip(*reports_per_scenario):
         first = aligned[0]
         for r in aligned:
@@ -367,9 +309,7 @@ def cmd_validate(args) -> int:
     # nan would pass every row, since no comparison with it is true.
     if not args.tol >= 0:
         raise MrioError(f"--tol {args.tol:g} is not a nonnegative number")
-    layout_path = Path(args.layout)
-    if not layout_path.exists():
-        raise FileNotFoundError(str(layout_path))
+    layout_path = _existing(args.layout)
     out_dir = _out_dir(args.out) if args.out else None
     result = fileio.ingest(layout_path)
     account = result.account
@@ -430,22 +370,27 @@ def cmd_footprint(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config, data, runs = _run(args, compare=True)
+    out_dir, params, runs = _run(args, compare=True)
     reports_per_scenario = [reports for _, reports in runs]
-    _write_csv(config.out_dir / "comparison.csv", COMPARISON_HEADER,
+    _write_csv(out_dir / "comparison.csv", COMPARISON_HEADER,
                _comparison_rows(reports_per_scenario))
-    plots = config.out_dir / "plots"
+    plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
-    for figure, rows in _plot_rows(reports_per_scenario, data.params).items():
+    for figure, rows in _plot_rows(reports_per_scenario, params).items():
         _write_csv(plots / f"{figure}.csv", PLOT_HEADER, rows)
     print(f"compared {len(reports_per_scenario)} scenario(s) over "
-          f"{len(data.variants)} report(s)")
+          f"{len(reports_per_scenario[0])} report(s)")
     return 0
 
 
 def cmd_fixture(args) -> int:
-    layout_path = fixtures.write_fixture_set(args.regions, args.sectors, args.seed,
-                                             Path(args.out))
+    out_dir = _out_dir(args.out)
+    for flag, count in (("--regions", args.regions), ("--sectors", args.sectors)):
+        if count < 1:
+            raise MrioError(f"{flag} {count} is not a positive count")
+    if args.seed < 0:
+        raise MrioError(f"--seed {args.seed} is negative")
+    layout_path = fixtures.write_fixture_set(args.regions, args.sectors, args.seed, out_dir)
     print(f"fixture written: {layout_path}")
     return 0
 

@@ -8,7 +8,7 @@ All numbers are written with 17 significant digits so emitted files
 round-trip to bit-identical doubles, and the writer is deterministic: the
 same account always produces byte-identical files.
 
-Labour conversion happens at ingest only: when a layout entry declares
+Labour conversion happens at ingest only: when a labour entry declares
 ``workers_per_unit``, stressor rows are multiplied by workers-per-unit times
 hours-per-worker-year and the in-memory unit becomes hours. The writer
 always emits post-conversion values, so written accounts re-ingest without
@@ -57,7 +57,9 @@ def data_path(relative: str) -> Path:
     return Path(str(resources.files("mrio_footprint"))) / "data" / relative
 
 
-def _fmt(value: float) -> str:
+def format_number(value: float) -> str:
+    """``value`` with 17 significant digits, which round-trip to the same
+    double."""
     return format(float(value), ".17g")
 
 
@@ -126,7 +128,8 @@ def load_layout(path: str | Path) -> Layout:
     path = Path(path)
     raw = read_json(path, _LAYOUT, "layout")
     extensions = tuple(ExtensionEntry(**entry) for entry in raw["extensions"])
-    readers = {"direct_file": ("energy", "emissions"), "material_flags": ("material",)}
+    readers = {"direct_file": ("energy", "emissions"), "material_flags": ("material",),
+               "workers_per_unit": ("labour",)}
     for k, entry in enumerate(extensions):
         if entry.name in (earlier.name for earlier in extensions[:k]):
             raise ParseError(f"layout.extensions[{k}].name repeats the name {entry.name!r}",
@@ -136,6 +139,12 @@ def load_layout(path: str | Path) -> Layout:
                 raise ParseError(f"layout.extensions[{k}].{key} is read only for kind "
                                  f"{' or '.join(kinds)}; extension {entry.name!r} has kind "
                                  f"{entry.kind!r}", path=str(path))
+        # Labour is reported in hours; an empty unit fails at ingest.
+        if (entry.kind == "labour" and entry.workers_per_unit is None
+                and entry.unit not in ("", "hours")):
+            raise ParseError(f"layout.extensions[{k}].unit is {entry.unit!r}; a labour "
+                             "extension without workers_per_unit must be in 'hours'",
+                             path=str(path))
     return Layout(
         base_dir=path.parent,
         delimiter=_DELIMITERS[raw["delimiter"]],
@@ -615,6 +624,10 @@ def ingest(layout_path: str | Path) -> IngestResult:
         raise ParseError("final-demand rows do not match the transaction index",
                          path=str(y_path))
     y_columns = tuple(_column_pairs(y_headers, 2, y_path))
+    for k, column in enumerate(y_columns):
+        if column in y_columns[:k]:
+            raise ParseError(f"final-demand column {' / '.join(column)!r} is repeated",
+                             path=str(y_path), row=2, column=k + 3)
 
     x_path = layout.path(layout.total_output)
     _, x_labels, x_grid, x_entry = _read_grid(x_path, cache_dir, delim, index_cols=2,
@@ -720,8 +733,9 @@ def _format_rows(grid, rows: tuple[int, int]) -> str:
     """The text of rows [start, stop) of ``grid``, (delimiter, labels, matrix)."""
     delimiter, labels, matrix = grid
     start, stop = rows
-    # One "%.17g" template per row formats as _fmt does; the labels go through
-    # csv (the trailing empty cell leaves their quoting as in a full row).
+    # One "%.17g" template per row formats as format_number does; the labels
+    # go through csv (the trailing empty cell leaves their quoting as in a
+    # full row).
     template = delimiter.join(["%.17g"] * matrix.shape[1]) + "\n"
     prefix = io.StringIO()
     label_writer = _writer(prefix, delimiter)
@@ -792,7 +806,7 @@ def write_account(account: MrioAccount, out_dir: str | Path,
                 out = _writer(handle, delim)
                 out.writerow(["region", "value"])
                 for region in index.regions:
-                    out.writerow([region, _fmt(ext.direct[region])])
+                    out.writerow([region, format_number(ext.direct[region])])
         entry: dict = {"name": name, "file": filename, "unit": ext.unit}
         if ext.kind is not None:
             entry["kind"] = ext.kind

@@ -10,13 +10,14 @@ emissions with per-region direct use, and used/unused materials.
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import leontief_solve
-from .fileio import _writer, write_account
+from .fileio import write_account
 from .indicators import ConversionParams
 from .model import (
     CATEGORY_GFCF,
@@ -178,10 +179,10 @@ def write_fixture_set(n_regions: int, n_sectors: int, seed: int,
     home_region = index.regions[0]
 
     concordance = fixture_category_concordance(index)
-    with (out_dir / "category_concordance.tsv").open("w", newline="", encoding="utf-8") as handle:
-        _writer(handle, "\t").writerows(concordance.items())
-    with (out_dir / "sector_groups.tsv").open("w", newline="", encoding="utf-8") as handle:
-        _writer(handle, "\t").writerows(fixture_sector_groups(index).items())
+    for name, mapping in (("category_concordance.tsv", concordance),
+                          ("sector_groups.tsv", fixture_sector_groups(index))):
+        with (out_dir / name).open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, delimiter="\t", lineterminator="\n").writerows(mapping.items())
 
     params = fixture_conversion_params()
     (out_dir / "params.json").write_text(json.dumps({

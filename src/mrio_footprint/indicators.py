@@ -17,6 +17,7 @@ import numpy as np
 from . import algebra
 from .algebra import LeontiefOperator
 from .errors import (
+    MrioError,
     ParseError,
     UnmappedSector,
     ZeroEmbeddedBase,
@@ -217,10 +218,12 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator,
 
     A material extension with used/unused flags yields a ``-tmc`` report
     over all its rows and, when any row is used, a ``-mf`` report over the
-    used rows.
+    used rows. A name the account lacks raises MrioError.
     """
     selected: list[tuple[str, ExtensionAccount, tuple[str, ...]]] = []
     for name in extension_names:
+        if name not in account.extensions:
+            raise MrioError(f"extension {name!r} not present in the account")
         ext = account.extensions[name]
         if ext.kind == "material" and ext.material_flags is not None:
             selected.append((f"{name}-tmc", ext, ext.stressors))

@@ -769,24 +769,64 @@ print(json.dumps([codes, [name for name in ("scipy.linalg", "multiprocessing",
 """
 
 
-@pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
-@pytest.mark.parametrize("verb", ["validate", "footprint", "compare"])
+# Checks that run before ingest: --out on or under a plain file, a missing
+# input file, and an --extensions list naming no extension or one twice.
+BEFORE_INGEST = ("a-file", "under-a-file", "no-layout", "no-scenario", "no-params",
+                 "no-categories", "no-groups", "extensions-comma", "extension-twice")
+
+
+@pytest.mark.parametrize("verb, case", [
+    (verb, case) for case in BEFORE_INGEST for verb in ("compare", "footprint", "validate")
+    if verb != "validate" or case in ("a-file", "under-a-file", "no-layout")])
 def test_out_on_a_file_exits_one_before_ingest(fixture_dir, tmp_path, capsys, monkeypatch,
-                                               verb, below):
+                                               verb, case):
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
+    missing = tmp_path / "nowhere"
 
     def no_ingest(*args):
-        raise AssertionError("ingest ran before --out was checked")
+        raise AssertionError(f"ingest ran before the {case} check")
     monkeypatch.setattr(fileio, "ingest", no_ingest)
-    argv = [verb, "--layout", str(fixture_dir / "layout.json"),
-            "--out", str(afile / "sub" if below else afile)]
+    flags = {"--layout": fixture_dir / "layout.json", "--out": tmp_path / "out"}
     if verb != "validate":
-        argv += ["--params", str(fixture_dir / "params.json"),
-                 "--scenario", str(fixture_dir / "scenarios" / "baseline.json")]
-    assert main(argv) == 1
-    assert f"{afile} exists and is not a directory" in capsys.readouterr().err
+        flags |= {"--params": fixture_dir / "params.json",
+                  "--scenario": fixture_dir / "scenarios" / "baseline.json"}
+    expected = f"missing file: {missing}"
+    if case in ("a-file", "under-a-file"):
+        flags["--out"] = afile if case == "a-file" else afile / "sub"
+        expected = f"{afile} exists and is not a directory"
+    elif case.startswith("no-"):
+        flags["--" + case[3:]] = missing
+        if case == "no-scenario":
+            expected = f"scenario spec not found: {missing}"
+    elif case == "extensions-comma":
+        flags["--extensions"] = ","
+        expected = "--extensions ',' names no extension"
+    else:
+        flags["--extensions"] = "labour,energy,labour"
+        expected = "extension 'labour' is listed twice in --extensions"
+    assert main([verb, *(str(item) for pair in flags.items() for item in pair)]) == 1
+    assert expected in capsys.readouterr().err
     assert afile.read_text() == "kept\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_final_demand_column_fails_at_ingest(fixture_dir, tmp_path, capsys):
+    # Summed with R0's own households column, the relabelled inventory
+    # change would quietly change every footprint.
+    path = fixture_dir / "y.tsv"
+    lines = path.read_text().split("\n")
+    categories = lines[1].split("\t")
+    k = categories.index("inventory-change")
+    categories[k] = "households"
+    lines[1] = "\t".join(categories)
+    path.write_text("\n".join(lines))
+    assert lines[0].split("\t")[k] == "R0"
+    assert run_footprint(fixture_dir, tmp_path / "fp") == 1
+    err = capsys.readouterr().err
+    assert "final-demand column 'R0 / households' is repeated" in err
+    assert f"({path}, row 2, column {k + 1})" in err
+    assert not (tmp_path / "fp").exists()
 
 
 @pytest.mark.parametrize("target, kind", [
@@ -865,6 +905,25 @@ class TestFixtureCommand:
             assert main(["fixture", "--regions", "2", "--sectors", "4", "--seed", "11",
                          "--out", str(tmp_path / name)]) == 0
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--regions", "0", "--regions 0 is not a positive count"),
+        ("--sectors", "0", "--sectors 0 is not a positive count"),
+        ("--seed", "-1", "--seed -1 is negative"),
+        ("--out", "afile", "afile exists and is not a directory"),
+        ("--out", "afile/fx", "afile exists and is not a directory"),
+    ], ids=["no-regions", "no-sectors", "negative-seed", "out-a-file", "out-under-a-file"])
+    def test_bad_argument_exits_one_writing_nothing(self, tmp_path, capsys, flag, value,
+                                                    message):
+        (tmp_path / "afile").write_text("kept\n")
+        flags = {"--regions": "2", "--sectors": "3", "--seed": "1",
+                 "--out": str(tmp_path / "fx")}
+        flags[flag] = str(tmp_path / value) if flag == "--out" else value
+        assert main(["fixture", *(item for pair in flags.items() for item in pair)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert [path.name for path in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_minimal_economy_end_to_end(self, tmp_path):
         fx = tmp_path / "fx"

@@ -17,6 +17,7 @@ from _oracles import total_row
 from mrio_footprint import algebra, fileio, fixtures, indicators, model, scenario
 from mrio_footprint.errors import (
     MissingStressorLabel,
+    MrioError,
     ParseError,
     UnmappedSector,
     UnknownRegion,
@@ -292,6 +293,11 @@ class TestMaterialIndicators:
         y = x - Z.sum(axis=1)
         return {v.name: (v.labels, float(v.multipliers @ y))
                 for v in indicators.report_variants(account, operator, ["materials"])}
+
+    def test_unknown_extension_name_raises_mrio_error(self, account_357):
+        operator = algebra.LeontiefOperator(account_357.Z, account_357.x)
+        with pytest.raises(MrioError, match="extension 'nope' not present in the account"):
+            indicators.report_variants(account_357, operator, ["labour", "nope"])
 
     def test_hand_sum(self):
         variants = self._variants({"ores": "used", "overburden": "unused"})

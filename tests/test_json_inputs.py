@@ -110,7 +110,9 @@ def test_repeated_extension_name_is_rejected(tmp_path):
     (0, "direct_file", "direct_labour.tsv"),
     (3, "direct_file", "direct_material.tsv"),
     (1, "material_flags", {"gross energy use": "used"}),
-], ids=["direct use of labour", "direct use of material", "material flags of energy"])
+    (1, "workers_per_unit", 1000.0),
+], ids=["direct use of labour", "direct use of material", "material flags of energy",
+        "workers per unit of energy"])
 def test_key_read_only_for_another_kind_is_rejected(tmp_path, index, key, value):
     path = edited(tmp_path, LAYOUT, ("extensions", index, key), value)
     assert_rejected(fileio.load_layout, path, f"layout.extensions[{index}].{key}")
@@ -119,3 +121,13 @@ def test_key_read_only_for_another_kind_is_rejected(tmp_path, index, key, value)
 def test_direct_use_of_an_extension_without_kind_is_rejected(tmp_path):
     path = edited(tmp_path, LAYOUT, ("extensions", 1, "kind"), None)
     assert_rejected(fileio.load_layout, path, "layout.extensions[1].direct_file")
+
+
+@pytest.mark.parametrize("unit, accepted", [("1000 persons", False), ("hours", True)])
+def test_labour_without_workers_per_unit_must_be_in_hours(tmp_path, unit, accepted):
+    path = edited(tmp_path, LAYOUT, ("extensions", 0, "workers_per_unit"), None)
+    path = edited(tmp_path, path, ("extensions", 0, "unit"), unit)
+    if accepted:
+        assert fileio.load_layout(path).extensions[0].unit == "hours"
+    else:
+        assert_rejected(fileio.load_layout, path, "layout.extensions[0].unit")
