@@ -121,6 +121,8 @@ def _run(args, compare: bool = False) -> tuple[
         for k, name in enumerate(extensions):
             if name in extensions[:k]:
                 raise MrioError(f"extension {name!r} is listed twice in --extensions")
+    if args.home_region is not None and not args.home_region.strip():
+        raise MrioError(f"--home-region {args.home_region!r} names no region")
     out_root = _out_dir(args.out)
     specs = _load_specs(spec_paths, args.home_region, compare)
 

@@ -22,16 +22,24 @@ import hashlib
 import io
 import json
 import os
+import pickle
+import shutil
+import signal
+import sys
+import tempfile
 import threading
+import traceback
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (POSITIVE, DimensionMismatch, MissingStressorLabel, ParseError,
-                     UnitMismatch, read_json, read_pairs, reading)
+from .errors import (POSITIVE, DimensionMismatch, MissingStressorLabel, MrioError,
+                     ParseError, UnitMismatch, read_json, read_pairs, reading)
 from .model import (MATERIAL_UNUSED, MATERIAL_USED, ExtensionAccount, MrioAccount,
                     RegionSectorIndex, skill_of)
 
@@ -45,9 +53,15 @@ CACHE_DIR = ".mrio-cache"
 
 # Grids are read and written in blocks of about this many bytes (file bytes
 # to parse, matrix bytes to write). A grid of fewer bytes is parsed or
-# written in-process; the blocks of a larger one are spread over the usable
-# CPUs.
+# written in-process. A larger one is cut into one contiguous share per
+# usable CPU: the caller does the first share, block by block, and a forked
+# worker each of the others, likewise, into a temporary file that the caller
+# reads once its own share is done. A process's memory thus holds a block of
+# text at a time, never a share's.
 PARALLEL_BYTES = 1 << 22
+
+# Input files are hashed for the parse cache in leaves of this many bytes.
+LEAF_BYTES = 1 << 20
 
 
 def data_path(relative: str) -> Path:
@@ -231,58 +245,75 @@ def _bad_cell(matrix: np.ndarray, nonnegative: bool) -> tuple[int, int] | None:
     return (int(bad[0][0]), int(bad[0][1])) if bad.size else None
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _processes(nbytes: int) -> int:
-    """How many processes share the work on a grid of ``nbytes``: every
-    usable CPU, or only the caller's when the grid is smaller than
-    PARALLEL_BYTES, one CPU is usable, "fork" is not available, or another
-    Python thread is alive (a fork copies the locks it may hold)."""
-    if nbytes < PARALLEL_BYTES or not hasattr(os, "sched_getaffinity"):
+    """How many processes share the work on a grid of ``nbytes``, one
+    contiguous share each: every usable CPU, or only the caller's when the
+    grid is smaller than PARALLEL_BYTES, one CPU is usable, ``os.fork`` is
+    not available, or another Python thread is alive (a fork copies the
+    locks it may hold)."""
+    if nbytes < PARALLEL_BYTES or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2 or threading.active_count() > 1:
-        return 1
-    import multiprocessing
-    return cpus if "fork" in multiprocessing.get_all_start_methods() else 1
+    return _cpus()
 
 
-# Set once in each forked worker, by the pool's initializer; never in the
-# process that made the pool.
-_shared = None
+def _work_and_exit(work, share, handle) -> None:
+    """A forked worker's life: ``work(share, handle)``, then exit with
+    status 0, or 1 after printing what it raised."""
+    code = 1
+    try:
+        work(share, handle)
+        handle.flush()
+        code = 0
+    except Exception:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
-def _share(value) -> None:
-    """Worker initializer: keep what every chunk reads."""
-    global _shared
-    _shared = value
+@contextmanager
+def _forked(work, shares: list, path: Path):
+    """Fork one worker for each of ``shares``, which runs ``work(share,
+    handle)`` into an unnamed temporary file opened before the fork.
 
-
-def _run_chunk(function, chunk):
-    return function(_shared, chunk)
-
-
-def _fork_map(function, shared, chunks: list, processes: int) -> Iterator:
-    """Yield ``function(shared, chunk)`` for each chunk, in order.
-
-    With ``processes`` > 1, the caller does the first chunk of every round
-    of ``processes`` chunks itself and workers forked from it do the others.
-    ``shared`` reaches the workers through the fork, so it is never pickled;
-    chunks and results are. At most two rounds of chunks are in flight.
+    What ``work`` reads reaches the workers through the fork and is never
+    pickled. Yields ``result(k)``, which waits for the k-th worker and returns its
+    file, rewound; a worker that does not end with status 0 is an error
+    naming ``path``. On leaving, workers not yet waited for are killed, and
+    every worker is reaped and every file closed, on success or failure.
     """
-    processes = min(processes, len(chunks))
-    if processes < 2:
-        for chunk in chunks:
-            yield function(shared, chunk)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(processes - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_share, initargs=(shared,)) as pool:
-        pending = {}
-        for i, chunk in enumerate(chunks):
-            for j in range(i, min(i + 2 * processes, len(chunks))):
-                if j % processes and j not in pending:
-                    pending[j] = pool.submit(_run_chunk, function, chunks[j])
-            yield function(shared, chunk) if i % processes == 0 else pending.pop(i).result()
+    handles, running = [], {}
+
+    def result(k: int):
+        pid = running[k]
+        _, status = os.waitpid(pid, 0)
+        del running[k]
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise MrioError(f"{path}: a worker process ended with exit code {code}")
+        handles[k].seek(0)
+        return handles[k]
+
+    try:
+        for k, share in enumerate(shares):
+            handles.append(tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                _work_and_exit(work, share, handles[k])
+            running[k] = pid
+        yield result
+    finally:
+        for pid in running.values():
+            os.kill(pid, signal.SIGKILL)
+        for pid in running.values():
+            os.waitpid(pid, 0)
+        for handle in handles:
+            handle.close()
 
 
 def _line_start(handle, offset: int) -> int:
@@ -349,17 +380,45 @@ def _parse_span(grid, span: tuple[int, int]):
     return labels, linenos, len(lines), matrix
 
 
+def _shares(path: Path, start: int, end: int, count: int) -> list[tuple[int, int]]:
+    """At most ``count`` byte ranges of about equal size, cut at line starts,
+    that together cover bytes [start, end) of a file."""
+    return _spans(path, start, end, -(-(end - start) // count))
+
+
+def _parse_share(grid, share: tuple[int, int]) -> Iterator:
+    """``_parse_span`` of each span of about PARALLEL_BYTES of a share, in
+    order, so that a share's text is never held whole."""
+    for span in _spans(grid[0], *share, PARALLEL_BYTES):
+        yield _parse_span(grid, span)
+
+
+def _save_parse(grid, share: tuple[int, int], handle) -> None:
+    """A worker's parse of a share, written to ``handle``: for each span, a
+    pickled (labels, line numbers, line count, row count) followed by the
+    bytes of its rows. A bad line ends the file with a pickled (message,
+    row, column), its row counted from the failing span's first line."""
+    try:
+        for labels, linenos, count, block in _parse_share(grid, share):
+            pickle.dump((labels, linenos, count, len(block)), handle)
+            handle.write(block)
+    except ParseError as exc:
+        pickle.dump((exc.message, exc.row, exc.column), handle)
+
+
 def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
                 nonnegative: bool = False):
     """Parse a grid file: its header rows, row labels and matrix.
 
-    The body is cut at line starts into spans of about PARALLEL_BYTES, the
-    spans are parsed side by side (see ``_processes``), and their parts are
-    joined in order. A span that fails names its row within the span; every
-    span before it is joined by then, so the row in the file is known. Text
-    that is not UTF-8, a cell that is not finite, or negative when
-    ``nonnegative``, and a row that repeats an earlier row's labels, are
-    ParseErrors naming their row.
+    The body is cut at line starts into one contiguous share per process
+    (see ``_processes``). The caller parses the first share, in spans of
+    about PARALLEL_BYTES, while forked workers each parse one later share
+    into a temporary file; the caller then reads the workers' rows, in
+    order, straight into the joined matrix. A span that fails names its row
+    within the span; every span before it is joined by then, so the row in
+    the file is known. Text that is not UTF-8, a cell that is not finite,
+    or negative when ``nonnegative``, and a row that repeats an earlier
+    row's labels, are ParseErrors naming their row.
     """
     with reading(path):
         # The decoder reads ahead into the body, whose bad bytes are left to
@@ -383,20 +442,37 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
         width = len(headers[-1])
         labels: list[tuple[str, ...]] = []
         linenos: list[int] = []
-        # Each part is copied in as it comes, into a matrix grown in place (no
-        # view of it exists yet): parts joined at the end would leave their
-        # pages to the C heap, which keeps them after they are freed.
+        # Each span's rows are copied in as they come, into a matrix grown in
+        # place (no view of it exists yet): parts joined at the end would
+        # leave their pages to the C heap, which keeps them after they are
+        # freed.
         matrix = np.empty((0, width - index_cols))
+
+        def join(part_labels, part_linenos, count: int) -> np.ndarray:
+            """Add a span's labels and lines; returns its rows of the matrix."""
+            nonlocal used
+            labels.extend(part_labels)
+            linenos.extend(used + lineno for lineno in part_linenos)
+            used += count
+            matrix.resize((len(labels), matrix.shape[1]), refcheck=False)
+            return matrix[len(labels) - len(part_labels):]
+
+        grid = (path, delimiter, index_cols, width)
+        shares = _shares(path, start, size, _processes(size - start)) or [(start, size)]
         try:
-            for part_labels, part_linenos, count, block in _fork_map(
-                    _parse_span, (path, delimiter, index_cols, width),
-                    _spans(path, start, size, PARALLEL_BYTES),
-                    _processes(size - start)):
-                labels += part_labels
-                linenos += [used + lineno for lineno in part_linenos]
-                matrix.resize((len(labels), matrix.shape[1]), refcheck=False)
-                matrix[len(labels) - len(block):] = block
-                used += count
+            with _forked(partial(_save_parse, grid), shares[1:], path) as result:
+                for part_labels, part_linenos, count, block in _parse_share(grid, shares[0]):
+                    join(part_labels, part_linenos, count)[:] = block
+                for k in range(len(shares) - 1):
+                    handle = result(k)
+                    while handle.peek(1):
+                        record = pickle.load(handle)
+                        if len(record) == 3:  # a bad line's (message, row, column)
+                            message, row, column = record
+                            raise ParseError(message, path=str(path), row=row, column=column)
+                        rows = join(*record[:3])
+                        if handle.readinto(rows) != rows.nbytes:
+                            raise MrioError(f"{path}: a worker process's rows are cut short")
         except ParseError as exc:
             raise ParseError(exc.message, path=exc.path, column=exc.column,
                              row=None if exc.row is None else used + exc.row) from None
@@ -422,14 +498,47 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
 
 def _cache_key(path: Path, base: Path, delimiter: str, index_cols: int,
                header_rows: int) -> str:
-    """``<file>-<parse settings>/<sha256 of the file's bytes>``: one directory
-    per grid, holding entries named by the file's content. ``<file>`` is the
-    path from ``base`` with "%" for each separator, so grids of the same name
-    in different directories keep their own entries."""
-    digest = hashlib.sha256()
+    """``<file>-<parse settings>/<content hash>``: one directory per grid,
+    holding entries named by the file's content. ``<file>`` is the path from
+    ``base`` with "%" for each separator, so grids of the same name in
+    different directories keep their own entries.
+
+    The content hash is the sha256 of the file's size, as 8 big-endian
+    bytes, followed by the sha256 of each LEAF_BYTES leaf of the file. The
+    leaves are cut into one contiguous share per usable CPU: the caller
+    hashes the first share and a thread each of the others, all joined
+    before it returns (``os.pread`` and ``hashlib`` release the GIL).
+    """
     with reading(path), path.open("rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
+        fd = handle.fileno()
+        size = os.fstat(fd).st_size
+        # A read cut short leaves a short leaf inside the size, which no
+        # whole read of any file gives, so its key can never serve a grid.
+        leaves = [b""] * -(-size // LEAF_BYTES)
+        errors = []
+
+        def hash_leaves(first: int, stop: int) -> None:
+            try:
+                for k in range(first, stop):
+                    leaves[k] = hashlib.sha256(os.pread(fd, LEAF_BYTES, k * LEAF_BYTES)).digest()
+            except Exception as exc:
+                errors.append(exc)
+
+        count = max(1, min(_cpus(), len(leaves)))
+        cuts = [len(leaves) * k // count for k in range(count + 1)]
+        threads = []
+        try:
+            for k in range(1, count):
+                thread = threading.Thread(target=hash_leaves, args=cuts[k:k + 2])
+                thread.start()
+                threads.append(thread)
+            hash_leaves(*cuts[:2])
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+    digest = hashlib.sha256(size.to_bytes(8, "big") + b"".join(leaves))
     name = os.path.relpath(path, base).replace(os.sep, "%")
     settings = f"{_DELIMITER_NAMES[delimiter]}-{index_cols}-{header_rows}"
     return f"{name}-{settings}/{digest.hexdigest()}"
@@ -550,9 +659,9 @@ def factorization_entry(result: IngestResult, identity: str) -> FactorizationEnt
 
     I - A is a function of the transaction grid and total output, so the
     entry is named by their parse-cache entries, whose names already hold
-    the files' sha256, and by ``identity``. Its directory is named by the two
-    grids, so storing an entry replaces that of earlier contents or of
-    another identity.
+    the files' content hashes, and by ``identity``. Its directory is named
+    by the two grids, so storing an entry replaces that of earlier contents
+    or of another identity.
     """
     z_entry, x_entry = result.system_entries
     cache_dir = z_entry.parent.parent
@@ -748,17 +857,33 @@ def _format_rows(grid, rows: tuple[int, int]) -> str:
     return "".join(text)
 
 
+def _write_rows(grid, rows: tuple[int, int], handle) -> None:
+    """Write the text of rows [start, stop) of ``grid`` to a binary handle,
+    formatted in blocks of rows of about PARALLEL_BYTES of the matrix."""
+    matrix = grid[2]
+    step = max(1, PARALLEL_BYTES // max(1, matrix.itemsize * matrix.shape[1]))
+    for first in range(*rows, step):
+        handle.write(_format_rows(grid, (first, min(first + step, rows[1]))).encode("utf-8"))
+
+
 def _write_grid(path: Path, delimiter: str, headers: list[list[str]],
                 labels: list[tuple[str, ...]], matrix: np.ndarray) -> None:
-    """Write a grid in blocks of rows of about PARALLEL_BYTES of the matrix,
-    formatted side by side (see ``_processes``) and written in order."""
-    step = max(1, PARALLEL_BYTES // max(1, matrix.itemsize * matrix.shape[1]))
-    blocks = [(start, min(start + step, len(matrix))) for start in range(0, len(matrix), step)]
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        _writer(handle, delimiter).writerows(headers)
-        for text in _fork_map(_format_rows, (delimiter, labels, matrix), blocks,
-                              _processes(matrix.nbytes)):
-            handle.write(text)
+    """Write a grid whose rows are cut into one contiguous share per process
+    (see ``_processes``). The caller writes the first share to the file,
+    while forked workers each write one later share to a temporary file,
+    which the caller then appends to the file, in order."""
+    grid = (delimiter, labels, matrix)
+    count = min(_processes(matrix.nbytes), len(matrix))
+    shares = [(len(matrix) * k // count, len(matrix) * (k + 1) // count) for k in range(count)]
+    header = io.StringIO()
+    _writer(header, delimiter).writerows(headers)
+    with (path.open("wb") as handle,
+          _forked(partial(_write_rows, grid), shares[1:], path) as result):
+        handle.write(header.getvalue().encode("utf-8"))
+        for share in shares[:1]:
+            _write_rows(grid, share, handle)
+        for k in range(len(shares) - 1):
+            shutil.copyfileobj(result(k), handle, PARALLEL_BYTES)
 
 
 def write_account(account: MrioAccount, out_dir: str | Path,

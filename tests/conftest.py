@@ -1,7 +1,26 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from mrio_footprint import fixtures
+
+
+@pytest.fixture(autouse=True)
+def nothing_left_running():
+    """Fail a test that leaves a child process unreaped or a Python thread
+    other than the main one alive."""
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = ["a child process"]
+    except ChildProcessError:
+        left = []
+    left += [f"thread {thread.name}" for thread in threading.enumerate()
+             if thread is not threading.main_thread()]
+    if left:
+        pytest.fail(f"the test left {', '.join(left)} behind")
 
 
 @pytest.fixture(scope="session")

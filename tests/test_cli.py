@@ -526,6 +526,28 @@ class TestCompare:
         assert rc == 1
         assert "unknown region 'R9'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("region", ["", "  "], ids=["empty", "blank"])
+    @pytest.mark.parametrize("verb", ["footprint", "compare"])
+    def test_empty_home_region_exits_one_before_ingest(
+            self, fixture_dir, tmp_path, capsys, monkeypatch, verb, region):
+        # A spec of each home region: an empty flag must not let them mix.
+        spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
+        spec["home_region"] = "R1"
+        (fixture_dir / "scenarios" / "abroad.json").write_text(json.dumps(spec))
+
+        def no_ingest(*args):
+            raise AssertionError("ingest ran before --home-region was checked")
+        monkeypatch.setattr(fileio, "ingest", no_ingest)
+        argv = [verb, "--layout", str(fixture_dir / "layout.json"),
+                "--params", str(fixture_dir / "params.json"), "--out", str(tmp_path / "out"),
+                "--home-region", region]
+        for name in (["baseline", "abroad"] if verb == "compare" else ["abroad"]):
+            argv += ["--scenario", str(fixture_dir / "scenarios" / f"{name}.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --home-region {region!r} names no region\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", [False, True], ids=["spec", "--home-region"])
     def test_unknown_home_region_exits_one_before_factorize(
             self, fixture_dir, tmp_path, capsys, monkeypatch, flag):

@@ -1,10 +1,12 @@
 """Ingest / emit round-trip and parse-error tests."""
 
 import gc
+import hashlib
 import json
 import os
 import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 
 from mrio_footprint import algebra, fileio, fixtures, model
 from mrio_footprint.cli import main
-from mrio_footprint.errors import DimensionMismatch, ParseError, UnitMismatch
+from mrio_footprint.errors import DimensionMismatch, MrioError, ParseError, UnitMismatch
 
 
 @pytest.fixture()
@@ -465,6 +467,36 @@ def _z_entry(layout_path):
     return layout_path.parent / fileio.CACHE_DIR / f"{key}.npy"
 
 
+def _leaf_key(data: bytes) -> str:
+    """The content hash of a file holding ``data``: the sha256 of its size,
+    as 8 big-endian bytes, and of the sha256 of each 1 MiB leaf."""
+    leaves = [data[k:k + (1 << 20)] for k in range(0, len(data), 1 << 20)]
+    return hashlib.sha256(len(data).to_bytes(8, "big") + b"".join(
+        hashlib.sha256(leaf).digest() for leaf in leaves)).hexdigest()
+
+
+class TestCacheKey:
+    @pytest.mark.parametrize("size", [0, 1, 2 << 20, (2 << 20) + 1])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_key_of_the_leaves(self, tmp_path, monkeypatch, size, cpus):
+        monkeypatch.setattr(fileio, "_cpus", lambda: cpus)
+        path = tmp_path / "z.tsv"
+        data = np.random.default_rng(size).bytes(size)
+        path.write_bytes(data)
+        key = fileio._cache_key(path, tmp_path, "\t", 2, 2)
+        assert key == f"z.tsv-tab-2-2/{_leaf_key(data)}"
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("edit", ["last byte", "appended byte"])
+    def test_an_edit_in_the_last_leaf_changes_the_key(self, tmp_path, edit):
+        path = tmp_path / "z.tsv"
+        data = bytes((2 << 20) + 10)
+        path.write_bytes(data)
+        before = fileio._cache_key(path, tmp_path, "\t", 2, 2)
+        path.write_bytes(data[:-1] + b"\x01" if edit == "last byte" else data + b"\x00")
+        assert fileio._cache_key(path, tmp_path, "\t", 2, 2) != before
+
+
 class TestCache:
     def test_second_ingest_is_served_from_cache(self, written_set, monkeypatch):
         _, layout_path = written_set
@@ -619,10 +651,6 @@ class TestFixtureSet:
         assert (tmp_path / "scenarios" / "halved.json").exists()
 
 
-def _pid(shared, chunk):
-    return os.getpid()
-
-
 def _parse(path, index_cols=2, header_rows=2, delimiter="\t"):
     """A grid parsed by the pipeline, or the ParseError it raises."""
     try:
@@ -638,11 +666,11 @@ SPAN_SIZES = [1, 61, 333, 1001, 1 << 40]
 
 
 def _compare(monkeypatch, path, *args, **kwargs):
-    """Parse a grid in spans of each of SPAN_SIZES, in-process and with a
-    forked worker; returns the parse, which must be the same every way."""
+    """Parse a grid in spans of each of SPAN_SIZES, in one, two and three
+    shares; returns the parse, which must be the same every way."""
     expected = _parse(path, *args, **kwargs)
     for size in SPAN_SIZES:
-        for processes in (1, 2):
+        for processes in (1, 2, 3):
             with monkeypatch.context() as patch:
                 patch.setattr(fileio, "PARALLEL_BYTES", size)
                 patch.setattr(fileio, "_processes", lambda nbytes: processes)
@@ -658,10 +686,110 @@ class TestParallelGrids:
     """Grids cut into spans of any size, parsed in-process or split over
     processes, parse and write exactly as in one span and one process."""
 
-    def test_workers_take_every_other_chunk(self):
+    def test_caller_parses_the_first_share_and_each_worker_one(self, tmp_path, monkeypatch):
+        fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path, log = tmp_path / "z.tsv", tmp_path / "spans.log"
+        monkeypatch.setattr(fileio, "PARALLEL_BYTES", 333)
+        monkeypatch.setattr(fileio, "_processes", lambda nbytes: 3)
+        parse_span = fileio._parse_span
+
+        def logged(grid, span):
+            # One write of one line to a file opened for appending is
+            # atomic, so workers' lines never mix.
+            with log.open("a") as handle:
+                handle.write(f"{os.getpid()} {span[0]} {span[1]}\n")
+            return parse_span(grid, span)
+        monkeypatch.setattr(fileio, "_parse_span", logged)
+        assert _parse(path)[2] == (15, 15)
+        spans: dict[int, list[tuple[int, int]]] = {}
+        for line in log.read_text().splitlines():
+            pid, start, end = map(int, line.split())
+            spans.setdefault(pid, []).append((start, end))
+        body = len("".join(path.read_text().splitlines(True)[:2]))
+        shares = fileio._shares(path, body, path.stat().st_size, 3)
+        assert len(shares) == 3 and len(spans) == 3
+        # Each process's spans, in the order it parsed them, tile one share.
+        covered = {(pid_spans[0][0], pid_spans[-1][1]): pid for pid, pid_spans in spans.items()}
+        for pid_spans in spans.values():
+            assert all(a[1] == b[0] for a, b in zip(pid_spans, pid_spans[1:]))
+            assert len(pid_spans) > 1
+        assert sorted(covered) == shares
+        assert covered[shares[0]] == os.getpid()
+
+    @pytest.mark.parametrize("share", [2, 3])
+    @pytest.mark.parametrize("fault", ["bad cell", "ragged row", "repeated label", "not UTF-8"])
+    def test_bad_line_in_a_workers_share(self, tmp_path, monkeypatch, share, fault):
+        # fixture(3, 5, 7)'s z.tsv has 15 body lines, 5 in each of 3 shares.
+        fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / "z.tsv"
+        lines = path.read_bytes().splitlines()
+        line = 2 + 5 * (share - 1) + 2  # the middle line of the share
+        cells = lines[line].split(b"\t")
+        if fault == "bad cell":
+            cells[6] = b"oops"
+        elif fault == "ragged row":
+            del cells[6]
+        elif fault == "repeated label":
+            cells[:2] = lines[2].split(b"\t")[:2]
+        else:
+            cells[6] = b"\xff"
+        lines[line] = b"\t".join(cells)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        body = len(b"\n".join(lines[:2])) + 1
+        cuts = [start for start, _ in fileio._shares(path, body, path.stat().st_size, 3)]
+        assert len(cuts) == 3
+        assert cuts[share - 1] <= len(b"\n".join(lines[:line])) + 1 < (cuts + [1 << 40])[share]
+        message, where, row, column = _compare(monkeypatch, path)
+        expected = {"bad cell": ("non-numeric value 'oops'", 7),
+                    "ragged row": ("expected 17 cells, found 16", 17),
+                    "repeated label": ("region-sector label 'R0 / S0' is repeated", None),
+                    "not UTF-8": ("text is not UTF-8", None)}[fault]
+        assert (where, row, column) == (str(path), line + 1, expected[1])
+        assert expected[0] in message
+
+    @pytest.mark.parametrize("verb", ["parse", "write"])
+    def test_a_worker_that_dies_names_the_grid(self, tmp_path, monkeypatch, verb):
+        account = fixtures.fixture(3, 5, 7)
+        fileio.write_account(account, tmp_path)
         parent = os.getpid()
-        pids = list(fileio._fork_map(_pid, None, list(range(5)), 2))
-        assert pids[0::2] == [parent] * 3 and parent not in pids[1::2]
+        name = "_parse_span" if verb == "parse" else "_format_rows"
+        function = getattr(fileio, name)
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return function(*args)
+        monkeypatch.setattr(fileio, name, dies_in_a_worker)
+        monkeypatch.setattr(fileio, "_processes", lambda nbytes: 2)
+        path = tmp_path / "z.tsv" if verb == "parse" else tmp_path / "out" / "z.tsv"
+        with pytest.raises(MrioError, match="a worker process ended with exit code 3") as caught:
+            if verb == "parse":
+                fileio._parse_grid(path, "\t", 2, 2)
+            else:
+                path.parent.mkdir()
+                fileio._write_grid(path, "\t", [["", ""]], account.index.labels(), account.Z)
+        assert str(path) in str(caught.value)
+
+    def test_a_failing_first_share_stops_the_workers(self, tmp_path, monkeypatch):
+        # The caller's share fails while a worker sleeps through its own;
+        # the worker is killed and reaped, and its file closed.
+        path = self._bad_z(tmp_path, [(3, 4, "oops")])
+        monkeypatch.setattr(fileio, "_processes", lambda nbytes: 2)
+        parent, parse_span = os.getpid(), fileio._parse_span
+
+        def slow_in_a_worker(grid, span):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return parse_span(grid, span)
+        monkeypatch.setattr(fileio, "_parse_span", slow_in_a_worker)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        started = time.monotonic()
+        with pytest.raises(ParseError, match="'oops'"):
+            fileio._parse_grid(path, "\t", 2, 2)
+        assert time.monotonic() - started < 30
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("name, index_cols, header_rows", GRIDS)
     def test_fixture_grids(self, tmp_path, monkeypatch, name, index_cols, header_rows):
@@ -833,12 +961,14 @@ class TestParallelGrids:
     def test_written_grids_are_byte_identical(self, tmp_path, monkeypatch):
         account = fixtures.fixture(3, 5, 7)
         fileio.write_account(account, tmp_path / "in-process")
-        with monkeypatch.context() as patch:
-            patch.setattr(fileio, "PARALLEL_BYTES", 1)
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-            fileio.write_account(account, tmp_path / "forked")
-        for path in (tmp_path / "in-process").iterdir():
-            assert (tmp_path / "forked" / path.name).read_bytes() == path.read_bytes()
+        for processes in (1, 2, 3):
+            shared = tmp_path / f"{processes}-shares"
+            with monkeypatch.context() as patch:
+                patch.setattr(fileio, "PARALLEL_BYTES", 1)
+                patch.setattr(fileio, "_processes", lambda nbytes: processes)
+                fileio.write_account(account, shared)
+            for path in (tmp_path / "in-process").iterdir():
+                assert (shared / path.name).read_bytes() == path.read_bytes(), processes
 
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
