@@ -12,7 +12,6 @@ from .algebra import (
     factorize,
     intensity,
     leontief_solve,
-    productivity_check,
 )
 from .fileio import (
     IngestResult,

@@ -40,8 +40,8 @@ ZERO_OUTPUT_EPS = 1e-9
 # relative to max(1, ||y||_inf).
 SOLVE_RESIDUAL_RTOL = 1e-10
 
-# An economy is certified productive when (I - A) q = 1 solves with
-# max(q) < 1 / PRODUCTIVITY_MARGIN, i.e. a spectral radius bound below
+# An economy is certified productive when w = 1^T (I - A)^-1 solves with
+# max(w) < 1 / PRODUCTIVITY_MARGIN, i.e. a spectral radius bound below
 # 1 - PRODUCTIVITY_MARGIN.
 PRODUCTIVITY_MARGIN = 1e-6
 
@@ -125,8 +125,11 @@ def _column_scale(x: np.ndarray, n: int) -> np.ndarray:
 class ProductivityEstimate:
     """Certified upper bound on the spectral radius of a nonnegative A.
 
-    ``spectral_radius`` is None when (I - A) q = 1 has no solution with
-    q >= 1, which for nonnegative A means the spectral radius is >= 1.
+    w = 1^T (I - A)^-1, the multipliers of a row of ones, has w >= 1 exactly
+    when rho(A) < 1, and then rho(A) <= 1 - 1/max(w) (Collatz-Wielandt on
+    A^T; Berman & Plemmons, ch. 6). ``multipliers`` checks w >= 1, so for an
+    unproductive A it raises UnproductiveEconomy; ``spectral_radius`` None
+    records that.
     """
 
     spectral_radius: float | None
@@ -135,21 +138,6 @@ class ProductivityEstimate:
     def productive(self) -> bool:
         return (self.spectral_radius is not None
                 and self.spectral_radius < 1.0 - PRODUCTIVITY_MARGIN)
-
-
-def productivity_check(operator: LeontiefOperator) -> ProductivityEstimate:
-    """Certify rho(A) < 1 for a nonnegative A with one Leontief solve.
-
-    rho(A) < 1 exactly when (I - A) q = 1 has a solution q >= 1, and then
-    rho(A) <= 1 - 1/max(q) (Collatz-Wielandt). The solve is the pipeline's
-    own ``operator.apply``, so its residual and output-covers-demand checks
-    decide the unproductive case.
-    """
-    try:
-        q = operator.apply(np.ones(operator.dim))
-    except UnproductiveEconomy:
-        return ProductivityEstimate(None)
-    return ProductivityEstimate(1.0 - 1.0 / float(np.max(q, initial=1.0)))
 
 
 class LeontiefOperator:

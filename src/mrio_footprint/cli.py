@@ -1,14 +1,15 @@
 """Command-line pipeline: validate data, compute footprints, compare scenarios.
 
 Verbs:
-    validate   ingest + balance check + productivity check
+    validate   ingest + balance check + productivity certificate
     footprint  apply one scenario and write per-extension reports
     compare    run several scenarios and write comparison + plot-ready series
     fixture    write a complete synthetic data set
 
-Exit codes: 0 clean, 1 operational error, 2 validation failure. All emitted
-files are deterministic functions of the inputs (numbers carry 17
-significant digits; no timestamps), so identical runs are byte-identical.
+Exit codes: 0 clean, 1 operational error, 2 validation failure, which for
+every verb includes an economy not certified productive. All emitted files
+are deterministic functions of the inputs (numbers carry 17 significant
+digits; no timestamps), so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, fileio, fixtures, indicators, model, scenario
-from .errors import MrioError, ParseError, UnknownRegion, UnknownScenario
+from .errors import MrioError, ParseError, UnknownRegion, UnknownScenario, UnproductiveEconomy
 from .fileio import format_number as _FMT
 from .indicators import ConversionParams, FootprintReport
 from .model import MrioAccount
@@ -142,8 +143,11 @@ def _run(args, compare: bool = False) -> tuple[
     group_labels, group_codes = indicators.load_sector_groups(groups_path, account.index)
     params = indicators.load_conversion_params(params_path)
     operator = _operator(ingested)
-    variants = indicators.report_variants(account, operator,
-                                          extensions or list(account.extensions))
+    variants, certificate = indicators.report_variants(account, operator,
+                                                       extensions or list(account.extensions))
+    if not certificate.productive:
+        raise UnproductiveEconomy(f"spectral radius <= {certificate.spectral_radius:.6f} "
+                                  "is too close to 1 to certify the economy productive")
 
     # One demand column per home region's baseline, then one per scenario;
     # the baseline columns' reports only scale direct use, and are dropped.
@@ -316,7 +320,12 @@ def cmd_validate(args) -> int:
     result = fileio.ingest(layout_path)
     account = result.account
     balance = model.validate_balance(account, tol=args.tol)
-    estimate = algebra.productivity_check(_operator(result))
+    # The certificate of a default compare run, from the same one solve.
+    try:
+        _, estimate = indicators.report_variants(account, _operator(result),
+                                                 list(account.extensions))
+    except UnproductiveEconomy:
+        estimate = algebra.ProductivityEstimate(None)
 
     print(f"account: {account.index.n_regions} regions x {account.index.n_sectors} sectors "
           f"(n={account.index.n}), year {account.year}")
@@ -358,8 +367,7 @@ def cmd_validate(args) -> int:
         (out_dir / "validation.json").write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    clean = balance.ok and estimate.productive
-    return 0 if clean else 2
+    return 0 if balance.ok and estimate.productive else 2
 
 
 def cmd_footprint(args) -> int:
@@ -455,7 +463,7 @@ def main(argv=None) -> int:
         return 1
     except MrioError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UnproductiveEconomy) else 1
 
 
 if __name__ == "__main__":

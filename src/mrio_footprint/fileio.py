@@ -408,7 +408,8 @@ def _save_parse(grid, share: tuple[int, int], handle) -> None:
 
 def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
                 nonnegative: bool = False):
-    """Parse a grid file: its header rows, row labels and matrix.
+    """Parse a grid file: its header rows, row labels, matrix and the file
+    line of each row.
 
     The body is cut at line starts into one contiguous share per process
     (see ``_processes``). The caller parses the first share, in spans of
@@ -493,7 +494,7 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
         seen.add(label)
     # Read-only, as a grid served by the cache is.
     matrix.flags.writeable = False
-    return headers, labels, matrix
+    return headers, labels, matrix, linenos
 
 
 def _cache_key(path: Path, base: Path, delimiter: str, index_cols: int,
@@ -600,8 +601,9 @@ def _grid_load(entry: Path, index_cols: int, header_rows: int, nonnegative: bool
     try:
         headers = meta["headers"]
         labels = [tuple(label) for label in meta["labels"]]
+        linenos = meta["linenos"]
         fits = (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
-                and len(headers) == header_rows
+                and len(headers) == header_rows and len(linenos) == len(labels)
                 and matrix.shape == (len(labels), len(headers[-1]) - index_cols)
                 and all(len(label) == index_cols for label in labels)
                 and len(set(labels)) == len(labels))
@@ -609,17 +611,18 @@ def _grid_load(entry: Path, index_cols: int, header_rows: int, nonnegative: bool
         return None
     if not fits or _bad_cell(matrix, nonnegative) is not None:
         return None
-    return headers, labels, matrix
+    return headers, labels, matrix, linenos
 
 
 def _read_grid(path: Path, cache_dir: Path, delimiter: str, index_cols: int,
                header_rows: int = 2, nonnegative: bool = False):
     """Read a labelled grid: header rows, index columns, numeric body.
 
-    Returns (headers, row_labels, matrix, cache entry). Ragged rows, repeated
-    row labels, and non-numeric, non-finite or (when ``nonnegative``)
-    negative values are ParseErrors; the caller checks the
-    resulting shape against the model dimension. A parsed grid is kept in
+    Returns (headers, row_labels, matrix, row lines, cache entry). Ragged
+    rows, repeated row labels, and non-numeric, non-finite or (when
+    ``nonnegative``) negative values are ParseErrors; the caller checks the
+    labels against the model index. A parsed grid, with the file line of
+    each row so that a warm run names a row as a cold run does, is kept in
     ``cache_dir`` under the file's path, the parse settings and the sha256
     of the file's bytes, and is read from there while the file is unchanged.
     """
@@ -627,8 +630,9 @@ def _read_grid(path: Path, cache_dir: Path, delimiter: str, index_cols: int,
     grid = _grid_load(entry, index_cols, header_rows, nonnegative)
     if grid is None:
         grid = _parse_grid(path, delimiter, index_cols, header_rows, nonnegative)
-        headers, labels, matrix = grid
-        _cache_store(entry, matrix, {"headers": headers, "labels": labels})
+        headers, labels, matrix, linenos = grid
+        _cache_store(entry, matrix, {"headers": headers, "labels": labels,
+                                     "linenos": linenos})
     return (*grid, entry)
 
 
@@ -681,22 +685,31 @@ def _column_pairs(headers: list[list[str]], index_cols: int, path: Path):
     ]
 
 
-def _index_from_labels(labels: list[tuple[str, ...]], path: Path) -> RegionSectorIndex:
-    regions: list[str] = []
-    for region, _ in labels:
-        if region not in regions:
-            regions.append(region)
-    if not regions:
-        raise ParseError("no region labels found", path=str(path))
-    block = len(labels) // len(regions)
-    sectors = [sector for _, sector in labels[:block]]
-    expected = [(r, s) for r in regions for s in sectors]
-    if expected != list(labels):
-        raise ParseError(
-            "row labels are not region-major blocks of a common sector list",
-            path=str(path),
-        )
-    return RegionSectorIndex(regions=tuple(regions), sectors=tuple(sectors))
+def _region_major(labels: list[tuple[str, str]]) -> RegionSectorIndex:
+    """The index of the regions of ``labels``, in order of first appearance,
+    and of the first region's sectors."""
+    regions = tuple(dict.fromkeys(region for region, _ in labels))
+    return RegionSectorIndex(regions, tuple(s for r, s in labels if r in regions[:1]))
+
+
+def _check_labels(message: str, found: list, expected: list, path: Path, *,
+                  linenos: list[int] | None = None, index_cols: int = 0) -> None:
+    """A ParseError at the first of the row labels (with their file
+    ``linenos``) or of the column header pairs (after ``index_cols`` index
+    columns) in ``found`` that differs from ``expected``, naming both."""
+    if found == expected:
+        return
+    k = next((k for k, (a, b) in enumerate(zip(found, expected)) if a != b),
+             min(len(found), len(expected)))
+    if linenos is not None:
+        where = {"row": linenos[k] if k < len(linenos) else None}
+    else:
+        region_differs = k < min(len(found), len(expected)) and found[k][0] != expected[k][0]
+        where = {"row": 1 if region_differs else 2, "column": index_cols + k + 1}
+    named = [repr(" / ".join(labels[k])) if k < len(labels) else "nothing"
+             for labels in (found, expected)]
+    raise ParseError(f"{message}: found {named[0]} where {named[1]} is expected",
+                     path=str(path), **where)
 
 
 def ingest(layout_path: str | Path) -> IngestResult:
@@ -711,15 +724,19 @@ def ingest(layout_path: str | Path) -> IngestResult:
     cache_dir = layout.base_dir / CACHE_DIR
 
     z_path = layout.path(layout.transactions)
-    z_headers, z_labels, Z, z_entry = _read_grid(z_path, cache_dir, delim, index_cols=2,
-                                                 nonnegative=True)
-    index = _index_from_labels(z_labels, z_path)
-    if Z.shape != (index.n, index.n):
-        raise DimensionMismatch(
-            f"transaction grid is {Z.shape[0]}x{Z.shape[1]}, expected {index.n}x{index.n}"
-        )
-    if _column_pairs(z_headers, 2, z_path) != list(z_labels):
-        raise ParseError("column labels do not match row labels", path=str(z_path))
+    z_headers, z_labels, Z, z_lines, z_entry = _read_grid(z_path, cache_dir, delim,
+                                                          index_cols=2, nonnegative=True)
+    pairs = _column_pairs(z_headers, 2, z_path)
+    index = _region_major(z_labels)
+    labels = index.labels()
+    # Region-major rows under a header that is not: the header is at fault.
+    if z_labels != pairs and z_labels == labels and _region_major(pairs).labels() != pairs:
+        _check_labels("column labels do not match row labels", pairs, z_labels, z_path,
+                      index_cols=2)
+    _check_labels("row labels do not match column labels", z_labels, pairs, z_path,
+                  linenos=z_lines)
+    _check_labels("row labels are not region-major blocks of a common sector list",
+                  z_labels, labels, z_path, linenos=z_lines)
     account_rows = set(z_labels)
     for k, warning in enumerate(layout.ingest_warnings):
         if (warning.region, warning.sector) not in account_rows:
@@ -728,10 +745,9 @@ def ingest(layout_path: str | Path) -> IngestResult:
                              path=str(layout_path))
 
     y_path = layout.path(layout.final_demand)
-    y_headers, y_labels, Y, _ = _read_grid(y_path, cache_dir, delim, index_cols=2)
-    if list(y_labels) != index.labels():
-        raise ParseError("final-demand rows do not match the transaction index",
-                         path=str(y_path))
+    y_headers, y_labels, Y, y_lines, _ = _read_grid(y_path, cache_dir, delim, index_cols=2)
+    _check_labels("final-demand rows do not match the transaction index", y_labels, labels,
+                  y_path, linenos=y_lines)
     y_columns = tuple(_column_pairs(y_headers, 2, y_path))
     for k, column in enumerate(y_columns):
         if column in y_columns[:k]:
@@ -739,11 +755,10 @@ def ingest(layout_path: str | Path) -> IngestResult:
                              path=str(y_path), row=2, column=k + 3)
 
     x_path = layout.path(layout.total_output)
-    _, x_labels, x_grid, x_entry = _read_grid(x_path, cache_dir, delim, index_cols=2,
-                                              header_rows=1, nonnegative=True)
-    if list(x_labels) != index.labels():
-        raise ParseError("total-output rows do not match the transaction index",
-                         path=str(x_path))
+    _, x_labels, x_grid, x_lines, x_entry = _read_grid(x_path, cache_dir, delim, index_cols=2,
+                                                       header_rows=1, nonnegative=True)
+    _check_labels("total-output rows do not match the transaction index", x_labels, labels,
+                  x_path, linenos=x_lines)
     if x_grid.shape[1] != 1:
         raise ParseError("total-output file must have exactly one value column",
                          path=str(x_path))
@@ -754,15 +769,15 @@ def ingest(layout_path: str | Path) -> IngestResult:
         if not entry.unit:
             raise UnitMismatch(f"extension {entry.name!r} has no unit label in the layout")
         ext_path = layout.path(entry.file)
-        ext_headers, ext_labels, rows, _ = _read_grid(ext_path, cache_dir, delim, index_cols=1,
-                                                      nonnegative=True)
+        ext_headers, ext_labels, rows, _, _ = _read_grid(ext_path, cache_dir, delim,
+                                                         index_cols=1, nonnegative=True)
         if rows.shape[1] != index.n:
             raise DimensionMismatch(
                 f"extension {entry.name!r} has {rows.shape[1]} columns, expected {index.n}"
             )
-        if _column_pairs(ext_headers, 1, ext_path) != index.labels():
-            raise ParseError("extension columns do not match the transaction index",
-                             path=str(ext_path))
+        _check_labels("extension columns do not match the transaction index",
+                      _column_pairs(ext_headers, 1, ext_path), labels, ext_path,
+                      index_cols=1)
         unit = entry.unit
         if entry.workers_per_unit is not None:
             rows = rows * (entry.workers_per_unit * layout.hours_per_worker_year)

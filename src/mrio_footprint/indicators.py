@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra
-from .algebra import LeontiefOperator
+from .algebra import LeontiefOperator, ProductivityEstimate
 from .errors import (
     MrioError,
     ParseError,
@@ -212,13 +212,17 @@ class ReportVariant:
                 and self.extension.kind in ("energy", "emissions"))
 
 
-def report_variants(account: MrioAccount, operator: LeontiefOperator,
-                    extension_names: list[str]) -> list[ReportVariant]:
-    """Every report of the named extensions, multipliers from one block solve.
+def report_variants(account: MrioAccount, operator: LeontiefOperator, extension_names: list[str]
+                    ) -> tuple[list[ReportVariant], ProductivityEstimate]:
+    """Every report of the named extensions, and the account's productivity
+    certificate, from one transposed block solve.
 
     A material extension with used/unused flags yields a ``-tmc`` report
     over all its rows and, when any row is used, a ``-mf`` report over the
-    used rows. A name the account lacks raises MrioError.
+    used rows. A name the account lacks raises MrioError. The block ends in
+    a row of ones, solved even when no report is named, whose multipliers
+    are the certificate's w = 1^T (I - A)^-1; an unproductive economy
+    raises UnproductiveEconomy.
     """
     selected: list[tuple[str, ExtensionAccount, tuple[str, ...]]] = []
     for name in extension_names:
@@ -233,8 +237,6 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator,
                 selected.append((f"{name}-mf", ext, used))
         else:
             selected.append((name, ext, ext.stressors))
-    if not selected:
-        return []
 
     intensities = []
     totals = []
@@ -242,13 +244,14 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator,
         rows = np.vstack([ext.stressor_row(label) for label in labels])
         intensities.append(tuple(algebra.intensity(row, account.x) for row in rows))
         totals.append(algebra.intensity(rows.sum(axis=0), account.x))
-    multipliers = operator.multipliers(np.vstack(totals))
-    return [
+    multipliers = operator.multipliers(np.vstack([*totals, np.ones(account.x.size)]))
+    variants = [
         ReportVariant(name=name, extension=ext, labels=labels, intensities=s_rows,
                       total_intensity=s_total, multipliers=m)
         for (name, ext, labels), s_rows, s_total, m
         in zip(selected, intensities, totals, multipliers)
     ]
+    return variants, ProductivityEstimate(1.0 - 1.0 / float(np.max(multipliers[-1], initial=1.0)))
 
 
 def _one_hot(codes: np.ndarray, count: int) -> np.ndarray:

@@ -79,7 +79,8 @@ def test_criterion_3_additivity_suite():
             y, gfcf = model.home_demand(account, "R0")
             y, gfcf = y[:, np.newaxis], gfcf[:, np.newaxis]
             q = operator.apply(y + gfcf)
-            variants = indicators.report_variants(account, operator, list(account.extensions))
+            variants, _ = indicators.report_variants(account, operator,
+                                                     list(account.extensions))
             [reports] = indicators.footprint_reports(
                 account, variants, [("baseline", "R0")], y, gfcf, q, {"R0": 0}, codes,
                 labels, group_codes, params)

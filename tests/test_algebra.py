@@ -21,7 +21,7 @@ from scipy.linalg import lu_factor
 
 from _oracles import (power_series_solve, random_productive_matrix, relative_error,
                       technical_coefficients)
-from mrio_footprint import algebra
+from mrio_footprint import algebra, indicators, model
 from mrio_footprint.errors import DimensionMismatch, NegativeEntry, UnproductiveEconomy
 
 A_HAND = np.array([[0.2, 0.3], [0.4, 0.1]])
@@ -259,43 +259,56 @@ class TestFootprint:
                 op.apply(np.zeros(shape))
 
 
+def hand_account(A: np.ndarray) -> model.MrioAccount:
+    """An account with Z = A, x = 1 and no extensions, so its A is A."""
+    n = len(A)
+    index = model.RegionSectorIndex(("R0",), tuple(f"S{j}" for j in range(n)))
+    return model.MrioAccount(index=index, Z=A, Y=np.zeros((n, 0)), y_columns=(),
+                             x=np.ones(n), extensions={}, year=2012)
+
+
+def certificate(A: np.ndarray) -> algebra.ProductivityEstimate:
+    """The certificate that report_variants gives with no extension named."""
+    variants, estimate = indicators.report_variants(hand_account(A), algebra.factorize(A), [])
+    assert variants == []
+    return estimate
+
+
 class TestProductivityCheck:
     def test_zero_matrix(self):
-        estimate = algebra.productivity_check(algebra.factorize(np.zeros((4, 4))))
+        estimate = certificate(np.zeros((4, 4)))
         assert estimate.spectral_radius == 0.0
         assert estimate.productive
 
     def test_hand_2x2(self):
-        # q = L 1 = [2, 2], so the bound 1 - 1/max(q) meets rho = 0.5.
-        estimate = algebra.productivity_check(algebra.factorize(A_HAND))
-        assert estimate.spectral_radius == 0.5
-        assert estimate.spectral_radius == pytest.approx(0.5, abs=1e-4)
+        # w = 1^T L = [13/6, 11/6], so the bound is 1 - 6/13 = 7/13 >= rho = 0.5.
+        estimate = certificate(A_HAND)
+        assert estimate.spectral_radius == 7.0 / 13.0
         assert estimate.productive
 
     def test_periodic_two_sector(self):
         # Two sectors that trade only with each other: eigenvalues +-0.3, the
         # case where a power iteration never settles.
-        estimate = algebra.productivity_check(algebra.factorize(PERIODIC))
+        estimate = certificate(PERIODIC)
         assert 0.3 <= estimate.spectral_radius < 1.0
         assert estimate.productive
 
     def test_bound_dominates_spectral_radius(self, rng):
         for _ in range(20):
             A = random_productive_matrix(rng, int(rng.integers(2, 12)))
-            estimate = algebra.productivity_check(algebra.factorize(A))
+            estimate = certificate(A)
             assert estimate.productive
             assert estimate.spectral_radius >= max(abs(np.linalg.eigvals(A))) - 1e-12
 
     def test_identity_flagged_unproductive(self):
-        estimate = algebra.productivity_check(algebra.factorize(np.eye(3)))
-        assert estimate.spectral_radius is None
-        assert estimate.productive is False
+        with pytest.raises(UnproductiveEconomy):
+            certificate(np.eye(3))
 
     def test_output_below_demand_flagged_unproductive(self):
-        estimate = algebra.productivity_check(algebra.factorize(np.array([[2.0]])))
-        assert estimate.spectral_radius is None
-        assert estimate.productive is False
+        with pytest.raises(UnproductiveEconomy, match="falls below final demand"):
+            certificate(np.array([[2.0]]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            algebra.productivity_check(algebra.factorize(np.zeros((2, 3))))
+            indicators.report_variants(hand_account(np.zeros((2, 2))),
+                                       algebra.factorize(np.zeros((3, 3))), [])

@@ -12,7 +12,7 @@ import pytest
 
 import mrio_footprint
 from _oracles import technical_coefficients, total_row
-from mrio_footprint import algebra, cli, fileio, model
+from mrio_footprint import algebra, cli, fileio, fixtures, indicators, model
 from mrio_footprint.cli import main
 
 
@@ -79,11 +79,12 @@ class TestValidate:
         assert "row 2" in capsys.readouterr().out
 
     @staticmethod
-    def write_two_sector_account(out_dir: Path, Z, y_columns, Y) -> Path:
+    def write_two_sector_account(out_dir: Path, Z, y_columns, Y, extensions=None,
+                                 x=(100.0, 100.0)) -> Path:
         index = model.RegionSectorIndex(regions=("R0",), sectors=("S0", "S1"))
         account = model.MrioAccount(index=index, Z=np.array(Z), Y=np.array(Y),
-                                    y_columns=y_columns, x=np.array([100.0, 100.0]),
-                                    extensions={}, year=2012)
+                                    y_columns=y_columns, x=np.array(x),
+                                    extensions=extensions or {}, year=2012)
         return fileio.write_account(account, out_dir)
 
     def test_periodic_account_is_certified_productive(self, tmp_path, capsys):
@@ -409,11 +410,12 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "'S3' has no sector group" in err and "sector_groups.tsv" in err
 
-    @pytest.mark.parametrize("verb", ["compare", "footprint"])
+    @pytest.mark.parametrize("verb", ["compare", "footprint", "validate"])
     def test_one_forward_and_one_transposed_solve_per_run(self, fixture_dir, tmp_path,
                                                           monkeypatch, verb):
         # One block solve for every home region's baseline and every
-        # scenario, and one for the multipliers of all five reports.
+        # scenario, and one for the multipliers of all five reports and the
+        # productivity certificate; validate makes only the second.
         spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
         spec.update(name="abroad", home_region="R1")
         (fixture_dir / "scenarios" / "abroad.json").write_text(json.dumps(spec))
@@ -429,13 +431,14 @@ class TestCompare:
 
         for name in calls:
             monkeypatch.setattr(algebra.LeontiefOperator, name, counted(name))
-        argv = [verb, "--layout", str(fixture_dir / "layout.json"),
-                "--params", str(fixture_dir / "params.json"), "--out", str(tmp_path / "out")]
-        for name in ("baseline", "halved", "abroad"):
-            argv += ["--scenario", str(fixture_dir / "scenarios" / f"{name}.json")]
+        argv = [verb, "--layout", str(fixture_dir / "layout.json"), "--out", str(tmp_path / "out")]
+        if verb != "validate":
+            argv += ["--params", str(fixture_dir / "params.json")]
+            for name in ("baseline", "halved", "abroad"):
+                argv += ["--scenario", str(fixture_dir / "scenarios" / f"{name}.json")]
         # compare takes one home region, footprint each spec's own.
         assert main(argv + (["--home-region", "R2"] if verb == "compare" else [])) == 0
-        assert calls == {"apply": 1, "multipliers": 1}
+        assert calls == {"apply": int(verb != "validate"), "multipliers": 1}
 
     def test_failing_scenario_writes_nothing(self, fixture_dir, tmp_path, capsys):
         # The fixture's home region spends nothing on education.
@@ -446,6 +449,40 @@ class TestCompare:
         assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "schooling"]) == 1
         assert "Education" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("own_use, extensions", [
+        (1.5, ("labour",)), (1.5, ()), (1.0 - 2.0 ** -21, ("labour",))],
+        ids=["labour", "none", "within the margin"])
+    def test_unproductive_account_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                               own_use, extensions):
+        # Balanced, with unit output, but S0 uses ``own_use`` units of its own
+        # output per unit; S1 carries the only labour (30 hours) and the only
+        # home demand. 1 - 2^-21 solves exactly, to a bound of 1 - 2^-21,
+        # which is within PRODUCTIVITY_MARGIN of 1.
+        fx = tmp_path / "fx"
+        fixtures.write_fixture_set(1, 2, 0, fx)
+        labour = model.ExtensionAccount(
+            name="labour", unit="hours", stressors=fixtures.LABOUR_STRESSORS,
+            rows=np.tile([0.0, 5.0], (6, 1)), kind="labour")
+        Y = np.zeros((2, len(model.DEMAND_CATEGORIES)))
+        Y[:, model.DEMAND_CATEGORIES.index(model.CATEGORY_HOUSEHOLDS)] = [0.0, 0.5]
+        Y[:, model.DEMAND_CATEGORIES.index(model.CATEGORY_INVENTORY)] = [1.0 - own_use, 0.0]
+        layout = str(TestValidate.write_two_sector_account(
+            fx, [[own_use, 0.0], [0.0, 0.5]],
+            tuple(("R0", category) for category in model.DEMAND_CATEGORIES), Y,
+            {"labour": labour} if extensions else None, x=(1.0, 1.0)))
+        for verb in ("compare", "footprint"):
+            out = tmp_path / verb
+            assert main([verb, "--layout", layout, "--params", str(fx / "params.json"),
+                         "--scenario", str(fx / "scenarios" / "baseline.json"),
+                         "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "spectral radius" in captured.err
+            assert ("too close to 1" in captured.err) == (own_use < 1.0)
+        assert main(["validate", "--layout", layout]) == 2
+        assert "— UNPRODUCTIVE" in capsys.readouterr().out
 
     def test_extension_selection(self, fixture_dir, tmp_path):
         rc = main(["compare", "--layout", str(fixture_dir / "layout.json"),
@@ -725,14 +762,16 @@ class TestFactorizationCache:
     def test_warm_run_maps_every_entry(self, fixture_dir, lu_factor_calls, monkeypatch):
         # A cold run parses, factorizes, and stores its LU after one solve.
         layout_path = fixture_dir / "layout.json"
-        algebra.productivity_check(cli._operator(fileio.ingest(layout_path)))
+        cold = fileio.ingest(layout_path)
+        indicators.report_variants(cold.account, cli._operator(cold), [])
 
         def no_copy(*args, **kwargs):
             raise AssertionError("a cache entry was copied into memory")
         monkeypatch.setattr(np, "fromfile", no_copy)
         ingested = fileio.ingest(layout_path)
         operator = cli._operator(ingested)
-        assert algebra.productivity_check(operator).productive
+        _, certificate = indicators.report_variants(ingested.account, operator, [])
+        assert certificate.productive
         assert len(lu_factor_calls) == 1
         lu, _ = operator._lu
         assert not (lu.flags.writeable or lu.flags.owndata)

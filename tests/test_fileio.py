@@ -363,6 +363,46 @@ class TestParseErrors:
         assert "layout.ingest_warnings[1]" in str(excinfo.value)
         assert "(R9, S77)" in str(excinfo.value)
 
+    # fixture(3, 5, 7): z.tsv and y.tsv have two header lines, x.tsv one. Each
+    # edit swaps two lines, drops one, or swaps two cells of the sector header
+    # line; a blank line after the headers then moves every body row down one.
+    @pytest.mark.parametrize("name, edit, message, row, column", [
+        ("z.tsv", ("swap", 3, 4), "row labels do not match column labels", 5, None),
+        ("z.tsv", ("drop", 3), "row labels do not match column labels", 5, None),
+        ("y.tsv", ("swap", 3, 4), "final-demand rows do not match the transaction index",
+         5, None),
+        ("x.tsv", ("swap", 2, 3), "total-output rows do not match the transaction index",
+         4, None),
+        ("z.tsv", ("cells", 3, 4), "column labels do not match row labels", 2, 4),
+        ("ext_labour.tsv", ("cells", 2, 3),
+         "extension columns do not match the transaction index", 2, 3),
+    ], ids=["z rows swapped", "z row dropped", "y rows swapped", "x rows swapped",
+            "z header cells swapped", "extension header cells swapped"])
+    def test_label_mismatch_names_its_row_or_column(self, tmp_path, name, edit, message,
+                                                    row, column):
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        header_rows = 1 if name == "x.tsv" else 2
+        kind, a, *b = edit
+        if kind == "swap":
+            lines[a], lines[b[0]] = lines[b[0]], lines[a]
+        elif kind == "drop":
+            del lines[a]
+        else:
+            cells = lines[header_rows - 1].split("\t")
+            cells[a], cells[b[0]] = cells[b[0]], cells[a]
+            lines[header_rows - 1] = "\t".join(cells)
+        lines.insert(header_rows, "")
+        path.write_text("\n".join(lines) + "\n")
+        # Cold, then warm from the parse cache: the same row and column.
+        for _ in ("cold", "warm"):
+            with pytest.raises(ParseError) as excinfo:
+                fileio.ingest(layout_path)
+            error = excinfo.value
+            assert (error.path, error.row, error.column) == (str(path), row, column)
+            assert error.message == f"{message}: found 'R0 / S2' where 'R0 / S1' is expected"
+
     def test_missing_unit_label(self, written_set, tmp_path):
         _, layout_path = written_set
         descriptor = json.loads(layout_path.read_text())
@@ -600,7 +640,8 @@ class TestCache:
         rows = [line.split("\t") for line in z_path.read_text().splitlines()]
         entry = _z_entry(layout_path).with_suffix("")
         fileio._cache_store(entry, np.array([[float(c) for c in row[2:]] for row in rows[2:]]),
-                            {"headers": rows[:2], "labels": [row[:2] for row in rows[2:]]})
+                            {"headers": rows[:2], "labels": [row[:2] for row in rows[2:]],
+                             "linenos": list(range(3, len(rows) + 1))})
         assert entry.with_suffix(".npy").exists()
         assert fileio._grid_load(entry, 2, 2, nonnegative=True) is None
         with pytest.raises(ParseError) as excinfo:
@@ -652,12 +693,14 @@ class TestFixtureSet:
 
 
 def _parse(path, index_cols=2, header_rows=2, delimiter="\t"):
-    """A grid parsed by the pipeline, or the ParseError it raises."""
+    """A grid parsed by the pipeline, its bytes with its rows' lines, or the
+    ParseError it raises."""
     try:
-        headers, labels, matrix = fileio._parse_grid(path, delimiter, index_cols, header_rows)
+        headers, labels, matrix, linenos = fileio._parse_grid(path, delimiter, index_cols,
+                                                              header_rows)
     except ParseError as exc:
         return str(exc), exc.path, exc.row, exc.column
-    return headers, labels, matrix.shape, matrix.tobytes()
+    return headers, labels, matrix.shape, (matrix.tobytes(), linenos)
 
 
 # Span sizes: one byte, so that each line is a span; sizes that cut the
@@ -817,8 +860,9 @@ class TestParallelGrids:
         for k in (len(lines), 10, 9, 2):
             lines.insert(k, "")
         path.write_bytes((ending.join(lines) + ending * 2).encode())
-        headers, labels, shape, _ = _compare(monkeypatch, path)
+        headers, labels, shape, (_, linenos) = _compare(monkeypatch, path)
         assert shape == (15, 15) and len(labels) == 15
+        assert linenos == [k + 1 for k, line in enumerate(lines) if line][2:]
 
     def test_quoted_label_holding_the_delimiter(self, tmp_path, monkeypatch):
         account = fixtures.fixture(2, 2, 3)

@@ -85,7 +85,8 @@ def one_column_reports(account, y, gfcf=None, home_region="R0", category_codes=N
         category_codes = np.full(n, len(scenario.CONSUMPTION_SPENDING_CATEGORIES))
     group_labels, group_codes = groups or (("all",), np.zeros(n, dtype=int))
     operator = algebra.LeontiefOperator(account.Z, account.x)
-    variants = indicators.report_variants(account, operator, names or list(account.extensions))
+    variants, _ = indicators.report_variants(account, operator,
+                                             names or list(account.extensions))
     y, gfcf = np.asarray(y, dtype=float)[:, np.newaxis], gfcf[:, np.newaxis]
     [reports] = indicators.footprint_reports(
         account, variants, [("test", home_region)], y, gfcf, operator.apply(y + gfcf),
@@ -292,7 +293,7 @@ class TestMaterialIndicators:
         # footprint is its row sum: ores 6, overburden 4.
         y = x - Z.sum(axis=1)
         return {v.name: (v.labels, float(v.multipliers @ y))
-                for v in indicators.report_variants(account, operator, ["materials"])}
+                for v in indicators.report_variants(account, operator, ["materials"])[0]}
 
     def test_unknown_extension_name_raises_mrio_error(self, account_357):
         operator = algebra.LeontiefOperator(account_357.Z, account_357.x)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import technical_coefficients
-from mrio_footprint import algebra, fixtures, model
+from mrio_footprint import algebra, fixtures, indicators, model
 from mrio_footprint.errors import NegativeEntry, UnknownCategory, UnknownRegion
 
 
@@ -48,9 +48,23 @@ class TestFixture:
 
     def test_productive(self):
         account = fixtures.fixture(3, 5, 7)
-        A = technical_coefficients(account.Z, account.x)
-        estimate = algebra.productivity_check(algebra.factorize(A))
+        operator = algebra.LeontiefOperator(account.Z, account.x)
+        _, estimate = indicators.report_variants(account, operator, list(account.extensions))
         assert estimate.productive and estimate.spectral_radius < 0.8
+
+    def test_row_and_column_sum_bounds_dominate_the_spectral_radius(self):
+        # The criterion-1 fixtures. The certificate bounds rho by L's column
+        # sums, 1 - 1/max(1^T L); the row sums of the dense inverse give the
+        # other Collatz-Wielandt bound, 1 - 1/max(L 1).
+        for seed in range(200):
+            account = fixtures.fixture(seed % 6 + 1, seed % 8 + 1, seed)
+            A = technical_coefficients(account.Z, account.x)
+            rho = max(abs(np.linalg.eigvals(A)))
+            row_bound = 1.0 - 1.0 / max(np.linalg.inv(np.eye(len(A)) - A).sum(axis=1))
+            _, estimate = indicators.report_variants(
+                account, algebra.LeontiefOperator(account.Z, account.x), [])
+            assert row_bound >= rho - 1e-12
+            assert estimate.spectral_radius >= rho - 1e-12
 
     def test_extension_set(self, account_357):
         assert set(account_357.extensions) == {"labour", "energy", "emissions", "material"}
