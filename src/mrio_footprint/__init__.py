@@ -59,7 +59,6 @@ from .scenario import (
     dining_out_adjustment,
     load_concordance,
     load_scenario_spec,
-    scale_gfcf,
 )
 
 __version__ = "0.1.0"

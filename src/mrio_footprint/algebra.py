@@ -110,15 +110,12 @@ def _as_vector(values: np.ndarray, dim: int, name: str) -> np.ndarray:
 
 
 def _column_scale(x: np.ndarray, n: int) -> np.ndarray:
-    """1 / x[j] per column of Z, zero for inactive sectors (output <= ZERO_OUTPUT_EPS)."""
+    """1 / x[j] per column of Z: the intensity of a row of ones, zero for inactive sectors."""
     xv = _as_vector(x, n, "x")
     if np.any(xv < 0):
         i = int(np.argmin(xv))
         raise NegativeEntry(f"x[{i}] = {xv[i]} is negative")
-    active = xv > ZERO_OUTPUT_EPS
-    scale = np.zeros(n)
-    scale[active] = 1.0 / xv[active]
-    return scale
+    return intensity(np.ones(n), xv)
 
 
 @dataclass(frozen=True)

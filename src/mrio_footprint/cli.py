@@ -99,12 +99,11 @@ def _load_specs(paths: list[Path], home_region: str | None,
 
 
 def _run(args, compare: bool = False) -> tuple[
-        Path, ConversionParams, list[tuple[ScenarioSpec, list[FootprintReport]]]]:
+        Path, list[tuple[ScenarioSpec, list[FootprintReport]]]]:
     """The shared run of ``footprint`` and ``compare``: checks every flag,
     file and spec, loads the inputs, makes every scenario's reports from one
     solve, then writes them to one directory per scenario, in spec order.
-    Returns the output directory, the conversion params and each spec with
-    its reports."""
+    Returns the output directory and each spec with its reports."""
     layout_path = _existing(args.layout)
     spec_paths = [Path(raw) for raw in args.scenario]
     for path in spec_paths:
@@ -174,7 +173,7 @@ def _run(args, compare: bool = False) -> tuple[
                    [row for report in scenario_reports for row in _report_rows(report)])
         _write_summary(out_dir / "summary.txt", layout_path, account, params, spec, region,
                        scenario_reports)
-    return out_root, params, runs
+    return out_root, runs
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +265,14 @@ def _comparison_rows(reports_per_scenario: list[list[FootprintReport]]):
                    _FMT(r.per_capita - first.per_capita)]
 
 
-def _plot_rows(reports_per_scenario: list[list[FootprintReport]],
-               params: ConversionParams) -> dict[str, list[list[str]]]:
+def _plot_rows(reports_per_scenario: list[list[FootprintReport]]) -> dict[str, list[list[str]]]:
     """Plot-ready stacked series mirroring the five result figures, by figure.
 
     Figures 1-4 cover labour (by category, origin, sector group, skill);
     figure 5 covers per-capita resource footprints split by origin plus
     direct use. Segment sums reproduce the underlying report totals (for
     figure 5, embedded plus direct use); figures 3 and 4 also give each
-    segment's percentage share.
+    segment's percentage share. Per-person values use each report's params.
     """
     figures: dict[str, list[list[str]]] = {}
 
@@ -287,21 +285,22 @@ def _plot_rows(reports_per_scenario: list[list[FootprintReport]],
             figures.setdefault(figure, []).append(
                 [figure, report.scenario, report.extension_name, label, _FMT(value), share, unit])
 
-    population = params.total_population
-    to_week = lambda v: indicators.hours_per_week_equivalent(v, params)
     for reports in reports_per_scenario:
         for report in reports:
-            origin = (("domestic", report.by_origin.domestic),
-                      ("imported", report.by_origin.imported))
+            params = report.params
+            origin = [("domestic", report.by_origin.domestic),
+                      ("imported", report.by_origin.imported)]
             if report.hours_week_equivalent is None:
-                segments = [(label, value / population) for label, value in origin]
                 if report.direct_use is not None:
-                    segments.append(("direct use", report.direct_use / population))
-                add("fig5", report, f"{report.unit}/person/year", segments)
+                    origin.append(("direct use", report.direct_use))
+                add("fig5", report, f"{report.unit}/person/year",
+                    [(label, indicators.per_capita(value, params.total_population))
+                     for label, value in origin])
                 continue
-            add("fig1", report, "hours/week",
-                [(c, to_week(v)) for c, v in report.by_category.items()])
-            add("fig2", report, "hours/week", [(label, to_week(v)) for label, v in origin])
+            for figure, segments in (("fig1", report.by_category.items()), ("fig2", origin)):
+                add(figure, report, "hours/week",
+                    [(label, indicators.hours_per_week_equivalent(value, params))
+                     for label, value in segments])
             add("fig3", report, report.unit, list(report.by_sector_group.items()), shares=True)
             add("fig4", report, report.unit, list((report.by_skill or {}).items()), shares=True)
     return figures
@@ -371,7 +370,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_footprint(args) -> int:
-    _, _, runs = _run(args)
+    _, runs = _run(args)
     for spec, reports in runs:
         for report in reports:
             print(f"{spec.name}/{report.extension_name}: "
@@ -380,13 +379,13 @@ def cmd_footprint(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out_dir, params, runs = _run(args, compare=True)
+    out_dir, runs = _run(args, compare=True)
     reports_per_scenario = [reports for _, reports in runs]
     _write_csv(out_dir / "comparison.csv", COMPARISON_HEADER,
                _comparison_rows(reports_per_scenario))
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
-    for figure, rows in _plot_rows(reports_per_scenario, params).items():
+    for figure, rows in _plot_rows(reports_per_scenario).items():
         _write_csv(plots / f"{figure}.csv", PLOT_HEADER, rows)
     print(f"compared {len(reports_per_scenario)} scenario(s) over "
           f"{len(reports_per_scenario[0])} report(s)")

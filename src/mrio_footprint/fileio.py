@@ -901,6 +901,12 @@ def _write_grid(path: Path, delimiter: str, headers: list[list[str]],
             shutil.copyfileobj(result(k), handle, PARALLEL_BYTES)
 
 
+def _column_headers(corner: list[str], columns: list[tuple[str, str]]) -> list[list[str]]:
+    """A grid's two header rows: the columns' regions, then ``corner`` and their second labels."""
+    return [[""] * len(corner) + [first for first, _ in columns],
+            corner + [second for _, second in columns]]
+
+
 def write_account(account: MrioAccount, out_dir: str | Path,
                   delimiter_name: str = "tab") -> Path:
     """Emit an account as an ingestible file set; returns the layout path.
@@ -914,16 +920,10 @@ def write_account(account: MrioAccount, out_dir: str | Path,
     index = account.index
     pair_labels = index.labels()
 
-    region_header = ["", ""] + [r for r, _ in pair_labels]
-    sector_header = ["region", "sector"] + [s for _, s in pair_labels]
-    _write_grid(out_dir / "z.tsv", delim, [region_header, sector_header],
+    _write_grid(out_dir / "z.tsv", delim, _column_headers(["region", "sector"], pair_labels),
                 pair_labels, account.Z)
-
-    y_region_header = ["", ""] + [r for r, _ in account.y_columns]
-    y_category_header = ["region", "sector"] + [c for _, c in account.y_columns]
-    _write_grid(out_dir / "y.tsv", delim, [y_region_header, y_category_header],
-                pair_labels, account.Y)
-
+    _write_grid(out_dir / "y.tsv", delim,
+                _column_headers(["region", "sector"], account.y_columns), pair_labels, account.Y)
     _write_grid(out_dir / "x.tsv", delim, [["region", "sector", "total_output"]],
                 pair_labels, account.x[:, np.newaxis])
 
@@ -931,9 +931,7 @@ def write_account(account: MrioAccount, out_dir: str | Path,
     for name in account.extensions:
         ext = account.extensions[name]
         filename = f"ext_{name}.tsv"
-        ext_region_header = [""] + [r for r, _ in pair_labels]
-        ext_sector_header = ["stressor"] + [s for _, s in pair_labels]
-        _write_grid(out_dir / filename, delim, [ext_region_header, ext_sector_header],
+        _write_grid(out_dir / filename, delim, _column_headers(["stressor"], pair_labels),
                     [(label,) for label in ext.stressors], ext.rows)
         direct_file = None
         if ext.direct is not None:
@@ -942,11 +940,9 @@ def write_account(account: MrioAccount, out_dir: str | Path,
                     f"extension {name!r} has direct use for regions {sorted(ext.direct)}, "
                     f"not one value for each account region {list(index.regions)}")
             direct_file = f"direct_{name}.tsv"
-            with (out_dir / direct_file).open("w", newline="", encoding="utf-8") as handle:
-                out = _writer(handle, delim)
-                out.writerow(["region", "value"])
-                for region in index.regions:
-                    out.writerow([region, format_number(ext.direct[region])])
+            _write_grid(out_dir / direct_file, delim, [["region", "value"]],
+                        [(region,) for region in index.regions],
+                        np.array([[ext.direct[region]] for region in index.regions], dtype=float))
         entry: dict = {"name": name, "file": filename, "unit": ext.unit}
         if ext.kind is not None:
             entry["kind"] = ext.kind

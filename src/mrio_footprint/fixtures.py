@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -184,13 +185,8 @@ def write_fixture_set(n_regions: int, n_sectors: int, seed: int,
         with (out_dir / name).open("w", newline="", encoding="utf-8") as handle:
             csv.writer(handle, delimiter="\t", lineterminator="\n").writerows(mapping.items())
 
-    params = fixture_conversion_params()
-    (out_dir / "params.json").write_text(json.dumps({
-        "working_age_population": params.working_age_population,
-        "total_population": params.total_population,
-        "weeks_worked_per_year": params.weeks_worked_per_year,
-        "working_life_share": params.working_life_share,
-    }, indent=2) + "\n", encoding="utf-8")
+    (out_dir / "params.json").write_text(
+        json.dumps(asdict(fixture_conversion_params()), indent=2) + "\n", encoding="utf-8")
 
     scenario_dir = out_dir / "scenarios"
     scenario_dir.mkdir(exist_ok=True)

@@ -169,7 +169,8 @@ class FootprintReport:
 
     ``total`` is the embedded footprint (domestic + imported); direct use is
     carried separately and never mixed into the embedded disaggregations.
-    ``hours_week_equivalent`` and ``by_skill`` are labour-only;
+    ``params`` are the conversion params the per-person values were made
+    with. ``hours_week_equivalent`` and ``by_skill`` are labour-only;
     ``direct_use`` applies to energy and emissions only.
     """
 
@@ -177,6 +178,7 @@ class FootprintReport:
     extension_name: str
     unit: str
     home_region: str
+    params: ConversionParams
     total: float
     per_capita: float
     by_origin: OriginSplit
@@ -311,6 +313,7 @@ def footprint_reports(account: MrioAccount, variants: list[ReportVariant],
                 extension_name=variant.name,
                 unit=extension.unit,
                 home_region=region,
+                params=params,
                 total=total,
                 per_capita=per_capita(total, params.total_population),
                 by_origin=OriginSplit(domestic=domestic[j], imported=total - domestic[j]),

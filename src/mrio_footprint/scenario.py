@@ -3,9 +3,9 @@
 A scenario is a set of annual national spending targets over 13 fixed
 categories. Applying one to a baseline rescales every sector's demand by its
 category's target/baseline ratio, so the composition of spending inside a
-category is preserved; capital formation is scaled separately as a single
-block. Factors above 1 are legal: a scenario can reallocate spending into a
-category beyond its baseline total.
+category is preserved; capital formation, the 13th category, is scaled by
+the same rule as one block. Factors above 1 are legal: a scenario can
+reallocate spending into a category beyond its baseline total.
 """
 
 from __future__ import annotations
@@ -207,41 +207,19 @@ def apply_scenario(y_base: np.ndarray, gfcf_base: np.ndarray, codes: np.ndarray,
                    spec: ScenarioSpec, index: RegionSectorIndex) -> tuple[np.ndarray, np.ndarray]:
     """Rescale a baseline demand vector and capital-formation vector to a spec.
 
-    Each sector's demand is multiplied by its category's factor, so
-    per-category sums land on the targets while within-category composition
-    is untouched. Unsorted sectors stay at zero. ``codes`` is as in
-    ``baseline_category_totals``.
+    Each sector's demand, and every capital-formation entry, is multiplied
+    by its category's factor, so category sums land on the targets while the
+    composition inside each is untouched. Unsorted sectors stay at zero.
+    ``codes`` is as in ``baseline_category_totals``.
     """
     y = np.asarray(y_base, dtype=float)
     gfcf = np.asarray(gfcf_base, dtype=float)
     baseline = baseline_category_totals(y, codes, index)
     baseline[GFCF_CATEGORY] = float(gfcf.sum())
-    targets = resolve_targets(spec, baseline)
-    factors = category_scaling_factors(
-        {c: baseline[c] for c in CONSUMPTION_SPENDING_CATEGORIES},
-        {c: targets[c] for c in CONSUMPTION_SPENDING_CATEGORIES},
-    )
-
-    # One slot per category, and a last, zero slot for unsorted sectors.
+    factors = category_scaling_factors(baseline, resolve_targets(spec, baseline))
+    # One slot per sector category, and a last, zero slot for unsorted sectors.
     factor_by_code = np.array([factors[c] for c in CONSUMPTION_SPENDING_CATEGORIES] + [0.0])
-    y_scenario = y * factor_by_code[codes]
-    gfcf_scenario = scale_gfcf(gfcf, targets[GFCF_CATEGORY])
-    return y_scenario, gfcf_scenario
-
-
-def scale_gfcf(gfcf_base: np.ndarray, target_total: float) -> np.ndarray:
-    """Scale every capital-formation entry proportionally to a new total."""
-    gfcf = np.asarray(gfcf_base, dtype=float)
-    if target_total < 0:
-        raise ValueError(f"capital-formation target must be nonnegative, got {target_total}")
-    if target_total == 0.0:
-        return np.zeros_like(gfcf)
-    base_total = float(gfcf.sum())
-    if base_total <= 0.0:
-        raise ZeroBaselineNonzeroTarget(
-            f"capital-formation target {target_total} with zero baseline total"
-        )
-    return gfcf * (target_total / base_total)
+    return y * factor_by_code[codes], gfcf * factors[GFCF_CATEGORY]
 
 
 def dining_out_adjustment(food_total: float, fraction: float) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, pipeline consistency, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import mrio_footprint
 from _oracles import technical_coefficients, total_row
-from mrio_footprint import algebra, cli, fileio, fixtures, indicators, model
+from mrio_footprint import algebra, cli, fileio, fixtures, indicators, model, scenario
 from mrio_footprint.cli import main
 
 
@@ -156,6 +157,20 @@ class TestValidate:
         payload = json.loads((out / "validation.json").read_text())
         assert payload["balance"]["violations"] == []
         assert payload["productivity"]["productive"] is True
+
+    def test_ingest_warnings_are_printed_and_recorded(self, fixture_dir, tmp_path, capsys):
+        layout_path = fixture_dir / "layout.json"
+        descriptor = json.loads(layout_path.read_text())
+        descriptor["ingest_warnings"] = [
+            {"region": "R0", "sector": "S1", "note": "zero output in the source year"}]
+        layout_path.write_text(json.dumps(descriptor))
+        out = tmp_path / "report"
+        assert main(["validate", "--layout", str(layout_path), "--out", str(out)]) == 0
+        assert ("warning: (R0, S1) zero output in the source year"
+                in capsys.readouterr().out.splitlines())
+        payload = json.loads((out / "validation.json").read_text())
+        assert payload["warnings"] == [
+            {"region": "R0", "sector": "S1", "note": "zero output in the source year"}]
 
 
 class TestFootprint:
@@ -313,6 +328,48 @@ class TestCompare:
                         + report_value(rows, "energy", "direct-use"))
             assert sum(float(r["value"]) for r in fig5) == pytest.approx(
                 expected / params["total_population"], rel=1e-9)
+
+    def test_plot_rows_follow_each_reports_params(self, account_357):
+        index = account_357.index
+        operator = algebra.LeontiefOperator(account_357.Z, account_357.x)
+        variants, _ = indicators.report_variants(account_357, operator,
+                                                 list(account_357.extensions))
+        y, gfcf = model.home_demand(account_357, "R0")
+        y, gfcf = np.column_stack([y, 0.5 * y]), np.column_stack([gfcf, gfcf])
+        codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
+        groups = indicators.sector_group_codes(fixtures.fixture_sector_groups(index), index)
+        params = fixtures.fixture_conversion_params()
+        reports = indicators.footprint_reports(
+            account_357, variants, [("first", "R0"), ("second", "R0")], y, gfcf,
+            operator.apply(y + gfcf), {"R0": 0}, codes, *groups, params)
+        other = dataclasses.replace(params, working_age_population=1.3e6,
+                                    total_population=2.5e6, weeks_worked_per_year=40.0)
+        reports[1] = [dataclasses.replace(report, params=other) for report in reports[1]]
+
+        figures = cli._plot_rows(reports)
+        for report in (report for scenario_reports in reports for report in scenario_reports):
+            origin = [("domestic", report.by_origin.domestic),
+                      ("imported", report.by_origin.imported)]
+            if report.hours_week_equivalent is None:
+                figure, unit = "fig5", f"{report.unit}/person/year"
+                if report.direct_use is not None:
+                    origin.append(("direct use", report.direct_use))
+                expected = [(label, indicators.per_capita(value,
+                                                          report.params.total_population))
+                            for label, value in origin]
+            else:
+                figure, unit = "fig1", "hours/week"
+                expected = [(label, indicators.hours_per_week_equivalent(value, report.params))
+                            for label, value in report.by_category.items()]
+            rows = [row for row in figures[figure]
+                    if row[1:3] == [report.scenario, report.extension_name]]
+            assert rows == [[figure, report.scenario, report.extension_name, label,
+                             fileio.format_number(value), "", unit]
+                            for label, value in expected]
+        # The first scenario's params would give the second's rows other values.
+        [energy] = [report for report in reports[1] if report.extension_name == "energy"]
+        row = next(row for row in figures["fig5"] if row[1:4] == ["second", "energy", "domestic"])
+        assert row[4] != fileio.format_number(energy.by_origin.domestic / params.total_population)
 
     def test_unknown_scenario_exits_one(self, fixture_dir, tmp_path, capsys):
         rc = main(["compare", "--layout", str(fixture_dir / "layout.json"),

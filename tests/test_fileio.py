@@ -110,6 +110,25 @@ class TestParseErrors:
             gc.collect()
         assert [str(hook.exc_value) for hook in unraisable] == []
 
+    @pytest.mark.parametrize("name, edit, message, row", [
+        ("z.tsv", lambda lines: lines[:1], "file has no data rows", None),
+        ("z.tsv", lambda lines: [lines[0], "region\tsector", *lines[2:]],
+         "file has no data columns", 2),
+        ("z.tsv", lambda lines: [lines[0].rsplit("\t", 1)[0], *lines[1:]],
+         "header rows have different lengths", 1),
+        ("x.tsv", lambda lines: [line + "\t1" for line in lines],
+         "total-output file must have exactly one value column", None),
+    ], ids=["no data rows", "no data columns", "header lengths", "two output columns"])
+    def test_grid_structure_names_the_file(self, written_set, tmp_path, name, edit, message,
+                                           row):
+        _, layout_path = written_set
+        path = tmp_path / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert (excinfo.value.message, excinfo.value.path, excinfo.value.row) == (
+            message, str(path), row)
+
     @staticmethod
     def _set_cell(path, line, cell, text):
         lines = path.read_text().splitlines()

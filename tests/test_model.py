@@ -1,13 +1,19 @@
 """Account model tests: indexing, fixtures, balance, home demand."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _oracles import technical_coefficients
 from mrio_footprint import algebra, fixtures, indicators, model
-from mrio_footprint.errors import NegativeEntry, UnknownCategory, UnknownRegion
+from mrio_footprint.errors import (
+    DimensionMismatch,
+    NegativeEntry,
+    UnknownCategory,
+    UnknownRegion,
+)
 
 
 class TestRegionSectorIndex:
@@ -29,6 +35,25 @@ class TestRegionSectorIndex:
     def test_duplicate_codes_rejected(self):
         with pytest.raises(ValueError):
             model.RegionSectorIndex(("R0", "R0"), ("S0",))
+
+    def test_repeated_sector_rejected(self):
+        with pytest.raises(ValueError, match="^sector names are not unique$"):
+            model.RegionSectorIndex(("R0",), ("S0", "S1", "S0"))
+
+
+class TestExtensionAccount:
+    @pytest.mark.parametrize("change, error, message", [
+        ({"unit": ""}, ValueError, "extension 'e' has no unit label"),
+        ({"stressors": ("a", "a")}, ValueError, "extension 'e' has duplicate stressor labels"),
+        ({"rows": np.ones((3, 4))}, DimensionMismatch,
+         r"extension 'e': 2 stressor labels but row block of shape \(3, 4\)"),
+        ({"rows": np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])}, NegativeEntry,
+         "extension 'e' stressor 'b' has negative entries"),
+    ], ids=["empty unit", "repeated stressor", "row block height", "negative cell"])
+    def test_bad_extension_rejected(self, change, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            model.ExtensionAccount(**{"name": "e", "unit": "t", "stressors": ("a", "b"),
+                                      "rows": np.ones((2, 4))} | change)
 
 
 class TestFixture:
@@ -96,6 +121,27 @@ class TestFixture:
                 index=account_357.index, Z=Z, Y=account_357.Y,
                 y_columns=account_357.y_columns, x=account_357.x,
                 extensions=account_357.extensions, year=account_357.year)
+
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda a: {"Z": a.Z[1:]}, DimensionMismatch, r"Z shape \(14, 15\) != \(15, 15\)"),
+        (lambda a: {"Y": a.Y[1:]}, DimensionMismatch, r"Y shape \(14, 15\) does not have 15 rows"),
+        (lambda a: {"Y": a.Y[:, 0]}, DimensionMismatch, r"Y shape \(15,\) does not have 15 rows"),
+        (lambda a: {"y_columns": a.y_columns[1:]}, DimensionMismatch,
+         "Y has 15 columns but 14 column labels"),
+        (lambda a: {"x": a.x[1:]}, DimensionMismatch, r"x shape \(14,\) != \(15,\)"),
+        (lambda a: {"x": np.where(np.arange(15) == 4, -1.0, a.x)}, NegativeEntry,
+         "total output contains negative entries"),
+        (lambda a: {"extensions": {"energy": replace(a.extensions["energy"],
+                                                     rows=a.extensions["energy"].rows[:, 1:])}},
+         DimensionMismatch, "extension 'energy' has 14 columns, expected 15"),
+    ], ids=["Z shape", "Y rows", "Y one-dimensional", "Y column labels", "x shape",
+            "negative x", "extension width"])
+    def test_bad_account_rejected(self, account_357, change, error, message):
+        fields = {"index": account_357.index, "Z": account_357.Z, "Y": account_357.Y,
+                  "y_columns": account_357.y_columns, "x": account_357.x,
+                  "extensions": account_357.extensions, "year": account_357.year}
+        with pytest.raises(error, match=f"^{message}$"):
+            model.MrioAccount(**fields | change(account_357))
 
 
 class TestValidateBalance:

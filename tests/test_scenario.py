@@ -231,21 +231,33 @@ class TestApplyScenario:
 
 
 class TestGfcf:
+    """Capital formation is scaled by its category's target/baseline factor."""
+
+    INDEX = model.RegionSectorIndex(("R0",), ("S0", "S1"))
+
+    def apply(self, gfcf, target):
+        codes = scenario.category_codes({"S0": scenario.HOUSING, "S1": scenario.CLOTHING},
+                                        self.INDEX)
+        targets = {} if target is None else {GFCF_CATEGORY: target}
+        spec = ScenarioSpec(name="gfcf", home_region="R0", category_targets=targets)
+        return scenario.apply_scenario(np.array([1.0, 2.0]), gfcf, codes, spec, self.INDEX)[1]
+
     def test_zero_target_zeroes_the_vector(self):
-        scaled = scenario.scale_gfcf(np.array([100.0, 300.0]), 0.0)
-        np.testing.assert_array_equal(scaled, np.zeros(2))
+        scaled = self.apply(np.array([100.0, 300.0]), 0.0)
+        assert scaled.tobytes() == np.zeros(2).tobytes()
 
     def test_matching_target_is_identity(self):
         base = np.array([100.0, 300.0])
-        np.testing.assert_array_equal(scenario.scale_gfcf(base, 400.0), base)
+        assert self.apply(base, None).tobytes() == base.tobytes()
 
     def test_hand_ratio(self):
-        np.testing.assert_allclose(scenario.scale_gfcf(np.array([100.0, 300.0]), 200.0),
+        np.testing.assert_allclose(self.apply(np.array([100.0, 300.0]), 200.0),
                                    np.array([50.0, 150.0]), rtol=1e-15)
 
     def test_zero_base_nonzero_target(self):
-        with pytest.raises(ZeroBaselineNonzeroTarget):
-            scenario.scale_gfcf(np.zeros(2), 10.0)
+        with pytest.raises(ZeroBaselineNonzeroTarget,
+                           match="'Gross fixed capital formation' has target 10.0"):
+            self.apply(np.zeros(2), 10.0)
 
 
 def test_factor_fills_absent_public_admin_target(account_357, demand_357, codes_357):
@@ -341,7 +353,11 @@ class TestFileFormats:
     @pytest.mark.parametrize("change", [
         {"category_targets": [1]}, {"category_targets": "none"},
         {"name": ""}, {"name": "."}, {"name": ".."}, {"name": "a/b"},
-        {"name": "a\\b"}, {"name": "a\0b"},
+        {"name": "a\\b"}, {"name": "a\0b"}, {"government_factor": 1.5},
+        {"adjustments": [{"source": "Yachts", "fraction": 0.5}]},
+        {"adjustments": [{"source": scenario.GROCERIES, "fraction": 0.5,
+                          "destination": "Yachts"}]},
+        {"adjustments": [{"source": scenario.GROCERIES, "fraction": 1.5}]},
     ], ids=repr)
     def test_bad_spec_names_the_spec_file(self, tmp_path, change):
         path = tmp_path / "bad.json"
