@@ -10,8 +10,8 @@ The quantity model used throughout the package:
 The kernels do not modify their inputs. Solves go through one reusable LU
 factorization of (I - A), built from Z and x without forming A; the explicit
 inverse is never built. The LU and its solves are LAPACK's dgetrf and dgetrs,
-called through the compiled wrappers that scipy.linalg.lu_factor and lu_solve
-call, loaded without the scipy.linalg package. A LeontiefOperator without a
+called through ``ctypes`` in the OpenBLAS that numpy's own matrix products
+run in, so a process loads one BLAS. A LeontiefOperator without a
 store keeps its LU unchanged after construction. One with a store solves on
 the saved LU as the store gives it, a read-only mapped file included, and may
 replace it by a fresh factorization and write the store inside a solve, so
@@ -21,14 +21,10 @@ concurrent callers must not share it unlocked.
 from __future__ import annotations
 
 import ctypes
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
+from numpy._core import _multiarray_umath
 
 from .errors import DimensionMismatch, NegativeEntry, UnproductiveEconomy
 
@@ -46,52 +42,89 @@ SOLVE_RESIDUAL_RTOL = 1e-10
 PRODUCTIVITY_MARGIN = 1e-6
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK module, without running scipy.linalg's package
-    init, which costs more than numpy's own import. ``import scipy`` alone has
-    put scipy's OpenBLAS where the loader finds it."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(scipy.__path__[0], "linalg")])
-    if spec is None:
-        raise ImportError(f"{name} not found in the scipy at {scipy.__path__[0]}")
-    module = importlib.util.module_from_spec(spec)
-    # Registered, so a later scipy.linalg import shares this module.
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+def _load_lapack():
+    """numpy's core module as a library, and the ``dgetrf``/``dgetrs`` that
+    symbol lookup in it finds, with their LAPACK integer type. Lookup in a
+    loaded library also searches the libraries it is linked against, so this
+    reaches the OpenBLAS that runs numpy's own products: scipy-openblas
+    builds export ``scipy_dgetrf_64_``, other ILP64 builds ``dgetrf_64_`` and
+    LP64 builds ``dgetrf_``."""
+    path = _multiarray_umath.__file__
+    library = ctypes.CDLL(path)
+    for prefix, suffix, integer in (("scipy_", "_64_", ctypes.c_int64),
+                                    ("", "_64_", ctypes.c_int64), ("", "_", ctypes.c_int32)):
+        try:
+            getrf, getrs = (getattr(library, f"{prefix}dgetr{kind}{suffix}") for kind in "fs")
+        except AttributeError:
+            continue
+        pointer = ctypes.POINTER(integer)
+        # dgetrf(m, n, a, lda, ipiv, info)
+        getrf.argtypes = [pointer, pointer, ctypes.c_void_p, pointer, ctypes.c_void_p, pointer]
+        # dgetrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info, length of trans)
+        getrs.argtypes = [ctypes.c_char_p, pointer, pointer, ctypes.c_void_p, pointer,
+                          ctypes.c_void_p, ctypes.c_void_p, pointer, pointer, ctypes.c_size_t]
+        getrf.restype = getrs.restype = None
+        return library, getrf, getrs, integer
+    raise ImportError(f"no LAPACK dgetrf/dgetrs found through numpy's core module {path}")
 
 
-_flapack = _load_flapack()
+_openblas, _getrf, _getrs, _lapack_int = _load_lapack()
+_LAPACK_INT = np.dtype(_lapack_int)
+
+
+def _check_lu(lu: np.ndarray, name: str) -> int:
+    """The order n of a square float64 matrix; ValueError for anything else,
+    before LAPACK reads it through a raw pointer."""
+    if not (isinstance(lu, np.ndarray) and lu.dtype == np.float64 and lu.ndim == 2
+            and lu.shape[0] == lu.shape[1]):
+        raise ValueError(f"{name} must be a square float64 matrix, got "
+                         f"{getattr(lu, 'dtype', type(lu).__name__)} of shape {np.shape(lu)}")
+    return lu.shape[0]
 
 
 def lu_factor(a: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(lu, piv) of a float64 matrix by LAPACK dgetrf, bit for bit what
-    ``scipy.linalg.lu_factor`` returns: L and U in one Fortran-ordered array,
-    and 0-based pivots. ``a`` is overwritten only when it is Fortran-ordered
-    float64 and ``overwrite_a`` is set. An exactly singular matrix gives a zero
-    on U's diagonal and no error; the solves' checks decide about it."""
-    if np.size(a) == 0:  # LAPACK rejects an empty matrix, scipy does not
-        return np.empty(np.shape(a), order="F"), np.empty(0, dtype=np.int32)
-    lu, piv, info = _flapack.dgetrf(a, overwrite_a=overwrite_a)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
-    return lu, piv
+    """(lu, piv) of a square float64 matrix by LAPACK dgetrf: L and U in one
+    Fortran-ordered array, and 0-based int32 pivots. ``a`` is overwritten
+    only when it is a writeable Fortran-ordered array and ``overwrite_a`` is
+    set. An exactly singular matrix gives a zero on U's diagonal and no
+    error; the solves' checks decide about it."""
+    n = _check_lu(a, "a")
+    in_place = overwrite_a and a.flags.f_contiguous and a.flags.writeable
+    lu = a if in_place else np.array(a, order="F")
+    if n == 0:  # LAPACK rejects a leading dimension of 0
+        return lu, np.empty(0, dtype=np.int32)
+    ipiv = np.empty(n, dtype=_LAPACK_INT)
+    order, info = _lapack_int(n), _lapack_int()
+    _getrf(order, order, lu.ctypes.data, order, ipiv.ctypes.data, info)
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of LAPACK dgetrf")
+    return lu, np.subtract(ipiv, 1, dtype=np.int32)
 
 
 def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray,
              trans: int = 0) -> np.ndarray:
     """Solve a x = b (``trans`` 0) or a^T x = b (``trans`` 1) for a vector or
-    a block b, given ``lu_factor(a)``, by LAPACK dgetrs, bit for bit as
-    ``scipy.linalg.lu_solve``."""
-    if np.size(b) == 0:
-        return np.empty(np.shape(b))
+    a block b, given ``lu_factor(a)``, by LAPACK dgetrs. ``b`` is never
+    written; a block solution is Fortran-ordered."""
     lu, piv = lu_and_piv
-    x, info = _flapack.dgetrs(lu, piv, b, trans=trans)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
+    n = _check_lu(lu, "lu")
+    if not (isinstance(piv, np.ndarray) and piv.shape == (n,)
+            and np.issubdtype(piv.dtype, np.integer) and np.all((piv >= 0) & (piv < n))):
+        raise ValueError(f"piv must hold {n} integer pivots in [0, {n})")
+    x = np.array(b, dtype=np.float64, order="F")
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"b must have {n} rows, got shape {x.shape}")
+    if trans not in (0, 1):
+        raise ValueError(f"trans must be 0 or 1, got {trans!r}")
+    if x.size == 0:
+        return x
+    # Named, so that a copy made here lives until LAPACK has read it.
+    factors, ipiv = np.asfortranarray(lu), np.add(piv, 1, dtype=_LAPACK_INT)
+    order, info = _lapack_int(n), _lapack_int()
+    _getrs(b"T" if trans else b"N", order, _lapack_int(x.size // n), factors.ctypes.data,
+           order, ipiv.ctypes.data, x.ctypes.data, order, info, 1)
+    if info.value != 0:
+        raise ValueError(f"illegal value in argument {-info.value} of LAPACK dgetrs")
     return x
 
 
@@ -216,17 +249,23 @@ class LeontiefOperator:
             raise DimensionMismatch(
                 f"intensity rows must have {self.dim} columns, got shape {rows.shape}")
         # M (I - A) = S is (I - A)^T M^T = S^T: the same check on the
-        # transpose, with A^T M^T = diag(1/x) Z^T M^T = (M Z diag(1/x))^T.
+        # transpose, with A^T M^T = diag(1/x) Z^T M^T. Z^T M^T reads Z by
+        # columns, which is faster than M Z; scaling its transpose by 1/x
+        # scales the rows of a block and the one row of a vector alike.
         transposed = self._solve(
             rows.T, 1,
-            lambda mt: _check_solution(mt, ((mt.T @ self._Z) * self._scale).T, rows.T))
+            lambda mt: _check_solution(mt, (self._scale * (self._Z.T @ mt).T).T, rows.T))
         return np.ascontiguousarray(transposed.T)
 
 
 def _fits(lu, piv: np.ndarray, n: int) -> bool:
-    """Whether a saved (lu, piv) pair has the shapes and types of an n x n LU."""
+    """Whether a saved (lu, piv) pair has the shapes and types of an n x n LU
+    that ``lu_solve`` reads where it lies: Fortran-ordered, so a mapped entry
+    is never copied."""
     return bool(isinstance(lu, np.ndarray) and lu.dtype == np.float64
-                and lu.shape == (n, n) and piv.shape == (n,)
+                and lu.shape == (n, n) and lu.flags.f_contiguous
+                and isinstance(piv, np.ndarray) and piv.shape == (n,)
+                and np.issubdtype(piv.dtype, np.integer)
                 and np.all((piv >= 0) & (piv < n)))
 
 
@@ -259,22 +298,18 @@ def factorize(A: np.ndarray) -> LeontiefOperator:
 
 
 def factorization_identity() -> str | None:
-    """What fixes the bits of an LU besides the matrix: the numpy and scipy
-    versions, and the build, CPU core and thread count of the OpenBLAS that
-    scipy's LAPACK calls. None when that BLAS cannot be identified."""
+    """What fixes the bits of an LU besides the matrix: the numpy version,
+    and the build, CPU core and thread count of the OpenBLAS that runs
+    numpy's products and the LU. None when that BLAS cannot be identified."""
     try:
-        # Symbol lookup in scipy's LAPACK module also searches the OpenBLAS
-        # it is linked against.
-        openblas = ctypes.CDLL(_flapack.__file__)
-        config, core, threads = (getattr(openblas, f"scipy_openblas_{name}")
+        config, core, threads = (getattr(_openblas, f"scipy_openblas_{name}64_")
                                  for name in ("get_config", "get_corename", "get_num_threads"))
-    except (OSError, AttributeError):
+    except AttributeError:
         return None
     for function, restype in ((config, ctypes.c_char_p), (core, ctypes.c_char_p),
                               (threads, ctypes.c_int)):
         function.argtypes, function.restype = [], restype
-    return (f"numpy {np.__version__}; scipy {scipy.__version__}; "
-            f"{config().decode('ascii', 'replace')}; "
+    return (f"numpy {np.__version__}; {config().decode('ascii', 'replace')}; "
             f"core {core().decode('ascii', 'replace')}; threads {threads()}")
 
 

@@ -25,6 +25,10 @@ class NegativeEntry(MrioError):
     """A value that must be nonnegative is negative (corrupt input)."""
 
 
+class NonFiniteEntry(MrioError):
+    """A value is nan or infinite (corrupt input)."""
+
+
 class UnproductiveEconomy(MrioError):
     """The coefficient matrix does not admit a Leontief solution
     (spectral radius >= 1, singular system, or failed residual check)."""

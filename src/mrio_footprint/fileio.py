@@ -41,7 +41,7 @@ import numpy as np
 from .errors import (POSITIVE, DimensionMismatch, MissingStressorLabel, MrioError,
                      ParseError, UnitMismatch, read_json, read_pairs, reading)
 from .model import (MATERIAL_UNUSED, MATERIAL_USED, ExtensionAccount, MrioAccount,
-                    RegionSectorIndex, skill_of)
+                    RegionSectorIndex, bad_cell, skill_of)
 
 DEFAULT_HOURS_PER_WORKER_YEAR = 1840.0
 
@@ -228,21 +228,6 @@ def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
         linenos.append(lineno)
         rests.append(rest)
     return labels, linenos, rests
-
-
-def _bad_cell(matrix: np.ndarray, nonnegative: bool) -> tuple[int, int] | None:
-    """Position of the first cell that is nan or inf, or negative when
-    ``nonnegative``; None when there is none."""
-    # A finite sum proves every cell finite without an n x n mask; a sum that
-    # overflows on finite cells falls through to the cell check and passes.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(matrix.sum()) and not (nonnegative and matrix.min(initial=0.0) < 0):
-            return None
-    bad = ~np.isfinite(matrix)
-    if nonnegative:
-        bad |= matrix < 0
-    bad = np.argwhere(bad)
-    return (int(bad[0][0]), int(bad[0][1])) if bad.size else None
 
 
 def _cpus() -> int:
@@ -479,7 +464,7 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
                              row=None if exc.row is None else used + exc.row) from None
     if not labels:
         raise ParseError("file has no data rows", path=str(path))
-    cell = _bad_cell(matrix, nonnegative)
+    cell = bad_cell(matrix, nonnegative)
     if cell is not None:
         r, c = cell
         value = float(matrix[r, c])
@@ -609,7 +594,7 @@ def _grid_load(entry: Path, index_cols: int, header_rows: int, nonnegative: bool
                 and len(set(labels)) == len(labels))
     except (LookupError, TypeError):
         return None
-    if not fits or _bad_cell(matrix, nonnegative) is not None:
+    if not fits or bad_cell(matrix, nonnegative) is not None:
         return None
     return headers, labels, matrix, linenos
 

@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     MissingStressorLabel,
     NegativeEntry,
+    NonFiniteEntry,
     UnknownCategory,
     UnknownRegion,
 )
@@ -107,6 +108,30 @@ class RegionSectorIndex:
         return [(r, s) for r in self.regions for s in self.sectors]
 
 
+def bad_cell(values: np.ndarray, nonnegative: bool) -> tuple[int, ...] | None:
+    """Index of the first cell that is nan or inf, or negative when
+    ``nonnegative``; None when there is none."""
+    # A finite min and max prove every cell finite without a mask the size of
+    # the array: both reductions pass nan on, and an infinity is one of them.
+    low, high = values.min(initial=0.0), values.max(initial=0.0)
+    if np.isfinite(low) and np.isfinite(high) and not (nonnegative and low < 0):
+        return None
+    bad = ~np.isfinite(values)
+    if nonnegative:
+        bad |= values < 0
+    bad = np.argwhere(bad)
+    return tuple(int(i) for i in bad[0]) if bad.size else None
+
+
+def _negative_cell(values: np.ndarray, name: str, nonnegative: bool) -> tuple[int, ...] | None:
+    """The first negative cell of ``values`` when ``nonnegative``, else None.
+    A nan or inf cell is a NonFiniteEntry naming it as a cell of ``name``."""
+    cell = bad_cell(values, nonnegative)
+    if cell is not None and not np.isfinite(values[cell]):
+        raise NonFiniteEntry(f"{name}[{', '.join(map(str, cell))}] = {values[cell]} is not finite")
+    return cell
+
+
 def sector_codes(mapping: dict[str, str], labels: tuple[str, ...],
                  index: RegionSectorIndex) -> np.ndarray:
     """Position in ``labels`` of every region-sector's label, in flat
@@ -149,11 +174,10 @@ class ExtensionAccount:
                 f"extension {self.name!r}: {len(self.stressors)} stressor labels "
                 f"but row block of shape {self.rows.shape}"
             )
-        if np.any(self.rows < 0):
-            k = int(np.argwhere(self.rows < 0)[0][0])
-            raise NegativeEntry(
-                f"extension {self.name!r} stressor {self.stressors[k]!r} has negative entries"
-            )
+        cell = _negative_cell(self.rows, f"extension {self.name!r} rows", True)
+        if cell is not None:
+            raise NegativeEntry(f"extension {self.name!r} stressor "
+                                f"{self.stressors[cell[0]]!r} has negative entries")
 
     def stressor_row(self, label: str) -> np.ndarray:
         try:
@@ -206,10 +230,10 @@ class MrioAccount:
             )
         if self.x.shape != (n,):
             raise DimensionMismatch(f"x shape {self.x.shape} != ({n},)")
-        # A min screens for negative cells without an n x n mask.
-        if self.Z.min(initial=0.0) < 0:
+        if _negative_cell(self.Z, "Z", True) is not None:
             raise NegativeEntry("transaction matrix contains negative entries")
-        if np.any(self.x < 0):
+        _negative_cell(self.Y, "Y", False)  # inventory changes may be negative
+        if _negative_cell(self.x, "x", True) is not None:
             raise NegativeEntry("total output contains negative entries")
         for ext in self.extensions.values():
             if ext.rows.shape[1] != n:

@@ -16,8 +16,6 @@ Hand-verified 2x2 case used throughout:
 
 import numpy as np
 import pytest
-import scipy.linalg
-from scipy.linalg import lu_factor
 
 from _oracles import (power_series_solve, random_productive_matrix, relative_error,
                       technical_coefficients)
@@ -135,33 +133,79 @@ class TestLeontiefSolve:
 class TestLapackWrappers:
     @pytest.mark.parametrize("trans", [0, 1])
     @pytest.mark.parametrize("rhs", ["vector", "block", "transposed block"])
-    def test_bit_identical_to_scipy_linalg(self, rng, trans, rhs):
+    def test_solves_as_numpy_and_the_transposed_system(self, rng, trans, rhs):
         n = 80
         system = np.eye(n) - random_productive_matrix(rng, n)
         b = {"vector": lambda: rng.uniform(size=n),
              "block": lambda: rng.uniform(size=(n, 3)),
              # What multipliers passes: the transpose of a C-ordered block.
              "transposed block": lambda: rng.uniform(size=(3, n)).T}[rhs]()
+        given = b.copy()
         lu, piv = algebra.lu_factor(system)
-        expected_lu, expected_piv = scipy.linalg.lu_factor(system)
-        assert lu.tobytes() == expected_lu.tobytes()
-        assert piv.tobytes() == expected_piv.tobytes() and piv.dtype == expected_piv.dtype
+        assert lu.flags.f_contiguous and piv.dtype == np.int32
         solution = algebra.lu_solve((lu, piv), b, trans=trans)
-        expected = scipy.linalg.lu_solve((expected_lu, expected_piv), b, trans=trans)
-        assert solution.shape == expected.shape
-        assert solution.tobytes() == expected.tobytes()
+        assert solution.shape == b.shape and b.tobytes() == given.tobytes()
+        if trans == 0:
+            # np.linalg.solve is dgesv, dgetrf then dgetrs, in the same OpenBLAS.
+            assert solution.tobytes() == np.linalg.solve(system, b).tobytes()
+        else:
+            residual = np.max(np.abs(system.T @ solution - b))
+            assert residual <= 1e-13 * np.max(np.abs(b))
 
     def test_factorizes_a_fortran_buffer_in_place(self, rng):
         system = np.asfortranarray(np.eye(6) - random_productive_matrix(rng, 6))
-        expected_lu, _ = scipy.linalg.lu_factor(system)
-        lu, _ = algebra.lu_factor(system, overwrite_a=True)
+        expected_lu, expected_piv = algebra.lu_factor(system)
+        assert not np.shares_memory(expected_lu, system)
+        lu, piv = algebra.lu_factor(system, overwrite_a=True)
         assert np.shares_memory(lu, system)
         assert lu.tobytes() == expected_lu.tobytes()
+        assert piv.tobytes() == expected_piv.tobytes()
+
+    @pytest.mark.parametrize("layout", ["C-ordered", "read-only"])
+    def test_never_overwrites_a_buffer_it_cannot_factorize_in_place(self, rng, layout):
+        system = np.eye(6) - random_productive_matrix(rng, 6)
+        if layout == "read-only":
+            system = np.asfortranarray(system)
+            system.flags.writeable = False
+        given = system.copy()
+        lu, _ = algebra.lu_factor(system, overwrite_a=True)
+        assert lu.flags.f_contiguous and not np.shares_memory(lu, system)
+        assert system.tobytes() == given.tobytes()
 
     def test_empty_system(self):
         lu, piv = algebra.lu_factor(np.zeros((0, 0)))
         assert lu.shape == (0, 0) and piv.shape == (0,)
         assert algebra.lu_solve((lu, piv), np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 4)), np.zeros(3), np.eye(3, dtype=np.float32),
+                                   np.eye(3, dtype=int), [[1.0]]])
+    def test_factor_rejects_all_but_a_square_float64_matrix(self, a):
+        with pytest.raises(ValueError, match="must be a square float64 matrix"):
+            algebra.lu_factor(a)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda lu, piv, b: (lu[:, :-1], piv, b), "lu must be a square float64 matrix"),
+        (lambda lu, piv, b: (lu.astype(np.float32), piv, b), "lu must be a square float64"),
+        (lambda lu, piv, b: (lu, piv[:-1], b), r"piv must hold 4 integer pivots in \[0, 4\)"),
+        (lambda lu, piv, b: (lu, piv + 1, b), r"piv must hold 4 integer pivots"),
+        (lambda lu, piv, b: (lu, piv - 1, b), r"piv must hold 4 integer pivots"),
+        (lambda lu, piv, b: (lu, piv.astype(float), b), r"piv must hold 4 integer pivots"),
+        (lambda lu, piv, b: (lu, piv, b[:-1]), r"b must have 4 rows, got shape \(3,\)"),
+        (lambda lu, piv, b: (lu, piv, np.ones((5, 2))), r"b must have 4 rows, got shape \(5, 2\)"),
+        (lambda lu, piv, b: (lu, piv, np.ones((2, 2, 4))), "b must have 4 rows"),
+    ], ids=["lu not square", "lu float32", "piv short", "piv past n", "piv negative",
+            "piv float", "b vector short", "b block tall", "b three-dimensional"])
+    def test_solve_rejects_mismatched_arguments(self, rng, damage, message):
+        # LAPACK reads raw pointers: each mismatch is refused before the call.
+        lu, piv = algebra.lu_factor(np.eye(4) - random_productive_matrix(rng, 4))
+        lu, piv, b = damage(lu, piv, np.ones(4))
+        with pytest.raises(ValueError, match=message):
+            algebra.lu_solve((lu, piv), b)
+
+    def test_solve_rejects_an_unknown_trans(self):
+        lu_and_piv = algebra.lu_factor(np.eye(2))
+        with pytest.raises(ValueError, match="trans must be 0 or 1"):
+            algebra.lu_solve(lu_and_piv, np.ones(2), trans=2)
 
 
 class TestLeontiefOperator:
@@ -175,7 +219,7 @@ class TestLeontiefOperator:
             x[4] = 0.0
         lu, piv = algebra.LeontiefOperator(Z, x)._lu
         A = technical_coefficients(Z, x)
-        expected_lu, expected_piv = lu_factor(np.eye(len(x)) - A)
+        expected_lu, expected_piv = algebra.lu_factor(np.eye(len(x)) - A)
         assert lu.tobytes() == expected_lu.tobytes()
         assert piv.tobytes() == expected_piv.tobytes()
 

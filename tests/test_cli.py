@@ -733,7 +733,7 @@ class TestFactorizationCache:
     @pytest.fixture(autouse=True)
     def identified_blas(self):
         if algebra.factorization_identity() is None:
-            pytest.skip("the BLAS under scipy cannot be identified, so no LU is cached")
+            pytest.skip("numpy's OpenBLAS cannot be identified, so no LU is cached")
 
     def test_warm_compare_makes_no_factorization(self, fixture_dir, tmp_path, lu_factor_calls):
         assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
@@ -750,7 +750,8 @@ class TestFactorizationCache:
         assert tree_bytes(tmp_path / "loaded") == tree_bytes(tmp_path / "computed")
 
     @pytest.mark.parametrize("verb", ["compare", "validate"])
-    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape", "nan", "perturbed"])
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape", "C-ordered", "nan",
+                                        "perturbed"])
     def test_damaged_entry_is_refactorized_and_rewritten(
             self, fixture_dir, tmp_path, lu_factor_calls, damage, verb):
         assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
@@ -761,6 +762,9 @@ class TestFactorizationCache:
             entry.write_bytes(whole[: len(whole) // 2])
         elif damage == "wrong-shape":
             np.save(entry, lu[:-1, :-1])
+        elif damage == "C-ordered":
+            # The right numbers, but LAPACK could read them only from a copy.
+            np.save(entry, np.ascontiguousarray(lu))
         elif damage == "nan":
             np.save(entry, np.full_like(lu, np.nan))
         else:
@@ -869,7 +873,8 @@ class TestFactorizationCache:
 
 
 # Every verb in one fresh interpreter; the last line of its output is a JSON
-# list of the exit codes and whether scipy.linalg was imported.
+# list of the exit codes, the scipy and process-pool modules imported, and
+# the OpenBLAS libraries mapped (null where /proc/self/maps does not exist).
 EVERY_VERB = """
 import json, sys
 from mrio_footprint.cli import main
@@ -882,8 +887,15 @@ codes = [main(["fixture", "--regions", "3", "--sectors", "5", "--seed", "7", "--
          main(["footprint", *run, "--out", out + "/footprint"]),
          main(["compare", *run, "--scenario", fx + "/scenarios/halved.json",
                "--out", out + "/compare"])]
-print(json.dumps([codes, [name for name in ("scipy.linalg", "multiprocessing",
-                                             "concurrent.futures") if name in sys.modules]]))
+imported = [name for name in sys.modules
+            if name.split(".")[0] in ("scipy", "multiprocessing", "concurrent")]
+try:
+    with open("/proc/self/maps") as maps:
+        blas = sorted({line.split(None, 5)[-1].strip() for line in maps
+                       if "openblas" in line.lower()})
+except FileNotFoundError:
+    blas = None
+print(json.dumps([codes, imported, blas]))
 """
 
 
@@ -999,18 +1011,19 @@ def test_labour_stressor_without_a_skill_level_fails_at_ingest(fixture_dir, tmp_
 
 
 def test_no_verb_imports_scipy_linalg(tmp_path):
-    # The LU and its solves need scipy's LAPACK wrappers only; importing the
-    # scipy.linalg package would double the start-up time of a warm run.
-    # Grids this small are parsed and written in-process, so no verb loads
-    # the process-pool modules either.
+    # The LU and its solves run in numpy's own OpenBLAS, so no verb imports
+    # any scipy module or maps a second BLAS. Grids this small are parsed
+    # and written in-process, so no verb loads the process-pool modules
+    # either.
     source = str(Path(mrio_footprint.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [source, *filter(None, [os.environ.get("PYTHONPATH")])]))
     result = subprocess.run([sys.executable, "-c", EVERY_VERB, str(tmp_path)],
                             env=env, capture_output=True, text=True, check=True)
-    codes, imported = json.loads(result.stdout.splitlines()[-1])
+    codes, imported, blas = json.loads(result.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
     assert imported == []
+    assert blas is None or len(blas) == 1
 
 
 class TestFixtureCommand:

@@ -2,6 +2,7 @@
 none of one another's private names."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,19 @@ def package_imports(module: str) -> set[str]:
                 imported.update(alias.name for alias in node.names)
             else:
                 imported.add(node.module.split(".")[0])
+    return imported
+
+
+def external_imports(module: str) -> set[str]:
+    """The top-level names of the modules outside the package that ``module``
+    imports, at any depth of its code."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
     return imported
 
 
@@ -67,3 +81,17 @@ def test_fileio_needs_only_the_model():
 @pytest.mark.parametrize("module", LAYERS)
 def test_no_module_reads_a_private_name_of_another(module):
     assert private_names_read(module) == set()
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_no_module_imports_scipy(module):
+    # The LU and its solves run in numpy's OpenBLAS: one BLAS per process.
+    assert "scipy" not in external_imports(module)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        dependencies = tomllib.load(handle)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in dependencies] == ["numpy"]

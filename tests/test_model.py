@@ -11,6 +11,7 @@ from mrio_footprint import algebra, fixtures, indicators, model
 from mrio_footprint.errors import (
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     UnknownCategory,
     UnknownRegion,
 )
@@ -142,6 +143,27 @@ class TestFixture:
                   "extensions": account_357.extensions, "year": account_357.year}
         with pytest.raises(error, match=f"^{message}$"):
             model.MrioAccount(**fields | change(account_357))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array, cell", [("Z", (2, 3)), ("Y", (4, 1)), ("x", (6,)),
+                                             ("energy", (0, 5))])
+    def test_non_finite_cell_rejected(self, account_357, array, cell, value):
+        # nan passes a negative screen (nan < 0 is false) and would surface
+        # only as a failed Leontief solve. The first bad cell is named.
+        fields = {"index": account_357.index, "Z": account_357.Z, "Y": account_357.Y,
+                  "y_columns": account_357.y_columns, "x": account_357.x,
+                  "extensions": account_357.extensions, "year": account_357.year}
+        extension = account_357.extensions["energy"]
+        values = (extension.rows if array == "energy" else fields[array]).copy()
+        values[cell] = value
+        values.flat[-1] = np.nan
+        name = "extension 'energy' rows" if array == "energy" else array
+        where = ", ".join(map(str, cell))
+        with pytest.raises(NonFiniteEntry, match=rf"^{name}\[{where}\] = {value} is not finite$"):
+            if array == "energy":
+                replace(extension, rows=values)
+            else:
+                model.MrioAccount(**fields | {array: values})
 
 
 class TestValidateBalance:
