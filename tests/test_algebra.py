@@ -132,14 +132,14 @@ class TestLeontiefSolve:
 
 class TestLapackWrappers:
     @pytest.mark.parametrize("trans", [0, 1])
-    @pytest.mark.parametrize("rhs", ["vector", "block", "transposed block"])
+    @pytest.mark.parametrize("rhs", ["vector", "block", "block.T"])
     def test_solves_as_numpy_and_the_transposed_system(self, rng, trans, rhs):
         n = 80
         system = np.eye(n) - random_productive_matrix(rng, n)
         b = {"vector": lambda: rng.uniform(size=n),
              "block": lambda: rng.uniform(size=(n, 3)),
              # What multipliers passes: the transpose of a C-ordered block.
-             "transposed block": lambda: rng.uniform(size=(3, n)).T}[rhs]()
+             "block.T": lambda: rng.uniform(size=(3, n)).T}[rhs]()
         given = b.copy()
         lu, piv = algebra.lu_factor(system)
         assert lu.flags.f_contiguous and piv.dtype == np.int32
