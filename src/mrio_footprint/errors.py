@@ -26,7 +26,9 @@ class NegativeEntry(MrioError):
 
 
 class NonFiniteEntry(MrioError):
-    """A value is nan or infinite (corrupt input)."""
+    """A value is nan or infinite (corrupt input). From the account's screen,
+    this and NegativeEntry carry the array's name and the cell's index as
+    ``array`` and ``cell``."""
 
 
 class UnproductiveEconomy(MrioError):

@@ -39,9 +39,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (POSITIVE, DimensionMismatch, MissingStressorLabel, MrioError,
-                     ParseError, UnitMismatch, read_json, read_pairs, reading)
+                     NegativeEntry, NonFiniteEntry, ParseError, UnitMismatch, read_json,
+                     read_pairs, reading)
 from .model import (MATERIAL_UNUSED, MATERIAL_USED, ExtensionAccount, MrioAccount,
-                    RegionSectorIndex, bad_cell, skill_of)
+                    RegionSectorIndex, skill_of)
 
 DEFAULT_HOURS_PER_WORKER_YEAR = 1840.0
 
@@ -391,8 +392,7 @@ def _save_parse(grid, share: tuple[int, int], handle) -> None:
         pickle.dump((exc.message, exc.row, exc.column), handle)
 
 
-def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
-                nonnegative: bool = False):
+def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
     """Parse a grid file: its header rows, row labels, matrix and the file
     line of each row.
 
@@ -402,9 +402,9 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
     into a temporary file; the caller then reads the workers' rows, in
     order, straight into the joined matrix. A span that fails names its row
     within the span; every span before it is joined by then, so the row in
-    the file is known. Text that is not UTF-8, a cell that is not finite,
-    or negative when ``nonnegative``, and a row that repeats an earlier
-    row's labels, are ParseErrors naming their row.
+    the file is known. Text that is not UTF-8 and a row that repeats an
+    earlier row's labels are ParseErrors naming their row; the values of a
+    cell that is a number are left to the account's screen.
     """
     with reading(path):
         # The decoder reads ahead into the body, whose bad bytes are left to
@@ -464,12 +464,6 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int,
                              row=None if exc.row is None else used + exc.row) from None
     if not labels:
         raise ParseError("file has no data rows", path=str(path))
-    cell = bad_cell(matrix, nonnegative)
-    if cell is not None:
-        r, c = cell
-        value = float(matrix[r, c])
-        raise ParseError(f"{'negative' if np.isfinite(value) else 'non-finite'} value {value}",
-                         path=str(path), row=linenos[r], column=index_cols + c + 1)
     seen: set[tuple[str, ...]] = set()
     for label, lineno in zip(labels, linenos):
         if label in seen:
@@ -575,10 +569,10 @@ def _cache_store(entry: Path, matrix: np.ndarray, meta: dict) -> None:
         pass  # an unwritable cache only means the next run does the work again
 
 
-def _grid_load(entry: Path, index_cols: int, header_rows: int, nonnegative: bool):
+def _grid_load(entry: Path, index_cols: int, header_rows: int):
     """A cached grid, or None when the entry is missing, unreadable, does
-    not fit the grid it names or would fail a check of ``_parse_grid``, which
-    then parses the file again to name the bad row."""
+    not fit the grid it names or repeats a row label, which ``_parse_grid``
+    would reject: the file is then parsed again to name the bad row."""
     cached = _cache_load(entry)
     if cached is None:
         return None
@@ -594,27 +588,25 @@ def _grid_load(entry: Path, index_cols: int, header_rows: int, nonnegative: bool
                 and len(set(labels)) == len(labels))
     except (LookupError, TypeError):
         return None
-    if not fits or bad_cell(matrix, nonnegative) is not None:
-        return None
-    return headers, labels, matrix, linenos
+    return (headers, labels, matrix, linenos) if fits else None
 
 
 def _read_grid(path: Path, cache_dir: Path, delimiter: str, index_cols: int,
-               header_rows: int = 2, nonnegative: bool = False):
+               header_rows: int = 2):
     """Read a labelled grid: header rows, index columns, numeric body.
 
     Returns (headers, row_labels, matrix, row lines, cache entry). Ragged
-    rows, repeated row labels, and non-numeric, non-finite or (when
-    ``nonnegative``) negative values are ParseErrors; the caller checks the
-    labels against the model index. A parsed grid, with the file line of
+    rows, repeated row labels and non-numeric values are ParseErrors; the
+    caller checks the labels against the model index, and the account's
+    screen checks the values. A parsed grid, with the file line of
     each row so that a warm run names a row as a cold run does, is kept in
     ``cache_dir`` under the file's path, the parse settings and the sha256
     of the file's bytes, and is read from there while the file is unchanged.
     """
     entry = cache_dir / _cache_key(path, cache_dir.parent, delimiter, index_cols, header_rows)
-    grid = _grid_load(entry, index_cols, header_rows, nonnegative)
+    grid = _grid_load(entry, index_cols, header_rows)
     if grid is None:
-        grid = _parse_grid(path, delimiter, index_cols, header_rows, nonnegative)
+        grid = _parse_grid(path, delimiter, index_cols, header_rows)
         headers, labels, matrix, linenos = grid
         _cache_store(entry, matrix, {"headers": headers, "labels": labels,
                                      "linenos": linenos})
@@ -681,13 +673,14 @@ def _check_labels(message: str, found: list, expected: list, path: Path, *,
                   linenos: list[int] | None = None, index_cols: int = 0) -> None:
     """A ParseError at the first of the row labels (with their file
     ``linenos``) or of the column header pairs (after ``index_cols`` index
-    columns) in ``found`` that differs from ``expected``, naming both."""
+    columns) in ``found`` that differs from ``expected``, naming both. Row
+    labels that run out name the line after the last of them."""
     if found == expected:
         return
     k = next((k for k, (a, b) in enumerate(zip(found, expected)) if a != b),
              min(len(found), len(expected)))
     if linenos is not None:
-        where = {"row": linenos[k] if k < len(linenos) else None}
+        where = {"row": linenos[k] if k < len(linenos) else linenos[-1] + 1}
     else:
         region_differs = k < min(len(found), len(expected)) and found[k][0] != expected[k][0]
         where = {"row": 1 if region_differs else 2, "column": index_cols + k + 1}
@@ -702,7 +695,8 @@ def ingest(layout_path: str | Path) -> IngestResult:
 
     Known data quirks listed in the descriptor come back as warnings, never
     errors; structural problems raise ParseError / DimensionMismatch /
-    UnitMismatch.
+    UnitMismatch, and a bad value, found by the account's screen once every
+    file's labels pass, a ParseError naming its file, row and column.
     """
     layout = load_layout(layout_path)
     delim = layout.delimiter
@@ -710,7 +704,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
 
     z_path = layout.path(layout.transactions)
     z_headers, z_labels, Z, z_lines, z_entry = _read_grid(z_path, cache_dir, delim,
-                                                          index_cols=2, nonnegative=True)
+                                                          index_cols=2)
     pairs = _column_pairs(z_headers, 2, z_path)
     index = _region_major(z_labels)
     labels = index.labels()
@@ -741,7 +735,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
 
     x_path = layout.path(layout.total_output)
     _, x_labels, x_grid, x_lines, x_entry = _read_grid(x_path, cache_dir, delim, index_cols=2,
-                                                       header_rows=1, nonnegative=True)
+                                                       header_rows=1)
     _check_labels("total-output rows do not match the transaction index", x_labels, labels,
                   x_path, linenos=x_lines)
     if x_grid.shape[1] != 1:
@@ -749,13 +743,16 @@ def ingest(layout_path: str | Path) -> IngestResult:
                          path=str(x_path))
     x = x_grid[:, 0]
 
-    extensions: dict[str, ExtensionAccount] = {}
+    # Each screened array's file, row lines, index columns and file values, by name.
+    cells = {"Z": (z_path, z_lines, 2, Z), "Y": (y_path, y_lines, 2, Y),
+             "x": (x_path, x_lines, 2, x)}
+    extensions = {}
     for k, entry in enumerate(layout.extensions):
         if not entry.unit:
             raise UnitMismatch(f"extension {entry.name!r} has no unit label in the layout")
         ext_path = layout.path(entry.file)
-        ext_headers, ext_labels, rows, _, _ = _read_grid(ext_path, cache_dir, delim,
-                                                         index_cols=1, nonnegative=True)
+        ext_headers, ext_labels, rows, ext_lines, _ = _read_grid(ext_path, cache_dir, delim,
+                                                                 index_cols=1)
         if rows.shape[1] != index.n:
             raise DimensionMismatch(
                 f"extension {entry.name!r} has {rows.shape[1]} columns, expected {index.n}"
@@ -764,6 +761,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
                       _column_pairs(ext_headers, 1, ext_path), labels, ext_path,
                       index_cols=1)
         unit = entry.unit
+        cells[f"extension {entry.name!r} rows"] = (ext_path, ext_lines, 1, rows)
         if entry.workers_per_unit is not None:
             rows = rows * (entry.workers_per_unit * layout.hours_per_worker_year)
             rows.flags.writeable = False
@@ -791,43 +789,47 @@ def ingest(layout_path: str | Path) -> IngestResult:
                         f"stressor of extension {entry.name!r}", path=str(layout_path))
         direct = None
         if entry.direct_file is not None:
-            direct = _read_direct(layout.path(entry.direct_file), delim, index.regions)
-        extensions[entry.name] = ExtensionAccount(
-            name=entry.name, unit=unit,
-            stressors=stressors,
-            rows=rows, direct=direct, kind=entry.kind,
-            material_flags=entry.material_flags,
-        )
+            direct_path = layout.path(entry.direct_file)
+            direct, direct_lines = _read_direct(direct_path, delim, index.regions)
+            cells[f"extension {entry.name!r} direct use"] = (
+                direct_path, direct_lines, 1, np.array(list(direct.values())))
+        extensions[entry.name] = partial(
+            ExtensionAccount, name=entry.name, unit=unit, stressors=stressors, rows=rows,
+            direct=direct, kind=entry.kind, material_flags=entry.material_flags)
 
-    account = MrioAccount(index=index, Z=Z, Y=Y, y_columns=y_columns, x=x,
-                          extensions=extensions, year=layout.year)
+    try:
+        account = MrioAccount(index=index, Z=Z, Y=Y, y_columns=y_columns, x=x, year=layout.year,
+                              extensions={name: make() for name, make in extensions.items()})
+    except (NonFiniteEntry, NegativeEntry) as exc:
+        path, linenos, index_cols, values = cells[exc.array]
+        row, column = (*exc.cell, 0)[:2]  # x and direct use are one column
+        kind = "non-finite" if isinstance(exc, NonFiniteEntry) else "negative"
+        raise ParseError(f"{kind} value {float(values[exc.cell])}", path=str(path),
+                         row=linenos[row], column=index_cols + column + 1) from None
     return IngestResult(account=account, warnings=layout.ingest_warnings,
                         system_entries=(z_entry, x_entry))
 
 
-def _read_direct(path: Path, delimiter: str, regions: tuple[str, ...]) -> dict[str, float]:
-    """A direct-use file's value for each of the account's ``regions``; each
-    must be listed exactly once, below a header line."""
+def _read_direct(path: Path, delimiter: str, regions: tuple[str, ...]) -> tuple[dict, list]:
+    """A direct-use file's value for each of the account's ``regions``, in
+    file order, and the line of each; each is listed once, below a header."""
     direct: dict[str, float] = {}
+    linenos: list[int] = []
     for lineno, region, cell in read_pairs(path, ("region", "value"), delimiter, header=True):
         try:
             value = _number(cell, delimiter)
         except ValueError:
             raise ParseError(f"non-numeric value {cell!r}", path=str(path),
                              row=lineno, column=2) from None
-        if not np.isfinite(value):
-            raise ParseError(f"non-finite value {cell!r}", path=str(path),
-                             row=lineno, column=2)
-        if value < 0:
-            raise ParseError(f"negative value {cell}", path=str(path), row=lineno, column=2)
         if region not in regions:
             raise ParseError(f"region {region!r} is not a region of the account",
                              path=str(path), row=lineno)
         direct[region] = value
+        linenos.append(lineno)
     for region in regions:
         if region not in direct:
             raise ParseError(f"region {region!r} has no direct-use row", path=str(path))
-    return direct
+    return direct, linenos
 
 
 # ---------------------------------------------------------------------------
@@ -913,26 +915,18 @@ def write_account(account: MrioAccount, out_dir: str | Path,
                 pair_labels, account.x[:, np.newaxis])
 
     entries = []
-    for name in account.extensions:
-        ext = account.extensions[name]
+    for name, ext in account.extensions.items():
         filename = f"ext_{name}.tsv"
         _write_grid(out_dir / filename, delim, _column_headers(["stressor"], pair_labels),
                     [(label,) for label in ext.stressors], ext.rows)
-        direct_file = None
-        if ext.direct is not None:
-            if set(ext.direct) != set(index.regions):
-                raise DimensionMismatch(
-                    f"extension {name!r} has direct use for regions {sorted(ext.direct)}, "
-                    f"not one value for each account region {list(index.regions)}")
-            direct_file = f"direct_{name}.tsv"
-            _write_grid(out_dir / direct_file, delim, [["region", "value"]],
-                        [(region,) for region in index.regions],
-                        np.array([[ext.direct[region]] for region in index.regions], dtype=float))
         entry: dict = {"name": name, "file": filename, "unit": ext.unit}
         if ext.kind is not None:
             entry["kind"] = ext.kind
-        if direct_file is not None:
-            entry["direct_file"] = direct_file
+        if ext.direct is not None:
+            entry["direct_file"] = f"direct_{name}.tsv"
+            _write_grid(out_dir / entry["direct_file"], delim, [["region", "value"]],
+                        [(region,) for region in index.regions],
+                        np.array([[ext.direct[region]] for region in index.regions], dtype=float))
         if ext.material_flags is not None:
             entry["material_flags"] = dict(ext.material_flags)
         entries.append(entry)

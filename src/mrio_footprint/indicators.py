@@ -139,10 +139,10 @@ def load_sector_groups(path: str | Path,
     account once into the labels and codes of ``sector_group_codes``."""
     path = Path(path)
     mapping = {sector: group for _, sector, group in read_pairs(path, ("sector", "group"))}
-    for sector in index.sectors:
-        if sector not in mapping:
-            raise ParseError(f"sector {sector!r} has no sector group", path=str(path))
-    return sector_group_codes(mapping, index)
+    try:
+        return sector_group_codes(mapping, index)
+    except UnmappedSector as exc:
+        raise ParseError(str(exc), path=str(path)) from None
 
 
 def aggregate_by_skill(labour_by_stressor: dict[str, float]) -> dict[str, float]:

@@ -10,6 +10,7 @@ region-block order. Accounts are immutable after construction.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,28 +109,24 @@ class RegionSectorIndex:
         return [(r, s) for r in self.regions for s in self.sectors]
 
 
-def bad_cell(values: np.ndarray, nonnegative: bool) -> tuple[int, ...] | None:
-    """Index of the first cell that is nan or inf, or negative when
-    ``nonnegative``; None when there is none."""
+def _screen(values: np.ndarray, name: str,
+            negative: Callable[[tuple[int, ...]], str] | None = None) -> None:
+    """The one check of an account array's values: its first cell that is nan
+    or inf, or negative when ``negative`` makes the message, raises
+    NonFiniteEntry or NegativeEntry whose ``array`` is ``name`` and ``cell`` its index."""
     # A finite min and max prove every cell finite without a mask the size of
     # the array: both reductions pass nan on, and an infinity is one of them.
     low, high = values.min(initial=0.0), values.max(initial=0.0)
-    if np.isfinite(low) and np.isfinite(high) and not (nonnegative and low < 0):
-        return None
+    if np.isfinite(low) and np.isfinite(high) and (negative is None or low >= 0):
+        return
     bad = ~np.isfinite(values)
-    if nonnegative:
+    if negative is not None:
         bad |= values < 0
-    bad = np.argwhere(bad)
-    return tuple(int(i) for i in bad[0]) if bad.size else None
-
-
-def _negative_cell(values: np.ndarray, name: str, nonnegative: bool) -> tuple[int, ...] | None:
-    """The first negative cell of ``values`` when ``nonnegative``, else None.
-    A nan or inf cell is a NonFiniteEntry naming it as a cell of ``name``."""
-    cell = bad_cell(values, nonnegative)
-    if cell is not None and not np.isfinite(values[cell]):
-        raise NonFiniteEntry(f"{name}[{', '.join(map(str, cell))}] = {values[cell]} is not finite")
-    return cell
+    cell = tuple(int(i) for i in np.argwhere(bad)[0])
+    error = (NegativeEntry(negative(cell)) if np.isfinite(values[cell]) else NonFiniteEntry(
+        f"{name}[{', '.join(map(str, cell))}] = {values[cell]} is not finite"))
+    error.array, error.cell = name, cell
+    raise error
 
 
 def sector_codes(mapping: dict[str, str], labels: tuple[str, ...],
@@ -145,9 +142,9 @@ def sector_codes(mapping: dict[str, str], labels: tuple[str, ...],
 class ExtensionAccount:
     """One satellite account: stressor rows over all region-sectors.
 
-    ``direct`` carries optional direct-use values, one for each region of the
-    account (household fuel burning, residential energy), that sit outside
-    the inter-industry system.
+    ``direct`` carries optional direct-use values, finite and nonnegative,
+    one for each region of the account (household fuel burning, residential
+    energy), that sit outside the inter-industry system.
     ``kind`` selects indicator behaviour downstream: "labour" reports get
     skill splits and hours-per-week conversion, "energy"/"emissions" get
     direct-use scaling, "material" gets used/unused totals via
@@ -174,10 +171,14 @@ class ExtensionAccount:
                 f"extension {self.name!r}: {len(self.stressors)} stressor labels "
                 f"but row block of shape {self.rows.shape}"
             )
-        cell = _negative_cell(self.rows, f"extension {self.name!r} rows", True)
-        if cell is not None:
-            raise NegativeEntry(f"extension {self.name!r} stressor "
-                                f"{self.stressors[cell[0]]!r} has negative entries")
+        _screen(self.rows, f"extension {self.name!r} rows",
+                lambda cell: f"extension {self.name!r} stressor "
+                             f"{self.stressors[cell[0]]!r} has negative entries")
+        if self.direct is not None:
+            _screen(np.array(list(self.direct.values()), dtype=float),
+                    f"extension {self.name!r} direct use",
+                    lambda cell: f"extension {self.name!r} has negative direct use for "
+                                 f"region {list(self.direct)[cell[0]]!r}")
 
     def stressor_row(self, label: str) -> np.ndarray:
         try:
@@ -202,8 +203,8 @@ class MrioAccount:
     """One reference year of MRIO data plus extension accounts.
 
     ``y_columns`` labels the columns of Y as (paying region, category) pairs.
-    Negative values are allowed only in inventory-change columns (real tables
-    contain them); ``home_demand`` never reads them.
+    Every value is finite; Y alone may hold negative values, in any column
+    (inventory drawdowns), and ``home_demand`` rejects a negative summed one.
     """
 
     index: RegionSectorIndex
@@ -230,16 +231,18 @@ class MrioAccount:
             )
         if self.x.shape != (n,):
             raise DimensionMismatch(f"x shape {self.x.shape} != ({n},)")
-        if _negative_cell(self.Z, "Z", True) is not None:
-            raise NegativeEntry("transaction matrix contains negative entries")
-        _negative_cell(self.Y, "Y", False)  # inventory changes may be negative
-        if _negative_cell(self.x, "x", True) is not None:
-            raise NegativeEntry("total output contains negative entries")
+        _screen(self.Z, "Z", lambda cell: "transaction matrix contains negative entries")
+        _screen(self.Y, "Y")  # inventory changes may be negative
+        _screen(self.x, "x", lambda cell: "total output contains negative entries")
         for ext in self.extensions.values():
             if ext.rows.shape[1] != n:
                 raise DimensionMismatch(
                     f"extension {ext.name!r} has {ext.rows.shape[1]} columns, expected {n}"
                 )
+            if ext.direct is not None and set(ext.direct) != set(self.index.regions):
+                raise DimensionMismatch(
+                    f"extension {ext.name!r} has direct use for regions {sorted(ext.direct)}, "
+                    f"not one value for each account region {list(self.index.regions)}")
 
 
 def home_demand(account: MrioAccount, region: str) -> tuple[np.ndarray, np.ndarray]:

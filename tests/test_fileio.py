@@ -49,11 +49,11 @@ class TestRoundTrip:
     @pytest.mark.parametrize("direct", [{"R0": 1.0, "R7": 2.0},
                                         {"R0": 1.0, "R1": 2.0},
                                         {"R0": 1.0, "R1": 2.0, "R2": 3.0, "R7": 4.0}])
-    def test_direct_use_must_cover_each_region_once(self, account_357, tmp_path, direct):
+    def test_direct_use_must_cover_each_region_once(self, account_357, direct):
+        # The account refuses it, so the writer never sees it.
         energy = replace(account_357.extensions["energy"], direct=direct)
-        account = replace(account_357, extensions=account_357.extensions | {"energy": energy})
         with pytest.raises(DimensionMismatch, match="not one value for each account region"):
-            fileio.write_account(account, tmp_path)
+            replace(account_357, extensions=account_357.extensions | {"energy": energy})
 
     def test_writer_is_deterministic(self, tmp_path):
         account = fixtures.fixture(2, 3, 42)
@@ -173,7 +173,7 @@ class TestParseErrors:
     # A direct-use value is read by the grid-cell rule, and is a use: never negative.
     @pytest.mark.parametrize("text, message", [
         ("1_000", "non-numeric value '1_000'"), ("\u0661\u0662", "non-numeric value '\u0661\u0662'"),
-        ('"1\t2"', "non-numeric value '1\\t2'"), ("-5", "negative value -5")])
+        ('"1\t2"', "non-numeric value '1\\t2'"), ("-5", "negative value -5.0")])
     def test_direct_use_value_follows_the_grid_cell_rule(self, written_set, tmp_path, text,
                                                          message):
         _, layout_path = written_set
@@ -341,6 +341,22 @@ class TestParseErrors:
             fileio.ingest(layout_path)
         assert (excinfo.value.row, excinfo.value.column) == (line + 1, cell + 1)
         assert name in str(excinfo.value) and "negative value -0.25" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name, message, row", [
+        ("z.tsv", "row labels do not match column labels", 17),
+        ("y.tsv", "final-demand rows do not match the transaction index", 17),
+        ("x.tsv", "total-output rows do not match the transaction index", 16)])
+    def test_missing_last_row_names_the_line_after_the_body(self, tmp_path, name, message, row):
+        # fixture(3, 5, 7): 15 body rows under two header lines, one in x.tsv.
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / name
+        path.write_text("".join(path.read_text().splitlines(True)[:-1]))
+        for _ in ("cold", "warm"):
+            with pytest.raises(ParseError) as excinfo:
+                fileio.ingest(layout_path)
+            error = excinfo.value
+            assert (error.message, error.path, error.row, error.column) == (
+                f"{message}: found nothing where 'R2 / S4' is expected", str(path), row, None)
 
     def test_material_stressor_without_used_or_unused_flag(self, tmp_path):
         layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
@@ -647,7 +663,10 @@ class TestCache:
     @pytest.mark.parametrize("bad", ["repeated label", "negative cell"])
     def test_entry_of_a_bad_grid_is_parsed_again(self, written_set, tmp_path, bad):
         # An entry that fails a check of the parse, such as one stored by a
-        # reader without that check, is parsed again to name the row.
+        # reader without that check, is parsed again to name the row. An
+        # entry with a negative cell holds the file's values, as every entry
+        # does: it is served, and the account's screen names the cell by the
+        # entry's row lines.
         _, layout_path = written_set
         z_path = tmp_path / "z.tsv"
         if bad == "repeated label":
@@ -662,12 +681,29 @@ class TestCache:
                             {"headers": rows[:2], "labels": [row[:2] for row in rows[2:]],
                              "linenos": list(range(3, len(rows) + 1))})
         assert entry.with_suffix(".npy").exists()
-        assert fileio._grid_load(entry, 2, 2, nonnegative=True) is None
+        assert (fileio._grid_load(entry, 2, 2) is None) == (bad == "repeated label")
         with pytest.raises(ParseError) as excinfo:
             fileio.ingest(layout_path)
         assert excinfo.value.row == 4
+        assert excinfo.value.column == (None if bad == "repeated label" else 5)
         assert ("'R0 / S0' is repeated" if bad == "repeated label"
                 else "negative value -0.5") in str(excinfo.value)
+
+    def test_each_array_is_screened_once(self, tmp_path, monkeypatch):
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        screen, screened = model._screen, []
+
+        def counted(values, name, *args):
+            screened.append(name)
+            return screen(values, name, *args)
+        monkeypatch.setattr(model, "_screen", counted)
+        for run in ("cold", "warm"):
+            screened.clear()
+            extensions = fileio.ingest(layout_path).account.extensions
+            expected = ["Z", "Y", "x", *(f"extension {name!r} rows" for name in extensions),
+                        *(f"extension {name!r} direct use" for name, ext in extensions.items()
+                          if ext.direct is not None)]
+            assert sorted(screened) == sorted(expected), run
 
     def test_unwritable_cache_is_skipped(self, written_set, tmp_path):
         account, layout_path = written_set
@@ -917,7 +953,15 @@ class TestParallelGrids:
         lines[-2] = "\t".join(cells)
         lines.insert(3, "")  # a blank line is not a row, but it is a line
         path.write_bytes((ending.join(lines) + ending).encode())
-        message, where, row, column = _compare(monkeypatch, path)
+        parsed = _compare(monkeypatch, path)
+        if text == "nan":
+            # A number parses whatever its value; the account's screen names
+            # the cell.
+            with pytest.raises(ParseError) as excinfo:
+                fileio.ingest(tmp_path / "layout.json")
+            error = excinfo.value
+            parsed = str(error), error.path, error.row, error.column
+        message, where, row, column = parsed
         assert (where, row) == (str(path), len(lines) - 1)
         if text == "ragged":
             assert column == 17 and "expected 17 cells, found 16" in message

@@ -56,6 +56,24 @@ class TestExtensionAccount:
             model.ExtensionAccount(**{"name": "e", "unit": "t", "stressors": ("a", "b"),
                                       "rows": np.ones((2, 4))} | change)
 
+    @pytest.mark.parametrize("direct, error, message", [
+        ({"R0": math.nan, "R1": 1.0}, NonFiniteEntry,
+         r"extension 'energy' direct use\[0\] = nan is not finite"),
+        ({"R0": -1.0, "R1": 1.0}, NegativeEntry,
+         "extension 'energy' has negative direct use for region 'R0'"),
+        ({"R0": 1.0}, DimensionMismatch,
+         r"extension 'energy' has direct use for regions \['R0'\], not one value for each "
+         r"account region \['R0', 'R1'\]"),
+        ({"R0": 1.0, "R1": 1.0, "R9": 1.0}, DimensionMismatch,
+         r"extension 'energy' has direct use for regions \['R0', 'R1', 'R9'\], not one value "
+         r"for each account region \['R0', 'R1'\]"),
+    ], ids=["nan", "negative", "missing region", "extra region"])
+    def test_bad_direct_use_rejected(self, direct, error, message):
+        account = fixtures.fixture(2, 3, 42)
+        with pytest.raises(error, match=f"^{message}$"):
+            energy = replace(account.extensions["energy"], direct=direct)
+            replace(account, extensions=account.extensions | {"energy": energy})
+
 
 class TestFixture:
     def test_deterministic(self):
