@@ -60,10 +60,6 @@ class ParseError(MrioError):
         super().__init__(message + suffix)
 
 
-class UnitMismatch(MrioError):
-    """Unit labels are absent or inconsistent between compared values."""
-
-
 class UnknownRegion(MrioError):
     """A region code is not present in the account index."""
 
@@ -85,7 +81,7 @@ class UnmappedSector(MrioError):
 
 
 class MissingStressorLabel(MrioError):
-    """A labour stressor label does not encode a recognisable skill level."""
+    """A stressor label breaks its extension's rules (see ExtensionAccount)."""
 
 
 class ZeroEmbeddedBase(MrioError):

@@ -38,11 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (POSITIVE, DimensionMismatch, MissingStressorLabel, MrioError,
-                     NegativeEntry, NonFiniteEntry, ParseError, UnitMismatch, read_json,
-                     read_pairs, reading)
-from .model import (MATERIAL_UNUSED, MATERIAL_USED, ExtensionAccount, MrioAccount,
-                    RegionSectorIndex, skill_of)
+from .errors import (POSITIVE, MissingStressorLabel, MrioError, NegativeEntry, NonFiniteEntry,
+                     ParseError, read_json, read_pairs, reading)
+from .model import EXTENSION_KINDS, ExtensionAccount, MrioAccount, RegionSectorIndex
 
 DEFAULT_HOURS_PER_WORKER_YEAR = 1840.0
 
@@ -122,7 +120,7 @@ _EXTENSION = {
     "name": str,
     "file": str,
     "unit": (str, ""),
-    "kind": ({"labour", "energy", "emissions", "material"}, None),
+    "kind": (set(EXTENSION_KINDS), None),
     "direct_file": (str, None),
     "workers_per_unit": (POSITIVE, None),
     "material_flags": ({str: str}, None),
@@ -154,9 +152,11 @@ def load_layout(path: str | Path) -> Layout:
                 raise ParseError(f"layout.extensions[{k}].{key} is read only for kind "
                                  f"{' or '.join(kinds)}; extension {entry.name!r} has kind "
                                  f"{entry.kind!r}", path=str(path))
-        # Labour is reported in hours; an empty unit fails at ingest.
+        if not entry.unit:
+            raise ParseError(f"layout.extensions[{k}].unit is empty", path=str(path))
+        # Labour is reported in hours.
         if (entry.kind == "labour" and entry.workers_per_unit is None
-                and entry.unit not in ("", "hours")):
+                and entry.unit != "hours"):
             raise ParseError(f"layout.extensions[{k}].unit is {entry.unit!r}; a labour "
                              "extension without workers_per_unit must be in 'hours'",
                              path=str(path))
@@ -694,9 +694,9 @@ def ingest(layout_path: str | Path) -> IngestResult:
     """Read a full account from a layout descriptor.
 
     Known data quirks listed in the descriptor come back as warnings, never
-    errors; structural problems raise ParseError / DimensionMismatch /
-    UnitMismatch, and a bad value, found by the account's screen once every
-    file's labels pass, a ParseError naming its file, row and column.
+    errors. Every fault is a ParseError naming its file, and its row and
+    column or its layout key; a bad value, found by the account's screen, comes
+    after every file's label, flag and structure faults.
     """
     layout = load_layout(layout_path)
     delim = layout.delimiter
@@ -743,69 +743,55 @@ def ingest(layout_path: str | Path) -> IngestResult:
                          path=str(x_path))
     x = x_grid[:, 0]
 
-    # Each screened array's file, row lines, index columns and file values, by name.
+    # By the ``array`` an account error carries, the file, row lines, index columns
+    # and file values of a grid or direct use, or the layout entry of material flags.
     cells = {"Z": (z_path, z_lines, 2, Z), "Y": (y_path, y_lines, 2, Y),
              "x": (x_path, x_lines, 2, x)}
-    extensions = {}
-    for k, entry in enumerate(layout.extensions):
-        if not entry.unit:
-            raise UnitMismatch(f"extension {entry.name!r} has no unit label in the layout")
-        ext_path = layout.path(entry.file)
-        ext_headers, ext_labels, rows, ext_lines, _ = _read_grid(ext_path, cache_dir, delim,
-                                                                 index_cols=1)
-        if rows.shape[1] != index.n:
-            raise DimensionMismatch(
-                f"extension {entry.name!r} has {rows.shape[1]} columns, expected {index.n}"
-            )
-        _check_labels("extension columns do not match the transaction index",
-                      _column_pairs(ext_headers, 1, ext_path), labels, ext_path,
-                      index_cols=1)
-        unit = entry.unit
-        cells[f"extension {entry.name!r} rows"] = (ext_path, ext_lines, 1, rows)
-        if entry.workers_per_unit is not None:
-            rows = rows * (entry.workers_per_unit * layout.hours_per_worker_year)
-            rows.flags.writeable = False
-            unit = "hours"
-        stressors = tuple(label[0] for label in ext_labels)
-        if entry.kind == "labour":
-            for label in stressors:
-                try:
-                    skill_of(label)
-                except MissingStressorLabel as exc:
-                    raise ParseError(f"{exc}: low, medium or high",
-                                     path=str(ext_path)) from None
-        if entry.material_flags is not None:
-            for label in stressors:
-                flag = entry.material_flags.get(label)
-                if flag not in (MATERIAL_USED, MATERIAL_UNUSED):
-                    raise ParseError(
-                        f"material stressor {label!r} of extension {entry.name!r} is flagged "
-                        f"{flag!r}, not {MATERIAL_USED!r} or {MATERIAL_UNUSED!r}",
-                        path=str(layout_path))
-            for key in entry.material_flags:
-                if key not in stressors:
-                    raise ParseError(
-                        f"layout.extensions[{k}].material_flags key {key!r} names no "
-                        f"stressor of extension {entry.name!r}", path=str(layout_path))
-        direct = None
-        if entry.direct_file is not None:
-            direct_path = layout.path(entry.direct_file)
-            direct, direct_lines = _read_direct(direct_path, delim, index.regions)
-            cells[f"extension {entry.name!r} direct use"] = (
-                direct_path, direct_lines, 1, np.array(list(direct.values())))
-        extensions[entry.name] = partial(
-            ExtensionAccount, name=entry.name, unit=unit, stressors=stressors, rows=rows,
-            direct=direct, kind=entry.kind, material_flags=entry.material_flags)
-
+    layout_keys, extensions, bad_values = {}, {}, []
     try:
+        for k, entry in enumerate(layout.extensions):
+            ext_path = layout.path(entry.file)
+            ext_headers, ext_labels, rows, ext_lines, _ = _read_grid(ext_path, cache_dir, delim,
+                                                                     index_cols=1)
+            _check_labels("extension columns do not match the transaction index",
+                          _column_pairs(ext_headers, 1, ext_path), labels, ext_path,
+                          index_cols=1)
+            cells[f"extension {entry.name!r} rows"] = (ext_path, ext_lines, 1, rows)
+            layout_keys[f"extension {entry.name!r} material_flags"] = f"layout.extensions[{k}]"
+            if entry.workers_per_unit is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # the screen names it
+                    rows = rows * (entry.workers_per_unit * layout.hours_per_worker_year)
+                rows.flags.writeable = False
+            direct = None
+            if entry.direct_file is not None:
+                direct_path = layout.path(entry.direct_file)
+                direct, direct_lines = _read_direct(direct_path, delim, index.regions)
+                cells[f"extension {entry.name!r} direct use"] = (
+                    direct_path, direct_lines, 1, np.array(list(direct.values())))
+            try:
+                extensions[entry.name] = ExtensionAccount(
+                    name=entry.name, unit="hours" if entry.workers_per_unit else entry.unit,
+                    stressors=tuple(label[0] for label in ext_labels), rows=rows,
+                    direct=direct, kind=entry.kind, material_flags=entry.material_flags)
+            except (NonFiniteEntry, NegativeEntry) as exc:  # named after every file's labels
+                bad_values.append(exc)
+        if bad_values:
+            raise bad_values[0]
         account = MrioAccount(index=index, Z=Z, Y=Y, y_columns=y_columns, x=x, year=layout.year,
-                              extensions={name: make() for name, make in extensions.items()})
-    except (NonFiniteEntry, NegativeEntry) as exc:
+                              extensions=extensions)
+    except (NonFiniteEntry, NegativeEntry, MissingStressorLabel) as exc:
+        if exc.array in layout_keys:
+            raise ParseError(f"{layout_keys[exc.array]}.{exc}", path=str(layout_path)) from None
         path, linenos, index_cols, values = cells[exc.array]
-        row, column = (*exc.cell, 0)[:2]  # x and direct use are one column
-        kind = "non-finite" if isinstance(exc, NonFiniteEntry) else "negative"
-        raise ParseError(f"{kind} value {float(values[exc.cell])}", path=str(path),
-                         row=linenos[row], column=index_cols + column + 1) from None
+        row, column = (*exc.cell, 0)[:2]  # x, direct use and row labels are one column
+        if isinstance(exc, MissingStressorLabel):  # a stressor label, in column 1
+            raise ParseError(str(exc), path=str(path), row=linenos[row], column=1) from None
+        value = float(values[exc.cell])
+        message = (f"negative value {value}" if isinstance(exc, NegativeEntry)
+                   else f"value {value} overflows on conversion to hours" if np.isfinite(value)
+                   else f"non-finite value {value}")
+        raise ParseError(message, path=str(path), row=linenos[row],
+                         column=index_cols + column + 1) from None
     return IngestResult(account=account, warnings=layout.ingest_warnings,
                         system_entries=(z_entry, x_entry))
 

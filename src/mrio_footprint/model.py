@@ -44,6 +44,9 @@ DEMAND_CATEGORIES = (
 # purchases summed into one vector; capital formation kept separate.
 CONSUMPTION_CATEGORIES = (CATEGORY_HOUSEHOLDS, CATEGORY_NON_PROFIT, CATEGORY_GOVERNMENT)
 
+# The kinds an extension may declare (see ``ExtensionAccount``).
+EXTENSION_KINDS = ("labour", "energy", "emissions", "material")
+
 # The skill levels a labour stressor label must name, matched as whole words
 # in any case ("female low-skilled", "Employment hours: High-skilled male").
 SKILL_LEVELS = ("low", "medium", "high")
@@ -142,13 +145,21 @@ def sector_codes(mapping: dict[str, str], labels: tuple[str, ...],
 class ExtensionAccount:
     """One satellite account: stressor rows over all region-sectors.
 
-    ``direct`` carries optional direct-use values, finite and nonnegative,
-    one for each region of the account (household fuel burning, residential
-    energy), that sit outside the inter-industry system.
+    ``direct`` carries optional direct-use values, one for each region of
+    the account (household fuel burning, residential energy), that sit
+    outside the inter-industry system.
     ``kind`` selects indicator behaviour downstream: "labour" reports get
     skill splits and hours-per-week conversion, "energy"/"emissions" get
     direct-use scaling, "material" gets used/unused totals via
     ``material_flags``.
+
+    Its rules, in the order checked, built in code or by ingest: a unit;
+    unique stressor labels, one per row; ``kind`` None or in EXTENSION_KINDS;
+    a skill level (``skill_of``) in each label of a "labour" extension, else a
+    MissingStressorLabel whose ``array`` is "extension 'e' rows" and ``cell``
+    the row; ``material_flags``, when given, flagging each stressor "used" or
+    "unused" and nothing else, else one whose ``array`` is "extension 'e'
+    material_flags"; finite, nonnegative rows and direct use (``_screen``).
     """
 
     name: str
@@ -171,6 +182,27 @@ class ExtensionAccount:
                 f"extension {self.name!r}: {len(self.stressors)} stressor labels "
                 f"but row block of shape {self.rows.shape}"
             )
+        if self.kind not in (None, *EXTENSION_KINDS):
+            raise ValueError(f"extension {self.name!r} has kind {self.kind!r}, "
+                             f"not one of {EXTENSION_KINDS}")
+        for k, label in enumerate(self.stressors if self.kind == "labour" else ()):
+            try:
+                skill_of(label)
+            except MissingStressorLabel as error:
+                error.array, error.cell = f"extension {self.name!r} rows", (k,)
+                raise
+        if self.material_flags is not None:
+            flags = self.material_flags
+            faults = [f"material_flags gives stressor {label!r} of extension {self.name!r} the "
+                      f"flag {flags.get(label)!r}, not {MATERIAL_USED!r} or {MATERIAL_UNUSED!r}"
+                      for label in self.stressors
+                      if flags.get(label) not in (MATERIAL_USED, MATERIAL_UNUSED)]
+            faults += [f"material_flags key {key!r} names no stressor of extension {self.name!r}"
+                       for key in flags if key not in self.stressors]
+            if faults:
+                error = MissingStressorLabel(faults[0])
+                error.array = f"extension {self.name!r} material_flags"
+                raise error
         _screen(self.rows, f"extension {self.name!r} rows",
                 lambda cell: f"extension {self.name!r} stressor "
                              f"{self.stressors[cell[0]]!r} has negative entries")
@@ -193,7 +225,7 @@ def skill_of(stressor_label: str) -> str:
     match = _SKILL_PATTERN.search(stressor_label)
     if match is None:
         raise MissingStressorLabel(
-            f"labour stressor {stressor_label!r} does not name a skill level"
+            f"labour stressor {stressor_label!r} does not name a skill level: low, medium or high"
         )
     return match.group(1).lower()
 

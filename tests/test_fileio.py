@@ -16,7 +16,7 @@ import pytest
 
 from mrio_footprint import algebra, fileio, fixtures, model
 from mrio_footprint.cli import main
-from mrio_footprint.errors import DimensionMismatch, MrioError, ParseError, UnitMismatch
+from mrio_footprint.errors import DimensionMismatch, MrioError, ParseError
 
 
 @pytest.fixture()
@@ -251,8 +251,13 @@ class TestParseErrors:
         lines = ext_path.read_text().splitlines()
         trimmed = ["\t".join(line.split("\t")[:-1]) for line in lines]
         ext_path.write_text("\n".join(trimmed) + "\n")
-        with pytest.raises(DimensionMismatch):
+        # fixture(2, 3, 42): one stressor column, then 6 region-sector columns.
+        with pytest.raises(ParseError) as excinfo:
             fileio.ingest(layout_path)
+        error = excinfo.value
+        assert (error.path, error.row, error.column) == (str(ext_path), 2, 7)
+        assert error.message == ("extension columns do not match the transaction index: "
+                                 "found nothing where 'R1 / S2' is expected")
 
     def test_ragged_middle_row_names_row_and_column(self, written_set, tmp_path):
         _, layout_path = written_set
@@ -443,8 +448,96 @@ class TestParseErrors:
         descriptor = json.loads(layout_path.read_text())
         descriptor["extensions"][0]["unit"] = ""
         layout_path.write_text(json.dumps(descriptor))
-        with pytest.raises(UnitMismatch):
+        with pytest.raises(ParseError) as excinfo:
             fileio.ingest(layout_path)
+        assert excinfo.value.path == str(layout_path)
+        assert excinfo.value.message.startswith("layout.extensions[0].unit ")
+
+    def test_empty_unit_fails_before_any_grid_is_read(self, written_set, tmp_path):
+        _, layout_path = written_set
+        descriptor = json.loads(layout_path.read_text())
+        descriptor["extensions"][2]["unit"] = ""
+        for warm in (False, True):
+            if warm:
+                fileio.ingest(fileio.write_account(fixtures.fixture(2, 3, 42), tmp_path))
+            layout_path.write_text(json.dumps(descriptor))
+            (tmp_path / "z.tsv").unlink()
+            with pytest.raises(ParseError) as excinfo:
+                fileio.ingest(layout_path)
+            error = excinfo.value
+            assert (error.message, error.path, error.row, error.column) == (
+                "layout.extensions[2].unit is empty", str(layout_path), None, None)
+
+    # fixture(3, 5, 7): a stressor column, then 15 region-sector columns.
+    @pytest.mark.parametrize("edit, column, found", [
+        ("drop", 16, "found nothing where 'R2 / S4' is expected"),
+        ("add", 17, "found 'R9 / S9' where nothing is expected"),
+    ], ids=["missing last column", "surplus column"])
+    def test_extension_width_names_the_header_column(self, tmp_path, edit, column, found):
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / "ext_energy.tsv"
+        lines = path.read_text().splitlines()
+        if edit == "drop":
+            lines = [line.rsplit("\t", 1)[0] for line in lines]
+        else:
+            lines = [f"{line}\t{cell}" for line, cell in zip(lines, ["R9", "S9", *["0"] * 99])]
+        path.write_text("\n".join(lines) + "\n")
+        for _ in ("cold", "warm"):
+            with pytest.raises(ParseError) as excinfo:
+                fileio.ingest(layout_path)
+            error = excinfo.value
+            assert (error.path, error.row, error.column) == (str(path), 2, column)
+            assert error.message == (
+                f"extension columns do not match the transaction index: {found}")
+
+    def test_labour_label_without_a_skill_level_names_its_row(self, tmp_path):
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / "ext_labour.tsv"
+        # Two header lines, then "female low-skilled" and "male low-skilled".
+        text = path.read_text()
+        assert "\nmale low-skilled\t" in text
+        path.write_text(text.replace("\nmale low-skilled\t", "\nmale\t"))
+        for _ in ("cold", "warm"):
+            with pytest.raises(ParseError) as excinfo:
+                fileio.ingest(layout_path)
+            error = excinfo.value
+            assert (error.message, error.path, error.row, error.column) == (
+                "labour stressor 'male' does not name a skill level: low, medium or high",
+                str(path), 4, 1)
+
+    def test_flag_fault_comes_before_an_earlier_extensions_bad_value(self, tmp_path):
+        # fixture(3, 5, 7) lists labour first and material last.
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        descriptor = json.loads(layout_path.read_text())
+        assert [e["name"] for e in descriptor["extensions"]][::3] == ["labour", "material"]
+        descriptor["extensions"][3]["material_flags"]["unused extraction"] = "unsued"
+        layout_path.write_text(json.dumps(descriptor))
+        self._set_cell(tmp_path / "ext_labour.tsv", 2, 3, "-1")
+        for _ in ("cold", "warm"):
+            with pytest.raises(ParseError) as excinfo:
+                fileio.ingest(layout_path)
+            error = excinfo.value
+            assert (error.message, error.path, error.row, error.column) == (
+                "layout.extensions[3].material_flags gives stressor 'unused extraction' of "
+                "extension 'material' the flag 'unsued', not 'used' or 'unused'",
+                str(layout_path), None, None)
+
+    def test_labour_value_that_overflows_on_conversion(self, written_set, tmp_path):
+        _, layout_path = written_set
+        descriptor = json.loads(layout_path.read_text())
+        (labour,) = (e for e in descriptor["extensions"] if e["name"] == "labour")
+        labour["workers_per_unit"] = 1000.0
+        layout_path.write_text(json.dumps(descriptor))
+        path = tmp_path / "ext_labour.tsv"
+        self._set_cell(path, 2, 3, "1e308")
+        for _ in ("cold", "warm"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParseError) as excinfo:
+                    fileio.ingest(layout_path)
+            error = excinfo.value
+            assert (error.message, error.path, error.row, error.column) == (
+                "value 1e+308 overflows on conversion to hours", str(path), 3, 4)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -10,6 +10,7 @@ from _oracles import technical_coefficients
 from mrio_footprint import algebra, fixtures, indicators, model
 from mrio_footprint.errors import (
     DimensionMismatch,
+    MissingStressorLabel,
     NegativeEntry,
     NonFiniteEntry,
     UnknownCategory,
@@ -55,6 +56,38 @@ class TestExtensionAccount:
         with pytest.raises(error, match=f"^{message}$"):
             model.ExtensionAccount(**{"name": "e", "unit": "t", "stressors": ("a", "b"),
                                       "rows": np.ones((2, 4))} | change)
+
+    # fixture(2, 3, 42)'s material extension flags "biomass (used)" and "metal
+    # ores (used)" used and "unused extraction" unused.
+    @pytest.mark.parametrize("name, change, error, message", [
+        ("material", {"kind": "labor"}, ValueError,
+         r"extension 'material' has kind 'labor', not one of "
+         r"\('labour', 'energy', 'emissions', 'material'\)"),
+        ("labour", {"stressors": ("female low-skilled", "female", "female medium-skilled",
+                                  "male medium-skilled", "female high-skilled",
+                                  "male high-skilled")}, MissingStressorLabel,
+         "labour stressor 'female' does not name a skill level: low, medium or high"),
+        ("material", {"material_flags": {"biomass (used)": "usde", "metal ores (used)": "used",
+                                         "unused extraction": "unused"}}, MissingStressorLabel,
+         r"material_flags gives stressor 'biomass \(used\)' of extension 'material' the flag "
+         r"'usde', not 'used' or 'unused'"),
+        ("material", {"material_flags": {"biomass (used)": "used",
+                                         "unused extraction": "unused"}}, MissingStressorLabel,
+         r"material_flags gives stressor 'metal ores \(used\)' of extension 'material' the "
+         r"flag None, not 'used' or 'unused'"),
+        ("material", {"material_flags": {**fixtures.MATERIAL_FLAGS, "metal ores (usde)": "used"}},
+         MissingStressorLabel, r"material_flags key 'metal ores \(usde\)' names no stressor of "
+                               r"extension 'material'"),
+    ], ids=["unknown kind", "labour label without a skill level", "flag neither used nor unused",
+            "stressor without a flag", "flag naming no stressor"])
+    def test_label_rules_hold_for_accounts_built_in_code(self, name, change, error, message):
+        extension = fixtures.fixture(2, 3, 42).extensions[name]
+        with pytest.raises(error, match=f"^{message}$") as excinfo:
+            replace(extension, **change)
+        if error is MissingStressorLabel:
+            labels = "rows" if name == "labour" else "material_flags"
+            assert excinfo.value.array == f"extension {name!r} {labels}"
+            assert getattr(excinfo.value, "cell", None) == ((1,) if name == "labour" else None)
 
     @pytest.mark.parametrize("direct, error, message", [
         ({"R0": math.nan, "R1": 1.0}, NonFiniteEntry,
