@@ -6,13 +6,7 @@ spending budgets.
 """
 
 from . import errors
-from .algebra import (
-    LeontiefOperator,
-    ProductivityEstimate,
-    factorize,
-    intensity,
-    leontief_solve,
-)
+from .algebra import LeontiefOperator, ProductivityEstimate, intensity
 from .fileio import (
     IngestResult,
     Layout,

@@ -290,13 +290,6 @@ def _check_solution(q: np.ndarray, Aq: np.ndarray, y: np.ndarray) -> None:
         )
 
 
-def factorize(A: np.ndarray) -> LeontiefOperator:
-    """LU-factorize (I - A) for repeated solves."""
-    # With x = 1 the column scale is 1, and Z * 1.0 is A bit for bit.
-    Am = _as_square(A, "A")
-    return LeontiefOperator(Am, np.ones(Am.shape[0]))
-
-
 def factorization_identity() -> str | None:
     """What fixes the bits of an LU besides the matrix: the numpy version,
     and the build, CPU core and thread count of the OpenBLAS that runs
@@ -311,15 +304,6 @@ def factorization_identity() -> str | None:
         function.argtypes, function.restype = [], restype
     return (f"numpy {np.__version__}; {config().decode('ascii', 'replace')}; "
             f"core {core().decode('ascii', 'replace')}; threads {threads()}")
-
-
-def leontief_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One-shot solve of (I - A) q = y.
-
-    Callers with several demand vectors should hold on to ``factorize(A)``
-    and call ``apply`` instead of re-factorizing per solve.
-    """
-    return factorize(A).apply(y)
 
 
 def intensity(e: np.ndarray, x: np.ndarray) -> np.ndarray:

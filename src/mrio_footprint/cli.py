@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, fileio, fixtures, indicators, model, scenario
-from .errors import MrioError, ParseError, UnknownRegion, UnknownScenario, UnproductiveEconomy
+from .errors import MrioError, ParseError, UnknownRegion, UnproductiveEconomy
 from .fileio import format_number as _FMT
 from .indicators import ConversionParams, FootprintReport
 from .model import MrioAccount
@@ -47,8 +47,10 @@ def _existing(path: str | Path) -> Path:
 
 
 def _out_dir(raw: str) -> Path:
-    """``--out`` as a path, checked before any work: the path, or else its
-    nearest existing parent, must be a directory."""
+    """``--out`` as a path, checked before any work: it must name something,
+    and the path, or else its nearest existing parent, must be a directory."""
+    if not raw.strip():
+        raise MrioError(f"--out {raw!r} names no directory")
     out = Path(raw)
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
@@ -105,10 +107,7 @@ def _run(args, compare: bool = False) -> tuple[
     solve, then writes them to one directory per scenario, in spec order.
     Returns the output directory and each spec with its reports."""
     layout_path = _existing(args.layout)
-    spec_paths = [Path(raw) for raw in args.scenario]
-    for path in spec_paths:
-        if not path.exists():
-            raise UnknownScenario(f"scenario spec not found: {path}")
+    spec_paths = [_existing(raw) for raw in args.scenario]
     params_path = _existing(args.params)
     base = layout_path.parent
     categories_path = _existing(args.categories or base / DEFAULT_CATEGORY_CONCORDANCE)
@@ -315,7 +314,7 @@ def cmd_validate(args) -> int:
     if not args.tol >= 0:
         raise MrioError(f"--tol {args.tol:g} is not a nonnegative number")
     layout_path = _existing(args.layout)
-    out_dir = _out_dir(args.out) if args.out else None
+    out_dir = None if args.out is None else _out_dir(args.out)
     result = fileio.ingest(layout_path)
     account = result.account
     balance = model.validate_balance(account, tol=args.tol)

@@ -88,10 +88,6 @@ class ZeroEmbeddedBase(MrioError):
     """Direct-use scaling requested against a zero embedded baseline."""
 
 
-class UnknownScenario(MrioError):
-    """A named scenario cannot be resolved to a spec file."""
-
-
 @contextmanager
 def reading(path: Path):
     """Turn a failure to read ``path``, other than its absence, and text in it

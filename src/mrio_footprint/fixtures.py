@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import leontief_solve
+from .algebra import LeontiefOperator
 from .fileio import write_account
 from .indicators import ConversionParams
 from .model import (
@@ -110,7 +110,8 @@ def fixture(n_regions: int, n_sectors: int, seed: int) -> MrioAccount:
             y_columns.append((region, category))
 
     y_total = Y.sum(axis=1)
-    x = leontief_solve(A, y_total)
+    # With unit output the column scale is 1, so the operator's A is A bit for bit.
+    x = LeontiefOperator(A, np.ones(n)).apply(y_total)
     x[np.abs(x) < 1e-12] = 0.0
     Z = A * x[np.newaxis, :]
 

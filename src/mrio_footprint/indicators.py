@@ -33,7 +33,7 @@ from .model import (
     sector_codes,
     skill_of,
 )
-from .scenario import CONSUMPTION_SPENDING_CATEGORIES, SPENDING_CATEGORIES, WEEKS_PER_YEAR
+from .scenario import CONSUMPTION_SPENDING_CATEGORIES, SPENDING_CATEGORIES
 
 # Default working pattern: statutory leave leaves ~46.6 working weeks per
 # year, and people are assumed to work 80% of their working-age years.
@@ -80,11 +80,6 @@ def load_conversion_params(path: str | Path) -> ConversionParams:
         raise ParseError(f"invalid conversion params: {exc}", path=str(path)) from exc
 
 
-def annual_hours_from_weekly(average_weekly_hours: float) -> float:
-    """Annual hours per person implied by an average over calendar weeks."""
-    return average_weekly_hours * WEEKS_PER_YEAR
-
-
 def hours_per_week_equivalent(total_annual_hours: float, params: ConversionParams) -> float:
     """Spread total annual labour over the working-age population.
 
@@ -99,8 +94,6 @@ def hours_per_week_equivalent(total_annual_hours: float, params: ConversionParam
 
 
 def per_capita(total: float, population: float) -> float:
-    if population <= 0:
-        raise ValueError(f"population must be positive, got {population}")
     return total / population
 
 
@@ -207,12 +200,6 @@ class ReportVariant:
     total_intensity: np.ndarray
     multipliers: np.ndarray
 
-    @property
-    def has_direct_use(self) -> bool:
-        """Energy and emissions reports carry households' direct use."""
-        return (self.extension.direct is not None
-                and self.extension.kind in ("energy", "emissions"))
-
 
 def report_variants(account: MrioAccount, operator: LeontiefOperator, extension_names: list[str]
                     ) -> tuple[list[ReportVariant], ProductivityEstimate]:
@@ -231,7 +218,7 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator, extension_
         if name not in account.extensions:
             raise MrioError(f"extension {name!r} not present in the account")
         ext = account.extensions[name]
-        if ext.kind == "material" and ext.material_flags is not None:
+        if ext.material_flags is not None:
             selected.append((f"{name}-tmc", ext, ext.stressors))
             used = tuple(s for s in ext.stressors
                          if ext.material_flags.get(s) == MATERIAL_USED)
@@ -243,7 +230,7 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator, extension_
     intensities = []
     totals = []
     for _, ext, labels in selected:
-        rows = np.vstack([ext.stressor_row(label) for label in labels])
+        rows = ext.rows[[ext.stressors.index(label) for label in labels]]
         intensities.append(tuple(algebra.intensity(row, account.x) for row in rows))
         totals.append(algebra.intensity(rows.sum(axis=0), account.x))
     multipliers = operator.multipliers(np.vstack([*totals, np.ones(account.x.size)]))
@@ -305,7 +292,7 @@ def footprint_reports(account: MrioAccount, variants: list[ReportVariant],
             total = totals[j]
             stressors = dict(zip(variant.labels, by_stressor[j]))
             direct = None
-            if variant.has_direct_use:
+            if extension.direct is not None:
                 direct = direct_use_scaled(float(extension.direct[region]), total,
                                            totals[baseline[region]])
             reports[j].append(FootprintReport(

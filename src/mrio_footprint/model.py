@@ -74,7 +74,6 @@ class RegionSectorIndex:
         if len(set(self.sectors)) != len(self.sectors):
             raise ValueError("sector names are not unique")
         object.__setattr__(self, "_region_pos", {r: i for i, r in enumerate(self.regions)})
-        object.__setattr__(self, "_sector_pos", {s: j for j, s in enumerate(self.sectors)})
 
     @property
     def n_regions(self) -> int:
@@ -87,18 +86,6 @@ class RegionSectorIndex:
     @property
     def n(self) -> int:
         return len(self.regions) * len(self.sectors)
-
-    def lookup(self, region: str, sector: str) -> int:
-        """Flat index of (region, sector) in row-major region-block order."""
-        try:
-            r = self._region_pos[region]
-        except KeyError:
-            raise UnknownRegion(f"unknown region {region!r}") from None
-        try:
-            s = self._sector_pos[sector]
-        except KeyError:
-            raise ValueError(f"unknown sector {sector!r}") from None
-        return r * self.n_sectors + s
 
     def region_slice(self, region: str) -> slice:
         """Contiguous flat-index block of one region's sectors."""
@@ -155,7 +142,9 @@ class ExtensionAccount:
 
     Its rules, in the order checked, built in code or by ingest: a unit;
     unique stressor labels, one per row; ``kind`` None or in EXTENSION_KINDS;
-    a skill level (``skill_of``) in each label of a "labour" extension, else a
+    ``direct`` only for kind "energy" or "emissions", then ``material_flags``
+    only for kind "material", else a ValueError naming the field and kind; a
+    skill level (``skill_of``) in each label of a "labour" extension, else a
     MissingStressorLabel whose ``array`` is "extension 'e' rows" and ``cell``
     the row; ``material_flags``, when given, flagging each stressor "used" or
     "unused" and nothing else, else one whose ``array`` is "extension 'e'
@@ -185,6 +174,11 @@ class ExtensionAccount:
         if self.kind not in (None, *EXTENSION_KINDS):
             raise ValueError(f"extension {self.name!r} has kind {self.kind!r}, "
                              f"not one of {EXTENSION_KINDS}")
+        for field, kinds in (("direct", ("energy", "emissions")),
+                             ("material_flags", ("material",))):
+            if getattr(self, field) is not None and self.kind not in kinds:
+                raise ValueError(f"extension {self.name!r} has {field}, which is read only for "
+                                 f"kind {' or '.join(kinds)}, but its kind is {self.kind!r}")
         for k, label in enumerate(self.stressors if self.kind == "labour" else ()):
             try:
                 skill_of(label)
@@ -211,13 +205,6 @@ class ExtensionAccount:
                     f"extension {self.name!r} direct use",
                     lambda cell: f"extension {self.name!r} has negative direct use for "
                                  f"region {list(self.direct)[cell[0]]!r}")
-
-    def stressor_row(self, label: str) -> np.ndarray:
-        try:
-            k = self.stressors.index(label)
-        except ValueError:
-            raise ValueError(f"extension {self.name!r} has no stressor {label!r}") from None
-        return self.rows[k]
 
 
 def skill_of(stressor_label: str) -> str:

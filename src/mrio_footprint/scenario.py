@@ -60,9 +60,6 @@ SPENDING_CATEGORIES = (
 
 CONSUMPTION_SPENDING_CATEGORIES = SPENDING_CATEGORIES[:-1]
 
-# Calendar weeks in an average year, used to annualise average weekly hours.
-WEEKS_PER_YEAR = 365.25 / 7  # ~52.18
-
 
 def _check_category(sector: str, category: str) -> None:
     """A sector's category must be one of the 12 sector categories."""
@@ -229,8 +226,6 @@ def dining_out_adjustment(food_total: float, fraction: float) -> tuple[float, fl
     dining out; depending on the scenario it is dropped or re-attached to
     recreation.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     moved = food_total * fraction
     reduced = food_total - moved
     return reduced, moved

@@ -5,7 +5,7 @@ sum_k A^k y converges to the Leontief solution for any productive A, so it
 checks the LU-based solver against nothing but matrix multiplication. The
 explicit coefficient matrix A and the summed stressor row, which the
 pipeline never forms, are built here for the tests that compare against
-them.
+them, with the operator and one-shot solve of an A given in code.
 """
 
 from __future__ import annotations
@@ -14,8 +14,11 @@ import math
 
 import numpy as np
 
-from mrio_footprint.algebra import ZERO_OUTPUT_EPS
+from mrio_footprint.algebra import ZERO_OUTPUT_EPS, LeontiefOperator
 from mrio_footprint.errors import DimensionMismatch, NegativeEntry
+
+# Calendar weeks in an average year, which annualise average weekly hours.
+WEEKS_PER_YEAR = 365.25 / 7  # ~52.18
 
 
 def technical_coefficients(Z: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -35,6 +38,16 @@ def technical_coefficients(Z: np.ndarray, x: np.ndarray) -> np.ndarray:
     scale = np.zeros_like(x)
     scale[active] = 1.0 / x[active]
     return Z * scale[np.newaxis, :]
+
+
+def operator(A: np.ndarray) -> LeontiefOperator:
+    """The Leontief operator of an A given in code: with unit output, Z is A."""
+    return LeontiefOperator(A, np.ones(len(A)))
+
+
+def leontief_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One-shot solve of (I - A) q = y."""
+    return operator(A).apply(y)
 
 
 def total_row(extension) -> np.ndarray:

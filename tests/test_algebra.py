@@ -17,8 +17,8 @@ Hand-verified 2x2 case used throughout:
 import numpy as np
 import pytest
 
-from _oracles import (power_series_solve, random_productive_matrix, relative_error,
-                      technical_coefficients)
+from _oracles import (leontief_solve, operator, power_series_solve, random_productive_matrix,
+                      relative_error, technical_coefficients)
 from mrio_footprint import algebra, indicators, model
 from mrio_footprint.errors import DimensionMismatch, NegativeEntry, UnproductiveEconomy
 
@@ -62,11 +62,11 @@ class TestTechnicalCoefficients:
 
 class TestLeontiefSolve:
     def test_identity_economy(self):
-        q = algebra.leontief_solve(np.zeros((2, 2)), Y_HAND)
+        q = leontief_solve(np.zeros((2, 2)), Y_HAND)
         np.testing.assert_allclose(q, Y_HAND, rtol=0, atol=0)
 
     def test_hand_2x2(self):
-        q = algebra.leontief_solve(A_HAND, Y_HAND)
+        q = leontief_solve(A_HAND, Y_HAND)
         np.testing.assert_allclose(q, Q_HAND, rtol=1e-12)
 
     def test_matches_power_series(self, rng):
@@ -74,18 +74,18 @@ class TestLeontiefSolve:
             n = int(rng.integers(2, 12))
             A = random_productive_matrix(rng, n)
             y = rng.uniform(0.0, 10.0, size=n)
-            q = algebra.leontief_solve(A, y)
+            q = leontief_solve(A, y)
             assert relative_error(q, power_series_solve(A, y)) <= 1e-6
 
     def test_output_covers_demand(self, rng):
         A = random_productive_matrix(rng, 8)
         y = rng.uniform(0.0, 5.0, size=8)
-        q = algebra.leontief_solve(A, y)
+        q = leontief_solve(A, y)
         assert np.all(q >= y - 1e-12)
 
     def test_linearity(self, rng):
         A = random_productive_matrix(rng, 6)
-        op = algebra.factorize(A)
+        op = operator(A)
         y1 = rng.uniform(0.0, 5.0, size=6)
         y2 = rng.uniform(0.0, 5.0, size=6)
         alpha, beta = 0.7, 2.5
@@ -95,7 +95,7 @@ class TestLeontiefSolve:
 
     def test_monotonicity(self, rng):
         A = random_productive_matrix(rng, 6)
-        op = algebra.factorize(A)
+        op = operator(A)
         y = rng.uniform(0.0, 5.0, size=6)
         q = op.apply(y)
         for i in range(6):
@@ -105,18 +105,18 @@ class TestLeontiefSolve:
 
     def test_unproductive_singular(self):
         with pytest.raises(UnproductiveEconomy):
-            algebra.leontief_solve(np.eye(2), Y_HAND)
+            leontief_solve(np.eye(2), Y_HAND)
 
     def test_unproductive_negative_output(self):
         # (I - A) is invertible here but the economy consumes more than it
         # produces; the demand-coverage check must catch it.
         with pytest.raises(UnproductiveEconomy):
-            algebra.leontief_solve(np.array([[2.0]]), np.array([1.0]))
+            leontief_solve(np.array([[2.0]]), np.array([1.0]))
 
     def test_negative_column_keeps_the_coverage_check_on_the_others(self):
         # (I - A) q = y solves here with q = -y: a shortfall in the first
         # column, which a negative second column must not hide.
-        op = algebra.factorize(np.array([[2.0]]))
+        op = operator(np.array([[2.0]]))
         with pytest.raises(UnproductiveEconomy, match="falls below final demand"):
             op.apply(np.array([[1.0, -1.0]]))
         with pytest.raises(UnproductiveEconomy, match="falls below final demand"):
@@ -125,9 +125,9 @@ class TestLeontiefSolve:
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
-            algebra.leontief_solve(np.zeros((2, 3)), Y_HAND)
+            leontief_solve(np.zeros((2, 3)), Y_HAND)
         with pytest.raises(DimensionMismatch):
-            algebra.factorize(np.zeros(2))
+            operator(np.zeros(2))
 
 
 class TestLapackWrappers:
@@ -226,26 +226,26 @@ class TestLeontiefOperator:
 
 class TestMultipliers:
     def test_hand_2x2(self):
-        m = algebra.factorize(A_HAND).multipliers(S_HAND)
+        m = operator(A_HAND).multipliers(S_HAND)
         np.testing.assert_allclose(m, S_HAND @ L_HAND, rtol=1e-12)
 
     def test_defining_identity(self, rng):
         A = random_productive_matrix(rng, 7)
         S = rng.uniform(0.0, 3.0, size=(4, 7))
-        M = algebra.factorize(A).multipliers(S)
+        M = operator(A).multipliers(S)
         np.testing.assert_allclose(M @ (np.eye(7) - A), S, rtol=0, atol=1e-9)
 
     def test_dominates_intensities(self, rng):
         S = rng.uniform(0.0, 3.0, size=(3, 7))
-        M = algebra.factorize(random_productive_matrix(rng, 7)).multipliers(S)
+        M = operator(random_productive_matrix(rng, 7)).multipliers(S)
         assert np.all(M - S >= -1e-12)
 
     def test_unproductive(self):
         with pytest.raises(UnproductiveEconomy):
-            algebra.factorize(np.eye(2)).multipliers(S_HAND)
+            operator(np.eye(2)).multipliers(S_HAND)
 
     def test_agrees_with_solve(self, rng):
-        op = algebra.factorize(random_productive_matrix(rng, 9))
+        op = operator(random_productive_matrix(rng, 9))
         s = rng.uniform(0.0, 3.0, size=9)
         m = op.multipliers(s)
         for _ in range(5):
@@ -255,7 +255,7 @@ class TestMultipliers:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            algebra.factorize(A_HAND).multipliers(np.ones(3))
+            operator(A_HAND).multipliers(np.ones(3))
 
 
 class TestIntensity:
@@ -280,14 +280,14 @@ class TestFootprint:
     """Footprints s @ q of demand blocks, one solve per block."""
 
     def test_hand_total(self):
-        q = algebra.factorize(A_HAND).apply(np.column_stack([Y_HAND, 2.0 * Y_HAND]))
+        q = operator(A_HAND).apply(np.column_stack([Y_HAND, 2.0 * Y_HAND]))
         np.testing.assert_allclose(S_HAND @ q, [FOOTPRINT_HAND, 2.0 * FOOTPRINT_HAND],
                                    rtol=0, atol=1e-12)
 
     def test_block_columns_match_single_solves(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 30))
-            op = algebra.factorize(random_productive_matrix(rng, n))
+            op = operator(random_productive_matrix(rng, n))
             Y = rng.uniform(0.0, 100.0, size=(n, 4))
             # Identical columns solve to identical bits wherever they sit.
             Y[:, 3] = Y[:, 1]
@@ -297,7 +297,7 @@ class TestFootprint:
                 np.testing.assert_allclose(Q[:, j], op.apply(Y[:, j]), rtol=1e-12)
 
     def test_dimension_mismatch(self):
-        op = algebra.factorize(A_HAND)
+        op = operator(A_HAND)
         for shape in ((3,), (3, 2), (2, 2, 1)):
             with pytest.raises(DimensionMismatch):
                 op.apply(np.zeros(shape))
@@ -313,7 +313,7 @@ def hand_account(A: np.ndarray) -> model.MrioAccount:
 
 def certificate(A: np.ndarray) -> algebra.ProductivityEstimate:
     """The certificate that report_variants gives with no extension named."""
-    variants, estimate = indicators.report_variants(hand_account(A), algebra.factorize(A), [])
+    variants, estimate = indicators.report_variants(hand_account(A), operator(A), [])
     assert variants == []
     return estimate
 
@@ -355,4 +355,4 @@ class TestProductivityCheck:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             indicators.report_variants(hand_account(np.zeros((2, 2))),
-                                       algebra.factorize(np.zeros((3, 3))), [])
+                                       operator(np.zeros((3, 3))), [])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mrio_footprint
-from _oracles import technical_coefficients, total_row
+from _oracles import operator, technical_coefficients, total_row
 from mrio_footprint import algebra, cli, fileio, fixtures, indicators, model, scenario
 from mrio_footprint.cli import main
 
@@ -179,7 +179,7 @@ class TestFootprint:
         rows = read_report(tmp_path / "out" / "baseline" / "report.csv")
 
         account = fileio.ingest(fixture_dir / "layout.json").account
-        op = algebra.factorize(technical_coefficients(account.Z, account.x))
+        op = operator(technical_coefficients(account.Z, account.x))
         y, gfcf = model.home_demand(account, "R0")
         # The run's block: the home region's baseline, then the identity
         # scenario, which is the same demand.
@@ -927,8 +927,6 @@ def test_out_on_a_file_exits_one_before_ingest(fixture_dir, tmp_path, capsys, mo
         expected = f"{afile} exists and is not a directory"
     elif case.startswith("no-"):
         flags["--" + case[3:]] = missing
-        if case == "no-scenario":
-            expected = f"scenario spec not found: {missing}"
     elif case == "extensions-comma":
         flags["--extensions"] = ","
         expected = "--extensions ',' names no extension"
@@ -939,6 +937,23 @@ def test_out_on_a_file_exits_one_before_ingest(fixture_dir, tmp_path, capsys, mo
     assert expected in capsys.readouterr().err
     assert afile.read_text() == "kept\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["", "  "], ids=["empty", "blank"])
+@pytest.mark.parametrize("verb", ["validate", "footprint", "compare", "fixture"])
+def test_out_naming_no_directory_exits_one(fixture_dir, tmp_path, capsys, monkeypatch, verb,
+                                           out):
+    # Path("") is the working directory, which --out '' must not write into.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    flags = {"validate": ["--layout", fixture_dir / "layout.json"],
+             "fixture": ["--regions", 1, "--sectors", 2, "--seed", 0]}.get(verb, [
+        "--layout", fixture_dir / "layout.json", "--params", fixture_dir / "params.json",
+        "--scenario", fixture_dir / "scenarios" / "baseline.json"])
+    assert main([verb, *map(str, flags), "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: --out {out!r} names no directory\n"
+    assert list(cwd.iterdir()) == []
 
 
 def test_repeated_final_demand_column_fails_at_ingest(fixture_dir, tmp_path, capsys):

@@ -21,9 +21,9 @@ from mrio_footprint.errors import (
 class TestRegionSectorIndex:
     def test_lookup_is_a_bijection(self):
         index = model.RegionSectorIndex(("R0", "R1"), ("S0", "S1", "S2"))
-        flats = [index.lookup(r, s) for r, s in index.labels()]
-        assert flats == list(range(index.n))
-        assert index.n == 6
+        # Flat index r * n_sectors + s, row-major in region blocks.
+        assert index.labels() == [(r, s) for r in ("R0", "R1") for s in ("S0", "S1", "S2")]
+        assert len(set(index.labels())) == index.n == 6
 
     def test_region_slice(self):
         index = model.RegionSectorIndex(("R0", "R1"), ("S0", "S1", "S2"))
@@ -32,7 +32,7 @@ class TestRegionSectorIndex:
     def test_unknown_region(self):
         index = model.RegionSectorIndex(("R0",), ("S0",))
         with pytest.raises(UnknownRegion):
-            index.lookup("R9", "S0")
+            index.region_slice("R9")
 
     def test_duplicate_codes_rejected(self):
         with pytest.raises(ValueError):
@@ -88,6 +88,24 @@ class TestExtensionAccount:
             labels = "rows" if name == "labour" else "material_flags"
             assert excinfo.value.array == f"extension {name!r} {labels}"
             assert getattr(excinfo.value, "cell", None) == ((1,) if name == "labour" else None)
+
+    # fixture(2, 3, 42)'s energy and emissions extensions carry direct use.
+    @pytest.mark.parametrize("name, change, message", [
+        ("emissions", {"kind": "energy", "material_flags": {"CO2": "used",
+                                                            "CH4 (CO2-eq)": "unused"}},
+         "extension 'emissions' has material_flags, which is read only for kind material, "
+         "but its kind is 'energy'"),
+        ("labour", {"direct": {"R0": 1.0, "R1": 2.0}},
+         "extension 'labour' has direct, which is read only for kind energy or emissions, "
+         "but its kind is 'labour'"),
+        ("emissions", {"kind": None},
+         "extension 'emissions' has direct, which is read only for kind energy or emissions, "
+         "but its kind is None"),
+    ], ids=["material flags of energy", "direct use of labour", "direct use without kind"])
+    def test_kind_rules_hold_for_accounts_built_in_code(self, name, change, message):
+        extension = fixtures.fixture(2, 3, 42).extensions[name]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(extension, **change)
 
     @pytest.mark.parametrize("direct, error, message", [
         ({"R0": math.nan, "R1": 1.0}, NonFiniteEntry,

@@ -90,7 +90,7 @@ class TestCategoryCodes:
         codes = scenario.category_codes(mapping, index)
         y, gfcf = demand_357
         y = y.copy()
-        y[[index.lookup(region, "S1") for region in index.regions]] = 0.0
+        y[[r * index.n_sectors + index.sectors.index("S1") for r in range(index.n_regions)]] = 0.0
 
         totals = {category: 0.0 for category in CONSUMPTION_SPENDING_CATEGORIES}
         for flat, (_, sector) in enumerate(index.labels()):
