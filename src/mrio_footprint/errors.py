@@ -102,20 +102,19 @@ def reading(path: Path):
         raise ParseError("text is not UTF-8", path=str(path)) from exc
 
 
-def read_pairs(path: Path, columns: tuple[str, str], delimiter: str = "\t",
-               header: bool = False):
+def read_pairs(path: Path, columns: tuple[str, str]):
     """Yield (line number, first cell, second cell), both stripped, for each
-    row of a two-column table, such as a concordance's (sector, category).
+    row of a tab-separated concordance, such as (sector, category).
 
-    Blank lines, lines whose first cell starts with "#" and, with ``header``,
-    the first line are skipped. A row of any other number of cells, or one
-    that repeats an earlier row's first cell, is a ParseError naming the file
-    and the row; ``columns`` names the two columns in its message.
+    A leading byte-order mark, blank lines and lines whose first cell starts
+    with "#" are skipped. A row of any other number of cells, or one that
+    repeats an earlier row's first cell, is a ParseError naming the file and
+    the row; ``columns`` names the two columns in its message.
     """
     seen: set[str] = set()
-    with reading(path), path.open(newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.reader(handle, delimiter=delimiter), start=1):
-            if (header and lineno == 1) or not row or row[0].startswith("#"):
+    with reading(path), path.open(newline="", encoding="utf-8-sig") as handle:
+        for lineno, row in enumerate(csv.reader(handle, delimiter="\t"), start=1):
+            if not row or row[0].startswith("#"):
                 continue
             if len(row) != 2:
                 raise ParseError(f"expected two columns ({', '.join(columns)}), "
@@ -142,7 +141,8 @@ def read_json(path: Path, fields: dict, what: str) -> dict:
     allowed strings, a nested fields table, [kind] for a list or {str: kind}
     for a map. An unknown or repeated key, a missing required key or a value of
     the wrong kind is a ParseError naming the file and the key path, which
-    starts with ``what``: ``layout.extensions[0].kind``.
+    starts with ``what``: ``layout.extensions[0].kind``. A leading byte-order
+    mark is skipped.
     """
     def unique(pairs):
         read = {}
@@ -154,7 +154,7 @@ def read_json(path: Path, fields: dict, what: str) -> dict:
 
     try:
         with reading(path):
-            raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
+            raw = json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=unique)
     except ValueError as exc:
         raise ParseError(f"invalid {what}: {exc}", path=str(path)) from exc
     return _read(raw, fields, what, str(path))

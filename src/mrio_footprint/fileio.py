@@ -3,10 +3,12 @@
 The on-disk layout is a directory of delimited text files described by a
 JSON layout descriptor: the transaction grid and final-demand block carry
 two header rows (region, then sector/category) and two index columns;
-extension files carry stressor-labelled rows under the same column headers.
-All numbers are written with 17 significant digits so emitted files
-round-trip to bit-identical doubles, and the writer is deterministic: the
-same account always produces byte-identical files.
+extension files carry stressor-labelled rows under the same column headers;
+total output and direct use are grids of one value column under one header
+row. One grid reader reads every one of these numeric files. All numbers
+are written with 17 significant digits so emitted files round-trip to
+bit-identical doubles, and the writer is deterministic: the same account
+always produces byte-identical files.
 
 Labour conversion happens at ingest only: when a labour entry declares
 ``workers_per_unit``, stressor rows are multiplied by workers-per-unit times
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (POSITIVE, MissingStressorLabel, MrioError, NegativeEntry, NonFiniteEntry,
-                     ParseError, read_json, read_pairs, reading)
+                     ParseError, read_json, reading)
 from .model import EXTENSION_KINDS, ExtensionAccount, MrioAccount, RegionSectorIndex
 
 DEFAULT_HOURS_PER_WORKER_YEAR = 1840.0
@@ -185,16 +187,6 @@ def _load_numbers(lines, delimiter: str) -> np.ndarray:
     return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
 
 
-def _number(cell: str, delimiter: str) -> float:
-    """One cell read as ``_load_numbers`` reads it; ValueError when it is not
-    one number."""
-    # loadtxt reads an empty cell as no data, with a warning, and a cell
-    # holding the delimiter as two cells.
-    if not cell.strip() or delimiter in cell:
-        raise ValueError(f"not one number: {cell!r}")
-    return float(_load_numbers([cell], delimiter)[0, 0])
-
-
 def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
                 width: int) -> tuple[list[tuple[str, ...]], list[int], list[str]]:
     """The non-blank lines of ``lines``, the body lines of a grid, as three
@@ -216,6 +208,10 @@ def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
             raise ParseError("text is not UTF-8", path=str(path), row=lineno) from None
         if '"' in line:
             cells = next(csv.reader([line], delimiter=delimiter))
+            for column, cell in enumerate(cells[index_cols:], start=index_cols + 1):
+                if delimiter in cell:  # joined below, it would read as two cells
+                    raise ParseError(f"non-numeric value {cell!r}", path=str(path),
+                                     row=lineno, column=column)
             head, rest, found = cells[:index_cols], delimiter.join(cells[index_cols:]), len(cells)
         else:
             head = line.split(delimiter, index_cols)
@@ -357,7 +353,10 @@ def _parse_span(grid, span: tuple[int, int]):
             except ValueError:
                 for offset, cell in enumerate(rest.split(delimiter)):
                     try:
-                        _number(cell, delimiter)
+                        # loadtxt reads an empty cell as no data, with a warning.
+                        if not cell.strip():
+                            raise ValueError
+                        _load_numbers([cell], delimiter)
                     except ValueError:
                         raise ParseError(f"non-numeric value {cell!r}", path=str(path),
                                          row=lineno, column=index_cols + offset + 1) from None
@@ -467,7 +466,7 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
     seen: set[tuple[str, ...]] = set()
     for label, lineno in zip(labels, linenos):
         if label in seen:
-            what = "stressor" if index_cols == 1 else "region-sector"
+            what = "row" if index_cols == 1 else "region-sector"
             raise ParseError(f"{what} label {' / '.join(label)!r} is repeated",
                              path=str(path), row=lineno)
         seen.add(label)
@@ -613,6 +612,16 @@ def _read_grid(path: Path, cache_dir: Path, delimiter: str, index_cols: int,
     return (*grid, entry)
 
 
+def _read_column(path: Path, cache_dir: Path, delimiter: str, index_cols: int):
+    """Read a grid of one value column under one header row, such as total
+    output or direct use: (row labels, values, row lines, cache entry)."""
+    _, labels, grid, linenos, entry = _read_grid(path, cache_dir, delimiter, index_cols,
+                                                 header_rows=1)
+    if grid.shape[1] != 1:
+        raise ParseError("file must have exactly one value column", path=str(path))
+    return labels, grid[:, 0], linenos, entry
+
+
 @dataclass(frozen=True)
 class FactorizationEntry:
     """A cache entry holding an LU factorization: ``lu`` as the entry's
@@ -734,14 +743,9 @@ def ingest(layout_path: str | Path) -> IngestResult:
                              path=str(y_path), row=2, column=k + 3)
 
     x_path = layout.path(layout.total_output)
-    _, x_labels, x_grid, x_lines, x_entry = _read_grid(x_path, cache_dir, delim, index_cols=2,
-                                                       header_rows=1)
+    x_labels, x, x_lines, x_entry = _read_column(x_path, cache_dir, delim, index_cols=2)
     _check_labels("total-output rows do not match the transaction index", x_labels, labels,
                   x_path, linenos=x_lines)
-    if x_grid.shape[1] != 1:
-        raise ParseError("total-output file must have exactly one value column",
-                         path=str(x_path))
-    x = x_grid[:, 0]
 
     # By the ``array`` an account error carries, the file, row lines, index columns
     # and file values of a grid or direct use, or the layout entry of material flags.
@@ -765,9 +769,19 @@ def ingest(layout_path: str | Path) -> IngestResult:
             direct = None
             if entry.direct_file is not None:
                 direct_path = layout.path(entry.direct_file)
-                direct, direct_lines = _read_direct(direct_path, delim, index.regions)
-                cells[f"extension {entry.name!r} direct use"] = (
-                    direct_path, direct_lines, 1, np.array(list(direct.values())))
+                regions, values, direct_lines, _ = _read_column(direct_path, cache_dir, delim,
+                                                                index_cols=1)
+                for (region,), lineno in zip(regions, direct_lines):
+                    if region not in index.regions:
+                        raise ParseError(f"region {region!r} is not a region of the account",
+                                         path=str(direct_path), row=lineno)
+                direct = {region: value for (region,), value in zip(regions, values.tolist())}
+                for region in index.regions:
+                    if region not in direct:
+                        raise ParseError(f"region {region!r} has no direct-use row",
+                                         path=str(direct_path))
+                cells[f"extension {entry.name!r} direct use"] = (direct_path, direct_lines, 1,
+                                                                 values)
             try:
                 extensions[entry.name] = ExtensionAccount(
                     name=entry.name, unit="hours" if entry.workers_per_unit else entry.unit,
@@ -794,28 +808,6 @@ def ingest(layout_path: str | Path) -> IngestResult:
                          column=index_cols + column + 1) from None
     return IngestResult(account=account, warnings=layout.ingest_warnings,
                         system_entries=(z_entry, x_entry))
-
-
-def _read_direct(path: Path, delimiter: str, regions: tuple[str, ...]) -> tuple[dict, list]:
-    """A direct-use file's value for each of the account's ``regions``, in
-    file order, and the line of each; each is listed once, below a header."""
-    direct: dict[str, float] = {}
-    linenos: list[int] = []
-    for lineno, region, cell in read_pairs(path, ("region", "value"), delimiter, header=True):
-        try:
-            value = _number(cell, delimiter)
-        except ValueError:
-            raise ParseError(f"non-numeric value {cell!r}", path=str(path),
-                             row=lineno, column=2) from None
-        if region not in regions:
-            raise ParseError(f"region {region!r} is not a region of the account",
-                             path=str(path), row=lineno)
-        direct[region] = value
-        linenos.append(lineno)
-    for region in regions:
-        if region not in direct:
-            raise ParseError(f"region {region!r} has no direct-use row", path=str(path))
-    return direct, linenos
 
 
 # ---------------------------------------------------------------------------

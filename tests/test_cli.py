@@ -150,6 +150,17 @@ class TestValidate:
         assert "text is not UTF-8" in err and f"{path}, row 5)" in err
         assert "Traceback" not in err
 
+    def test_quoted_value_holding_the_delimiter_exits_one(self, fixture_dir, capsys):
+        path = fixture_dir / "ext_energy.tsv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split("\t")
+        cells[3] = '"1\t2"'
+        lines[2] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["validate", "--layout", str(fixture_dir / "layout.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: non-numeric value '1\\t2' ({path}, row 3, column 4)"]
+
     def test_machine_readable_output(self, fixture_dir, tmp_path):
         out = tmp_path / "report"
         assert main(["validate", "--layout", str(fixture_dir / "layout.json"),
@@ -387,6 +398,18 @@ class TestCompare:
         assert run_footprint(fixture_dir, tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert f"text is not UTF-8 ({path})" in err and "Traceback" not in err
+
+    # Excel's "UTF-8" export starts a file with a byte-order mark.
+    @pytest.mark.parametrize("name", [
+        "category_concordance.tsv", "sector_groups.tsv", "params.json", "layout.json",
+        "scenarios/halved.json", "z.tsv", "y.tsv", "x.tsv", "ext_labour.tsv",
+        "direct_energy.tsv"])
+    def test_leading_byte_order_mark_is_skipped(self, fixture_dir, tmp_path, name):
+        assert run_compare(fixture_dir, tmp_path / "plain", ["baseline", "halved"]) == 0
+        path = fixture_dir / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run_compare(fixture_dir, tmp_path / "bom", ["baseline", "halved"]) == 0
+        assert tree_bytes(tmp_path / "bom") == tree_bytes(tmp_path / "plain")
 
     @pytest.mark.parametrize("verb", ["compare", "footprint"])
     def test_duplicate_scenario_names_exit_one(self, fixture_dir, tmp_path, capsys, verb):

@@ -117,7 +117,7 @@ class TestParseErrors:
         ("z.tsv", lambda lines: [lines[0].rsplit("\t", 1)[0], *lines[1:]],
          "header rows have different lengths", 1),
         ("x.tsv", lambda lines: [line + "\t1" for line in lines],
-         "total-output file must have exactly one value column", None),
+         "file must have exactly one value column", None),
     ], ids=["no data rows", "no data columns", "header lengths", "two output columns"])
     def test_grid_structure_names_the_file(self, written_set, tmp_path, name, edit, message,
                                            row):
@@ -188,6 +188,21 @@ class TestParseErrors:
         assert (error.message, error.path, error.row, error.column) == (
             message, str(direct_path), 3, 2)
 
+    # A quoted value cell is one cell, so one that holds the delimiter is not a number.
+    @pytest.mark.parametrize("name, line, cell", [
+        ("z.tsv", 4, 5), ("y.tsv", 3, 2), ("x.tsv", 1, 2), ("ext_energy.tsv", 2, 3),
+        ("ext_labour.tsv", 3, 1)])
+    def test_quoted_value_holding_the_delimiter_names_row_and_column(self, written_set, tmp_path,
+                                                                     name, line, cell):
+        _, layout_path = written_set
+        path = tmp_path / name
+        self._set_cell(path, line, cell, '"1\t2"')
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        error = excinfo.value
+        assert (error.message, error.path, error.row, error.column) == (
+            "non-numeric value '1\\t2'", str(path), line + 1, cell + 1)
+
     @pytest.mark.parametrize("name, line, cell, row", [
         ("z.tsv", 4, 2, 5), ("z.tsv", 4, 0, 5), ("z.tsv", 1, 3, 2), ("ext_energy.tsv", 2, 3, 3),
         ("x.tsv", 0, 2, 1)])
@@ -221,7 +236,7 @@ class TestParseErrors:
         _, layout_path = written_set
         direct_path = tmp_path / "direct_energy.tsv"
         direct_path.write_text(direct_path.read_text() + "R0\t1000\n")
-        with pytest.raises(ParseError, match="'R0' listed twice") as excinfo:
+        with pytest.raises(ParseError, match="row label 'R0' is repeated") as excinfo:
             fileio.ingest(layout_path)
         assert excinfo.value.path.endswith("direct_energy.tsv")
         assert excinfo.value.row == 4

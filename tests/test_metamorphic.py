@@ -9,6 +9,13 @@ through ``cli.main``, and checks that effect on the output files:
   keep their bits, and every output file is byte-identical.
 - stressors x2: every stressor row and direct-use value doubled. Every
   ``report.csv`` value is exactly doubled.
+- regions reversed in every file, Y's column blocks and the direct-use rows
+  with them, while the specs still name R0 as home: every ``report.csv``
+  value is unchanged to 1e-12 relative, and a zero stays zero.
+- sectors reversed inside each region block, with the concordances
+  unchanged, since they map by name: the same bound.
+- region R1 renamed GB in the index, Y's columns and direct use: every
+  output file is byte-identical.
 """
 
 import csv
@@ -16,9 +23,11 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mrio_footprint import fileio, fixtures
+from mrio_footprint.model import RegionSectorIndex
 from mrio_footprint.cli import main
 
 # (regions, sectors, seed): the smallest criterion-7 set and one at n = 200.
@@ -65,6 +74,59 @@ def double_stressors(account):
         for name, ext in account.extensions.items()})
 
 
+def permute(account, regions, sectors):
+    """The account with its regions in the order ``regions`` and each
+    region's sectors in the order ``sectors``, both positions in its own
+    index. Y's columns move with their paying region's block, and the
+    direct-use rows, which the writer lists in index order, with their
+    region."""
+    index = account.index
+    order = [r * index.n_sectors + s for r in regions for s in sectors]
+    columns = [k for r in regions for k, (region, _) in enumerate(account.y_columns)
+               if region == index.regions[r]]
+    return replace(
+        account, index=RegionSectorIndex(tuple(index.regions[r] for r in regions),
+                                         tuple(index.sectors[s] for s in sectors)),
+        Z=account.Z[np.ix_(order, order)], Y=account.Y[np.ix_(order, columns)],
+        y_columns=tuple(account.y_columns[k] for k in columns), x=account.x[order],
+        extensions={name: replace(ext, rows=ext.rows[:, order])
+                    for name, ext in account.extensions.items()})
+
+
+def reverse_regions(account):
+    index = account.index
+    return permute(account, range(index.n_regions)[::-1], range(index.n_sectors))
+
+
+def reverse_sectors(account):
+    index = account.index
+    return permute(account, range(index.n_regions), range(index.n_sectors)[::-1])
+
+
+def rename_r1(account):
+    def name(region):
+        return "GB" if region == "R1" else region
+
+    return replace(
+        account, index=replace(account.index, regions=tuple(map(name, account.index.regions))),
+        y_columns=tuple((name(region), category) for region, category in account.y_columns),
+        extensions={key: replace(ext, direct=None if ext.direct is None else
+                                 {name(region): value for region, value in ext.direct.items()})
+                    for key, ext in account.extensions.items()})
+
+
+def report_values(out: Path) -> dict[tuple[str, ...], float]:
+    """Every ``report.csv`` value, keyed by its scenario and its row's other
+    cells."""
+    values = {}
+    for path in sorted(out.glob("*/report.csv")):
+        with path.open(encoding="utf-8") as handle:
+            for row in csv.DictReader(handle):
+                values[tuple(cell for key, cell in row.items() if key != "value")] = float(
+                    row["value"])
+    return values
+
+
 @pytest.fixture(scope="module", params=FIXTURES, ids=lambda dims: "fixture{}-{}-{}".format(*dims))
 def original(request, tmp_path_factory):
     """A fixture set's ``compare`` output, and the set's dimensions."""
@@ -95,3 +157,22 @@ def test_doubled_stressors_double_every_report_value(original, tmp_path):
         for old, new in zip(before, after):
             assert {**new, "value": None} == {**old, "value": None}
             assert float(new["value"]) == 2.0 * float(old["value"]), old
+
+
+@pytest.mark.parametrize("change", [reverse_regions, reverse_sectors])
+def test_reordering_leaves_every_report_value(original, tmp_path, change):
+    dims, out = original
+    layout = write_changed_set(tmp_path / "fx", dims, change)
+    expected = report_values(out)
+    assert {key[0] for key in expected} == {"baseline", "halved"}
+    values = report_values(run_compare(layout, tmp_path / "out"))
+    assert values.keys() == expected.keys()
+    for key, value in expected.items():
+        assert values[key] == pytest.approx(value, rel=1e-12, abs=0), key
+
+
+def test_renamed_region_gives_byte_identical_outputs(original, tmp_path):
+    dims, out = original
+    layout = write_changed_set(tmp_path / "fx", dims, rename_r1)
+    assert "GB" in (tmp_path / "fx" / "z.tsv").read_text(encoding="utf-8")
+    assert tree(run_compare(layout, tmp_path / "out")) == tree(out)
