@@ -183,6 +183,7 @@ REPORT_HEADER = ["scenario", "extension", "dimension", "label", "value", "unit"]
 COMPARISON_HEADER = ["extension", "scenario", "total", "per_capita", "hours_week_equivalent",
                      "domestic", "imported", "import_share", "direct_use", "delta_total",
                      "delta_per_capita"]
+FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 PLOT_HEADER = ["figure", "scenario", "extension", "segment", "value", "share", "unit"]
 
 
@@ -384,8 +385,13 @@ def cmd_compare(args) -> int:
                _comparison_rows(reports_per_scenario))
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
-    for figure, rows in _plot_rows(reports_per_scenario).items():
-        _write_csv(plots / f"{figure}.csv", PLOT_HEADER, rows)
+    figures = _plot_rows(reports_per_scenario)
+    # A figure without rows is not written, and one of an earlier run is stale.
+    for figure in FIGURES:
+        if figure in figures:
+            _write_csv(plots / f"{figure}.csv", PLOT_HEADER, figures[figure])
+        else:
+            (plots / f"{figure}.csv").unlink(missing_ok=True)
     print(f"compared {len(reports_per_scenario)} scenario(s) over "
           f"{len(reports_per_scenario[0])} report(s)")
     return 0

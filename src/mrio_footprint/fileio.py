@@ -5,10 +5,12 @@ JSON layout descriptor: the transaction grid and final-demand block carry
 two header rows (region, then sector/category) and two index columns;
 extension files carry stressor-labelled rows under the same column headers;
 total output and direct use are grids of one value column under one header
-row. One grid reader reads every one of these numeric files. All numbers
-are written with 17 significant digits so emitted files round-trip to
-bit-identical doubles, and the writer is deterministic: the same account
-always produces byte-identical files.
+row. One grid reader reads every one of these numeric files. Every line of
+a grid, header rows included, ends at LF, CR LF or CR and is split into
+cells on its own, so no label may hold a line break, and the writer refuses
+one. All numbers are written with 17 significant digits so emitted files
+round-trip to bit-identical doubles, and the writer is deterministic: the
+same account always produces byte-identical files.
 
 Labour conversion happens at ingest only: when a labour entry declares
 ``workers_per_unit``, stressor rows are multiplied by workers-per-unit times
@@ -35,7 +37,6 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,15 @@ def _load_numbers(lines, delimiter: str) -> np.ndarray:
     return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
 
 
+def _decode(line: bytes, path: Path, row: int) -> str:
+    """A line of a grid file as text; a ParseError naming ``row`` when it is
+    not UTF-8."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError("text is not UTF-8", path=str(path), row=row) from None
+
+
 def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
                 width: int) -> tuple[list[tuple[str, ...]], list[int], list[str]]:
     """The non-blank lines of ``lines``, the body lines of a grid, as three
@@ -202,10 +212,7 @@ def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError("text is not UTF-8", path=str(path), row=lineno) from None
+        line = _decode(line, path, lineno)
         if '"' in line:
             cells = next(csv.reader([line], delimiter=delimiter))
             for column, cell in enumerate(cells[index_cols:], start=index_cols + 1):
@@ -365,12 +372,6 @@ def _parse_span(grid, span: tuple[int, int]):
     return labels, linenos, len(lines), matrix
 
 
-def _shares(path: Path, start: int, end: int, count: int) -> list[tuple[int, int]]:
-    """At most ``count`` byte ranges of about equal size, cut at line starts,
-    that together cover bytes [start, end) of a file."""
-    return _spans(path, start, end, -(-(end - start) // count))
-
-
 def _parse_share(grid, share: tuple[int, int]) -> Iterator:
     """``_parse_span`` of each span of about PARALLEL_BYTES of a share, in
     order, so that a share's text is never held whole."""
@@ -395,8 +396,10 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
     """Parse a grid file: its header rows, row labels, matrix and the file
     line of each row.
 
-    The body is cut at line starts into one contiguous share per process
-    (see ``_processes``). The caller parses the first share, in spans of
+    The header rows are the file's first lines, cut and decoded as body
+    lines are, and each is split into cells with csv rules on its own. The
+    body is cut at line starts into one contiguous share per process (see
+    ``_processes``). The caller parses the first share, in spans of
     about PARALLEL_BYTES, while forked workers each parse one later share
     into a temporary file; the caller then reads the workers' rows, in
     order, straight into the joined matrix. A span that fails names its row
@@ -406,19 +409,15 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
     cell that is a number are left to the account's screen.
     """
     with reading(path):
-        # The decoder reads ahead into the body, whose bad bytes are left to
-        # the span that holds them, to be named by their row.
-        with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
-            reader = csv.reader(handle, delimiter=delimiter)
-            headers = list(islice(reader, header_rows))
-            used = reader.line_num  # lines before the first span
-            handle.seek(0)
-            start = 0
-            for row, line in enumerate(islice(handle, used), start=1):
-                try:
-                    start += len(line.encode("utf-8"))
-                except UnicodeEncodeError:
-                    raise ParseError("text is not UTF-8", path=str(path), row=row) from None
+        headers: list[list[str]] = []
+        start = 0  # the first byte after the header rows
+        with path.open("rb") as handle:
+            while len(headers) < header_rows and (end := _line_start(handle, start + 1)) > start:
+                handle.seek(start)
+                line = _decode(handle.read(end - start).rstrip(b"\r\n"), path, len(headers) + 1)
+                headers.append(next(csv.reader([line], delimiter=delimiter)))
+                start = end
+        used = len(headers)  # lines before the first span
         if len(headers) < header_rows:
             raise ParseError("file has no data rows", path=str(path))
         if len(headers[-1]) <= index_cols:
@@ -443,7 +442,8 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
             return matrix[len(labels) - len(part_labels):]
 
         grid = (path, delimiter, index_cols, width)
-        shares = _shares(path, start, size, _processes(size - start)) or [(start, size)]
+        shares = (_spans(path, start, size, -(-(size - start) // _processes(size - start)))
+                  or [(start, size)])
         try:
             with _forked(partial(_save_parse, grid), shares[1:], path) as result:
                 for part_labels, part_linenos, count, block in _parse_share(grid, shares[0]):
@@ -877,12 +877,20 @@ def write_account(account: MrioAccount, out_dir: str | Path,
     """Emit an account as an ingestible file set; returns the layout path.
 
     Values are written post-conversion (labour already in hours), so
-    re-ingesting reproduces the account matrices exactly.
+    re-ingesting reproduces the account matrices exactly. A label that holds
+    a line break, which no grid line can carry, is a ValueError raised
+    before any file is written.
     """
+    index = account.index
+    columns = [label for column in account.y_columns for label in column]
+    stressors = [label for ext in account.extensions.values() for label in ext.stressors]
+    for label in (*index.regions, *index.sectors, *columns, *stressors):
+        if "\n" in label or "\r" in label:
+            raise ValueError(f"label {label!r} holds a line break, which a grid file "
+                             "cannot carry")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     delim = _DELIMITERS[delimiter_name]
-    index = account.index
     pair_labels = index.labels()
 
     _write_grid(out_dir / "z.tsv", delim, _column_headers(["region", "sector"], pair_labels),

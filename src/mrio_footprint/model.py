@@ -221,7 +221,8 @@ def skill_of(stressor_label: str) -> str:
 class MrioAccount:
     """One reference year of MRIO data plus extension accounts.
 
-    ``y_columns`` labels the columns of Y as (paying region, category) pairs.
+    ``y_columns`` labels the columns of Y as (paying region, category) pairs,
+    each at most once, else a ValueError naming the repeated pair.
     Every value is finite; Y alone may hold negative values, in any column
     (inventory drawdowns), and ``home_demand`` rejects a negative summed one.
     """
@@ -250,6 +251,11 @@ class MrioAccount:
             )
         if self.x.shape != (n,):
             raise DimensionMismatch(f"x shape {self.x.shape} != ({n},)")
+        seen: set[tuple[str, str]] = set()
+        for column in self.y_columns:
+            if column in seen:
+                raise ValueError(f"final-demand column {' / '.join(column)!r} is repeated")
+            seen.add(column)
         _screen(self.Z, "Z", lambda cell: "transaction matrix contains negative entries")
         _screen(self.Y, "Y")  # inventory changes may be negative
         _screen(self.x, "x", lambda cell: "total output contains negative entries")

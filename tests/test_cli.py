@@ -310,6 +310,23 @@ class TestCompare:
         assert main(argv) == 0
         assert sorted(p.stem for p in (tmp_path / "cmp" / "plots").iterdir()) == figures
 
+    def test_a_rerun_deletes_the_figures_it_does_not_write(self, fixture_dir, tmp_path):
+        out = tmp_path / "cmp"
+        assert run_compare(fixture_dir, out, ["baseline", "halved"]) == 0
+        assert main(["compare", "--layout", str(fixture_dir / "layout.json"),
+                     "--params", str(fixture_dir / "params.json"), "--out", str(out),
+                     "--scenario", str(fixture_dir / "scenarios" / "baseline.json"),
+                     "--extensions", "labour"]) == 0
+        figures = sorted((out / "plots").iterdir())
+        assert [path.stem for path in figures] == ["fig1", "fig2", "fig3", "fig4"]
+        for path in [*figures, out / "comparison.csv"]:
+            with path.open(newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            assert {(row["extension"], row["scenario"]) for row in rows} == {
+                ("labour", "baseline")}, path
+        # A scenario directory this run does not write is left alone.
+        assert (out / "halved" / "report.csv").is_file()
+
     def test_plot_segments_sum_to_report_totals(self, fixture_dir, tmp_path):
         assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline", "halved"]) == 0
         reports = {

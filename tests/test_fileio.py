@@ -55,6 +55,23 @@ class TestRoundTrip:
         with pytest.raises(DimensionMismatch, match="not one value for each account region"):
             replace(account_357, extensions=account_357.extensions | {"energy": energy})
 
+    @pytest.mark.parametrize("field, label", [("sector", "S1\nbis"),
+                                              ("category", "inventory\rchange")],
+                             ids=["sector", "category"])
+    def test_label_with_a_line_break_is_refused_before_any_file(self, tmp_path, field, label):
+        account = fixtures.fixture(2, 3, 42)
+        if field == "sector":
+            account = replace(account, index=replace(account.index, sectors=("S0", label, "S2")))
+        else:
+            account = replace(account, y_columns=tuple(
+                (region, label if category == model.CATEGORY_INVENTORY else category)
+                for region, category in account.y_columns))
+        with pytest.raises(ValueError) as excinfo:
+            fileio.write_account(account, tmp_path / "out")
+        assert str(excinfo.value) == (f"label {label!r} holds a line break, which a grid file "
+                                      "cannot carry")
+        assert list(tmp_path.rglob("*.tsv")) == []
+
     def test_writer_is_deterministic(self, tmp_path):
         account = fixtures.fixture(2, 3, 42)
         fileio.write_account(account, tmp_path / "a")
@@ -84,7 +101,7 @@ class TestParseErrors:
         assert excinfo.value.column == 6
         assert "oops" in str(excinfo.value)
 
-    @pytest.mark.parametrize("text", ["", "  "])
+    @pytest.mark.parametrize("text", ["", "  "], ids=["empty", "blank"])
     def test_empty_cell_names_row_and_column(self, written_set, tmp_path, text):
         _, layout_path = written_set
         self._set_cell(tmp_path / "z.tsv", 4, 5, text)
@@ -128,6 +145,19 @@ class TestParseErrors:
             fileio.ingest(layout_path)
         assert (excinfo.value.message, excinfo.value.path, excinfo.value.row) == (
             message, str(path), row)
+
+    def test_unbalanced_quote_in_a_header_row_names_its_row(self, tmp_path):
+        # A header row is one line, so the quoted cell ends where the line
+        # does, and the row comes up short.
+        layout_path = fileio.write_account(fixtures.fixture(5, 40, 11), tmp_path)
+        path = tmp_path / "z.tsv"
+        lines = path.read_text().splitlines(True)
+        lines[0] = lines[0].replace("\tR0\t", '\t"R0\t', 1)
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert (excinfo.value.message, excinfo.value.path, excinfo.value.row) == (
+            "header rows have different lengths", str(path), 1)
 
     @staticmethod
     def _set_cell(path, line, cell, text):
@@ -208,8 +238,8 @@ class TestParseErrors:
         ("x.tsv", 0, 2, 1)])
     def test_byte_that_is_not_utf8_names_file_and_row(self, written_set, tmp_path, name, line,
                                                       cell, row):
-        # A header is read as text, which reads ahead into the body: a bad
-        # body byte must still be named by its own row.
+        # Header and body lines are decoded one line at a time: a bad byte
+        # is named by its own row.
         _, layout_path = written_set
         path = tmp_path / name
         lines = path.read_bytes().split(b"\n")
@@ -912,7 +942,8 @@ class TestParallelGrids:
             pid, start, end = map(int, line.split())
             spans.setdefault(pid, []).append((start, end))
         body = len("".join(path.read_text().splitlines(True)[:2]))
-        shares = fileio._shares(path, body, path.stat().st_size, 3)
+        size = path.stat().st_size
+        shares = fileio._spans(path, body, size, -(-(size - body) // 3))
         assert len(shares) == 3 and len(spans) == 3
         # Each process's spans, in the order it parsed them, tile one share.
         covered = {(pid_spans[0][0], pid_spans[-1][1]): pid for pid, pid_spans in spans.items()}
@@ -942,7 +973,8 @@ class TestParallelGrids:
         lines[line] = b"\t".join(cells)
         path.write_bytes(b"\n".join(lines) + b"\n")
         body = len(b"\n".join(lines[:2])) + 1
-        cuts = [start for start, _ in fileio._shares(path, body, path.stat().st_size, 3)]
+        size = path.stat().st_size
+        cuts = [start for start, _ in fileio._spans(path, body, size, -(-(size - body) // 3))]
         assert len(cuts) == 3
         assert cuts[share - 1] <= len(b"\n".join(lines[:line])) + 1 < (cuts + [1 << 40])[share]
         message, where, row, column = _compare(monkeypatch, path)

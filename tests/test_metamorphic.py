@@ -16,6 +16,9 @@ through ``cli.main``, and checks that effect on the output files:
   unchanged, since they map by name: the same bound.
 - region R1 renamed GB in the index, Y's columns and direct use: every
   output file is byte-identical.
+- a region appended, with its own Z block, demand columns, extension rows
+  and direct use, and no trade with the others: the home region's report
+  values are unchanged to 1e-12 relative, and a zero stays zero.
 """
 
 import csv
@@ -115,6 +118,28 @@ def rename_r1(account):
                     for key, ext in account.extensions.items()})
 
 
+def append_region(account):
+    """The account with one region more, after the others: fixture(1, S, 99)
+    of the same S sectors, renamed, which neither buys from nor sells to
+    them."""
+    index, other = account.index, fixtures.fixture(1, account.index.n_sectors, 99)
+    region = f"R{index.n_regions}"
+
+    def block_diagonal(a, b):
+        return np.block([[a, np.zeros((a.shape[0], b.shape[1]))],
+                         [np.zeros((b.shape[0], a.shape[1])), b]])
+
+    return replace(
+        account, index=replace(index, regions=(*index.regions, region)),
+        Z=block_diagonal(account.Z, other.Z), Y=block_diagonal(account.Y, other.Y),
+        y_columns=(*account.y_columns, *((region, category) for _, category in other.y_columns)),
+        x=np.concatenate([account.x, other.x]),
+        extensions={name: replace(ext, rows=np.hstack([ext.rows, other.extensions[name].rows]),
+                                  direct=None if ext.direct is None else
+                                  {**ext.direct, region: other.extensions[name].direct["R0"]})
+                    for name, ext in account.extensions.items()})
+
+
 def report_values(out: Path) -> dict[tuple[str, ...], float]:
     """Every ``report.csv`` value, keyed by its scenario and its row's other
     cells."""
@@ -167,6 +192,17 @@ def test_reordering_leaves_every_report_value(original, tmp_path, change):
     assert {key[0] for key in expected} == {"baseline", "halved"}
     values = report_values(run_compare(layout, tmp_path / "out"))
     assert values.keys() == expected.keys()
+    for key, value in expected.items():
+        assert values[key] == pytest.approx(value, rel=1e-12, abs=0), key
+
+
+def test_appended_region_leaves_every_report_value(original, tmp_path):
+    dims, out = original
+    layout = write_changed_set(tmp_path / "fx", dims, append_region)
+    assert f"R{dims[0]}" in (tmp_path / "fx" / "z.tsv").read_text(encoding="utf-8")
+    expected = report_values(out)
+    values = report_values(run_compare(layout, tmp_path / "out"))
+    assert values.keys() == expected.keys() and len(expected) > 0
     for key, value in expected.items():
         assert values[key] == pytest.approx(value, rel=1e-12, abs=0), key
 

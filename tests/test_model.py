@@ -294,6 +294,15 @@ class TestSelectDemand:
         with pytest.raises(UnknownRegion, match="'R9' has no final-demand columns"):
             model.home_demand(account_357, "R9")
 
+    def test_repeated_column_rejected(self):
+        # Summed twice, its demand would count twice in the region's consumption.
+        account = fixtures.fixture(2, 3, 42)
+        k = _column(account, "R0", model.CATEGORY_HOUSEHOLDS)
+        with pytest.raises(ValueError,
+                           match="^final-demand column 'R0 / households' is repeated$"):
+            replace(account, Y=np.hstack([account.Y, account.Y[:, [k]]]),
+                    y_columns=(*account.y_columns, account.y_columns[k]))
+
     def test_missing_category_column_rejected(self, account_357):
         keep = [k for k, column in enumerate(account_357.y_columns)
                 if column != ("R1", model.CATEGORY_GFCF)]
