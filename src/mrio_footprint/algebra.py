@@ -11,7 +11,8 @@ The kernels do not modify their inputs. Solves go through one reusable LU
 factorization of (I - A), built from Z and x without forming A; the explicit
 inverse is never built. The LU and its solves are LAPACK's dgetrf and dgetrs,
 called through ``ctypes`` in the OpenBLAS that numpy's own matrix products
-run in, so a process loads one BLAS. A LeontiefOperator without a
+run in, so a process loads one BLAS. LeontiefOperator makes the only calls:
+dgetrf in ``_factorize`` and dgetrs in ``_solve``. A LeontiefOperator without a
 store keeps its LU unchanged after construction. One with a store solves on
 the saved LU as the store gives it, a read-only mapped file included, and may
 replace it by a fresh factorization and write the store inside a solve, so
@@ -72,62 +73,6 @@ _openblas, _getrf, _getrs, _lapack_int = _load_lapack()
 _LAPACK_INT = np.dtype(_lapack_int)
 
 
-def _check_lu(lu: np.ndarray, name: str) -> int:
-    """The order n of a square float64 matrix; ValueError for anything else,
-    before LAPACK reads it through a raw pointer."""
-    if not (isinstance(lu, np.ndarray) and lu.dtype == np.float64 and lu.ndim == 2
-            and lu.shape[0] == lu.shape[1]):
-        raise ValueError(f"{name} must be a square float64 matrix, got "
-                         f"{getattr(lu, 'dtype', type(lu).__name__)} of shape {np.shape(lu)}")
-    return lu.shape[0]
-
-
-def lu_factor(a: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(lu, piv) of a square float64 matrix by LAPACK dgetrf: L and U in one
-    Fortran-ordered array, and 0-based int32 pivots. ``a`` is overwritten
-    only when it is a writeable Fortran-ordered array and ``overwrite_a`` is
-    set. An exactly singular matrix gives a zero on U's diagonal and no
-    error; the solves' checks decide about it."""
-    n = _check_lu(a, "a")
-    in_place = overwrite_a and a.flags.f_contiguous and a.flags.writeable
-    lu = a if in_place else np.array(a, order="F")
-    if n == 0:  # LAPACK rejects a leading dimension of 0
-        return lu, np.empty(0, dtype=np.int32)
-    ipiv = np.empty(n, dtype=_LAPACK_INT)
-    order, info = _lapack_int(n), _lapack_int()
-    _getrf(order, order, lu.ctypes.data, order, ipiv.ctypes.data, info)
-    if info.value < 0:
-        raise ValueError(f"illegal value in argument {-info.value} of LAPACK dgetrf")
-    return lu, np.subtract(ipiv, 1, dtype=np.int32)
-
-
-def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray,
-             trans: int = 0) -> np.ndarray:
-    """Solve a x = b (``trans`` 0) or a^T x = b (``trans`` 1) for a vector or
-    a block b, given ``lu_factor(a)``, by LAPACK dgetrs. ``b`` is never
-    written; a block solution is Fortran-ordered."""
-    lu, piv = lu_and_piv
-    n = _check_lu(lu, "lu")
-    if not (isinstance(piv, np.ndarray) and piv.shape == (n,)
-            and np.issubdtype(piv.dtype, np.integer) and np.all((piv >= 0) & (piv < n))):
-        raise ValueError(f"piv must hold {n} integer pivots in [0, {n})")
-    x = np.array(b, dtype=np.float64, order="F")
-    if x.ndim not in (1, 2) or x.shape[0] != n:
-        raise ValueError(f"b must have {n} rows, got shape {x.shape}")
-    if trans not in (0, 1):
-        raise ValueError(f"trans must be 0 or 1, got {trans!r}")
-    if x.size == 0:
-        return x
-    # Named, so that a copy made here lives until LAPACK has read it.
-    factors, ipiv = np.asfortranarray(lu), np.add(piv, 1, dtype=_LAPACK_INT)
-    order, info = _lapack_int(n), _lapack_int()
-    _getrs(b"T" if trans else b"N", order, _lapack_int(x.size // n), factors.ctypes.data,
-           order, ipiv.ctypes.data, x.ctypes.data, order, info, 1)
-    if info.value != 0:
-        raise ValueError(f"illegal value in argument {-info.value} of LAPACK dgetrs")
-    return x
-
-
 def _as_square(matrix: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -174,17 +119,18 @@ class LeontiefOperator:
     """Reusable LU factorization of I - A, for A = Z @ diag(x)^-1.
 
     The operator keeps Z and the column scale 1/x, never A itself: I - A is
-    built in the buffer that becomes its LU. ``apply`` solves for gross
-    output, ``multipliers`` for footprints per unit of final demand; both
-    verify their results against the defining system.
+    built in the buffer that LAPACK dgetrf, in ``_factorize``, overwrites
+    with its LU. ``apply`` solves for gross output, ``multipliers`` for
+    footprints per unit of final demand, each by one dgetrs in ``_solve``;
+    both verify their results against the defining system.
 
-    ``store``, when given, has ``load()``, returning a saved ``(lu, piv)``
-    pair or None, and ``store(lu, piv)``. A saved factorization is used when
-    it has the right shape, and it is trusted only through the checks: the
-    first check it fails replaces it by a factorization of Z and x, and the
-    solve is made again. So a damaged store costs one factorization and
-    never changes a verdict. A factorization made here is saved once a
-    solve with it has passed its check.
+    ``store``, when given, has ``load()``, returning a saved ``(lu, ipiv)``
+    pair or None, and ``store(lu, ipiv)``; ``ipiv`` holds dgetrf's 1-based
+    pivots. A saved factorization is used when it passes ``_fits``, and it is
+    trusted only through the checks: the first check it fails replaces it
+    by a factorization of Z and x, and the solve is made again. So a
+    damaged store costs one factorization and never changes a verdict. A
+    factorization made here is saved once a solve with it has passed its check.
     """
 
     def __init__(self, Z: np.ndarray, x: np.ndarray, store=None):
@@ -194,26 +140,45 @@ class LeontiefOperator:
         self._store = store
         saved = None if store is None else store.load()
         self._saved = saved is not None and _fits(*saved, self.dim)
-        self._lu = saved if self._saved else self._factorize()
+        self._lu = ((saved[0], np.asarray(saved[1], dtype=_LAPACK_INT)) if self._saved
+                    else self._factorize())
         self._unstored = store is not None and not self._saved
 
-    def _factorize(self):
-        # I - A in one Fortran-ordered buffer, which lu_factor then overwrites
-        # in place. 0.0 - a keeps the +0.0 entries of np.eye(n) - A, so the LU
+    def _factorize(self) -> tuple[np.ndarray, np.ndarray]:
+        # I - A in one Fortran-ordered buffer, which dgetrf overwrites in
+        # place. 0.0 - a keeps the +0.0 entries of np.eye(n) - A, so the LU
         # is bit-identical to that of the explicit difference.
         system = np.multiply(self._Z, self._scale, out=np.empty_like(self._Z, order="F"))
         np.subtract(0.0, system, out=system)
         diagonal = np.arange(self.dim)
         system[diagonal, diagonal] += 1.0
-        # Singular systems surface as UnproductiveEconomy via the residual checks.
-        return lu_factor(system, overwrite_a=True)
+        ipiv = np.empty(self.dim, dtype=_LAPACK_INT)
+        # LAPACK wants a leading dimension of at least 1, even for n = 0.
+        order, lead, info = _lapack_int(self.dim), _lapack_int(max(1, self.dim)), _lapack_int()
+        _getrf(order, order, system.ctypes.data, lead, ipiv.ctypes.data, info)
+        # A positive info, an exactly singular system, surfaces as
+        # UnproductiveEconomy via the residual checks.
+        if info.value < 0:
+            raise ValueError(f"illegal value in argument {-info.value} of LAPACK dgetrf")
+        return system, ipiv
 
-    def _solve(self, rhs: np.ndarray, trans: int, check) -> np.ndarray:
-        """lu_solve, accepted by ``check``; a saved LU that fails is replaced once."""
+    def _solve(self, rhs: np.ndarray, trans: bytes, check) -> np.ndarray:
+        """Solve the system (``trans`` b"N") or its transpose (b"T") for a
+        vector or a block, accepted by ``check``; a saved LU that fails is
+        replaced once. ``rhs`` is never written; a block solution is
+        Fortran-ordered."""
+        order, lead, info = _lapack_int(self.dim), _lapack_int(max(1, self.dim)), _lapack_int()
+        columns = _lapack_int(rhs.shape[1] if rhs.ndim == 2 else 1)
         while True:
+            lu, ipiv = self._lu
+            # dgetrs overwrites its right-hand side with the solution.
+            solution = np.array(rhs, dtype=np.float64, order="F")
+            _getrs(trans, order, columns, lu.ctypes.data, lead, ipiv.ctypes.data,
+                   solution.ctypes.data, lead, info, 1)
+            if info.value != 0:
+                raise ValueError(f"illegal value in argument {-info.value} of LAPACK dgetrs")
             try:
                 with np.errstate(all="ignore"):
-                    solution = lu_solve(self._lu, rhs, trans=trans)
                     check(solution)
                 break
             except UnproductiveEconomy:
@@ -235,7 +200,7 @@ class LeontiefOperator:
                 f"demand must have {self.dim} rows, got shape {yv.shape}")
         # A q = Z (q / x), column by column.
         return self._solve(
-            yv, 0, lambda q: _check_solution(q, self._Z @ (self._scale * q.T).T, yv))
+            yv, b"N", lambda q: _check_solution(q, self._Z @ (self._scale * q.T).T, yv))
 
     def multipliers(self, S: np.ndarray) -> np.ndarray:
         """Multipliers M = S (I - A)^-1 of one intensity row or a block of them.
@@ -253,20 +218,21 @@ class LeontiefOperator:
         # columns, which is faster than M Z; scaling its transpose by 1/x
         # scales the rows of a block and the one row of a vector alike.
         transposed = self._solve(
-            rows.T, 1,
+            rows.T, b"T",
             lambda mt: _check_solution(mt, (self._scale * (self._Z.T @ mt).T).T, rows.T))
         return np.ascontiguousarray(transposed.T)
 
 
-def _fits(lu, piv: np.ndarray, n: int) -> bool:
-    """Whether a saved (lu, piv) pair has the shapes and types of an n x n LU
-    that ``lu_solve`` reads where it lies: Fortran-ordered, so a mapped entry
-    is never copied."""
+def _fits(lu, ipiv, n: int) -> bool:
+    """Whether a saved (lu, ipiv) pair is an n x n LU as dgetrf leaves it,
+    which dgetrs may read through raw pointers where it lies: float64 and
+    Fortran-ordered, so a mapped entry is never copied, with n integer
+    pivots in [1, n]."""
     return bool(isinstance(lu, np.ndarray) and lu.dtype == np.float64
                 and lu.shape == (n, n) and lu.flags.f_contiguous
-                and isinstance(piv, np.ndarray) and piv.shape == (n,)
-                and np.issubdtype(piv.dtype, np.integer)
-                and np.all((piv >= 0) & (piv < n)))
+                and isinstance(ipiv, np.ndarray) and ipiv.shape == (n,)
+                and np.issubdtype(ipiv.dtype, np.integer)
+                and np.all((ipiv >= 1) & (ipiv <= n)))
 
 
 def _check_solution(q: np.ndarray, Aq: np.ndarray, y: np.ndarray) -> None:

@@ -6,6 +6,7 @@ CLI) can distinguish domain failures from programming errors.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -102,29 +103,53 @@ def reading(path: Path):
         raise ParseError("text is not UTF-8", path=str(path)) from exc
 
 
+def decode_line(line: bytes, path: Path, row: int) -> str:
+    """A line of an input file as text; a ParseError naming ``row`` when it
+    is not UTF-8."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError("text is not UTF-8", path=str(path), row=row) from None
+
+
+def split_line(line: str, delimiter: str, path: Path, row: int) -> list[str]:
+    """The cells of one line, split with csv rules on its own, so a quote
+    never runs past the line's end; a ParseError naming ``row`` when csv
+    refuses the line, as it does a cell longer than its field limit."""
+    try:
+        return next(csv.reader([line], delimiter=delimiter))
+    except csv.Error as exc:
+        raise ParseError(f"cannot split the line into cells: {exc}", path=str(path),
+                         row=row) from None
+
+
 def read_pairs(path: Path, columns: tuple[str, str]):
     """Yield (line number, first cell, second cell), both stripped, for each
     row of a tab-separated concordance, such as (sector, category).
 
-    A leading byte-order mark, blank lines and lines whose first cell starts
-    with "#" are skipped. A row of any other number of cells, or one that
-    repeats an earlier row's first cell, is a ParseError naming the file and
-    the row; ``columns`` names the two columns in its message.
+    Lines are read as grid lines are: each ends at LF, CR LF or CR and is
+    decoded and split on its own. A leading byte-order mark, blank lines and
+    lines whose first cell starts with "#" are skipped. A row of any other
+    number of cells, or one that repeats an earlier row's first cell, is a
+    ParseError naming the file and the row; ``columns`` names the two
+    columns in its message.
     """
+    with reading(path):
+        text = path.read_bytes()
     seen: set[str] = set()
-    with reading(path), path.open(newline="", encoding="utf-8-sig") as handle:
-        for lineno, row in enumerate(csv.reader(handle, delimiter="\t"), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected two columns ({', '.join(columns)}), "
-                                 f"found {len(row)}", path=str(path), row=lineno)
-            first, second = row[0].strip(), row[1].strip()
-            if first in seen:
-                raise ParseError(f"{columns[0]} {first!r} listed twice", path=str(path),
-                                 row=lineno)
-            seen.add(first)
-            yield lineno, first, second
+    for lineno, line in enumerate(text.removeprefix(codecs.BOM_UTF8).splitlines(), start=1):
+        row = split_line(decode_line(line, path, lineno), "\t", path, lineno)
+        if not row or row[0].startswith("#"):
+            continue
+        if len(row) != 2:
+            raise ParseError(f"expected two columns ({', '.join(columns)}), "
+                             f"found {len(row)}", path=str(path), row=lineno)
+        first, second = row[0].strip(), row[1].strip()
+        if first in seen:
+            raise ParseError(f"{columns[0]} {first!r} listed twice", path=str(path),
+                             row=lineno)
+        seen.add(first)
+        yield lineno, first, second
 
 
 POSITIVE = "a finite, positive number"

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (POSITIVE, MissingStressorLabel, MrioError, NegativeEntry, NonFiniteEntry,
-                     ParseError, read_json, reading)
+                     ParseError, decode_line, read_json, reading, split_line)
 from .model import EXTENSION_KINDS, ExtensionAccount, MrioAccount, RegionSectorIndex
 
 DEFAULT_HOURS_PER_WORKER_YEAR = 1840.0
@@ -188,15 +188,6 @@ def _load_numbers(lines, delimiter: str) -> np.ndarray:
     return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
 
 
-def _decode(line: bytes, path: Path, row: int) -> str:
-    """A line of a grid file as text; a ParseError naming ``row`` when it is
-    not UTF-8."""
-    try:
-        return line.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ParseError("text is not UTF-8", path=str(path), row=row) from None
-
-
 def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
                 width: int) -> tuple[list[tuple[str, ...]], list[int], list[str]]:
     """The non-blank lines of ``lines``, the body lines of a grid, as three
@@ -212,9 +203,9 @@ def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
-        line = _decode(line, path, lineno)
+        line = decode_line(line, path, lineno)
         if '"' in line:
-            cells = next(csv.reader([line], delimiter=delimiter))
+            cells = split_line(line, delimiter, path, lineno)
             for column, cell in enumerate(cells[index_cols:], start=index_cols + 1):
                 if delimiter in cell:  # joined below, it would read as two cells
                     raise ParseError(f"non-numeric value {cell!r}", path=str(path),
@@ -414,8 +405,9 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
         with path.open("rb") as handle:
             while len(headers) < header_rows and (end := _line_start(handle, start + 1)) > start:
                 handle.seek(start)
-                line = _decode(handle.read(end - start).rstrip(b"\r\n"), path, len(headers) + 1)
-                headers.append(next(csv.reader([line], delimiter=delimiter)))
+                row = len(headers) + 1
+                line = decode_line(handle.read(end - start).rstrip(b"\r\n"), path, row)
+                headers.append(split_line(line, delimiter, path, row))
                 start = end
         used = len(headers)  # lines before the first span
         if len(headers) < header_rows:
@@ -625,7 +617,8 @@ def _read_column(path: Path, cache_dir: Path, delimiter: str, index_cols: int):
 @dataclass(frozen=True)
 class FactorizationEntry:
     """A cache entry holding an LU factorization: ``lu`` as the entry's
-    matrix and the pivot indices in its json part."""
+    matrix and LAPACK's 1-based pivots under ``ipiv`` in its json part. The
+    operator checks both before it solves on them."""
 
     path: Path
 
@@ -635,12 +628,12 @@ class FactorizationEntry:
             return None
         lu, meta = cached
         try:
-            return lu, np.asarray(meta["piv"], dtype=np.int32)
-        except (LookupError, TypeError, ValueError, OverflowError):
+            return lu, np.asarray(meta["ipiv"])
+        except (LookupError, TypeError, ValueError):
             return None
 
-    def store(self, lu: np.ndarray, piv: np.ndarray) -> None:
-        _cache_store(self.path, lu, {"piv": piv.tolist()})
+    def store(self, lu: np.ndarray, ipiv: np.ndarray) -> None:
+        _cache_store(self.path, lu, {"ipiv": ipiv.tolist()})
 
 
 def factorization_entry(result: IngestResult, identity: str) -> FactorizationEntry:
@@ -878,8 +871,9 @@ def write_account(account: MrioAccount, out_dir: str | Path,
 
     Values are written post-conversion (labour already in hours), so
     re-ingesting reproduces the account matrices exactly. A label that holds
-    a line break, which no grid line can carry, is a ValueError raised
-    before any file is written.
+    a line break, which no grid line can carry, or that starts or ends with
+    whitespace, which ingest strips, is a ValueError raised before any file
+    is written.
     """
     index = account.index
     columns = [label for column in account.y_columns for label in column]
@@ -888,6 +882,9 @@ def write_account(account: MrioAccount, out_dir: str | Path,
         if "\n" in label or "\r" in label:
             raise ValueError(f"label {label!r} holds a line break, which a grid file "
                              "cannot carry")
+        if label != label.strip():
+            raise ValueError(f"label {label!r} starts or ends with whitespace, which "
+                             "ingest strips")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     delim = _DELIMITERS[delimiter_name]

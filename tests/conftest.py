@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from mrio_footprint import fixtures
+from mrio_footprint import algebra, fixtures
 
 
 @pytest.fixture(autouse=True)
@@ -32,3 +32,17 @@ def account_357():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20120101)
+
+
+@pytest.fixture()
+def factorizations(monkeypatch) -> list:
+    """The (lu, ipiv) pairs that LeontiefOperator._factorize makes during
+    the test, in order."""
+    made = []
+    factorize = algebra.LeontiefOperator._factorize
+
+    def recorded(self):
+        made.append(factorize(self))
+        return made[-1]
+    monkeypatch.setattr(algebra.LeontiefOperator, "_factorize", recorded)
+    return made

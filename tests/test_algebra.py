@@ -130,82 +130,137 @@ class TestLeontiefSolve:
             operator(np.zeros(2))
 
 
+def getrf(system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK dgetrf of a copy of ``system``, called directly: the LU and
+    the 1-based pivots that the operator should hold."""
+    n = len(system)
+    lu, ipiv = np.array(system, order="F"), np.empty(n, dtype=algebra._LAPACK_INT)
+    order, info = algebra._lapack_int(n), algebra._lapack_int()
+    algebra._getrf(order, order, lu.ctypes.data, order, ipiv.ctypes.data, info)
+    assert info.value == 0
+    return lu, ipiv
+
+
+class Saved:
+    """A store that gives one saved (lu, ipiv) pair and keeps what is stored."""
+
+    def __init__(self, lu, ipiv):
+        self.saved = (lu, ipiv)
+        self.stored = []
+
+    def load(self):
+        return self.saved
+
+    def store(self, lu, ipiv):
+        self.stored.append((lu.tobytes(), ipiv.tobytes()))
+
+
+def assert_refused(lu, ipiv, A: np.ndarray) -> None:
+    """An operator given the saved pair (lu, ipiv) never solves on it: it
+    factorizes I - A again, solves as an operator without a store does, and
+    stores the fresh LU."""
+    store = Saved(lu, ipiv)
+    given = algebra.LeontiefOperator(A, np.ones(len(A)), store)
+    fresh = operator(A)
+    y = np.ones(len(A))
+    assert given.apply(y).tobytes() == fresh.apply(y).tobytes()
+    assert store.stored == [(fresh._lu[0].tobytes(), fresh._lu[1].tobytes())]
+
+
 class TestLapackWrappers:
+    """How the operator calls LAPACK dgetrf and dgetrs through the ctypes
+    functions ``algebra._getrf`` and ``algebra._getrs``."""
+
     @pytest.mark.parametrize("trans", [0, 1])
     @pytest.mark.parametrize("rhs", ["vector", "block", "block.T"])
     def test_solves_as_numpy_and_the_transposed_system(self, rng, trans, rhs):
+        # trans 0 is a solve by apply, trans 1 one by multipliers.
         n = 80
-        system = np.eye(n) - random_productive_matrix(rng, n)
+        A = random_productive_matrix(rng, n)
+        system = np.eye(n) - A
         b = {"vector": lambda: rng.uniform(size=n),
              "block": lambda: rng.uniform(size=(n, 3)),
              # What multipliers passes: the transpose of a C-ordered block.
              "block.T": lambda: rng.uniform(size=(3, n)).T}[rhs]()
         given = b.copy()
-        lu, piv = algebra.lu_factor(system)
-        assert lu.flags.f_contiguous and piv.dtype == np.int32
-        solution = algebra.lu_solve((lu, piv), b, trans=trans)
-        assert solution.shape == b.shape and b.tobytes() == given.tobytes()
+        op = operator(A)
         if trans == 0:
+            solution = op.apply(b)
             # np.linalg.solve is dgesv, dgetrf then dgetrs, in the same OpenBLAS.
             assert solution.tobytes() == np.linalg.solve(system, b).tobytes()
         else:
+            solution = op.multipliers(b.T).T
             residual = np.max(np.abs(system.T @ solution - b))
             assert residual <= 1e-13 * np.max(np.abs(b))
+        assert solution.shape == b.shape and b.tobytes() == given.tobytes()
 
-    def test_factorizes_a_fortran_buffer_in_place(self, rng):
-        system = np.asfortranarray(np.eye(6) - random_productive_matrix(rng, 6))
-        expected_lu, expected_piv = algebra.lu_factor(system)
-        assert not np.shares_memory(expected_lu, system)
-        lu, piv = algebra.lu_factor(system, overwrite_a=True)
-        assert np.shares_memory(lu, system)
+    def test_factorizes_a_fortran_buffer_in_place(self, rng, monkeypatch):
+        buffers = []
+        call = algebra._getrf
+
+        def recorded(m, n, a, *rest):
+            buffers.append(a)
+            return call(m, n, a, *rest)
+        monkeypatch.setattr(algebra, "_getrf", recorded)
+        A = random_productive_matrix(rng, 6)
+        lu, ipiv = operator(A)._lu
+        assert lu.flags.f_contiguous and buffers == [lu.ctypes.data]
+        expected_lu, expected_ipiv = getrf(np.eye(6) - A)
         assert lu.tobytes() == expected_lu.tobytes()
-        assert piv.tobytes() == expected_piv.tobytes()
+        assert ipiv.tobytes() == expected_ipiv.tobytes()
 
     @pytest.mark.parametrize("layout", ["C-ordered", "read-only"])
     def test_never_overwrites_a_buffer_it_cannot_factorize_in_place(self, rng, layout):
-        system = np.eye(6) - random_productive_matrix(rng, 6)
+        # The LU is made in a buffer of the operator's own, never in Z.
+        Z = random_productive_matrix(rng, 6)
         if layout == "read-only":
-            system = np.asfortranarray(system)
-            system.flags.writeable = False
-        given = system.copy()
-        lu, _ = algebra.lu_factor(system, overwrite_a=True)
-        assert lu.flags.f_contiguous and not np.shares_memory(lu, system)
-        assert system.tobytes() == given.tobytes()
+            Z = np.asfortranarray(Z)
+            Z.flags.writeable = False
+        given = Z.copy()
+        lu, _ = algebra.LeontiefOperator(Z, np.ones(6))._lu
+        assert lu.flags.f_contiguous and not np.shares_memory(lu, Z)
+        assert Z.tobytes() == given.tobytes()
 
     def test_empty_system(self):
-        lu, piv = algebra.lu_factor(np.zeros((0, 0)))
-        assert lu.shape == (0, 0) and piv.shape == (0,)
-        assert algebra.lu_solve((lu, piv), np.zeros(0)).shape == (0,)
+        op = algebra.LeontiefOperator(np.zeros((0, 0)), np.zeros(0))
+        lu, ipiv = op._lu
+        assert lu.shape == (0, 0) and ipiv.shape == (0,)
+        assert op.apply(np.zeros(0)).shape == (0,)
+        assert op.apply(np.zeros((0, 3))).shape == (0, 3)
+        assert op.multipliers(np.zeros((2, 0))).shape == (2, 0)
 
     @pytest.mark.parametrize("a", [np.zeros((3, 4)), np.zeros(3), np.eye(3, dtype=np.float32),
                                    np.eye(3, dtype=int), [[1.0]]])
-    def test_factor_rejects_all_but_a_square_float64_matrix(self, a):
-        with pytest.raises(ValueError, match="must be a square float64 matrix"):
-            algebra.lu_factor(a)
+    def test_factor_rejects_all_but_a_square_float64_matrix(self, rng, a):
+        # A saved LU is solved on only when it is a square float64 matrix.
+        n = len(a)
+        assert_refused(a, np.arange(1, n + 1), random_productive_matrix(rng, n))
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda lu, piv, b: (lu[:, :-1], piv, b), "lu must be a square float64 matrix"),
-        (lambda lu, piv, b: (lu.astype(np.float32), piv, b), "lu must be a square float64"),
-        (lambda lu, piv, b: (lu, piv[:-1], b), r"piv must hold 4 integer pivots in \[0, 4\)"),
-        (lambda lu, piv, b: (lu, piv + 1, b), r"piv must hold 4 integer pivots"),
-        (lambda lu, piv, b: (lu, piv - 1, b), r"piv must hold 4 integer pivots"),
-        (lambda lu, piv, b: (lu, piv.astype(float), b), r"piv must hold 4 integer pivots"),
-        (lambda lu, piv, b: (lu, piv, b[:-1]), r"b must have 4 rows, got shape \(3,\)"),
-        (lambda lu, piv, b: (lu, piv, np.ones((5, 2))), r"b must have 4 rows, got shape \(5, 2\)"),
-        (lambda lu, piv, b: (lu, piv, np.ones((2, 2, 4))), "b must have 4 rows"),
+        (lambda lu, ipiv, b: (lu[:, :-1], ipiv, b), None),
+        (lambda lu, ipiv, b: (lu.astype(np.float32, order="F"), ipiv, b), None),
+        (lambda lu, ipiv, b: (lu, ipiv[:-1], b), None),
+        (lambda lu, ipiv, b: (lu, ipiv + 1, b), None),
+        (lambda lu, ipiv, b: (lu, -ipiv, b), None),
+        (lambda lu, ipiv, b: (lu, ipiv - 1, b), None),
+        (lambda lu, ipiv, b: (lu, ipiv.astype(float), b), None),
+        (lambda lu, ipiv, b: (lu, ipiv, b[:-1]), r"must have 4 rows, got shape \(3,\)"),
+        (lambda lu, ipiv, b: (lu, ipiv, np.ones((5, 2))), r"must have 4 rows, got shape \(5, 2\)"),
+        (lambda lu, ipiv, b: (lu, ipiv, np.ones((2, 2, 4))), "must have 4 rows"),
     ], ids=["lu not square", "lu float32", "piv short", "piv past n", "piv negative",
-            "piv float", "b vector short", "b block tall", "b three-dimensional"])
+            "piv 0-based", "piv float", "b vector short", "b block tall",
+            "b three-dimensional"])
     def test_solve_rejects_mismatched_arguments(self, rng, damage, message):
-        # LAPACK reads raw pointers: each mismatch is refused before the call.
-        lu, piv = algebra.lu_factor(np.eye(4) - random_productive_matrix(rng, 4))
-        lu, piv, b = damage(lu, piv, np.ones(4))
-        with pytest.raises(ValueError, match=message):
-            algebra.lu_solve((lu, piv), b)
-
-    def test_solve_rejects_an_unknown_trans(self):
-        lu_and_piv = algebra.lu_factor(np.eye(2))
-        with pytest.raises(ValueError, match="trans must be 0 or 1"):
-            algebra.lu_solve(lu_and_piv, np.ones(2), trans=2)
+        # LAPACK reads raw pointers: each mismatch is refused before the
+        # call, a saved LU by a fresh factorization, a demand by an error.
+        A = random_productive_matrix(rng, 4)
+        lu, ipiv = operator(A)._lu
+        lu, ipiv, b = damage(lu, ipiv, np.ones(4))
+        if message is None:
+            assert_refused(lu, ipiv, A)
+        else:
+            with pytest.raises(DimensionMismatch, match=message):
+                operator(A).apply(b)
 
 
 class TestLeontiefOperator:
@@ -217,11 +272,11 @@ class TestLeontiefOperator:
         if zero_cells:
             Z[::2, 1::3] = 0.0
             x[4] = 0.0
-        lu, piv = algebra.LeontiefOperator(Z, x)._lu
+        lu, ipiv = algebra.LeontiefOperator(Z, x)._lu
         A = technical_coefficients(Z, x)
-        expected_lu, expected_piv = algebra.lu_factor(np.eye(len(x)) - A)
+        expected_lu, expected_ipiv = getrf(np.eye(len(x)) - A)
         assert lu.tobytes() == expected_lu.tobytes()
-        assert piv.tobytes() == expected_piv.tobytes()
+        assert ipiv.tobytes() == expected_ipiv.tobytes()
 
 
 class TestMultipliers:

@@ -411,10 +411,12 @@ class TestCompare:
     def test_table_that_is_not_utf8_exits_one_naming_it(self, fixture_dir, tmp_path, capsys,
                                                         name):
         path = fixture_dir / name
-        path.write_bytes(path.read_bytes().replace(b"S1", b"S\xe91", 1))
+        text = path.read_bytes()
+        row = text[:text.index(b"S1")].count(b"\n") + 1
+        path.write_bytes(text.replace(b"S1", b"S\xe91", 1))
         assert run_footprint(fixture_dir, tmp_path / "out") == 1
         err = capsys.readouterr().err
-        assert f"text is not UTF-8 ({path})" in err and "Traceback" not in err
+        assert f"text is not UTF-8 ({path}, row {row})" in err and "Traceback" not in err
 
     # Excel's "UTF-8" export starts a file with a byte-order mark.
     @pytest.mark.parametrize("name", [
@@ -757,29 +759,17 @@ def lu_entry(fixture_dir: Path) -> Path:
     return entry
 
 
-@pytest.fixture()
-def lu_factor_calls(monkeypatch) -> list:
-    calls = []
-    factor = algebra.lu_factor
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return factor(*args, **kwargs)
-    monkeypatch.setattr(algebra, "lu_factor", counted)
-    return calls
-
-
 class TestFactorizationCache:
     @pytest.fixture(autouse=True)
     def identified_blas(self):
         if algebra.factorization_identity() is None:
             pytest.skip("numpy's OpenBLAS cannot be identified, so no LU is cached")
 
-    def test_warm_compare_makes_no_factorization(self, fixture_dir, tmp_path, lu_factor_calls):
+    def test_warm_compare_makes_no_factorization(self, fixture_dir, tmp_path, factorizations):
         assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
-        assert len(lu_factor_calls) == 1
+        assert len(factorizations) == 1
         assert run_compare(fixture_dir, tmp_path / "warm", SCENARIOS) == 0
-        assert len(lu_factor_calls) == 1
+        assert len(factorizations) == 1
 
     def test_outputs_identical_computed_and_loaded(self, fixture_dir, tmp_path):
         for run in ("computed", "loaded"):
@@ -791,14 +781,23 @@ class TestFactorizationCache:
 
     @pytest.mark.parametrize("verb", ["compare", "validate"])
     @pytest.mark.parametrize("damage", ["truncated", "wrong-shape", "C-ordered", "nan",
-                                        "perturbed"])
+                                        "perturbed", "ipiv zero", "ipiv past n", "ipiv float",
+                                        "ipiv short", "ipiv not a list"])
     def test_damaged_entry_is_refactorized_and_rewritten(
-            self, fixture_dir, tmp_path, lu_factor_calls, damage, verb):
+            self, fixture_dir, tmp_path, factorizations, damage, verb):
         assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
         entry = lu_entry(fixture_dir)
-        whole = entry.read_bytes()
+        whole, pivots = entry.read_bytes(), entry.with_suffix(".json").read_text()
         lu = np.load(entry)
-        if damage == "truncated":
+        n = len(lu)
+        # dgetrs reads the pivots through a raw pointer: one out of [1, n]
+        # must never reach it.
+        ipiv = {"ipiv zero": [0] * n, "ipiv past n": [n + 1] * n,
+                "ipiv float": [float(p) for p in range(1, n + 1)],
+                "ipiv short": list(range(1, n)), "ipiv not a list": n}.get(damage)
+        if ipiv is not None:
+            entry.with_suffix(".json").write_text(json.dumps({"ipiv": ipiv}))
+        elif damage == "truncated":
             entry.write_bytes(whole[: len(whole) // 2])
         elif damage == "wrong-shape":
             np.save(entry, lu[:-1, :-1])
@@ -815,21 +814,40 @@ class TestFactorizationCache:
         else:
             # Never an UNPRODUCTIVE verdict (exit 2) from a damaged entry.
             assert main(["validate", "--layout", str(fixture_dir / "layout.json")]) == 0
-        assert len(lu_factor_calls) == 2
+        assert len(factorizations) == 2
         assert entry.read_bytes() == whole
+        assert entry.with_suffix(".json").read_text() == pivots
+
+    def test_entry_with_0_based_pivots_is_refactorized_once_and_rewritten(
+            self, fixture_dir, tmp_path, factorizations):
+        # An entry as written before the cache held LAPACK's own pivots: the
+        # same LU, with 0-based pivots under "piv". It is never solved on:
+        # the first run factorizes again and rewrites it, the second reads it.
+        assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
+        meta = lu_entry(fixture_dir).with_suffix(".json")
+        written = meta.read_text()
+        ipiv = json.loads(written)["ipiv"]
+        assert ipiv == list(range(1, len(ipiv) + 1))
+        meta.write_text(json.dumps({"piv": [p - 1 for p in ipiv]}))
+        assert run_compare(fixture_dir, tmp_path / "first", SCENARIOS) == 0
+        assert len(factorizations) == 2 and meta.read_text() == written
+        assert run_compare(fixture_dir, tmp_path / "second", SCENARIOS) == 0
+        assert len(factorizations) == 2
+        for run in ("first", "second"):
+            assert tree_bytes(tmp_path / run) == tree_bytes(tmp_path / "cold")
 
     def test_changed_blas_identity_replaces_the_entry(self, fixture_dir, tmp_path,
-                                                      lu_factor_calls, monkeypatch):
+                                                      factorizations, monkeypatch):
         assert run_compare(fixture_dir, tmp_path / "first", SCENARIOS) == 0
         first = lu_entry(fixture_dir)
         identity = algebra.factorization_identity()
         monkeypatch.setattr(algebra, "factorization_identity", lambda: identity + "; other")
         assert run_compare(fixture_dir, tmp_path / "second", SCENARIOS) == 0
-        assert len(lu_factor_calls) == 2
+        assert len(factorizations) == 2
         second = lu_entry(fixture_dir)
         assert second != first and not first.exists() and not first.with_suffix(".json").exists()
 
-    def test_unidentified_blas_uses_no_entry(self, fixture_dir, tmp_path, lu_factor_calls,
+    def test_unidentified_blas_uses_no_entry(self, fixture_dir, tmp_path, factorizations,
                                              monkeypatch):
         assert run_compare(fixture_dir, tmp_path / "cached", SCENARIOS) == 0
         entry = lu_entry(fixture_dir)
@@ -838,18 +856,18 @@ class TestFactorizationCache:
         for run in ("first", "second"):
             assert run_compare(fixture_dir, tmp_path / run, SCENARIOS) == 0
             assert tree_bytes(tmp_path / run) == tree_bytes(tmp_path / "cached")
-        assert len(lu_factor_calls) == 3
+        assert len(factorizations) == 3
         assert lu_entry(fixture_dir) == entry and entry.read_bytes() == whole
 
     def test_unwritable_cache_factorizes_every_run(self, fixture_dir, tmp_path,
-                                                  lu_factor_calls):
+                                                  factorizations):
         (fixture_dir / fileio.CACHE_DIR).write_text("not a directory")
         for run in ("first", "second"):
             assert run_compare(fixture_dir, tmp_path / run, SCENARIOS) == 0
-        assert len(lu_factor_calls) == 2
+        assert len(factorizations) == 2
         assert tree_bytes(tmp_path / "second") == tree_bytes(tmp_path / "first")
 
-    def test_unproductive_account_stores_no_entry(self, tmp_path, lu_factor_calls):
+    def test_unproductive_account_stores_no_entry(self, tmp_path, factorizations):
         # A factorization is saved only once a solve with it passes its check.
         layout_path = TestValidate.write_two_sector_account(
             tmp_path / "unproductive", [[150.0, 0.0], [0.0, 50.0]],
@@ -857,10 +875,10 @@ class TestFactorizationCache:
             [[0.0, -50.0], [50.0, 0.0]])
         for _ in range(2):
             assert main(["validate", "--layout", str(layout_path)]) == 2
-        assert len(lu_factor_calls) == 2
+        assert len(factorizations) == 2
         assert not list((layout_path.parent / fileio.CACHE_DIR).glob("lu-*/*"))
 
-    def test_warm_run_maps_every_entry(self, fixture_dir, lu_factor_calls, monkeypatch):
+    def test_warm_run_maps_every_entry(self, fixture_dir, factorizations, monkeypatch):
         # A cold run parses, factorizes, and stores its LU after one solve.
         layout_path = fixture_dir / "layout.json"
         cold = fileio.ingest(layout_path)
@@ -873,14 +891,14 @@ class TestFactorizationCache:
         operator = cli._operator(ingested)
         _, certificate = indicators.report_variants(ingested.account, operator, [])
         assert certificate.productive
-        assert len(lu_factor_calls) == 1
+        assert len(factorizations) == 1
         lu, _ = operator._lu
         assert not (lu.flags.writeable or lu.flags.owndata)
         assert not (ingested.account.Z.flags.writeable or ingested.account.Z.flags.owndata)
 
     @pytest.mark.parametrize("what", ["grids re-stored", "grids replaced", "lu re-stored"])
     def test_entries_stored_mid_run_leave_the_run_unchanged(
-            self, fixture_dir, tmp_path, lu_factor_calls, monkeypatch, what):
+            self, fixture_dir, tmp_path, factorizations, monkeypatch, what):
         # Entries are replaced by a rename, never rewritten in place, so a run
         # that holds them mapped keeps reading what it mapped.
         assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
@@ -902,14 +920,14 @@ class TestFactorizationCache:
         monkeypatch.setattr(cli, "_operator", store_mid_run)
         assert run_compare(fixture_dir, tmp_path / "warm", SCENARIOS) == 0
         assert tree_bytes(tmp_path / "warm") == tree_bytes(tmp_path / "cold")
-        assert len(lu_factor_calls) == 1
+        assert len(factorizations) == 1
         assert [array.tobytes() for array in held] == before
 
     def test_validate_reuses_the_entry_compare_wrote(self, fixture_dir, tmp_path,
-                                                     lu_factor_calls):
+                                                     factorizations):
         assert run_compare(fixture_dir, tmp_path / "cmp", SCENARIOS) == 0
         assert main(["validate", "--layout", str(fixture_dir / "layout.json")]) == 0
-        assert len(lu_factor_calls) == 1
+        assert len(factorizations) == 1
 
 
 # Every verb in one fresh interpreter; the last line of its output is a JSON

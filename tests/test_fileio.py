@@ -72,6 +72,26 @@ class TestRoundTrip:
                                       "cannot carry")
         assert list(tmp_path.rglob("*.tsv")) == []
 
+    @pytest.mark.parametrize("label, relabel", [
+        ("S1 ", lambda a: replace(a, index=replace(a.index, sectors=("S0", "S1 ", "S2")))),
+        ("S0 ", lambda a: replace(a, index=replace(a.index, sectors=("S0", "S0 ", "S2")))),
+        ("households\t", lambda a: replace(a, y_columns=tuple(
+            (region, "households\t" if category == "households" else category)
+            for region, category in a.y_columns))),
+        (" CO2", lambda a: replace(a, extensions=a.extensions | {"emissions": replace(
+            a.extensions["emissions"], stressors=(" CO2", "CH4 (CO2-eq)"))})),
+    ], ids=["sector", "repeated sector", "category", "stressor"])
+    def test_label_that_ingest_would_strip_is_refused_before_any_file(self, tmp_path, label,
+                                                                       relabel):
+        # Ingest strips the whitespace around a label, so such a label would
+        # come back changed, or as a repeat of another ("S0 " of "S0").
+        account = relabel(fixtures.fixture(2, 3, 42))
+        with pytest.raises(ValueError) as excinfo:
+            fileio.write_account(account, tmp_path / "out")
+        assert str(excinfo.value) == (f"label {label!r} starts or ends with whitespace, "
+                                      "which ingest strips")
+        assert list(tmp_path.rglob("*.tsv")) == []
+
     def test_writer_is_deterministic(self, tmp_path):
         account = fixtures.fixture(2, 3, 42)
         fileio.write_account(account, tmp_path / "a")
@@ -158,6 +178,24 @@ class TestParseErrors:
             fileio.ingest(layout_path)
         assert (excinfo.value.message, excinfo.value.path, excinfo.value.row) == (
             "header rows have different lengths", str(path), 1)
+
+    @pytest.mark.parametrize("line, text", [
+        (0, b'\t\t"' + b"\t".join(b"L%d" % k for k in range(40_000))),
+        (3, b'R0\t"S0' + b"x" * 140_000 + b'"\t1'),
+    ], ids=["header row", "body line"])
+    def test_cell_past_the_csv_field_limit_names_its_row(self, written_set, tmp_path, line,
+                                                         text):
+        # csv refuses a cell longer than its field limit, which is left as it
+        # is: the refusal names the file and row, and the verbs exit 1.
+        _, layout_path = written_set
+        path = tmp_path / "z.tsv"
+        lines = path.read_bytes().split(b"\n")
+        lines[line] = text
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match="field larger than field limit") as excinfo:
+            fileio.ingest(layout_path)
+        assert (excinfo.value.path, excinfo.value.row) == (str(path), line + 1)
+        assert main(["validate", "--layout", str(layout_path)]) == 1
 
     @staticmethod
     def _set_cell(path, line, cell, text):
@@ -863,18 +901,20 @@ class TestFixtureSet:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
-    def test_output_comes_from_one_in_place_factorization(self, monkeypatch):
+    def test_output_comes_from_one_in_place_factorization(self, monkeypatch, factorizations):
         # The pipeline's LU path builds I - A in one Fortran buffer and
-        # factorizes it in place, so no n x n identity or difference is made.
-        calls = []
-        factor = algebra.lu_factor
+        # dgetrf factorizes it in place, so no n x n identity or difference
+        # is made.
+        buffers = []
+        getrf = algebra._getrf
 
-        def recorded(a, overwrite_a=False):
-            calls.append((a.flags.f_contiguous, overwrite_a))
-            return factor(a, overwrite_a=overwrite_a)
-        monkeypatch.setattr(algebra, "lu_factor", recorded)
+        def recorded(m, n, a, *rest):
+            buffers.append(a)
+            return getrf(m, n, a, *rest)
+        monkeypatch.setattr(algebra, "_getrf", recorded)
         fixtures.fixture(2, 3, 42)
-        assert calls == [(True, True)]
+        ((lu, _),) = factorizations
+        assert lu.flags.f_contiguous and buffers == [lu.ctypes.data]
 
     def test_contains_runnable_inputs(self, tmp_path):
         layout_path = fixtures.write_fixture_set(2, 3, 1, tmp_path)

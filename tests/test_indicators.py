@@ -172,6 +172,16 @@ class TestSectorGroups:
             indicators.load_sector_groups(path, model.RegionSectorIndex(("R0",), ("S0", "S1")))
 
 
+    def test_stray_quote_ends_at_its_line(self, tmp_path):
+        # The quote before "manufacturing" is never closed; it must not
+        # swallow the services row after it.
+        path = tmp_path / "groups.tsv"
+        path.write_text('S0\tagriculture\nS1\t"manufacturing\nS2\tservices\n')
+        labels, codes = indicators.load_sector_groups(
+            path, model.RegionSectorIndex(("R0",), ("S0", "S1", "S2")))
+        assert labels == ("agriculture", "manufacturing", "services")
+        assert codes.tolist() == [0, 1, 2]
+
 def test_shipped_concordances_load():
     # An index over the 200 sectors of the group file, in two regions.
     groups_path = fileio.data_path("concordances/exiobase3_sector_groups.tsv")

@@ -334,6 +334,26 @@ class TestFileFormats:
         assert message in str(excinfo.value)
         assert (excinfo.value.path, excinfo.value.row) == (str(path), 2)
 
+    def test_stray_quote_in_a_concordance_ends_at_its_line(self, tmp_path):
+        # Each line is split on its own, so a quote that is never closed
+        # cannot run into the rows after it, whatever ends the lines.
+        path = tmp_path / "cats.tsv"
+        path.write_bytes(f'S0\t"{scenario.GROCERIES}\r\nS1\t{scenario.CLOTHING}\r'
+                         f'S2\t{scenario.HOUSING}\n'.encode())
+        index = model.RegionSectorIndex(("R0",), ("S0", "S1", "S2"))
+        expected = [CONSUMPTION_SPENDING_CATEGORIES.index(category) for category in
+                    (scenario.GROCERIES, scenario.CLOTHING, scenario.HOUSING)]
+        assert scenario.load_concordance(path, index).tolist() == expected
+
+    @pytest.mark.parametrize("load", [scenario.load_concordance, indicators.load_sector_groups],
+                             ids=["categories", "sector groups"])
+    def test_concordance_cell_past_the_csv_field_limit_names_its_row(self, tmp_path, load):
+        path = tmp_path / "concordance.tsv"
+        path.write_text(f"S0\t{scenario.HOUSING}\nS1\t{'x' * 140_000}\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as excinfo:
+            load(path, model.RegionSectorIndex(("R0",), ("S0", "S1")))
+        assert (excinfo.value.path, excinfo.value.row) == (str(path), 2)
+
     def test_scenario_spec_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
