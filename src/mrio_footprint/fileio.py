@@ -22,6 +22,7 @@ any further conversion.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -64,6 +65,29 @@ PARALLEL_BYTES = 1 << 22
 
 # Input files are hashed for the parse cache in leaves of this many bytes.
 LEAF_BYTES = 1 << 20
+
+# Grid numbers are read in blocks of about this many bytes of text by an
+# exact vectorized decimal kernel (``_read_decimals``) where numpy's long
+# double is the little-endian x87 format, whose significand has 64 bits;
+# elsewhere np.loadtxt reads them.
+NUMBER_BLOCK_BYTES = 1 << 18
+_EXACT_DECIMALS = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+# 10**q for |q| <= _POWER_RANGE, correctly rounded to that significand, and
+# the least and greatest normal doubles. w * 10**q for a nonzero w < 10**19
+# and |q| >= _POWER_RANGE lies outside that range.
+_POWER_RANGE = 350
+_POWERS_OF_TEN = np.array([f"1e{q}" for q in range(-_POWER_RANGE, _POWER_RANGE + 1)]
+                          ).astype(np.longdouble)
+_NORMAL_RANGE = np.array([np.finfo(np.float64).tiny, np.finfo(np.float64).max], np.longdouble)
+# 24 bytes read as three uint64 lanes: where each lane starts, and, for
+# s = 0..24 in column s, the masks that keep the low nibble of each byte but
+# the s first.
+_LANE_STARTS = np.array([[0], [8], [16]])
+_LANE_MASKS = np.array([[(0x0F0F0F0F0F0F0F0F << 8 * min(max(s - 8 * k, 0), 8)) % (1 << 64)
+                         for s in range(25)] for k in range(3)], dtype=np.uint64)
+
+# The C library, for ``_trim_heap``.
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None
 
 
 def data_path(relative: str) -> Path:
@@ -183,9 +207,148 @@ class IngestResult:
     warnings: tuple[IngestWarning, ...] = ()
 
 
-def _load_numbers(lines, delimiter: str) -> np.ndarray:
-    """Delimited numeric lines as a 2-D float array; ValueError on a bad cell."""
-    return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+def _eight_digits(lanes: np.ndarray) -> np.ndarray:
+    """Each uint64 of ``lanes`` read as eight decimal digits, one in the low
+    nibble of each byte and the first in the lowest byte, as its value; the
+    lanes are overwritten (Lemire 2021)."""
+    for multiplier, shift, keep in ((2561, 8, 0x00FF00FF00FF00FF),
+                                    (6553601, 16, 0x0000FFFF0000FFFF),
+                                    (42949672960001, 32, 0xFFFFFFFF)):
+        lanes *= multiplier
+        lanes >>= shift
+        lanes &= keep
+    return lanes
+
+
+def _read_cells(text: bytes, starts: np.ndarray, ends: np.ndarray) -> list[float]:
+    """The cells text[start:end], each read by float(), which rounds a
+    number of the decimal kernel's form correctly, as np.loadtxt does."""
+    return [float(text[start:end]) for start, end in zip(starts.tolist(), ends.tolist())]
+
+
+def _read_decimals(text: bytes, delimiter: str, rows: int) -> np.ndarray | None:
+    """The ``rows`` lines of ``text``, each ended by a newline and cut into
+    cells at ``delimiter``, as a float matrix bit-identical to np.loadtxt's;
+    None, for np.loadtxt to read them, when a cell is empty or not of the
+    form -?D+(.D+)?([eE][+-]?D{1,3})?, D a digit, or the rows differ in width.
+
+    A cell's mantissa digits make an integer w, read eight at a time from the
+    24 bytes that end it in the text without its dots, and its exponent less
+    its fraction digits is q. w < 10**19 < 2**64 is exact in the 64-bit
+    significand of the x87 long double. There w * 10**q is two correctly
+    rounded steps, each off by at most half a unit in the last place (ulp), or
+    one step for |q| <= 27, where 10**q = 5**q * 2**q is exact since
+    5**27 < 2**63: at most 2 ulps from the exact value in all. Narrowing to a
+    double rounds as the exact value would unless a double midpoint, 0x400 in
+    the 11 dropped bits, lies within those 2 ulps (Clinger 1990; Lemire 2021).
+    Cells with more than 24 mantissa digits or 19 significant ones, within
+    2 ulps of a midpoint, or outside the range of normal doubles are read one
+    at a time by float(), which rounds a cell of this form as np.loadtxt does.
+    """
+    # A '+' that leads a cell, which np.loadtxt reads, is found before any
+    # array work, so that a file of such cells is read at np.loadtxt's pace.
+    if b"+" in text and (text[:1] == b"+" or b"\n+" in text or f"{delimiter}+".encode() in text):
+        return None
+    b = np.frombuffer(text, np.uint8)
+    marks = np.flatnonzero(np.subtract(b, 48, dtype=np.uint8) > 9)  # the bytes not digits
+    kinds = b.take(marks)
+    # Each such byte's class: 1 the delimiter, 2 a newline, 3 a byte inside a
+    # number, 0 a byte outside the form.
+    class_of = np.zeros(256, np.uint8)
+    class_of[[ord(delimiter), ord("\n"), *b".-+eE"]] = [1, 2, 3, 3, 3, 3, 3]
+    classes = class_of.take(kinds)
+    if not classes.all():
+        return None
+    is_end = classes < 3
+    ends = marks.compress(is_end)
+    cells = len(ends)
+    cols = cells // rows
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    newlines = classes.compress(is_end) == 2
+    if (cells != rows * cols or np.any(starts == ends) or newlines.sum() != rows
+            or not newlines[cols - 1::cols].all()):
+        return None
+    # The form, checked at each '.', 'e', 'E', '-' and '+' by its neighbours
+    # (b[-1], before position 0, is a newline), then by cell. Such a byte's
+    # cell is the number of ends before it among the marks.
+    inner = np.flatnonzero(~is_end)
+    cell = inner - np.arange(len(inner))
+    at, kind = marks.take(inner), kinds.take(inner)
+    before, after = b.take(at - 1), b.take(at + 1)
+    digit_before = np.subtract(before, 48, dtype=np.uint8) <= 9
+    digit_after = np.subtract(after, 48, dtype=np.uint8) <= 9
+    is_dot, is_e = kind == ord("."), (kind | 0x20) == ord("e")
+    is_sign = ~(is_dot | is_e)
+    leading_minus = (kind == ord("-")) & ((before == ord(delimiter)) | (before == 10))
+    fits = ((is_dot & digit_before & digit_after)
+            | (is_e & digit_before & (digit_after | (after == ord("-")) | (after == ord("+"))))
+            | (is_sign & digit_after & (((before | 0x20) == ord("e")) | leading_minus)))
+    dot_cells, e_cells, e_at = cell.compress(is_dot), cell.compress(is_e), at.compress(is_e)
+    if not fits.all() or np.any(np.diff(dot_cells) < 1) or np.any(np.diff(e_cells) < 1):
+        return None
+    dot = np.full(cells, -1)
+    dot[dot_cells] = at.compress(is_dot)
+    mantissa_end = ends.copy()
+    mantissa_end[e_cells] = e_at
+    sign = b.take(e_at + 1)
+    e_ends = ends.take(e_cells)
+    count = e_ends - e_at - 1 - ((sign == ord("-")) | (sign == ord("+")))
+    if np.any(dot >= mantissa_end) or np.any(count > 3):
+        return None
+    exponent = np.zeros(len(e_at), np.int64)
+    for k, weight in ((1, 1), (2, 10), (3, 100)):
+        exponent += np.where(count >= k, b.take(e_ends - k).astype(np.int64) - 48, 0) * weight
+    has_dot = dot >= 0
+    q = np.where(has_dot, dot + 1 - mantissa_end, 0)
+    q[e_cells] += np.where(sign == ord("-"), -exponent, exponent)
+    negative = b.take(starts) == ord("-")
+    digits = mantissa_end - starts - negative - has_dot
+    slow = digits > 24
+    # Each cell's 24 bytes before its mantissa end in the text without dots,
+    # as three lanes, with the bytes before its first digit cleared.
+    dotless = b"0" * 24 + text.replace(b".", b"")
+    window = np.ndarray((len(dotless) - 7,), "<u8", dotless, strides=(1,))
+    lanes = window[_LANE_STARTS + (mantissa_end - np.cumsum(has_dot))]
+    lanes &= _LANE_MASKS.take(np.maximum(24 - digits, 0), axis=1)
+    _eight_digits(lanes)
+    slow |= lanes[0] >= 1000  # w >= 10**19
+    w = lanes[0] * 10 ** 16
+    w += lanes[1] * 10 ** 8
+    w += lanes[2]
+    value = w.astype(np.longdouble)
+    value *= _POWERS_OF_TEN.take(np.clip(q, -_POWER_RANGE, _POWER_RANGE) + _POWER_RANGE)
+    significand = np.ndarray((cells,), "<u8", value, strides=(value.itemsize,))
+    slow |= ((significand - 0x3FE) & 0x7FF) <= 4
+    slow |= (value != 0) & ((value < _NORMAL_RANGE[0]) | (value > _NORMAL_RANGE[1]))
+    with np.errstate(over="ignore"):  # only where slow
+        out = value.astype(np.float64)
+    np.negative(out, out=out, where=negative)
+    out[slow] = _read_cells(text, starts[slow], ends[slow])
+    return out.reshape(rows, cols)
+
+
+def _load_numbers(lines: list[str], delimiter: str) -> np.ndarray:
+    """Delimited numeric lines as a 2-D float array; ValueError on a bad cell.
+
+    Where numpy's long double is the x87 format, ``_read_decimals`` reads the
+    lines in blocks of about NUMBER_BLOCK_BYTES of text until it declines
+    one; np.loadtxt reads the lines from there on, or all of them elsewhere.
+    The values are np.loadtxt's either way.
+    """
+    parts, first, size = [], 0, 0
+    if _EXACT_DECIMALS:
+        for k, line in enumerate(lines, start=1):
+            size += len(line) + 1
+            if size >= NUMBER_BLOCK_BYTES or k == len(lines):
+                text = "\n".join([*lines[first:k], ""]).encode()
+                part = _read_decimals(text, delimiter, k - first)
+                if part is None:
+                    break
+                parts.append(part)
+                first, size = k, 0
+    if first < len(lines) or not parts:
+        parts.append(np.loadtxt(lines[first:], delimiter=delimiter, comments=None, ndmin=2))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
@@ -223,6 +386,17 @@ def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
         linenos.append(lineno)
         rests.append(rest)
     return labels, linenos, rests
+
+
+def _trim_heap() -> None:
+    """Give the pages the C heap holds free back to the system, where the C
+    library is glibc. A parse frees blocks of a few hundred KB by the
+    thousand; glibc keeps most of their pages resident otherwise, and every
+    later peak of the run would carry them."""
+    trim = getattr(_LIBC, "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 def _cpus() -> int:
@@ -354,7 +528,7 @@ def _parse_span(grid, span: tuple[int, int]):
                         # loadtxt reads an empty cell as no data, with a warning.
                         if not cell.strip():
                             raise ValueError
-                        _load_numbers([cell], delimiter)
+                        np.loadtxt([cell], delimiter=delimiter, comments=None)
                     except ValueError:
                         raise ParseError(f"non-numeric value {cell!r}", path=str(path),
                                          row=lineno, column=index_cols + offset + 1) from None
@@ -453,6 +627,7 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
         except ParseError as exc:
             raise ParseError(exc.message, path=exc.path, column=exc.column,
                              row=None if exc.row is None else used + exc.row) from None
+    _trim_heap()
     if not labels:
         raise ParseError("file has no data rows", path=str(path))
     seen: set[tuple[str, ...]] = set()

@@ -3,12 +3,16 @@
 import gc
 import hashlib
 import json
+import math
 import os
+import platform
 import sys
 import threading
 import time
 import warnings
 from dataclasses import replace
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1285,3 +1289,228 @@ class TestParallelGrids:
         assert not thread.is_alive() and forks == []
         # With the thread gone, the same parse forks a worker.
         assert _parse(tmp_path / "z.tsv") == expected and forks
+
+
+# Cells the decimal kernel must read as np.loadtxt does.
+KERNEL_CASES = [
+    "9007199254740993",  # 2**53 + 1, a double midpoint
+    "2.2250738585072011e-308", "2.2250738585072014e-308",  # either side of the least normal
+    "4.9e-324", "1.7976931348623157e308", "1.7976931348623159e308",  # the least, the greatest, inf
+    "-0", "-0.0", "0.1",
+    "1234567890123456789", "-9999999999999999999",  # 19 digits
+    "12345678901234567891", "0.99999999999999999999",  # 20 digits
+    "0001.5", "-0000000000000000000000000012.5", "0." + "0" * 30 + "7",  # leading zeros
+    "1" + "0" * 24, "1" + "0" * 24 + ".5", "9" * 30 + "e-400",  # more digits than 24 bytes
+    "1E+05", "1e-5", "2E5",
+    "1e27", "5e-27", "1.2345678901234567e-11",  # q = 27, -27, -27
+    "1e28", "5e-28", "1.2345678901234567e-12",  # q = 28, -28, -28
+]
+
+# Cells the kernel leaves to np.loadtxt, which reads some of them and
+# rejects the rest.
+OUTSIDE_THE_KERNEL = [
+    " 1.5", "1.5 ", "+1.5", "nan", "-inf", "1e0001", ".5", "1.", "1_000", "\u0661\u0662",
+    "\uff11", "", "-", "1-2", "5-3", "1+2", "1.2.3", "1e5.3", "1e5e3", "--1", "e5", "1e", "1e+",
+    "-.5", "1ee5", "1.e5", "0x10", "1e+-5", "1e5-", "1,5",
+]
+
+
+def _nearest_long_double(value: Fraction) -> Fraction:
+    """``value`` > 0 rounded to a 64-bit significand, ties to even."""
+    exponent = value.numerator.bit_length() - value.denominator.bit_length()
+    if Fraction(2) ** exponent > value:
+        exponent -= 1
+    scale = Fraction(2) ** (63 - exponent)
+    return round(value * scale) / scale
+
+
+def _cells_to_lines(cells: list[str], delimiter: str, width: int = 10) -> list[str]:
+    cells = cells + ["0"] * (-len(cells) % width)
+    return [delimiter.join(cells[k:k + width]) for k in range(0, len(cells), width)]
+
+
+@pytest.fixture()
+def paths(monkeypatch):
+    """How many cells ``fileio._load_numbers`` reads by each path during the
+    test: ``kernel``, ``float`` (the kernel's cell-by-cell fallback) and
+    ``loadtxt`` (the blocks it declines)."""
+    counts = {"kernel": 0, "float": 0, "loadtxt": 0}
+    read, read_cells = fileio._read_decimals, fileio._read_cells
+
+    def counted_read(text, delimiter, rows):
+        matrix = read(text, delimiter, rows)
+        if matrix is None:
+            counts["loadtxt"] += text.count(delimiter.encode()) + rows
+        else:
+            counts["kernel"] += matrix.size
+        return matrix
+
+    def counted_cells(text, starts, ends):
+        counts["kernel"] -= len(starts)
+        counts["float"] += len(starts)
+        return read_cells(text, starts, ends)
+    monkeypatch.setattr(fileio, "_read_decimals", counted_read)
+    monkeypatch.setattr(fileio, "_read_cells", counted_cells)
+    return counts
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="not an x86-64 machine")
+def test_the_decimal_kernel_runs_on_x86_64():
+    # A numpy or platform change that turns the kernel off fails here, not
+    # only in the time of a cold run.
+    assert fileio._EXACT_DECIMALS
+
+
+@pytest.mark.skipif(not fileio._EXACT_DECIMALS, reason="long double is not the x87 format")
+class TestDecimalKernel:
+    """Grid numbers read by the exact decimal kernel, its float() fallback and
+    np.loadtxt come out bit-identical to np.loadtxt's, and the kernel runs
+    where it should."""
+
+    @staticmethod
+    def _same_as_loadtxt(lines: list[str], delimiter: str) -> None:
+        expected = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+        found = fileio._load_numbers(lines, delimiter)
+        assert found.shape == expected.shape
+        differ = np.flatnonzero(found.view(np.uint64) != expected.view(np.uint64))
+        assert differ.size == 0, [(lines[k // found.shape[1]].split(delimiter)[k % found.shape[1]],
+                                   found.flat[k], expected.flat[k]) for k in differ[:5]]
+
+    @pytest.mark.parametrize("delimiter", ["\t", ","], ids=["tab", "comma"])
+    def test_bit_identical_to_loadtxt(self, rng, paths, delimiter, record_property):
+        # Any bit pattern but nan and inf, and values of the size of an account's.
+        values = rng.integers(0, 1 << 64, 60_000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([values[np.isfinite(values)],
+                                 rng.random(50_000) * 10.0 ** rng.integers(-20, 20, 50_000)])
+        assert len(values) >= 100_000
+        cells = list(KERNEL_CASES)
+        for form in ("%.17g", "%.15g"):
+            cells += [form % value for value in values.tolist()]
+        cells += [repr(value) for value in values.tolist()]
+        self._same_as_loadtxt(_cells_to_lines(cells, delimiter), delimiter)
+        for case in KERNEL_CASES:
+            self._same_as_loadtxt([case], delimiter)
+        record_property("paths", paths)
+        assert paths["loadtxt"] == 0
+        assert 0 < paths["float"] < paths["kernel"] / 10
+
+    def test_cells_within_two_units_of_a_midpoint(self, rng, paths):
+        # 16 to 19 digits on either side of the midpoint above a double: a
+        # long double read of such a cell can be rounded onto or across the
+        # midpoint, so rounding it again to a double goes wrong.
+        values = rng.integers(0, 1 << 64, 2_000, dtype=np.uint64).view(np.float64)
+        cells = []
+        for value in np.abs(values[np.isfinite(values) & (values != 0)]).tolist():
+            above = math.nextafter(value, math.inf)
+            if math.isinf(above):
+                continue
+            midpoint = (Fraction(value) + Fraction(above)) / 2
+            decimal = Decimal(midpoint.numerator) / Decimal(midpoint.denominator)
+            for digits in (16, 17, 18, 19):
+                step = Decimal(1).scaleb(decimal.adjusted() - digits + 1)
+                cells += [format(decimal.quantize(step, rounding=way), "e")
+                          for way in (ROUND_FLOOR, ROUND_CEILING)]
+        twice = np.array([np.longdouble(cell) for cell in cells]).astype(np.float64)
+        once = np.array([float(cell) for cell in cells])
+        assert np.any(twice != once)  # the set holds such traps
+        self._same_as_loadtxt(_cells_to_lines(cells, "\t"), "\t")
+        assert paths["float"] > 0 and paths["loadtxt"] == 0
+
+    @pytest.mark.parametrize("cell", OUTSIDE_THE_KERNEL)
+    def test_cells_outside_the_form_are_left_to_loadtxt(self, cell, paths):
+        for lines in ([cell], [f"1.5\t{cell}\t2"], [f"{cell}\t3", "4\t5"]):
+            assert fileio._read_decimals("\n".join([*lines, ""]).encode(), "\t",
+                                         len(lines)) is None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data"
+                try:
+                    expected = np.loadtxt(lines, delimiter="\t", comments=None, ndmin=2)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        fileio._load_numbers(lines, "\t")
+                    continue
+                found = fileio._load_numbers(lines, "\t")
+            assert found.shape == expected.shape
+            assert found.tobytes() == expected.tobytes()
+
+    def test_rows_of_differing_widths_are_left_to_loadtxt(self):
+        assert fileio._read_decimals(b"1\t2\n3\n", "\t", 2) is None
+        assert fileio._read_decimals(b"1\t2\t3\n", "\t", 2) is None
+        assert fileio._read_decimals(b"1\t2\t3\n4\n", "\t", 2) is None
+        with pytest.raises(ValueError):
+            fileio._load_numbers(["1\t2", "3"], "\t")
+
+    def test_powers_of_ten_are_correctly_rounded(self):
+        for q, power in zip(range(-fileio._POWER_RANGE, fileio._POWER_RANGE + 1),
+                            fileio._POWERS_OF_TEN):
+            assert Fraction(*power.as_integer_ratio()) == _nearest_long_double(Fraction(10) ** q)
+
+    @pytest.mark.parametrize("text, value", [("1_000", None), ("\u0661\u0662", None),
+                                             ("\uff11", None), (" 1.5", 1.5), ("+1.5", 1.5),
+                                             ("nan", math.nan), ("1e0001", 10.0)],
+                             ids=["underscore", "arabic-indic", "full-width", "space", "plus",
+                                  "nan", "four-digit-exponent"])
+    def test_no_fast_path_widens_what_a_parse_accepts(self, tmp_path, monkeypatch, text,
+                                                      value):
+        # float() reads the first three and np.loadtxt does not, so a parse
+        # rejects them; it reads the others as np.loadtxt does.
+        fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / "z.tsv"
+        lines = path.read_text().splitlines()
+        cells = lines[9].split("\t")
+        cells[6] = text
+        lines[9] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        parsed = _compare(monkeypatch, path)
+        if value is None:
+            assert parsed == (f"non-numeric value {text!r} ({path}, row 10, column 7)",
+                              str(path), 10, 7)
+        else:
+            _, _, shape, (data, _) = parsed
+            read = np.frombuffer(data).reshape(shape)[7, 4]
+            assert read == value or (math.isnan(value) and math.isnan(read))
+
+    def test_every_double_round_trips(self, tmp_path, rng, paths):
+        # Random bit patterns, a quarter of them subnormal, with the extremes
+        # and both zeros; negative only in Y, where the account allows it.
+        extremes = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             -2.2250738585072014e-308, 1.7976931348623157e308,
+                             -1.7976931348623157e308])
+
+        def doubles(shape, signed=False):
+            bits = rng.integers(0, 1 << 64, shape, dtype=np.uint64)
+            bits[rng.random(shape) < 0.25] &= np.uint64(0x800FFFFFFFFFFFFF)
+            values = bits.view(np.float64)
+            values[~np.isfinite(values)] = 1.0
+            values.flat[:len(extremes)] = extremes
+            return values if signed else np.abs(values)
+        account = fixtures.fixture(5, 40, 11)
+        account = replace(account, Z=doubles(account.Z.shape), Y=doubles(account.Y.shape, True),
+                          x=doubles(account.x.shape), extensions={
+                              name: replace(ext, rows=doubles(ext.rows.shape))
+                              for name, ext in account.extensions.items()})
+        read = fileio.ingest(fileio.write_account(account, tmp_path)).account
+        for name in ("Z", "Y", "x"):
+            assert getattr(read, name).tobytes() == getattr(account, name).tobytes(), name
+        for name, ext in account.extensions.items():
+            assert read.extensions[name].rows.tobytes() == ext.rows.tobytes(), name
+        assert paths["kernel"] > 0 and paths["float"] > 0 and paths["loadtxt"] == 0
+
+    def test_compare_is_byte_identical_without_the_kernel(self, tmp_path, monkeypatch, paths):
+        trees = {}
+        for kernel in (True, False):
+            root = tmp_path / str(kernel)
+            fixtures.write_fixture_set(5, 40, 11, root / "fx")
+            with monkeypatch.context() as patch:
+                patch.setattr(fileio, "_EXACT_DECIMALS", kernel)
+                assert main(["compare", "--layout", str(root / "fx" / "layout.json"),
+                             "--params", str(root / "fx" / "params.json"),
+                             "--scenario", str(root / "fx" / "scenarios" / "baseline.json"),
+                             "--scenario", str(root / "fx" / "scenarios" / "halved.json"),
+                             "--out", str(root / "out")]) == 0
+            assert (paths["kernel"] > 0) == kernel
+            paths["kernel"] = 0
+            trees[kernel] = {str(p.relative_to(root)): p.read_bytes()
+                             for p in sorted(root.rglob("*")) if p.is_file()}
+        assert any(name.startswith("fx/.mrio-cache/lu-") for name in trees[True])
+        assert trees[True] == trees[False]
