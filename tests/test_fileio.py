@@ -1377,7 +1377,7 @@ class TestDecimalKernel:
                                    found.flat[k], expected.flat[k]) for k in differ[:5]]
 
     @pytest.mark.parametrize("delimiter", ["\t", ","], ids=["tab", "comma"])
-    def test_bit_identical_to_loadtxt(self, rng, paths, delimiter, record_property):
+    def test_bit_identical_to_loadtxt(self, rng, paths, delimiter):
         # Any bit pattern but nan and inf, and values of the size of an account's.
         values = rng.integers(0, 1 << 64, 60_000, dtype=np.uint64).view(np.float64)
         values = np.concatenate([values[np.isfinite(values)],
@@ -1390,7 +1390,6 @@ class TestDecimalKernel:
         self._same_as_loadtxt(_cells_to_lines(cells, delimiter), delimiter)
         for case in KERNEL_CASES:
             self._same_as_loadtxt([case], delimiter)
-        record_property("paths", paths)
         assert paths["loadtxt"] == 0
         assert 0 < paths["float"] < paths["kernel"] / 10
 
