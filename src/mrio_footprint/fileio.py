@@ -66,10 +66,10 @@ PARALLEL_BYTES = 1 << 22
 # Input files are hashed for the parse cache in leaves of this many bytes.
 LEAF_BYTES = 1 << 20
 
-# Grid numbers are read in blocks of about this many bytes of text by an
-# exact vectorized decimal kernel (``_read_decimals``) where numpy's long
-# double is the little-endian x87 format, whose significand has 64 bits;
-# elsewhere np.loadtxt reads them.
+# Grid numbers are read in blocks of rows of about this many bytes of text,
+# by an exact vectorized decimal kernel (``_read_decimals``) where numpy's
+# long double is the little-endian x87 format, whose significand has 64
+# bits, and by float() elsewhere (``_parse_span``).
 NUMBER_BLOCK_BYTES = 1 << 18
 _EXACT_DECIMALS = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
 # 10**q for |q| <= _POWER_RANGE, correctly rounded to that significand, and
@@ -220,21 +220,25 @@ def _eight_digits(lanes: np.ndarray) -> np.ndarray:
     return lanes
 
 
-def _read_cells(text: bytes, starts: np.ndarray, ends: np.ndarray) -> list[float]:
-    """The cells text[start:end], each read by float(), which rounds a
-    number of the decimal kernel's form correctly, as np.loadtxt does."""
-    return [float(text[start:end]) for start, end in zip(starts.tolist(), ends.tolist())]
+def _loadtxt_value(cell: bytes) -> float:
+    """A cell read as np.loadtxt reads it: decoded, stripped and read by
+    float(); a ValueError for a non-ASCII character or an underscore."""
+    text = cell.decode().strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(cell)
+    return float(text)
 
 
-def _read_decimals(text: bytes, delimiter: str, rows: int) -> np.ndarray | None:
-    """The ``rows`` lines of ``text``, each ended by a newline and cut into
-    cells at ``delimiter``, as a float matrix bit-identical to np.loadtxt's;
-    None, for np.loadtxt to read them, when a cell is empty or not of the
-    form -?D+(.D+)?([eE][+-]?D{1,3})?, D a digit, or the rows differ in width.
+def _read_decimals(text: bytes, marks: np.ndarray, is_end: np.ndarray) -> np.ndarray:
+    """The cells of ``text`` as doubles bit-identical to np.loadtxt's, or
+    NaN where left unread. The cells end at the bytes flagged by ``is_end``
+    among those at ``marks``, the bytes not digits, in order: each starts
+    one byte after the one before, and the first at 0.
 
-    A cell's mantissa digits make an integer w, read eight at a time from the
-    24 bytes that end it in the text without its dots, and its exponent less
-    its fraction digits is q. w < 10**19 < 2**64 is exact in the 64-bit
+    A cell is read when it has the form -?D+(.D+)?([eE][+-]?D{1,3})?, D a
+    digit. Its mantissa digits make an integer w, read eight at a time from
+    the 24 bytes that end it in the text without its dots, and its exponent
+    less its fraction digits is q. w < 10**19 < 2**64 is exact in the 64-bit
     significand of the x87 long double. There w * 10**q is two correctly
     rounded steps, each off by at most half a unit in the last place (ulp), or
     one step for |q| <= 27, where 10**q = 5**q * 2**q is exact since
@@ -242,59 +246,44 @@ def _read_decimals(text: bytes, delimiter: str, rows: int) -> np.ndarray | None:
     double rounds as the exact value would unless a double midpoint, 0x400 in
     the 11 dropped bits, lies within those 2 ulps (Clinger 1990; Lemire 2021).
     Cells with more than 24 mantissa digits or 19 significant ones, within
-    2 ulps of a midpoint, or outside the range of normal doubles are read one
-    at a time by float(), which rounds a cell of this form as np.loadtxt does.
+    2 ulps of a midpoint, or outside the range of normal doubles are left
+    unread, as is every cell outside the form.
     """
-    # A '+' that leads a cell, which np.loadtxt reads, is found before any
-    # array work, so that a file of such cells is read at np.loadtxt's pace.
-    if b"+" in text and (text[:1] == b"+" or b"\n+" in text or f"{delimiter}+".encode() in text):
-        return None
     b = np.frombuffer(text, np.uint8)
-    marks = np.flatnonzero(np.subtract(b, 48, dtype=np.uint8) > 9)  # the bytes not digits
-    kinds = b.take(marks)
-    # Each such byte's class: 1 the delimiter, 2 a newline, 3 a byte inside a
-    # number, 0 a byte outside the form.
-    class_of = np.zeros(256, np.uint8)
-    class_of[[ord(delimiter), ord("\n"), *b".-+eE"]] = [1, 2, 3, 3, 3, 3, 3]
-    classes = class_of.take(kinds)
-    if not classes.all():
-        return None
-    is_end = classes < 3
     ends = marks.compress(is_end)
-    cells = len(ends)
-    cols = cells // rows
     starts = np.concatenate(([0], ends[:-1] + 1))
-    newlines = classes.compress(is_end) == 2
-    if (cells != rows * cols or np.any(starts == ends) or newlines.sum() != rows
-            or not newlines[cols - 1::cols].all()):
-        return None
-    # The form, checked at each '.', 'e', 'E', '-' and '+' by its neighbours
-    # (b[-1], before position 0, is a newline), then by cell. Such a byte's
-    # cell is the number of ends before it among the marks.
+    # The form, checked at each other mark by its neighbours (b[-1], before
+    # position 0, is an end), then by cell: a '.', 'e', 'E', '-' or '+' must
+    # stand where the form allows it, and no other byte may. A mark's cell
+    # is the number of ends before it among the marks.
     inner = np.flatnonzero(~is_end)
     cell = inner - np.arange(len(inner))
-    at, kind = marks.take(inner), kinds.take(inner)
-    before, after = b.take(at - 1), b.take(at + 1)
+    at = marks.take(inner)
+    kind, before, after = b.take(at), b.take(at - 1), b.take(at + 1)
     digit_before = np.subtract(before, 48, dtype=np.uint8) <= 9
     digit_after = np.subtract(after, 48, dtype=np.uint8) <= 9
-    is_dot, is_e = kind == ord("."), (kind | 0x20) == ord("e")
-    is_sign = ~(is_dot | is_e)
-    leading_minus = (kind == ord("-")) & ((before == ord(delimiter)) | (before == 10))
+    is_dot, is_e, is_minus = kind == ord("."), (kind | 0x20) == ord("e"), kind == ord("-")
+    # A sign follows an 'e', or a '-' starts its cell (any other byte fails).
     fits = ((is_dot & digit_before & digit_after)
             | (is_e & digit_before & (digit_after | (after == ord("-")) | (after == ord("+"))))
-            | (is_sign & digit_after & (((before | 0x20) == ord("e")) | leading_minus)))
+            | ((is_minus | (kind == ord("+"))) & digit_after
+               & (((before | 0x20) == ord("e")) | (is_minus & ~digit_before))))
+    outside = starts == ends
+    outside[cell.compress(~fits)] = True
+    if outside.all():
+        return np.full(len(ends), np.nan)
     dot_cells, e_cells, e_at = cell.compress(is_dot), cell.compress(is_e), at.compress(is_e)
-    if not fits.all() or np.any(np.diff(dot_cells) < 1) or np.any(np.diff(e_cells) < 1):
-        return None
-    dot = np.full(cells, -1)
-    dot[dot_cells] = at.compress(is_dot)
-    mantissa_end = ends.copy()
+    for repeated in (dot_cells, e_cells):  # a second dot or exponent
+        outside[repeated[1:].compress(np.diff(repeated) == 0)] = True
+    mantissa_end = ends.copy()  # at its exponent or its end
     mantissa_end[e_cells] = e_at
+    dot = np.full(len(ends), -1)
+    dot[dot_cells] = at.compress(is_dot)
     sign = b.take(e_at + 1)
     e_ends = ends.take(e_cells)
     count = e_ends - e_at - 1 - ((sign == ord("-")) | (sign == ord("+")))
-    if np.any(dot >= mantissa_end) or np.any(count > 3):
-        return None
+    outside[e_cells.compress(count > 3)] = True
+    outside |= dot >= mantissa_end
     exponent = np.zeros(len(e_at), np.int64)
     for k, weight in ((1, 1), (2, 10), (3, 100)):
         exponent += np.where(count >= k, b.take(e_ends - k).astype(np.int64) - 48, 0) * weight
@@ -303,13 +292,16 @@ def _read_decimals(text: bytes, delimiter: str, rows: int) -> np.ndarray | None:
     q[e_cells] += np.where(sign == ord("-"), -exponent, exponent)
     negative = b.take(starts) == ord("-")
     digits = mantissa_end - starts - negative - has_dot
-    slow = digits > 24
+    # Where each mantissa ends in the text without its dots, any cell's.
+    dotless_end = mantissa_end - np.cumsum(np.bincount(dot_cells, minlength=len(ends)))
+    slow = outside | (digits > 24) | (dotless_end < 24)
     # Each cell's 24 bytes before its mantissa end in the text without dots,
-    # as three lanes, with the bytes before its first digit cleared.
-    dotless = b"0" * 24 + text.replace(b".", b"")
+    # as three lanes, with the bytes before its first digit cleared; a cell
+    # whose 24 bytes would start before the text is left unread.
+    dotless = text.replace(b".", b"").ljust(24)
     window = np.ndarray((len(dotless) - 7,), "<u8", dotless, strides=(1,))
-    lanes = window[_LANE_STARTS + (mantissa_end - np.cumsum(has_dot))]
-    lanes &= _LANE_MASKS.take(np.maximum(24 - digits, 0), axis=1)
+    lanes = window[_LANE_STARTS + np.maximum(dotless_end - 24, 0)]
+    lanes &= _LANE_MASKS.take(np.clip(24 - digits, 0, 24), axis=1)
     _eight_digits(lanes)
     slow |= lanes[0] >= 1000  # w >= 10**19
     w = lanes[0] * 10 ** 16
@@ -317,75 +309,14 @@ def _read_decimals(text: bytes, delimiter: str, rows: int) -> np.ndarray | None:
     w += lanes[2]
     value = w.astype(np.longdouble)
     value *= _POWERS_OF_TEN.take(np.clip(q, -_POWER_RANGE, _POWER_RANGE) + _POWER_RANGE)
-    significand = np.ndarray((cells,), "<u8", value, strides=(value.itemsize,))
+    significand = np.ndarray((len(ends),), "<u8", value, strides=(value.itemsize,))
     slow |= ((significand - 0x3FE) & 0x7FF) <= 4
     slow |= (value != 0) & ((value < _NORMAL_RANGE[0]) | (value > _NORMAL_RANGE[1]))
     with np.errstate(over="ignore"):  # only where slow
         out = value.astype(np.float64)
     np.negative(out, out=out, where=negative)
-    out[slow] = _read_cells(text, starts[slow], ends[slow])
-    return out.reshape(rows, cols)
-
-
-def _load_numbers(lines: list[str], delimiter: str) -> np.ndarray:
-    """Delimited numeric lines as a 2-D float array; ValueError on a bad cell.
-
-    Where numpy's long double is the x87 format, ``_read_decimals`` reads the
-    lines in blocks of about NUMBER_BLOCK_BYTES of text until it declines
-    one; np.loadtxt reads the lines from there on, or all of them elsewhere.
-    The values are np.loadtxt's either way.
-    """
-    parts, first, size = [], 0, 0
-    if _EXACT_DECIMALS:
-        for k, line in enumerate(lines, start=1):
-            size += len(line) + 1
-            if size >= NUMBER_BLOCK_BYTES or k == len(lines):
-                text = "\n".join([*lines[first:k], ""]).encode()
-                part = _read_decimals(text, delimiter, k - first)
-                if part is None:
-                    break
-                parts.append(part)
-                first, size = k, 0
-    if first < len(lines) or not parts:
-        parts.append(np.loadtxt(lines[first:], delimiter=delimiter, comments=None, ndmin=2))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _body_lines(lines: list[bytes], path: Path, delimiter: str, index_cols: int,
-                width: int) -> tuple[list[tuple[str, ...]], list[int], list[str]]:
-    """The non-blank lines of ``lines``, the body lines of a grid, as three
-    lists: their index cells, their line numbers counted from 1 at the first
-    of ``lines``, and their numeric parts.
-
-    Every line must be UTF-8 and hold ``width`` cells. Lines holding a quote
-    are read with csv rules, since a quoted label may contain the delimiter.
-    """
-    labels: list[tuple[str, ...]] = []
-    linenos: list[int] = []
-    rests: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        line = decode_line(line, path, lineno)
-        if '"' in line:
-            cells = split_line(line, delimiter, path, lineno)
-            for column, cell in enumerate(cells[index_cols:], start=index_cols + 1):
-                if delimiter in cell:  # joined below, it would read as two cells
-                    raise ParseError(f"non-numeric value {cell!r}", path=str(path),
-                                     row=lineno, column=column)
-            head, rest, found = cells[:index_cols], delimiter.join(cells[index_cols:]), len(cells)
-        else:
-            head = line.split(delimiter, index_cols)
-            rest = head.pop() if len(head) > index_cols else None
-            found = len(head) + (0 if rest is None else rest.count(delimiter) + 1)
-        if found != width:
-            # The column is that of the first missing or surplus cell.
-            raise ParseError(f"expected {width} cells, found {found}", path=str(path),
-                             row=lineno, column=min(found, width) + 1)
-        labels.append(tuple(cell.strip() for cell in head))
-        linenos.append(lineno)
-        rests.append(rest)
-    return labels, linenos, rests
+    out[slow] = np.nan
+    return out
 
 
 def _trim_heap() -> None:
@@ -502,39 +433,107 @@ def _parse_span(grid, span: tuple[int, int]):
 
     ``grid`` is (path, delimiter, index_cols, width). Returns the lines'
     labels, their line numbers counted from 1 at the span's first line, the
-    span's physical line count, and their matrix. A bad line raises a
-    ParseError whose row is counted likewise. The span is read from disk
-    once, and a line ends at LF, CR LF or CR, as in text read with
-    ``newline=""``.
+    span's physical line count, and their matrix. The first bad line raises
+    a ParseError whose row is counted likewise: within a line, text that is
+    not UTF-8, then a line that csv rules cannot split or a number cell
+    holding the delimiter, the wrong number of cells, and the first cell
+    np.loadtxt would reject.
+
+    The span is read from disk once; a line ends at LF, CR LF or CR, as in
+    text read with ``newline=""``. In each block of whole lines of about
+    NUMBER_BLOCK_BYTES, numpy finds every byte that is not a digit, and so
+    every line end and delimiter, once. A row's width is its delimiter
+    count; its labels are decoded one row at a time, and its numbers read
+    from their byte offsets. A row holding a quote is split with csv rules,
+    as a quoted label may hold the delimiter.
     """
     path, delimiter, index_cols, width = grid
-    start, end = span
+    ncols = width - index_cols
     with path.open("rb") as handle:
-        handle.seek(start)
-        lines = handle.read(end - start).splitlines()
-    labels, linenos, rests = _body_lines(lines, path, delimiter, index_cols, width)
-    try:
-        matrix = (_load_numbers(rests, delimiter) if rests
-                  else np.empty((0, width - index_cols)))
-    except ValueError as error:
-        # Search the span's rows, then the failing row's cells, for the first
-        # cell that is not a number.
-        for lineno, rest in zip(linenos, rests):
+        handle.seek(span[0])
+        text = handle.read(span[1] - span[0])
+    if b"\r" in text:  # every line end as LF, which keeps the cells and lines
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not text.endswith(b"\n"):
+        text += b"\n"  # the file's last line
+    labels: list[tuple[str, ...]] = []
+    linenos: list[int] = []
+    matrices, count, cut = [], 0, 0
+    while cut < len(text):
+        block = text[cut:text.find(b"\n", cut + NUMBER_BLOCK_BYTES - 1) + 1 or len(text)]
+        cut += len(block)
+        b = np.frombuffer(block, np.uint8)
+        marks = np.flatnonzero(np.subtract(b, 48, dtype=np.uint8) > 9)  # the bytes not digits
+        kinds = b.take(marks)
+        line_ends = marks.compress(kinds == ord("\n"))
+        rows = np.flatnonzero(np.diff(line_ends, prepend=-1) > 1)  # the lines holding a byte
+        row_starts, row_ends = np.append(-1, line_ends).take(rows) + 1, line_ends.take(rows)
+        lines = (count + 1 + rows).tolist()
+        count += len(line_ends)
+        is_end = kinds == ord(delimiter)
+        delims = marks.compress(is_end)
+        last = np.searchsorted(delims, row_ends)  # the delimiters before each row's end
+        found = np.diff(last, prepend=0) + 1  # each row's cells
+        is_end[np.searchsorted(marks, row_ends)] = True  # a cell ends at a delimiter or row end
+        # Rows holding a byte that is not ASCII or a quote, or of the wrong
+        # width, are decoded whole, in order up to the first bad one.
+        split, fault, read = {}, None, len(rows)  # split: by row, cells split with csv rules
+        odd = np.searchsorted(row_ends, marks.compress((kinds >= 0x80) | (kinds == ord('"'))))
+        for k in np.union1d(odd, np.flatnonzero(found != width)).tolist():
             try:
-                _load_numbers([rest], delimiter)
-            except ValueError:
-                for offset, cell in enumerate(rest.split(delimiter)):
-                    try:
-                        # loadtxt reads an empty cell as no data, with a warning.
-                        if not cell.strip():
-                            raise ValueError
-                        np.loadtxt([cell], delimiter=delimiter, comments=None)
-                    except ValueError:
+                line = decode_line(block[row_starts[k]:row_ends[k]], path, lines[k])
+                cells = split_line(line, delimiter, path, lines[k]) if '"' in line else []
+                for column, cell in enumerate(cells[index_cols:], start=index_cols + 1):
+                    if delimiter in cell:
                         raise ParseError(f"non-numeric value {cell!r}", path=str(path),
-                                         row=lineno, column=index_cols + offset + 1) from None
-                raise ParseError("malformed numeric row", path=str(path), row=lineno) from None
-        raise ParseError(f"malformed numeric value: {error}", path=str(path)) from error
-    return labels, linenos, len(lines), matrix
+                                         row=lines[k], column=column)
+                seen = len(cells) if cells else int(found[k])
+                if seen != width:
+                    # The column is that of the first missing or surplus cell.
+                    raise ParseError(f"expected {width} cells, found {seen}", path=str(path),
+                                     row=lines[k], column=min(seen, width) + 1)
+            except ParseError as exc:
+                fault, read = exc, k  # raised once the rows before it are read
+                break
+            if cells:
+                split[k] = cells
+        seps = delims.take(last[:read] - ncols).tolist()  # before each row's number cells
+        for k, (lo, sep) in enumerate(zip(row_starts[:read].tolist(), seps)):
+            cells = split[k] if k in split else block[lo:sep].decode().split(delimiter)
+            labels.append(tuple(cell.strip() for cell in cells[:index_cols]))
+        linenos += lines[:read]
+        # Each row's number cells, counted among its cells and those before.
+        cells = np.cumsum(found[:read])[:, np.newaxis] - ncols + np.arange(ncols)
+        values = np.full(cells.shape, np.nan)
+        if _EXACT_DECIMALS and read:
+            stop = np.searchsorted(marks, row_ends[read - 1]) + 1  # no mark after the rows read
+            values = _read_decimals(block, marks[:stop], is_end[:stop]).take(cells)
+        # The rest are read by _loadtxt_value, in runs of cells next to each
+        # other in a row, each cut whole and split; or by float(), which
+        # reads them alike where the block holds no byte that is not ASCII,
+        # no '_' and none of 0x1C-0x1F, which str.strip() removes.
+        rest = np.flatnonzero(np.isnan(values))
+        runs = np.flatnonzero((np.diff(rest, prepend=-2) != 1) | (rest % ncols == 0))
+        cell_ends, cells = marks.compress(is_end), cells.ravel()
+        run_starts = cell_ends.take(cells.take(rest.take(runs)) - 1) + 1
+        run_ends = cell_ends.take(cells.take(rest.take(np.append(runs, len(rest))[1:] - 1)))
+        parts = [cell for a, z in zip(run_starts.tolist(), run_ends.tolist())
+                 for cell in block[a:z].split(delimiter.encode())]
+        for k in np.flatnonzero(np.isin(rest // ncols, list(split))).tolist():
+            parts[k] = split[rest[k] // ncols][index_cols + rest[k] % ncols].encode()
+        plain = block.isascii() and not any(byte in block for byte in b"_\x1c\x1d\x1e\x1f")
+        done: list[float] = []
+        try:  # extend keeps the values before a failure
+            done.extend(map(float if plain else _loadtxt_value, parts))
+        except ValueError:
+            row, column = divmod(int(rest[len(done)]), ncols)
+            raise ParseError(f"non-numeric value {parts[len(done)].decode()!r}", path=str(path),
+                             row=lines[row], column=index_cols + column + 1) from None
+        values.flat[rest] = done
+        if fault is not None:
+            raise fault
+        matrices.append(values)
+    return labels, linenos, count, np.concatenate(matrices)
 
 
 def _parse_share(grid, share: tuple[int, int]) -> Iterator:
@@ -625,8 +624,8 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
                         if handle.readinto(rows) != rows.nbytes:
                             raise MrioError(f"{path}: a worker process's rows are cut short")
         except ParseError as exc:
-            raise ParseError(exc.message, path=exc.path, column=exc.column,
-                             row=None if exc.row is None else used + exc.row) from None
+            raise ParseError(exc.message, path=exc.path, row=used + exc.row,
+                             column=exc.column) from None
     _trim_heap()
     if not labels:
         raise ParseError("file has no data rows", path=str(path))

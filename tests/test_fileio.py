@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import threading
 import time
@@ -135,6 +136,16 @@ class TestParseErrors:
                 fileio.ingest(layout_path)
         assert (excinfo.value.row, excinfo.value.column) == (5, 6)
         assert f"non-numeric value {text!r}" in str(excinfo.value)
+
+    def test_empty_cell_of_a_one_column_grid_names_row_and_column(self, written_set, tmp_path):
+        # np.loadtxt read such a cell as a line without data: the matrix came
+        # out a row short, or with the row above's value in its place.
+        _, layout_path = written_set
+        self._set_cell(tmp_path / "x.tsv", 3, 2, "")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.ingest(layout_path)
+        assert (str(excinfo.value), excinfo.value.row, excinfo.value.column) == (
+            f"non-numeric value '' ({tmp_path / 'x.tsv'}, row 4, column 3)", 4, 3)
 
     def test_parse_stopped_at_a_bad_cell_leaves_no_file_open(self, written_set, tmp_path,
                                                               monkeypatch):
@@ -1109,8 +1120,14 @@ class TestParallelGrids:
             regions=account.index.regions,
             sectors=("Vegetables, fruit, nuts", 'Manure treatment ("biogas"), land'))
         fileio.write_account(replace(account, index=index), tmp_path, delimiter_name="comma")
-        _, labels, _, _ = _compare(monkeypatch, tmp_path / "z.tsv", delimiter=",")
+        # A quoted number reads as the number, here in a row with a quoted label.
+        path = tmp_path / "z.tsv"
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ',"0.25"'
+        path.write_text("\n".join(lines) + "\n")
+        _, labels, shape, (data, _) = _compare(monkeypatch, path, delimiter=",")
         assert labels[-1] == ("R1", 'Manure treatment ("biogas"), land')
+        assert np.frombuffer(data).reshape(shape)[-1, -1] == 0.25
 
     def test_body_with_fewer_lines_than_chunks(self, tmp_path, monkeypatch):
         fileio.write_account(fixtures.fixture(1, 1, 0), tmp_path)
@@ -1179,6 +1196,50 @@ class TestParallelGrids:
         path = self._bad_z(tmp_path, [(3, 4, "inf"), (15, 6, "1,5")])
         message, _, row, column = _compare(monkeypatch, path)
         assert (row, column) == (17, 7) and "'1,5'" in message
+
+    @pytest.mark.parametrize("later", [b"\t".join([b"R2", b"S4", *[b"1"] * 14]), b"\xff",
+                                       b'"1\t5"'], ids=["ragged row", "not UTF-8",
+                                                       "quoted delimiter"])
+    def test_a_bad_number_before_a_later_fault_is_named(self, tmp_path, monkeypatch, later):
+        # The first fault in file order is named, whatever the spans: a
+        # one-span parse once checked every row's cells, UTF-8 and quoting
+        # before any of its numbers.
+        path = self._bad_z(tmp_path, [(3, 4, "oops")])
+        lines = path.read_bytes().split(b"\n")
+        if later.startswith(b"R2"):  # the whole line, one cell short
+            lines[15] = later
+        else:
+            cells = lines[15].split(b"\t")
+            cells[6] = later
+            lines[15] = b"\t".join(cells)
+        path.write_bytes(b"\n".join(lines))
+        message, _, row, column = _compare(monkeypatch, path)
+        assert (message, row, column) == (f"non-numeric value 'oops' ({path}, row 5, column 5)",
+                                          5, 5)
+
+    @pytest.mark.skipif(not fileio._EXACT_DECIMALS, reason="long double is not the x87 format")
+    def test_a_bad_cell_costs_no_second_pass(self, tmp_path, monkeypatch):
+        # A span whose last row holds a bad cell makes as many kernel calls
+        # as a sound span: the bad cell is named from the cut, not searched
+        # for by reading the span's rows again.
+        monkeypatch.setattr(fileio, "PARALLEL_BYTES", 1 << 40)
+        monkeypatch.setattr(fileio, "NUMBER_BLOCK_BYTES", 333)
+        monkeypatch.setattr(fileio, "_processes", lambda nbytes: 1)
+        calls, read_decimals = [], fileio._read_decimals
+
+        def counted(*args):
+            calls.append(args)
+            return read_decimals(*args)
+        monkeypatch.setattr(fileio, "_read_decimals", counted)
+        counts = []
+        for edits in ([], [(16, 14, "oops")]):
+            path = self._bad_z(tmp_path / str(len(edits)), edits)
+            calls.clear()
+            parsed = _parse(path)
+            counts.append(len(calls))
+        assert parsed == (f"non-numeric value 'oops' ({path}, row 18, column 15)", str(path), 18,
+                          15)
+        assert counts[0] == counts[1] > 1
 
     @pytest.mark.parametrize("line, row", [(3, 5), (15, 17)], ids=["first", "last"])
     def test_empty_cell_in_either_chunk(self, tmp_path, monkeypatch, line, row):
@@ -1306,13 +1367,24 @@ KERNEL_CASES = [
     "1e28", "5e-28", "1.2345678901234567e-12",  # q = 28, -28, -28
 ]
 
-# Cells the kernel leaves to np.loadtxt, which reads some of them and
-# rejects the rest.
+# Cells outside the kernel's form, which the rule reads or rejects as
+# np.loadtxt does.
 OUTSIDE_THE_KERNEL = [
     " 1.5", "1.5 ", "+1.5", "nan", "-inf", "1e0001", ".5", "1.", "1_000", "\u0661\u0662",
     "\uff11", "", "-", "1-2", "5-3", "1+2", "1.2.3", "1e5.3", "1e5e3", "--1", "e5", "1e", "1e+",
     "-.5", "1ee5", "1.e5", "0x10", "1e+-5", "1e5-", "1,5",
+    # whitespace and control bytes
+    "\xa01.5", "1.5\x0b", "\x1c1", "1\x1f", "1.5\x00",
+    # spellings of NaN and infinity
+    "-NaN", "+nan", "infinity", "-Infinity",
+    # past the range of doubles
+    "1e400", "-1e-400",
+    # spellings np.loadtxt rejects
+    "1e5_0", "1__0", "1d5", "1.5f", "+-1",
 ]
+
+# The kernel's form, checked cell by cell.
+KERNEL_FORM = re.compile(rb"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]{1,3})?")
 
 
 def _nearest_long_double(value: Fraction) -> Fraction:
@@ -1329,28 +1401,48 @@ def _cells_to_lines(cells: list[str], delimiter: str, width: int = 10) -> list[s
     return [delimiter.join(cells[k:k + width]) for k in range(0, len(cells), width)]
 
 
+def _number_grid(path: Path, lines: list[str], delimiter: str = "\t") -> Path:
+    """A grid of one header row whose body rows are ``lines`` of number
+    cells, each after a label cell; returns its path. The labels are 24
+    characters long, so that every number cell lies as far into its block of
+    text as the kernel reads before a cell's end."""
+    width = max(line.count(delimiter) for line in lines) + 1
+    header = delimiter.join(["label", *(f"c{j}" for j in range(width))])
+    path.write_bytes("\n".join([header, *(f"row {k:020d}{delimiter}{line}"
+                                          for k, line in enumerate(lines))]).encode() + b"\n")
+    return path
+
+
 @pytest.fixture()
 def paths(monkeypatch):
-    """How many cells ``fileio._load_numbers`` reads by each path during the
-    test: ``kernel``, ``float`` (the kernel's cell-by-cell fallback) and
-    ``loadtxt`` (the blocks it declines)."""
-    counts = {"kernel": 0, "float": 0, "loadtxt": 0}
-    read, read_cells = fileio._read_decimals, fileio._read_cells
+    """How many number cells the kernel is given during the test, by what
+    becomes of them: ``kernel`` (read by it), ``float`` (of its form, left
+    to float()) and ``rule`` (outside the form, left to the rule that reads
+    a cell as np.loadtxt does). The form is checked here cell by cell, and
+    the kernel must read no cell outside it. Forked workers' cells are not
+    counted, nor are grids with quoted labels handled."""
+    counts = {"kernel": 0, "float": 0, "rule": 0}
+    parse_span, read_decimals = fileio._parse_span, fileio._read_decimals
+    index_cols = []
 
-    def counted_read(text, delimiter, rows):
-        matrix = read(text, delimiter, rows)
-        if matrix is None:
-            counts["loadtxt"] += text.count(delimiter.encode()) + rows
-        else:
-            counts["kernel"] += matrix.size
-        return matrix
+    def counted_span(grid, *args):
+        index_cols[:] = [grid[2]]
+        return parse_span(grid, *args)
 
-    def counted_cells(text, starts, ends):
-        counts["kernel"] -= len(starts)
-        counts["float"] += len(starts)
-        return read_cells(text, starts, ends)
-    monkeypatch.setattr(fileio, "_read_decimals", counted_read)
-    monkeypatch.setattr(fileio, "_read_cells", counted_cells)
+    def counted_decimals(text, marks, is_end):
+        values = read_decimals(text, marks, is_end)
+        ends = marks[is_end].tolist()
+        column = 0
+        for start, end, by_kernel in zip([0, *(end + 1 for end in ends)], ends,
+                                         (~np.isnan(values)).tolist()):
+            if column >= index_cols[0]:
+                in_form = KERNEL_FORM.fullmatch(text[start:end]) is not None
+                assert in_form or not by_kernel
+                counts["kernel" if by_kernel else "float" if in_form else "rule"] += 1
+            column = 0 if text[end] == ord("\n") else column + 1
+        return values
+    monkeypatch.setattr(fileio, "_parse_span", counted_span)
+    monkeypatch.setattr(fileio, "_read_decimals", counted_decimals)
     return counts
 
 
@@ -1363,21 +1455,21 @@ def test_the_decimal_kernel_runs_on_x86_64():
 
 @pytest.mark.skipif(not fileio._EXACT_DECIMALS, reason="long double is not the x87 format")
 class TestDecimalKernel:
-    """Grid numbers read by the exact decimal kernel, its float() fallback and
-    np.loadtxt come out bit-identical to np.loadtxt's, and the kernel runs
-    where it should."""
+    """Grid numbers read by the exact decimal kernel, float() and the rule
+    for cells outside the kernel's form come out bit-identical to
+    np.loadtxt's, and each converter runs where it should."""
 
     @staticmethod
-    def _same_as_loadtxt(lines: list[str], delimiter: str) -> None:
+    def _same_as_loadtxt(path: Path, lines: list[str], delimiter: str) -> None:
         expected = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
-        found = fileio._load_numbers(lines, delimiter)
+        _, _, found, _ = fileio._parse_grid(_number_grid(path, lines, delimiter), delimiter, 1, 1)
         assert found.shape == expected.shape
         differ = np.flatnonzero(found.view(np.uint64) != expected.view(np.uint64))
         assert differ.size == 0, [(lines[k // found.shape[1]].split(delimiter)[k % found.shape[1]],
                                    found.flat[k], expected.flat[k]) for k in differ[:5]]
 
     @pytest.mark.parametrize("delimiter", ["\t", ","], ids=["tab", "comma"])
-    def test_bit_identical_to_loadtxt(self, rng, paths, delimiter):
+    def test_bit_identical_to_loadtxt(self, tmp_path, rng, paths, delimiter):
         # Any bit pattern but nan and inf, and values of the size of an account's.
         values = rng.integers(0, 1 << 64, 60_000, dtype=np.uint64).view(np.float64)
         values = np.concatenate([values[np.isfinite(values)],
@@ -1387,13 +1479,14 @@ class TestDecimalKernel:
         for form in ("%.17g", "%.15g"):
             cells += [form % value for value in values.tolist()]
         cells += [repr(value) for value in values.tolist()]
-        self._same_as_loadtxt(_cells_to_lines(cells, delimiter), delimiter)
+        self._same_as_loadtxt(tmp_path / "grid.tsv", _cells_to_lines(cells, delimiter),
+                              delimiter)
         for case in KERNEL_CASES:
-            self._same_as_loadtxt([case], delimiter)
-        assert paths["loadtxt"] == 0
+            self._same_as_loadtxt(tmp_path / "grid.tsv", [case], delimiter)
+        assert paths["rule"] == 0
         assert 0 < paths["float"] < paths["kernel"] / 10
 
-    def test_cells_within_two_units_of_a_midpoint(self, rng, paths):
+    def test_cells_within_two_units_of_a_midpoint(self, tmp_path, rng, paths):
         # 16 to 19 digits on either side of the midpoint above a double: a
         # long double read of such a cell can be rounded onto or across the
         # midpoint, so rounding it again to a double goes wrong.
@@ -1412,32 +1505,53 @@ class TestDecimalKernel:
         twice = np.array([np.longdouble(cell) for cell in cells]).astype(np.float64)
         once = np.array([float(cell) for cell in cells])
         assert np.any(twice != once)  # the set holds such traps
-        self._same_as_loadtxt(_cells_to_lines(cells, "\t"), "\t")
-        assert paths["float"] > 0 and paths["loadtxt"] == 0
+        self._same_as_loadtxt(tmp_path / "grid.tsv", _cells_to_lines(cells, "\t"), "\t")
+        assert paths["float"] > 0 and paths["rule"] == 0
 
     @pytest.mark.parametrize("cell", OUTSIDE_THE_KERNEL)
-    def test_cells_outside_the_form_are_left_to_loadtxt(self, cell, paths):
-        for lines in ([cell], [f"1.5\t{cell}\t2"], [f"{cell}\t3", "4\t5"]):
-            assert fileio._read_decimals("\n".join([*lines, ""]).encode(), "\t",
-                                         len(lines)) is None
+    def test_cells_outside_the_form_are_left_to_loadtxt(self, tmp_path, monkeypatch, cell,
+                                                        paths):
+        # Left to the rule that reads a cell as np.loadtxt does, or rejects it.
+        for k, lines in enumerate(([cell], [f"1.5\t{cell}\t2"], [f"{cell}\t3", "4\t5"])):
+            path = _number_grid(tmp_path / f"grid{k}.tsv", lines)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data"
+                # loadtxt skips a line of one empty cell, with a warning; a
+                # grid row holds an empty number cell, which is not a number.
+                warnings.simplefilter("error", UserWarning)
                 try:
                     expected = np.loadtxt(lines, delimiter="\t", comments=None, ndmin=2)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        fileio._load_numbers(lines, "\t")
-                    continue
-                found = fileio._load_numbers(lines, "\t")
-            assert found.shape == expected.shape
-            assert found.tobytes() == expected.tobytes()
+                except (ValueError, UserWarning):
+                    expected = None
+            # Cold parses in one, two and three shares, at every span size.
+            parsed = _compare(monkeypatch, path, 1, 1)
+            if expected is None:
+                column = 2 + lines[0].split("\t").index(cell)
+                assert parsed == (f"non-numeric value {cell!r} ({path}, row 2, column {column})",
+                                  str(path), 2, column)
+            else:
+                _, _, shape, (data, _) = parsed
+                assert shape == expected.shape
+                assert data == expected.tobytes()
+        # The kernel leaves the cell to float() if it has the kernel's form,
+        # as 1e400 has, and to the rule otherwise.
+        paths.update(kernel=0, float=0, rule=0)
+        _parse(tmp_path / "grid0.tsv", 1, 1)
+        converter = "float" if KERNEL_FORM.fullmatch(cell.encode()) else "rule"
+        assert paths == {"kernel": 0, "float": 0, "rule": 0, converter: 1}
 
-    def test_rows_of_differing_widths_are_left_to_loadtxt(self):
-        assert fileio._read_decimals(b"1\t2\n3\n", "\t", 2) is None
-        assert fileio._read_decimals(b"1\t2\t3\n", "\t", 2) is None
-        assert fileio._read_decimals(b"1\t2\t3\n4\n", "\t", 2) is None
-        with pytest.raises(ValueError):
-            fileio._load_numbers(["1\t2", "3"], "\t")
+    def test_rows_of_differing_widths_are_rejected(self, tmp_path):
+        # The cutter counts each row's cells; the kernel never sees a row.
+        path = tmp_path / "grid.tsv"
+        for header, lines, found in (("label\tc0\tc1", ["1\t2", "3"], 2),
+                                     ("label\tc0\tc1", ["1\t2", "3\t4\t5"], 4),
+                                     ("label\tc0", ["1", "2\t3"], 3)):
+            path.write_text("\n".join([header, *(f"r{k}\t{line}" for k, line in
+                                                 enumerate(lines))]) + "\n")
+            width = header.count("\t") + 1
+            with pytest.raises(ParseError) as caught:
+                fileio._parse_grid(path, "\t", 1, 1)
+            assert (caught.value.message, caught.value.row, caught.value.column) == (
+                f"expected {width} cells, found {found}", 3, min(found, width) + 1)
 
     def test_powers_of_ten_are_correctly_rounded(self):
         for q, power in zip(range(-fileio._POWER_RANGE, fileio._POWER_RANGE + 1),
@@ -1493,7 +1607,7 @@ class TestDecimalKernel:
             assert getattr(read, name).tobytes() == getattr(account, name).tobytes(), name
         for name, ext in account.extensions.items():
             assert read.extensions[name].rows.tobytes() == ext.rows.tobytes(), name
-        assert paths["kernel"] > 0 and paths["float"] > 0 and paths["loadtxt"] == 0
+        assert paths["kernel"] > 0 and paths["float"] > 0 and paths["rule"] == 0
 
     def test_compare_is_byte_identical_without_the_kernel(self, tmp_path, monkeypatch, paths):
         trees = {}
