@@ -229,6 +229,38 @@ def _loadtxt_value(cell: bytes) -> float:
     return float(text)
 
 
+def _read_cells(block: bytes, delimiter: str, starts: np.ndarray, ends: np.ndarray,
+                texts: dict[int, bytes]) -> tuple[list[float], bytes | None]:
+    """The cells block[start:end], in order, read as np.loadtxt reads them,
+    up to the first one it rejects; and the text of that cell, or None. The
+    k-th cell is read from texts[k] instead where that is given.
+
+    Cells next to each other in a line, one delimiter apart, make a run,
+    which is cut whole and split, not sliced cell by cell. The cells are
+    read by ``_loadtxt_value``, or by float() where the block holds no byte
+    that is not ASCII, no '_' (which float() accepts) and none of 0x1C-0x1F
+    (which str.strip() removes and float() rejects): float() then reads
+    every cell as ``_loadtxt_value`` does, at a little over half its cost.
+    """
+    if not len(starts):
+        return [], None
+    after = np.frombuffer(block, np.uint8).take(ends[:-1])  # the byte after each cell
+    new_run = np.append(True, (starts[1:] != ends[:-1] + 1) | (after != ord(delimiter)))
+    run_starts = starts.compress(new_run)
+    run_ends = ends.compress(np.append(new_run[1:], True))
+    cells = [cell for a, z in zip(run_starts.tolist(), run_ends.tolist())
+             for cell in block[a:z].split(delimiter.encode())]
+    for k, text in texts.items():
+        cells[k] = text
+    plain = block.isascii() and not any(byte in block for byte in b"_\x1c\x1d\x1e\x1f")
+    values: list[float] = []
+    try:  # extend keeps the values before a failure
+        values.extend(map(float if plain else _loadtxt_value, cells))
+    except ValueError:
+        return values, cells[len(values)]
+    return values, None
+
+
 def _read_decimals(text: bytes, marks: np.ndarray, is_end: np.ndarray) -> np.ndarray:
     """The cells of ``text`` as doubles bit-identical to np.loadtxt's, or
     NaN where left unread. The cells end at the bytes flagged by ``is_end``
@@ -458,16 +490,24 @@ def _parse_span(grid, span: tuple[int, int]):
         text += b"\n"  # the file's last line
     labels: list[tuple[str, ...]] = []
     linenos: list[int] = []
-    matrices, count, cut = [], 0, 0
+    matrices = []
+    count = 0  # the lines before the block
+    cut = 0  # where the block starts in the text
     while cut < len(text):
-        block = text[cut:text.find(b"\n", cut + NUMBER_BLOCK_BYTES - 1) + 1 or len(text)]
-        cut += len(block)
+        # The block ends with the first line end at or after its
+        # NUMBER_BLOCK_BYTES-th byte, or with the text.
+        end = text.find(b"\n", cut + NUMBER_BLOCK_BYTES - 1) + 1
+        if end == 0:
+            end = len(text)
+        block = text[cut:end]
+        cut = end
         b = np.frombuffer(block, np.uint8)
         marks = np.flatnonzero(np.subtract(b, 48, dtype=np.uint8) > 9)  # the bytes not digits
         kinds = b.take(marks)
         line_ends = marks.compress(kinds == ord("\n"))
         rows = np.flatnonzero(np.diff(line_ends, prepend=-1) > 1)  # the lines holding a byte
-        row_starts, row_ends = np.append(-1, line_ends).take(rows) + 1, line_ends.take(rows)
+        row_starts = np.append(-1, line_ends).take(rows) + 1
+        row_ends = line_ends.take(rows)
         lines = (count + 1 + rows).tolist()
         count += len(line_ends)
         is_end = kinds == ord(delimiter)
@@ -476,8 +516,11 @@ def _parse_span(grid, span: tuple[int, int]):
         found = np.diff(last, prepend=0) + 1  # each row's cells
         is_end[np.searchsorted(marks, row_ends)] = True  # a cell ends at a delimiter or row end
         # Rows holding a byte that is not ASCII or a quote, or of the wrong
-        # width, are decoded whole, in order up to the first bad one.
-        split, fault, read = {}, None, len(rows)  # split: by row, cells split with csv rules
+        # width, are decoded whole, in order up to the first bad one. A row
+        # holding a quote is split with csv rules, into split[row].
+        split = {}
+        fault = None
+        read = len(rows)  # the rows before the first bad one
         odd = np.searchsorted(row_ends, marks.compress((kinds >= 0x80) | (kinds == ord('"'))))
         for k in np.union1d(odd, np.flatnonzero(found != width)).tolist():
             try:
@@ -493,7 +536,8 @@ def _parse_span(grid, span: tuple[int, int]):
                     raise ParseError(f"expected {width} cells, found {seen}", path=str(path),
                                      row=lines[k], column=min(seen, width) + 1)
             except ParseError as exc:
-                fault, read = exc, k  # raised once the rows before it are read
+                fault = exc  # raised once the rows before it are read
+                read = k
                 break
             if cells:
                 split[k] = cells
@@ -503,32 +547,26 @@ def _parse_span(grid, span: tuple[int, int]):
             labels.append(tuple(cell.strip() for cell in cells[:index_cols]))
         linenos += lines[:read]
         # Each row's number cells, counted among its cells and those before.
+        # With index_cols >= 1 none starts its row, so each starts one byte
+        # after the cell before it ends.
         cells = np.cumsum(found[:read])[:, np.newaxis] - ncols + np.arange(ncols)
         values = np.full(cells.shape, np.nan)
         if _EXACT_DECIMALS and read:
             stop = np.searchsorted(marks, row_ends[read - 1]) + 1  # no mark after the rows read
             values = _read_decimals(block, marks[:stop], is_end[:stop]).take(cells)
-        # The rest are read by _loadtxt_value, in runs of cells next to each
-        # other in a row, each cut whole and split; or by float(), which
-        # reads them alike where the block holds no byte that is not ASCII,
-        # no '_' and none of 0x1C-0x1F, which str.strip() removes.
-        rest = np.flatnonzero(np.isnan(values))
-        runs = np.flatnonzero((np.diff(rest, prepend=-2) != 1) | (rest % ncols == 0))
-        cell_ends, cells = marks.compress(is_end), cells.ravel()
-        run_starts = cell_ends.take(cells.take(rest.take(runs)) - 1) + 1
-        run_ends = cell_ends.take(cells.take(rest.take(np.append(runs, len(rest))[1:] - 1)))
-        parts = [cell for a, z in zip(run_starts.tolist(), run_ends.tolist())
-                 for cell in block[a:z].split(delimiter.encode())]
+        rest = np.flatnonzero(np.isnan(values))  # the cells the kernel left
+        cell_ends = marks.compress(is_end)
+        ids = cells.ravel().take(rest)
+        texts = {}  # the csv text of those in rows split with csv rules
         for k in np.flatnonzero(np.isin(rest // ncols, list(split))).tolist():
-            parts[k] = split[rest[k] // ncols][index_cols + rest[k] % ncols].encode()
-        plain = block.isascii() and not any(byte in block for byte in b"_\x1c\x1d\x1e\x1f")
-        done: list[float] = []
-        try:  # extend keeps the values before a failure
-            done.extend(map(float if plain else _loadtxt_value, parts))
-        except ValueError:
+            row, column = divmod(int(rest[k]), ncols)
+            texts[k] = split[row][index_cols + column].encode()
+        done, bad = _read_cells(block, delimiter, cell_ends.take(ids - 1) + 1,
+                                cell_ends.take(ids), texts)
+        if bad is not None:
             row, column = divmod(int(rest[len(done)]), ncols)
-            raise ParseError(f"non-numeric value {parts[len(done)].decode()!r}", path=str(path),
-                             row=lines[row], column=index_cols + column + 1) from None
+            raise ParseError(f"non-numeric value {bad.decode()!r}", path=str(path),
+                             row=lines[row], column=index_cols + column + 1)
         values.flat[rest] = done
         if fault is not None:
             raise fault
