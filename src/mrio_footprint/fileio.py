@@ -235,17 +235,17 @@ def _read_cells(block: bytes, delimiter: str, starts: np.ndarray, ends: np.ndarr
     up to the first one it rejects; and the text of that cell, or None. The
     k-th cell is read from texts[k] instead where that is given.
 
-    Cells next to each other in a line, one delimiter apart, make a run,
-    which is cut whole and split, not sliced cell by cell. The cells are
-    read by ``_loadtxt_value``, or by float() where the block holds no byte
-    that is not ASCII, no '_' (which float() accepts) and none of 0x1C-0x1F
-    (which str.strip() removes and float() rejects): float() then reads
-    every cell as ``_loadtxt_value`` does, at a little over half its cost.
+    No cell may start a line, so that the one byte between two cells that
+    follow each other is their delimiter: such cells make a run, which is
+    cut whole and split, not sliced cell by cell. The cells are read by
+    ``_loadtxt_value``, or by float() where the block holds no byte that is
+    not ASCII, no '_' (which float() accepts) and none of 0x1C-0x1F (which
+    str.strip() removes and float() rejects): float() then reads every cell
+    as ``_loadtxt_value`` does, at a little over half its cost.
     """
     if not len(starts):
         return [], None
-    after = np.frombuffer(block, np.uint8).take(ends[:-1])  # the byte after each cell
-    new_run = np.append(True, (starts[1:] != ends[:-1] + 1) | (after != ord(delimiter)))
+    new_run = np.append(True, starts[1:] != ends[:-1] + 1)
     run_starts = starts.compress(new_run)
     run_ends = ends.compress(np.append(new_run[1:], True))
     cells = [cell for a, z in zip(run_starts.tolist(), run_ends.tolist())
