@@ -518,11 +518,13 @@ def _parse_span(grid, span: tuple[int, int]):
         # Rows holding a byte that is not ASCII or a quote, or of the wrong
         # width, are decoded whole, in order up to the first bad one. A row
         # holding a quote is split with csv rules, into split[row].
+        whole = found != width
+        odd = marks.compress((kinds >= 0x80) | (kinds == ord('"')))
+        whole[np.searchsorted(row_ends, odd)] = True
         split = {}
         fault = None
         read = len(rows)  # the rows before the first bad one
-        odd = np.searchsorted(row_ends, marks.compress((kinds >= 0x80) | (kinds == ord('"'))))
-        for k in np.union1d(odd, np.flatnonzero(found != width)).tolist():
+        for k in np.flatnonzero(whole).tolist():
             try:
                 line = decode_line(block[row_starts[k]:row_ends[k]], path, lines[k])
                 cells = split_line(line, delimiter, path, lines[k]) if '"' in line else []
@@ -557,8 +559,10 @@ def _parse_span(grid, span: tuple[int, int]):
         rest = np.flatnonzero(np.isnan(values))  # the cells the kernel left
         cell_ends = marks.compress(is_end)
         ids = cells.ravel().take(rest)
+        in_split = np.zeros(read, bool)
+        in_split[list(split)] = True
         texts = {}  # the csv text of those in rows split with csv rules
-        for k in np.flatnonzero(np.isin(rest // ncols, list(split))).tolist():
+        for k in np.flatnonzero(in_split.take(rest // ncols)).tolist():
             row, column = divmod(int(rest[k]), ncols)
             texts[k] = split[row][index_cols + column].encode()
         done, bad = _read_cells(block, delimiter, cell_ends.take(ids - 1) + 1,

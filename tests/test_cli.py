@@ -946,7 +946,8 @@ codes = [main(["fixture", "--regions", "3", "--sectors", "5", "--seed", "7", "--
          main(["compare", *run, "--scenario", fx + "/scenarios/halved.json",
                "--out", out + "/compare"])]
 imported = [name for name in sys.modules
-            if name.split(".")[0] in ("scipy", "multiprocessing", "concurrent")]
+            if name.split(".")[0] in ("scipy", "multiprocessing", "concurrent")
+            or name == "numpy.ma"]
 try:
     with open("/proc/self/maps") as maps:
         blas = sorted({line.split(None, 5)[-1].strip() for line in maps
@@ -1087,7 +1088,8 @@ def test_no_verb_imports_scipy_linalg(tmp_path):
     # The LU and its solves run in numpy's own OpenBLAS, so no verb imports
     # any scipy module or maps a second BLAS. Grids this small are parsed
     # and written in-process, so no verb loads the process-pool modules
-    # either.
+    # either. Nor does any verb load numpy.ma, which np.unique imports on
+    # its first call: 20-30 ms of every cold run.
     source = str(Path(mrio_footprint.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [source, *filter(None, [os.environ.get("PYTHONPATH")])]))
