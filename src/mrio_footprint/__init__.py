@@ -46,13 +46,14 @@ from .model import (
 )
 from .scenario import (
     ScenarioSpec,
-    apply_scenario,
     baseline_category_totals,
+    category_basis,
     category_codes,
     category_scaling_factors,
     dining_out_adjustment,
     load_concordance,
     load_scenario_spec,
+    scenario_factors,
 )
 
 __version__ = "0.1.0"

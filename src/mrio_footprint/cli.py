@@ -128,16 +128,17 @@ def _run(args, compare: bool = False) -> tuple[
     ingested = fileio.ingest(layout_path)
     account = ingested.account
     regions = [args.home_region or spec.home_region for spec in specs]
-    # Each home region's baseline consumption and capital-formation demand.
-    demand: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    category_codes = scenario.load_concordance(categories_path, account.index)
+    # Each home region's category basis and baseline totals.
+    homes: dict[str, tuple[np.ndarray, dict[str, float]]] = {}
     for region, path in zip(regions, spec_paths):
         if region not in account.index.regions:
             source = "--home-region" if args.home_region else str(path)
             raise UnknownRegion(f"unknown region {region!r}: {source} sets it as the home "
                                 "region, but the account has no such region")
-        if region not in demand:
-            demand[region] = model.home_demand(account, region)
-    category_codes = scenario.load_concordance(categories_path, account.index)
+        if region not in homes:
+            homes[region] = scenario.category_basis(*model.home_demand(account, region),
+                                                    category_codes, account.index)
     group_labels, group_codes = indicators.load_sector_groups(groups_path, account.index)
     params = indicators.load_conversion_params(params_path)
     operator = _operator(ingested)
@@ -147,24 +148,13 @@ def _run(args, compare: bool = False) -> tuple[
         raise UnproductiveEconomy(f"spectral radius <= {certificate.spectral_radius:.6f} "
                                   "is too close to 1 to certify the economy productive")
 
-    # One demand column per home region's baseline, then one per scenario;
-    # the baseline columns' reports only scale direct use, and are dropped.
-    homes = list(demand)
-    columns = [demand[region] for region in homes] + [
-        scenario.apply_scenario(*demand[region], category_codes, spec, account.index)
-        for spec, region in zip(specs, regions)]
-    y = np.column_stack([consumption for consumption, _ in columns])
-    gfcf = np.column_stack([capital for _, capital in columns])
-    # Every element lies in one category only, so y + gfcf is the sum of the parts.
-    q = operator.apply(y + gfcf)
+    # One solve of 13 basis columns per home region, whatever the scenario count.
+    bases = {region: basis for region, (basis, _) in homes.items()}
     reports = indicators.footprint_reports(
-        account, variants,
-        [(region, region) for region in homes] + [
-            (spec.name, region) for spec, region in zip(specs, regions)],
-        y, gfcf, q, baseline={region: k for k, region in enumerate(homes)},
-        category_codes=category_codes, group_labels=group_labels,
-        group_codes=group_codes, params=params)
-    runs = list(zip(specs, reports[len(homes):]))
+        account, variants, bases, operator.apply(np.hstack(list(bases.values()))),
+        [(spec.name, region, scenario.scenario_factors(spec, homes[region][1]))
+         for spec, region in zip(specs, regions)], group_labels, group_codes, params)
+    runs = list(zip(specs, reports))
     for (spec, scenario_reports), region in zip(runs, regions):
         out_dir = out_root / spec.name
         out_dir.mkdir(parents=True, exist_ok=True)

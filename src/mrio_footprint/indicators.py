@@ -1,9 +1,11 @@
 """Reported indicators built on raw footprints.
 
-Turns footprint vectors into presentable results: hours-per-week
-equivalents, per-capita values, and disaggregations by origin (domestic vs
-imported), sector group, skill level, and spending category, plus the
-used/unused material variants and proportional direct-use scaling.
+Turns the gross output of each home region's category basis into every
+scenario's presentable results: hours-per-week equivalents, per-capita
+values, and disaggregations by origin (domestic vs imported), sector group,
+skill level, and spending category, plus the used/unused material variants
+and proportional direct-use scaling. Each split is made once per basis
+column, then combined with each scenario's 13 factors.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .model import (
     sector_codes,
     skill_of,
 )
-from .scenario import CONSUMPTION_SPENDING_CATEGORIES, SPENDING_CATEGORIES
+from .scenario import SPENDING_CATEGORIES
 
 # Default working pattern: statutory leave leaves ~46.6 working weeks per
 # year, and people are assumed to work 80% of their working-age years.
@@ -243,73 +245,68 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator, extension_
     return variants, ProductivityEstimate(1.0 - 1.0 / float(np.max(multipliers[-1], initial=1.0)))
 
 
-def _one_hot(codes: np.ndarray, count: int) -> np.ndarray:
-    """An n x ``count`` matrix with a one in each row at its code; a code of
-    ``count`` or more leaves its row zero."""
-    return (codes[:, np.newaxis] == np.arange(count)).astype(float)
-
-
 def footprint_reports(account: MrioAccount, variants: list[ReportVariant],
-                      scenarios: list[tuple[str, str]], y: np.ndarray, gfcf: np.ndarray,
-                      q: np.ndarray, baseline: dict[str, int], category_codes: np.ndarray,
+                      bases: dict[str, np.ndarray], q: np.ndarray,
+                      scenarios: list[tuple[str, str, np.ndarray]],
                       group_labels: tuple[str, ...], group_codes: np.ndarray,
                       params: ConversionParams) -> list[list[FootprintReport]]:
-    """Every variant's report for every column of a demand block.
+    """Every variant's report for every scenario, from its home region's basis.
 
-    Column j of ``y`` and ``gfcf`` is one scenario's consumption and capital
-    formation demand, column j of ``q`` the gross output of their sum, and
-    ``scenarios[j]`` the scenario's name and home region. ``baseline`` maps
-    each home region to the column of its baseline demand, against whose
-    embedded footprint direct use scales. ``category_codes`` is from
-    ``scenario.category_codes``; ``group_labels`` and ``group_codes`` are
-    from ``sector_group_codes``. Returns each column's reports in
-    ``variants`` order.
+    ``bases`` maps each home region to its n x 13 ``scenario.category_basis``,
+    and the k-th 13 columns of ``q`` are the gross output of the k-th basis.
+    ``scenarios`` holds each scenario's name, home region and 13 factors.
+    ``group_labels`` and ``group_codes`` are from ``sector_group_codes``.
+    Each split is made once per basis column; a scenario's figure is its
+    products with the factors, summed over the 13 columns. Direct use
+    scales against the baseline, whose factors are all one. Returns each
+    scenario's reports in ``variants`` order.
     """
-    # Which rows are each column's home region; this also rejects a home
-    # region that is not an account region.
-    home = np.zeros(q.shape, dtype=bool)
-    for j, (_, region) in enumerate(scenarios):
-        home[account.index.region_slice(region), j] = True
-    categories = _one_hot(category_codes, len(CONSUMPTION_SPENDING_CATEGORIES))
-    groups = _one_hot(group_codes, len(group_labels))
-
+    groups = (group_codes[:, np.newaxis] == np.arange(len(group_labels))).astype(float)
     reports: list[list[FootprintReport]] = [[] for _ in scenarios]
     for variant in variants:
         s, m, extension = variant.total_intensity, variant.multipliers, variant.extension
         labour = extension.kind == "labour"
-        # Column sums, not s @ q: BLAS may round a matrix-vector product's
-        # entries differently by their position, and identical columns must
-        # give identical totals, as identity scenarios scale direct use by 1.
-        by_source = s[:, np.newaxis] * q
-        totals = by_source.sum(axis=0).tolist()
-        domestic = np.where(home, by_source, 0.0).sum(axis=0).tolist()
-        by_group = (groups.T @ by_source).T.tolist()
-        # Each category's share of demand times the multipliers; by
-        # linearity the shares sum to the footprint of the whole column.
-        by_category = np.vstack([categories.T @ (m[:, np.newaxis] * y), m @ gfcf]).T.tolist()
-        by_stressor = (np.vstack(variant.intensities) @ q).T.tolist()
-        for j, (name, region) in enumerate(scenarios):
-            total = totals[j]
-            stressors = dict(zip(variant.labels, by_stressor[j]))
-            direct = None
-            if extension.direct is not None:
-                direct = direct_use_scaled(float(extension.direct[region]), total,
-                                           totals[baseline[region]])
-            reports[j].append(FootprintReport(
-                scenario=name,
-                extension_name=variant.name,
-                unit=extension.unit,
-                home_region=region,
-                params=params,
-                total=total,
-                per_capita=per_capita(total, params.total_population),
-                by_origin=OriginSplit(domestic=domestic[j], imported=total - domestic[j]),
-                by_sector_group=dict(zip(group_labels, by_group[j])),
-                by_category=dict(zip(SPENDING_CATEGORIES, by_category[j])),
-                hours_week_equivalent=(hours_per_week_equivalent(total, params)
-                                       if labour else None),
-                by_skill=aggregate_by_skill(stressors) if labour else None,
-                by_stressor=stressors,
-                direct_use=direct,
-            ))
+        for k, (region, basis) in enumerate(bases.items()):
+            q_basis = q[:, 13 * k:13 * (k + 1)]
+            by_source = s[:, np.newaxis] * q_basis
+            # One row per figure, one column per basis column: the total,
+            # domestic, sector-group and stressor figures, and each
+            # category's demand times the multipliers.
+            splits = np.vstack([by_source.sum(axis=0),
+                                by_source[account.index.region_slice(region)].sum(axis=0),
+                                groups.T @ by_source, np.vstack(variant.intensities) @ q_basis])
+            by_category = (m[:, np.newaxis] * basis).sum(axis=0)
+            # Products summed along each contiguous row, never a BLAS product
+            # whose rounding depends on how many scenarios share the block,
+            # so a scenario's figures do not depend on the others, and an
+            # identity scenario's total is its baseline's to the bit.
+            members = [j for j, (_, home, _) in enumerate(scenarios) if home == region]
+            factors = np.vstack([np.ones(13), *(scenarios[j][2] for j in members)])
+            values = (splits * factors[:, np.newaxis, :]).sum(axis=-1).tolist()
+            baseline_total = values[0][0]
+            for j, (total, domestic, *rest) in zip(members, values[1:]):
+                name, _, scenario_factors = scenarios[j]
+                stressors = dict(zip(variant.labels, rest[len(group_labels):]))
+                direct = None
+                if extension.direct is not None:
+                    direct = direct_use_scaled(float(extension.direct[region]), total,
+                                               baseline_total)
+                reports[j].append(FootprintReport(
+                    scenario=name,
+                    extension_name=variant.name,
+                    unit=extension.unit,
+                    home_region=region,
+                    params=params,
+                    total=total,
+                    per_capita=per_capita(total, params.total_population),
+                    by_origin=OriginSplit(domestic=domestic, imported=total - domestic),
+                    by_sector_group=dict(zip(group_labels, rest)),
+                    by_category=dict(zip(SPENDING_CATEGORIES,
+                                         (by_category * scenario_factors).tolist())),
+                    hours_week_equivalent=(hours_per_week_equivalent(total, params)
+                                           if labour else None),
+                    by_skill=aggregate_by_skill(stressors) if labour else None,
+                    by_stressor=stressors,
+                    direct_use=direct,
+                ))
     return reports

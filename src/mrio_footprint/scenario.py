@@ -1,10 +1,11 @@
-"""Low-consumption scenario construction and final-demand scaling.
+"""Low-consumption scenarios as factors on a home region's category basis.
 
 A scenario is a set of annual national spending targets over 13 fixed
-categories. Applying one to a baseline rescales every sector's demand by its
-category's target/baseline ratio, so the composition of spending inside a
-category is preserved; capital formation, the 13th category, is scaled by
-the same rule as one block. Factors above 1 are legal: a scenario can
+categories. Its home region's baseline demand splits into an n x 13 basis,
+one column per category (capital formation, the 13th, is one block), and
+the scenario is 13 target/baseline factors on it: every sector's demand is
+scaled by its category's ratio, so the composition of spending inside a
+category is preserved. Factors above 1 are legal: a scenario can
 reallocate spending into a category beyond its baseline total.
 """
 
@@ -200,23 +201,29 @@ def resolve_targets(spec: ScenarioSpec, baseline: dict[str, float]) -> dict[str,
     return targets
 
 
-def apply_scenario(y_base: np.ndarray, gfcf_base: np.ndarray, codes: np.ndarray,
-                   spec: ScenarioSpec, index: RegionSectorIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale a baseline demand vector and capital-formation vector to a spec.
+def category_basis(y_base: np.ndarray, gfcf_base: np.ndarray, codes: np.ndarray,
+                   index: RegionSectorIndex) -> tuple[np.ndarray, dict[str, float]]:
+    """A home region's n x 13 category basis, and its 13 baseline totals.
 
-    Each sector's demand, and every capital-formation entry, is multiplied
-    by its category's factor, so category sums land on the targets while the
-    composition inside each is untouched. Unsorted sectors stay at zero.
+    Column k < 12 holds the consumption of the sectors in category k and
+    zero elsewhere; the last column is the capital formation. A spec's
+    demand is the basis times its ``scenario_factors``, so category sums
+    land on the targets while the composition inside each is untouched.
     ``codes`` is as in ``baseline_category_totals``.
     """
     y = np.asarray(y_base, dtype=float)
     gfcf = np.asarray(gfcf_base, dtype=float)
     baseline = baseline_category_totals(y, codes, index)
     baseline[GFCF_CATEGORY] = float(gfcf.sum())
+    columns = [np.where(codes == k, y, 0.0) for k in range(len(CONSUMPTION_SPENDING_CATEGORIES))]
+    return np.column_stack([*columns, gfcf]), baseline
+
+
+def scenario_factors(spec: ScenarioSpec, baseline: dict[str, float]) -> np.ndarray:
+    """A spec's 13 target/baseline factors, in ``SPENDING_CATEGORIES`` order,
+    against the baseline totals of ``category_basis``."""
     factors = category_scaling_factors(baseline, resolve_targets(spec, baseline))
-    # One slot per sector category, and a last, zero slot for unsorted sectors.
-    factor_by_code = np.array([factors[c] for c in CONSUMPTION_SPENDING_CATEGORIES] + [0.0])
-    return y * factor_by_code[codes], gfcf * factors[GFCF_CATEGORY]
+    return np.array([factors[category] for category in SPENDING_CATEGORIES])
 
 
 def dining_out_adjustment(food_total: float, fraction: float) -> tuple[float, float]:

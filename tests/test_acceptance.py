@@ -78,13 +78,12 @@ def test_criterion_3_additivity_suite():
             params = fixtures.fixture_conversion_params()
             operator = leontief_operator(
                 technical_coefficients(account.Z, account.x))
-            y, gfcf = model.home_demand(account, "R0")
-            y, gfcf = y[:, np.newaxis], gfcf[:, np.newaxis]
-            q = operator.apply(y + gfcf)
+            basis, _ = scenario.category_basis(*model.home_demand(account, "R0"), codes, index)
             variants, _ = indicators.report_variants(account, operator,
                                                      list(account.extensions))
             [reports] = indicators.footprint_reports(
-                account, variants, [("baseline", "R0")], y, gfcf, q, {"R0": 0}, codes,
+                account, variants, {"R0": basis}, operator.apply(basis),
+                [("baseline", "R0", np.ones(len(scenario.SPENDING_CATEGORIES)))],
                 labels, group_codes, params)
 
             for report in reports:
@@ -106,7 +105,7 @@ def test_criterion_4_scenario_conformance():
             index = account.index
             codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
             y, gfcf = model.home_demand(account, "R0")
-            baseline = scenario.baseline_category_totals(y, codes, index)
+            basis, baseline = scenario.category_basis(y, gfcf, codes, index)
 
             targets: dict[str, float | None] = {
                 c: (float(rng.uniform(0.0, 2.5)) * baseline[c] if baseline[c] > 0 else 0.0)
@@ -115,22 +114,21 @@ def test_criterion_4_scenario_conformance():
             targets[scenario.GFCF_CATEGORY] = float(rng.uniform(0.0, 2.5) * gfcf.sum())
             spec = scenario.ScenarioSpec(name="random", home_region="R0",
                                          category_targets=targets)
-            y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, codes, spec, index)
-            scaled = scenario.baseline_category_totals(y_scen, codes, index)
+            # Column k of basis @ diag(factors) is category k's share of
+            # the scenario's demand basis @ factors.
+            factors = scenario.scenario_factors(spec, baseline)
+            achieved = (basis @ np.diag(factors)).sum(axis=0)
             for category, target in targets.items():
-                if category == scenario.GFCF_CATEGORY:
-                    achieved = float(gfcf_scen.sum())
-                else:
-                    achieved = scaled[category]
-                assert abs(achieved - target) <= 1e-9 * max(target, 1e-9), (
-                    f"{category}: {achieved} != {target}")
+                k = scenario.SPENDING_CATEGORIES.index(category)
+                assert abs(achieved[k] - target) <= 1e-9 * max(target, 1e-9), (
+                    f"{category}: {achieved[k]} != {target}")
 
             identity = scenario.ScenarioSpec(
                 name="identity", home_region="R0",
                 category_targets={c: None for c in scenario.SPENDING_CATEGORIES})
-            y_same, gfcf_same = scenario.apply_scenario(y, gfcf, codes, identity, index)
-            np.testing.assert_array_equal(y_same, y)
-            np.testing.assert_array_equal(gfcf_same, gfcf)
+            factors = scenario.scenario_factors(identity, baseline)
+            assert factors.tolist() == [1.0] * len(scenario.SPENDING_CATEGORIES)
+            assert (basis @ factors).tobytes() == (y + gfcf).tobytes()
 
 
 def test_criterion_5_unit_conversion_anchor():

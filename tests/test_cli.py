@@ -191,13 +191,16 @@ class TestFootprint:
 
         account = fileio.ingest(fixture_dir / "layout.json").account
         op = operator(technical_coefficients(account.Z, account.x))
-        y, gfcf = model.home_demand(account, "R0")
-        # The run's block: the home region's baseline, then the identity
-        # scenario, which is the same demand.
-        q = op.apply(np.column_stack([y, y]) + np.column_stack([gfcf, gfcf]))
+        codes = scenario.load_concordance(fixture_dir / "category_concordance.tsv",
+                                          account.index)
+        # The run's block is the home region's category basis, and the
+        # identity scenario's factors are all one.
+        basis, _ = scenario.category_basis(*model.home_demand(account, "R0"), codes,
+                                           account.index)
+        q = op.apply(basis)
         for name in ("labour", "energy", "emissions"):
             s = algebra.intensity(total_row(account.extensions[name]), account.x)
-            expected = (s[:, np.newaxis] * q).sum(axis=0)[1]
+            expected = ((s[:, np.newaxis] * q).sum(axis=0) * np.ones(13)).sum()
             assert report_value(rows, name, "total") == expected
 
     def test_identity_scenarios_of_two_home_regions_keep_their_direct_use(
@@ -362,14 +365,15 @@ class TestCompare:
         operator = algebra.LeontiefOperator(account_357.Z, account_357.x)
         variants, _ = indicators.report_variants(account_357, operator,
                                                  list(account_357.extensions))
-        y, gfcf = model.home_demand(account_357, "R0")
-        y, gfcf = np.column_stack([y, 0.5 * y]), np.column_stack([gfcf, gfcf])
         codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
+        basis, _ = scenario.category_basis(*model.home_demand(account_357, "R0"), codes, index)
         groups = indicators.sector_group_codes(fixtures.fixture_sector_groups(index), index)
         params = fixtures.fixture_conversion_params()
+        # The second scenario halves consumption and keeps capital formation.
         reports = indicators.footprint_reports(
-            account_357, variants, [("first", "R0"), ("second", "R0")], y, gfcf,
-            operator.apply(y + gfcf), {"R0": 0}, codes, *groups, params)
+            account_357, variants, {"R0": basis}, operator.apply(basis),
+            [("first", "R0", np.ones(13)), ("second", "R0", np.r_[np.full(12, 0.5), 1.0])],
+            *groups, params)
         other = dataclasses.replace(params, working_age_population=1.3e6,
                                     total_population=2.5e6, weeks_worked_per_year=40.0)
         reports[1] = [dataclasses.replace(report, params=other) for report in reports[1]]
@@ -512,19 +516,22 @@ class TestCompare:
     @pytest.mark.parametrize("verb", ["compare", "footprint", "validate"])
     def test_one_forward_and_one_transposed_solve_per_run(self, fixture_dir, tmp_path,
                                                           monkeypatch, verb):
-        # One block solve for every home region's baseline and every
-        # scenario, and one for the multipliers of all five reports and the
+        # One block solve of the 13 category-basis columns of every home
+        # region, and one for the multipliers of all five reports and the
         # productivity certificate; validate makes only the second.
         spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
         spec.update(name="abroad", home_region="R1")
         (fixture_dir / "scenarios" / "abroad.json").write_text(json.dumps(spec))
         calls = {"apply": 0, "multipliers": 0}
+        shapes = []
 
         def counted(name):
             method = getattr(algebra.LeontiefOperator, name)
 
             def wrapper(self, *args):
                 calls[name] += 1
+                if name == "apply":
+                    shapes.append(np.shape(args[0]))
                 return method(self, *args)
             return wrapper
 
@@ -538,6 +545,28 @@ class TestCompare:
         # compare takes one home region, footprint each spec's own.
         assert main(argv + (["--home-region", "R2"] if verb == "compare" else [])) == 0
         assert calls == {"apply": int(verb != "validate"), "multipliers": 1}
+        # footprint's specs have home regions R0 and R1.
+        assert shapes == {"compare": [(15, 13)], "footprint": [(15, 26)], "validate": []}[verb]
+
+    @pytest.mark.parametrize("count", [2, 64])
+    def test_forward_solve_has_13_columns_whatever_the_scenario_count(
+            self, fixture_dir, tmp_path, monkeypatch, count):
+        baseline = json.loads((fixture_dir / "scenarios" / "baseline.json").read_text())
+        names = ["baseline", "halved"]
+        for k in range(count - 2):
+            names.append(f"extra-{k}")
+            spec = baseline | {"name": names[-1], "government_factor": k / (count - 2)}
+            (fixture_dir / "scenarios" / f"{names[-1]}.json").write_text(json.dumps(spec))
+        shapes = []
+        apply = algebra.LeontiefOperator.apply
+
+        def recorded(self, demand):
+            shapes.append(np.shape(demand))
+            return apply(self, demand)
+
+        monkeypatch.setattr(algebra.LeontiefOperator, "apply", recorded)
+        assert run_compare(fixture_dir, tmp_path / "out", names) == 0
+        assert shapes == [(15, 13)]
 
     def test_failing_scenario_writes_nothing(self, fixture_dir, tmp_path, capsys):
         # The fixture's home region spends nothing on education.

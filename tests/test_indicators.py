@@ -72,22 +72,21 @@ class TestPerCapita:
 
 def one_column_reports(account, y, gfcf=None, home_region="R0", category_codes=None,
                        groups=None, names=None):
-    """footprint_reports for one demand column, in variant order. Sectors
-    are unsorted and in one group unless ``category_codes`` and ``groups``
-    say otherwise."""
+    """footprint_reports for the identity scenario of one demand, in variant
+    order. Sectors are in the first category and in one group unless
+    ``category_codes`` and ``groups`` say otherwise."""
     n = account.index.n
     gfcf = np.zeros(n) if gfcf is None else gfcf
-    if category_codes is None:
-        category_codes = np.full(n, len(scenario.CONSUMPTION_SPENDING_CATEGORIES))
+    category_codes = np.zeros(n, dtype=int) if category_codes is None else category_codes
     group_labels, group_codes = groups or (("all",), np.zeros(n, dtype=int))
     operator = algebra.LeontiefOperator(account.Z, account.x)
     variants, _ = indicators.report_variants(account, operator,
                                              names or list(account.extensions))
-    y, gfcf = np.asarray(y, dtype=float)[:, np.newaxis], gfcf[:, np.newaxis]
+    basis, _ = scenario.category_basis(y, gfcf, category_codes, account.index)
     [reports] = indicators.footprint_reports(
-        account, variants, [("test", home_region)], y, gfcf, operator.apply(y + gfcf),
-        {home_region: 0}, category_codes, group_labels, group_codes,
-        fixtures.fixture_conversion_params())
+        account, variants, {home_region: basis}, operator.apply(basis),
+        [("test", home_region, np.ones(len(scenario.SPENDING_CATEGORIES)))],
+        group_labels, group_codes, fixtures.fixture_conversion_params())
     return reports
 
 

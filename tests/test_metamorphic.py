@@ -19,6 +19,9 @@ through ``cli.main``, and checks that effect on the output files:
 - a region appended, with its own Z block, demand columns, extension rows
   and direct use, and no trade with the others: the home region's report
   values are unchanged to 1e-12 relative, and a zero stays zero.
+- 62 scenarios added next to baseline and halved: the two scenarios'
+  ``report.csv`` and ``summary.txt`` are byte-identical, since a scenario's
+  figures may not depend on which others run with it.
 """
 
 import csv
@@ -212,3 +215,19 @@ def test_renamed_region_gives_byte_identical_outputs(original, tmp_path):
     layout = write_changed_set(tmp_path / "fx", dims, rename_r1)
     assert "GB" in (tmp_path / "fx" / "z.tsv").read_text(encoding="utf-8")
     assert tree(run_compare(layout, tmp_path / "out")) == tree(out)
+
+
+def test_added_scenarios_leave_each_scenarios_outputs_byte_identical(original, tmp_path):
+    dims, out = original
+    layout = write_changed_set(tmp_path / "fx", dims)
+    scenarios = layout.parent / "scenarios"
+    baseline = json.loads((scenarios / "baseline.json").read_text(encoding="utf-8"))
+    for k in range(62):
+        spec = baseline | {"name": f"extra-{k:02d}", "government_factor": k / 61}
+        (scenarios / f"extra-{k:02d}.json").write_text(json.dumps(spec), encoding="utf-8")
+    added = tree(run_compare(layout, tmp_path / "out"))
+    expected = {name: data for name, data in tree(out).items()
+                if Path(name).parts[0] in ("baseline", "halved")}
+    assert sorted(Path(name).name for name in expected) == ["report.csv", "report.csv",
+                                                            "summary.txt", "summary.txt"]
+    assert {name: added[name] for name in expected} == expected

@@ -1,4 +1,4 @@
-"""Scenario-engine tests: factors, scaling, and the shipped specs.
+"""Scenario-engine tests: the category basis, factors, and the shipped specs.
 
 Reference ratios implied by the shipped 2012 scenario data (spending in
 millions of 2012 euros):
@@ -31,6 +31,14 @@ from mrio_footprint.scenario import (
 def identity_spec(home_region: str = "R0", name: str = "identity") -> ScenarioSpec:
     return ScenarioSpec(name=name, home_region=home_region,
                         category_targets={c: None for c in SPENDING_CATEGORIES})
+
+
+def scaled_demand(y, gfcf, codes, spec, index):
+    """A spec's consumption and capital formation: its home region's
+    category basis times the spec's factors, the consumption columns summed."""
+    basis, baseline = scenario.category_basis(y, gfcf, codes, index)
+    scaled = basis * scenario.scenario_factors(spec, baseline)
+    return scaled[:, :-1].sum(axis=1), scaled[:, -1]
 
 
 @pytest.fixture()
@@ -107,7 +115,7 @@ class TestCategoryCodes:
         for flat, (_, sector) in enumerate(index.labels()):
             if sector in mapping:
                 per_sector[flat] = factors[mapping[sector]]
-        y_scen, _ = scenario.apply_scenario(y, gfcf, codes, spec, index)
+        y_scen, _ = scaled_demand(y, gfcf, codes, spec, index)
         assert y_scen.tobytes() == (y * per_sector).tobytes()
 
     @pytest.mark.parametrize("category", ["Yachts", GFCF_CATEGORY])
@@ -148,10 +156,26 @@ class TestScalingFactors:
 
 
 class TestApplyScenario:
+    """A spec applied to its home region's category basis."""
+
+    def test_basis_holds_each_sectors_demand_in_its_category(self, account_357, demand_357,
+                                                            codes_357):
+        y, gfcf = demand_357
+        index = account_357.index
+        basis, baseline = scenario.category_basis(y, gfcf, codes_357, index)
+        assert basis.shape == (index.n, len(SPENDING_CATEGORIES))
+        for flat, code in enumerate(codes_357):
+            expected = np.zeros(len(CONSUMPTION_SPENDING_CATEGORIES))
+            expected[code] = y[flat]
+            assert basis[flat, :-1].tolist() == expected.tolist()
+        assert basis[:, -1].tobytes() == gfcf.tobytes()
+        assert baseline == scenario.baseline_category_totals(y, codes_357, index) | {
+            GFCF_CATEGORY: float(gfcf.sum())}
+
     def test_identity_reproduces_baseline_elementwise(self, account_357, demand_357,
                                                       codes_357):
         y, gfcf = demand_357
-        y_scen, gfcf_scen = scenario.apply_scenario(
+        y_scen, gfcf_scen = scaled_demand(
             y, gfcf, codes_357, identity_spec(), account_357.index)
         np.testing.assert_array_equal(y_scen, y)
         np.testing.assert_array_equal(gfcf_scen, gfcf)
@@ -166,7 +190,7 @@ class TestApplyScenario:
         targets[target_category] = 0.5 * baseline[target_category]
         spec = ScenarioSpec(name="halved", home_region="R0", category_targets=targets)
 
-        y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, codes_357, spec, index)
+        y_scen, gfcf_scen = scaled_demand(y, gfcf, codes_357, spec, index)
         for flat, (_, sector) in enumerate(index.labels()):
             if concordance_357[sector] == target_category:
                 assert y_scen[flat] == pytest.approx(0.5 * y[flat], rel=1e-12)
@@ -186,7 +210,7 @@ class TestApplyScenario:
             targets[category] = factor * baseline[category]
         spec = ScenarioSpec(name="mixed", home_region="R0", category_targets=targets)
 
-        y_scen, _ = scenario.apply_scenario(y, gfcf, codes_357, spec, index)
+        y_scen, _ = scaled_demand(y, gfcf, codes_357, spec, index)
         scaled = scenario.baseline_category_totals(y_scen, codes_357, index)
         for category in CONSUMPTION_SPENDING_CATEGORIES:
             expected = factors.get(category, 1.0) * baseline[category]
@@ -201,7 +225,7 @@ class TestApplyScenario:
         targets: dict[str, float | None] = {c: None for c in SPENDING_CATEGORIES}
         targets[category] = 1.7 * baseline[category]
         spec = ScenarioSpec(name="scaled", home_region="R0", category_targets=targets)
-        y_scen, _ = scenario.apply_scenario(y, gfcf, codes_357, spec, index)
+        y_scen, _ = scaled_demand(y, gfcf, codes_357, spec, index)
 
         members = [flat for flat, (_, s) in enumerate(index.labels())
                    if concordance_357[s] == category and y[flat] > 0]
@@ -223,7 +247,7 @@ class TestApplyScenario:
             }
             targets[GFCF_CATEGORY] = rng.uniform(0.0, 2.0) * float(gfcf.sum())
             spec = ScenarioSpec(name="random", home_region="R0", category_targets=targets)
-            y_scen, gfcf_scen = scenario.apply_scenario(y, gfcf, codes, spec, index)
+            y_scen, gfcf_scen = scaled_demand(y, gfcf, codes, spec, index)
             scaled = scenario.baseline_category_totals(y_scen, codes, index)
             for category in CONSUMPTION_SPENDING_CATEGORIES:
                 assert scaled[category] == pytest.approx(targets[category], rel=1e-9, abs=1e-12)
@@ -240,7 +264,7 @@ class TestGfcf:
                                         self.INDEX)
         targets = {} if target is None else {GFCF_CATEGORY: target}
         spec = ScenarioSpec(name="gfcf", home_region="R0", category_targets=targets)
-        return scenario.apply_scenario(np.array([1.0, 2.0]), gfcf, codes, spec, self.INDEX)[1]
+        return scaled_demand(np.array([1.0, 2.0]), gfcf, codes, spec, self.INDEX)[1]
 
     def test_zero_target_zeroes_the_vector(self):
         scaled = self.apply(np.array([100.0, 300.0]), 0.0)
