@@ -455,6 +455,10 @@ def main(argv=None) -> int:
         name = getattr(exc, "filename", None) or str(exc)
         print(f"error: missing file: {name}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
+        return 1
     except MrioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UnproductiveEconomy) else 1

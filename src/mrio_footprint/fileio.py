@@ -37,7 +37,7 @@ import traceback
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -54,22 +54,23 @@ _DELIMITER_NAMES = {char: name for name, char in _DELIMITERS.items()}
 # Parsed grids are kept here, next to the layout descriptor.
 CACHE_DIR = ".mrio-cache"
 
-# Grids are read and written in blocks of about this many bytes (file bytes
-# to parse, matrix bytes to write). A grid of fewer bytes is parsed or
-# written in-process. A larger one is cut into one contiguous share per
-# usable CPU: the caller does the first share, block by block, and a forked
-# worker each of the others, likewise, into a temporary file that the caller
-# reads once its own share is done. A process's memory thus holds a block of
-# text at a time, never a share's.
+# Grid files are read in spans of about this many bytes. A grid file, or a
+# matrix to write, of fewer bytes is parsed or written in-process. A larger
+# one is cut into one contiguous share per usable CPU: the caller does the
+# first share, span by span or block by block, and a forked worker each of
+# the others, likewise, into a temporary file that the caller reads once its
+# own share is done. A process's memory thus holds a span or block of text at
+# a time, never a share's.
 PARALLEL_BYTES = 1 << 22
 
 # Input files are hashed for the parse cache in leaves of this many bytes.
 LEAF_BYTES = 1 << 20
 
-# Grid numbers are read in blocks of rows of about this many bytes of text,
-# by an exact vectorized decimal kernel (``_read_decimals``) where numpy's
-# long double is the little-endian x87 format, whose significand has 64
-# bits, and by float() elsewhere (``_parse_span``).
+# Grid numbers are read and written in blocks of rows of about this many
+# bytes of text. Where numpy's long double is the little-endian x87 format,
+# whose significand has 64 bits, exact vectorized kernels read them
+# (``_read_decimals``) and write them (``_number_text``); elsewhere float()
+# reads them (``_parse_span``) and format_number writes them.
 NUMBER_BLOCK_BYTES = 1 << 18
 _EXACT_DECIMALS = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
 # 10**q for |q| <= _POWER_RANGE, correctly rounded to that significand, and
@@ -85,6 +86,14 @@ _NORMAL_RANGE = np.array([np.finfo(np.float64).tiny, np.finfo(np.float64).max], 
 _LANE_STARTS = np.array([[0], [8], [16]])
 _LANE_MASKS = np.array([[(0x0F0F0F0F0F0F0F0F << 8 * min(max(s - 8 * k, 0), 8)) % (1 << 64)
                          for s in range(25)] for k in range(3)], dtype=np.uint64)
+# A written number's text, before its NUL bytes are deleted, is six
+# little-endian uint64 words, 48 bytes: "-0.000" (a sign, then the lead of a
+# fixed-form number below 1), the first digit and ".", each of the 16 other
+# digits followed by ".", then the exponent, as "e-308" or "e+05" with NUL
+# for the missing hundreds, and the cell's end (delimiter or LF) in the last
+# byte. A layout mask keeps the bytes of one form.
+_TEXT_WORDS = 6
+_LEAD = int.from_bytes(b"-0.0000.", "little")
 
 # The C library, for ``_trim_heap``.
 _LIBC = ctypes.CDLL(None) if os.name == "posix" else None
@@ -747,13 +756,14 @@ def _cache_load(entry: Path):
 
 def _replace(target: Path, write) -> None:
     """Write a file under a temporary name, then move it into place, so a
-    reader never sees it half written."""
+    reader never sees it half written, and a write that fails leaves the
+    file as it was and no temporary file."""
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with temporary.open("wb") as handle:
             write(handle)
         os.replace(temporary, target)
-    except OSError:
+    except BaseException:
         temporary.unlink(missing_ok=True)
         raise
 
@@ -1027,52 +1037,160 @@ def _writer(handle, delimiter: str):
     return csv.writer(handle, delimiter=delimiter, lineterminator="\n")
 
 
-def _format_rows(grid, rows: tuple[int, int]) -> str:
-    """The text of rows [start, stop) of ``grid``, (delimiter, labels, matrix)."""
+@cache
+def _number_layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The writer's tables, built on first use: for each g < 10**4, the word
+    of its four digits, each followed by ".", and its count of trailing zeros
+    (4 for 0); for each exponent x, |x| <= _POWER_RANGE, its word; and
+    each layout's mask, six words, by key (sign * 22 + case) * 17 + digit
+    count - 1. The case of an exponent x is x + 4 in %g's fixed form,
+    -4 <= x < 17, and 21 in its e form."""
+    quads = [f"{g:04d}" for g in range(10 ** 4)]
+    quad_text = np.array([int.from_bytes(".".join(quad).encode() + b".", "little")
+                          for quad in quads], np.uint64)
+    quad_zeros = np.array([4 - len(quad.rstrip("0")) for quad in quads], np.uint8)
+    exponent_text = []
+    for x in range(-_POWER_RANGE, _POWER_RANGE + 1):
+        text = f"e{x:+04d}".encode()
+        hundreds = text[2:3] if abs(x) >= 100 else b"\0"
+        exponent_text.append(int.from_bytes(text[:2] + hundreds + text[3:], "little"))
+    digit = [6, *range(8, 40, 2)]  # where each digit stands
+    masks = np.zeros((2 * 22 * 17, 8 * _TEXT_WORDS), np.uint8)
+    for key, keep in enumerate(masks):
+        negative, case, count = key // (22 * 17), key // 17 % 22, key % 17 + 1
+        keep[0] = negative
+        if case == 21:  # d.ddde-05
+            keep[digit[:count]] = 1
+            keep[7] = count > 1
+            keep[40:45] = 1
+        elif case >= 4:  # ddd.ddd, x + 1 digits before the point
+            keep[digit[:max(count, case - 3)]] = 1
+            keep[digit[case - 4] + 1] = count > case - 3
+        else:  # 0.000ddd, -x - 1 zeros after the point
+            keep[1:6 - case] = 1
+            keep[digit[:count]] = 1
+    tables = (quad_text, quad_zeros, np.array(exponent_text, np.uint64),
+              (masks * 0xFF).view(np.uint64))
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _number_text(block: np.ndarray, delimiter: str) -> np.ndarray:
+    """The cells of the matrix ``block`` as "%.17g" formats them, each
+    followed by the delimiter, or by LF at the end of a row: _TEXT_WORDS
+    words a cell, row-major, from which NUL bytes are to be deleted.
+
+    Where _EXACT_DECIMALS holds, a kernel writes each finite nonzero v. It
+    takes an exponent x = floor(log10|v|) and forms P = |v| * 10**(16 - x) in
+    the long double with the reader's _POWERS_OF_TEN, moving x by one where
+    this unrounded P lies outside [10**16, 10**17). |v| is exact there, the
+    rounded power of ten moves P by less than one unit in its last place
+    (ulp), and the product rounds by at most half an ulp, so P is within 1.5
+    ulps of the exact value, less than D * 2**-62 for D = rint(P). Where D lies
+    strictly between 10**16 and 10**17 and no half-integer is that close to
+    P, D is the exact value rounded to an integer: its 17 digits and x are
+    those "%.17g" writes. A table turns D's digits into text four at a time,
+    and a mask keyed by sign, case and digit count keeps the bytes of %g's
+    fixed or e form, trailing zeros dropped. The other cells (about 2% of a
+    fixture's: near a half-integer or a power of ten), ±0, non-finite values
+    and every cell where long double is not x87 go to format_number, as
+    Grisu3 leaves the cases it cannot certify to a slower exact method
+    (Loitsch, PLDI 2010).
+    """
+    values = block.ravel()
+    text = np.zeros((len(values), _TEXT_WORDS), np.uint64)
+    magnitude = np.abs(values)
+    kernel = (magnitude > 0) & (magnitude < np.inf) & _EXACT_DECIMALS
+    if _EXACT_DECIMALS:
+        quad_text, quad_zeros, exponent_text, masks = _number_layouts()
+        magnitude[~kernel] = 1.0  # no log10 of 0 or cast of inf or nan
+        x = np.floor(np.log10(magnitude)).astype(np.intp)
+        wide = magnitude.astype(np.longdouble)
+        p = wide * _POWERS_OF_TEN.take(_POWER_RANGE + 16 - x)
+        off = (p >= 1e17).view(np.int8) - (p < 1e16).view(np.int8)
+        moved = np.flatnonzero(off)
+        x[moved] += off[moved]
+        p[moved] = wide[moved] * _POWERS_OF_TEN.take(_POWER_RANGE + 16 - x[moved])
+        rounded = np.rint(p)
+        d = rounded.astype(np.uint64)
+        distance = np.abs((p - rounded).astype(np.float64))
+        kernel &= (distance < 0.5 - d * 2.0 ** -62) & (d > 10 ** 16) & (d < 10 ** 17)
+        head, low = np.divmod(d, 10 ** 8)
+        first, high = np.divmod(head, 10 ** 8)
+        text[:, 0] = first << 48 | _LEAD
+        quads = [*np.divmod(high.astype(np.intp), 10 ** 4),
+                 *np.divmod(low.astype(np.intp), 10 ** 4)]
+        for k, quad in enumerate(quads, 1):
+            text[:, k] = quad_text.take(quad)
+        # The last group's trailing zeros, and each earlier group's while
+        # every group after it is zero.
+        zeros = quad_zeros.take(quads[3])
+        for count, quad in zip((4, 8, 12), quads[2::-1]):
+            zeros += (zeros == count) * quad_zeros.take(quad)
+        case = np.where((x >= -4) & (x <= 16), x + 4, 21)
+        text[:, 5] = exponent_text.take(_POWER_RANGE + x)
+        text &= masks.take((22 * (values < 0) + case) * 17 + 16 - zeros, axis=0)
+    slow = np.flatnonzero(~kernel)
+    if len(slow):
+        cells = (format_number(value).encode().ljust(8 * _TEXT_WORDS, b"\0")
+                 for value in values.take(slow).tolist())
+        text[slow] = np.frombuffer(b"".join(cells), np.uint64).reshape(-1, _TEXT_WORDS)
+    ends = text[:, -1].reshape(block.shape)
+    ends |= ord(delimiter) << 56
+    ends[:, -1:] ^= (ord(delimiter) ^ ord("\n")) << 56
+    return text
+
+
+def _format_rows(grid, rows: tuple[int, int]) -> bytes:
+    """The text of rows [start, stop) of ``grid``, (delimiter, labels,
+    matrix): each row's labels through csv, then its numbers as
+    ``_number_text`` writes them."""
     delimiter, labels, matrix = grid
     start, stop = rows
-    # One "%.17g" template per row formats as format_number does; the labels
-    # go through csv (the trailing empty cell leaves their quoting as in a
-    # full row).
-    template = delimiter.join(["%.17g"] * matrix.shape[1]) + "\n"
-    prefix = io.StringIO()
-    label_writer = _writer(prefix, delimiter)
-    text = []
-    for label, row in zip(labels[start:stop], matrix[start:stop]):
-        prefix.seek(0)
-        prefix.truncate()
-        label_writer.writerow([*label, ""])
-        text.append(prefix.getvalue()[:-1] + template % tuple(row.tolist()))
-    return "".join(text)
+    # The trailing empty cell leaves the labels' quoting as in a full row.
+    prefixes = io.StringIO()
+    _writer(prefixes, delimiter).writerows([*label, ""] for label in labels[start:stop])
+    numbers = _number_text(matrix[start:stop], delimiter).tobytes()
+    width = 8 * _TEXT_WORDS * matrix.shape[1]
+    lines = []
+    for k, prefix in enumerate(prefixes.getvalue().encode().split(b"\n")[:-1]):
+        # A row of no numbers ends after its labels.
+        lines += [prefix, numbers[k * width:(k + 1) * width].translate(None, b"\0") or b"\n"]
+    return b"".join(lines)
 
 
 def _write_rows(grid, rows: tuple[int, int], handle) -> None:
     """Write the text of rows [start, stop) of ``grid`` to a binary handle,
-    formatted in blocks of rows of about PARALLEL_BYTES of the matrix."""
-    matrix = grid[2]
-    step = max(1, PARALLEL_BYTES // max(1, matrix.itemsize * matrix.shape[1]))
+    formatted in blocks of rows of about NUMBER_BLOCK_BYTES of text, at
+    most 24 bytes a number."""
+    step = max(1, NUMBER_BLOCK_BYTES // (24 * max(1, grid[2].shape[1])))
     for first in range(*rows, step):
-        handle.write(_format_rows(grid, (first, min(first + step, rows[1]))).encode("utf-8"))
+        handle.write(_format_rows(grid, (first, min(first + step, rows[1]))))
 
 
 def _write_grid(path: Path, delimiter: str, headers: list[list[str]],
                 labels: list[tuple[str, ...]], matrix: np.ndarray) -> None:
     """Write a grid whose rows are cut into one contiguous share per process
-    (see ``_processes``). The caller writes the first share to the file,
-    while forked workers each write one later share to a temporary file,
-    which the caller then appends to the file, in order."""
+    (see ``_processes``). The caller writes the first share, while forked
+    workers each write one later share to a temporary file, which the caller
+    then appends, in order. The grid is written under a temporary name and
+    moved into place (``_replace``), so a failed write leaves the file it
+    would have replaced as it was."""
     grid = (delimiter, labels, matrix)
     count = min(_processes(matrix.nbytes), len(matrix))
     shares = [(len(matrix) * k // count, len(matrix) * (k + 1) // count) for k in range(count)]
     header = io.StringIO()
     _writer(header, delimiter).writerows(headers)
-    with (path.open("wb") as handle,
-          _forked(partial(_write_rows, grid), shares[1:], path) as result):
-        handle.write(header.getvalue().encode("utf-8"))
-        for share in shares[:1]:
-            _write_rows(grid, share, handle)
-        for k in range(len(shares) - 1):
-            shutil.copyfileobj(result(k), handle, PARALLEL_BYTES)
+
+    def write(handle) -> None:
+        with _forked(partial(_write_rows, grid), shares[1:], path) as result:
+            handle.write(header.getvalue().encode("utf-8"))
+            for share in shares[:1]:
+                _write_rows(grid, share, handle)
+            for k in range(len(shares) - 1):
+                shutil.copyfileobj(result(k), handle, PARALLEL_BYTES)
+    _replace(path, write)
 
 
 def _column_headers(corner: list[str], columns: list[tuple[str, str]]) -> list[list[str]]:

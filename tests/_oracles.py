@@ -5,11 +5,15 @@ sum_k A^k y converges to the Leontief solution for any productive A, so it
 checks the LU-based solver against nothing but matrix multiplication. The
 explicit coefficient matrix A and the summed stressor row, which the
 pipeline never forms, are built here for the tests that compare against
-them, with the operator and one-shot solve of an A given in code.
+them, with the operator and one-shot solve of an A given in code. The
+account writer's grid rows are checked against the formatter it replaced,
+which wrote every number through one Python "%.17g" template per row.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -81,3 +85,22 @@ def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
     if scale == 0.0:
         return float(np.max(np.abs(actual)))
     return float(np.max(np.abs(actual - expected))) / scale
+
+
+def format_rows(grid, rows: tuple[int, int]) -> str:
+    """The text of rows [start, stop) of ``grid``, (delimiter, labels, matrix)."""
+    delimiter, labels, matrix = grid
+    start, stop = rows
+    # One "%.17g" template per row formats as format_number does; the labels
+    # go through csv (the trailing empty cell leaves their quoting as in a
+    # full row).
+    template = delimiter.join(["%.17g"] * matrix.shape[1]) + "\n"
+    prefix = io.StringIO()
+    label_writer = csv.writer(prefix, delimiter=delimiter, lineterminator="\n")
+    text = []
+    for label, row in zip(labels[start:stop], matrix[start:stop]):
+        prefix.seek(0)
+        prefix.truncate()
+        label_writer.writerow([*label, ""])
+        text.append(prefix.getvalue()[:-1] + template % tuple(row.tolist()))
+    return "".join(text)

@@ -1160,6 +1160,18 @@ class TestFixtureCommand:
         assert [path.name for path in tmp_path.iterdir()] == ["afile"]
         assert (tmp_path / "afile").read_text() == "kept\n"
 
+    def test_an_os_error_is_one_line_naming_the_path(self, tmp_path, capsys):
+        # The scenario directory's name is taken by a plain file, which only
+        # the write finds.
+        blocked = tmp_path / "fx" / "scenarios"
+        blocked.parent.mkdir()
+        blocked.write_text("kept\n")
+        assert main(["fixture", "--regions", "2", "--sectors", "3", "--seed", "1",
+                     "--out", str(tmp_path / "fx")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {blocked}: File exists\n"
+        assert blocked.read_text() == "kept\n"
+
     def test_minimal_economy_end_to_end(self, tmp_path):
         fx = tmp_path / "fx"
         assert main(["fixture", "--regions", "1", "--sectors", "1", "--seed", "0",
