@@ -9,7 +9,6 @@ from . import errors
 from .algebra import LeontiefOperator, ProductivityEstimate, intensity
 from .fileio import (
     IngestResult,
-    Layout,
     data_path,
     ingest,
     load_layout,

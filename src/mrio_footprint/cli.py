@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -141,9 +142,10 @@ def _run(args, compare: bool = False) -> tuple[
                                                     category_codes, account.index)
     group_labels, group_codes = indicators.load_sector_groups(groups_path, account.index)
     params = indicators.load_conversion_params(params_path)
+    extensions = extensions or list(account.extensions)
+    indicators.check_extensions(account, extensions)  # before a factorization
     operator = _operator(ingested)
-    variants, certificate = indicators.report_variants(account, operator,
-                                                       extensions or list(account.extensions))
+    variants, certificate = indicators.report_variants(account, operator, extensions)
     if not certificate.productive:
         raise UnproductiveEconomy(f"spectral radius <= {certificate.spectral_radius:.6f} "
                                   "is too close to 1 to certify the economy productive")
@@ -327,7 +329,7 @@ def cmd_validate(args) -> int:
              else f"spectral radius <= {estimate.spectral_radius:.6f}")
     print(f"productivity: {bound} — {'productive' if estimate.productive else 'UNPRODUCTIVE'}")
     for warning in result.warnings:
-        print(f"warning: ({warning.region}, {warning.sector}) {warning.note}")
+        print(f"warning: ({warning['region']}, {warning['sector']}) {warning['note']}")
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -338,20 +340,13 @@ def cmd_validate(args) -> int:
             "balance": {
                 "tol": args.tol,
                 "max_residual": balance.max_residual,
-                "violations": [
-                    {"row": v.row, "region": v.region, "sector": v.sector,
-                     "residual": v.residual}
-                    for v in balance.violations
-                ],
+                "violations": [dataclasses.asdict(v) for v in balance.violations],
             },
             "productivity": {
                 "spectral_radius": estimate.spectral_radius,
                 "productive": estimate.productive,
             },
-            "warnings": [
-                {"region": w.region, "sector": w.sector, "note": w.note}
-                for w in result.warnings
-            ],
+            "warnings": result.warnings,
         }
         (out_dir / "validation.json").write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -34,7 +34,7 @@ import sys
 import tempfile
 import threading
 import traceback
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
@@ -112,46 +112,6 @@ def format_number(value: float) -> str:
     return format(float(value), ".17g")
 
 
-@dataclass(frozen=True)
-class ExtensionEntry:
-    """One extension file reference inside a layout descriptor."""
-
-    name: str
-    file: str
-    unit: str
-    kind: str | None = None
-    direct_file: str | None = None
-    workers_per_unit: float | None = None
-    material_flags: dict[str, str] | None = None
-
-
-@dataclass(frozen=True)
-class IngestWarning:
-    """A known data quirk, keyed by (region, sector), surfaced at ingest."""
-
-    region: str
-    sector: str
-    note: str
-
-
-@dataclass(frozen=True)
-class Layout:
-    """Parsed layout descriptor; file paths are relative to ``base_dir``."""
-
-    base_dir: Path
-    delimiter: str
-    year: int
-    transactions: str
-    final_demand: str
-    total_output: str
-    extensions: tuple[ExtensionEntry, ...]
-    hours_per_worker_year: float = DEFAULT_HOURS_PER_WORKER_YEAR
-    ingest_warnings: tuple[IngestWarning, ...] = ()
-
-    def path(self, name: str) -> Path:
-        return self.base_dir / name
-
-
 _EXTENSION = {
     "name": str,
     "file": str,
@@ -173,38 +133,32 @@ _LAYOUT = {
 }
 
 
-def load_layout(path: str | Path) -> Layout:
+def load_layout(path: str | Path) -> dict:
+    """The layout descriptor at ``path`` as ``read_json`` reads it by
+    ``_LAYOUT``, defaults filled in, once the rules between its keys hold."""
     path = Path(path)
-    raw = read_json(path, _LAYOUT, "layout")
-    extensions = tuple(ExtensionEntry(**entry) for entry in raw["extensions"])
+    layout = read_json(path, _LAYOUT, "layout")
+    extensions = layout["extensions"]
     readers = {"direct_file": ("energy", "emissions"), "material_flags": ("material",),
                "workers_per_unit": ("labour",)}
     for k, entry in enumerate(extensions):
-        if entry.name in (earlier.name for earlier in extensions[:k]):
-            raise ParseError(f"layout.extensions[{k}].name repeats the name {entry.name!r}",
+        name, kind, unit = entry["name"], entry["kind"], entry["unit"]
+        if name in (earlier["name"] for earlier in extensions[:k]):
+            raise ParseError(f"layout.extensions[{k}].name repeats the name {name!r}",
                              path=str(path))
         for key, kinds in readers.items():
-            if getattr(entry, key) is not None and entry.kind not in kinds:
+            if entry[key] is not None and kind not in kinds:
                 raise ParseError(f"layout.extensions[{k}].{key} is read only for kind "
-                                 f"{' or '.join(kinds)}; extension {entry.name!r} has kind "
-                                 f"{entry.kind!r}", path=str(path))
-        if not entry.unit:
+                                 f"{' or '.join(kinds)}; extension {name!r} has kind "
+                                 f"{kind!r}", path=str(path))
+        if not unit:
             raise ParseError(f"layout.extensions[{k}].unit is empty", path=str(path))
         # Labour is reported in hours.
-        if (entry.kind == "labour" and entry.workers_per_unit is None
-                and entry.unit != "hours"):
-            raise ParseError(f"layout.extensions[{k}].unit is {entry.unit!r}; a labour "
+        if kind == "labour" and entry["workers_per_unit"] is None and unit != "hours":
+            raise ParseError(f"layout.extensions[{k}].unit is {unit!r}; a labour "
                              "extension without workers_per_unit must be in 'hours'",
                              path=str(path))
-    return Layout(
-        base_dir=path.parent,
-        delimiter=_DELIMITERS[raw["delimiter"]],
-        year=raw["year"],
-        **raw["files"],
-        extensions=extensions,
-        hours_per_worker_year=raw["hours_per_worker_year"],
-        ingest_warnings=tuple(IngestWarning(**warning) for warning in raw["ingest_warnings"]),
-    )
+    return layout
 
 
 @dataclass(frozen=True)
@@ -213,7 +167,8 @@ class IngestResult:
     # The parse-cache entries of the transaction grid and total output,
     # which name the cached factorization of the account's I - A.
     system_entries: tuple[Path, Path]
-    warnings: tuple[IngestWarning, ...] = ()
+    # The layout's ingest_warnings, each a dict of region, sector and note.
+    warnings: Sequence[dict] = ()
 
 
 def _eight_digits(lanes: np.ndarray) -> np.ndarray:
@@ -770,17 +725,19 @@ def _replace(target: Path, write) -> None:
 
 def _cache_store(entry: Path, matrix: np.ndarray, meta: dict) -> None:
     """Store an entry, a ``.npy`` matrix and a ``.json`` part, and delete
-    the other entries of its directory."""
+    every other file of its directory."""
     text = json.dumps(meta).encode("utf-8")
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         # The matrix goes first: a readable .json means its .npy is whole.
         _replace(entry.with_suffix(".npy"), lambda h: np.save(h, matrix, allow_pickle=False))
         _replace(entry.with_suffix(".json"), lambda h: h.write(text))
-        # The other entries are stale: they hold earlier contents of the same
-        # files, or a factorization made under another identity.
+        # Every other file is stale: another entry holds earlier contents of
+        # the same files, or a factorization made under another identity, and
+        # a temporary file is a dead writer's, or a live one's, whose move
+        # into place then fails as in an unwritable cache.
         for old in entry.parent.iterdir():
-            if old.suffix in (".npy", ".json") and old.stem != entry.name:
+            if old.name not in (f"{entry.name}.npy", f"{entry.name}.json"):
                 old.unlink(missing_ok=True)
     except OSError:
         pass  # an unwritable cache only means the next run does the work again
@@ -927,10 +884,12 @@ def ingest(layout_path: str | Path) -> IngestResult:
     after every file's label, flag and structure faults.
     """
     layout = load_layout(layout_path)
-    delim = layout.delimiter
-    cache_dir = layout.base_dir / CACHE_DIR
+    delim = _DELIMITERS[layout["delimiter"]]
+    base_dir = Path(layout_path).parent
+    files = layout["files"]
+    cache_dir = base_dir / CACHE_DIR
 
-    z_path = layout.path(layout.transactions)
+    z_path = base_dir / files["transactions"]
     z_headers, z_labels, Z, z_lines, z_entry = _read_grid(z_path, cache_dir, delim,
                                                           index_cols=2)
     pairs = _column_pairs(z_headers, 2, z_path)
@@ -945,13 +904,13 @@ def ingest(layout_path: str | Path) -> IngestResult:
     _check_labels("row labels are not region-major blocks of a common sector list",
                   z_labels, labels, z_path, linenos=z_lines)
     account_rows = set(z_labels)
-    for k, warning in enumerate(layout.ingest_warnings):
-        if (warning.region, warning.sector) not in account_rows:
-            raise ParseError(f"layout.ingest_warnings[{k}] names ({warning.region}, "
-                             f"{warning.sector}), which is not a row of the account",
+    for k, warning in enumerate(layout["ingest_warnings"]):
+        if (warning["region"], warning["sector"]) not in account_rows:
+            raise ParseError(f"layout.ingest_warnings[{k}] names ({warning['region']}, "
+                             f"{warning['sector']}), which is not a row of the account",
                              path=str(layout_path))
 
-    y_path = layout.path(layout.final_demand)
+    y_path = base_dir / files["final_demand"]
     y_headers, y_labels, Y, y_lines, _ = _read_grid(y_path, cache_dir, delim, index_cols=2)
     _check_labels("final-demand rows do not match the transaction index", y_labels, labels,
                   y_path, linenos=y_lines)
@@ -961,7 +920,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
             raise ParseError(f"final-demand column {' / '.join(column)!r} is repeated",
                              path=str(y_path), row=2, column=k + 3)
 
-    x_path = layout.path(layout.total_output)
+    x_path = base_dir / files["total_output"]
     x_labels, x, x_lines, x_entry = _read_column(x_path, cache_dir, delim, index_cols=2)
     _check_labels("total-output rows do not match the transaction index", x_labels, labels,
                   x_path, linenos=x_lines)
@@ -972,22 +931,23 @@ def ingest(layout_path: str | Path) -> IngestResult:
              "x": (x_path, x_lines, 2, x)}
     layout_keys, extensions, bad_values = {}, {}, []
     try:
-        for k, entry in enumerate(layout.extensions):
-            ext_path = layout.path(entry.file)
+        for k, entry in enumerate(layout["extensions"]):
+            name, workers_per_unit = entry["name"], entry["workers_per_unit"]
+            ext_path = base_dir / entry["file"]
             ext_headers, ext_labels, rows, ext_lines, _ = _read_grid(ext_path, cache_dir, delim,
                                                                      index_cols=1)
             _check_labels("extension columns do not match the transaction index",
                           _column_pairs(ext_headers, 1, ext_path), labels, ext_path,
                           index_cols=1)
-            cells[f"extension {entry.name!r} rows"] = (ext_path, ext_lines, 1, rows)
-            layout_keys[f"extension {entry.name!r} material_flags"] = f"layout.extensions[{k}]"
-            if entry.workers_per_unit is not None:
+            cells[f"extension {name!r} rows"] = (ext_path, ext_lines, 1, rows)
+            layout_keys[f"extension {name!r} material_flags"] = f"layout.extensions[{k}]"
+            if workers_per_unit is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # the screen names it
-                    rows = rows * (entry.workers_per_unit * layout.hours_per_worker_year)
+                    rows = rows * (workers_per_unit * layout["hours_per_worker_year"])
                 rows.flags.writeable = False
             direct = None
-            if entry.direct_file is not None:
-                direct_path = layout.path(entry.direct_file)
+            if entry["direct_file"] is not None:
+                direct_path = base_dir / entry["direct_file"]
                 regions, values, direct_lines, _ = _read_column(direct_path, cache_dir, delim,
                                                                 index_cols=1)
                 for (region,), lineno in zip(regions, direct_lines):
@@ -999,19 +959,18 @@ def ingest(layout_path: str | Path) -> IngestResult:
                     if region not in direct:
                         raise ParseError(f"region {region!r} has no direct-use row",
                                          path=str(direct_path))
-                cells[f"extension {entry.name!r} direct use"] = (direct_path, direct_lines, 1,
-                                                                 values)
+                cells[f"extension {name!r} direct use"] = (direct_path, direct_lines, 1, values)
             try:
-                extensions[entry.name] = ExtensionAccount(
-                    name=entry.name, unit="hours" if entry.workers_per_unit else entry.unit,
+                extensions[name] = ExtensionAccount(
+                    name=name, unit="hours" if workers_per_unit else entry["unit"],
                     stressors=tuple(label[0] for label in ext_labels), rows=rows,
-                    direct=direct, kind=entry.kind, material_flags=entry.material_flags)
+                    direct=direct, kind=entry["kind"], material_flags=entry["material_flags"])
             except (NonFiniteEntry, NegativeEntry) as exc:  # named after every file's labels
                 bad_values.append(exc)
         if bad_values:
             raise bad_values[0]
-        account = MrioAccount(index=index, Z=Z, Y=Y, y_columns=y_columns, x=x, year=layout.year,
-                              extensions=extensions)
+        account = MrioAccount(index=index, Z=Z, Y=Y, y_columns=y_columns, x=x,
+                              year=layout["year"], extensions=extensions)
     except (NonFiniteEntry, NegativeEntry, MissingStressorLabel) as exc:
         if exc.array in layout_keys:
             raise ParseError(f"{layout_keys[exc.array]}.{exc}", path=str(layout_path)) from None
@@ -1025,7 +984,7 @@ def ingest(layout_path: str | Path) -> IngestResult:
                    else f"non-finite value {value}")
         raise ParseError(message, path=str(path), row=linenos[row],
                          column=index_cols + column + 1) from None
-    return IngestResult(account=account, warnings=layout.ingest_warnings,
+    return IngestResult(account=account, warnings=layout["ingest_warnings"],
                         system_entries=(z_entry, x_entry))
 
 

@@ -203,6 +203,13 @@ class ReportVariant:
     multipliers: np.ndarray
 
 
+def check_extensions(account: MrioAccount, extension_names: list[str]) -> None:
+    """A MrioError at the first of ``extension_names`` the account lacks."""
+    for name in extension_names:
+        if name not in account.extensions:
+            raise MrioError(f"extension {name!r} not present in the account")
+
+
 def report_variants(account: MrioAccount, operator: LeontiefOperator, extension_names: list[str]
                     ) -> tuple[list[ReportVariant], ProductivityEstimate]:
     """Every report of the named extensions, and the account's productivity
@@ -215,10 +222,9 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator, extension_
     are the certificate's w = 1^T (I - A)^-1; an unproductive economy
     raises UnproductiveEconomy.
     """
+    check_extensions(account, extension_names)
     selected: list[tuple[str, ExtensionAccount, tuple[str, ...]]] = []
     for name in extension_names:
-        if name not in account.extensions:
-            raise MrioError(f"extension {name!r} not present in the account")
         ext = account.extensions[name]
         if ext.material_flags is not None:
             selected.append((f"{name}-tmc", ext, ext.stressors))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -422,6 +423,12 @@ class TestCompare:
         err = capsys.readouterr().err
         assert f"text is not UTF-8 ({path}, row {row})" in err and "Traceback" not in err
 
+    def test_spec_that_is_not_utf8_exits_one_naming_it(self, fixture_dir, tmp_path, capsys):
+        path = fixture_dir / "scenarios" / "baseline.json"
+        path.write_bytes(path.read_bytes().replace(b'"baseline"', b'"basel\xe9ne"', 1))
+        assert run_footprint(fixture_dir, tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: text is not UTF-8 ({path})\n"
+
     # Excel's "UTF-8" export starts a file with a byte-order mark.
     @pytest.mark.parametrize("name", [
         "category_concordance.tsv", "sector_groups.tsv", "params.json", "layout.json",
@@ -621,6 +628,17 @@ class TestCompare:
         assert rc == 0
         rows = read_report(tmp_path / "cmp" / "baseline" / "report.csv")
         assert {r["extension"] for r in rows} == {"labour"}
+
+    def test_unknown_extension_exits_one_before_the_factorization(self, fixture_dir, tmp_path,
+                                                                  capsys, factorizations):
+        rc = main(["compare", "--layout", str(fixture_dir / "layout.json"),
+                   "--params", str(fixture_dir / "params.json"),
+                   "--out", str(tmp_path / "cmp"),
+                   "--scenario", str(fixture_dir / "scenarios" / "baseline.json"),
+                   "--extensions", "labour,nope"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: extension 'nope' not present in the account\n"
+        assert factorizations == []
 
     @pytest.mark.parametrize("verb", ["compare", "footprint"])
     def test_extension_listed_twice_exits_one(self, fixture_dir, tmp_path, capsys,
@@ -952,6 +970,22 @@ class TestFactorizationCache:
         assert len(factorizations) == 1
         assert [array.tobytes() for array in held] == before
 
+    def test_a_dead_writers_temporary_files_are_removed(self, fixture_dir, tmp_path,
+                                                        factorizations):
+        # A writer killed while storing an entry leaves its temporary file and
+        # no .json; the next run stores the entry and removes the file.
+        assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
+        cache = fixture_dir / fileio.CACHE_DIR
+        entries = [lu_entry(fixture_dir), *cache.glob("z.tsv-*/*.npy")]
+        assert len(entries) == 2
+        for entry in entries:
+            entry.with_suffix(".json").unlink()
+            (entry.parent / f".{entry.name}.{os.getpid() + 1}.tmp").write_bytes(b"part")
+        assert run_compare(fixture_dir, tmp_path / "again", SCENARIOS) == 0
+        assert len(factorizations) == 2
+        for entry in entries:
+            assert sorted(entry.parent.iterdir()) == [entry.with_suffix(".json"), entry]
+
     def test_validate_reuses_the_entry_compare_wrote(self, fixture_dir, tmp_path,
                                                      factorizations):
         assert run_compare(fixture_dir, tmp_path / "cmp", SCENARIOS) == 0
@@ -1093,6 +1127,24 @@ def test_unreadable_input_exits_one_without_a_traceback(fixture_dir, tmp_path, t
     assert "Traceback" not in done.stderr
     expected = "cannot read file: " if kind == "directory" else "missing file: "
     assert done.stderr.startswith("error: " + expected) and str(path) in done.stderr
+
+
+@pytest.mark.parametrize("target", ["--params", "transactions"])
+def test_directory_for_a_file_exits_one_naming_it(fixture_dir, tmp_path, capsys, target):
+    path = tmp_path / "input"
+    path.mkdir()
+    params = fixture_dir / "params.json"
+    if target == "transactions":
+        layout = json.loads((fixture_dir / "layout.json").read_text())
+        layout["files"]["transactions"] = str(path)
+        (fixture_dir / "layout.json").write_text(json.dumps(layout))
+    else:
+        params = path
+    assert main(["compare", "--layout", str(fixture_dir / "layout.json"),
+                 "--params", str(params), "--out", str(tmp_path / "cmp"),
+                 "--scenario", str(fixture_dir / "scenarios" / "baseline.json")]) == 1
+    error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    assert capsys.readouterr().err == f"error: cannot read file: {error} ({path})\n"
 
 
 def test_labour_stressor_without_a_skill_level_fails_at_ingest(fixture_dir, tmp_path, capsys,

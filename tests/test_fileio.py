@@ -708,8 +708,8 @@ class TestLayoutFeatures:
         result = fileio.ingest(layout_path)
         assert len(result.warnings) == 1
         warning = result.warnings[0]
-        assert (warning.region, warning.sector) == ("R0", "S1")
-        assert "known gap" in warning.note
+        assert (warning["region"], warning["sector"]) == ("R0", "S1")
+        assert "known gap" in warning["note"]
 
     def test_comma_delimited_set(self, tmp_path):
         account = fixtures.fixture(2, 2, 3)
@@ -1136,6 +1136,23 @@ class TestParallelGrids:
         headers, labels, shape, (_, linenos) = _compare(monkeypatch, path)
         assert shape == (15, 15) and len(labels) == 15
         assert linenos == [k + 1 for k, line in enumerate(lines) if line][2:]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("last", ["numbers", "bad cell"])
+    def test_last_line_without_a_line_end(self, tmp_path, monkeypatch, ending, last):
+        fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / "z.tsv"
+        lines = path.read_text().splitlines()
+        if last == "bad cell":
+            lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\toops"
+        path.write_bytes((ending.join(lines) + ending).encode())
+        ended = _compare(monkeypatch, path)
+        path.write_bytes(ending.join(lines).encode())
+        assert _compare(monkeypatch, path) == ended
+        if last == "bad cell":
+            assert ended[1:] == (str(path), 17, 17) and "'oops'" in ended[0]
+        else:
+            assert ended[2] == (15, 15)
 
     def test_quoted_label_holding_the_delimiter(self, tmp_path, monkeypatch):
         account = fixtures.fixture(2, 2, 3)

@@ -35,14 +35,15 @@ def assert_rejected(load, path, key_path):
 
 def test_shipped_layout_example_loads():
     layout = fileio.load_layout(LAYOUT)
-    assert (layout.delimiter, layout.year, layout.transactions) == ("\t", 2012, "z.tsv")
-    assert [(e.name, e.kind) for e in layout.extensions] == [
+    assert (layout["delimiter"], layout["year"], layout["files"]["transactions"]) == (
+        "tab", 2012, "z.tsv")
+    assert [(e["name"], e["kind"]) for e in layout["extensions"]] == [
         ("labour", "labour"), ("energy", "energy"), ("emissions", "emissions"),
         ("material", "material")]
-    assert layout.extensions[0].workers_per_unit == 1000.0
-    assert layout.extensions[3].material_flags == {
+    assert layout["extensions"][0]["workers_per_unit"] == 1000.0
+    assert layout["extensions"][3]["material_flags"] == {
         "Domestic Extraction Used": "used", "Unused Domestic Extraction": "unused"}
-    assert len(layout.ingest_warnings) == 1
+    assert len(layout["ingest_warnings"]) == 1
 
 
 def test_shipped_params_load():
@@ -59,8 +60,10 @@ def test_shipped_params_load():
     (("hours_per_worker_year",), True, "layout.hours_per_worker_year"),
     (("extensions", 0, "workers_per_unit"), "1000", "layout.extensions[0].workers_per_unit"),
     (("extensions", 0, "kind"), "labor", "layout.extensions[0].kind"),
+    (("year",), None, "layout.year is required"),
+    (("extensions",), {}, "layout.extensions is {}; it must be a list"),
 ], ids=["unknown key", "unknown nested key", "unknown key in a list", "boolean number",
-        "string number", "misspelt kind"])
+        "string number", "misspelt kind", "null required key", "object for a list"])
 def test_layout_keys_are_closed(tmp_path, keys, value, key_path):
     assert_rejected(fileio.load_layout, edited(tmp_path, LAYOUT, keys, value), key_path)
 
@@ -128,6 +131,6 @@ def test_labour_without_workers_per_unit_must_be_in_hours(tmp_path, unit, accept
     path = edited(tmp_path, LAYOUT, ("extensions", 0, "workers_per_unit"), None)
     path = edited(tmp_path, path, ("extensions", 0, "unit"), unit)
     if accepted:
-        assert fileio.load_layout(path).extensions[0].unit == "hours"
+        assert fileio.load_layout(path)["extensions"][0]["unit"] == "hours"
     else:
         assert_rejected(fileio.load_layout, path, "layout.extensions[0].unit")
