@@ -63,14 +63,6 @@ def _out_dir(raw: str) -> Path:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def _operator(ingested: fileio.IngestResult) -> algebra.LeontiefOperator:
-    """The account's Leontief operator; its LU is read from the cache next to
-    the layout when one was saved under this BLAS, and saved there when made."""
-    identity = algebra.factorization_identity()
-    entry = None if identity is None else fileio.factorization_entry(ingested, identity)
-    return algebra.LeontiefOperator(ingested.account.Z, ingested.account.x, entry)
-
-
 def _load_specs(paths: list[Path], home_region: str | None,
                 compare: bool) -> list[ScenarioSpec]:
     """Every scenario spec of a run; two specs may not share a name.
@@ -144,7 +136,8 @@ def _run(args, compare: bool = False) -> tuple[
     params = indicators.load_conversion_params(params_path)
     extensions = extensions or list(account.extensions)
     indicators.check_extensions(account, extensions)  # before a factorization
-    operator = _operator(ingested)
+    operator = algebra.LeontiefOperator(account.Z, account.x, fileio.factorization_entry(
+        ingested, algebra.factorization_identity()))
     variants, certificate = indicators.report_variants(account, operator, extensions)
     if not certificate.productive:
         raise UnproductiveEconomy(f"spectral radius <= {certificate.spectral_radius:.6f} "
@@ -313,8 +306,9 @@ def cmd_validate(args) -> int:
     balance = model.validate_balance(account, tol=args.tol)
     # The certificate of a default compare run, from the same one solve.
     try:
-        _, estimate = indicators.report_variants(account, _operator(result),
-                                                 list(account.extensions))
+        operator = algebra.LeontiefOperator(account.Z, account.x, fileio.factorization_entry(
+            result, algebra.factorization_identity()))
+        _, estimate = indicators.report_variants(account, operator, list(account.extensions))
     except UnproductiveEconomy:
         estimate = algebra.ProductivityEstimate(None)
 

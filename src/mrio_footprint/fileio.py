@@ -397,37 +397,34 @@ def _forked(work, shares: list, path: Path):
             handle.close()
 
 
-def _line_start(handle, offset: int) -> int:
-    """The first line start at or after byte ``offset`` > 0 of a binary
-    handle. A line ends at LF, CR LF or CR, as in text read with
+def _line_start(fd: int, offset: int) -> int:
+    """The first line start at or after byte ``offset`` > 0 of the file open
+    as ``fd``. A line ends at LF, CR LF or CR, as in text read with
     ``newline=""``."""
     position = offset - 1
-    handle.seek(position)
-    while block := handle.read(1 << 16):
+    while block := os.pread(fd, 1 << 16, position):
         ends = [k for k in (block.find(b"\n"), block.find(b"\r")) if k >= 0]
         if ends:
             position += min(ends)
-            handle.seek(position)
-            return position + (2 if handle.read(2) == b"\r\n" else 1)
+            return position + (2 if os.pread(fd, 2, position) == b"\r\n" else 1)
         position += len(block)
     return position
 
 
-def _spans(path: Path, start: int, end: int, size: int) -> list[tuple[int, int]]:
+def _spans(fd: int, start: int, end: int, size: int) -> list[tuple[int, int]]:
     """Byte spans of about ``size`` bytes, cut at line starts, that together
-    cover bytes [start, end) of a file. A line longer than ``size`` is one
-    span."""
+    cover bytes [start, end) of the file open as ``fd``. A line longer than
+    ``size`` is one span."""
     cuts = [start]
-    with path.open("rb") as handle:
-        while cuts[-1] + size < end:
-            cuts.append(_line_start(handle, cuts[-1] + size))
+    while cuts[-1] + size < end:
+        cuts.append(_line_start(fd, cuts[-1] + size))
     return [(a, min(b, end)) for a, b in zip(cuts, cuts[1:] + [end]) if a < b]
 
 
 def _parse_span(grid, span: tuple[int, int]):
     """Parse the body lines in the byte span [start, end) of a grid file.
 
-    ``grid`` is (path, delimiter, index_cols, width). Returns the lines'
+    ``grid`` is (path, delimiter, index_cols, width, fd). Returns the lines'
     labels, their line numbers counted from 1 at the span's first line, the
     span's physical line count, and their matrix. The first bad line raises
     a ParseError whose row is counted likewise: within a line, text that is
@@ -443,11 +440,9 @@ def _parse_span(grid, span: tuple[int, int]):
     from their byte offsets. A row holding a quote is split with csv rules,
     as a quoted label may hold the delimiter.
     """
-    path, delimiter, index_cols, width = grid
+    path, delimiter, index_cols, width, fd = grid
     ncols = width - index_cols
-    with path.open("rb") as handle:
-        handle.seek(span[0])
-        text = handle.read(span[1] - span[0])
+    text = os.pread(fd, span[1] - span[0], span[0])
     if b"\r" in text:  # every line end as LF, which keeps the cells and lines
         text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not text.endswith(b"\n"):
@@ -545,7 +540,7 @@ def _parse_span(grid, span: tuple[int, int]):
 def _parse_share(grid, share: tuple[int, int]) -> Iterator:
     """``_parse_span`` of each span of about PARALLEL_BYTES of a share, in
     order, so that a share's text is never held whole."""
-    for span in _spans(grid[0], *share, PARALLEL_BYTES):
+    for span in _spans(grid[4], *share, PARALLEL_BYTES):
         yield _parse_span(grid, span)
 
 
@@ -562,76 +557,72 @@ def _save_parse(grid, share: tuple[int, int], handle) -> None:
         pickle.dump((exc.message, exc.row, exc.column), handle)
 
 
-def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
-    """Parse a grid file: its header rows, row labels, matrix and the file
-    line of each row.
+def _parse_grid(fd: int, size: int, path: Path, delimiter: str, index_cols: int,
+                header_rows: int):
+    """Parse the grid file of ``size`` bytes open as ``fd``, whose errors
+    name ``path``: its header rows, row labels, matrix and each row's line.
 
     The header rows are the file's first lines, cut and decoded as body
     lines are, and each is split into cells with csv rules on its own. The
     body is cut at line starts into one contiguous share per process (see
     ``_processes``). The caller parses the first share, in spans of
-    about PARALLEL_BYTES, while forked workers each parse one later share
-    into a temporary file; the caller then reads the workers' rows, in
-    order, straight into the joined matrix. A span that fails names its row
-    within the span; every span before it is joined by then, so the row in
-    the file is known. Text that is not UTF-8 and a row that repeats an
-    earlier row's labels are ParseErrors naming their row; the values of a
-    cell that is a number are left to the account's screen.
+    about PARALLEL_BYTES, while forked workers, which inherit ``fd``, each
+    parse one later share into a temporary file; the caller then reads the
+    workers' rows, in order, straight into the joined matrix. A span that
+    fails names its row within the span; every span before it is joined by
+    then, so the row in the file is known. Text that is not UTF-8 and a row
+    that repeats an earlier row's labels are ParseErrors naming their row;
+    the values of a cell that is a number are left to the account's screen.
     """
-    with reading(path):
-        headers: list[list[str]] = []
-        start = 0  # the first byte after the header rows
-        with path.open("rb") as handle:
-            while len(headers) < header_rows and (end := _line_start(handle, start + 1)) > start:
-                handle.seek(start)
-                row = len(headers) + 1
-                line = decode_line(handle.read(end - start).rstrip(b"\r\n"), path, row)
-                headers.append(split_line(line, delimiter, path, row))
-                start = end
-        used = len(headers)  # lines before the first span
-        if len(headers) < header_rows:
-            raise ParseError("file has no data rows", path=str(path))
-        if len(headers[-1]) <= index_cols:
-            raise ParseError("file has no data columns", path=str(path), row=header_rows)
-        size = path.stat().st_size
-        width = len(headers[-1])
-        labels: list[tuple[str, ...]] = []
-        linenos: list[int] = []
-        # Each span's rows are copied in as they come, into a matrix grown in
-        # place (no view of it exists yet): parts joined at the end would
-        # leave their pages to the C heap, which keeps them after they are
-        # freed.
-        matrix = np.empty((0, width - index_cols))
+    headers: list[list[str]] = []
+    start = 0  # the first byte after the header rows
+    while len(headers) < header_rows and (end := _line_start(fd, start + 1)) > start:
+        row = len(headers) + 1
+        line = decode_line(os.pread(fd, end - start, start).rstrip(b"\r\n"), path, row)
+        headers.append(split_line(line, delimiter, path, row))
+        start = end
+    used = len(headers)  # lines before the first span
+    if len(headers) < header_rows:
+        raise ParseError("file has no data rows", path=str(path))
+    if len(headers[-1]) <= index_cols:
+        raise ParseError("file has no data columns", path=str(path), row=header_rows)
+    width = len(headers[-1])
+    labels: list[tuple[str, ...]] = []
+    linenos: list[int] = []
+    # Each span's rows are copied in as they come, into a matrix grown in
+    # place (no view of it exists yet): parts joined at the end would leave
+    # their pages to the C heap, which keeps them after they are freed.
+    matrix = np.empty((0, width - index_cols))
 
-        def join(part_labels, part_linenos, count: int) -> np.ndarray:
-            """Add a span's labels and lines; returns its rows of the matrix."""
-            nonlocal used
-            labels.extend(part_labels)
-            linenos.extend(used + lineno for lineno in part_linenos)
-            used += count
-            matrix.resize((len(labels), matrix.shape[1]), refcheck=False)
-            return matrix[len(labels) - len(part_labels):]
+    def join(part_labels, part_linenos, count: int) -> np.ndarray:
+        """Add a span's labels and lines; returns its rows of the matrix."""
+        nonlocal used
+        labels.extend(part_labels)
+        linenos.extend(used + lineno for lineno in part_linenos)
+        used += count
+        matrix.resize((len(labels), matrix.shape[1]), refcheck=False)
+        return matrix[len(labels) - len(part_labels):]
 
-        grid = (path, delimiter, index_cols, width)
-        shares = (_spans(path, start, size, -(-(size - start) // _processes(size - start)))
-                  or [(start, size)])
-        try:
-            with _forked(partial(_save_parse, grid), shares[1:], path) as result:
-                for part_labels, part_linenos, count, block in _parse_share(grid, shares[0]):
-                    join(part_labels, part_linenos, count)[:] = block
-                for k in range(len(shares) - 1):
-                    handle = result(k)
-                    while handle.peek(1):
-                        record = pickle.load(handle)
-                        if len(record) == 3:  # a bad line's (message, row, column)
-                            message, row, column = record
-                            raise ParseError(message, path=str(path), row=row, column=column)
-                        rows = join(*record[:3])
-                        if handle.readinto(rows) != rows.nbytes:
-                            raise MrioError(f"{path}: a worker process's rows are cut short")
-        except ParseError as exc:
-            raise ParseError(exc.message, path=exc.path, row=used + exc.row,
-                             column=exc.column) from None
+    grid = (path, delimiter, index_cols, width, fd)
+    shares = (_spans(fd, start, size, -(-(size - start) // _processes(size - start)))
+              or [(start, size)])
+    try:
+        with _forked(partial(_save_parse, grid), shares[1:], path) as result:
+            for part_labels, part_linenos, count, block in _parse_share(grid, shares[0]):
+                join(part_labels, part_linenos, count)[:] = block
+            for k in range(len(shares) - 1):
+                handle = result(k)
+                while handle.peek(1):
+                    record = pickle.load(handle)
+                    if len(record) == 3:  # a bad line's (message, row, column)
+                        message, row, column = record
+                        raise ParseError(message, path=str(path), row=row, column=column)
+                    rows = join(*record[:3])
+                    if handle.readinto(rows) != rows.nbytes:
+                        raise MrioError(f"{path}: a worker process's rows are cut short")
+    except ParseError as exc:
+        raise ParseError(exc.message, path=exc.path, row=used + exc.row,
+                         column=exc.column) from None
     _trim_heap()
     if not labels:
         raise ParseError("file has no data rows", path=str(path))
@@ -647,48 +638,45 @@ def _parse_grid(path: Path, delimiter: str, index_cols: int, header_rows: int):
     return headers, labels, matrix, linenos
 
 
-def _cache_key(path: Path, base: Path, delimiter: str, index_cols: int,
+def _cache_key(fd: int, size: int, path: Path, base: Path, delimiter: str, index_cols: int,
                header_rows: int) -> str:
     """``<file>-<parse settings>/<content hash>``: one directory per grid,
-    holding entries named by the file's content. ``<file>`` is the path from
+    holding entries named by the file's content. ``<file>`` is ``path`` from
     ``base`` with "%" for each separator, so grids of the same name in
     different directories keep their own entries.
 
-    The content hash is the sha256 of the file's size, as 8 big-endian
-    bytes, followed by the sha256 of each LEAF_BYTES leaf of the file. The
-    leaves are cut into one contiguous share per usable CPU: the caller
-    hashes the first share and a thread each of the others, all joined
-    before it returns (``os.pread`` and ``hashlib`` release the GIL).
+    The content hash is the sha256 of the file's ``size``, as 8 big-endian
+    bytes, followed by the sha256 of each LEAF_BYTES leaf of the file ``fd``
+    reads. The leaves are cut into one contiguous share per usable CPU: the
+    caller hashes the first share and a thread each of the others, all
+    joined before it returns (``os.pread`` and ``hashlib`` release the GIL).
     """
-    with reading(path), path.open("rb") as handle:
-        fd = handle.fileno()
-        size = os.fstat(fd).st_size
-        # A read cut short leaves a short leaf inside the size, which no
-        # whole read of any file gives, so its key can never serve a grid.
-        leaves = [b""] * -(-size // LEAF_BYTES)
-        errors = []
+    # A read cut short leaves a short leaf inside the size, which no whole
+    # read of any file gives, so its key can never serve a grid.
+    leaves = [b""] * -(-size // LEAF_BYTES)
+    errors = []
 
-        def hash_leaves(first: int, stop: int) -> None:
-            try:
-                for k in range(first, stop):
-                    leaves[k] = hashlib.sha256(os.pread(fd, LEAF_BYTES, k * LEAF_BYTES)).digest()
-            except Exception as exc:
-                errors.append(exc)
-
-        count = max(1, min(_cpus(), len(leaves)))
-        cuts = [len(leaves) * k // count for k in range(count + 1)]
-        threads = []
+    def hash_leaves(first: int, stop: int) -> None:
         try:
-            for k in range(1, count):
-                thread = threading.Thread(target=hash_leaves, args=cuts[k:k + 2])
-                thread.start()
-                threads.append(thread)
-            hash_leaves(*cuts[:2])
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
+            for k in range(first, stop):
+                leaves[k] = hashlib.sha256(os.pread(fd, LEAF_BYTES, k * LEAF_BYTES)).digest()
+        except Exception as exc:
+            errors.append(exc)
+
+    count = max(1, min(_cpus(), len(leaves)))
+    cuts = [len(leaves) * k // count for k in range(count + 1)]
+    threads = []
+    try:
+        for k in range(1, count):
+            thread = threading.Thread(target=hash_leaves, args=cuts[k:k + 2])
+            thread.start()
+            threads.append(thread)
+        hash_leaves(*cuts[:2])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     digest = hashlib.sha256(size.to_bytes(8, "big") + b"".join(leaves))
     name = os.path.relpath(path, base).replace(os.sep, "%")
     settings = f"{_DELIMITER_NAMES[delimiter]}-{index_cols}-{header_rows}"
@@ -776,11 +764,25 @@ def _read_grid(path: Path, cache_dir: Path, delimiter: str, index_cols: int,
     each row so that a warm run names a row as a cold run does, is kept in
     ``cache_dir`` under the file's path, the parse settings and the sha256
     of the file's bytes, and is read from there while the file is unchanged.
+    The file is opened once, and hashed and parsed through that descriptor;
+    if its size, mtime or ctime moved meanwhile, even where the parse
+    failed, that is a ParseError and nothing is stored.
     """
-    entry = cache_dir / _cache_key(path, cache_dir.parent, delimiter, index_cols, header_rows)
-    grid = _grid_load(entry, index_cols, header_rows)
-    if grid is None:
-        grid = _parse_grid(path, delimiter, index_cols, header_rows)
+    with reading(path), path.open("rb") as handle:
+        fd = handle.fileno()
+        before = os.fstat(fd)
+        entry = cache_dir / _cache_key(fd, before.st_size, path, cache_dir.parent, delimiter,
+                                       index_cols, header_rows)
+        grid = cached = _grid_load(entry, index_cols, header_rows)
+        try:
+            if grid is None:
+                grid = _parse_grid(fd, before.st_size, path, delimiter, index_cols, header_rows)
+        finally:
+            after = os.fstat(fd)
+            if any(getattr(before, field) != getattr(after, field)
+                   for field in ("st_size", "st_mtime_ns", "st_ctime_ns")):
+                raise ParseError("the file changed while being read", path=str(path)) from None
+    if cached is None:
         headers, labels, matrix, linenos = grid
         _cache_store(entry, matrix, {"headers": headers, "labels": labels,
                                      "linenos": linenos})
@@ -819,9 +821,10 @@ class FactorizationEntry:
         _cache_store(self.path, lu, {"ipiv": ipiv.tolist()})
 
 
-def factorization_entry(result: IngestResult, identity: str) -> FactorizationEntry:
+def factorization_entry(result: IngestResult, identity: str | None) -> FactorizationEntry | None:
     """Where the LU of the account's I - A is cached, for a factorization made
-    under ``identity`` (the libraries and settings that fix its bits).
+    under ``identity`` (the libraries and settings that fix its bits); None,
+    as no LU is cached, when the identity is unknown.
 
     I - A is a function of the transaction grid and total output, so the
     entry is named by their parse-cache entries, whose names already hold
@@ -829,6 +832,8 @@ def factorization_entry(result: IngestResult, identity: str) -> FactorizationEnt
     by the two grids, so storing an entry replaces that of earlier contents
     or of another identity.
     """
+    if identity is None:
+        return None
     z_entry, x_entry = result.system_entries
     cache_dir = z_entry.parent.parent
     key = "\n".join([z_entry.relative_to(cache_dir).as_posix(),

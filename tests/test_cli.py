@@ -800,6 +800,13 @@ class TestCompare:
 SCENARIOS = ["baseline", "halved"]
 
 
+def cached_operator(ingested: fileio.IngestResult) -> algebra.LeontiefOperator:
+    """The account's Leontief operator, on its cached LU as the verbs make it."""
+    account = ingested.account
+    return algebra.LeontiefOperator(account.Z, account.x, fileio.factorization_entry(
+        ingested, algebra.factorization_identity()))
+
+
 def lu_entry(fixture_dir: Path) -> Path:
     """The one cached LU factorization of a fixture set."""
     (entry,) = (fixture_dir / fileio.CACHE_DIR).glob("lu-*/*.npy")
@@ -929,13 +936,13 @@ class TestFactorizationCache:
         # A cold run parses, factorizes, and stores its LU after one solve.
         layout_path = fixture_dir / "layout.json"
         cold = fileio.ingest(layout_path)
-        indicators.report_variants(cold.account, cli._operator(cold), [])
+        indicators.report_variants(cold.account, cached_operator(cold), [])
 
         def no_copy(*args, **kwargs):
             raise AssertionError("a cache entry was copied into memory")
         monkeypatch.setattr(np, "fromfile", no_copy)
         ingested = fileio.ingest(layout_path)
-        operator = cli._operator(ingested)
+        operator = cached_operator(ingested)
         _, certificate = indicators.report_variants(ingested.account, operator, [])
         assert certificate.productive
         assert len(factorizations) == 1
@@ -951,11 +958,11 @@ class TestFactorizationCache:
         assert run_compare(fixture_dir, tmp_path / "cold", SCENARIOS) == 0
         cache = fixture_dir / fileio.CACHE_DIR
         held, before = [], []
-        operator = cli._operator
+        leontief_operator = algebra.LeontiefOperator
 
-        def store_mid_run(ingested):
-            result = operator(ingested)
-            held[:] = [ingested.account.Z, result._lu[0]]
+        def store_mid_run(Z, x, store):
+            result = leontief_operator(Z, x, store)
+            held[:] = [Z, result._lu[0]]
             before[:] = [array.tobytes() for array in held]
             pattern = "lu-*/*.npy" if what.startswith("lu") else "*.tsv-*/*.npy"
             for entry in cache.glob(pattern):
@@ -964,7 +971,7 @@ class TestFactorizationCache:
                           else entry.with_suffix(""))
                 fileio._cache_store(target, matrix * 2.0 + 1.0, meta)
             return result
-        monkeypatch.setattr(cli, "_operator", store_mid_run)
+        monkeypatch.setattr(algebra, "LeontiefOperator", store_mid_run)
         assert run_compare(fixture_dir, tmp_path / "warm", SCENARIOS) == 0
         assert tree_bytes(tmp_path / "warm") == tree_bytes(tmp_path / "cold")
         assert len(factorizations) == 1

@@ -729,9 +729,16 @@ class TestLayoutFeatures:
             assert loaded.tobytes() == written.tobytes()
 
 
+def _cache_key(path, base):
+    """fileio._cache_key of the tab-delimited grid at ``path``, opened for
+    the call, with two index columns and two header rows."""
+    with path.open("rb") as handle:
+        return fileio._cache_key(handle.fileno(), path.stat().st_size, path, base, "\t", 2, 2)
+
+
 def _z_entry(layout_path):
     """The cached matrix of a layout's transaction grid."""
-    key = fileio._cache_key(layout_path.parent / "z.tsv", layout_path.parent, "\t", 2, 2)
+    key = _cache_key(layout_path.parent / "z.tsv", layout_path.parent)
     return layout_path.parent / fileio.CACHE_DIR / f"{key}.npy"
 
 
@@ -751,7 +758,7 @@ class TestCacheKey:
         path = tmp_path / "z.tsv"
         data = np.random.default_rng(size).bytes(size)
         path.write_bytes(data)
-        key = fileio._cache_key(path, tmp_path, "\t", 2, 2)
+        key = _cache_key(path, tmp_path)
         assert key == f"z.tsv-tab-2-2/{_leaf_key(data)}"
         assert threading.active_count() == 1
 
@@ -760,9 +767,9 @@ class TestCacheKey:
         path = tmp_path / "z.tsv"
         data = bytes((2 << 20) + 10)
         path.write_bytes(data)
-        before = fileio._cache_key(path, tmp_path, "\t", 2, 2)
+        before = _cache_key(path, tmp_path)
         path.write_bytes(data[:-1] + b"\x01" if edit == "last byte" else data + b"\x00")
-        assert fileio._cache_key(path, tmp_path, "\t", 2, 2) != before
+        assert _cache_key(path, tmp_path) != before
 
 
 class TestCache:
@@ -906,6 +913,93 @@ class TestCache:
         assert (tmp_path / fileio.CACHE_DIR).read_text() == "not a directory"
 
 
+# The paths opened while a test holds the ``opened`` fixture. An audit hook
+# cannot be removed, so one hook, added here, records them only then.
+_OPENED: list[list[str]] = []
+
+
+def _record_open(event: str, args: tuple) -> None:
+    if event == "open" and _OPENED and isinstance(args[0], (str, os.PathLike)):
+        _OPENED[-1].append(os.fspath(args[0]))
+
+
+sys.addaudithook(_record_open)
+
+
+@pytest.fixture()
+def opened():
+    """The paths the test opens, in order, as the audit hook sees them."""
+    _OPENED.append([])
+    yield _OPENED[-1]
+    _OPENED.clear()
+
+
+class TestOneDescriptor:
+    """A grid is opened once, and hashed and parsed through that descriptor;
+    one that changes while it is read fails the run, and nothing is stored."""
+
+    def test_a_rename_between_the_hash_and_the_parse(self, written_set, tmp_path, monkeypatch):
+        _, layout_path = written_set
+        path, edited = tmp_path / "x.tsv", tmp_path / "x.tsv.new"
+        original = path.read_bytes()
+        cache_key = fileio._cache_key
+
+        def replaced_once_hashed(*args):
+            key = cache_key(*args)
+            if key.startswith("x.tsv-"):
+                edited.write_bytes(original.replace(b"29.121612299497247", b"35"))
+                os.replace(edited, path)
+            return key
+        with monkeypatch.context() as patch:
+            patch.setattr(fileio, "_cache_key", replaced_once_hashed)
+            with pytest.raises(ParseError, match="the file changed while being read") as caught:
+                fileio.ingest(layout_path)
+        assert caught.value.path == str(path)
+        assert not list((tmp_path / fileio.CACHE_DIR).glob("x.tsv-*/*"))
+        path.write_bytes(original)
+        assert fileio.ingest(layout_path).account.x[0] == 29.121612299497247
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    @pytest.mark.parametrize("change", ["truncated", "rewritten"])
+    def test_a_rewrite_in_place_during_a_parse_in_shares(self, tmp_path, monkeypatch,
+                                                         processes, change):
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        path = tmp_path / "z.tsv"
+        original = path.read_bytes()
+        monkeypatch.setattr(fileio, "PARALLEL_BYTES", 1001)
+        monkeypatch.setattr(fileio, "_processes", lambda nbytes: processes)
+        parent, parse_span, changed = os.getpid(), fileio._parse_span, []
+
+        def changed_after_the_first_span(grid, span):
+            parsed = parse_span(grid, span)
+            if os.getpid() == parent and grid[0] == path and not changed:
+                changed.append(span)
+                if change == "truncated":
+                    os.truncate(path, len(original) // 2)
+                else:  # other digits at the same size, and an mtime past one tick
+                    with open(path, "r+b") as handle:
+                        handle.write(original.translate(bytes.maketrans(b"56789", b"67895")))
+                    mtime = path.stat().st_mtime_ns + 10 ** 9
+                    os.utime(path, ns=(mtime, mtime))
+            return parsed
+        monkeypatch.setattr(fileio, "_parse_span", changed_after_the_first_span)
+        with pytest.raises(ParseError, match="the file changed while being read") as caught:
+            fileio.ingest(layout_path)
+        assert caught.value.path == str(path)
+        assert changed and changed[0][1] < len(original) // 2
+        assert not list((tmp_path / fileio.CACHE_DIR / "z.tsv-tab-2-2").glob("*"))
+
+    def test_each_grid_is_opened_once(self, tmp_path, monkeypatch, opened):
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        grids = sorted(str(path) for path in tmp_path.glob("*.tsv"))
+        monkeypatch.setattr(fileio, "PARALLEL_BYTES", 1001)
+        monkeypatch.setattr(fileio, "_processes", lambda nbytes: 3)
+        for run in ("cold", "warm"):
+            opened.clear()
+            fileio.ingest(layout_path)
+            assert [opened.count(grid) for grid in grids] == [1] * len(grids), run
+
+
 class TestFixtureSet:
     def test_same_seed_is_byte_identical(self, tmp_path):
         fixtures.write_fixture_set(2, 3, 42, tmp_path / "a")
@@ -942,12 +1036,24 @@ class TestFixtureSet:
         assert (tmp_path / "scenarios" / "halved.json").exists()
 
 
+def _parse_file(path, delimiter, index_cols, header_rows):
+    """fileio._parse_grid of the grid at ``path``, opened for the call."""
+    with path.open("rb") as handle:
+        return fileio._parse_grid(handle.fileno(), path.stat().st_size, path, delimiter,
+                                  index_cols, header_rows)
+
+
+def _spans(path, start, end, size):
+    """fileio._spans of the file at ``path``, opened for the call."""
+    with path.open("rb") as handle:
+        return fileio._spans(handle.fileno(), start, end, size)
+
+
 def _parse(path, index_cols=2, header_rows=2, delimiter="\t"):
     """A grid parsed by the pipeline, its bytes with its rows' lines, or the
     ParseError it raises."""
     try:
-        headers, labels, matrix, linenos = fileio._parse_grid(path, delimiter, index_cols,
-                                                              header_rows)
+        headers, labels, matrix, linenos = _parse_file(path, delimiter, index_cols, header_rows)
     except ParseError as exc:
         return str(exc), exc.path, exc.row, exc.column
     return headers, labels, matrix.shape, (matrix.tobytes(), linenos)
@@ -1000,7 +1106,7 @@ class TestParallelGrids:
             spans.setdefault(pid, []).append((start, end))
         body = len("".join(path.read_text().splitlines(True)[:2]))
         size = path.stat().st_size
-        shares = fileio._spans(path, body, size, -(-(size - body) // 3))
+        shares = _spans(path, body, size, -(-(size - body) // 3))
         assert len(shares) == 3 and len(spans) == 3
         # Each process's spans, in the order it parsed them, tile one share.
         covered = {(pid_spans[0][0], pid_spans[-1][1]): pid for pid, pid_spans in spans.items()}
@@ -1031,7 +1137,7 @@ class TestParallelGrids:
         path.write_bytes(b"\n".join(lines) + b"\n")
         body = len(b"\n".join(lines[:2])) + 1
         size = path.stat().st_size
-        cuts = [start for start, _ in fileio._spans(path, body, size, -(-(size - body) // 3))]
+        cuts = [start for start, _ in _spans(path, body, size, -(-(size - body) // 3))]
         assert len(cuts) == 3
         assert cuts[share - 1] <= len(b"\n".join(lines[:line])) + 1 < (cuts + [1 << 40])[share]
         message, where, row, column = _compare(monkeypatch, path)
@@ -1059,7 +1165,7 @@ class TestParallelGrids:
         path = tmp_path / "z.tsv" if verb == "parse" else tmp_path / "out" / "z.tsv"
         with pytest.raises(MrioError, match="a worker process ended with exit code 3") as caught:
             if verb == "parse":
-                fileio._parse_grid(path, "\t", 2, 2)
+                _parse_file(path, "\t", 2, 2)
             else:
                 path.parent.mkdir()
                 fileio._write_grid(path, "\t", [["", ""]], account.index.labels(), account.Z)
@@ -1101,7 +1207,7 @@ class TestParallelGrids:
         descriptors = sorted(os.listdir("/proc/self/fd"))
         started = time.monotonic()
         with pytest.raises(ParseError, match="'oops'"):
-            fileio._parse_grid(path, "\t", 2, 2)
+            _parse_file(path, "\t", 2, 2)
         assert time.monotonic() - started < 30
         assert sorted(os.listdir("/proc/self/fd")) == descriptors
         with pytest.raises(ChildProcessError):
@@ -1123,7 +1229,15 @@ class TestParallelGrids:
         with path.open("rb") as handle:
             for offset in range(1, path.stat().st_size + 1):
                 expected = starts[np.searchsorted(starts, offset)]
-                assert fileio._line_start(handle, offset) == expected
+                assert fileio._line_start(handle.fileno(), offset) == expected
+        # A line longer than the 64 KiB that _line_start reads at a time, and
+        # one whose end (a CR LF's CR) is the last byte of the first read.
+        for line in (b"a" * 70_000, b"a" * ((1 << 16) - 1)):
+            path.write_bytes(line + ending.encode() + b"b" + ending.encode())
+            with path.open("rb") as handle:
+                for offset in (1, (1 << 16) - 1, len(line), len(line) + 1):
+                    expected = len(line) + len(ending)
+                    assert fileio._line_start(handle.fileno(), offset) == expected
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_blank_lines_and_line_endings(self, tmp_path, monkeypatch, ending):
@@ -1302,48 +1416,28 @@ class TestParallelGrids:
         path = self._bad_z(tmp_path, edits)
         monkeypatch.setattr(fileio, "PARALLEL_BYTES", 1001)
         monkeypatch.setattr(fileio, "_processes", lambda nbytes: 1)
-        opened, parsed = [], []
-        open_file, parse_span = Path.open, fileio._parse_span
+        reads, parsed = [], []
+        pread, parse_span = os.pread, fileio._parse_span
 
-        class Recorded:
-            """A binary file that records the (position, size) of its reads."""
-
-            def __init__(self, handle):
-                self.handle, self.reads = handle, []
-                opened.append(self.reads)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.handle.close()
-
-            def seek(self, offset):
-                return self.handle.seek(offset)
-
-            def read(self, size=-1):
-                self.reads.append((self.handle.tell(), size))
-                return self.handle.read(size)
-
-        def recorded_open(self, mode="r", *args, **kwargs):
-            handle = open_file(self, mode, *args, **kwargs)
-            return Recorded(handle) if mode == "rb" else handle
+        def recorded_pread(fd, size, offset):
+            reads.append((offset, size))
+            return pread(fd, size, offset)
 
         def parse(grid, span):
-            first = len(opened)
+            first = len(reads)
             try:
                 return parse_span(grid, span)
             finally:
-                parsed.append((span, opened[first:]))
-        monkeypatch.setattr(Path, "open", recorded_open)
+                parsed.append((span, reads[first:]))
+        monkeypatch.setattr(os, "pread", recorded_pread)
         monkeypatch.setattr(fileio, "_parse_span", parse)
         result = _parse(path)
         # The body's spans are parsed in order up to the failing one, and
-        # each is opened once and read once, whole.
+        # each is read once, whole.
         body = len("".join(path.read_text().splitlines(True)[:2]))
         cuts = [body] + [end for (_, end), _ in parsed]
         assert [span for span, _ in parsed] == list(zip(cuts, cuts[1:]))
-        assert all(reads == [[(start, end - start)]] for (start, end), reads in parsed)
+        assert all(span_reads == [(start, end - start)] for (start, end), span_reads in parsed)
         if edits == [(3, 4, "oops")]:
             assert len(parsed) == 1 and cuts[-1] < path.stat().st_size
         else:
@@ -1503,7 +1597,7 @@ class TestDecimalKernel:
     @staticmethod
     def _same_as_loadtxt(path: Path, lines: list[str], delimiter: str) -> None:
         expected = np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
-        _, _, found, _ = fileio._parse_grid(_number_grid(path, lines, delimiter), delimiter, 1, 1)
+        _, _, found, _ = _parse_file(_number_grid(path, lines, delimiter), delimiter, 1, 1)
         assert found.shape == expected.shape
         differ = np.flatnonzero(found.view(np.uint64) != expected.view(np.uint64))
         assert differ.size == 0, [(lines[k // found.shape[1]].split(delimiter)[k % found.shape[1]],
@@ -1590,7 +1684,7 @@ class TestDecimalKernel:
                                                  enumerate(lines))]) + "\n")
             width = header.count("\t") + 1
             with pytest.raises(ParseError) as caught:
-                fileio._parse_grid(path, "\t", 1, 1)
+                _parse_file(path, "\t", 1, 1)
             assert (caught.value.message, caught.value.row, caught.value.column) == (
                 f"expected {width} cells, found {found}", 3, min(found, width) + 1)
 
