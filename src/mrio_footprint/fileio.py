@@ -28,7 +28,6 @@ import io
 import json
 import os
 import pickle
-import shutil
 import signal
 import sys
 import tempfile
@@ -54,13 +53,14 @@ _DELIMITER_NAMES = {char: name for name, char in _DELIMITERS.items()}
 # Parsed grids are kept here, next to the layout descriptor.
 CACHE_DIR = ".mrio-cache"
 
-# Grid files are read in spans of about this many bytes. A grid file, or a
-# matrix to write, of fewer bytes is parsed or written in-process. A larger
-# one is cut into one contiguous share per usable CPU: the caller does the
-# first share, span by span or block by block, and a forked worker each of
-# the others, likewise, into a temporary file that the caller reads once its
-# own share is done. A process's memory thus holds a span or block of text at
-# a time, never a share's.
+# Grid files are read in spans of about this many bytes. A grid file to hash
+# or parse, or a matrix to write, of fewer bytes is worked on in-process. A
+# larger one is cut into one contiguous share per usable CPU (``_processes``):
+# the caller does the first share, leaf by leaf, span by span or block by
+# block, and a forked worker each of the others, likewise, pickling what it
+# makes into a temporary file that the caller reads once its own share is
+# done (``_forked``). A process's memory thus holds a span or block of text
+# at a time, never a share's.
 PARALLEL_BYTES = 1 << 22
 
 # Input files are hashed for the parse cache in leaves of this many bytes.
@@ -326,28 +326,36 @@ def _trim_heap() -> None:
         trim(0)
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
+def _processes(nbytes: int) -> int:
+    """How many processes share the hash, parse or write of a grid of
+    ``nbytes``, one contiguous share each: every CPU this process may run
+    on, or only the caller's when the grid is smaller than PARALLEL_BYTES,
+    ``os.fork`` is not available, or another Python thread is alive (a fork
+    copies the locks it may hold)."""
+    if nbytes < PARALLEL_BYTES or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _processes(nbytes: int) -> int:
-    """How many processes share the work on a grid of ``nbytes``, one
-    contiguous share each: every usable CPU, or only the caller's when the
-    grid is smaller than PARALLEL_BYTES, one CPU is usable, ``os.fork`` is
-    not available, or another Python thread is alive (a fork copies the
-    locks it may hold)."""
-    if nbytes < PARALLEL_BYTES or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return _cpus()
+def _shares(count: int, nbytes: int) -> list[tuple[int, int]]:
+    """``count`` items, leaves or rows of a grid of ``nbytes``, cut into
+    one contiguous share per process (``_processes``), none empty: one empty
+    share when ``count`` is 0."""
+    processes = max(1, min(_processes(nbytes), count))
+    return [(count * k // processes, count * (k + 1) // processes) for k in range(processes)]
 
 
 def _work_and_exit(work, share, handle) -> None:
-    """A forked worker's life: ``work(share, handle)``, then exit with
-    status 0, or 1 after printing what it raised."""
+    """A forked worker's life: pickle each item ``work(share)`` yields into
+    ``handle``, then the MrioError or OSError that ends them, if any, and exit
+    with status 0; or exit with status 1 after printing any other exception."""
     code = 1
     try:
-        work(share, handle)
+        try:
+            for item in work(share):
+                pickle.dump(item, handle, pickle.HIGHEST_PROTOCOL)
+        except (MrioError, OSError) as exc:
+            pickle.dump(exc, handle, pickle.HIGHEST_PROTOCOL)
         handle.flush()
         code = 0
     except Exception:
@@ -359,39 +367,49 @@ def _work_and_exit(work, share, handle) -> None:
 
 @contextmanager
 def _forked(work, shares: list, path: Path):
-    """Fork one worker for each of ``shares``, which runs ``work(share,
-    handle)`` into an unnamed temporary file opened before the fork.
+    """Run ``work(share)``, which yields items, on each of ``shares``;
+    yields one iterator over their items, share by share.
 
-    What ``work`` reads reaches the workers through the fork and is never
-    pickled. Yields ``result(k)``, which waits for the k-th worker and returns its
-    file, rewound; a worker that does not end with status 0 is an error
-    naming ``path``. On leaving, workers not yet waited for are killed, and
-    every worker is reaped and every file closed, on success or failure.
+    The iterator runs the first share in the caller. A worker forked for each
+    later share pickles its items into an unnamed temporary file opened
+    before the fork (``_work_and_exit``); what ``work`` reads reaches it
+    through the fork and is never pickled. Once the first share is done, the
+    iterator waits for each worker in turn and reads its items back, and
+    raises the error that ended them where they end, as the caller's share
+    would. A worker that does not end with status 0 is an error naming
+    ``path``. On leaving, workers not yet waited for are killed, and every
+    worker is reaped and every file closed, on success or failure.
     """
-    handles, running = [], {}
+    handles, pids, running = [], [], set()
 
-    def result(k: int):
-        pid = running[k]
-        _, status = os.waitpid(pid, 0)
-        del running[k]
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            raise MrioError(f"{path}: a worker process ended with exit code {code}")
-        handles[k].seek(0)
-        return handles[k]
+    def items() -> Iterator:
+        yield from work(shares[0])
+        for pid, handle in zip(pids, handles):
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                raise MrioError(f"{path}: a worker process ended with exit code {code}")
+            handle.seek(0)
+            while handle.peek(1):
+                item = pickle.load(handle)
+                if isinstance(item, Exception):
+                    raise item
+                yield item
 
     try:
-        for k, share in enumerate(shares):
+        for share in shares[1:]:
             handles.append(tempfile.TemporaryFile())
             pid = os.fork()
             if pid == 0:
-                _work_and_exit(work, share, handles[k])
-            running[k] = pid
-        yield result
+                _work_and_exit(work, share, handles[-1])
+            pids.append(pid)
+            running.add(pid)
+        yield items()
     finally:
-        for pid in running.values():
+        for pid in running:
             os.kill(pid, signal.SIGKILL)
-        for pid in running.values():
+        for pid in running:
             os.waitpid(pid, 0)
         for handle in handles:
             handle.close()
@@ -544,19 +562,6 @@ def _parse_share(grid, share: tuple[int, int]) -> Iterator:
         yield _parse_span(grid, span)
 
 
-def _save_parse(grid, share: tuple[int, int], handle) -> None:
-    """A worker's parse of a share, written to ``handle``: for each span, a
-    pickled (labels, line numbers, line count, row count) followed by the
-    bytes of its rows. A bad line ends the file with a pickled (message,
-    row, column), its row counted from the failing span's first line."""
-    try:
-        for labels, linenos, count, block in _parse_share(grid, share):
-            pickle.dump((labels, linenos, count, len(block)), handle)
-            handle.write(block)
-    except ParseError as exc:
-        pickle.dump((exc.message, exc.row, exc.column), handle)
-
-
 def _parse_grid(fd: int, size: int, path: Path, delimiter: str, index_cols: int,
                 header_rows: int):
     """Parse the grid file of ``size`` bytes open as ``fd``, whose errors
@@ -565,14 +570,13 @@ def _parse_grid(fd: int, size: int, path: Path, delimiter: str, index_cols: int,
     The header rows are the file's first lines, cut and decoded as body
     lines are, and each is split into cells with csv rules on its own. The
     body is cut at line starts into one contiguous share per process (see
-    ``_processes``). The caller parses the first share, in spans of
-    about PARALLEL_BYTES, while forked workers, which inherit ``fd``, each
-    parse one later share into a temporary file; the caller then reads the
-    workers' rows, in order, straight into the joined matrix. A span that
-    fails names its row within the span; every span before it is joined by
-    then, so the row in the file is known. Text that is not UTF-8 and a row
-    that repeats an earlier row's labels are ParseErrors naming their row;
-    the values of a cell that is a number are left to the account's screen.
+    ``_processes``), each parsed in spans of about PARALLEL_BYTES by
+    ``_forked``: forked workers inherit ``fd``. Each span's rows are joined
+    in file order. A span that fails names its row within the span; every
+    span before it is joined by then, so the row in the file is known. Text
+    that is not UTF-8 and a row that repeats an earlier row's labels are
+    ParseErrors naming their row; the values of a cell that is a number are
+    left to the account's screen.
     """
     headers: list[list[str]] = []
     start = 0  # the first byte after the header rows
@@ -593,33 +597,17 @@ def _parse_grid(fd: int, size: int, path: Path, delimiter: str, index_cols: int,
     # place (no view of it exists yet): parts joined at the end would leave
     # their pages to the C heap, which keeps them after they are freed.
     matrix = np.empty((0, width - index_cols))
-
-    def join(part_labels, part_linenos, count: int) -> np.ndarray:
-        """Add a span's labels and lines; returns its rows of the matrix."""
-        nonlocal used
-        labels.extend(part_labels)
-        linenos.extend(used + lineno for lineno in part_linenos)
-        used += count
-        matrix.resize((len(labels), matrix.shape[1]), refcheck=False)
-        return matrix[len(labels) - len(part_labels):]
-
     grid = (path, delimiter, index_cols, width, fd)
     shares = (_spans(fd, start, size, -(-(size - start) // _processes(size - start)))
               or [(start, size)])
     try:
-        with _forked(partial(_save_parse, grid), shares[1:], path) as result:
-            for part_labels, part_linenos, count, block in _parse_share(grid, shares[0]):
-                join(part_labels, part_linenos, count)[:] = block
-            for k in range(len(shares) - 1):
-                handle = result(k)
-                while handle.peek(1):
-                    record = pickle.load(handle)
-                    if len(record) == 3:  # a bad line's (message, row, column)
-                        message, row, column = record
-                        raise ParseError(message, path=str(path), row=row, column=column)
-                    rows = join(*record[:3])
-                    if handle.readinto(rows) != rows.nbytes:
-                        raise MrioError(f"{path}: a worker process's rows are cut short")
+        with _forked(partial(_parse_share, grid), shares, path) as parts:
+            for part_labels, part_linenos, count, block in parts:
+                labels.extend(part_labels)
+                linenos.extend(used + lineno for lineno in part_linenos)
+                used += count
+                matrix.resize((len(labels), matrix.shape[1]), refcheck=False)
+                matrix[len(labels) - len(block):] = block
     except ParseError as exc:
         raise ParseError(exc.message, path=exc.path, row=used + exc.row,
                          column=exc.column) from None
@@ -638,6 +626,15 @@ def _parse_grid(fd: int, size: int, path: Path, delimiter: str, index_cols: int,
     return headers, labels, matrix, linenos
 
 
+def _hash_leaves(fd: int, leaves: tuple[int, int]) -> Iterator[bytes]:
+    """The sha256 of each LEAF_BYTES leaf [first, stop) of the file open as
+    ``fd``. A read cut short leaves a short leaf inside the file's size,
+    which no whole read of any file gives, so its key can never serve a
+    grid."""
+    for k in range(*leaves):
+        yield hashlib.sha256(os.pread(fd, LEAF_BYTES, k * LEAF_BYTES)).digest()
+
+
 def _cache_key(fd: int, size: int, path: Path, base: Path, delimiter: str, index_cols: int,
                header_rows: int) -> str:
     """``<file>-<parse settings>/<content hash>``: one directory per grid,
@@ -647,37 +644,12 @@ def _cache_key(fd: int, size: int, path: Path, base: Path, delimiter: str, index
 
     The content hash is the sha256 of the file's ``size``, as 8 big-endian
     bytes, followed by the sha256 of each LEAF_BYTES leaf of the file ``fd``
-    reads. The leaves are cut into one contiguous share per usable CPU: the
-    caller hashes the first share and a thread each of the others, all
-    joined before it returns (``os.pread`` and ``hashlib`` release the GIL).
+    reads. The leaves are cut into one contiguous share per process (see
+    ``_processes``) and hashed by ``_forked``: forked workers inherit ``fd``.
     """
-    # A read cut short leaves a short leaf inside the size, which no whole
-    # read of any file gives, so its key can never serve a grid.
-    leaves = [b""] * -(-size // LEAF_BYTES)
-    errors = []
-
-    def hash_leaves(first: int, stop: int) -> None:
-        try:
-            for k in range(first, stop):
-                leaves[k] = hashlib.sha256(os.pread(fd, LEAF_BYTES, k * LEAF_BYTES)).digest()
-        except Exception as exc:
-            errors.append(exc)
-
-    count = max(1, min(_cpus(), len(leaves)))
-    cuts = [len(leaves) * k // count for k in range(count + 1)]
-    threads = []
-    try:
-        for k in range(1, count):
-            thread = threading.Thread(target=hash_leaves, args=cuts[k:k + 2])
-            thread.start()
-            threads.append(thread)
-        hash_leaves(*cuts[:2])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    digest = hashlib.sha256(size.to_bytes(8, "big") + b"".join(leaves))
+    shares = _shares(-(-size // LEAF_BYTES), size)
+    with _forked(partial(_hash_leaves, fd), shares, path) as leaves:
+        digest = hashlib.sha256(size.to_bytes(8, "big") + b"".join(leaves))
     name = os.path.relpath(path, base).replace(os.sep, "%")
     settings = f"{_DELIMITER_NAMES[delimiter]}-{index_cols}-{header_rows}"
     return f"{name}-{settings}/{digest.hexdigest()}"
@@ -1124,36 +1096,30 @@ def _format_rows(grid, rows: tuple[int, int]) -> bytes:
     return b"".join(lines)
 
 
-def _write_rows(grid, rows: tuple[int, int], handle) -> None:
-    """Write the text of rows [start, stop) of ``grid`` to a binary handle,
-    formatted in blocks of rows of about NUMBER_BLOCK_BYTES of text, at
-    most 24 bytes a number."""
+def _write_rows(grid, rows: tuple[int, int]) -> Iterator[bytes]:
+    """The text of rows [start, stop) of ``grid``, in blocks of rows of
+    about NUMBER_BLOCK_BYTES of text, at most 24 bytes a number."""
     step = max(1, NUMBER_BLOCK_BYTES // (24 * max(1, grid[2].shape[1])))
     for first in range(*rows, step):
-        handle.write(_format_rows(grid, (first, min(first + step, rows[1]))))
+        yield _format_rows(grid, (first, min(first + step, rows[1])))
 
 
 def _write_grid(path: Path, delimiter: str, headers: list[list[str]],
                 labels: list[tuple[str, ...]], matrix: np.ndarray) -> None:
     """Write a grid whose rows are cut into one contiguous share per process
-    (see ``_processes``). The caller writes the first share, while forked
-    workers each write one later share to a temporary file, which the caller
-    then appends, in order. The grid is written under a temporary name and
-    moved into place (``_replace``), so a failed write leaves the file it
-    would have replaced as it was."""
+    (see ``_processes``), each written in blocks by ``_forked``, in order.
+    The grid is written under a temporary name and moved into place
+    (``_replace``), so a failed write leaves the file it would have replaced
+    as it was."""
     grid = (delimiter, labels, matrix)
-    count = min(_processes(matrix.nbytes), len(matrix))
-    shares = [(len(matrix) * k // count, len(matrix) * (k + 1) // count) for k in range(count)]
+    shares = _shares(len(matrix), matrix.nbytes)
     header = io.StringIO()
     _writer(header, delimiter).writerows(headers)
 
     def write(handle) -> None:
-        with _forked(partial(_write_rows, grid), shares[1:], path) as result:
+        with _forked(partial(_write_rows, grid), shares, path) as blocks:
             handle.write(header.getvalue().encode("utf-8"))
-            for share in shares[:1]:
-                _write_rows(grid, share, handle)
-            for k in range(len(shares) - 1):
-                shutil.copyfileobj(result(k), handle, PARALLEL_BYTES)
+            handle.writelines(blocks)
     _replace(path, write)
 
 

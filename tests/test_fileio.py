@@ -1,8 +1,8 @@
 """Ingest / emit round-trip and parse-error tests."""
 
+import errno
 import gc
 import hashlib
-import io
 import json
 import math
 import os
@@ -751,16 +751,20 @@ def _leaf_key(data: bytes) -> str:
 
 
 class TestCacheKey:
-    @pytest.mark.parametrize("size", [0, 1, 2 << 20, (2 << 20) + 1])
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_key_of_the_leaves(self, tmp_path, monkeypatch, size, cpus):
-        monkeypatch.setattr(fileio, "_cpus", lambda: cpus)
+    @pytest.mark.parametrize("size", [0, 1, 2 << 20, (2 << 20) + 1, (3 << 20) + 1])
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_key_of_the_leaves(self, tmp_path, monkeypatch, size, processes):
+        # The leaves are hashed in one share per process, the caller's and
+        # a forked worker's each of the others, none empty.
+        monkeypatch.setattr(fileio, "_processes", lambda nbytes: processes)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         path = tmp_path / "z.tsv"
         data = np.random.default_rng(size).bytes(size)
         path.write_bytes(data)
         key = _cache_key(path, tmp_path)
         assert key == f"z.tsv-tab-2-2/{_leaf_key(data)}"
-        assert threading.active_count() == 1
+        assert len(forks) == max(1, min(processes, -(-size // (1 << 20)))) - 1
 
     @pytest.mark.parametrize("edit", ["last byte", "appended byte"])
     def test_an_edit_in_the_last_leaf_changes_the_key(self, tmp_path, edit):
@@ -1148,12 +1152,12 @@ class TestParallelGrids:
         assert (where, row, column) == (str(path), line + 1, expected[1])
         assert expected[0] in message
 
-    @pytest.mark.parametrize("verb", ["parse", "write"])
+    @pytest.mark.parametrize("verb", ["parse", "write", "hash"])
     def test_a_worker_that_dies_names_the_grid(self, tmp_path, monkeypatch, verb):
         account = fixtures.fixture(3, 5, 7)
-        fileio.write_account(account, tmp_path)
+        layout_path = fileio.write_account(account, tmp_path)
         parent = os.getpid()
-        name = "_parse_span" if verb == "parse" else "_format_rows"
+        name = {"parse": "_parse_span", "write": "_format_rows", "hash": "_hash_leaves"}[verb]
         function = getattr(fileio, name)
 
         def dies_in_a_worker(*args):
@@ -1162,14 +1166,40 @@ class TestParallelGrids:
             return function(*args)
         monkeypatch.setattr(fileio, name, dies_in_a_worker)
         monkeypatch.setattr(fileio, "_processes", lambda nbytes: 2)
-        path = tmp_path / "z.tsv" if verb == "parse" else tmp_path / "out" / "z.tsv"
+        monkeypatch.setattr(fileio, "LEAF_BYTES", 1001)  # several leaves a grid
+        path = tmp_path / "out" / "z.tsv" if verb == "write" else tmp_path / "z.tsv"
         with pytest.raises(MrioError, match="a worker process ended with exit code 3") as caught:
             if verb == "parse":
                 _parse_file(path, "\t", 2, 2)
+            elif verb == "hash":
+                fileio.ingest(layout_path)
             else:
                 path.parent.mkdir()
                 fileio._write_grid(path, "\t", [["", ""]], account.index.labels(), account.Z)
         assert str(path) in str(caught.value)
+        assert not (tmp_path / fileio.CACHE_DIR).exists()
+
+    @pytest.mark.parametrize("job", ["hash", "parse"])
+    def test_a_read_error_in_a_worker_is_the_callers(self, tmp_path, monkeypatch, capfd, job):
+        # A read that fails in a worker's share fails as in the caller's:
+        # a ParseError naming the grid, with nothing stored and nothing
+        # printed. One leaf is hashed in-process; several are shared.
+        layout_path = fileio.write_account(fixtures.fixture(3, 5, 7), tmp_path)
+        monkeypatch.setattr(fileio, "_processes", lambda nbytes: 2)
+        if job == "hash":
+            monkeypatch.setattr(fileio, "LEAF_BYTES", 1001)
+        parent, pread = os.getpid(), os.pread
+
+        def fails_in_a_worker(fd, size, offset):
+            if os.getpid() != parent:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return pread(fd, size, offset)
+        monkeypatch.setattr(os, "pread", fails_in_a_worker)
+        with pytest.raises(ParseError, match="cannot read file") as caught:
+            fileio.ingest(layout_path)
+        assert caught.value.path == str(tmp_path / "z.tsv")
+        assert not list((tmp_path / fileio.CACHE_DIR).glob("z.tsv-tab-2-2/*"))
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_a_failed_rewrite_leaves_the_old_file(self, tmp_path, monkeypatch, failing):
@@ -1456,6 +1486,14 @@ class TestParallelGrids:
                 fileio.write_account(account, shared)
             for path in (tmp_path / "in-process").iterdir():
                 assert (shared / path.name).read_bytes() == path.read_bytes(), processes
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_a_grid_of_no_rows_is_its_header_rows(self, tmp_path, monkeypatch, processes):
+        monkeypatch.setattr(fileio, "_processes", lambda nbytes: processes)
+        path = tmp_path / "x.tsv"
+        fileio._write_grid(path, ",", [["region", "sector", "total output, all"]], [],
+                           np.empty((0, 1)))
+        assert path.read_bytes() == b'region,sector,"total output, all"\n'
 
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -1829,18 +1867,17 @@ class TestNumberWriter:
         values = _trap_values(rng)
         matrix = np.append(values, np.zeros(-len(values) % 8)).reshape(-1, 8)
         grid = (delimiter, [(f"r{k}",) for k in range(len(matrix))], matrix)
-        written = io.BytesIO()
-        fileio._write_rows(grid, (0, len(matrix)), written)
+        written = b"".join(fileio._write_rows(grid, (0, len(matrix))))
         expected = format_rows(grid, (0, len(matrix))).encode()
 
         def cells(text: bytes) -> list[bytes]:
             return [cell for line in text.splitlines()
                     for cell in line.split(delimiter.encode())[1:]]
         differ = [(value, found, wanted) for value, found, wanted
-                  in zip(matrix.ravel().tolist(), cells(written.getvalue()), cells(expected))
+                  in zip(matrix.ravel().tolist(), cells(written), cells(expected))
                   if found != wanted]
         assert differ == []
-        assert written.getvalue() == expected
+        assert written == expected
 
     @pytest.mark.parametrize("setting", WRITER_SETTINGS)
     @pytest.mark.parametrize("account, delimiter", [
