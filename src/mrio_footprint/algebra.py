@@ -12,7 +12,7 @@ factorization of (I - A), built from Z and x without forming A; the explicit
 inverse is never built. The LU and its solves are LAPACK's dgetrf and dgetrs,
 called through ``ctypes`` in the OpenBLAS that numpy's own matrix products
 run in, so a process loads one BLAS. LeontiefOperator makes the only calls:
-dgetrf in ``_factorize`` and dgetrs in ``_solve``. A LeontiefOperator without a
+dgetrf in ``_factorize`` and dgetrs in ``apply``. A LeontiefOperator without a
 store keeps its LU unchanged after construction. One with a store solves on
 the saved LU as the store gives it, a read-only mapped file included, and may
 replace it by a fresh factorization and write the store inside a solve, so
@@ -37,8 +37,8 @@ ZERO_OUTPUT_EPS = 1e-9
 # relative to max(1, ||y||_inf).
 SOLVE_RESIDUAL_RTOL = 1e-10
 
-# An economy is certified productive when w = 1^T (I - A)^-1 solves with
-# max(w) < 1 / PRODUCTIVITY_MARGIN, i.e. a spectral radius bound below
+# An economy is certified productive when q = (I - A)^-1 1 solves with
+# max(q) < 1 / PRODUCTIVITY_MARGIN, i.e. a spectral radius bound below
 # 1 - PRODUCTIVITY_MARGIN.
 PRODUCTIVITY_MARGIN = 1e-6
 
@@ -100,14 +100,19 @@ def _column_scale(x: np.ndarray, n: int) -> np.ndarray:
 class ProductivityEstimate:
     """Certified upper bound on the spectral radius of a nonnegative A.
 
-    w = 1^T (I - A)^-1, the multipliers of a row of ones, has w >= 1 exactly
-    when rho(A) < 1, and then rho(A) <= 1 - 1/max(w) (Collatz-Wielandt on
-    A^T; Berman & Plemmons, ch. 6). ``multipliers`` checks w >= 1, so for an
+    q = (I - A)^-1 1, the row sums of the Leontief inverse, has q >= 1
+    exactly when rho(A) < 1, and then rho(A) <= 1 - 1/max(q) (Collatz-Wielandt
+    on A; Berman & Plemmons, ch. 6). ``apply`` checks q >= 1, so for an
     unproductive A it raises UnproductiveEconomy; ``spectral_radius`` None
     records that.
     """
 
     spectral_radius: float | None
+
+    @classmethod
+    def of(cls, q: np.ndarray) -> ProductivityEstimate:
+        """The bound given by q = ``apply`` of a column of ones."""
+        return cls(1.0 - 1.0 / float(np.max(q, initial=1.0)))
 
     @property
     def productive(self) -> bool:
@@ -120,9 +125,8 @@ class LeontiefOperator:
 
     The operator keeps Z and the column scale 1/x, never A itself: I - A is
     built in the buffer that LAPACK dgetrf, in ``_factorize``, overwrites
-    with its LU. ``apply`` solves for gross output, ``multipliers`` for
-    footprints per unit of final demand, each by one dgetrs in ``_solve``;
-    both verify their results against the defining system.
+    with its LU. ``apply`` solves for gross output by one dgetrs and
+    verifies it against the defining system.
 
     ``store``, when given, has ``load()``, returning a saved ``(lu, ipiv)``
     pair or None, and ``store(lu, ipiv)``; ``ipiv`` holds dgetrf's 1-based
@@ -162,24 +166,29 @@ class LeontiefOperator:
             raise ValueError(f"illegal value in argument {-info.value} of LAPACK dgetrf")
         return system, ipiv
 
-    def _solve(self, rhs: np.ndarray, trans: bytes, check) -> np.ndarray:
-        """Solve the system (``trans`` b"N") or its transpose (b"T") for a
-        vector or a block, accepted by ``check``; a saved LU that fails is
-        replaced once. ``rhs`` is never written; a block solution is
-        Fortran-ordered."""
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Solve (I - A) q = y for one demand vector, or for an n x k block of
+        them, by one dgetrs with a residual check per column; a saved LU that
+        fails the check is replaced once. ``y`` is never written; a block
+        solution is Fortran-ordered."""
+        yv = np.asarray(y, dtype=float)
+        if yv.ndim not in (1, 2) or yv.shape[0] != self.dim:
+            raise DimensionMismatch(
+                f"demand must have {self.dim} rows, got shape {yv.shape}")
         order, lead, info = _lapack_int(self.dim), _lapack_int(max(1, self.dim)), _lapack_int()
-        columns = _lapack_int(rhs.shape[1] if rhs.ndim == 2 else 1)
+        columns = _lapack_int(yv.shape[1] if yv.ndim == 2 else 1)
         while True:
             lu, ipiv = self._lu
             # dgetrs overwrites its right-hand side with the solution.
-            solution = np.array(rhs, dtype=np.float64, order="F")
-            _getrs(trans, order, columns, lu.ctypes.data, lead, ipiv.ctypes.data,
-                   solution.ctypes.data, lead, info, 1)
+            q = np.array(yv, dtype=np.float64, order="F")
+            _getrs(b"N", order, columns, lu.ctypes.data, lead, ipiv.ctypes.data,
+                   q.ctypes.data, lead, info, 1)
             if info.value != 0:
                 raise ValueError(f"illegal value in argument {-info.value} of LAPACK dgetrs")
             try:
                 with np.errstate(all="ignore"):
-                    check(solution)
+                    # A q = Z (q / x), column by column.
+                    _check_solution(q, self._Z @ (self._scale * q.T).T, yv)
                 break
             except UnproductiveEconomy:
                 if not self._saved:
@@ -189,38 +198,7 @@ class LeontiefOperator:
         if self._unstored:
             self._store.store(*self._lu)
             self._unstored = False
-        return solution
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Solve (I - A) q = y for one demand vector, or for an n x k block of
-        them in one solve, with a residual check per column."""
-        yv = np.asarray(y, dtype=float)
-        if yv.ndim not in (1, 2) or yv.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"demand must have {self.dim} rows, got shape {yv.shape}")
-        # A q = Z (q / x), column by column.
-        return self._solve(
-            yv, b"N", lambda q: _check_solution(q, self._Z @ (self._scale * q.T).T, yv))
-
-    def multipliers(self, S: np.ndarray) -> np.ndarray:
-        """Multipliers M = S (I - A)^-1 of one intensity row or a block of them.
-
-        M[k, j] is the impact of row k embodied in one unit of final demand
-        for region-sector j, so ``m @ y`` equals ``s @ apply(y)`` for any demand y.
-        One transposed solve covers every row, with a residual check per row.
-        """
-        rows = np.asarray(S, dtype=float)
-        if rows.ndim not in (1, 2) or rows.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"intensity rows must have {self.dim} columns, got shape {rows.shape}")
-        # M (I - A) = S is (I - A)^T M^T = S^T: the same check on the
-        # transpose, with A^T M^T = diag(1/x) Z^T M^T. Z^T M^T reads Z by
-        # columns, which is faster than M Z; scaling its transpose by 1/x
-        # scales the rows of a block and the one row of a vector alike.
-        transposed = self._solve(
-            rows.T, b"T",
-            lambda mt: _check_solution(mt, (self._scale * (self._Z.T @ mt).T).T, rows.T))
-        return np.ascontiguousarray(transposed.T)
+        return q
 
 
 def _fits(lu, ipiv, n: int) -> bool:

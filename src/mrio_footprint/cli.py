@@ -134,19 +134,20 @@ def _run(args, compare: bool = False) -> tuple[
                                                     category_codes, account.index)
     group_labels, group_codes = indicators.load_sector_groups(groups_path, account.index)
     params = indicators.load_conversion_params(params_path)
-    extensions = extensions or list(account.extensions)
-    indicators.check_extensions(account, extensions)  # before a factorization
+    # A name the account lacks fails here, before a factorization.
+    variants = indicators.report_variants(account, extensions or list(account.extensions))
     operator = algebra.LeontiefOperator(account.Z, account.x, fileio.factorization_entry(
         ingested, algebra.factorization_identity()))
-    variants, certificate = indicators.report_variants(account, operator, extensions)
+    # One solve of 13 basis columns per home region, whatever the scenario
+    # count, and a last column of ones, whose solution is the certificate's.
+    q = operator.apply(np.hstack([*(basis for basis, _ in homes.values()),
+                                  np.ones((account.index.n, 1))]))
+    certificate = algebra.ProductivityEstimate.of(q[:, -1])
     if not certificate.productive:
         raise UnproductiveEconomy(f"spectral radius <= {certificate.spectral_radius:.6f} "
                                   "is too close to 1 to certify the economy productive")
-
-    # One solve of 13 basis columns per home region, whatever the scenario count.
-    bases = {region: basis for region, (basis, _) in homes.items()}
     reports = indicators.footprint_reports(
-        account, variants, bases, operator.apply(np.hstack(list(bases.values()))),
+        account, variants, list(homes), q,
         [(spec.name, region, scenario.scenario_factors(spec, homes[region][1]))
          for spec, region in zip(specs, regions)], group_labels, group_codes, params)
     runs = list(zip(specs, reports))
@@ -304,11 +305,11 @@ def cmd_validate(args) -> int:
     result = fileio.ingest(layout_path)
     account = result.account
     balance = model.validate_balance(account, tol=args.tol)
-    # The certificate of a default compare run, from the same one solve.
+    # The certificate of a run, from its column of ones solved alone.
     try:
         operator = algebra.LeontiefOperator(account.Z, account.x, fileio.factorization_entry(
             result, algebra.factorization_identity()))
-        _, estimate = indicators.report_variants(account, operator, list(account.extensions))
+        estimate = algebra.ProductivityEstimate.of(operator.apply(np.ones(account.index.n)))
     except UnproductiveEconomy:
         estimate = algebra.ProductivityEstimate(None)
 

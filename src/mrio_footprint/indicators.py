@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra
-from .algebra import LeontiefOperator, ProductivityEstimate
 from .errors import (
     MrioError,
     ParseError,
@@ -187,12 +186,10 @@ class FootprintReport:
 
 @dataclass(frozen=True)
 class ReportVariant:
-    """The stressor rows one report covers, as intensities and multipliers.
+    """The stressor rows one report covers, as intensities.
 
-    ``total_intensity`` is the summed row s and ``multipliers`` is
-    m = s (I - A)^-1, the footprint per unit of final demand by
-    region-sector. Both depend on the account only, so one variant serves
-    every scenario.
+    ``total_intensity`` is the summed row s. It depends on the account only,
+    so one variant serves every scenario.
     """
 
     name: str
@@ -200,31 +197,19 @@ class ReportVariant:
     labels: tuple[str, ...]
     intensities: tuple[np.ndarray, ...]
     total_intensity: np.ndarray
-    multipliers: np.ndarray
 
 
-def check_extensions(account: MrioAccount, extension_names: list[str]) -> None:
-    """A MrioError at the first of ``extension_names`` the account lacks."""
-    for name in extension_names:
-        if name not in account.extensions:
-            raise MrioError(f"extension {name!r} not present in the account")
-
-
-def report_variants(account: MrioAccount, operator: LeontiefOperator, extension_names: list[str]
-                    ) -> tuple[list[ReportVariant], ProductivityEstimate]:
-    """Every report of the named extensions, and the account's productivity
-    certificate, from one transposed block solve.
+def report_variants(account: MrioAccount, extension_names: list[str]) -> list[ReportVariant]:
+    """Every report of the named extensions, in the order named.
 
     A material extension with used/unused flags yields a ``-tmc`` report
     over all its rows and, when any row is used, a ``-mf`` report over the
-    used rows. A name the account lacks raises MrioError. The block ends in
-    a row of ones, solved even when no report is named, whose multipliers
-    are the certificate's w = 1^T (I - A)^-1; an unproductive economy
-    raises UnproductiveEconomy.
+    used rows. A name the account lacks raises MrioError.
     """
-    check_extensions(account, extension_names)
     selected: list[tuple[str, ExtensionAccount, tuple[str, ...]]] = []
     for name in extension_names:
+        if name not in account.extensions:
+            raise MrioError(f"extension {name!r} not present in the account")
         ext = account.extensions[name]
         if ext.material_flags is not None:
             selected.append((f"{name}-tmc", ext, ext.stressors))
@@ -235,53 +220,47 @@ def report_variants(account: MrioAccount, operator: LeontiefOperator, extension_
         else:
             selected.append((name, ext, ext.stressors))
 
-    intensities = []
-    totals = []
-    for _, ext, labels in selected:
+    variants = []
+    for name, ext, labels in selected:
         rows = ext.rows[[ext.stressors.index(label) for label in labels]]
-        intensities.append(tuple(algebra.intensity(row, account.x) for row in rows))
-        totals.append(algebra.intensity(rows.sum(axis=0), account.x))
-    multipliers = operator.multipliers(np.vstack([*totals, np.ones(account.x.size)]))
-    variants = [
-        ReportVariant(name=name, extension=ext, labels=labels, intensities=s_rows,
-                      total_intensity=s_total, multipliers=m)
-        for (name, ext, labels), s_rows, s_total, m
-        in zip(selected, intensities, totals, multipliers)
-    ]
-    return variants, ProductivityEstimate(1.0 - 1.0 / float(np.max(multipliers[-1], initial=1.0)))
+        variants.append(ReportVariant(
+            name=name, extension=ext, labels=labels,
+            intensities=tuple(algebra.intensity(row, account.x) for row in rows),
+            total_intensity=algebra.intensity(rows.sum(axis=0), account.x)))
+    return variants
 
 
 def footprint_reports(account: MrioAccount, variants: list[ReportVariant],
-                      bases: dict[str, np.ndarray], q: np.ndarray,
+                      regions: list[str], q: np.ndarray,
                       scenarios: list[tuple[str, str, np.ndarray]],
                       group_labels: tuple[str, ...], group_codes: np.ndarray,
                       params: ConversionParams) -> list[list[FootprintReport]]:
     """Every variant's report for every scenario, from its home region's basis.
 
-    ``bases`` maps each home region to its n x 13 ``scenario.category_basis``,
-    and the k-th 13 columns of ``q`` are the gross output of the k-th basis.
-    ``scenarios`` holds each scenario's name, home region and 13 factors.
-    ``group_labels`` and ``group_codes`` are from ``sector_group_codes``.
-    Each split is made once per basis column; a scenario's figure is its
-    products with the factors, summed over the 13 columns. Direct use
-    scales against the baseline, whose factors are all one. Returns each
-    scenario's reports in ``variants`` order.
+    The k-th 13 columns of ``q`` are the gross output of the n x 13
+    ``scenario.category_basis`` of ``regions[k]``, each region listed once;
+    columns after them are not read. ``scenarios`` holds each scenario's
+    name, home region and 13 factors. ``group_labels`` and ``group_codes``
+    are from ``sector_group_codes``. Each split is made once per basis
+    column; a scenario's figure is its products with the factors, summed
+    over the 13 columns. Basis column c holds the demand of category c
+    alone, so its footprint times factor c is category c's figure. Direct
+    use scales against the baseline, whose factors are all one. Returns
+    each scenario's reports in ``variants`` order.
     """
     groups = (group_codes[:, np.newaxis] == np.arange(len(group_labels))).astype(float)
     reports: list[list[FootprintReport]] = [[] for _ in scenarios]
     for variant in variants:
-        s, m, extension = variant.total_intensity, variant.multipliers, variant.extension
+        s, extension = variant.total_intensity, variant.extension
         labour = extension.kind == "labour"
-        for k, (region, basis) in enumerate(bases.items()):
+        for k, region in enumerate(regions):
             q_basis = q[:, 13 * k:13 * (k + 1)]
             by_source = s[:, np.newaxis] * q_basis
             # One row per figure, one column per basis column: the total,
-            # domestic, sector-group and stressor figures, and each
-            # category's demand times the multipliers.
+            # domestic, sector-group and stressor figures.
             splits = np.vstack([by_source.sum(axis=0),
                                 by_source[account.index.region_slice(region)].sum(axis=0),
                                 groups.T @ by_source, np.vstack(variant.intensities) @ q_basis])
-            by_category = (m[:, np.newaxis] * basis).sum(axis=0)
             # Products summed along each contiguous row, never a BLAS product
             # whose rounding depends on how many scenarios share the block,
             # so a scenario's figures do not depend on the others, and an
@@ -308,7 +287,7 @@ def footprint_reports(account: MrioAccount, variants: list[ReportVariant],
                     by_origin=OriginSplit(domestic=domestic, imported=total - domestic),
                     by_sector_group=dict(zip(group_labels, rest)),
                     by_category=dict(zip(SPENDING_CATEGORIES,
-                                         (by_category * scenario_factors).tolist())),
+                                         (splits[0] * scenario_factors).tolist())),
                     hours_week_equivalent=(hours_per_week_equivalent(total, params)
                                            if labour else None),
                     by_skill=aggregate_by_skill(stressors) if labour else None,

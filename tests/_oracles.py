@@ -8,6 +8,8 @@ pipeline never forms, are built here for the tests that compare against
 them, with the operator and one-shot solve of an A given in code. The
 account writer's grid rows are checked against the formatter it replaced,
 which wrote every number through one Python "%.17g" template per row.
+``exact_solve`` solves in rational arithmetic, so a float result can be
+measured in ulps from the exact answer to the problem as posed in floats.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,6 +60,25 @@ def leontief_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 def total_row(extension) -> np.ndarray:
     """An extension's stressor rows summed into one row."""
     return extension.rows.sum(axis=0)
+
+
+def exact_solve(A, y) -> list[list[Fraction]]:
+    """The exact solution Q of (I - A) Q = y, by Gauss-Jordan elimination
+    over ``Fraction``. ``A`` is n x n and ``y`` n x k; their entries are
+    anything ``Fraction`` takes, floats exactly. Returns Q's n rows."""
+    n = len(A)
+    rows = [[int(i == j) - Fraction(a) for j, a in enumerate(row)]
+            + [Fraction(v) for v in demand] for i, (row, demand) in enumerate(zip(A, y))]
+    for j in range(n):
+        pivot = next(i for i in range(j, n) if rows[i][j] != 0)
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        head = rows[j][j]
+        rows[j] = [v / head for v in rows[j]]
+        for i in range(n):
+            if i != j and rows[i][j] != 0:
+                factor = rows[i][j]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[j])]
+    return [row[n:] for row in rows]
 
 
 def power_series_solve(A: np.ndarray, y: np.ndarray, col_bound: float = 0.7,

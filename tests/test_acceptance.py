@@ -79,10 +79,9 @@ def test_criterion_3_additivity_suite():
             operator = leontief_operator(
                 technical_coefficients(account.Z, account.x))
             basis, _ = scenario.category_basis(*model.home_demand(account, "R0"), codes, index)
-            variants, _ = indicators.report_variants(account, operator,
-                                                     list(account.extensions))
+            variants = indicators.report_variants(account, list(account.extensions))
             [reports] = indicators.footprint_reports(
-                account, variants, {"R0": basis}, operator.apply(basis),
+                account, variants, ["R0"], operator.apply(basis),
                 [("baseline", "R0", np.ones(len(scenario.SPENDING_CATEGORIES)))],
                 labels, group_codes, params)
 

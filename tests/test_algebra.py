@@ -19,11 +19,10 @@ import pytest
 
 from _oracles import (leontief_solve, operator, power_series_solve, random_productive_matrix,
                       relative_error, technical_coefficients)
-from mrio_footprint import algebra, indicators, model
+from mrio_footprint import algebra
 from mrio_footprint.errors import DimensionMismatch, NegativeEntry, UnproductiveEconomy
 
 A_HAND = np.array([[0.2, 0.3], [0.4, 0.1]])
-L_HAND = np.array([[1.5, 0.5], [2.0 / 3.0, 4.0 / 3.0]])
 Y_HAND = np.array([10.0, 5.0])
 Q_HAND = np.array([17.5, 40.0 / 3.0])
 S_HAND = np.array([0.5, 1.0])
@@ -119,8 +118,6 @@ class TestLeontiefSolve:
         op = operator(np.array([[2.0]]))
         with pytest.raises(UnproductiveEconomy, match="falls below final demand"):
             op.apply(np.array([[1.0, -1.0]]))
-        with pytest.raises(UnproductiveEconomy, match="falls below final demand"):
-            op.multipliers(np.array([[1.0], [-1.0]]))
         np.testing.assert_array_equal(op.apply(np.array([[-1.0, -2.0]])), [[1.0, 2.0]])
 
     def test_non_square_rejected(self):
@@ -171,27 +168,18 @@ class TestLapackWrappers:
     """How the operator calls LAPACK dgetrf and dgetrs through the ctypes
     functions ``algebra._getrf`` and ``algebra._getrs``."""
 
-    @pytest.mark.parametrize("trans", [0, 1])
     @pytest.mark.parametrize("rhs", ["vector", "block", "block.T"])
-    def test_solves_as_numpy_and_the_transposed_system(self, rng, trans, rhs):
-        # trans 0 is a solve by apply, trans 1 one by multipliers.
+    def test_solves_as_numpy(self, rng, rhs):
         n = 80
         A = random_productive_matrix(rng, n)
-        system = np.eye(n) - A
         b = {"vector": lambda: rng.uniform(size=n),
              "block": lambda: rng.uniform(size=(n, 3)),
-             # What multipliers passes: the transpose of a C-ordered block.
+             # A Fortran-ordered block: the transpose of a C-ordered one.
              "block.T": lambda: rng.uniform(size=(3, n)).T}[rhs]()
         given = b.copy()
-        op = operator(A)
-        if trans == 0:
-            solution = op.apply(b)
-            # np.linalg.solve is dgesv, dgetrf then dgetrs, in the same OpenBLAS.
-            assert solution.tobytes() == np.linalg.solve(system, b).tobytes()
-        else:
-            solution = op.multipliers(b.T).T
-            residual = np.max(np.abs(system.T @ solution - b))
-            assert residual <= 1e-13 * np.max(np.abs(b))
+        solution = operator(A).apply(b)
+        # np.linalg.solve is dgesv, dgetrf then dgetrs, in the same OpenBLAS.
+        assert solution.tobytes() == np.linalg.solve(np.eye(n) - A, b).tobytes()
         assert solution.shape == b.shape and b.tobytes() == given.tobytes()
 
     def test_factorizes_a_fortran_buffer_in_place(self, rng, monkeypatch):
@@ -227,7 +215,6 @@ class TestLapackWrappers:
         assert lu.shape == (0, 0) and ipiv.shape == (0,)
         assert op.apply(np.zeros(0)).shape == (0,)
         assert op.apply(np.zeros((0, 3))).shape == (0, 3)
-        assert op.multipliers(np.zeros((2, 0))).shape == (2, 0)
 
     @pytest.mark.parametrize("a", [np.zeros((3, 4)), np.zeros(3), np.eye(3, dtype=np.float32),
                                    np.eye(3, dtype=int), [[1.0]]])
@@ -279,40 +266,6 @@ class TestLeontiefOperator:
         assert ipiv.tobytes() == expected_ipiv.tobytes()
 
 
-class TestMultipliers:
-    def test_hand_2x2(self):
-        m = operator(A_HAND).multipliers(S_HAND)
-        np.testing.assert_allclose(m, S_HAND @ L_HAND, rtol=1e-12)
-
-    def test_defining_identity(self, rng):
-        A = random_productive_matrix(rng, 7)
-        S = rng.uniform(0.0, 3.0, size=(4, 7))
-        M = operator(A).multipliers(S)
-        np.testing.assert_allclose(M @ (np.eye(7) - A), S, rtol=0, atol=1e-9)
-
-    def test_dominates_intensities(self, rng):
-        S = rng.uniform(0.0, 3.0, size=(3, 7))
-        M = operator(random_productive_matrix(rng, 7)).multipliers(S)
-        assert np.all(M - S >= -1e-12)
-
-    def test_unproductive(self):
-        with pytest.raises(UnproductiveEconomy):
-            operator(np.eye(2)).multipliers(S_HAND)
-
-    def test_agrees_with_solve(self, rng):
-        op = operator(random_productive_matrix(rng, 9))
-        s = rng.uniform(0.0, 3.0, size=9)
-        m = op.multipliers(s)
-        for _ in range(5):
-            y = rng.uniform(0.0, 10.0, size=9)
-            expected = s @ op.apply(y)
-            assert abs(m @ y - expected) <= 1e-12 * abs(expected)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            operator(A_HAND).multipliers(np.ones(3))
-
-
 class TestIntensity:
     def test_elementwise_division(self):
         s = algebra.intensity(np.array([50.0, 100.0]), np.array([100.0, 100.0]))
@@ -358,19 +311,9 @@ class TestFootprint:
                 op.apply(np.zeros(shape))
 
 
-def hand_account(A: np.ndarray) -> model.MrioAccount:
-    """An account with Z = A, x = 1 and no extensions, so its A is A."""
-    n = len(A)
-    index = model.RegionSectorIndex(("R0",), tuple(f"S{j}" for j in range(n)))
-    return model.MrioAccount(index=index, Z=A, Y=np.zeros((n, 0)), y_columns=(),
-                             x=np.ones(n), extensions={}, year=2012)
-
-
 def certificate(A: np.ndarray) -> algebra.ProductivityEstimate:
-    """The certificate that report_variants gives with no extension named."""
-    variants, estimate = indicators.report_variants(hand_account(A), operator(A), [])
-    assert variants == []
-    return estimate
+    """The certificate of the operator of A: the bound of its column of ones."""
+    return algebra.ProductivityEstimate.of(operator(A).apply(np.ones(len(A))))
 
 
 class TestProductivityCheck:
@@ -380,9 +323,9 @@ class TestProductivityCheck:
         assert estimate.productive
 
     def test_hand_2x2(self):
-        # w = 1^T L = [13/6, 11/6], so the bound is 1 - 6/13 = 7/13 >= rho = 0.5.
+        # L 1 = [2, 2], so the bound is 1 - 1/2, exactly rho = 0.5.
         estimate = certificate(A_HAND)
-        assert estimate.spectral_radius == 7.0 / 13.0
+        assert estimate.spectral_radius == 0.5
         assert estimate.productive
 
     def test_periodic_two_sector(self):
@@ -409,5 +352,4 @@ class TestProductivityCheck:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            indicators.report_variants(hand_account(np.zeros((2, 2))),
-                                       operator(np.zeros((3, 3))), [])
+            algebra.ProductivityEstimate.of(operator(np.zeros((3, 3))).apply(np.ones(2)))

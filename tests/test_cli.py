@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mrio_footprint
-from _oracles import operator, technical_coefficients, total_row
+from _oracles import exact_solve, operator, technical_coefficients, total_row
 from mrio_footprint import algebra, cli, fileio, fixtures, indicators, model, scenario
 from mrio_footprint.cli import main
 
@@ -361,18 +362,46 @@ class TestCompare:
             assert sum(float(r["value"]) for r in fig5) == pytest.approx(
                 expected / params["total_population"], rel=1e-9)
 
+    def test_category_rows_are_within_two_ulps_of_the_exact_split(self, fixture_dir, tmp_path):
+        # Category c's baseline figure is s (I - A)^-1 b_c for basis column
+        # b_c. Solved exactly, with the engine's s and basis and A = Z / x
+        # (zero-output columns zeroed), every row of report.csv lies within
+        # 2 ulps of the correctly rounded value: the worst case, on these
+        # values, of the other route, m b_c with m = s (I - A)^-1.
+        assert run_compare(fixture_dir, tmp_path / "cmp", ["baseline"]) == 0
+        account = fileio.ingest(fixture_dir / "layout.json").account
+        index, x = account.index, account.x
+        codes = scenario.load_concordance(fixture_dir / "category_concordance.tsv", index)
+        basis, _ = scenario.category_basis(*model.home_demand(account, "R0"), codes, index)
+        A = [[Fraction(z) / Fraction(x[j]) if x[j] > algebra.ZERO_OUTPUT_EPS else 0
+              for j, z in enumerate(row)] for row in account.Z.tolist()]
+        Q = exact_solve(A, basis.tolist())
+        exact = {}
+        for variant in indicators.report_variants(account, list(account.extensions)):
+            for c, category in enumerate(scenario.SPENDING_CATEGORIES):
+                exact[variant.name, category] = float(sum(
+                    Fraction(s) * q[c] for s, q in zip(variant.total_intensity.tolist(), Q)))
+        rows = [row for row in read_report(tmp_path / "cmp" / "baseline" / "report.csv")
+                if row["dimension"] == "category"]
+        assert {(row["extension"], row["label"]) for row in rows} == set(exact)
+        for row in rows:
+            value, expected = float(row["value"]), exact[row["extension"], row["label"]]
+            # Floats of one sign are ordered as their bit patterns.
+            assert value >= 0.0 and expected >= 0.0
+            bits = np.array([value, expected]).view(np.int64)
+            assert abs(int(bits[0]) - int(bits[1])) <= 2, row
+
     def test_plot_rows_follow_each_reports_params(self, account_357):
         index = account_357.index
         operator = algebra.LeontiefOperator(account_357.Z, account_357.x)
-        variants, _ = indicators.report_variants(account_357, operator,
-                                                 list(account_357.extensions))
+        variants = indicators.report_variants(account_357, list(account_357.extensions))
         codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
         basis, _ = scenario.category_basis(*model.home_demand(account_357, "R0"), codes, index)
         groups = indicators.sector_group_codes(fixtures.fixture_sector_groups(index), index)
         params = fixtures.fixture_conversion_params()
         # The second scenario halves consumption and keeps capital formation.
         reports = indicators.footprint_reports(
-            account_357, variants, {"R0": basis}, operator.apply(basis),
+            account_357, variants, ["R0"], operator.apply(basis),
             [("first", "R0", np.ones(13)), ("second", "R0", np.r_[np.full(12, 0.5), 1.0])],
             *groups, params)
         other = dataclasses.replace(params, working_age_population=1.3e6,
@@ -520,40 +549,32 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "'S3' has no sector group" in err and "sector_groups.tsv" in err
 
-    @pytest.mark.parametrize("verb", ["compare", "footprint", "validate"])
-    def test_one_forward_and_one_transposed_solve_per_run(self, fixture_dir, tmp_path,
-                                                          monkeypatch, verb):
-        # One block solve of the 13 category-basis columns of every home
-        # region, and one for the multipliers of all five reports and the
-        # productivity certificate; validate makes only the second.
+    @pytest.mark.parametrize("verb, columns", [("compare", 14), ("footprint", 27),
+                                               ("validate", 1)])
+    def test_one_forward_solve_per_run(self, fixture_dir, tmp_path, monkeypatch, verb,
+                                       columns):
+        # One dgetrs call, never transposed: the 13 category-basis columns of
+        # every home region and a column of ones for the productivity
+        # certificate; validate solves the column of ones alone.
         spec = json.loads((fixture_dir / "scenarios" / "halved.json").read_text())
         spec.update(name="abroad", home_region="R1")
         (fixture_dir / "scenarios" / "abroad.json").write_text(json.dumps(spec))
-        calls = {"apply": 0, "multipliers": 0}
-        shapes = []
+        calls = []
+        getrs = algebra._getrs
 
-        def counted(name):
-            method = getattr(algebra.LeontiefOperator, name)
+        def recorded(trans, order, nrhs, *rest):
+            calls.append((trans, nrhs.value))
+            return getrs(trans, order, nrhs, *rest)
 
-            def wrapper(self, *args):
-                calls[name] += 1
-                if name == "apply":
-                    shapes.append(np.shape(args[0]))
-                return method(self, *args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(algebra.LeontiefOperator, name, counted(name))
+        monkeypatch.setattr(algebra, "_getrs", recorded)
         argv = [verb, "--layout", str(fixture_dir / "layout.json"), "--out", str(tmp_path / "out")]
         if verb != "validate":
             argv += ["--params", str(fixture_dir / "params.json")]
             for name in ("baseline", "halved", "abroad"):
                 argv += ["--scenario", str(fixture_dir / "scenarios" / f"{name}.json")]
-        # compare takes one home region, footprint each spec's own.
+        # compare takes one home region; footprint each spec's own, R0 and R1.
         assert main(argv + (["--home-region", "R2"] if verb == "compare" else [])) == 0
-        assert calls == {"apply": int(verb != "validate"), "multipliers": 1}
-        # footprint's specs have home regions R0 and R1.
-        assert shapes == {"compare": [(15, 13)], "footprint": [(15, 26)], "validate": []}[verb]
+        assert calls == [(b"N", columns)]
 
     @pytest.mark.parametrize("count", [2, 64])
     def test_forward_solve_has_13_columns_whatever_the_scenario_count(
@@ -573,7 +594,7 @@ class TestCompare:
 
         monkeypatch.setattr(algebra.LeontiefOperator, "apply", recorded)
         assert run_compare(fixture_dir, tmp_path / "out", names) == 0
-        assert shapes == [(15, 13)]
+        assert shapes == [(15, 14)]
 
     def test_failing_scenario_writes_nothing(self, fixture_dir, tmp_path, capsys):
         # The fixture's home region spends nothing on education.
@@ -936,14 +957,15 @@ class TestFactorizationCache:
         # A cold run parses, factorizes, and stores its LU after one solve.
         layout_path = fixture_dir / "layout.json"
         cold = fileio.ingest(layout_path)
-        indicators.report_variants(cold.account, cached_operator(cold), [])
+        cached_operator(cold).apply(np.ones(cold.account.index.n))
 
         def no_copy(*args, **kwargs):
             raise AssertionError("a cache entry was copied into memory")
         monkeypatch.setattr(np, "fromfile", no_copy)
         ingested = fileio.ingest(layout_path)
         operator = cached_operator(ingested)
-        _, certificate = indicators.report_variants(ingested.account, operator, [])
+        certificate = algebra.ProductivityEstimate.of(
+            operator.apply(np.ones(ingested.account.index.n)))
         assert certificate.productive
         assert len(factorizations) == 1
         lu, _ = operator._lu

@@ -80,11 +80,10 @@ def one_column_reports(account, y, gfcf=None, home_region="R0", category_codes=N
     category_codes = np.zeros(n, dtype=int) if category_codes is None else category_codes
     group_labels, group_codes = groups or (("all",), np.zeros(n, dtype=int))
     operator = algebra.LeontiefOperator(account.Z, account.x)
-    variants, _ = indicators.report_variants(account, operator,
-                                             names or list(account.extensions))
+    variants = indicators.report_variants(account, names or list(account.extensions))
     basis, _ = scenario.category_basis(y, gfcf, category_codes, account.index)
     [reports] = indicators.footprint_reports(
-        account, variants, {home_region: basis}, operator.apply(basis),
+        account, variants, [home_region], operator.apply(basis),
         [("test", home_region, np.ones(len(scenario.SPENDING_CATEGORIES)))],
         group_labels, group_codes, fixtures.fixture_conversion_params())
     return reports
@@ -297,13 +296,13 @@ class TestMaterialIndicators:
         # Demand x - Z 1 = [7, 6] needs gross output x, so each row's
         # footprint is its row sum: ores 6, overburden 4.
         y = x - Z.sum(axis=1)
-        return {v.name: (v.labels, float(v.multipliers @ y))
-                for v in indicators.report_variants(account, operator, ["materials"])[0]}
+        q = operator.apply(y)
+        return {v.name: (v.labels, float(v.total_intensity @ q))
+                for v in indicators.report_variants(account, ["materials"])}
 
     def test_unknown_extension_name_raises_mrio_error(self, account_357):
-        operator = algebra.LeontiefOperator(account_357.Z, account_357.x)
         with pytest.raises(MrioError, match="extension 'nope' not present in the account"):
-            indicators.report_variants(account_357, operator, ["labour", "nope"])
+            indicators.report_variants(account_357, ["labour", "nope"])
 
     def test_hand_sum(self):
         variants = self._variants({"ores": "used", "overburden": "unused"})

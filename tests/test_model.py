@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _oracles import technical_coefficients
-from mrio_footprint import algebra, fixtures, indicators, model
+from mrio_footprint import algebra, fixtures, model, scenario
 from mrio_footprint.errors import (
     DimensionMismatch,
     MissingStressorLabel,
@@ -144,22 +144,40 @@ class TestFixture:
     def test_productive(self):
         account = fixtures.fixture(3, 5, 7)
         operator = algebra.LeontiefOperator(account.Z, account.x)
-        _, estimate = indicators.report_variants(account, operator, list(account.extensions))
+        estimate = algebra.ProductivityEstimate.of(operator.apply(np.ones(account.index.n)))
         assert estimate.productive and estimate.spectral_radius < 0.8
 
     def test_row_and_column_sum_bounds_dominate_the_spectral_radius(self):
-        # The criterion-1 fixtures. The certificate bounds rho by L's column
-        # sums, 1 - 1/max(1^T L); the row sums of the dense inverse give the
-        # other Collatz-Wielandt bound, 1 - 1/max(L 1).
+        # The criterion-1 fixtures. The certificate bounds rho by L's row
+        # sums, 1 - 1/max(L 1); the column sums of the dense inverse give the
+        # other Collatz-Wielandt bound, 1 - 1/max(1^T L).
         for seed in range(200):
             account = fixtures.fixture(seed % 6 + 1, seed % 8 + 1, seed)
             A = technical_coefficients(account.Z, account.x)
             rho = max(abs(np.linalg.eigvals(A)))
-            row_bound = 1.0 - 1.0 / max(np.linalg.inv(np.eye(len(A)) - A).sum(axis=1))
-            _, estimate = indicators.report_variants(
-                account, algebra.LeontiefOperator(account.Z, account.x), [])
-            assert row_bound >= rho - 1e-12
+            column_bound = 1.0 - 1.0 / max(np.linalg.inv(np.eye(len(A)) - A).sum(axis=0))
+            estimate = algebra.ProductivityEstimate.of(
+                algebra.LeontiefOperator(account.Z, account.x).apply(np.ones(len(A))))
+            assert column_bound >= rho - 1e-12
             assert estimate.spectral_radius >= rho - 1e-12
+
+    def test_a_lone_ones_column_certifies_as_one_in_a_block(self):
+        # validate solves the column of ones alone; footprint and compare
+        # solve it after their basis columns, where dgetrs may round its last
+        # bits otherwise. On the criterion-1 fixtures the bounds agree within
+        # 1e-12 relative, with the same verdict.
+        for seed in range(200):
+            account = fixtures.fixture(seed % 6 + 1, seed % 8 + 1, seed)
+            index = account.index
+            codes = scenario.category_codes(fixtures.fixture_category_concordance(index), index)
+            basis, _ = scenario.category_basis(*model.home_demand(account, "R0"), codes, index)
+            operator = algebra.LeontiefOperator(account.Z, account.x)
+            ones = np.ones((index.n, 1))
+            alone = algebra.ProductivityEstimate.of(operator.apply(ones[:, 0]))
+            in_block = algebra.ProductivityEstimate.of(
+                operator.apply(np.hstack([basis, ones]))[:, -1])
+            assert alone.productive == in_block.productive
+            assert alone.spectral_radius == pytest.approx(in_block.spectral_radius, rel=1e-12)
 
     def test_extension_set(self, account_357):
         assert set(account_357.extensions) == {"labour", "energy", "emissions", "material"}

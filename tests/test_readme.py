@@ -41,7 +41,7 @@ def test_library_use_runs(tmp_path, monkeypatch, capsys):
     fixtures.write_fixture_set(3, 5, 7, tmp_path / "fx")
     monkeypatch.chdir(tmp_path)
     exec(compile(snippet, str(README), "exec"), {})
-    radius, total, via_multipliers, by_category = capsys.readouterr().out.splitlines()
+    radius, total, report_total, by_category = capsys.readouterr().out.splitlines()
     assert 0.0 < float(radius) < 1.0
-    assert float(via_multipliers) == pytest.approx(float(total), rel=1e-9)
+    assert float(report_total) == pytest.approx(float(total), rel=1e-9)
     assert len(ast.literal_eval(by_category)) == 13
