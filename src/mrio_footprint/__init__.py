@@ -48,7 +48,6 @@ from .scenario import (
     baseline_category_totals,
     category_basis,
     category_codes,
-    category_scaling_factors,
     dining_out_adjustment,
     load_concordance,
     load_scenario_spec,

@@ -146,8 +146,9 @@ def _run(args, compare: bool = False) -> tuple[
     if not certificate.productive:
         raise UnproductiveEconomy(f"spectral radius <= {certificate.spectral_radius:.6f} "
                                   "is too close to 1 to certify the economy productive")
+    blocks = dict(zip(homes, np.hsplit(q[:, :-1], len(homes))))
     reports = indicators.footprint_reports(
-        account, variants, list(homes), q,
+        account, variants, blocks,
         [(spec.name, region, scenario.scenario_factors(spec, homes[region][1]))
          for spec, region in zip(specs, regions)], group_labels, group_codes, params)
     runs = list(zip(specs, reports))

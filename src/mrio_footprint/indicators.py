@@ -5,7 +5,7 @@ scenario's presentable results: hours-per-week equivalents, per-capita
 values, and disaggregations by origin (domestic vs imported), sector group,
 skill level, and spending category, plus the used/unused material variants
 and proportional direct-use scaling. Each split is made once per basis
-column, then combined with each scenario's 13 factors.
+column, then combined with each scenario's factors.
 """
 
 from __future__ import annotations
@@ -231,30 +231,29 @@ def report_variants(account: MrioAccount, extension_names: list[str]) -> list[Re
 
 
 def footprint_reports(account: MrioAccount, variants: list[ReportVariant],
-                      regions: list[str], q: np.ndarray,
+                      blocks: dict[str, np.ndarray],
                       scenarios: list[tuple[str, str, np.ndarray]],
                       group_labels: tuple[str, ...], group_codes: np.ndarray,
                       params: ConversionParams) -> list[list[FootprintReport]]:
     """Every variant's report for every scenario, from its home region's basis.
 
-    The k-th 13 columns of ``q`` are the gross output of the n x 13
-    ``scenario.category_basis`` of ``regions[k]``, each region listed once;
-    columns after them are not read. ``scenarios`` holds each scenario's
-    name, home region and 13 factors. ``group_labels`` and ``group_codes``
-    are from ``sector_group_codes``. Each split is made once per basis
-    column; a scenario's figure is its products with the factors, summed
-    over the 13 columns. Basis column c holds the demand of category c
-    alone, so its footprint times factor c is category c's figure. Direct
-    use scales against the baseline, whose factors are all one. Returns
-    each scenario's reports in ``variants`` order.
+    ``blocks`` maps each home region to the gross output of its
+    ``scenario.category_basis``, one column per spending category.
+    ``scenarios`` holds each scenario's name, home region and factors, one
+    per column. ``group_labels`` and ``group_codes`` are from
+    ``sector_group_codes``. Each split is made once per basis column; a
+    scenario's figure is its products with the factors, summed over the
+    columns. Basis column c holds the demand of category c alone, so its
+    footprint times factor c is category c's figure. Direct use scales
+    against the baseline, whose factors are all one. Returns each
+    scenario's reports in ``variants`` order.
     """
     groups = (group_codes[:, np.newaxis] == np.arange(len(group_labels))).astype(float)
     reports: list[list[FootprintReport]] = [[] for _ in scenarios]
     for variant in variants:
         s, extension = variant.total_intensity, variant.extension
         labour = extension.kind == "labour"
-        for k, region in enumerate(regions):
-            q_basis = q[:, 13 * k:13 * (k + 1)]
+        for region, q_basis in blocks.items():
             by_source = s[:, np.newaxis] * q_basis
             # One row per figure, one column per basis column: the total,
             # domestic, sector-group and stressor figures.
@@ -266,7 +265,7 @@ def footprint_reports(account: MrioAccount, variants: list[ReportVariant],
             # so a scenario's figures do not depend on the others, and an
             # identity scenario's total is its baseline's to the bit.
             members = [j for j, (_, home, _) in enumerate(scenarios) if home == region]
-            factors = np.vstack([np.ones(13), *(scenarios[j][2] for j in members)])
+            factors = np.vstack([np.ones(q_basis.shape[1]), *(scenarios[j][2] for j in members)])
             values = (splits * factors[:, np.newaxis, :]).sum(axis=-1).tolist()
             baseline_total = values[0][0]
             for j, (total, domestic, *rest) in zip(members, values[1:]):

@@ -163,44 +163,6 @@ def baseline_category_totals(y_base: np.ndarray, codes: np.ndarray,
     return dict(zip(CONSUMPTION_SPENDING_CATEGORIES, sums[:unsorted].tolist()))
 
 
-def category_scaling_factors(baseline: dict[str, float],
-                             targets: dict[str, float]) -> dict[str, float]:
-    """Per-category factors target/baseline; zero baselines demand zero targets."""
-    factors: dict[str, float] = {}
-    for category, target in targets.items():
-        base = baseline.get(category, 0.0)
-        if base > 0.0:
-            factors[category] = target / base
-        elif target > 0.0:
-            raise ZeroBaselineNonzeroTarget(
-                f"category {category!r} has target {target} but zero baseline spending"
-            )
-        else:
-            factors[category] = 0.0
-    return factors
-
-
-def resolve_targets(spec: ScenarioSpec, baseline: dict[str, float]) -> dict[str, float]:
-    """Turn a spec into 13 concrete targets against a baseline.
-
-    None targets fall back to the baseline total; a government factor fills
-    an absent public-administration target; budget moves are then applied in
-    order (each conserves the moved amount exactly).
-    """
-    targets: dict[str, float] = {}
-    for category in SPENDING_CATEGORIES:
-        stated = spec.category_targets.get(category)
-        if stated is None and category == PUBLIC_ADMIN and spec.government_factor is not None:
-            stated = spec.government_factor * baseline.get(category, 0.0)
-        targets[category] = baseline.get(category, 0.0) if stated is None else stated
-    for move in spec.adjustments:
-        reduced, moved = dining_out_adjustment(targets[move.source], move.fraction)
-        targets[move.source] = reduced
-        if move.destination is not None:
-            targets[move.destination] += moved
-    return targets
-
-
 def category_basis(y_base: np.ndarray, gfcf_base: np.ndarray, codes: np.ndarray,
                    index: RegionSectorIndex) -> tuple[np.ndarray, dict[str, float]]:
     """A home region's n x 13 category basis, and its 13 baseline totals.
@@ -221,9 +183,31 @@ def category_basis(y_base: np.ndarray, gfcf_base: np.ndarray, codes: np.ndarray,
 
 def scenario_factors(spec: ScenarioSpec, baseline: dict[str, float]) -> np.ndarray:
     """A spec's 13 target/baseline factors, in ``SPENDING_CATEGORIES`` order,
-    against the baseline totals of ``category_basis``."""
-    factors = category_scaling_factors(baseline, resolve_targets(spec, baseline))
-    return np.array([factors[category] for category in SPENDING_CATEGORIES])
+    against the 13 baseline totals of ``category_basis``.
+
+    A None target keeps the baseline total; a government factor fills an
+    absent public-administration target; budget moves then apply in order
+    (each conserves the moved amount exactly). A zero baseline gets factor
+    0, and a nonzero target there raises ZeroBaselineNonzeroTarget.
+    """
+    targets = {}
+    for category in SPENDING_CATEGORIES:
+        target = spec.category_targets.get(category)
+        if target is None and category == PUBLIC_ADMIN and spec.government_factor is not None:
+            target = spec.government_factor * baseline[category]
+        targets[category] = baseline[category] if target is None else target
+    for move in spec.adjustments:
+        targets[move.source], moved = dining_out_adjustment(targets[move.source], move.fraction)
+        if move.destination is not None:
+            targets[move.destination] += moved
+    factors = []
+    for category, target in targets.items():
+        base = baseline[category]
+        if not base > 0.0 and target > 0.0:
+            raise ZeroBaselineNonzeroTarget(
+                f"category {category!r} has target {target} but zero baseline spending")
+        factors.append(target / base if base > 0.0 else 0.0)
+    return np.array(factors)
 
 
 def dining_out_adjustment(food_total: float, fraction: float) -> tuple[float, float]:
@@ -275,4 +259,4 @@ def load_concordance(path: str | Path, index: RegionSectorIndex) -> np.ndarray:
         mapping[sector] = category
     # Rows for sectors the account does not carry are tolerated so one
     # concordance file can serve differently trimmed tables.
-    return category_codes(mapping, index)
+    return sector_codes(mapping, CONSUMPTION_SPENDING_CATEGORIES, index)

@@ -81,7 +81,7 @@ def test_criterion_3_additivity_suite():
             basis, _ = scenario.category_basis(*model.home_demand(account, "R0"), codes, index)
             variants = indicators.report_variants(account, list(account.extensions))
             [reports] = indicators.footprint_reports(
-                account, variants, ["R0"], operator.apply(basis),
+                account, variants, {"R0": operator.apply(basis)},
                 [("baseline", "R0", np.ones(len(scenario.SPENDING_CATEGORIES)))],
                 labels, group_codes, params)
 
@@ -153,10 +153,10 @@ def test_criterion_6_scenario_ratio_anchors():
         decent = scenario.load_scenario_spec(
             fileio.data_path("scenarios/decent-living.json"))
         base_totals = {c: float(v) for c, v in baseline.category_targets.items()}
-        good_factors = scenario.category_scaling_factors(
-            base_totals, {c: float(v) for c, v in good.category_targets.items()})
-        decent_factors = scenario.category_scaling_factors(
-            base_totals, {c: float(v) for c, v in decent.category_targets.items()})
+        good_factors = dict(zip(scenario.SPENDING_CATEGORIES,
+                                scenario.scenario_factors(good, base_totals)))
+        decent_factors = dict(zip(scenario.SPENDING_CATEGORIES,
+                                  scenario.scenario_factors(decent, base_totals)))
 
         assert abs(good_factors[scenario.HEALTHCARE] - 0.700) <= 0.001
         assert abs(good_factors[scenario.PUBLIC_ADMIN] - 0.724) <= 0.001

@@ -266,6 +266,22 @@ class TestLeontiefOperator:
         assert ipiv.tobytes() == expected_ipiv.tobytes()
 
 
+    @pytest.mark.parametrize("x, error, message", [
+        (np.ones(3), DimensionMismatch, r"^x must be a vector of length 2, got shape \(3,\)$"),
+        (np.array([1.0, -2.0]), NegativeEntry, r"^x\[1\] = -2.0 is negative$"),
+    ], ids=["wrong length", "negative"])
+    def test_output_is_checked(self, x, error, message):
+        with pytest.raises(error, match=message):
+            algebra.LeontiefOperator(np.zeros((2, 2)), x)
+
+
+def test_factorization_identity_of_an_unknown_blas(monkeypatch):
+    # A BLAS without OpenBLAS's 64-bit getters cannot be named, so no LU
+    # made under it is saved or trusted.
+    monkeypatch.setattr(algebra, "_openblas", object())
+    assert algebra.factorization_identity() is None
+
+
 class TestIntensity:
     def test_elementwise_division(self):
         s = algebra.intensity(np.array([50.0, 100.0]), np.array([100.0, 100.0]))

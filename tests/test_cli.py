@@ -401,7 +401,7 @@ class TestCompare:
         params = fixtures.fixture_conversion_params()
         # The second scenario halves consumption and keeps capital formation.
         reports = indicators.footprint_reports(
-            account_357, variants, ["R0"], operator.apply(basis),
+            account_357, variants, {"R0": operator.apply(basis)},
             [("first", "R0", np.ones(13)), ("second", "R0", np.r_[np.full(12, 0.5), 1.0])],
             *groups, params)
         other = dataclasses.replace(params, working_age_population=1.3e6,

@@ -172,7 +172,12 @@ class TestParseErrors:
          "header rows have different lengths", 1),
         ("x.tsv", lambda lines: [line + "\t1" for line in lines],
          "file must have exactly one value column", None),
-    ], ids=["no data rows", "no data columns", "header lengths", "two output columns"])
+        # Header rows and no body: the body is one empty share.
+        ("z.tsv", lambda lines: lines[:2], "file has no data rows", None),
+        ("y.tsv", lambda lines: lines[:2], "file has no data rows", None),
+        ("x.tsv", lambda lines: lines[:1], "file has no data rows", None),
+    ], ids=["no data rows", "no data columns", "header lengths", "two output columns",
+            "z headers only", "y headers only", "x header only"])
     def test_grid_structure_names_the_file(self, written_set, tmp_path, name, edit, message,
                                            row):
         _, layout_path = written_set
@@ -821,7 +826,8 @@ class TestCache:
         monkeypatch.setattr(fileio, "_parse_grid", no_parse)
         fileio.ingest(layout_path)
 
-    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape", "truncated-validate"])
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape", "truncated-validate",
+                                        "json missing keys", "json list", "json wrong types"])
     def test_damaged_entry_is_rewritten(self, written_set, damage, capsys):
         _, layout_path = written_set
         validate = ["validate", "--layout", str(layout_path)]
@@ -835,9 +841,14 @@ class TestCache:
         # make reading the mapping fail.
         expected = fileio.ingest(layout_path).account.Z.copy()
         entry = _z_entry(layout_path)
-        whole = entry.read_bytes()
+        whole, whole_json = entry.read_bytes(), entry.with_suffix(".json").read_bytes()
         if damage.startswith("truncated"):
             entry.write_bytes(whole[: len(whole) // 2])
+        elif damage.startswith("json"):
+            # A json part that parses but does not hold the entry's fields.
+            entry.with_suffix(".json").write_text(json.dumps({
+                "json missing keys": {}, "json list": [],
+                "json wrong types": {"headers": 1, "labels": 2, "linenos": 3}}[damage]))
         else:
             np.save(entry, expected[:-1])
         if damage.endswith("validate"):
@@ -845,6 +856,7 @@ class TestCache:
             assert capsys.readouterr().out == cold
         assert fileio.ingest(layout_path).account.Z.tobytes() == expected.tobytes()
         assert entry.read_bytes() == whole
+        assert entry.with_suffix(".json").read_bytes() == whole_json
 
     @pytest.mark.parametrize("run", ["cold", "warm"])
     def test_ingested_arrays_are_read_only(self, written_set, run):

@@ -83,7 +83,7 @@ def one_column_reports(account, y, gfcf=None, home_region="R0", category_codes=N
     variants = indicators.report_variants(account, names or list(account.extensions))
     basis, _ = scenario.category_basis(y, gfcf, category_codes, account.index)
     [reports] = indicators.footprint_reports(
-        account, variants, [home_region], operator.apply(basis),
+        account, variants, {home_region: operator.apply(basis)},
         [("test", home_region, np.ones(len(scenario.SPENDING_CATEGORIES)))],
         group_labels, group_codes, fixtures.fixture_conversion_params())
     return reports

@@ -127,6 +127,11 @@ class TestExtensionAccount:
 
 
 class TestFixture:
+    @pytest.mark.parametrize("regions, sectors", [(0, 5), (5, 0)])
+    def test_needs_a_region_and_a_sector(self, regions, sectors):
+        with pytest.raises(ValueError, match="at least one region and one sector"):
+            fixtures.fixture(regions, sectors, 1)
+
     def test_deterministic(self):
         a = fixtures.fixture(2, 3, 42)
         b = fixtures.fixture(2, 3, 42)

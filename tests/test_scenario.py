@@ -110,7 +110,8 @@ class TestCategoryCodes:
                    for k, (category, total) in enumerate(totals.items())}
         spec = ScenarioSpec(name="mixed", home_region="R0",
                             category_targets=targets | {GFCF_CATEGORY: None})
-        factors = scenario.category_scaling_factors(totals, targets)
+        factors = {category: target / totals[category] if totals[category] > 0.0 else 0.0
+                   for category, target in targets.items()}
         per_sector = np.zeros(index.n)
         for flat, (_, sector) in enumerate(index.labels()):
             if sector in mapping:
@@ -133,10 +134,10 @@ class TestScalingFactors:
         decent = scenario.load_scenario_spec(fileio.data_path("scenarios/decent-living.json"))
         base_totals = {c: float(v) for c, v in baseline.category_targets.items()}
 
-        good_factors = scenario.category_scaling_factors(
-            base_totals, {c: float(v) for c, v in good_life.category_targets.items()})
-        decent_factors = scenario.category_scaling_factors(
-            base_totals, {c: float(v) for c, v in decent.category_targets.items()})
+        good_factors = dict(zip(SPENDING_CATEGORIES,
+                                scenario.scenario_factors(good_life, base_totals)))
+        decent_factors = dict(zip(SPENDING_CATEGORIES,
+                                  scenario.scenario_factors(decent, base_totals)))
 
         assert good_factors[scenario.HEALTHCARE] == pytest.approx(0.700, abs=1e-3)
         assert good_factors[scenario.PUBLIC_ADMIN] == pytest.approx(0.724, abs=1e-3)
@@ -145,14 +146,16 @@ class TestScalingFactors:
         assert decent_factors[scenario.GROCERIES] == pytest.approx(1.434, abs=1e-3)
 
     def test_zero_baseline_nonzero_target(self):
+        spec = ScenarioSpec(name="zero", home_region="R0",
+                            category_targets={scenario.HOUSING: 10.0})
         with pytest.raises(ZeroBaselineNonzeroTarget):
-            scenario.category_scaling_factors({scenario.HOUSING: 0.0},
-                                              {scenario.HOUSING: 10.0})
+            scenario.scenario_factors(spec, dict.fromkeys(SPENDING_CATEGORIES, 0.0))
 
     def test_zero_baseline_zero_target(self):
-        factors = scenario.category_scaling_factors({scenario.HOUSING: 0.0},
-                                                    {scenario.HOUSING: 0.0})
-        assert factors[scenario.HOUSING] == 0.0
+        spec = ScenarioSpec(name="zero", home_region="R0",
+                            category_targets={scenario.HOUSING: 0.0})
+        factors = scenario.scenario_factors(spec, dict.fromkeys(SPENDING_CATEGORIES, 0.0))
+        assert factors[SPENDING_CATEGORIES.index(scenario.HOUSING)] == 0.0
 
 
 class TestApplyScenario:
@@ -294,8 +297,8 @@ def test_factor_fills_absent_public_admin_target(account_357, demand_357, codes_
         category_targets={c: None for c in SPENDING_CATEGORIES},
         government_factor=0.6,
     )
-    targets = scenario.resolve_targets(spec, baseline)
-    assert targets[scenario.PUBLIC_ADMIN] == pytest.approx(
+    factors = dict(zip(SPENDING_CATEGORIES, scenario.scenario_factors(spec, baseline)))
+    assert factors[scenario.PUBLIC_ADMIN] * baseline[scenario.PUBLIC_ADMIN] == pytest.approx(
         0.6 * baseline[scenario.PUBLIC_ADMIN], rel=1e-12)
 
 
@@ -326,7 +329,8 @@ class TestDiningOutAdjustment:
             adjustments=(scenario.BudgetMove(source=scenario.GROCERIES, fraction=0.116,
                                              destination=scenario.RECREATION),),
         )
-        targets = scenario.resolve_targets(spec, baseline)
+        targets = {category: factor * baseline[category] for category, factor
+                   in zip(SPENDING_CATEGORIES, scenario.scenario_factors(spec, baseline))}
         assert targets[scenario.GROCERIES] == pytest.approx(884.0)
         assert targets[scenario.RECREATION] == pytest.approx(616.0)
         assert (targets[scenario.GROCERIES] + targets[scenario.RECREATION]
